@@ -4,7 +4,8 @@ import (
 	"sort"
 	"strings"
 
-	"ldl1/internal/parser"
+	"ldl1/internal/ast"
+	"ldl1/internal/lderr"
 	"ldl1/internal/term"
 )
 
@@ -18,10 +19,11 @@ type Answers struct {
 	Rows [][]Term
 }
 
-func newAnswers(q parser.Query, sols []map[term.Var]term.Term) *Answers {
+// bodyVars lists a query body's variables in first-occurrence order.
+func bodyVars(body []ast.Literal) []term.Var {
 	seen := map[term.Var]bool{}
 	var vars []term.Var
-	for _, l := range q.Body {
+	for _, l := range body {
 		for _, v := range l.Vars() {
 			if !seen[v] {
 				seen[v] = true
@@ -29,8 +31,21 @@ func newAnswers(q parser.Query, sols []map[term.Var]term.Term) *Answers {
 			}
 		}
 	}
-	a := &Answers{Vars: make([]string, len(vars))}
-	for i, v := range vars {
+	return vars
+}
+
+// newAnswers tabulates sols, the solutions of the body solved, under the
+// variable names of the caller's body.  solved is body itself or its
+// positional form (see reader.read), so the two bodies' variables
+// correspond one to one in first-occurrence order.  A positive maxRows
+// that sols exceeds is a *lderr.LimitError, however sols was come by.
+func newAnswers(body, solved []ast.Literal, sols []map[term.Var]term.Term, maxRows int) (*Answers, error) {
+	if maxRows > 0 && len(sols) > maxRows {
+		return nil, &lderr.LimitError{Limit: maxRows}
+	}
+	names, vars := bodyVars(body), bodyVars(solved)
+	a := &Answers{Vars: make([]string, len(names))}
+	for i, v := range names {
 		a.Vars[i] = string(v)
 	}
 	for _, sol := range sols {
@@ -52,7 +67,7 @@ func newAnswers(q parser.Query, sols []map[term.Var]term.Term) *Answers {
 		}
 		return false
 	})
-	return a
+	return a, nil
 }
 
 // Len returns the number of answers.

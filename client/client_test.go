@@ -113,6 +113,17 @@ func TestClientErrorTaxonomy(t *testing.T) {
 		t.Fatalf("APIError envelope: %v", err)
 	}
 
+	// Bad prepared-Exec arguments are the caller's mistake: 400 bad_request.
+	if err := c.Prepare(ctx, "family", "anc", "ancestor(abe, W)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"abe", "bob"}, {"X"}} {
+		_, err = c.Exec(ctx, "family", "anc", args, nil)
+		if !errors.As(err, &ae) || ae.Status != 400 || ae.Code != "bad_request" {
+			t.Fatalf("exec args %v: %v", args, err)
+		}
+	}
+
 	_, err = c.Query(ctx, "family", "ancestor(X, Y)", &ReadOpts{MaxRows: 2})
 	var le *ldl1.LimitError
 	if !errors.As(err, &le) || le.Limit != 2 {

@@ -58,7 +58,7 @@ type benchResult struct {
 	Rederived           int64 `json:"rederived"`
 	RegroupedClasses    int64 `json:"regrouped_classes"`
 	// Planner and cache counters (v4): rule bodies whose cost-based join
-	// order diverged from the static order, and magic-answer cache hits
+	// order diverged from the static order, and answer-cache hits
 	// (nonzero only for the q* prepared-query entries).
 	PlansReordered int64 `json:"plans_reordered"`
 	CacheHits      int64 `json:"cache_hits"`
@@ -144,7 +144,7 @@ func queryEngine(src string, db *store.DB, opts ...ldl1.Option) (*ldl1.Engine, *
 
 // preparedOp is the prepared side of a q* pair: the query is compiled once
 // with Prepare, and one operation re-executes it for every constant, so
-// repeats after the first run answer from the magic-answer cache.
+// repeats after the first run answer from the answer cache.
 func preparedOp(src string, db *store.DB, query string, consts []string) (func(context.Context) (eval.Stats, error), error) {
 	eng, st, err := queryEngine(src, db)
 	if err != nil {

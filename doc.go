@@ -30,6 +30,19 @@
 //	ans, err := eng.Query("ancestor(abe, W)")
 //	for _, row := range ans.Rows { fmt.Println(row) }
 //
+// # One read path
+//
+// Engine.Query, Engine.Prepare with PreparedQuery.Exec, and the same two on
+// an incrementally maintained view (Engine.Materialize, then
+// Materialized.Query and Materialized.Prepare — which returns the same
+// handle type) all answer through one snapshot reader, so they return the
+// same rows for the same query: the reader solves against the engine's
+// memoized model or the view's current snapshot (or, under WithMagic, runs
+// the compiled magic-sets form), behind one answer cache per engine and per
+// view that updates invalidate by dependency cone.  ReadOpts bounds a
+// single read; WithDeadline, WithLimit and WithMemBudget bound every
+// evaluation.
+//
 // Concrete syntax: rules are written head <- body with a terminating
 // period; variables start upper-case, constants lower-case; {1, 2} is an
 // enumerated set, <X> a grouping argument, and not/~/¬ negate a body

@@ -15,11 +15,15 @@ import (
 	"ldl1/internal/layering"
 	"ldl1/internal/magic"
 	"ldl1/internal/parser"
-	"ldl1/internal/qcache"
 	"ldl1/internal/rewrite"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
 )
+
+// preparedCap bounds the engine's memo of compiled magic forms; a form costs
+// one adorn + rewrite + stratify, so the cap only matters for workloads
+// cycling through many distinct (predicate, adornment) shapes.
+const preparedCap = 32
 
 // Strategy selects the fixpoint algorithm (§3.2).
 type Strategy = eval.Strategy
@@ -58,7 +62,11 @@ type config struct {
 // WithStrategy selects naive or semi-naive evaluation.
 func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
 
-// WithStats attaches a counter sink.
+// WithStats attaches a counter sink.  Run, Query and prepared Exec each
+// count into a Stats of their own and merge it into the sink under a lock
+// when they finish, so concurrent reads may share one sink; read it once
+// they have returned.  A view's transactions count into it directly,
+// serialized by the view.
 func WithStats(s *Stats) Option { return func(c *config) { c.stats = s } }
 
 // WithMagic enables Generalized Magic Sets query compilation (§6):
@@ -81,13 +89,15 @@ func WithSupplementaryMagic() Option {
 // the computed model is unchanged).
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithLimit bounds the number of derived facts; evaluation aborts with an
-// error beyond it.  A termination guard for programs whose function symbols
+// WithLimit bounds the number of facts one evaluation — a Run, a magic-sets
+// read, or a view transaction — may derive; it aborts with *lderr.LimitError
+// beyond it.  A termination guard for programs whose function symbols
 // could generate unbounded terms.
 func WithLimit(maxDerived int) Option { return func(c *config) { c.limit = maxDerived } }
 
-// WithDeadline bounds the wall-clock time of every Run, Query and
-// materialized-view operation.  A breached deadline aborts the fixpoint at
+// WithDeadline bounds the wall-clock time of every Run, Query, prepared
+// Exec and materialized-view operation (a read may replace it through
+// ReadOpts.Deadline).  A breached deadline aborts the fixpoint at
 // the next evaluation round with an error satisfying both
 // errors.Is(err, lderr.DeadlineExceeded) and
 // errors.Is(err, context.DeadlineExceeded); the engine's state is unchanged.
@@ -96,7 +106,9 @@ func WithLimit(maxDerived int) Option { return func(c *config) { c.limit = maxDe
 func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
 
 // WithMemBudget bounds the approximate bytes of derived facts retained by
-// one evaluation; beyond it evaluation aborts with *lderr.MemBudgetError.
+// one evaluation (a Run, or a magic-sets read; answering from an
+// already-computed model evaluates nothing); beyond it evaluation aborts
+// with *lderr.MemBudgetError.
 // The estimate is deterministic (a structural walk of each derived fact),
 // so a breaching program fails identically across runs and worker counts.
 func WithMemBudget(bytes int64) Option { return func(c *config) { c.memBudget = bytes } }
@@ -110,8 +122,8 @@ func WithoutIndexes() Option { return func(c *config) { c.noIndexes = true } }
 // IndexHits) changes.  An ablation switch for benchmarks.
 func WithoutReorder() Option { return func(c *config) { c.noReorder = true } }
 
-// WithoutQueryCache disables both the prepared-form LRU and the
-// magic-answer cache on the Query path: every query recompiles and
+// WithoutQueryCache disables the answer cache (the engine's and every
+// view's) and the memo of compiled magic forms: every query recompiles and
 // re-evaluates from scratch.  An ablation switch for benchmarks; Prepare
 // still works and still skips recompilation through its own handle.
 func WithoutQueryCache() Option { return func(c *config) { c.noQueryCache = true } }
@@ -125,7 +137,7 @@ func WithoutRewrite() Option { return func(c *config) { c.noRewrite = true } }
 // Concurrency: fact loading (AddFact, AddFacts, AddDB) takes a write lock;
 // Run, Query, and prepared-handle Exec evaluate under a read lock, so
 // queries may run concurrently with each other and are serialized against
-// loads.  The prepared-form LRU and the answer cache carry their own locks
+// loads.  The answer cache and the compiled-form memo carry their own locks
 // and publish only fully built, immutable entries.
 type Engine struct {
 	cfg      config
@@ -135,14 +147,14 @@ type Engine struct {
 	edb      *store.DB
 	model    *store.DB // memoized Run result
 
-	// prep is the LRU of compiled query forms keyed by (predicate,
-	// adornment); cache memoizes magic answers keyed additionally by the
-	// bound constants.  Both are nil under WithoutQueryCache.
-	prep  *prepLRU
-	cache *qcache.Cache
-	// deps is the head → body predicate adjacency of the compiled program,
-	// for dependency-cone computation at cache-fill time.
-	deps map[string][]string
+	// r answers every Query and prepared Exec: from the memoized model, or
+	// under WithMagic through a compiled form evaluated against edb.
+	r *reader
+	// forms memoizes compiled magic forms by (predicate, adornment) — the
+	// adornment depends only on which positions are ground, so one form
+	// serves every constant.  Nil under WithoutQueryCache.
+	formsMu sync.Mutex
+	forms   map[formKey]*magic.Prepared
 
 	// typeMu guards the memoized type environment below.  The inference
 	// depends only on the compiled program (fixed) and the NAMES of the
@@ -196,13 +208,13 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 	e.source = compiled
 	e.edb = store.NewDB()
 	e.edb.UseIndexes = !e.cfg.noIndexes
-	if !e.cfg.noQueryCache {
-		e.prep = newPrepLRU(preparedCap)
-		e.cache = qcache.New(answerCacheCap)
-	}
-	e.deps = map[string][]string{}
-	for _, ed := range layering.Edges(compiled) {
-		e.deps[ed.From] = append(e.deps[ed.From], ed.To)
+	e.r = e.cfg.newReader(e.modelDB, dependencyCones(compiled))
+	e.r.sink = e.cfg.stats
+	if e.cfg.magic {
+		e.r.compile, e.r.exec = e.magicForm, e.execMagic
+		if !e.cfg.noQueryCache {
+			e.forms = map[formKey]*magic.Prepared{}
+		}
 	}
 	return e, nil
 }
@@ -213,38 +225,30 @@ func (e *Engine) AddFact(f *Fact) {
 	defer e.mu.Unlock()
 	e.model = nil
 	e.edb.Insert(f)
-	if e.cache != nil {
-		e.cache.Invalidate(f.Pred)
-	}
+	e.r.cache.Invalidate(f.Pred)
 }
 
 // AddFacts inserts facts given as LDL1 source text ("parent(a, b). ...").
 // The parsed facts are loaded in one batch, so intern tables are pre-sized
 // instead of grown fact by fact.
 func (e *Engine) AddFacts(src string) error {
-	p, err := parser.ParseProgram(src)
-	if err != nil {
+	fs, err := parseFactList(src)
+	if err != nil || len(fs) == 0 {
 		return err
 	}
-	fs := make([]*term.Fact, 0, len(p.Rules))
-	for _, r := range p.Rules {
-		if !r.IsFact() {
-			return fmt.Errorf("ldl1: AddFacts source contains a rule: %s", r.String())
+	var preds []string
+	seen := map[string]bool{}
+	for _, f := range fs {
+		if !seen[f.Pred] {
+			seen[f.Pred] = true
+			preds = append(preds, f.Pred)
 		}
-		fs = append(fs, term.NewFact(r.Head.Pred, r.Head.Args...))
-	}
-	if len(fs) == 0 {
-		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = nil
 	e.edb.LoadFacts(fs, store.LoadOpts{Workers: e.cfg.workers})
-	if e.cache != nil {
-		for _, f := range fs {
-			e.cache.Invalidate(f.Pred)
-		}
-	}
+	e.r.cache.Invalidate(preds...)
 	return nil
 }
 
@@ -263,9 +267,7 @@ func (e *Engine) AddDB(db *store.DB) {
 			e.edb.LoadFacts(r.All(), opts)
 		}
 	}
-	if e.cache != nil {
-		e.cache.Invalidate(db.Preds()...)
-	}
+	e.r.cache.Invalidate(db.Preds()...)
 }
 
 // Program returns the compiled program text (after LDL1.5 expansion).
@@ -288,12 +290,17 @@ func (e *Engine) Strata() map[string]int {
 // which case its minimal model is unique (§3, corollary to Theorem 1).
 func (e *Engine) IsPositive() bool { return e.source.IsPositive() }
 
-// edbKey fingerprints the extensional predicate set — the only store input
-// the type inference and the vet pass depend on.  Callers hold e.mu.
-func (e *Engine) edbKey() string {
+// knownPreds is the set of extensional predicate names — the only store
+// input the type inference and the vet pass depend on — and its
+// fingerprint, which keys their memos.  Callers hold e.mu.
+func (e *Engine) knownPreds() (known map[string]bool, key string) {
 	preds := e.edb.Preds()
 	sort.Strings(preds)
-	return strings.Join(preds, "\x00")
+	known = make(map[string]bool, len(preds))
+	for _, p := range preds {
+		known[p] = true
+	}
+	return known, strings.Join(preds, "\x00")
 }
 
 // typeEnvNow returns the inferred type environment of the compiled program
@@ -301,11 +308,7 @@ func (e *Engine) edbKey() string {
 // predicate set changes.  Callers must hold e.mu (read suffices: the memo
 // has its own lock).
 func (e *Engine) typeEnvNow() *types.Env {
-	key := e.edbKey()
-	known := map[string]bool{}
-	for _, p := range e.edb.Preds() {
-		known[p] = true
-	}
+	known, key := e.knownPreds()
 	e.typeMu.Lock()
 	defer e.typeMu.Unlock()
 	if e.typeEnv == nil || e.typeEnvKey != key {
@@ -321,19 +324,17 @@ func (e *Engine) typeEnvNow() *types.Env {
 // and are omitted.
 func (e *Engine) Signatures() []types.PredSig {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	known := map[string]bool{}
-	for _, p := range e.edb.Preds() {
-		known[p] = true
-	}
+	known, _ := e.knownPreds()
+	e.mu.RUnlock()
 	return analyze.Signatures(e.original, analyze.Options{KnownPreds: known})
 }
 
-// evalOpts assembles the evaluation options of one run under ctx.
-func (e *Engine) evalOpts(ctx context.Context) eval.Options {
+// evalOpts assembles the options of one evaluation under ctx, counting
+// into st.  Callers hold e.mu.
+func (e *Engine) evalOpts(ctx context.Context, st *Stats) eval.Options {
 	return eval.Options{
 		Strategy:   e.cfg.strategy,
-		Stats:      e.cfg.stats,
+		Stats:      st,
 		MaxDerived: e.cfg.limit,
 		Workers:    e.cfg.workers,
 		MemBudget:  e.cfg.memBudget,
@@ -341,18 +342,6 @@ func (e *Engine) evalOpts(ctx context.Context) eval.Options {
 		Types:      e.typeEnvNow(),
 		Ctx:        ctx,
 	}
-}
-
-// withDeadline layers the configured WithDeadline onto ctx.  The returned
-// cancel func must always be called.
-func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if e.cfg.deadline > 0 {
-		return context.WithTimeout(ctx, e.cfg.deadline)
-	}
-	return ctx, func() {}
 }
 
 // Run computes the standard minimal model M_n of the program with respect
@@ -367,30 +356,42 @@ func (e *Engine) Run() (*Model, error) {
 // lderr.DeadlineExceeded, the extensional database is unchanged, and no
 // partial model is memoized.
 func (e *Engine) RunCtx(ctx context.Context) (*Model, error) {
+	db, err := e.modelDB(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{db: db}, nil
+}
+
+// modelDB is the reader's snapshot source: the memoized model, computed on
+// first use after a load.
+func (e *Engine) modelDB(ctx context.Context) (*store.DB, error) {
 	e.mu.RLock()
 	m := e.model
 	e.mu.RUnlock()
 	if m != nil {
-		return &Model{db: m}, nil
+		return m, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.model == nil {
-		ctx, cancel := e.withDeadline(ctx)
+		ctx, cancel := withDeadline(ctx, e.cfg.deadline)
 		defer cancel()
-		db, err := eval.Eval(e.source, e.edb, e.evalOpts(ctx))
+		st, merge := e.r.stats()
+		defer merge()
+		db, err := eval.Eval(e.source, e.edb, e.evalOpts(ctx, st))
 		if err != nil {
 			return nil, err
 		}
 		e.model = db
 	}
-	return &Model{db: e.model}, nil
+	return e.model, nil
 }
 
 // Query answers a conjunctive query ("ancestor(abe, W)", with or without
-// the ?- prefix).  With WithMagic and a single-literal query on a derived
-// predicate, the Generalized Magic Sets pipeline of §6 is used; otherwise
-// the full model is computed and filtered.
+// the ?- prefix).  With WithMagic and a positive single-literal query on a
+// derived predicate, the Generalized Magic Sets pipeline of §6 is used;
+// otherwise the full model is computed and filtered.
 func (e *Engine) Query(q string) (*Answers, error) {
 	return e.QueryCtx(context.Background(), q)
 }
@@ -398,58 +399,89 @@ func (e *Engine) Query(q string) (*Answers, error) {
 // QueryCtx is Query under a context; cancellation semantics are those of
 // RunCtx, for the magic-sets pipeline as well as the full-model path.
 func (e *Engine) QueryCtx(ctx context.Context, q string) (*Answers, error) {
+	return e.r.query(ctx, q, ReadOpts{})
+}
+
+// Prepare compiles a query for repeated execution; see PreparedQuery.  The
+// query's ground argument positions become the prepared parameters.
+func (e *Engine) Prepare(q string) (*PreparedQuery, error) {
 	query, err := parser.ParseQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	if e.cfg.magic && len(query.Body) == 1 && e.isDerived(query.Body[0].Pred) {
-		sols, err := e.magicQuery(ctx, query)
-		if err != nil {
-			return nil, err
+	if e.cfg.strict {
+		// Under WithStrict the program itself was vetted clean at New, so
+		// any diagnostic here is attributable to the query — e.g. an
+		// LDL200 type clash or an LDL202 provably empty literal.  Codes
+		// and positions (within the query text) match what Vet reports
+		// for the same query appended to the program source.
+		e.mu.RLock()
+		known, _ := e.knownPreds()
+		e.mu.RUnlock()
+		if ds := analyze.Program(e.original, []parser.Query{query}, analyze.Options{KnownPreds: known}); len(ds) > 0 {
+			return nil, &VetError{Diagnostics: ds}
 		}
-		return newAnswers(query, sols), nil
 	}
-	m, err := e.RunCtx(ctx)
+	return e.r.prepare(query)
+}
+
+// formKey identifies one compiled magic form.
+type formKey struct{ pred, adorn string }
+
+// magicForm is the reader's compile step on a WithMagic engine: the magic
+// form of a positive literal on a derived predicate, nil for any other
+// literal.  A shared (positional) literal goes through the form memo; its
+// constants are never read back, every Exec supplies its own.
+func (e *Engine) magicForm(lit ast.Literal, shared bool) (*magic.Prepared, error) {
+	if _, derived := e.r.cones[lit.Pred]; !derived || lit.Negated {
+		return nil, nil
+	}
+	variant := magic.Basic
+	if e.cfg.supplementary {
+		variant = magic.Supplementary
+	}
+	query := parser.Query{Body: []ast.Literal{lit}}
+	if !shared || e.forms == nil {
+		return magic.PrepareVariant(e.source, query, variant)
+	}
+	k := formKey{lit.Pred, string(magic.AdornQuery(lit))}
+	e.formsMu.Lock()
+	pr := e.forms[k]
+	e.formsMu.Unlock()
+	if pr != nil {
+		return pr, nil
+	}
+	pr, err := magic.PrepareVariant(e.source, query, variant)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := e.withDeadline(ctx)
-	defer cancel()
-	sols, err := eval.SolveCtx(ctx, query.Body, m.db)
+	e.formsMu.Lock()
+	defer e.formsMu.Unlock()
+	if len(e.forms) >= preparedCap {
+		for old := range e.forms { // evict an arbitrary form
+			delete(e.forms, old)
+			break
+		}
+	}
+	e.forms[k] = pr
+	return pr, nil
+}
+
+// execMagic is the reader's exec step on a WithMagic engine: one magic-sets
+// evaluation of a compiled form against the extensional database, under
+// the read lock, so a concurrent load invalidates strictly before or after.
+func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *Stats) ([]map[term.Var]term.Term, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	opts := e.evalOpts(ctx, st)
+	if o.MemBudget > 0 {
+		opts.MemBudget = o.MemBudget
+	}
+	res, err := pr.Exec(e.edb, consts, opts)
 	if err != nil {
 		return nil, err
 	}
-	return newAnswers(query, sols), nil
-}
-
-func (e *Engine) isDerived(pred string) bool {
-	for _, r := range e.source.Rules {
-		if r.Head.Pred == pred && !r.IsFact() {
-			return true
-		}
-	}
-	return false
-}
-
-// ExplainQuery returns the compilation artifacts for a query: the adorned
-// program and the magic-rewritten rules in the paper's §6 notation, plus
-// the cost-based join plan the evaluator would run — for every rule in the
-// query's dependency cone, the literal execution order with the planner's
-// bound columns and candidate estimates against the current database.
-func (e *Engine) ExplainQuery(q string) (adorned, rewritten, plan string, err error) {
-	query, err := parser.ParseQuery(q)
-	if err != nil {
-		return "", "", "", err
-	}
-	ap, err := magic.Adorn(e.source, query)
-	if err != nil {
-		return "", "", "", err
-	}
-	rw, err := magic.Rewrite(ap)
-	if err != nil {
-		return "", "", "", err
-	}
-	return ap.String(), rw.Program.String(), e.planString(query), nil
+	return res.Solutions, nil
 }
 
 // Model is a computed minimal model: a finite set of U-facts.

@@ -2,8 +2,11 @@ package ldl1
 
 import (
 	"fmt"
+	"strings"
 
 	"ldl1/internal/eval"
+	"ldl1/internal/layering"
+	"ldl1/internal/magic"
 	"ldl1/internal/parser"
 	"ldl1/internal/term"
 )
@@ -42,4 +45,80 @@ func (e *Engine) Explain(factSrc string) (string, error) {
 		return "", fmt.Errorf("ldl1: %s is not in the model", f)
 	}
 	return prov.Explain(f), nil
+}
+
+// ExplainQuery returns the compilation artifacts for a query: the adorned
+// program and the magic-rewritten rules in the paper's §6 notation, plus
+// the cost-based join plan the evaluator would run — for every rule in the
+// query's dependency cone, the literal execution order with the planner's
+// bound columns and candidate estimates against the current database.
+func (e *Engine) ExplainQuery(q string) (adorned, rewritten, plan string, err error) {
+	query, err := parser.ParseQuery(q)
+	if err != nil {
+		return "", "", "", err
+	}
+	ap, err := magic.Adorn(e.source, query)
+	if err != nil {
+		return "", "", "", err
+	}
+	rw, err := magic.Rewrite(ap)
+	if err != nil {
+		return "", "", "", err
+	}
+	return ap.String(), rw.Program.String(), e.planString(query), nil
+}
+
+// planString renders the cost-based join plan of every rule in the query's
+// dependency cone (all non-fact rules when the query is not a single
+// positive literal): the execution order with each step's bound columns
+// and the planner's candidate estimate against the current database.
+func (e *Engine) planString(query parser.Query) string {
+	var cone map[string]bool
+	if len(query.Body) == 1 && !query.Body[0].Negated {
+		cone = e.r.cone(query.Body[0].Pred)
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var sb strings.Builder
+	env := e.typeEnvNow()
+	if sigs := env.Render(); len(sigs) > 0 {
+		sb.WriteString("-- inferred signatures\n")
+		for _, s := range sigs {
+			fmt.Fprintf(&sb, "--   %s/%d: (%s)\n", s.Pred, s.Arity, strings.Join(s.Args, ", "))
+		}
+	}
+	for _, r := range e.source.Rules {
+		if r.IsFact() {
+			continue
+		}
+		if cone != nil && !cone[r.Head.Pred] {
+			continue
+		}
+		db := e.edb
+		if e.cfg.noReorder {
+			db = nil
+		}
+		p, err := eval.CompileBodyDB(r, -1, nil, db, env)
+		if err != nil {
+			fmt.Fprintf(&sb, "%s  -- unplannable: %v\n", r.String(), err)
+			continue
+		}
+		sb.WriteString(r.String())
+		if p.Reordered {
+			sb.WriteString("  -- reordered")
+		}
+		sb.WriteByte('\n')
+		for step, idx := range p.Order {
+			l := r.Body[idx]
+			fmt.Fprintf(&sb, "  %d. %s", step+1, l.String())
+			if cols := p.BoundCols[idx]; len(cols) > 0 {
+				fmt.Fprintf(&sb, "  bound=%v", cols)
+			}
+			if p.Est != nil && !l.Negated && !layering.IsBuiltin(l.Pred) {
+				fmt.Fprintf(&sb, "  est=%d", p.Est[step])
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	return sb.String()
 }

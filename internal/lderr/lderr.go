@@ -8,6 +8,7 @@
 //	LimitError          evaluation exceeded the derived-fact budget
 //	MemBudgetError      evaluation exceeded the derived-term byte budget
 //	InstantiationError  a built-in was called with too few bound arguments
+//	ArgError            a prepared handle was executed with bad arguments
 //	Canceled            a context passed to a ...Ctx API was canceled
 //	DeadlineExceeded    a context deadline (or WithDeadline) expired
 //
@@ -78,6 +79,15 @@ func (e *InstantiationError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrInstantiation) hold.
 func (e *InstantiationError) Unwrap() error { return ErrInstantiation }
+
+// ArgError reports a prepared handle executed with the wrong number of
+// arguments or a non-ground one: a caller mistake found before anything is
+// evaluated (the server answers it 400 bad_request).
+type ArgError struct {
+	Msg string
+}
+
+func (e *ArgError) Error() string { return "ldl1: " + e.Msg }
 
 // ContextError is the concrete type behind the Canceled and
 // DeadlineExceeded sentinels.  It unwraps to the corresponding context

@@ -71,12 +71,14 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 		assign(headName, headStratum)
 		assign(mName, headStratum)
 
-		// Bound head arguments (grouping arguments are never bound).
+		// Bound head arguments.  A bound grouping argument passes no
+		// binding (§6 footnote 6) but keeps its column, as a variable of its
+		// own, so the guard's arity matches the seed's and every caller's.
 		var boundArgs []term.Term
 		for i, a := range ar.Rule.Head.Args {
 			if ar.Head.Bound(i) {
 				if _, isGroup := a.(*term.Group); isGroup {
-					continue
+					a = groupColumn(i)
 				}
 				boundArgs = append(boundArgs, a)
 			}
@@ -175,6 +177,10 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 	out.NumStrata = max + 1
 	return out, nil
 }
+
+// groupColumn is the variable standing in a magic guard for the bound
+// grouping argument at head position i.
+func groupColumn(i int) term.Var { return term.Var(fmt.Sprintf("$group%d", i)) }
 
 func appendUniqueAdorn(list []Adornment, a Adornment) []Adornment {
 	for _, x := range list {

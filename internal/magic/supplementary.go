@@ -64,6 +64,8 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 				continue
 			}
 			if _, isGroup := a.(*term.Group); isGroup {
+				// No binding passes, but the column stays; see Rewrite.
+				boundArgs = append(boundArgs, groupColumn(i))
 				continue
 			}
 			boundArgs = append(boundArgs, a)

@@ -1,7 +1,8 @@
-// Package qcache implements the engine's magic-answer cache: a bounded LRU
-// from (predicate, adornment, constants) to the solutions a magic-sets
-// evaluation produced, plus the dependency cone that determines when a
-// database update invalidates the entry.
+// Package qcache implements the answer cache of the root package's snapshot
+// reader: a bounded LRU from (predicate, adornment, constants) to the
+// solutions one read computed — by solving against a model snapshot or by a
+// magic-sets evaluation, the cache does not care which — plus the dependency
+// cone that determines when a database update invalidates the entry.
 //
 // Entries are immutable once stored — callers must never mutate a returned
 // entry's solutions — so readers need no copy and the lock is held only for
@@ -9,7 +10,9 @@
 // lock, which makes the cache's view atomic: a Get racing an Invalidate
 // observes either the entry or its absence, never a half-evicted state
 // (the snapshot-publication discipline of internal/incr, applied to a
-// cache).
+// cache).  Fills are fenced by an invalidation generation (Gen/PutAt), so
+// a reader holding no lock against writers can never publish an answer
+// computed against a superseded database.
 package qcache
 
 import (
@@ -36,11 +39,11 @@ func ConstsKey(consts []term.Term) string {
 	return term.NewFact("", consts...).Key()
 }
 
-// Entry is one cached answer set.  Sols and Cone are frozen at Put time;
+// Entry is one cached answer set.  Sols and Cone are frozen at PutAt time;
 // the cache hands out the same slice to every hit.
 type Entry struct {
-	// Sols are the solutions of the magic evaluation, in the order the
-	// evaluator produced them.
+	// Sols are the solutions of the read that filled the entry, in the
+	// order the evaluator produced them.
 	Sols []map[term.Var]term.Term
 	// Cone holds every predicate (EDB and IDB) the query depends on; an
 	// update touching any of them evicts the entry.
@@ -56,11 +59,10 @@ type Cache struct {
 	hits      int
 	misses    int
 	evictions int
-	// gen counts invalidations.  Lock-free readers (the materialized-view
-	// snapshot path) record Gen() before loading their snapshot and fill
-	// with PutAt: a fill raced by any intervening invalidation is dropped,
-	// so an answer computed against a superseded snapshot can never be
-	// published as current.
+	// gen counts invalidations.  Readers record Gen() before loading their
+	// snapshot and fill with PutAt: a fill raced by any intervening
+	// invalidation is dropped, so an answer computed against a superseded
+	// snapshot can never be published as current.
 	gen int64
 }
 
@@ -69,14 +71,17 @@ type cell struct {
 	e *Entry
 }
 
-// New returns a cache holding at most cap entries (cap <= 0 disables
-// caching: every Get misses and Put is a no-op).
+// New returns a cache holding at most cap entries.  cap <= 0 disables
+// caching: every Get misses without being counted and PutAt is a no-op.
 func New(cap int) *Cache {
 	return &Cache{cap: cap, ll: list.New(), m: map[Key]*list.Element{}}
 }
 
 // Get returns the entry for k, promoting it to most-recently-used.
 func (c *Cache) Get(k Key) (*Entry, bool) {
+	if c.cap <= 0 {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[k]
@@ -89,40 +94,18 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	return el.Value.(*cell).e, true
 }
 
-// Put stores e under k, evicting the least-recently-used entry beyond
-// capacity.  The entry must not be mutated after the call.
-func (c *Cache) Put(k Key, e *Entry) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		el.Value.(*cell).e = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[k] = c.ll.PushFront(&cell{k: k, e: e})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(*cell).k)
-		c.evictions++
-	}
-}
-
-// Gen returns the current invalidation generation.  Readers that fill the
-// cache without holding any lock against writers must call Gen before
-// loading the snapshot they evaluate, and pass the value to PutAt.
+// Gen returns the current invalidation generation.  Readers must call Gen
+// before loading the snapshot they evaluate, and pass the value to PutAt.
 func (c *Cache) Gen() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.gen
 }
 
-// PutAt is Put conditioned on the invalidation generation: the entry is
-// stored only if no Invalidate or Purge ran since the caller observed gen
-// with Gen().  A dropped fill is safe — the next Get simply misses.
+// PutAt stores e under k, evicting the least-recently-used entry beyond
+// capacity — but only if no Invalidate ran since the caller observed gen
+// with Gen().  A dropped fill is safe — the next Get simply misses.  The
+// entry must not be mutated after the call.
 func (c *Cache) PutAt(k Key, e *Entry, gen int64) {
 	if c.cap <= 0 {
 		return
@@ -171,16 +154,6 @@ func (c *Cache) Invalidate(preds ...string) int {
 		el = next
 	}
 	return n
-}
-
-// Purge empties the cache and advances the generation.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	c.evictions += c.ll.Len()
-	c.ll.Init()
-	c.m = map[Key]*list.Element{}
 }
 
 // Len reports the number of live entries.

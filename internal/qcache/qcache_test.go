@@ -26,7 +26,7 @@ func TestCacheGetPut(t *testing.T) {
 		t.Fatal("hit on empty cache")
 	}
 	e := entry("p1", "base")
-	c.Put(key(1), e)
+	c.PutAt(key(1), e, c.Gen())
 	got, ok := c.Get(key(1))
 	if !ok || got != e {
 		t.Fatal("stored entry not returned")
@@ -39,10 +39,10 @@ func TestCacheGetPut(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Put(key(1), entry("a"))
-	c.Put(key(2), entry("b"))
+	c.PutAt(key(1), entry("a"), c.Gen())
+	c.PutAt(key(2), entry("b"), c.Gen())
 	c.Get(key(1)) // promote 1; 2 is now LRU
-	c.Put(key(3), entry("c"))
+	c.PutAt(key(3), entry("c"), c.Gen())
 	if _, ok := c.Get(key(2)); ok {
 		t.Error("LRU entry survived eviction")
 	}
@@ -56,8 +56,8 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheInvalidateByCone(t *testing.T) {
 	c := New(8)
-	c.Put(key(1), entry("anc", "parent"))
-	c.Put(key(2), entry("sg", "sib"))
+	c.PutAt(key(1), entry("anc", "parent"), c.Gen())
+	c.PutAt(key(2), entry("sg", "sib"), c.Gen())
 	if n := c.Invalidate("unrelated"); n != 0 {
 		t.Fatalf("invalidated %d entries for unrelated pred", n)
 	}
@@ -74,9 +74,12 @@ func TestCacheInvalidateByCone(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := New(0)
-	c.Put(key(1), entry("a"))
+	c.PutAt(key(1), entry("a"), c.Gen())
 	if _, ok := c.Get(key(1)); ok {
 		t.Error("disabled cache stored an entry")
+	}
+	if h, m, ev := c.Counters(); h+m+ev != 0 {
+		t.Errorf("disabled cache counted: hits=%d misses=%d evictions=%d", h, m, ev)
 	}
 }
 
@@ -106,7 +109,7 @@ func TestCacheConcurrent(t *testing.T) {
 				k := key(i % 20)
 				switch g % 3 {
 				case 0:
-					c.Put(k, entry(k.Pred, "base"))
+					c.PutAt(k, entry(k.Pred, "base"), c.Gen())
 				case 1:
 					c.Get(k)
 				default:
@@ -120,7 +123,7 @@ func TestCacheConcurrent(t *testing.T) {
 
 // TestGenerationFence pins the lock-free-reader fill protocol: a reader
 // records Gen() before loading its snapshot and fills with PutAt; any
-// Invalidate or Purge in between bumps the generation and the stale fill
+// Invalidate in between bumps the generation and the stale fill
 // is dropped instead of being served as current.
 func TestGenerationFence(t *testing.T) {
 	c := New(4)
@@ -136,14 +139,6 @@ func TestGenerationFence(t *testing.T) {
 	c.PutAt(key(2), entry("b"), gen)
 	if _, ok := c.Get(key(2)); ok {
 		t.Fatal("fill from a superseded generation was published")
-	}
-
-	// Purge bumps it too.
-	gen = c.Gen()
-	c.Purge()
-	c.PutAt(key(3), entry("c"), gen)
-	if _, ok := c.Get(key(3)); ok {
-		t.Fatal("fill recorded before Purge was published")
 	}
 
 	// And the fence resets: a fresh generation fills normally again.

@@ -17,6 +17,7 @@ package server
 //	DeadlineExceeded    504  deadline_exceeded
 //	Canceled            499  canceled              (nginx convention)
 //	unknown database    404  not_found
+//	ArgError            400  bad_request           (prepared Exec arguments)
 //	malformed request   400  bad_request
 //	admin disabled      403  admin_disabled
 //	anything else       500  internal
@@ -32,6 +33,7 @@ import (
 
 	"ldl1"
 	"ldl1/internal/eval"
+	"ldl1/internal/lderr"
 )
 
 // StatusClientClosedRequest is the nonstandard status for a request whose
@@ -64,11 +66,16 @@ func MapError(err error) (int, ErrorInfo) {
 	var flErr *eval.FlounderError
 	var limitErr *ldl1.LimitError
 	var memErr *ldl1.MemBudgetError
+	var argErr *lderr.ArgError
 	switch {
 	case errors.As(err, &parseErr):
 		return http.StatusBadRequest, ErrorInfo{
 			Code: "parse_error", Message: parseErr.Error(),
 			Line: parseErr.Line, Col: parseErr.Col,
+		}
+	case errors.As(err, &argErr):
+		return http.StatusBadRequest, ErrorInfo{
+			Code: "bad_request", Message: argErr.Error(),
 		}
 	case errors.As(err, &vetErr):
 		return http.StatusUnprocessableEntity, ErrorInfo{

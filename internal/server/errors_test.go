@@ -16,6 +16,19 @@ import (
 // of the engine's taxonomy: the status code, the stable machine-readable
 // code, and the detail fields each payload must carry.
 func TestMapErrorTable(t *testing.T) {
+	// The two caller mistakes a prepared Exec can make, produced by a real
+	// handle so the table pins what the engine actually returns.
+	eng, err := ldl1.New(familySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneParam, err := eng.Prepare("ancestor(abe, W)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, argCountErr := oneParam.Exec(ldl1.Sym("abe"), ldl1.Sym("bob"))
+	_, argGroundErr := oneParam.Exec(ldl1.Variable("X"))
+
 	cases := []struct {
 		name   string
 		err    error
@@ -75,6 +88,14 @@ func TestMapErrorTable(t *testing.T) {
 		{
 			name: "canceled", status: StatusClientClosedRequest, code: "canceled",
 			err: ldl1.ErrCanceled,
+		},
+		{
+			name: "bad_request/arg_count", status: http.StatusBadRequest, code: "bad_request",
+			err: argCountErr,
+		},
+		{
+			name: "bad_request/arg_not_ground", status: http.StatusBadRequest, code: "bad_request",
+			err: argGroundErr,
 		},
 		{
 			name: "internal", status: http.StatusInternalServerError, code: "internal",
@@ -166,8 +187,20 @@ func errResp(t *testing.T, url, query string, override map[string]any) (int, Err
 // TestErrorsEndToEnd triggers each mappable failure through the real HTTP
 // surface and asserts the documented status and code arrive on the wire.
 func TestErrorsEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	qURL := ts.URL + "/db/family/query"
+
+	// Prepared Exec with the wrong number of arguments, or a non-ground
+	// one, is the caller's mistake: 400, not 500.
+	if err := s.Prepare("family", "anc", "ancestor(abe, W)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"abe", "bob"}, {"X"}} {
+		st, e := errResp(t, ts.URL+"/db/family/prepared/anc", "", map[string]any{"args": args})
+		if st != 400 || e.Code != "bad_request" || e.Message == "" {
+			t.Errorf("exec args %v: %d %q %q", args, st, e.Code, e.Message)
+		}
+	}
 
 	st, e := errResp(t, qURL, "ancestor(abe,", nil)
 	if st != 400 || e.Code != "parse_error" || e.Col == 0 {

@@ -26,7 +26,6 @@ import (
 // by /stats without racing an in-flight transaction).
 type database struct {
 	name string
-	eng  *ldl1.Engine
 	view *ldl1.Materialized
 
 	writeMu sync.Mutex // serializes writes; guards evalStats reads
@@ -127,7 +126,6 @@ func (s *Server) Load(name, src string) error {
 	}
 	db := &database{
 		name:      name,
-		eng:       eng,
 		view:      view,
 		evalStats: st,
 		prepared:  map[string]*ldl1.PreparedView{},

@@ -3,11 +3,10 @@ package ldl1
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ldl1/internal/incr"
 	"ldl1/internal/parser"
-	"ldl1/internal/qcache"
+	"ldl1/internal/store"
 	"ldl1/internal/term"
 )
 
@@ -24,19 +23,12 @@ type UpdateResult = incr.Result
 // before an update remain valid and unchanged, so concurrent readers never
 // observe a half-applied transaction.
 type Materialized struct {
-	inner    *incr.Materialized
-	deadline time.Duration
-
-	// cache memoizes snapshot-read answers for canonical single-literal
-	// queries, shared by every PreparedView and QueryCtx caller of this
-	// view (one cache per view — entries depend on the view's EDB state,
-	// so it cannot be shared with the engine's magic-answer cache, whose
-	// entries are computed against the engine's own database).  Nil under
-	// WithoutQueryCache.
-	cache *qcache.Cache
-	// deps is the head → body predicate adjacency of the compiled program,
-	// for dependency-cone computation at cache-fill time.
-	deps map[string][]string
+	inner *incr.Materialized
+	// r answers every Query and prepared Exec from the snapshot current at
+	// the read's start.  Its answer cache is the view's own: entries depend
+	// on the view's EDB state, which forked from the engine's at
+	// Materialize.
+	r *reader
 }
 
 // Materialize evaluates the engine's program once against its current
@@ -58,43 +50,17 @@ func (e *Engine) Materialize() (*Materialized, error) {
 	if err != nil {
 		return nil, err
 	}
-	mv := &Materialized{inner: inner, deadline: e.cfg.deadline, deps: e.deps}
-	if !e.cfg.noQueryCache {
-		mv.cache = qcache.New(answerCacheCap)
-	}
-	if e.cache != nil || mv.cache != nil {
-		// Delta-driven cache invalidation: a transaction touching any
-		// predicate inside a cached query's dependency cone evicts that
-		// entry, from the engine's magic-answer cache and the view's own
-		// snapshot-answer cache alike.  The hook runs after the view
-		// publishes its new snapshot and before its next transaction, so
-		// eviction is never lost under concurrent Exec/Assert.
-		engCache, viewCache := e.cache, mv.cache
-		inner.OnChange(func(preds []string) {
-			if engCache != nil {
-				engCache.Invalidate(preds...)
-			}
-			if viewCache != nil {
-				viewCache.Invalidate(preds...)
-			}
-		})
-	}
-	return mv, nil
+	r := e.cfg.newReader(func(context.Context) (*store.DB, error) { return inner.Snapshot(), nil }, e.r.cones)
+	// Delta-driven cache invalidation: a transaction touching any predicate
+	// inside a cached query's dependency cone evicts that entry.  The hook
+	// runs after the view publishes its new snapshot and before its next
+	// transaction, so eviction is never lost under concurrent Exec/Assert.
+	inner.OnChange(func(preds []string) { r.cache.Invalidate(preds...) })
+	return &Materialized{inner: inner, r: r}, nil
 }
 
-// withDeadline layers the engine's WithDeadline onto ctx; the cancel func
-// must always be called.
-func (mv *Materialized) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if mv.deadline > 0 {
-		return context.WithTimeout(ctx, mv.deadline)
-	}
-	return ctx, func() {}
-}
-
-// parseFactList parses LDL1 source text consisting of facts only.
+// parseFactList parses LDL1 source text consisting of facts only: what
+// Engine.AddFacts loads and a view transaction asserts or retracts.
 func parseFactList(src string) ([]*term.Fact, error) {
 	p, err := parser.ParseProgram(src)
 	if err != nil {
@@ -103,7 +69,7 @@ func parseFactList(src string) ([]*term.Fact, error) {
 	out := make([]*term.Fact, 0, len(p.Rules))
 	for _, r := range p.Rules {
 		if !r.IsFact() {
-			return nil, fmt.Errorf("ldl1: update source contains a rule: %s", r.String())
+			return nil, fmt.Errorf("ldl1: fact list contains a rule: %s", r.String())
 		}
 		out = append(out, term.NewFact(r.Head.Pred, r.Head.Args...))
 	}
@@ -125,7 +91,7 @@ func (mv *Materialized) AssertCtx(ctx context.Context, src string) (UpdateResult
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := mv.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx, mv.r.deadline)
 	defer cancel()
 	return mv.inner.ApplyCtx(ctx, incr.Tx{Insert: fs})
 }
@@ -144,7 +110,7 @@ func (mv *Materialized) RetractCtx(ctx context.Context, src string) (UpdateResul
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := mv.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx, mv.r.deadline)
 	defer cancel()
 	return mv.inner.ApplyCtx(ctx, incr.Tx{Retract: fs})
 }
@@ -169,7 +135,7 @@ func (mv *Materialized) UpdateCtx(ctx context.Context, assertSrc, retractSrc str
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := mv.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx, mv.r.deadline)
 	defer cancel()
 	return mv.inner.ApplyCtx(ctx, incr.Tx{Insert: ins, Retract: del})
 }
@@ -181,13 +147,38 @@ func (mv *Materialized) Model() *Model {
 
 // Query answers a conjunctive query against the current model snapshot.
 func (mv *Materialized) Query(q string) (*Answers, error) {
-	return mv.QueryCtx(context.Background(), q)
+	return mv.QueryOpts(context.Background(), q, ReadOpts{})
 }
 
 // QueryCtx is Query under a context; enumeration stops at the next
-// solution once the context is done.  Canonical single-literal queries are
-// served from (and fill) the view's answer cache; see QueryOpts for
-// per-call resource bounds.
+// solution once the context is done.
 func (mv *Materialized) QueryCtx(ctx context.Context, q string) (*Answers, error) {
 	return mv.QueryOpts(ctx, q, ReadOpts{})
+}
+
+// QueryOpts is QueryCtx under per-call resource bounds.  The read is
+// lock-free: it loads the current published snapshot and never blocks or is
+// blocked by concurrent Assert/Retract/Update transactions (which publish
+// their own snapshots atomically).  Cache-shaped single-literal queries are
+// served from and fill the view's answer cache.
+func (mv *Materialized) QueryOpts(ctx context.Context, q string, o ReadOpts) (*Answers, error) {
+	return mv.r.query(ctx, q, o)
+}
+
+// Prepare compiles a query for repeated execution against the view; see
+// PreparedQuery.  Each Exec sees the snapshot current at its start.
+func (mv *Materialized) Prepare(q string) (*PreparedView, error) {
+	query, err := parser.ParseQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return mv.r.prepare(query)
+}
+
+// CacheCounters reports the view's answer-cache statistics: cumulative
+// hits, misses, and evictions, plus the live entry count.  All zero when
+// the engine was built with WithoutQueryCache.
+func (mv *Materialized) CacheCounters() (hits, misses, evictions, entries int) {
+	hits, misses, evictions = mv.r.cache.Counters()
+	return hits, misses, evictions, mv.r.cache.Len()
 }

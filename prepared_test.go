@@ -69,6 +69,130 @@ func TestPreparedExecOracle(t *testing.T) {
 	}
 }
 
+// agreeProg extends prepProg with grouping, negation, a compound head and a
+// cycle, so every query shape of TestReadPathsAgree has non-trivial answers.
+const agreeProg = prepProg + `
+	par(loop, loop).
+	kids(X, <Y>) <- par(X, Y).
+	haspar(X) <- par(Y, X).
+	root(X) <- par(X, Y), ~haspar(X).
+	boxed(box(X), Y) <- anc(X, Y).
+`
+
+// TestReadPathsAgree is the Theorem-1 agreement table: an admissible
+// program has one minimal model, so every way of asking the same query —
+// engine kind × entry point — must render the same answers as a fresh
+// bottom-up engine over the same facts, before and after an in-cone and an
+// out-of-cone update.  Every case keeps two live handles of the same
+// (predicate, adornment) spelled with different variable names and
+// constants: neither may inherit the other's.
+func TestReadPathsAgree(t *testing.T) {
+	cases := []struct {
+		name string
+		q    string   // the query, also prepared as written
+		twin string   // same shape, other constants and variable names
+		args []string // q's ground arguments, bound into twin's handle
+	}{
+		{"ground", "anc(a, d)", "anc(c, b)", []string{"a", "d"}},
+		{"one free var", "anc(b, W)", "anc(a, Out)", []string{"b"}},
+		{"all free", "anc(X, Y)", "anc(From, To)", nil},
+		{"repeated variable", "anc(X, X)", "anc(Same, Same)", nil},
+		{"negated literal", "~anc(d, a)", "~anc(a, d)", []string{"d", "a"}},
+		{"two-literal join", "par(a, M), anc(M, N)", "par(b, K), anc(K, L)", nil},
+		{"ground set argument", "kids(P, {c, e})", "kids(Who, {b})", []string{"{e, c}"}},
+		{"ground compound argument", "boxed(box(b), W)", "boxed(box(a), Out)", []string{"box(b)"}},
+		{"base relation", "par(b, C)", "par(a, Child)", []string{"b"}},
+		{"stratified negation", "root(R)", "root(Top)", nil},
+	}
+	type target struct {
+		name    string
+		query   func(string) (*Answers, error)
+		prepare func(string) (*PreparedQuery, error)
+		add     func(facts string) error
+	}
+	engine := func(name string, opts ...Option) target {
+		eng, err := New(agreeProg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return target{name, eng.Query, eng.Prepare, eng.AddFacts}
+	}
+	mv := mustView(t, agreeProg)
+	targets := []target{
+		engine("plain"),
+		engine("magic", WithMagic(true)),
+		engine("supplementary", WithSupplementaryMagic()),
+		{"view", mv.Query, mv.Prepare, func(facts string) error { _, err := mv.Assert(facts); return err }},
+	}
+	rows := func(a *Answers, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(a.Rows)
+	}
+
+	type handles struct{ own, twin *PreparedQuery }
+	live := make([][]handles, len(targets))
+	for i, tg := range targets {
+		for _, c := range cases {
+			own, err := tg.prepare(c.q)
+			if err != nil {
+				t.Fatalf("%s: Prepare(%s): %v", tg.name, c.q, err)
+			}
+			twin, err := tg.prepare(c.twin)
+			if err != nil {
+				t.Fatalf("%s: Prepare(%s): %v", tg.name, c.twin, err)
+			}
+			live[i] = append(live[i], handles{own, twin})
+		}
+	}
+
+	facts := ""
+	for _, phase := range []struct{ name, add string }{
+		{"initial", ""},
+		{"in-cone update", "par(d, z). par(z, a)."},
+		{"out-of-cone update", "other(u2)."},
+	} {
+		facts += phase.add
+		for _, tg := range targets {
+			if err := tg.add(phase.add); err != nil {
+				t.Fatal(err)
+			}
+		}
+		oracle, err := New(agreeProg + facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range cases {
+			want, wantTwin := mustStr(t)(oracle.Query(c.q)), mustStr(t)(oracle.Query(c.twin))
+			// With no parameters to bind, Exec(args...) re-runs the twin.
+			wantRows := rows(oracle.Query(c.twin))
+			if c.args != nil {
+				wantRows = rows(oracle.Query(c.q))
+			}
+			var args []Term
+			for _, a := range c.args {
+				args = append(args, MustParseTerm(a))
+			}
+			for ti, tg := range targets {
+				h := live[ti][ci]
+				for _, got := range []struct{ via, got, want string }{
+					{"Query", mustStr(t)(tg.query(c.q)), want},
+					{"Prepare+Exec()", mustStr(t)(h.own.Exec()), want},
+					{"twin Prepare+Exec()", mustStr(t)(h.twin.Exec()), wantTwin},
+					{"twin Prepare+Exec(args)", rows(h.twin.Exec(args...)), wantRows},
+					{"Query again", mustStr(t)(tg.query(c.q)), want},
+				} {
+					if got.got != got.want {
+						t.Errorf("%s / %s / %s / %s:\n got %q\nwant %q", phase.name, tg.name, c.name, got.via, got.got, got.want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPreparedNoArgsRerunsOriginal checks that Exec() re-runs the constants
 // baked into the prepared query text.
 func TestPreparedNoArgsRerunsOriginal(t *testing.T) {
@@ -155,10 +279,11 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestMaterializedAssertEvictsCache checks the incremental-view hook: an
-// Assert on the view whose delta touches a cached query's cone evicts the
-// engine's cached answers.
-func TestMaterializedAssertEvictsCache(t *testing.T) {
+// TestMaterializedAssertLeavesEngineCache pins the separation of the two
+// caches: the view forked the engine's EDB, so a transaction on the view
+// cannot change the engine's answers and must not evict them, while the
+// view's own entry for the same query is evicted.
+func TestMaterializedAssertLeavesEngineCache(t *testing.T) {
 	var st Stats
 	eng, err := New(prepProg, WithMagic(true), WithStats(&st))
 	if err != nil {
@@ -167,26 +292,26 @@ func TestMaterializedAssertEvictsCache(t *testing.T) {
 	if _, err := eng.Query("anc(a, W)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query("anc(a, W)"); err != nil {
-		t.Fatal(err)
-	}
-	if st.CacheHits != 1 {
-		t.Fatalf("CacheHits = %d, want 1", st.CacheHits)
-	}
 	mat, err := eng.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mat.Assert("par(z1, z2)."); err != nil {
+	if _, err := mat.Query("anc(a, W)"); err != nil {
 		t.Fatal(err)
 	}
-	// The view forked the EDB, so the engine's answers are unchanged — but
-	// the eviction is conservative: the repeat query must be a miss.
-	if _, err := eng.Query("anc(a, W)"); err != nil {
+	if _, err := mat.Assert("par(d, z)."); err != nil {
 		t.Fatal(err)
 	}
+	engAns := mustStr(t)(eng.Query("anc(a, W)"))
 	if st.CacheHits != 1 {
-		t.Errorf("CacheHits after view Assert = %d, want 1 (entry should be evicted)", st.CacheHits)
+		t.Errorf("CacheHits after view Assert = %d, want 1 (the engine's entry must survive)", st.CacheHits)
+	}
+	viewAns := mustStr(t)(mat.Query("anc(a, W)"))
+	if hits, _, _, _ := mat.CacheCounters(); hits != 0 {
+		t.Errorf("view cache hits after its own Assert = %d, want 0 (entry should be evicted)", hits)
+	}
+	if engAns == viewAns {
+		t.Errorf("engine and view agree after a view-only Assert: %q", engAns)
 	}
 }
 
@@ -341,6 +466,38 @@ func TestPreparedOptionParity(t *testing.T) {
 			t.Errorf("Query: want *MemBudgetError, got %v", err)
 		}
 	})
+	t.Run("readopts", func(t *testing.T) {
+		// ReadOpts bound an engine handle's read as they bound a view's:
+		// the row cap on a miss, on a hit, and on an uncached shape.
+		eng, err := New(prepProg+"par(loop, loop). par(l2, l2).", WithMagic(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"anc(a, W)", "anc(a, W)", "anc(X, X)"} {
+			pq, err := eng.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var le *LimitError
+			if _, err := pq.ExecOpts(context.Background(), ReadOpts{MaxRows: 1}); !errors.As(err, &le) || le.Limit != 1 {
+				t.Errorf("%s MaxRows=1: want *LimitError{1}, got %v", q, err)
+			}
+			if _, err := pq.ExecOpts(context.Background(), ReadOpts{MaxRows: 100}); err != nil {
+				t.Errorf("%s MaxRows=100: %v", q, err)
+			}
+		}
+		pq, err := eng.Prepare("anc(b, W)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pq.ExecOpts(context.Background(), ReadOpts{Deadline: time.Nanosecond}); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Errorf("Deadline=1ns: want ErrDeadlineExceeded, got %v", err)
+		}
+		var me *MemBudgetError
+		if _, err := pq.ExecOpts(context.Background(), ReadOpts{MemBudget: 16}); !errors.As(err, &me) {
+			t.Errorf("MemBudget=16: want *MemBudgetError, got %v", err)
+		}
+	})
 	t.Run("cancel", func(t *testing.T) {
 		eng, err := New(prepProg, WithMagic(true))
 		if err != nil {
@@ -385,47 +542,63 @@ func TestPreparedNonMagicEngine(t *testing.T) {
 	}
 }
 
-// TestConcurrentExecAddFact exercises the cache under concurrent prepared
-// executions and EDB updates; run under -race.  Every Exec must return
-// answers consistent with some EDB state (in particular, never an error),
-// and the final repeat must see all inserted facts.
+// TestConcurrentExecAddFact exercises the read path under concurrent
+// prepared executions, queries and EDB updates, on a magic and on a plain
+// engine, each with a shared WithStats sink; run under -race.  Every read
+// must return answers consistent with some EDB state (in particular, never
+// an error), the sink must have counted every read's work, and the final
+// repeat must see all inserted facts.
 func TestConcurrentExecAddFact(t *testing.T) {
-	eng, err := New(prepProg, WithMagic(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := eng.Prepare("anc(a, W)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if g == 0 {
-					eng.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
-					continue
+	for _, magic := range []bool{true, false} {
+		var st Stats
+		eng, err := New(prepProg, WithMagic(magic), WithStats(&st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := eng.Prepare("anc(a, W)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 5; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 25; i++ {
+					var err error
+					switch g {
+					case 0:
+						eng.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
+					case 1:
+						_, err = eng.Query("anc(b, Out)")
+					default:
+						_, err = pq.Exec()
+					}
+					if err != nil {
+						t.Errorf("magic=%v: concurrent read: %v", magic, err)
+						return
+					}
 				}
-				if _, err := pq.Exec(); err != nil {
-					t.Errorf("concurrent Exec: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	got := mustStr(t)(pq.Exec())
-	fresh, err := New(prepProg, WithMagic(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		fresh.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
-	}
-	if want := mustStr(t)(fresh.Query("anc(a, W)")); got != want {
-		t.Errorf("final answers diverge:\n got %q\nwant %q", got, want)
+			}(g)
+		}
+		wg.Wait()
+		if st.Derived == 0 || st.Iterations == 0 {
+			t.Errorf("magic=%v: the shared sink counted nothing: %+v", magic, st)
+		}
+		got := mustStr(t)(pq.Exec())
+		if again := mustStr(t)(pq.Exec()); again != got || st.CacheHits == 0 {
+			t.Errorf("magic=%v: repeat Exec = %q after %q with %d cache hits", magic, again, got, st.CacheHits)
+		}
+		fresh, err := New(prepProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 25; i++ {
+			fresh.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
+		}
+		if want := mustStr(t)(fresh.Query("anc(a, W)")); got != want {
+			t.Errorf("magic=%v: final answers diverge:\n got %q\nwant %q", magic, got, want)
+		}
 	}
 }
 

@@ -47,11 +47,7 @@ func Vet(src string) []Diagnostic {
 // each time and may mutate it freely.
 func (e *Engine) Vet() []Diagnostic {
 	e.mu.RLock()
-	key := e.edbKey()
-	known := map[string]bool{}
-	for _, pred := range e.edb.Preds() {
-		known[pred] = true
-	}
+	known, key := e.knownPreds()
 	e.mu.RUnlock()
 	e.typeMu.Lock()
 	if !e.vetMemoInit || e.vetMemoKey != key {
