@@ -254,17 +254,17 @@ func (e *Engine) AddFacts(src string) error {
 
 // AddDB inserts every fact of a prebuilt database (e.g. from the workload
 // generators used in benchmarks).  Each source relation is loaded through
-// the parallel bulk path with packing enabled: ground flat facts land as
-// compact constant-ID rows, inflated back to *term.Fact only when a query
-// first needs their term structure.
+// the parallel bulk path; one of bulk scale (store.PackMin facts) is packed:
+// its ground flat facts land as compact constant-ID rows, inflated back to
+// *term.Fact only when a query first needs their term structure.  A smaller
+// relation shares the caller's facts as they are.
 func (e *Engine) AddDB(db *store.DB) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = nil
-	opts := store.LoadOpts{Workers: e.cfg.workers, Pack: true}
 	for _, p := range db.Preds() {
 		if r := db.RelOrNil(p); r != nil && r.Len() > 0 {
-			e.edb.LoadFacts(r.All(), opts)
+			e.edb.LoadFacts(r.All(), store.LoadOpts{Workers: e.cfg.workers, Pack: r.Len() >= store.PackMin})
 		}
 	}
 	e.r.cache.Invalidate(db.Preds()...)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"ldl1/internal/store"
+	"ldl1/internal/term"
 	"ldl1/internal/workload"
 )
 
@@ -317,5 +319,41 @@ func TestSupplementaryMagicOption(t *testing.T) {
 	}
 	if want.String() != got.String() {
 		t.Errorf("supplementary magic differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestAddDBPacksAtBulkScale: a relation below store.PackMin keeps the
+// caller's facts as they are — packing it would leave rows, memo and a
+// second copy of every fact once the first query inflated it — and one at
+// bulk scale is packed.
+func TestAddDBPacksAtBulkScale(t *testing.T) {
+	src := store.NewDB()
+	for i := 0; i < store.PackMin; i++ {
+		src.Insert(term.NewFact("big", term.Int(i), term.Int(i+1)))
+		if i > 0 {
+			src.Insert(term.NewFact("small", term.Int(i), term.Int(i+1)))
+		}
+	}
+	eng, err := New("r(X) <- big(X, Y), small(Y, Z).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AddDB(src)
+	if got := eng.edb.RelOrNil("big").PackedRows(); got != store.PackMin {
+		t.Errorf("big: %d of %d rows packed", got, store.PackMin)
+	}
+	if got := eng.edb.RelOrNil("small").PackedRows(); got != 0 {
+		t.Errorf("small: %d rows packed, want none below store.PackMin", got)
+	}
+	small := eng.edb.RelOrNil("small").All()
+	if len(small) != store.PackMin-1 || small[0] != src.RelOrNil("small").All()[0] {
+		t.Error("small: the engine does not hold the caller's own facts")
+	}
+	m, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(m.Facts("r")); got != store.PackMin-1 {
+		t.Errorf("r has %d facts, want %d", got, store.PackMin-1)
 	}
 }

@@ -161,6 +161,13 @@ func Eval(p *ast.Program, edb *store.DB, opts Options) (*store.DB, error) {
 // it directly with its own (non-admissible) group assignment, so no
 // admissibility check is performed here.
 func EvalGroups(groups [][]ast.Rule, db *store.DB, opts Options) error {
+	return EvalGroupsEach(groups, db, opts, nil)
+}
+
+// EvalGroupsEach is EvalGroups reporting progress: after(i), when non-nil,
+// runs once group i has reached its fixpoint and before group i+1 starts,
+// all under the one set of budgets and counters of the call.
+func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(group int)) error {
 	for _, rules := range groups {
 		for _, r := range rules {
 			if !r.IsFact() {
@@ -185,13 +192,16 @@ func EvalGroups(groups [][]ast.Rule, db *store.DB, opts Options) error {
 		ctx: opts.Ctx, breach: new(atomic.Bool), workers: workers,
 		noReorder: opts.NoReorder, types: opts.Types,
 	}
-	for _, rules := range groups {
+	for i, rules := range groups {
 		if err := ex.checkCtx(); err != nil {
 			return err
 		}
 		if err := ex.evalLayer(rules, opts.Strategy); err != nil {
 			ex.flushAccessStats()
 			return err
+		}
+		if after != nil {
+			after(i)
 		}
 	}
 	ex.flushAccessStats()
@@ -726,6 +736,11 @@ func (ex *exec) applyRule(r ast.Rule, p *bodyPlan, onNew func(*term.Fact)) (int,
 		copy(args, scratch)
 		f := term.NewFact(r.Head.Pred, args...)
 		if ex.db.Insert(f) {
+			if added == 0 {
+				// The first insert into a relation a forked database still
+				// shares replaces it with a private copy: probe that one.
+				headRel = ex.db.RelOrNil(r.Head.Pred)
+			}
 			added++
 			ex.charge(f)
 			if err := ex.checkLimit(); err != nil {

@@ -10,8 +10,8 @@ import (
 	"ldl1/internal/term"
 )
 
-// maxPasses bounds the outer magic-saturation loop as a safety net; the
-// loop is monotone in the magic fact set and terminates on its own for
+// maxPasses bounds the outer magic-saturation loop as a safety net; every
+// pass but the last adds a magic fact, so the loop terminates on its own for
 // admissible inputs.
 const maxPasses = 1000
 
@@ -21,27 +21,41 @@ type Result struct {
 	Adorned *AdornedProgram
 	// Rewritten is the magic program (step three of §6).
 	Rewritten *Rewritten
-	// DB is the database computed by the final pass: the relevant
-	// portions of every relation, under adorned names.
+	// DB is the database the saturation ended on: the relevant portions of
+	// every relation, under adorned names, in a copy-on-write fork of the
+	// input database.  Base relations are the input's own: do not mutate
+	// them.
 	DB *store.DB
 	// Solutions are the query answers, one binding per tuple.
 	Solutions []map[term.Var]term.Term
-	// Passes is the number of outer saturation passes.  It is 1 when no
-	// magic fact feeds back across strata (the common case) and grows
-	// only with cross-layer cyclicity through magic predicates.
+	// Passes is the number of saturation passes.  It is 1 when every magic
+	// fact is found no later than the first rule group that reads it — a
+	// feed-forward program, the common case — and grows by one each time a
+	// binding found in a higher layer has to reach rules placed in a lower
+	// one (the §6 running example's young(n, S) takes 2).
 	Passes int
 }
 
 // Answer evaluates the query against program + database using the magic
 // sets method end to end: adorn, rewrite, then evaluate the rewritten
-// program by iterated stratified saturation.
+// program by iterated stratified saturation, in place, on one copy-on-write
+// fork of the database with the seed inserted.
 //
-// Because the rewritten program is not layered (§6), each pass evaluates
-// the rewritten rules grouped by the ORIGINAL program's layering with all
-// magic facts discovered so far preloaded; grouped and negated bodies are
-// recomputed from scratch each pass, so the final (fixpoint) pass sees
-// fully evaluated bodies for every magic binding — exactly the §6
-// evaluation constraint.
+// Because the rewritten program is not layered (§6), a pass evaluates the
+// rewritten rules group by group along the ORIGINAL program's layering
+// (Rewritten.Groups).  A pass is final when no magic fact it found arrived
+// late: after the first group holding a rule that reads it, or in that
+// group when the rule groups.  In a final pass every rule therefore ran
+// with every binding it will ever see, over lower layers evaluated under
+// those same bindings — grouped and negated bodies fully evaluated for every
+// magic binding, exactly the §6 evaluation constraint.  Otherwise another
+// pass runs, on the same database: magic facts stay (a binding too many only
+// asks for facts nobody reads), and so do the facts of predicates defined
+// without grouping or negation, directly or through another predicate —
+// those are monotone in the magic set, so what held under fewer bindings
+// holds under more.  Only the remaining derived relations, where a fact
+// derived under missing bindings can be wrong (a partial set, an absence
+// since filled), are emptied and derived afresh.
 func Answer(p *ast.Program, edb *store.DB, query parser.Query, opts eval.Options) (*Result, error) {
 	return AnswerVariant(p, edb, query, opts, Basic)
 }

@@ -1,0 +1,310 @@
+package magic
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"ldl1/internal/ast"
+	"ldl1/internal/eval"
+	"ldl1/internal/parser"
+	"ldl1/internal/store"
+	"ldl1/internal/term"
+)
+
+// treeSrc is youngSrc plus one more grouping rule: the program the
+// embed-magic benchmark workload runs.
+const treeSrc = youngSrc + "kids(P, <C>) <- p(P, C).\n"
+
+// treeShapes are the benchmark's three query shapes; the constant is replaced
+// per execution.
+var treeShapes = []string{"a(n1, W)", "sg(n1, W)", "young(n1, S)"}
+
+func node(i int) term.Term { return term.Atom(fmt.Sprintf("n%d", i)) }
+
+// treeEDB is the complete binary tree of the given depth as p/siblings
+// facts, loaded through the bulk path, packed or not.
+func treeEDB(depth int, pack bool) *store.DB {
+	var fs []*term.Fact
+	for i := 1; i < 1<<depth; i++ {
+		fs = append(fs,
+			term.NewFact("p", node(i), node(2*i)), term.NewFact("p", node(i), node(2*i+1)),
+			term.NewFact("siblings", node(2*i), node(2*i+1)), term.NewFact("siblings", node(2*i+1), node(2*i)))
+	}
+	db := store.NewDB()
+	db.LoadFacts(fs, store.LoadOpts{Pack: pack})
+	return db
+}
+
+func prepareTree(t testing.TB, shape string, v Variant) *Prepared {
+	t.Helper()
+	q, err := parser.ParseQuery(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := PrepareVariant(parser.MustParseProgram(treeSrc), q, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// TestExecWorkPinned commits what one execution of each benchmark shape
+// does, in quantities no host can move: passes, facts derived, rule firings.
+// A driver that restarts a pass it need not, or re-derives what it could have
+// kept, fails here without a clock.  (Before the fork-once driver the Basic
+// rows read 2/3330, 2/2035 and 3/2040 derived, and supplementary young took
+// 11 passes.)
+func TestExecWorkPinned(t *testing.T) {
+	edb := treeEDB(9, false)
+	for _, c := range []struct {
+		v                        Variant
+		shape                    string
+		arg                      int
+		passes, derived, firings int
+		rows                     int
+	}{
+		{Basic, "a(n1, W)", 5, 1, 1792, 7677, 254},
+		{Basic, "sg(n1, W)", 700, 1, 1022, 1022, 511},
+		{Basic, "young(n1, S)", 700, 2, 1026, 1542, 1},
+		{Basic, "young(n1, S)", 5, 1, 1795, 7936, 0},
+		{Supplementary, "a(n1, W)", 5, 1, 5378, 9736, 254},
+		{Supplementary, "sg(n1, W)", 700, 1, 2566, 2570, 511},
+		{Supplementary, "young(n1, S)", 700, 2, 3087, 4121, 1},
+	} {
+		var st eval.Stats
+		res, err := prepareTree(t, c.shape, c.v).Exec(edb, []term.Term{node(c.arg)}, eval.Options{Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Passes != c.passes || st.Derived != c.derived || st.Firings != c.firings || len(res.Solutions) != c.rows {
+			t.Errorf("variant %d %s @n%d: passes %d derived %d firings %d rows %d, want %d %d %d %d",
+				c.v, c.shape, c.arg, res.Passes, st.Derived, st.Firings, len(res.Solutions),
+				c.passes, c.derived, c.firings, c.rows)
+		}
+	}
+}
+
+// baseState is what executions must leave alone in a shared EDB: the packed
+// rows, and — once a first round has built them — the set of indexes, read
+// through DistinctCols over every column set the tree program can probe.
+func baseState(edb *store.DB) string {
+	var sb strings.Builder
+	for _, p := range edb.Preds() {
+		r := edb.RelOrNil(p)
+		fmt.Fprintf(&sb, "%s len=%d packed=%d", p, r.Len(), r.PackedRows())
+		for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+			n, ok := r.DistinctCols(cols)
+			fmt.Fprintf(&sb, " %v=%d/%v", cols, n, ok)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestExecSharesEDB: every shape under both variants, from several
+// goroutines at once, against ONE packed EDB.  Executions fork it, so they
+// share its relations — lazily inflated, lazily indexed — and must neither
+// write to it nor see each other's derived facts.  Run under -race in CI.
+func TestExecSharesEDB(t *testing.T) {
+	const depth, workers = 6, 4
+	edb := treeEDB(depth, true)
+	before := edb.Clone()
+	want := func(shape string, n int) int { // rows the tree oracle expects
+		level := 0
+		for 1<<(level+1) <= n {
+			level++
+		}
+		switch shape[0] {
+		case 'a':
+			return 1<<(depth-level+1) - 2
+		case 's':
+			return 1<<level - 1
+		}
+		if level == depth && depth > 0 {
+			return 1
+		}
+		return 0
+	}
+	round := func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, v := range []Variant{Basic, Supplementary} {
+					for _, shape := range treeShapes {
+						pr := prepareTree(t, shape, v)
+						for n := 1 + w; n < 1<<(depth+1); n += workers {
+							res, err := pr.Exec(edb, []term.Term{node(n)}, eval.Options{})
+							if err != nil {
+								t.Errorf("%s @n%d: %v", shape, n, err)
+								return
+							}
+							if got := len(res.Solutions); got != want(shape, n) {
+								t.Errorf("variant %d %s @n%d: %d rows, want %d", v, shape, n, got, want(shape, n))
+							}
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	round()
+	state := baseState(edb)
+	round()
+	if got := baseState(edb); got != state {
+		t.Errorf("shared EDB changed between rounds:\n%s\nwas:\n%s", got, state)
+	}
+	if !edb.Equal(before) || !before.Equal(edb) || len(edb.Preds()) != len(before.Preds()) {
+		t.Errorf("executions wrote to the shared EDB:\n%s\nwas:\n%s", edb, before)
+	}
+}
+
+// randLayeredProgram generates an admissible program in which grouping and
+// negation alternate over a recursive core, so the rewritten program is
+// cyclic through its magic predicates across several layers: bindings found
+// high must reach rules placed low, over more than one pass.
+func randLayeredProgram(r *rand.Rand) (src string, queries []string) {
+	var sb strings.Builder
+	n := 5 + r.Intn(6)
+	c := func() string { return fmt.Sprintf("c%d", r.Intn(n)) }
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "node(c%d).\n", i)
+	}
+	for i := 0; i < n+r.Intn(n); i++ {
+		fmt.Fprintf(&sb, "e(%s, %s).\n", c(), c())
+	}
+	for i := 0; i < 3; i++ {
+		fmt.Fprintf(&sb, "f(%s).\n", c())
+	}
+	sb.WriteString(`
+		t(X, Y) <- e(X, Y).
+		t(X, Y) <- e(X, Z), t(Z, Y).
+		reach(X, <Y>) <- t(X, Y).
+		out(X, <Y>) <- e(X, Y).
+		hop(X, A) <- reach(X, S), member(Z, S), out(Z, A).
+	`)
+	fmt.Fprintf(&sb, "big(X) <- reach(X, S), member(%s, S).\n", c())
+	sb.WriteString(`
+		small(X) <- node(X), not big(X).
+		pair(X, Y) <- small(X), t(X, Y), not big(Y).
+		pair(X, Y) <- f(X), e(X, Y).
+		far(X, <Y>) <- pair(X, Y).
+		lone(X) <- node(X), not haspair(X).
+		haspair(X) <- pair(X, Y).
+		link(X, Y) <- lone(X), e(Y, X).
+		link(X, Y) <- link(X, Z), e(Y, Z), not lone(Z).
+	`)
+	return sb.String(), []string{
+		"big(" + c() + ")", "small(" + c() + ")", "pair(" + c() + ", W)", "pair(W, " + c() + ")",
+		"far(" + c() + ", S)", "hop(" + c() + ", A)", "lone(" + c() + ")", "link(" + c() + ", W)", "link(W, " + c() + ")",
+	}
+}
+
+// TestSaturationAcrossLayers is the differential oracle for the termination
+// rule (a pass is final when no magic fact arrived after the first group
+// that reads it) and for what is kept between passes: both variants against
+// full bottom-up evaluation, on an empty and on a pre-loaded EDB.
+func TestSaturationAcrossLayers(t *testing.T) {
+	multi := 0
+	for seed := int64(0); seed < 60; seed++ {
+		src, queries := randLayeredProgram(rand.New(rand.NewSource(seed)))
+		p := parser.MustParseProgram(src)
+		// The same program with its facts moved to the EDB: executions then
+		// run on a fork that shares them.
+		rules, edb := ast.NewProgram(), store.NewDB()
+		for _, r := range p.Rules {
+			if r.IsFact() {
+				edb.Insert(term.NewFact(r.Head.Pred, r.Head.Args...))
+			} else {
+				rules.Add(r)
+			}
+		}
+		for _, qs := range queries {
+			q := mustQuery(t, qs)
+			base, _, err := AnswerWithout(p, store.NewDB(), q, eval.Options{})
+			if err != nil {
+				t.Fatalf("seed %d %s: baseline: %v", seed, qs, err)
+			}
+			for _, v := range []Variant{Basic, Supplementary} {
+				for _, in := range []struct {
+					p   *ast.Program
+					edb *store.DB
+				}{{p, store.NewDB()}, {rules, edb}} {
+					res, err := AnswerVariant(in.p, in.edb, q, eval.Options{}, v)
+					if err != nil {
+						t.Fatalf("seed %d %s variant %d: %v", seed, qs, v, err)
+					}
+					if !SameSolutions(res.Solutions, base, q) {
+						t.Errorf("seed %d %s variant %d (%d passes): magic %v, baseline %v\n%s",
+							seed, qs, v, res.Passes, res.Solutions, base, src)
+					}
+					if res.Passes > 2 {
+						multi++
+					}
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Error("no execution needed more than two passes: the generator no longer exercises re-derivation")
+	}
+}
+
+// execAllocCeiling is the allocation count of one execution of each tree
+// shape on a depth-6 tree, summed (a@n3 + sg@n100 + young@n100), plus a
+// quarter: the host cannot move an allocation count, so this gates in tier-1
+// what embed-magic/alloc_kb_per_op gates in the benchmark pipeline.  The
+// clone-per-pass driver it replaced made 14 959.
+const execAllocCeiling = 7600
+
+func TestExecAllocCeiling(t *testing.T) {
+	edb := treeEDB(6, false)
+	args := []int{3, 100, 100}
+	var prs []*Prepared
+	for _, shape := range treeShapes {
+		prs = append(prs, prepareTree(t, shape, Basic))
+	}
+	run := func() {
+		for i, pr := range prs {
+			if _, err := pr.Exec(edb, []term.Term{node(args[i])}, eval.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // builds the shared indexes, which later executions reuse
+	got := testing.AllocsPerRun(20, run)
+	t.Logf("allocs per a+sg+young execution: %.0f (ceiling %d)", got, execAllocCeiling)
+	if got > execAllocCeiling {
+		t.Errorf("allocs per a+sg+young execution = %.0f, ceiling %d", got, execAllocCeiling)
+	}
+}
+
+var benchSink *Result
+
+// BenchmarkPreparedExec is one execution of each benchmark shape against a
+// shared depth-9 tree: go test -run '^$' -bench PreparedExec -benchmem ./internal/magic
+func BenchmarkPreparedExec(b *testing.B) {
+	edb := treeEDB(9, false)
+	for _, c := range []struct {
+		shape string
+		arg   int
+	}{{"a(n1, W)", 5}, {"sg(n1, W)", 700}, {"young(n1, S)", 700}} {
+		pr := prepareTree(b, c.shape, Basic)
+		consts := []term.Term{node(c.arg)}
+		b.Run(c.shape[:strings.IndexByte(c.shape, '(')], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := pr.Exec(edb, consts, eval.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = res
+			}
+		})
+	}
+}

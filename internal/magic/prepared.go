@@ -5,7 +5,7 @@ import (
 
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
-	"ldl1/internal/lderr"
+	"ldl1/internal/layering"
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
@@ -20,12 +20,11 @@ import (
 // and binding pattern.  A Prepared is immutable after PrepareVariant and
 // safe for concurrent Exec calls.
 type Prepared struct {
-	// Adorned and Rewritten are the compiled forms, as in Result.
+	// Adorned and Rewritten are the compiled forms, as in Result.  Exec
+	// evaluates Rewritten.Groups and supplies the seed from its per-call
+	// constants.
 	Adorned   *AdornedProgram
 	Rewritten *Rewritten
-	// groups holds the rewritten rules grouped by stratum, with the seed
-	// fact removed — Exec supplies the seed from its per-call constants.
-	groups [][]ast.Rule
 	// seedPred is the magic predicate the seed fact instantiates.
 	seedPred string
 	// boundPos lists the query-literal argument positions that are bound
@@ -34,6 +33,18 @@ type Prepared struct {
 	// defaults are the seed constants of the original query, used when
 	// Exec is called without explicit constants.
 	defaults []term.Term
+	// due maps a magic predicate to the last group in which a new fact of
+	// it is on time: the lowest group holding a rule that reads it, or the
+	// one before when that rule groups (a grouping rule runs once, on entry
+	// to its group).  A fact found later was missed by that rule.
+	due map[string]int
+	// volatile lists the derived predicates that are not monotone in the
+	// magic set — defined through grouping or negation, directly or by way
+	// of another such predicate.  A fact of one, derived while bindings were
+	// still missing, may be wrong once they arrive (a partial set, an
+	// absence since filled), so each further pass derives them afresh.
+	// Every other derived fact only ever gains company and is kept.
+	volatile []string
 }
 
 // Prepare compiles program + query for repeated execution under the Basic
@@ -68,16 +79,35 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 			pr.boundPos = append(pr.boundPos, i)
 		}
 	}
-	// Group rewritten rules by assigned stratum, leaving out the seed fact
-	// (the only fact whose head is the seed's magic predicate — magic rules
-	// for that predicate all carry bodies).
-	pr.groups = make([][]ast.Rule, rw.NumStrata)
-	for _, r := range rw.Program.Rules {
-		if r.IsFact() && r.Head.Pred == pr.seedPred {
-			continue
+	pr.due = map[string]int{}
+	for g, rules := range rw.Groups {
+		for _, r := range rules {
+			by := g
+			if r.IsGroupingRule() {
+				by--
+			}
+			for _, l := range r.Body {
+				if d, ok := pr.due[l.Pred]; rw.MagicPreds[l.Pred] && (!ok || by < d) {
+					pr.due[l.Pred] = by
+				}
+			}
 		}
-		s := rw.Strata[r.Head.Pred]
-		pr.groups[s] = append(pr.groups[s], r)
+	}
+	volatile := map[string]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, r := range rw.Program.Rules {
+			vol := r.IsGroupingRule()
+			for _, l := range r.Body {
+				vol = vol || volatile[l.Pred] || l.Negated && !layering.IsBuiltin(l.Pred)
+			}
+			// Magic facts are never taken back: a binding too many only
+			// asks for facts nobody reads.
+			if h := r.Head.Pred; vol && !volatile[h] && !rw.MagicPreds[h] {
+				volatile[h], changed = true, true
+				pr.volatile = append(pr.volatile, h)
+			}
+		}
 	}
 	return pr, nil
 }
@@ -99,9 +129,16 @@ func (pr *Prepared) Defaults() []term.Term {
 
 // Exec evaluates the prepared query against edb with the given constants
 // bound at the query's bound argument positions (in BoundPositions order).
-// Nil consts re-runs the original query's constants.  The iterated
-// stratified saturation is identical to AnswerVariant's; only the
-// parse/adorn/rewrite/stratify work is skipped.
+// Nil consts re-runs the original query's constants.  The saturation is
+// AnswerVariant's (see Answer); only the parse/adorn/rewrite/stratify work
+// is skipped.
+//
+// Exec works on a copy-on-write fork of edb: base relations — with the facts
+// they have inflated and the indexes they have built, which an execution may
+// add to — are shared with edb and with every concurrent Exec, and only
+// derived and magic relations are private.  edb itself is never written to;
+// it must not be mutated while an Exec runs, and the base relations of
+// Result.DB must not be mutated at all.
 func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (*Result, error) {
 	if consts == nil {
 		consts = pr.defaults
@@ -121,41 +158,37 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 		}
 		seedArgs[i] = v
 	}
-	seed := term.NewFact(pr.seedPred, seedArgs...)
 
-	acc := store.NewDB() // accumulated magic facts
-	res := &Result{Adorned: pr.Adorned, Rewritten: pr.Rewritten}
-	for pass := 1; ; pass++ {
-		if pass > maxPasses {
+	db := edb.Fork()
+	db.Insert(term.NewFact(pr.seedPred, seedArgs...))
+	// found counts the magic facts seen so far, per predicate; the seed is
+	// there before the first pass and so is never late.
+	found := map[string]int{pr.seedPred: 1}
+	res := &Result{Adorned: pr.Adorned, Rewritten: pr.Rewritten, DB: db}
+	for {
+		if res.Passes++; res.Passes > maxPasses {
 			return nil, fmt.Errorf("magic: no fixpoint after %d passes", maxPasses)
 		}
-		if opts.Ctx != nil {
-			if err := lderr.FromContext(opts.Ctx); err != nil {
-				return nil, err
+		if res.Passes > 1 {
+			for _, pred := range pr.volatile {
+				db.Clear(pred)
 			}
 		}
-		db := edb.Clone()
-		db.Insert(seed)
-		// Accumulated magic facts splice in through the batch path (no
-		// packing: they are consumed structurally by the very next pass).
-		db.LoadFacts(acc.Facts(), store.LoadOpts{})
-		if err := eval.EvalGroups(pr.groups, db, opts); err != nil {
-			return nil, err
-		}
-		grew := false
-		for pred := range pr.Rewritten.MagicPreds {
-			if !db.Has(pred) {
-				continue
-			}
-			for _, f := range db.Rel(pred).All() {
-				if acc.Insert(f) {
-					grew = true
+		late := false
+		err := eval.EvalGroupsEach(pr.Rewritten.Groups, db, opts, func(g int) {
+			for m := range pr.Rewritten.MagicPreds {
+				if n := db.Card(m); n > found[m] {
+					found[m] = n
+					if d, read := pr.due[m]; read && g > d {
+						late = true
+					}
 				}
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		res.Passes = pass
-		if !grew {
-			res.DB = db
+		if !late {
 			break
 		}
 	}
@@ -167,7 +200,7 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 		qargs[pos] = seedArgs[i]
 	}
 	qlit := ast.Literal{Pred: pr.Rewritten.AnswerPred, Args: qargs}
-	sols, err := eval.SolveCtx(opts.Ctx, []ast.Literal{qlit}, res.DB)
+	sols, err := eval.SolveCtx(opts.Ctx, []ast.Literal{qlit}, db)
 	if err != nil {
 		return nil, err
 	}

@@ -21,14 +21,26 @@ type Rewritten struct {
 	Seed ast.Rule
 	// AnswerPred is the adorned name of the query predicate.
 	AnswerPred string
-	// Strata assigns each rewritten rule group index (by head predicate)
-	// using the ORIGINAL program's layering, which drives the pass
-	// schedule of the evaluator.
-	Strata map[string]int
-	// NumStrata is 1 + the maximum stratum.
-	NumStrata int
+	// Groups is the pass schedule of the evaluator: every rule of Program
+	// but the seed, in Program order.  A modified rule sits at the layer of
+	// its head in the ORIGINAL program, so negated and grouped predicates
+	// are complete before it runs; a magic rule sits in the lowest group
+	// that has completed the body prefix it reads (Rewrite) or beside the
+	// supplementary chain it reads (RewriteSupplementary), so a binding
+	// reaches the rules it guards in the pass that finds it whenever the
+	// layering lets it.
+	Groups [][]ast.Rule
 	// MagicPreds lists the magic predicate names.
 	MagicPreds map[string]bool
+}
+
+// add appends a rewritten rule to the program and to group g of the schedule.
+func (rw *Rewritten) add(r ast.Rule, g int) {
+	rw.Program.Add(r)
+	for len(rw.Groups) <= g {
+		rw.Groups = append(rw.Groups, nil)
+	}
+	rw.Groups[g] = append(rw.Groups[g], r)
 }
 
 // adornedName mangles p with adornment a, matching the paper's p^a.
@@ -54,22 +66,13 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 	out := &Rewritten{
 		Program:    ast.NewProgram(),
 		AnswerPred: adornedName(ap.QueryPred, ap.QueryAdorn),
-		Strata:     map[string]int{},
 		MagicPreds: map[string]bool{},
-	}
-	assign := func(pred string, stratum int) {
-		if s, ok := out.Strata[pred]; !ok || stratum > s {
-			out.Strata[pred] = stratum
-		}
 	}
 
 	for _, ar := range ap.Rules {
-		headStratum := lay.Stratum[ar.Rule.Head.Pred]
 		headName := adornedName(ar.Rule.Head.Pred, ar.Head)
 		mName := magicName(ar.Rule.Head.Pred, ar.Head)
 		out.MagicPreds[mName] = true
-		assign(headName, headStratum)
-		assign(mName, headStratum)
 
 		// Bound head arguments.  A bound grouping argument passes no
 		// binding (§6 footnote 6) but keeps its column, as a variable of its
@@ -86,12 +89,12 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 		magicHeadLit := ast.Literal{Pred: mName, Args: boundArgs}
 
 		// Walk the sip order accumulating the prefix; generate a magic
-		// rule per IDB body literal, then the modified rule.
+		// rule per IDB body literal, then the modified rule.  prefixDone is
+		// the lowest group in which the prefix so far is fully evaluated.
 		var prefix []ast.Literal
+		prefixDone := 0
 		renamedBody := make([]ast.Literal, len(ar.Rule.Body))
-		for i, l := range ar.Rule.Body {
-			renamedBody[i] = l
-		}
+		copy(renamedBody, ar.Rule.Body)
 		for _, idx := range ar.Order {
 			l := ar.Rule.Body[idx]
 			if ad, ok := ar.Adorns[idx]; ok {
@@ -104,34 +107,43 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 				}
 				qm := magicName(l.Pred, ad)
 				out.MagicPreds[qm] = true
-				assign(qm, headStratum)
-				mr := ast.Rule{
+				out.add(ast.Rule{
 					Head: ast.Literal{Pred: qm, Args: qBound},
 					Body: append([]ast.Literal{magicHeadLit}, prefix...),
-				}
-				out.Program.Add(mr)
+				}, prefixDone)
 				// Rename the occurrence in the modified rule.
 				renamedBody[idx] = ast.Literal{Negated: l.Negated, Pred: adornedName(l.Pred, ad), Args: l.Args}
-				assign(adornedName(l.Pred, ad), lay.Stratum[l.Pred])
+				done := lay.Stratum[l.Pred]
+				if l.Negated {
+					done++ // a negated literal reads a finished layer
+				}
+				if done > prefixDone {
+					prefixDone = done
+				}
 			}
 			prefix = append(prefix, renamedBody[idx])
 		}
-		modified := ast.Rule{
+		out.add(ast.Rule{
 			Head: ast.Literal{Pred: headName, Args: ar.Rule.Head.Args},
 			Body: append([]ast.Literal{magicHeadLit}, renamedBody...),
-		}
-		out.Program.Add(modified)
+		}, lay.Stratum[ar.Rule.Head.Pred])
 	}
+	if err := out.finish(ap, lay, 1); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-	// Base-relation facts carry over unchanged.
+// finish carries the original program's facts over — base-relation facts
+// unchanged, facts of IDB predicates as magic-guarded adorned facts — and
+// adds the seed, magic_q^a(query constants).  scale maps an original stratum
+// to its group (the supplementary variant doubles strata).
+func (rw *Rewritten) finish(ap *AdornedProgram, lay *layering.Layering, scale int) error {
 	for _, r := range ap.Original.Rules {
 		if r.IsFact() && !ap.IDB[r.Head.Pred] {
-			out.Program.Add(r)
-			assign(r.Head.Pred, 0)
+			rw.add(r, 0)
 		}
 	}
-
-	// Facts for IDB predicates become magic-guarded adorned facts.
 	factAdorns := map[string][]Adornment{}
 	for _, ar := range ap.Rules {
 		factAdorns[ar.Rule.Head.Pred] = appendUniqueAdorn(factAdorns[ar.Rule.Head.Pred], ar.Head)
@@ -147,35 +159,26 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 					bound = append(bound, a)
 				}
 			}
-			out.Program.Add(ast.Rule{
+			rw.add(ast.Rule{
 				Head: ast.Literal{Pred: adornedName(r.Head.Pred, ad), Args: r.Head.Args},
 				Body: []ast.Literal{{Pred: magicName(r.Head.Pred, ad), Args: bound}},
-			})
+			}, scale*lay.Stratum[r.Head.Pred])
 		}
 	}
 
-	// Seed: magic_q^a(query constants).
 	var seedArgs []term.Term
 	for i, a := range ap.QueryLit.Args {
 		if ap.QueryAdorn.Bound(i) {
 			v, err := unify.Apply(a, unify.NewBindings())
 			if err != nil {
-				return nil, fmt.Errorf("magic: query argument %s: %w", a, err)
+				return fmt.Errorf("magic: query argument %s: %w", a, err)
 			}
 			seedArgs = append(seedArgs, v)
 		}
 	}
-	out.Seed = ast.Rule{Head: ast.Literal{Pred: magicName(ap.QueryPred, ap.QueryAdorn), Args: seedArgs}}
-	out.Program.Add(out.Seed)
-
-	max := 0
-	for _, s := range out.Strata {
-		if s > max {
-			max = s
-		}
-	}
-	out.NumStrata = max + 1
-	return out, nil
+	rw.Seed = ast.Rule{Head: ast.Literal{Pred: magicName(ap.QueryPred, ap.QueryAdorn), Args: seedArgs}}
+	rw.Program.Add(rw.Seed)
+	return nil
 }
 
 // groupColumn is the variable standing in a magic guard for the bound

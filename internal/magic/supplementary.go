@@ -4,7 +4,6 @@ import (
 	"ldl1/internal/ast"
 	"ldl1/internal/layering"
 	"ldl1/internal/term"
-	"ldl1/internal/unify"
 )
 
 // RewriteSupplementary produces the supplementary-magic-sets variant of the
@@ -28,13 +27,7 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 	out := &Rewritten{
 		Program:    ast.NewProgram(),
 		AnswerPred: adornedName(ap.QueryPred, ap.QueryAdorn),
-		Strata:     map[string]int{},
 		MagicPreds: map[string]bool{},
-	}
-	assign := func(pred string, stratum int) {
-		if s, ok := out.Strata[pred]; !ok || stratum > s {
-			out.Strata[pred] = stratum
-		}
 	}
 
 	for ri, ar := range ap.Rules {
@@ -53,8 +46,6 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 		headName := adornedName(ar.Rule.Head.Pred, ar.Head)
 		mName := magicName(ar.Rule.Head.Pred, ar.Head)
 		out.MagicPreds[mName] = true
-		assign(headName, headStratum)
-		assign(mName, headStratum)
 
 		// Bound head arguments and their variables.
 		var boundArgs []term.Term
@@ -83,7 +74,6 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 		for i, l := range ar.Rule.Body {
 			if ad, ok := ar.Adorns[i]; ok {
 				renamed[i] = ast.Literal{Negated: l.Negated, Pred: adornedName(l.Pred, ad), Args: l.Args}
-				assign(adornedName(l.Pred, ad), 2*lay.Stratum[l.Pred])
 			} else {
 				renamed[i] = l
 			}
@@ -125,11 +115,10 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 			bound[v] = true
 		}
 		sup0Args := liveVars(-1, bound)
-		out.Program.Add(ast.Rule{
+		out.add(ast.Rule{
 			Head: ast.Literal{Pred: supName(0), Args: sup0Args},
 			Body: []ast.Literal{{Pred: mName, Args: boundArgs}},
-		})
-		assign(supName(0), chainStratum)
+		}, chainStratum)
 
 		prevSup := ast.Literal{Pred: supName(0), Args: sup0Args}
 		for step, idx := range ar.Order {
@@ -144,82 +133,34 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 				}
 				qm := magicName(l.Pred, ad)
 				out.MagicPreds[qm] = true
-				assign(qm, chainStratum)
-				out.Program.Add(ast.Rule{
+				out.add(ast.Rule{
 					Head: ast.Literal{Pred: qm, Args: qBound},
 					Body: []ast.Literal{prevSup},
-				})
+				}, chainStratum)
 			}
 			// Advance the chain.
 			for _, v := range l.Vars() {
 				bound[v] = true
 			}
 			supArgs := liveVars(step, bound)
-			out.Program.Add(ast.Rule{
+			out.add(ast.Rule{
 				Head: ast.Literal{Pred: supName(step + 1), Args: supArgs},
 				Body: []ast.Literal{prevSup, renamed[idx]},
-			})
-			assign(supName(step+1), chainStratum)
+			}, chainStratum)
 			prevSup = ast.Literal{Pred: supName(step + 1), Args: supArgs}
 		}
 
 		// Modified rule: head from the final supplementary.
-		out.Program.Add(ast.Rule{
+		out.add(ast.Rule{
 			Head: ast.Literal{Pred: headName, Args: ar.Rule.Head.Args},
 			Body: []ast.Literal{prevSup},
-		})
+		}, headStratum)
 	}
 
-	// Base facts and IDB facts exactly as in the basic rewriting.
-	for _, r := range ap.Original.Rules {
-		if r.IsFact() && !ap.IDB[r.Head.Pred] {
-			out.Program.Add(r)
-			assign(r.Head.Pred, 0)
-		}
+	// Facts and seed exactly as in the basic rewriting.
+	if err := out.finish(ap, lay, 2); err != nil {
+		return nil, err
 	}
-	factAdorns := map[string][]Adornment{}
-	for _, ar := range ap.Rules {
-		factAdorns[ar.Rule.Head.Pred] = appendUniqueAdorn(factAdorns[ar.Rule.Head.Pred], ar.Head)
-	}
-	for _, r := range ap.Original.Rules {
-		if !r.IsFact() || !ap.IDB[r.Head.Pred] {
-			continue
-		}
-		for _, ad := range factAdorns[r.Head.Pred] {
-			var bound []term.Term
-			for i, a := range r.Head.Args {
-				if ad.Bound(i) {
-					bound = append(bound, a)
-				}
-			}
-			out.Program.Add(ast.Rule{
-				Head: ast.Literal{Pred: adornedName(r.Head.Pred, ad), Args: r.Head.Args},
-				Body: []ast.Literal{{Pred: magicName(r.Head.Pred, ad), Args: bound}},
-			})
-		}
-	}
-
-	// Seed.
-	var seedArgs []term.Term
-	for i, a := range ap.QueryLit.Args {
-		if ap.QueryAdorn.Bound(i) {
-			v, err := unify.Apply(a, unify.NewBindings())
-			if err != nil {
-				return nil, err
-			}
-			seedArgs = append(seedArgs, v)
-		}
-	}
-	out.Seed = ast.Rule{Head: ast.Literal{Pred: magicName(ap.QueryPred, ap.QueryAdorn), Args: seedArgs}}
-	out.Program.Add(out.Seed)
-
-	max := 0
-	for _, s := range out.Strata {
-		if s > max {
-			max = s
-		}
-	}
-	out.NumStrata = max + 1
 	return out, nil
 }
 

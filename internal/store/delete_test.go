@@ -187,6 +187,26 @@ func TestDBForkCopyOnWrite(t *testing.T) {
 	if base.RelOrNil("p") != w2.RelOrNil("p") {
 		t.Fatal("no-op delete unshared the relation")
 	}
+	// Nor a duplicate insert (a magic execution re-asserts the program's own
+	// base facts on a fork of the extensional database).
+	if w2.Insert(fact("q", 7)) {
+		t.Fatal("insert of present fact returned true")
+	}
+	if base.RelOrNil("q") != w2.RelOrNil("q") {
+		t.Fatal("duplicate insert unshared the relation")
+	}
+
+	// Clear hands a shared relation back to the parent and starts afresh in
+	// the same creation-order slot.
+	w2.Clear("p")
+	w2.Clear("absent")
+	if w2.Card("p") != 0 || w2.Len() != 32 || base.Card("p") != 32 || fmt.Sprint(w2.Preds()) != "[p q]" {
+		t.Fatalf("after Clear: fork p=%d len=%d preds=%v, base p=%d", w2.Card("p"), w2.Len(), w2.Preds(), base.Card("p"))
+	}
+	w2.Insert(fact("p", 1))
+	if base.RelOrNil("p") == w2.RelOrNil("p") || base.Card("p") != 32 || w2.Len() != 33 {
+		t.Fatal("insert after Clear reached the parent's relation")
+	}
 }
 
 func TestForkPredsAndString(t *testing.T) {

@@ -52,6 +52,13 @@ const IndexThreshold = 16
 // per-shard state than parallel interning recovers.
 const reshardMin = 1024
 
+// PackMin is the relation size from which a bulk loader should ask for
+// LoadOpts.Pack: the same bulk-scale line as resharding.  A smaller relation
+// is inflated by its first structural read, after which it holds rows, memo
+// and a second copy of facts its loader already owned.  InsertBatch itself
+// packs whatever it is asked to.
+const PackMin = reshardMin
+
 // idxEntry is one distinct probe key in an index: the facts whose indexed
 // columns equal vals, plus a chain link for the (astronomically rare) case
 // of two distinct keys sharing a hash.
@@ -841,8 +848,13 @@ func (db *DB) sizeAdd(d int) {
 	db.size.Add(int64(d))
 }
 
-// Insert adds a fact, reporting whether it was new.
+// Insert adds a fact, reporting whether it was new.  A relation shared with
+// a forked-from database is unshared only for a fact it lacks, so duplicate
+// inserts never copy anything.
 func (db *DB) Insert(f *term.Fact) bool {
+	if db.shared[f.Pred] && db.rels[f.Pred].Contains(f) {
+		return false
+	}
 	if db.mutableRel(f.Pred).Insert(f) {
 		db.sizeAdd(1)
 		return true
@@ -887,6 +899,19 @@ func (db *DB) DeleteAll(fs []*term.Fact) int {
 	}
 	db.sizeAdd(-n)
 	return n
+}
+
+// Clear empties the relation for pred, if there is one.  A relation shared
+// with a forked-from database is left to that database; this one starts a
+// fresh relation under the same name and creation-order slot.
+func (db *DB) Clear(pred string) {
+	r, ok := db.rels[pred]
+	if !ok {
+		return
+	}
+	db.sizeAdd(-r.Len())
+	db.rels[pred] = newRelationCfg(pred, r.useIdx, r.threshold)
+	delete(db.shared, pred)
 }
 
 // Card returns the number of facts currently held for pred, 0 when no
