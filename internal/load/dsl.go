@@ -1,5 +1,5 @@
-// Package load is the sustained-traffic load driver behind `ldlbench
-// -load`: it parses text workload scripts (*.ldlw), generates per-client
+// Package load is the sustained-traffic load driver behind cmd/ldlload: it
+// parses text workload scripts (*.ldlw), generates per-client
 // reproducible operation streams from them, and drives a target — an
 // in-process materialized view or an ldl1d server through the Go client —
 // in closed-loop (back-to-back) or open-loop (fixed arrival rate) mode for

@@ -78,17 +78,33 @@ type Result struct {
 	AchievedRPS float64
 	// Ops counts successful operations (the histogram's samples); Errors
 	// counts failed ones, which record no latency.
-	Ops     int64
-	Errors  int64
-	Elapsed time.Duration
-	Hist    *Hist
+	Ops    int64
+	Errors int64
+	// FirstErr is the first operation failure of the run (nil when Errors
+	// is 0): the cause to show next to the count.
+	FirstErr error
+	Elapsed  time.Duration
+	Hist     *Hist
+}
+
+// tally is the running totals the clients of one run share.
+type tally struct {
+	ops, errs atomic.Int64
+	firstErr  atomic.Pointer[error]
+}
+
+// fail counts one failed operation, keeping the first failure's error.
+func (t *tally) fail(err error) {
+	t.errs.Add(1)
+	t.firstErr.CompareAndSwap(nil, &err)
 }
 
 // Run drives the configured load and returns its merged result.  It
 // returns an error only for configuration-level failures (a stream
 // evaluation error, an invalid config); operation failures are counted in
-// Result.Errors.  Cancelling ctx stops the run early; the partial result
-// is still returned with an error of ctx.Err().
+// Result.Errors, the first of them kept in Result.FirstErr.  Cancelling ctx
+// stops the run early; the partial result is still returned with an error
+// of ctx.Err().
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Workload == nil || cfg.Target == nil {
 		return nil, errors.New("load: Config needs a Workload and a Target")
@@ -114,7 +130,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	var (
-		ops, errs atomic.Int64
+		tot       tally
 		wg        sync.WaitGroup
 		hists     = make([]*Hist, clients)
 		streamErr = make([]error, clients)
@@ -129,10 +145,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			h := hists[c]
 			stream := cfg.Workload.Client(c, cfg.Seed)
 			if mode == "closed" {
-				streamErr[c] = runClosed(ctx, cfg.Target, stream, h, deadline, &ops, &errs)
+				streamErr[c] = runClosed(ctx, cfg.Target, stream, h, deadline, &tot)
 			} else {
 				phase := interval * time.Duration(c) / time.Duration(clients)
-				streamErr[c] = runOpen(ctx, cfg.Target, stream, h, start.Add(phase), interval, deadline, &ops, &errs)
+				streamErr[c] = runOpen(ctx, cfg.Target, stream, h, start.Add(phase), interval, deadline, &tot)
 			}
 		}(c)
 	}
@@ -147,7 +163,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				case <-progressDone:
 					return
 				case <-t.C:
-					cfg.OnProgress(Progress{Elapsed: time.Since(start), Ops: ops.Load(), Errors: errs.Load()})
+					cfg.OnProgress(Progress{Elapsed: time.Since(start), Ops: tot.ops.Load(), Errors: tot.errs.Load()})
 				}
 			}
 		}()
@@ -160,10 +176,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Clients:   clients,
 		Seed:      cfg.Seed,
 		TargetRPS: cfg.Rate,
-		Ops:       ops.Load(),
-		Errors:    errs.Load(),
+		Ops:       tot.ops.Load(),
+		Errors:    tot.errs.Load(),
 		Elapsed:   time.Since(start),
 		Hist:      NewHist(),
+	}
+	if e := tot.firstErr.Load(); e != nil {
+		res.FirstErr = *e
 	}
 	for _, h := range hists {
 		res.Hist.Merge(h)
@@ -183,7 +202,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // runClosed issues operations back-to-back until the deadline.
-func runClosed(ctx context.Context, tgt Target, s *Stream, h *Hist, deadline time.Time, ops, errs *atomic.Int64) error {
+func runClosed(ctx context.Context, tgt Target, s *Stream, h *Hist, deadline time.Time, tot *tally) error {
 	for ctx.Err() == nil && time.Now().Before(deadline) {
 		op, err := s.Next()
 		if err != nil {
@@ -194,11 +213,11 @@ func runClosed(ctx context.Context, tgt Target, s *Stream, h *Hist, deadline tim
 			if ctx.Err() != nil {
 				return nil // run cancelled mid-operation, not an op failure
 			}
-			errs.Add(1)
+			tot.fail(err)
 			continue
 		}
 		h.Record(time.Since(t0).Nanoseconds())
-		ops.Add(1)
+		tot.ops.Add(1)
 	}
 	return nil
 }
@@ -207,7 +226,7 @@ func runClosed(ctx context.Context, tgt Target, s *Stream, h *Hist, deadline tim
 // ..., measuring each latency from its scheduled start.  Issuing stops at
 // the deadline even when scheduled arrivals remain unserved, so the run's
 // wall clock stays bounded by Duration under overload.
-func runOpen(ctx context.Context, tgt Target, s *Stream, h *Hist, next time.Time, interval time.Duration, deadline time.Time, ops, errs *atomic.Int64) error {
+func runOpen(ctx context.Context, tgt Target, s *Stream, h *Hist, next time.Time, interval time.Duration, deadline time.Time, tot *tally) error {
 	for ctx.Err() == nil && next.Before(deadline) && time.Now().Before(deadline) {
 		if d := time.Until(next); d > 0 {
 			select {
@@ -224,13 +243,13 @@ func runOpen(ctx context.Context, tgt Target, s *Stream, h *Hist, next time.Time
 			if ctx.Err() != nil {
 				return nil
 			}
-			errs.Add(1)
+			tot.fail(err)
 		} else {
 			// Coordinated-omission correction: latency from the intended
 			// start, so schedule slippage (this op queued behind slow
 			// predecessors) is charged to the operation.
 			h.Record(time.Since(next).Nanoseconds())
-			ops.Add(1)
+			tot.ops.Add(1)
 		}
 		next = next.Add(interval)
 	}

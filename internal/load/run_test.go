@@ -2,7 +2,9 @@ package load
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,17 +38,20 @@ func testWorkload(t *testing.T, src string) *Workload {
 }
 
 // countTarget records ops without doing work, optionally sleeping to
-// simulate a slow service.
+// simulate a slow service and failing every failEvery-th operation.
 type countTarget struct {
-	n     atomic.Int64
-	delay time.Duration
+	n         atomic.Int64
+	delay     time.Duration
+	failEvery int64
 }
 
 func (t *countTarget) Do(ctx context.Context, op Op) error {
 	if t.delay > 0 {
 		time.Sleep(t.delay)
 	}
-	t.n.Add(1)
+	if n := t.n.Add(1); t.failEvery > 0 && n%t.failEvery == 0 {
+		return fmt.Errorf("op %d refused: %s", n, op.Text)
+	}
 	return nil
 }
 
@@ -212,6 +217,37 @@ func TestClientTargetMixed(t *testing.T) {
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d operations failed against the server", res.Errors)
+	}
+}
+
+// A target failing every third operation: the failures are counted, record
+// no latency, and the run keeps the first one's cause — in both loop modes.
+func TestRunKeepsFirstOperationError(t *testing.T) {
+	w := testWorkload(t, testScript)
+	for _, rate := range []float64{0, 400} {
+		tgt := &countTarget{failEvery: 3}
+		res, err := Run(context.Background(), Config{
+			Workload: w, Target: tgt, Clients: 2, Duration: 100 * time.Millisecond, Rate: rate, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := tgt.n.Load()
+		if res.Errors != seen/3 || res.Ops != seen-seen/3 {
+			t.Errorf("rate %g: Ops = %d, Errors = %d of %d operations; want every third failed", rate, res.Ops, res.Errors, seen)
+		}
+		if res.Hist.Count() != res.Ops {
+			t.Errorf("rate %g: histogram holds %d samples for %d successful ops", rate, res.Hist.Count(), res.Ops)
+		}
+		if res.FirstErr == nil || !strings.Contains(res.FirstErr.Error(), "refused") {
+			t.Errorf("rate %g: FirstErr = %v, want the target's error", rate, res.FirstErr)
+		}
+	}
+	res, err := Run(context.Background(), Config{
+		Workload: w, Target: &countTarget{}, Duration: 20 * time.Millisecond, Seed: 1,
+	})
+	if err != nil || res.Errors != 0 || res.FirstErr != nil {
+		t.Errorf("clean run: err = %v, Errors = %d, FirstErr = %v", err, res.Errors, res.FirstErr)
 	}
 }
 

@@ -1,16 +1,8 @@
 package store
 
-import (
-	"os"
-	"strconv"
-	"sync"
-)
-
 // Config carries the tunables of a database's relations.  The zero value is
-// not useful; start from DefaultConfig.  Existing behavior is preserved by
-// the defaults: relations are created single-shard and reshard only when a
-// bulk load makes parallelism worthwhile, and the index-build cutoff is the
-// historical IndexThreshold.
+// not useful; start from DefaultConfig.  Relations are created single-shard
+// and reshard only when a bulk load makes parallelism worthwhile.
 type Config struct {
 	// Shards is the per-relation shard count bulk loads spread fact
 	// interning and packed rows across (rounded up to a power of two,
@@ -19,48 +11,18 @@ type Config struct {
 	// InsertBatch reshards them, so the sequential paths keep their exact
 	// pre-shard layout and insertion order.
 	Shards int
-	// IndexThreshold is the relation size below which LookupCols scans
-	// instead of building a hash index.  0 means the package default.
-	IndexThreshold int
 }
 
 // maxShards bounds the shard count: beyond 256 the per-shard tables of
 // ordinary relations are too small to amortize their fixed cost.
 const maxShards = 256
 
-// ShardsEnv is the environment variable that overrides DefaultConfig's
-// shard count, for benchmarking sweeps without code changes.
-const ShardsEnv = "LDL1_STORE_SHARDS"
-
-var (
-	envShardsOnce sync.Once
-	envShards     int
-)
-
-// defaultShards returns the package default shard count: LDL1_STORE_SHARDS
-// when set to a positive integer, else 8.
-func defaultShards() int {
-	envShardsOnce.Do(func() {
-		envShards = 8
-		if s := os.Getenv(ShardsEnv); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n > 0 {
-				envShards = n
-			}
-		}
-	})
-	return envShards
-}
-
 // DefaultConfig returns the standard configuration: 8 shards for bulk-loaded
-// relations (overridable via LDL1_STORE_SHARDS) and the package-default
-// index threshold.
-func DefaultConfig() Config {
-	return Config{Shards: defaultShards(), IndexThreshold: IndexThreshold}
-}
+// relations.
+func DefaultConfig() Config { return Config{Shards: 8} }
 
-// normalize clamps the configuration to valid values: shard counts become
-// the next power of two in [1, maxShards], a zero threshold becomes the
-// package default.
+// normalize clamps the shard count to the next power of two in
+// [1, maxShards].
 func (c Config) normalize() Config {
 	if c.Shards < 1 {
 		c.Shards = 1
@@ -73,9 +35,6 @@ func (c Config) normalize() Config {
 		p *= 2
 	}
 	c.Shards = p
-	if c.IndexThreshold <= 0 {
-		c.IndexThreshold = IndexThreshold
-	}
 	return c
 }
 

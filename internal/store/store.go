@@ -40,11 +40,11 @@ var (
 	hashFactArgs = term.HashFactArgs
 )
 
-// IndexThreshold is the default relation size below which Lookup scans
+// IndexThreshold is the relation size below which Lookup scans
 // instead of building a hash index: constructing per-column maps over a
 // handful of facts (semi-naive delta chunks especially) costs more than the
 // scans it saves.  An index already built while the relation was larger
-// keeps serving lookups.  Config.IndexThreshold overrides it per database.
+// keeps serving lookups.
 const IndexThreshold = 16
 
 // reshardMin is the batch size below which InsertBatch never reshards a
@@ -238,21 +238,14 @@ type Relation struct {
 	mu        sync.Mutex  // guards index construction and row inflation
 	indexes   atomic.Pointer[[]*index]
 	useIdx    bool
-	threshold int // index-build cutoff; IndexThreshold when 0
 }
 
-// NewRelation creates an empty relation with the package-default index
-// threshold.
+// NewRelation creates an empty relation.
 func NewRelation(name string, useIndexes bool) *Relation {
-	return newRelationCfg(name, useIndexes, IndexThreshold)
-}
-
-func newRelationCfg(name string, useIndexes bool, threshold int) *Relation {
 	return &Relation{
-		Name:      name,
-		shards:    []relShard{{table: newFactTable(0)}},
-		useIdx:    useIndexes,
-		threshold: threshold,
+		Name:   name,
+		shards: []relShard{{table: newFactTable(0)}},
+		useIdx: useIndexes,
 	}
 }
 
@@ -263,11 +256,10 @@ func newRelationCfg(name string, useIndexes bool, threshold int) *Relation {
 // rebuilds the buckets from the existing facts.
 func NewChunk(name string, facts []*term.Fact, useIndexes bool) *Relation {
 	return &Relation{
-		Name:      name,
-		facts:     facts[:len(facts):len(facts)],
-		live:      len(facts),
-		useIdx:    useIndexes,
-		threshold: IndexThreshold,
+		Name:   name,
+		facts:  facts[:len(facts):len(facts)],
+		live:   len(facts),
+		useIdx: useIndexes,
 	}
 }
 
@@ -621,7 +613,6 @@ func (r *Relation) cloneBase() *Relation {
 		shardBits: r.shardBits,
 		live:      r.live,
 		useIdx:    r.useIdx,
-		threshold: r.threshold,
 	}
 	if r.shards != nil {
 		nr.shards = make([]relShard, len(r.shards))
@@ -713,11 +704,7 @@ func (r *Relation) LookupCols(cols []int, vals []term.Term) ([]*term.Fact, bool)
 			if ix := r.findIndex(mask); ix != nil {
 				return ix.probe(vals), true
 			}
-			th := r.threshold
-			if th <= 0 {
-				th = IndexThreshold
-			}
-			if r.live >= th {
+			if r.live >= IndexThreshold {
 				return r.buildIndex(mask, cols).probe(vals), true
 			}
 		}
@@ -771,7 +758,7 @@ type DB struct {
 }
 
 // NewDB creates an empty database with indexing enabled and the default
-// configuration (LDL1_STORE_SHARDS honored).
+// configuration.
 func NewDB() *DB { return NewDBWith(DefaultConfig()) }
 
 // NewDBWith creates an empty database with indexing enabled and the given
@@ -789,7 +776,7 @@ func (db *DB) Config() Config { return db.cfg }
 func (db *DB) rel(pred string) *Relation {
 	r, ok := db.rels[pred]
 	if !ok {
-		r = newRelationCfg(pred, db.UseIndexes, db.cfg.IndexThreshold)
+		r = NewRelation(pred, db.UseIndexes)
 		db.rels[pred] = r
 		db.order = append(db.order, pred)
 	}
@@ -910,7 +897,7 @@ func (db *DB) Clear(pred string) {
 		return
 	}
 	db.sizeAdd(-r.Len())
-	db.rels[pred] = newRelationCfg(pred, r.useIdx, r.threshold)
+	db.rels[pred] = NewRelation(pred, r.useIdx)
 	delete(db.shared, pred)
 }
 

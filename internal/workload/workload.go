@@ -1,9 +1,9 @@
-// Package workload generates synthetic databases for the benchmark
-// harness.  The paper evaluates no concrete datasets (it is a semantics
-// paper), so these generators supply the family of inputs its examples
-// assume: parent chains and trees for ancestor/same-generation, supplier
-// catalogs for grouping, bill-of-material DAGs for the part-cost program,
-// and book catalogs for set enumeration.
+// Package workload generates the synthetic databases the root package's
+// TestWorkCounts rows and Go benchmarks evaluate.  The paper evaluates no
+// concrete datasets (it is a semantics paper), so these generators supply
+// the family of inputs its examples assume: parent chains and trees for
+// ancestor/same-generation, supplier catalogs for grouping, bill-of-material
+// DAGs for the part-cost program, and book catalogs for set enumeration.
 package workload
 
 import (
@@ -322,40 +322,4 @@ func ChurnSupplierParts(suppliers, partsPer, txCount int, seed int64) (*store.DB
 		txs[t] = u
 	}
 	return db, txs
-}
-
-// Merge returns a new database containing the facts of all inputs.
-func Merge(dbs ...*store.DB) *store.DB {
-	out := store.NewDB()
-	for _, db := range dbs {
-		out.AddAll(db)
-	}
-	return out
-}
-
-// ScaleFacts returns n ground flat edge facts for the s* scale-sweep
-// benchmarks: 2-ary edge(A, B) over a universe of about n/4 distinct
-// integers, so inserts collide realistically and packed encodings amortize
-// their constant dictionary.  Values are offset by base so independent
-// callers (the sweep's load variants) intern disjoint constants and each
-// pays for its own dictionary growth.  Deterministic in n and base.
-func ScaleFacts(n int, base int64) []*term.Fact {
-	vals := uint64(n / 4)
-	if vals < 16 {
-		vals = 16
-	}
-	fs := make([]*term.Fact, n)
-	x := uint64(88172645463325252) // xorshift64
-	next := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return x
-	}
-	for i := range fs {
-		a := base + int64(next()%vals)
-		b := base + int64(next()%vals)
-		fs[i] = term.NewFact("edge", term.Int(a), term.Int(b))
-	}
-	return fs
 }

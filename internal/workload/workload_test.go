@@ -120,13 +120,9 @@ func TestSetPairs(t *testing.T) {
 	}
 }
 
-func TestPersonsAndMerge(t *testing.T) {
+func TestPersons(t *testing.T) {
 	db := Persons(ParentChain(3), 3)
 	if db.Rel("person").Len() != 4 {
 		t.Fatalf("persons = %d", db.Rel("person").Len())
-	}
-	m := Merge(ParentChain(2), Books(2, 1))
-	if m.Rel("parent").Len() != 2 || m.Rel("book").Len() != 2 {
-		t.Fatal("merge incomplete")
 	}
 }
