@@ -254,17 +254,14 @@ func (e *Engine) AddFacts(src string) error {
 
 // AddDB inserts every fact of a prebuilt database (e.g. from the workload
 // generators used in benchmarks).  Each source relation is loaded through
-// the parallel bulk path; one of bulk scale (store.PackMin facts) is packed:
-// its ground flat facts land as compact constant-ID rows, inflated back to
-// *term.Fact only when a query first needs their term structure.  A smaller
-// relation shares the caller's facts as they are.
+// the parallel bulk path and shares the caller's facts as they are.
 func (e *Engine) AddDB(db *store.DB) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = nil
 	for _, p := range db.Preds() {
 		if r := db.RelOrNil(p); r != nil && r.Len() > 0 {
-			e.edb.LoadFacts(r.All(), store.LoadOpts{Workers: e.cfg.workers, Pack: r.Len() >= store.PackMin})
+			e.edb.LoadFacts(r.All(), store.LoadOpts{Workers: e.cfg.workers})
 		}
 	}
 	e.r.cache.Invalidate(db.Preds()...)

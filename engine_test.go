@@ -1,6 +1,7 @@
 package ldl1
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -322,38 +323,57 @@ func TestSupplementaryMagicOption(t *testing.T) {
 	}
 }
 
-// TestAddDBPacksAtBulkScale: a relation below store.PackMin keeps the
-// caller's facts as they are — packing it would leave rows, memo and a
-// second copy of every fact once the first query inflated it — and one at
-// bulk scale is packed.
-func TestAddDBPacksAtBulkScale(t *testing.T) {
+// TestAddDBSharesCallerFacts: on either side of the bulk-load resharding
+// line (1 024 facts) the engine holds the caller's own canonical facts, and
+// the model equals that of a twin engine that loaded the same facts as text.
+func TestAddDBSharesCallerFacts(t *testing.T) {
+	const n = 1024
+	const prog = "r(X) <- big(X, Y), small(Y, Z)."
 	src := store.NewDB()
-	for i := 0; i < store.PackMin; i++ {
+	var text strings.Builder
+	for i := 0; i < n; i++ {
 		src.Insert(term.NewFact("big", term.Int(i), term.Int(i+1)))
+		fmt.Fprintf(&text, "big(%d, %d). ", i, i+1)
 		if i > 0 {
 			src.Insert(term.NewFact("small", term.Int(i), term.Int(i+1)))
+			fmt.Fprintf(&text, "small(%d, %d). ", i, i+1)
 		}
 	}
-	eng, err := New("r(X) <- big(X, Y), small(Y, Z).")
+	eng, err := New(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.AddDB(src)
-	if got := eng.edb.RelOrNil("big").PackedRows(); got != store.PackMin {
-		t.Errorf("big: %d of %d rows packed", got, store.PackMin)
-	}
-	if got := eng.edb.RelOrNil("small").PackedRows(); got != 0 {
-		t.Errorf("small: %d rows packed, want none below store.PackMin", got)
-	}
-	small := eng.edb.RelOrNil("small").All()
-	if len(small) != store.PackMin-1 || small[0] != src.RelOrNil("small").All()[0] {
-		t.Error("small: the engine does not hold the caller's own facts")
+	for pred, want := range map[string]int{"big": n, "small": n - 1} {
+		r := eng.edb.RelOrNil(pred)
+		if r.Len() != want {
+			t.Errorf("%s: engine holds %d facts, want %d", pred, r.Len(), want)
+		}
+		for _, f := range src.RelOrNil(pred).All() {
+			if g, _ := r.Get(term.NewFact(f.Pred, f.Args...)); g != f {
+				t.Fatalf("%s: the engine does not hold the caller's own %s", pred, f)
+			}
+		}
 	}
 	m, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m.Facts("r")); got != store.PackMin-1 {
-		t.Errorf("r has %d facts, want %d", got, store.PackMin-1)
+	if got := len(m.Facts("r")); got != n-1 {
+		t.Errorf("r has %d facts, want %d", got, n-1)
+	}
+	twin, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.AddFacts(text.String()); err != nil {
+		t.Fatal(err)
+	}
+	tm, err := twin.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.DB().Equal(tm.DB()) || !tm.DB().Equal(m.DB()) {
+		t.Error("AddDB model differs from its text-loaded twin")
 	}
 }

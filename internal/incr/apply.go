@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"ldl1/internal/ast"
 	"ldl1/internal/eval"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
@@ -53,70 +54,43 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 		addCand(f)
 	}
 
-	var tasks []task
-	for _, cr := range lr.simple {
-		cr := cr
-		for j, lit := range cr.Rule.Body {
-			if !cr.HasDelta(j) || m.lay.PredStratum(lit.Pred) >= i {
-				continue
+	// below picks the delta a body literal of a strictly lower layer reads
+	// (pos for a positive literal, neg for a negated one); within picks the
+	// given frontier's facts for a same-layer literal — necessarily positive:
+	// negation and grouping force their predicates strictly lower.
+	below := func(pos, neg *deltaSet) func(ast.Literal) *store.Relation {
+		return func(lit ast.Literal) *store.Relation {
+			switch {
+			case m.lay.PredStratum(lit.Pred) >= i:
+				return nil
+			case lit.Negated:
+				return neg.rel(lit.Pred)
 			}
-			var delta *store.Relation
+			return pos.rel(lit.Pred)
+		}
+	}
+	within := func(facts []*term.Fact) func(ast.Literal) *store.Relation {
+		byPred := splitByPred(facts)
+		return func(lit ast.Literal) *store.Relation {
 			if lit.Negated {
-				delta = s.gIns.rel(lit.Pred) // newly-true negated premise
-			} else {
-				delta = s.gDel.rel(lit.Pred) // deleted positive premise
+				return nil
 			}
-			if delta == nil {
-				continue
-			}
-			j := j
-			tasks = append(tasks, func(st *eval.Stats) ([]*term.Fact, error) {
-				return headFacts(cr, s.old, j, delta, st)
-			})
+			return byPred[lit.Pred]
 		}
 	}
-	out, err := m.runTasks(s.ctx, tasks, s.st)
-	if err != nil {
+
+	// A deleted positive premise, or a negated premise that became true.
+	if err := m.fire(s, lr, s.old, below(s.gDel, s.gIns), addCand); err != nil {
 		return err
-	}
-	for _, fs := range out {
-		for _, f := range fs {
-			addCand(f)
-		}
 	}
 	for len(frontier) > 0 {
 		if err := s.interrupt(); err != nil {
 			return err
 		}
-		byPred := splitByPred(frontier)
+		pick := within(frontier)
 		frontier = nil
-		tasks = tasks[:0]
-		for _, cr := range lr.simple {
-			cr := cr
-			for j, lit := range cr.Rule.Body {
-				// Same-layer literals are necessarily positive: negation
-				// and grouping force their predicates strictly lower.
-				if !cr.HasDelta(j) || lit.Negated {
-					continue
-				}
-				delta := byPred[lit.Pred]
-				if delta == nil {
-					continue
-				}
-				j := j
-				tasks = append(tasks, func(st *eval.Stats) ([]*term.Fact, error) {
-					return headFacts(cr, s.old, j, delta, st)
-				})
-			}
-		}
-		out, err := m.runTasks(s.ctx, tasks, s.st)
-		if err != nil {
+		if err := m.fire(s, lr, s.old, pick, addCand); err != nil {
 			return err
-		}
-		for _, fs := range out {
-			for _, f := range fs {
-				addCand(f)
-			}
 		}
 	}
 
@@ -134,7 +108,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	// whose derivability can have changed — no per-round rescan of the
 	// whole survivor set.
 	var res []*term.Fact
-	tasks = tasks[:0]
+	var tasks []task
 	for _, f := range deleted.facts() {
 		f := f
 		tasks = append(tasks, func(st *eval.Stats) ([]*term.Fact, error) {
@@ -145,7 +119,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 			return []*term.Fact{f}, nil
 		})
 	}
-	out, err = m.runTasks(s.ctx, tasks, s.st)
+	out, err := m.runTasks(s.ctx, tasks, s.st)
 	if err != nil {
 		return err
 	}
@@ -163,39 +137,19 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 		if err := s.interrupt(); err != nil {
 			return err
 		}
-		byPred := splitByPred(res)
+		pick := within(res)
 		res = nil
-		tasks = tasks[:0]
-		for _, cr := range lr.simple {
-			cr := cr
-			for j, lit := range cr.Rule.Body {
-				if !cr.HasDelta(j) || lit.Negated {
-					continue
+		err := m.fire(s, lr, s.w, pick, func(f *term.Fact) {
+			if deleted.remove(f) {
+				s.w.Insert(f)
+				res = append(res, f)
+				if s.st != nil {
+					s.st.Rederived++
 				}
-				delta := byPred[lit.Pred]
-				if delta == nil {
-					continue
-				}
-				j := j
-				tasks = append(tasks, func(st *eval.Stats) ([]*term.Fact, error) {
-					return headFacts(cr, s.w, j, delta, st)
-				})
 			}
-		}
-		out, err := m.runTasks(s.ctx, tasks, s.st)
+		})
 		if err != nil {
 			return err
-		}
-		for _, fs := range out {
-			for _, f := range fs {
-				if deleted.remove(f) {
-					s.w.Insert(f)
-					res = append(res, f)
-					if s.st != nil {
-						s.st.Rederived++
-					}
-				}
-			}
 		}
 	}
 	for _, f := range deleted.facts() {
@@ -232,73 +186,57 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 		addIns(f)
 	}
 
-	tasks = tasks[:0]
-	for _, cr := range lr.simple {
-		cr := cr
-		for j, lit := range cr.Rule.Body {
-			if !cr.HasDelta(j) || m.lay.PredStratum(lit.Pred) >= i {
-				continue
-			}
-			var delta *store.Relation
-			if lit.Negated {
-				delta = s.gDel.rel(lit.Pred) // negated premise became false
-			} else {
-				delta = s.gIns.rel(lit.Pred) // inserted positive premise
-			}
-			if delta == nil {
-				continue
-			}
-			j := j
-			tasks = append(tasks, func(st *eval.Stats) ([]*term.Fact, error) {
-				return headFacts(cr, s.w, j, delta, st)
-			})
-		}
-	}
-	out, err = m.runTasks(s.ctx, tasks, s.st)
-	if err != nil {
+	// An inserted positive premise, or a negated premise that became false.
+	if err := m.fire(s, lr, s.w, below(s.gIns, s.gDel), addIns); err != nil {
 		return err
-	}
-	for _, fs := range out {
-		for _, f := range fs {
-			addIns(f)
-		}
 	}
 	for len(insFrontier) > 0 {
 		if err := s.interrupt(); err != nil {
 			return err
 		}
-		byPred := splitByPred(insFrontier)
+		pick := within(insFrontier)
 		insFrontier = nil
-		tasks = tasks[:0]
-		for _, cr := range lr.simple {
-			cr := cr
-			for j, lit := range cr.Rule.Body {
-				if !cr.HasDelta(j) || lit.Negated {
-					continue
-				}
-				delta := byPred[lit.Pred]
-				if delta == nil {
-					continue
-				}
-				j := j
-				tasks = append(tasks, func(st *eval.Stats) ([]*term.Fact, error) {
-					return headFacts(cr, s.w, j, delta, st)
-				})
-			}
-		}
-		out, err := m.runTasks(s.ctx, tasks, s.st)
-		if err != nil {
+		if err := m.fire(s, lr, s.w, pick, addIns); err != nil {
 			return err
-		}
-		for _, fs := range out {
-			for _, f := range fs {
-				addIns(f)
-			}
 		}
 	}
 	// A bound breached by the final cascade round must still fail the
 	// transaction before ApplyCtx publishes the fork.
 	return s.interrupt()
+}
+
+// fire runs each simple rule of the layer once per body literal that can
+// take a delta and for which pick returns one — that literal reading the
+// delta, the rest of the body reading db — and hands every head fact to
+// emit, in rule and literal order.
+func (m *Materialized) fire(s *txState, lr *layerRules, db *store.DB, pick func(ast.Literal) *store.Relation, emit func(*term.Fact)) error {
+	var tasks []task
+	for _, cr := range lr.simple {
+		cr := cr
+		for j, lit := range cr.Rule.Body {
+			if !cr.HasDelta(j) {
+				continue
+			}
+			delta := pick(lit)
+			if delta == nil {
+				continue
+			}
+			j := j
+			tasks = append(tasks, func(st *eval.Stats) ([]*term.Fact, error) {
+				return headFacts(cr, db, j, delta, st)
+			})
+		}
+	}
+	out, err := m.runTasks(s.ctx, tasks, s.st)
+	if err != nil {
+		return err
+	}
+	for _, fs := range out {
+		for _, f := range fs {
+			emit(f)
+		}
+	}
+	return nil
 }
 
 // derivable is the rederivation test: f survives the deletion overestimate

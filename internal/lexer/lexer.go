@@ -9,7 +9,7 @@ package lexer
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"unicode"
 	"unicode/utf8"
 
@@ -338,36 +338,30 @@ func (l *Lexer) lexInt(mk func(Type, string) Token) (Token, error) {
 	return mk(Int, l.src[start:l.pos]), nil
 }
 
+// lexString reads a double-quoted string with Go's escape sequences: the
+// inverse of term.Str's strconv.Quote rendering, so every string the engine
+// prints reads back as itself.
 func (l *Lexer) lexString(mk func(Type, string) Token) (Token, error) {
+	start := l.pos
 	l.advance() // opening quote
-	var b strings.Builder
 	for {
 		if l.pos >= len(l.src) {
 			return Token{}, l.errf("unterminated string literal")
 		}
-		r := l.advance()
-		switch r {
+		switch l.advance() {
 		case '"':
-			return mk(String, b.String()), nil
+			text, err := strconv.Unquote(l.src[start:l.pos])
+			if err != nil {
+				return Token{}, l.errf("invalid escape in string literal")
+			}
+			return mk(String, text), nil
 		case '\\':
 			if l.pos >= len(l.src) {
 				return Token{}, l.errf("unterminated escape in string literal")
 			}
-			e := l.advance()
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"', '\\':
-				b.WriteRune(e)
-			default:
-				return Token{}, l.errf("unknown escape \\%c", e)
-			}
+			l.advance()
 		case '\n':
 			return Token{}, l.errf("newline in string literal")
-		default:
-			b.WriteRune(r)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestVariablesAndIdents(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	toks, err := Tokenize(`p("hello\nworld", "a\"b", "t\\ab")`)
+	toks, err := Tokenize(`p("hello\nworld", "a\"b", "t\\ab", "\x00\u00e9\r")`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,10 @@ func TestStrings(t *testing.T) {
 	}
 	if toks[6].Text != `t\ab` {
 		t.Errorf("escape backslash: %q", toks[6].Text)
+	}
+	// Every escape strconv.Quote writes (term.Str prints with it) reads back.
+	if toks[8].Text != "\x00é\r" {
+		t.Errorf("go escapes: %q", toks[8].Text)
 	}
 	for _, bad := range []string{`"unterminated`, `"bad \q escape"`, "\"new\nline\"", `"trail\`} {
 		if _, err := Tokenize(bad); err == nil {

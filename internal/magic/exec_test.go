@@ -25,8 +25,8 @@ var treeShapes = []string{"a(n1, W)", "sg(n1, W)", "young(n1, S)"}
 func node(i int) term.Term { return term.Atom(fmt.Sprintf("n%d", i)) }
 
 // treeEDB is the complete binary tree of the given depth as p/siblings
-// facts, loaded through the bulk path, packed or not.
-func treeEDB(depth int, pack bool) *store.DB {
+// facts, loaded through the bulk path.
+func treeEDB(depth int) *store.DB {
 	var fs []*term.Fact
 	for i := 1; i < 1<<depth; i++ {
 		fs = append(fs,
@@ -34,7 +34,7 @@ func treeEDB(depth int, pack bool) *store.DB {
 			term.NewFact("siblings", node(2*i), node(2*i+1)), term.NewFact("siblings", node(2*i+1), node(2*i)))
 	}
 	db := store.NewDB()
-	db.LoadFacts(fs, store.LoadOpts{Pack: pack})
+	db.LoadFacts(fs, store.LoadOpts{})
 	return db
 }
 
@@ -58,7 +58,7 @@ func prepareTree(t testing.TB, shape string, v Variant) *Prepared {
 // rows read 2/3330, 2/2035 and 3/2040 derived, and supplementary young took
 // 11 passes.)
 func TestExecWorkPinned(t *testing.T) {
-	edb := treeEDB(9, false)
+	edb := treeEDB(9)
 	for _, c := range []struct {
 		v                        Variant
 		shape                    string
@@ -87,14 +87,14 @@ func TestExecWorkPinned(t *testing.T) {
 	}
 }
 
-// baseState is what executions must leave alone in a shared EDB: the packed
-// rows, and — once a first round has built them — the set of indexes, read
-// through DistinctCols over every column set the tree program can probe.
+// baseState is what executions must leave alone in a shared EDB: the facts,
+// and — once a first round has built them — the set of indexes, read through
+// DistinctCols over every column set the tree program can probe.
 func baseState(edb *store.DB) string {
 	var sb strings.Builder
 	for _, p := range edb.Preds() {
 		r := edb.RelOrNil(p)
-		fmt.Fprintf(&sb, "%s len=%d packed=%d", p, r.Len(), r.PackedRows())
+		fmt.Fprintf(&sb, "%s len=%d", p, r.Len())
 		for _, cols := range [][]int{{0}, {1}, {0, 1}} {
 			n, ok := r.DistinctCols(cols)
 			fmt.Fprintf(&sb, " %v=%d/%v", cols, n, ok)
@@ -105,12 +105,12 @@ func baseState(edb *store.DB) string {
 }
 
 // TestExecSharesEDB: every shape under both variants, from several
-// goroutines at once, against ONE packed EDB.  Executions fork it, so they
-// share its relations — lazily inflated, lazily indexed — and must neither
-// write to it nor see each other's derived facts.  Run under -race in CI.
+// goroutines at once, against ONE bulk-loaded EDB.  Executions fork it, so
+// they share its relations — lazily indexed — and must neither write to it
+// nor see each other's derived facts.  Run under -race in CI.
 func TestExecSharesEDB(t *testing.T) {
 	const depth, workers = 6, 4
-	edb := treeEDB(depth, true)
+	edb := treeEDB(depth)
 	before := edb.Clone()
 	want := func(shape string, n int) int { // rows the tree oracle expects
 		level := 0
@@ -263,7 +263,7 @@ func TestSaturationAcrossLayers(t *testing.T) {
 const execAllocCeiling = 7600
 
 func TestExecAllocCeiling(t *testing.T) {
-	edb := treeEDB(6, false)
+	edb := treeEDB(6)
 	args := []int{3, 100, 100}
 	var prs []*Prepared
 	for _, shape := range treeShapes {
@@ -289,7 +289,7 @@ var benchSink *Result
 // BenchmarkPreparedExec is one execution of each benchmark shape against a
 // shared depth-9 tree: go test -run '^$' -bench PreparedExec -benchmem ./internal/magic
 func BenchmarkPreparedExec(b *testing.B) {
-	edb := treeEDB(9, false)
+	edb := treeEDB(9)
 	for _, c := range []struct {
 		shape string
 		arg   int

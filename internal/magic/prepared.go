@@ -133,9 +133,9 @@ func (pr *Prepared) Defaults() []term.Term {
 // AnswerVariant's (see Answer); only the parse/adorn/rewrite/stratify work
 // is skipped.
 //
-// Exec works on a copy-on-write fork of edb: base relations — with the facts
-// they have inflated and the indexes they have built, which an execution may
-// add to — are shared with edb and with every concurrent Exec, and only
+// Exec works on a copy-on-write fork of edb: base relations — with the
+// indexes they have built, which an execution may add to — are shared with
+// edb and with every concurrent Exec, and only
 // derived and magic relations are private.  edb itself is never written to;
 // it must not be mutated while an Exec runs, and the base relations of
 // Result.DB must not be mutated at all.

@@ -5,7 +5,8 @@
 //	unit    := { rule | query }
 //	rule    := literal [ "<-" literal { "," literal } ] "."
 //	query   := "?-" literal { "," literal } "."
-//	literal := [ "not" ] expr [ compop expr ]
+//	literal := [ "not" ] ( atom | expr compop expr )
+//	atom    := IDENT [ "(" expr { "," expr } ")" ]
 //	compop  := "=" | "/=" | "<" | "<=" | ">" | ">="
 //	expr    := mul { ("+" | "-") mul }
 //	mul     := unary { ("*" | "/") unary }
@@ -258,6 +259,7 @@ func (p *parser) literal() (ast.Literal, error) {
 		neg = true
 		p.next()
 	}
+	first := p.cur()
 	left, err := p.expr()
 	if err != nil {
 		return ast.Literal{}, err
@@ -270,13 +272,21 @@ func (p *parser) literal() (ast.Literal, error) {
 		}
 		return ast.Literal{Negated: neg, Pred: pred, Args: []term.Term{left, right}, Pos: start}, nil
 	}
-	switch t := left.(type) {
-	case term.Atom:
-		return ast.Literal{Negated: neg, Pred: string(t), Pos: start}, nil
-	case *term.Compound:
-		return ast.Literal{Negated: neg, Pred: t.Functor, Args: t.Args, Pos: start}, nil
+	// A literal is a predicate symbol over terms (§2.1): the expression must
+	// be the identifier application it began with.  Anything else — an
+	// arithmetic expression, a list, a set pattern, a negation — is a term,
+	// whose functor is not a predicate.
+	if first.Type == lexer.Ident {
+		switch t := left.(type) {
+		case term.Atom:
+			return ast.Literal{Negated: neg, Pred: string(t), Pos: start}, nil
+		case *term.Compound:
+			if t.Functor == first.Text {
+				return ast.Literal{Negated: neg, Pred: t.Functor, Args: t.Args, Pos: start}, nil
+			}
+		}
 	}
-	return ast.Literal{}, p.errf("expected a predicate, found term %s", left)
+	return ast.Literal{}, &Error{Line: first.Line, Col: first.Col, Msg: fmt.Sprintf("expected a predicate, found term %s", left)}
 }
 
 func (p *parser) expr() (term.Term, error) {

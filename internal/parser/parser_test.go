@@ -233,6 +233,15 @@ func TestParseErrors(t *testing.T) {
 		"p(X) <- 3.",         // non-predicate literal
 		`p("unterminated).`,  // bad string
 		"p(X) <- q(X), r(X!", // stray char
+		// Terms are not literals: arithmetic, negation, tuples, lists, sets.
+		"0*(0).",
+		"p(1). 1+2 <- p(X).",
+		"p(1). q(X) <- p(X), X+1.",
+		"p(1). -X <- p(X).",
+		"(a, b).",
+		"[a].",
+		"p(1). {X} <- p(X).",
+		"p(X) <- q(X), (r(X)).",
 	}
 	for _, src := range bad {
 		if _, err := ParseProgram(src); err == nil {

@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"ldl1"
 )
 
 const familySrc = `
@@ -336,6 +339,14 @@ func TestLoadValidation(t *testing.T) {
 	// Embedded ?- queries in program files are tolerated (dropped).
 	if err := s.Load("q", "p(a).\n?- p(X)."); err != nil {
 		t.Fatalf("program with embedded query rejected: %v", err)
+	}
+	// An arithmetic expression is not a literal: a positioned parse error
+	// (400 on the wire), never a relation named after the operator.
+	for _, src := range []string{"0*(0).", "p(1). 1+2 <- p(X).", "p(1). q(X) <- p(X), X+1."} {
+		var pe *ldl1.ParseError
+		if err := s.Load("arith", src); !errors.As(err, &pe) || pe.Line != 1 || pe.Col == 0 {
+			t.Errorf("Load(%q) = %v, want a positioned parse error", src, err)
+		}
 	}
 	// StrictVet escalates warnings to rejection.
 	strict := New(Config{StrictVet: true})

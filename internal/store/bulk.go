@@ -8,39 +8,28 @@ import (
 
 // Bulk loading.  InsertBatch partitions the input by fact-hash shard and
 // then processes whole shards independently: each shard's worker dedupes
-// against (and inserts into) only its own intern table and packed rows, so
-// workers share no mutable state and need no locks (the constant pool is
-// internally synchronized).  Because a shard is always processed by
+// against (and inserts into) only its own intern table, so workers share no
+// mutable state and need no locks.  Because a shard is always processed by
 // exactly one worker, in input order, the resulting relation state — and
-// therefore the materialized fact order — is identical for every worker
-// count, including the degenerate single-goroutine run.
-
-// batchShardResult is one shard's private output: the pointer-path facts
-// it accepted (in input order) and how many packed rows it appended.
-type batchShardResult struct {
-	newPtr    []*term.Fact
-	packAdded int
-}
+// therefore the fact order — is identical for every worker count, including
+// the degenerate single-goroutine run.
 
 // InsertBatch adds the facts in one batch, returning how many were new.
 // Duplicates — against the relation and within the batch — are discarded.
-// The batch path differs from repeated Insert in three ways: intern tables
-// are pre-sized once instead of grown doubling by doubling; a large batch
-// first reshards the relation (per opts.Shards) so interning runs
-// shard-parallel with opts.Workers goroutines; and with opts.Pack, ground
-// flat facts are stored as packed constant-ID rows instead of fact
-// pointers.  Facts materialize in shard-major order, so single-shard
-// relations (the default for everything but bulk loads) keep exact input
-// order.  InsertBatch is single-writer, like Insert.
+// The batch path differs from repeated Insert in two ways: intern tables
+// are pre-sized once instead of grown doubling by doubling, and a large
+// batch first reshards the relation (per opts.Shards) so interning runs
+// shard-parallel with opts.Workers goroutines.  Facts land in shard-major
+// order, so single-shard relations (the default for everything but bulk
+// loads) keep exact input order.  InsertBatch is single-writer, like Insert.
 func (r *Relation) InsertBatch(fs []*term.Fact, opts LoadOpts) int {
 	if len(fs) == 0 {
 		return 0
 	}
 	r.ensureTables()
-	if t := normalizeShards(opts.Shards); t > len(r.shards) && len(fs) >= reshardMin && r.noPacks() {
+	if t := normalizeShards(opts.Shards); t > len(r.shards) && len(fs) >= reshardMin {
 		r.reshard(t)
 	}
-	pack := opts.Pack && r.indexes.Load() == nil
 	nsh := len(r.shards)
 
 	// Phase A (serial): hash every fact — Hash memoizes lazily, so this
@@ -67,7 +56,7 @@ func (r *Relation) InsertBatch(fs []*term.Fact, opts LoadOpts) int {
 
 	// Phase B: intern each shard's slice of the batch, one worker per
 	// shard at a time, results kept shard-local.
-	results := make([]batchShardResult, nsh)
+	results := make([][]*term.Fact, nsh)
 	workers := opts.Workers
 	if workers > nsh {
 		workers = nsh
@@ -79,7 +68,7 @@ func (r *Relation) InsertBatch(fs []*term.Fact, opts LoadOpts) int {
 			go func(wi int) {
 				defer wg.Done()
 				for si := wi; si < nsh; si += workers {
-					r.loadShard(si, fs, hs, buckets[si], pack, &results[si])
+					results[si] = r.shards[si].load(fs, hs, buckets[si])
 				}
 			}(wi)
 		}
@@ -90,141 +79,76 @@ func (r *Relation) InsertBatch(fs []*term.Fact, opts LoadOpts) int {
 			if buckets != nil {
 				b = buckets[si]
 			}
-			r.loadShard(si, fs, hs, b, pack, &results[si])
+			results[si] = r.shards[si].load(fs, hs, b)
 		}
 	}
 
 	// Phase C (serial): splice shard results into the relation-global
-	// bookkeeping — materialized fact order, indexes, counters.
+	// bookkeeping — fact order and indexes.
 	idxs := r.indexes.Load()
 	added := 0
-	packedAny := false
-	for si := range results {
-		res := &results[si]
-		if len(res.newPtr) > 0 {
-			r.facts = append(r.facts, res.newPtr...)
-			if idxs != nil {
-				for _, f := range res.newPtr {
-					for _, ix := range *idxs {
-						ix.add(f)
-					}
+	for _, fresh := range results {
+		r.facts = append(r.facts, fresh...)
+		if idxs != nil {
+			for _, f := range fresh {
+				for _, ix := range *idxs {
+					ix.add(f)
 				}
 			}
 		}
-		added += len(res.newPtr) + res.packAdded
-		if res.packAdded > 0 {
-			packedAny = true
-		}
-	}
-	r.live += added
-	if packedAny {
-		r.packed.Store(true)
+		added += len(fresh)
 	}
 	return added
 }
 
-// loadShard interns one shard's candidates.  cand is the bucketed input
-// positions, or nil for "the whole batch" (single-shard relations skip
-// bucketing).  It touches only shard-local state and out.
-func (r *Relation) loadShard(si int, fs []*term.Fact, hs []uint64, cand []int32, pack bool, out *batchShardResult) {
-	sh := &r.shards[si]
+// load interns one shard's candidates and returns the facts that were new,
+// in input order.  cand is the bucketed input positions, or nil for "the
+// whole batch" (single-shard relations skip bucketing).  It touches only
+// the table itself.
+func (t *factTable) load(fs []*term.Fact, hs []uint64, cand []int32) []*term.Fact {
 	n := len(cand)
 	if cand == nil {
 		n = len(fs)
 	}
-	if !pack {
-		sh.table.reserve(n)
-	}
+	t.reserve(n)
 	// A fresh bulk load probes an empty intern table; skip that probe until
-	// a pointer-path insert makes the table non-empty.
-	probeTable := sh.table.n > 0
-	var ids []uint64
+	// an insert makes the table non-empty.
+	probe := t.n > 0
+	var fresh []*term.Fact
 	for k := 0; k < n; k++ {
 		fi := k
 		if cand != nil {
 			fi = int(cand[k])
 		}
 		f, h := fs[fi], hs[fi]
-		if probeTable {
-			if g := sh.table.get(h, f); g != nil {
-				continue
-			}
+		if probe && t.get(h, f) != nil {
+			continue
 		}
-		if ps := sh.pack; ps != nil && f.Pred == r.Name {
-			if _, ok := ps.find(h, func(row int) bool { return ps.matchArgs(row, f.Args) }); ok {
-				continue
-			}
-		}
-		if pack && f.Pred == r.Name && len(f.Args) > 0 {
-			ps := sh.pack
-			if ps == nil && packable(f) {
-				ps = newPackShard(len(f.Args), n-k)
-				ps.reserve(n - k)
-				sh.pack = ps
-			}
-			if ps != nil && ps.arity == len(f.Args) {
-				if ids == nil {
-					ids = make([]uint64, 0, ps.arity)
-				}
-				// encodeCell rejects non-constant arguments itself, so no
-				// separate packability pass over the args is needed.
-				ids = ids[:0]
-				ok := true
-				for _, a := range f.Args {
-					id, k := encodeCell(a)
-					if !k {
-						ok = false // unpackable or pool full: pointer path
-						break
-					}
-					ids = append(ids, id)
-				}
-				if ok {
-					ps.append(h, ids)
-					out.packAdded++
-					continue
-				}
-			}
-		}
-		sh.table.insert(h, f)
-		out.newPtr = append(out.newPtr, f)
-		probeTable = true
+		t.insert(h, f)
+		fresh = append(fresh, f)
+		probe = true
 	}
-}
-
-// noPacks reports whether no shard holds packed rows.  Resharding
-// redistributes intern-table pointers only; relations that already packed
-// keep their shard count.
-func (r *Relation) noPacks() bool {
-	for si := range r.shards {
-		if r.shards[si].pack != nil {
-			return false
-		}
-	}
-	return true
+	return fresh
 }
 
 // reshard redistributes the intern tables over n shards (a power of two
-// larger than the current count).  The materialized fact slice — and with
-// it, iteration order — is untouched; only point-op routing changes.
+// larger than the current count).  The fact slice — and with it, iteration
+// order — is untouched; only point-op routing changes.
 // Exclusive-writer only.
 func (r *Relation) reshard(n int) {
 	bits := shardBitsFor(n)
-	next := make([]relShard, n)
-	hint := r.live/n + 1
+	next := make([]*factTable, n)
+	hint := len(r.facts)/n + 1
 	for i := range next {
-		next[i].table = newFactTable(hint)
+		next[i] = newFactTable(hint)
 	}
-	for si := range r.shards {
-		t := r.shards[si].table
-		if t == nil {
-			continue
-		}
+	for _, t := range r.shards {
 		for _, g := range t.entries {
 			if g == nil || g == tombstone {
 				continue
 			}
 			h := hashFact(g)
-			next[h>>(64-bits)].table.insert(h, g)
+			next[h>>(64-bits)].insert(h, g)
 		}
 	}
 	r.shards = next

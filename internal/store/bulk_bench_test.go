@@ -22,16 +22,16 @@ func genLoadFacts(n int, base int64) []*term.Fact {
 	return fs
 }
 
-// BenchmarkStoreBulkLoadPack is the CI alloc-regression probe for the
-// sharded packed bulk path (one op = one 100k-fact cold load).
-func BenchmarkStoreBulkLoadPack(b *testing.B) {
+// BenchmarkStoreBulkLoad is one 100k-fact cold load through the sharded
+// bulk path.
+func BenchmarkStoreBulkLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fs := genLoadFacts(100_000, int64(i)<<34)
 		b.StartTimer()
 		db := NewDB()
-		db.LoadFacts(fs, LoadOpts{Workers: 1, Pack: true})
+		db.LoadFacts(fs, LoadOpts{Workers: 1})
 	}
 }
 

@@ -15,35 +15,61 @@ func fact(pred string, args ...int) *term.Fact {
 	return term.NewFact(pred, ts...)
 }
 
+// TestRelationDelete runs the same delete / re-insert sequence with facts
+// entering through single Insert and through the bulk path.
 func TestRelationDelete(t *testing.T) {
-	r := NewRelation("p", true)
-	for i := 0; i < 5; i++ {
-		r.Insert(fact("p", i, i+1))
-	}
-	if !r.Delete(fact("p", 2, 3)) {
-		t.Fatal("Delete of present fact returned false")
-	}
-	if r.Delete(fact("p", 2, 3)) {
-		t.Fatal("second Delete of same fact returned true")
-	}
-	if r.Delete(fact("p", 9, 9)) {
-		t.Fatal("Delete of absent fact returned true")
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Contains(fact("p", 2, 3)) {
-		t.Fatal("deleted fact still present")
-	}
-	if g, ok := r.GetArgs([]term.Term{term.Int(2), term.Int(3)}); ok || g != nil {
-		t.Fatal("GetArgs finds deleted fact")
-	}
-	// Reinsert works and the fact is live again.
-	if !r.Insert(fact("p", 2, 3)) {
-		t.Fatal("reinsert after delete returned false")
-	}
-	if !r.Contains(fact("p", 2, 3)) {
-		t.Fatal("reinserted fact missing")
+	for name, put := range map[string]func(r *Relation, fs ...*term.Fact) int{
+		"insert": func(r *Relation, fs ...*term.Fact) int {
+			n := 0
+			for _, f := range fs {
+				if r.Insert(f) {
+					n++
+				}
+			}
+			return n
+		},
+		"batch": func(r *Relation, fs ...*term.Fact) int { return r.InsertBatch(fs, LoadOpts{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := NewRelation("p", true)
+			var fs []*term.Fact
+			for i := 0; i < 100; i++ {
+				fs = append(fs, fact("p", i, i+1))
+			}
+			if put(r, fs...) != 100 {
+				t.Fatal("load lost facts")
+			}
+			if !r.Delete(fact("p", 2, 3)) {
+				t.Fatal("Delete of present fact returned false")
+			}
+			if r.Delete(fact("p", 2, 3)) {
+				t.Fatal("second Delete of same fact returned true")
+			}
+			if r.Delete(fact("p", 999, 9)) {
+				t.Fatal("Delete of absent fact returned true")
+			}
+			if r.Len() != 99 || len(r.All()) != 99 {
+				t.Fatalf("Len = %d, All = %d, want 99", r.Len(), len(r.All()))
+			}
+			if r.Contains(fact("p", 2, 3)) {
+				t.Fatal("deleted fact still present")
+			}
+			if g, ok := r.GetArgs([]term.Term{term.Int(2), term.Int(3)}); ok || g != nil {
+				t.Fatal("GetArgs finds deleted fact")
+			}
+			// Reinsert works and the fact is live again, once.
+			if put(r, fact("p", 2, 3), fact("p", 2, 3)) != 1 {
+				t.Fatal("reinsert after delete did not add exactly one fact")
+			}
+			if !r.Contains(fact("p", 2, 3)) || r.Len() != 100 {
+				t.Fatal("reinserted fact missing")
+			}
+			// Batch delete mixing hits, a repeated victim and a miss.
+			n := r.DeleteAll([]*term.Fact{fact("p", 0, 1), fact("p", 0, 1), fact("p", 999, 9), fact("p", 50, 51)})
+			if n != 2 || r.Len() != 98 || len(r.All()) != 98 {
+				t.Fatalf("DeleteAll removed %d, Len = %d", n, r.Len())
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@ package store
 // and reshard only when a bulk load makes parallelism worthwhile.
 type Config struct {
 	// Shards is the per-relation shard count bulk loads spread fact
-	// interning and packed rows across (rounded up to a power of two,
+	// interning across (rounded up to a power of two,
 	// capped at maxShards).  1 disables sharding.  Relations created by
 	// single-fact Insert stay single-shard until a large enough
 	// InsertBatch reshards them, so the sequential paths keep their exact
@@ -54,11 +54,9 @@ type LoadOpts struct {
 	// goroutine, so the resulting fact order is identical across worker
 	// counts.
 	Workers int
-	// Pack stores ground flat facts (every argument an atom, integer or
-	// string constant) as interned-constant ID rows instead of *term.Fact
-	// pointers; they are inflated back to canonical facts lazily, the
-	// first time a caller needs term structure.  Packing is skipped for
-	// relations that already built indexes.
+	// Deprecated: Pack is accepted and ignored — the store has one fact
+	// representation.  It remains only because the frozen benchmark module
+	// sets it; ROADMAP ("bench/ is frozen") has it dropped with that use.
 	Pack bool
 	// Shards reshards the target relation to this many shards before
 	// loading, when it is still small enough to reshard cheaply.  0 means

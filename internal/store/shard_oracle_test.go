@@ -68,16 +68,18 @@ func (r *refDB) lookup(pred string, c int, v term.Term) []string {
 	return out
 }
 
-// randFact draws from a small universe so inserts collide, deletes hit,
-// and packed and pointer paths interleave: most facts are ground flat
-// (packable), a fraction carry a compound argument (pointer path).
+// randOracleFact draws from a small universe so inserts collide and
+// deletes hit, mixing arities 0-2 within a relation: most facts are ground
+// flat, a fraction carry a compound argument.
 func randOracleFact(rng *rand.Rand) *term.Fact {
 	pred := fmt.Sprintf("p%d", rng.Intn(3))
-	switch rng.Intn(10) {
-	case 0:
+	switch rng.Intn(20) {
+	case 0, 1:
 		return term.NewFact(pred, term.NewCompound("f", term.Int(int64(rng.Intn(20)))), term.Int(int64(rng.Intn(20))))
-	case 1:
+	case 2, 3:
 		return term.NewFact(pred, term.Atom(fmt.Sprintf("a%d", rng.Intn(20))))
+	case 4:
+		return term.NewFact(pred)
 	default:
 		return term.NewFact(pred, term.Int(int64(rng.Intn(40))), term.Atom(fmt.Sprintf("a%d", rng.Intn(20))))
 	}
@@ -91,17 +93,20 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 	rng := rand.New(rand.NewSource(seed))
 	db := NewDBWith(Config{Shards: 4})
 	ref := newRefDB()
-	forks := 0
+	forks, loads := 0, 0
 	for step := 0; step < 60; step++ {
 		switch op := rng.Intn(10); {
-		case op < 3: // bulk load, sometimes packed
+		case op < 3: // bulk load; the first is of resharding size
 			n := 1 + rng.Intn(200)
+			if loads == 0 {
+				n = 4 * reshardMin
+			}
+			loads++
 			fs := make([]*term.Fact, n)
 			for i := range fs {
 				fs[i] = randOracleFact(rng)
 			}
-			pack := rng.Intn(2) == 0
-			got := db.LoadFacts(fs, LoadOpts{Workers: workers, Pack: pack})
+			got := db.LoadFacts(fs, LoadOpts{Workers: workers})
 			want := 0
 			for _, f := range fs {
 				if ref.insert(f) {
@@ -167,6 +172,11 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 	if got, want := db.String(), refString(ref); got != want {
 		t.Fatalf("seed %d: final contents diverge\n store: %.300s\noracle: %.300s", seed, got, want)
 	}
+	for _, p := range db.Preds() {
+		if got := db.RelOrNil(p).ShardCount(); got != 4 {
+			t.Fatalf("seed %d: %s has %d shards, want 4", seed, p, got)
+		}
+	}
 	// Canonical identity: Get must return one stable pointer per value.
 	for _, f := range ref.facts[:min(len(ref.facts), 20)] {
 		fresh := term.NewFact(f.Pred, append([]term.Term(nil), f.Args...)...)
@@ -212,7 +222,7 @@ func TestShardedStoreOracle(t *testing.T) {
 }
 
 // TestLoadFactsDeterministicOrder pins the stronger property behind the
-// oracle: the materialized fact order (not just the set) is identical for
+// oracle: the fact order (not just the set) is identical for
 // every worker count, because shards are partitioned before workers start.
 func TestLoadFactsDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -223,13 +233,10 @@ func TestLoadFactsDeterministicOrder(t *testing.T) {
 	var orders [][]*term.Fact
 	for _, workers := range []int{1, 2, 4} {
 		db := NewDBWith(Config{Shards: 8})
-		db.LoadFacts(fs, LoadOpts{Workers: workers, Pack: true})
+		db.LoadFacts(fs, LoadOpts{Workers: workers})
 		r := db.RelOrNil("e")
 		if r.ShardCount() != 8 {
 			t.Fatalf("workers=%d: resharded to %d, want 8", workers, r.ShardCount())
-		}
-		if r.PackedRows() == 0 {
-			t.Fatalf("workers=%d: nothing packed", workers)
 		}
 		orders = append(orders, append([]*term.Fact(nil), r.All()...))
 	}

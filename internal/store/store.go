@@ -10,15 +10,12 @@
 // (deltas, indexes, provenance) share one interned fact pointer per U-fact
 // and equality checks usually short-circuit on pointer identity.
 //
-// Relations are hash-sharded: a fixed power-of-two array of shards,
-// selected by the top bits of the fact hash (the intern tables consume the
-// low bits), each owning its slice of the intern table and its packed
-// rows.  Relations built by single-fact Insert stay single-shard — the
+// Relations are hash-sharded: a fixed power-of-two array of intern tables,
+// selected by the top bits of the fact hash (the tables consume the low
+// bits).  Relations built by single-fact Insert stay single-shard — the
 // historical layout — and a large InsertBatch reshards them so fact
-// interning runs shard-parallel and table resizes are per-shard.  Ground
-// flat facts can additionally be stored packed (see pack.go): one row of
-// interned-constant IDs instead of a heap *term.Fact, inflated lazily the
-// first time a caller needs term structure.
+// interning runs shard-parallel and table resizes are per-shard.  A fact
+// has one representation everywhere in the store: a *term.Fact.
 package store
 
 import (
@@ -52,13 +49,6 @@ const IndexThreshold = 16
 // per-shard state than parallel interning recovers.
 const reshardMin = 1024
 
-// PackMin is the relation size from which a bulk loader should ask for
-// LoadOpts.Pack: the same bulk-scale line as resharding.  A smaller relation
-// is inflated by its first structural read, after which it holds rows, memo
-// and a second copy of facts its loader already owned.  InsertBatch itself
-// packs whatever it is asked to.
-const PackMin = reshardMin
-
 // idxEntry is one distinct probe key in an index: the facts whose indexed
 // columns equal vals, plus a chain link for the (astronomically rare) case
 // of two distinct keys sharing a hash.
@@ -75,8 +65,7 @@ type idxEntry struct {
 // afterwards; only Insert (single-writer, between rounds) appends to its
 // buckets.  Indexes are relation-global, not per-shard: a per-shard split
 // would multiply every probe on the hot join path by the shard count, so
-// indexes are built over the merged (and, for packed relations, inflated)
-// view instead.
+// indexes are built over the merged view instead.
 type index struct {
 	mask uint64 // bit c set ⇔ column c indexed
 	cols []int  // ascending
@@ -204,13 +193,6 @@ func (ix *index) probe(vals []term.Term) []*term.Fact {
 	return nil
 }
 
-// relShard is one hash shard of a relation: its slice of the intern table
-// plus, for bulk-loaded relations, its packed rows.
-type relShard struct {
-	table *factTable
-	pack  *packShard
-}
-
 // Relation is a set of U-facts for one predicate.
 //
 // Concurrency: Insert is single-writer; Lookup, All and Get may run from
@@ -220,22 +202,12 @@ type relShard struct {
 // indexes take no lock at all, and only the first build per column set
 // serializes on mu (double-checked, so racing builders agree on one
 // index).
-//
-// Packed rows add one read-triggered mutation: inflation.  The packed
-// flag is an atomic with release/acquire semantics — inflateAll writes
-// the combined facts slice and the per-row fact memos before storing
-// false, so a reader that loads false may touch both lock-free; a reader
-// that loads true serializes row inflation on mu.  Between writes the
-// pack's rows, hashes and slot tables are immutable, so lock-free probes
-// against them are safe.
 type Relation struct {
 	Name      string
-	facts     []*term.Fact // materialized facts, insertion order
-	shards    []relShard   // power-of-two; nil for chunks until first point op
+	facts     []*term.Fact // insertion order
+	shards    []*factTable // power-of-two; nil for chunks until first point op
 	shardBits uint
-	live      int         // total live facts, including unmaterialized packed rows
-	packed    atomic.Bool // true while some shard holds uninflated packed rows
-	mu        sync.Mutex  // guards index construction and row inflation
+	mu        sync.Mutex // guards index construction
 	indexes   atomic.Pointer[[]*index]
 	useIdx    bool
 }
@@ -244,7 +216,7 @@ type Relation struct {
 func NewRelation(name string, useIndexes bool) *Relation {
 	return &Relation{
 		Name:   name,
-		shards: []relShard{{table: newFactTable(0)}},
+		shards: []*factTable{newFactTable(0)},
 		useIdx: useIndexes,
 	}
 }
@@ -258,7 +230,6 @@ func NewChunk(name string, facts []*term.Fact, useIndexes bool) *Relation {
 	return &Relation{
 		Name:   name,
 		facts:  facts[:len(facts):len(facts)],
-		live:   len(facts),
 		useIdx: useIndexes,
 	}
 }
@@ -274,11 +245,11 @@ func (r *Relation) ensureTables() {
 	for _, g := range r.facts {
 		t.insert(hashFact(g), g)
 	}
-	r.shards = []relShard{{table: t}}
+	r.shards = []*factTable{t}
 }
 
 // shardOf maps a fact hash to its shard: the top hash bits, because the
-// intern tables and packed row tables consume the low bits.
+// intern tables consume the low bits.
 func (r *Relation) shardOf(h uint64) int {
 	if r.shardBits == 0 {
 		return 0
@@ -286,8 +257,8 @@ func (r *Relation) shardOf(h uint64) int {
 	return int(h >> (64 - r.shardBits))
 }
 
-// Len returns the number of facts, packed rows included.
-func (r *Relation) Len() int { return r.live }
+// Len returns the number of facts.
+func (r *Relation) Len() int { return len(r.facts) }
 
 // ShardCount returns the relation's current shard count.
 func (r *Relation) ShardCount() int {
@@ -297,121 +268,22 @@ func (r *Relation) ShardCount() int {
 	return len(r.shards)
 }
 
-// PackedRows returns the number of live facts currently held as packed
-// rows (materialized or not) rather than as reachable-only *term.Fact.
-func (r *Relation) PackedRows() int {
-	n := 0
-	for si := range r.shards {
-		if ps := r.shards[si].pack; ps != nil {
-			n += ps.live()
-		}
-	}
-	return n
-}
+// All returns the facts in insertion order (a bulk load inserts in
+// shard-major batch order).  Callers must not mutate the returned slice.
+func (r *Relation) All() []*term.Fact { return r.facts }
 
-// All returns the facts in insertion order (packed rows materialize in
-// shard-major batch order after the facts inserted singly before them).
-// Callers must not mutate the returned slice.
-func (r *Relation) All() []*term.Fact {
-	if r.packed.Load() {
-		r.inflateAll()
-	}
-	return r.facts
-}
-
-// inflateAll materializes every not-yet-flushed packed row into the facts
-// slice, memoizing the canonical fact per row.  Concurrent callers (All
-// and LookupCols may race from parallel readers) serialize on mu; the
-// facts slice and row memos are fully written before packed is cleared,
-// so lock-free readers that observe packed == false see them complete.
-func (r *Relation) inflateAll() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.packed.Load() {
-		return
-	}
-	var arena term.FactArena
-	combined := make([]*term.Fact, len(r.facts), r.live)
-	copy(combined, r.facts)
-	var scratch []term.Term
-	for si := range r.shards {
-		ps := r.shards[si].pack
-		if ps == nil || ps.flushed == ps.n {
-			continue
-		}
-		if ps.inflated == nil {
-			ps.inflated = make([]*term.Fact, ps.n)
-		}
-		for len(ps.inflated) < ps.n {
-			ps.inflated = append(ps.inflated, nil)
-		}
-		if cap(scratch) < ps.arity {
-			scratch = make([]term.Term, ps.arity)
-		}
-		for row := ps.flushed; row < ps.n; row++ {
-			if ps.isDead(row) {
-				continue
-			}
-			f := ps.inflated[row]
-			if f == nil {
-				ids := ps.row(row)
-				for i, id := range ids {
-					scratch[i] = decodeCell(id)
-				}
-				f = arena.NewFact(r.Name, scratch[:len(ids)])
-				ps.inflated[row] = f
-			}
-			combined = append(combined, f)
-		}
-		ps.flushed = ps.n
-	}
-	r.facts = combined
-	r.packed.Store(false)
-}
-
-// packFact returns the canonical fact for a live packed row.  After full
-// inflation the memo is complete and read lock-free; while uninflated rows
-// remain, single-row inflation serializes on mu so concurrent readers
-// agree on one canonical pointer.
-func (r *Relation) packFact(ps *packShard, row int) *term.Fact {
-	if !r.packed.Load() {
-		return ps.inflated[row]
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return ps.factOf(r.Name, row)
-}
-
-// Contains reports whether the relation holds the fact.  Unlike Get it
-// never inflates a packed row.
+// Contains reports whether the relation holds the fact.
 func (r *Relation) Contains(f *term.Fact) bool {
-	r.ensureTables()
-	h := hashFact(f)
-	sh := &r.shards[r.shardOf(h)]
-	if sh.table.get(h, f) != nil {
-		return true
-	}
-	if ps := sh.pack; ps != nil && f.Pred == r.Name {
-		_, ok := ps.find(h, func(row int) bool { return ps.matchArgs(row, f.Args) })
-		return ok
-	}
-	return false
+	_, ok := r.Get(f)
+	return ok
 }
 
 // Get returns the relation's canonical fact equal to f, or nil.
 func (r *Relation) Get(f *term.Fact) (*term.Fact, bool) {
 	r.ensureTables()
 	h := hashFact(f)
-	sh := &r.shards[r.shardOf(h)]
-	if g := sh.table.get(h, f); g != nil {
-		return g, true
-	}
-	if ps := sh.pack; ps != nil && f.Pred == r.Name {
-		if row, ok := ps.find(h, func(row int) bool { return ps.matchArgs(row, f.Args) }); ok {
-			return r.packFact(ps, row), true
-		}
-	}
-	return nil, false
+	g := r.shards[r.shardOf(h)].get(h, f)
+	return g, g != nil
 }
 
 // GetArgs returns the relation's canonical fact for Name(args...), without
@@ -420,16 +292,8 @@ func (r *Relation) Get(f *term.Fact) (*term.Fact, bool) {
 func (r *Relation) GetArgs(args []term.Term) (*term.Fact, bool) {
 	r.ensureTables()
 	h := hashFactArgs(r.Name, args)
-	sh := &r.shards[r.shardOf(h)]
-	if g := sh.table.getArgs(h, r.Name, args); g != nil {
-		return g, true
-	}
-	if ps := sh.pack; ps != nil {
-		if row, ok := ps.find(h, func(row int) bool { return ps.matchArgs(row, args) }); ok {
-			return r.packFact(ps, row), true
-		}
-	}
-	return nil, false
+	g := r.shards[r.shardOf(h)].getArgs(h, r.Name, args)
+	return g, g != nil
 }
 
 // Insert adds the fact, reporting whether it was new.
@@ -444,18 +308,12 @@ func (r *Relation) Insert(f *term.Fact) bool {
 func (r *Relation) InsertGet(f *term.Fact) (*term.Fact, bool) {
 	r.ensureTables()
 	h := hashFact(f)
-	sh := &r.shards[r.shardOf(h)]
-	if g := sh.table.get(h, f); g != nil {
+	t := r.shards[r.shardOf(h)]
+	if g := t.get(h, f); g != nil {
 		return g, false
 	}
-	if ps := sh.pack; ps != nil && f.Pred == r.Name {
-		if row, ok := ps.find(h, func(row int) bool { return ps.matchArgs(row, f.Args) }); ok {
-			return r.packFact(ps, row), false
-		}
-	}
-	sh.table.insert(h, f)
+	t.insert(h, f)
 	r.facts = append(r.facts, f)
-	r.live++
 	if p := r.indexes.Load(); p != nil {
 		for _, ix := range *p {
 			ix.add(f)
@@ -482,39 +340,16 @@ func (r *Relation) spliceFact(g *term.Fact) {
 func (r *Relation) Delete(f *term.Fact) bool {
 	r.ensureTables()
 	h := hashFact(f)
-	sh := &r.shards[r.shardOf(h)]
-	if g := sh.table.get(h, f); g != nil {
-		sh.table.remove(h, g)
-		r.spliceFact(g)
-		r.live--
-		if p := r.indexes.Load(); p != nil {
-			for _, ix := range *p {
-				ix.remove(g)
-			}
-		}
-		return true
-	}
-	ps := sh.pack
-	if ps == nil || f.Pred != r.Name {
+	t := r.shards[r.shardOf(h)]
+	g := t.get(h, f)
+	if g == nil {
 		return false
 	}
-	row, ok := ps.find(h, func(row int) bool { return ps.matchArgs(row, f.Args) })
-	if !ok {
-		return false
-	}
-	g := ps.inflatedAt(row)
-	ps.remove(h, row)
-	ps.markDead(row)
-	r.live--
-	if row < ps.flushed {
-		// Flushed rows are materialized in the facts slice (and always
-		// memoized), so the pointer side must be maintained too; indexes
-		// can only exist once every row is flushed.
-		r.spliceFact(g)
-		if p := r.indexes.Load(); p != nil {
-			for _, ix := range *p {
-				ix.remove(g)
-			}
+	t.remove(h, g)
+	r.spliceFact(g)
+	if p := r.indexes.Load(); p != nil {
+		for _, ix := range *p {
+			ix.remove(g)
 		}
 	}
 	return true
@@ -533,64 +368,41 @@ func (r *Relation) DeleteAll(fs []*term.Fact) int {
 	r.ensureTables()
 	victims := make(map[*term.Fact]bool, len(fs))
 	removed := make([]*term.Fact, 0, len(fs))
-	packOnly := 0
 	for _, f := range fs {
 		h := hashFact(f)
-		sh := &r.shards[r.shardOf(h)]
-		if g := sh.table.get(h, f); g != nil {
-			sh.table.remove(h, g)
+		t := r.shards[r.shardOf(h)]
+		if g := t.get(h, f); g != nil {
+			t.remove(h, g)
 			victims[g] = true
 			removed = append(removed, g)
-			continue
-		}
-		ps := sh.pack
-		if ps == nil || f.Pred != r.Name {
-			continue
-		}
-		row, ok := ps.find(h, func(row int) bool { return ps.matchArgs(row, f.Args) })
-		if !ok {
-			continue
-		}
-		g := ps.inflatedAt(row)
-		ps.remove(h, row)
-		ps.markDead(row)
-		if row < ps.flushed {
-			victims[g] = true
-			removed = append(removed, g)
-		} else {
-			packOnly++
 		}
 	}
-	if len(removed)+packOnly == 0 {
+	if len(removed) == 0 {
 		return 0
 	}
-	if len(removed) > 0 {
-		kept := r.facts[:0]
-		for _, x := range r.facts {
-			if !victims[x] {
-				kept = append(kept, x)
-			}
+	kept := r.facts[:0]
+	for _, x := range r.facts {
+		if !victims[x] {
+			kept = append(kept, x)
 		}
-		for i := len(kept); i < len(r.facts); i++ {
-			r.facts[i] = nil // release the tail for the GC
-		}
-		r.facts = kept
-		if p := r.indexes.Load(); p != nil {
-			for _, g := range removed {
-				for _, ix := range *p {
-					ix.remove(g)
-				}
+	}
+	for i := len(kept); i < len(r.facts); i++ {
+		r.facts[i] = nil // release the tail for the GC
+	}
+	r.facts = kept
+	if p := r.indexes.Load(); p != nil {
+		for _, g := range removed {
+			for _, ix := range *p {
+				ix.remove(g)
 			}
 		}
 	}
-	n := len(removed) + packOnly
-	r.live -= n
-	return n
+	return len(removed)
 }
 
 // cloneForWrite returns a private copy sharing no mutable state with r:
-// the facts slice, interning tables, packed rows, and built indexes are
-// all copied, so the copy is immediately writable and keeps serving
+// the facts slice, interning tables and built indexes are all copied, so
+// the copy is immediately writable and keeps serving
 // indexed probes without a rebuild.  Fact pointers are shared — facts are
 // immutable.
 func (r *Relation) cloneForWrite() *Relation {
@@ -611,21 +423,14 @@ func (r *Relation) cloneBase() *Relation {
 		Name:      r.Name,
 		facts:     append([]*term.Fact(nil), r.facts...),
 		shardBits: r.shardBits,
-		live:      r.live,
 		useIdx:    r.useIdx,
 	}
 	if r.shards != nil {
-		nr.shards = make([]relShard, len(r.shards))
-		for i := range r.shards {
-			if t := r.shards[i].table; t != nil {
-				nr.shards[i].table = t.clone()
-			}
-			if ps := r.shards[i].pack; ps != nil {
-				nr.shards[i].pack = ps.clone()
-			}
+		nr.shards = make([]*factTable, len(r.shards))
+		for i, t := range r.shards {
+			nr.shards[i] = t.clone()
 		}
 	}
-	nr.packed.Store(r.packed.Load())
 	return nr
 }
 
@@ -644,8 +449,7 @@ func (r *Relation) findIndex(mask uint64) *index {
 
 // buildIndex constructs the index for the column set and publishes a new
 // snapshot.  Concurrent builders for the same mask serialize on mu and
-// agree on the winner's index.  The caller inflated the relation first
-// (LookupCols goes through All), so every fact is materialized.
+// agree on the winner's index.
 func (r *Relation) buildIndex(mask uint64, cols []int) *index {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -692,19 +496,14 @@ scan:
 // indexing enabled and at least IndexThreshold facts, the first probe per
 // column set builds a composite hash index that Insert then maintains; the
 // second return reports whether an index (rather than a scan) served the
-// probe.  Reads never lock once the index exists.  Packed relations are
-// inflated on the first structural read — scans and indexes need term
-// structure.
+// probe.  Reads never lock once the index exists.
 func (r *Relation) LookupCols(cols []int, vals []term.Term) ([]*term.Fact, bool) {
-	if r.packed.Load() {
-		r.inflateAll()
-	}
 	if r.useIdx && len(cols) > 0 {
 		if mask, ok := colsMask(cols); ok {
 			if ix := r.findIndex(mask); ix != nil {
 				return ix.probe(vals), true
 			}
-			if r.live >= IndexThreshold {
+			if len(r.facts) >= IndexThreshold {
 				return r.buildIndex(mask, cols).probe(vals), true
 			}
 		}
@@ -766,9 +565,6 @@ func NewDB() *DB { return NewDBWith(DefaultConfig()) }
 func NewDBWith(cfg Config) *DB {
 	return &DB{rels: make(map[string]*Relation), UseIndexes: true, cfg: cfg.normalize()}
 }
-
-// Config returns the database's normalized store configuration.
-func (db *DB) Config() Config { return db.cfg }
 
 // rel returns the relation for pred, creating it if needed, without
 // disabling the size cache — internal mutation paths account for their own
@@ -954,9 +750,8 @@ func (db *DB) Facts() []*term.Fact {
 }
 
 // Clone returns an independent copy of the database.  Facts are shared
-// (they are immutable); relation bookkeeping — interning tables and packed
-// rows included — is copied.  Indexes are not cloned — the copy rebuilds
-// them on demand.
+// (they are immutable); relation bookkeeping — interning tables included —
+// is copied.  Indexes are not cloned — the copy rebuilds them on demand.
 func (db *DB) Clone() *DB {
 	out := NewDBWith(db.cfg)
 	out.UseIndexes = db.UseIndexes
@@ -964,7 +759,6 @@ func (db *DB) Clone() *DB {
 	for _, p := range db.order {
 		r := db.rels[p]
 		nr := r.cloneBase()
-		nr.indexes = atomic.Pointer[[]*index]{} // rebuild on demand
 		out.rels[p] = nr
 		out.order = append(out.order, p)
 		n += nr.Len()
@@ -995,22 +789,6 @@ func (db *DB) Fork() *DB {
 		out.shared[p] = true
 	}
 	return out
-}
-
-// AddAll inserts every fact of src, reporting the number of new facts.
-// Each source relation is spliced in through the batch path, so tables are
-// pre-sized once per relation instead of grown insert by insert.
-func (db *DB) AddAll(src *DB) int {
-	n := 0
-	for _, p := range src.Preds() {
-		sr := src.rels[p]
-		if sr == nil || sr.Len() == 0 {
-			continue
-		}
-		n += db.mutableRel(p).InsertBatch(sr.All(), LoadOpts{})
-	}
-	db.sizeAdd(n)
-	return n
 }
 
 // Equal reports whether two databases hold exactly the same facts.

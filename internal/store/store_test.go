@@ -118,7 +118,7 @@ func TestDBCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestDBEqualAndAddAll(t *testing.T) {
+func TestDBEqual(t *testing.T) {
 	a, b := NewDB(), NewDB()
 	a.Insert(f("p", 1))
 	a.Insert(f("q", 2))
@@ -126,8 +126,8 @@ func TestDBEqualAndAddAll(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("different databases compared equal")
 	}
-	if n := b.AddAll(a); n != 1 {
-		t.Fatalf("AddAll added %d", n)
+	if n := b.LoadFacts(a.Facts(), LoadOpts{}); n != 1 {
+		t.Fatalf("LoadFacts added %d", n)
 	}
 	if !a.Equal(b) {
 		t.Fatal("databases should now be equal")
