@@ -2,13 +2,10 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"ldl1/internal/analyze/types"
 	"ldl1/internal/ast"
-	"ldl1/internal/builtin"
 	"ldl1/internal/layering"
 	"ldl1/internal/lderr"
 	"ldl1/internal/store"
@@ -30,14 +27,18 @@ const (
 	Naive
 )
 
-// Stats collects evaluation counters.
+// Stats collects the counters of evaluation and of incremental maintenance
+// (internal/incr), which fire rules through the same driver.
 type Stats struct {
-	// Iterations counts inner fixpoint iterations across all layers.
+	// Iterations counts inner fixpoint iterations across all layers, and
+	// the cascade rounds of maintenance.
 	Iterations int
-	// Derived counts facts newly added by rule application.
+	// Derived counts facts newly added by rule application — by
+	// maintenance too, where a transaction's own EDB facts do not count.
 	Derived int
 	// Firings counts successful rule-body solutions (including ones
-	// whose head fact already existed).
+	// whose head fact already existed), the regrouping and rederivation
+	// enumerations of maintenance included.
 	Firings int
 	// IndexHits counts candidate probes answered by a (possibly
 	// composite) column hash index on the compiled access path.
@@ -66,9 +67,7 @@ type Stats struct {
 	CacheHits int
 }
 
-// Merge adds the counters of other into s — the single-threaded merge point
-// for per-worker Stats of parallel maintenance rounds, mirroring how
-// IndexHits/FullScans are flushed across evaluation workers.
+// Merge adds the counters of other into s.
 func (s *Stats) Merge(other *Stats) {
 	if s == nil || other == nil {
 		return
@@ -109,14 +108,15 @@ type Options struct {
 	// facts newly added by rule application, not counting the input
 	// database — and aborts evaluation with a LimitError once more than
 	// MaxDerived facts have been derived.  The count and the semantics
-	// are identical for sequential and parallel evaluation (Workers > 1
-	// merely defers the check to the end of the round that overflows).
+	// are identical for sequential and parallel evaluation (with Workers > 1
+	// a round's facts are inserted, and counted, once its tasks are done).
 	// Useful as a termination guard for programs whose function symbols
 	// can generate unbounded terms (the LDL1 universe U is infinite).
 	MaxDerived int
 	// Workers, when > 1, evaluates the rule applications of each fixpoint
-	// round concurrently (derivations are buffered and merged between
-	// rounds, so the computed model is unchanged).  Ignored when
+	// round concurrently (derivations are buffered per task and replayed
+	// in task order between rounds, so the computed model is unchanged and
+	// its relation order is the same for every Workers > 1).  Ignored when
 	// Provenance is set.
 	Workers int
 	// NoReorder disables the cost-based join planner and falls back to the
@@ -173,38 +173,35 @@ func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(
 			if !r.IsFact() {
 				continue
 			}
-			f, err := factOfRule(r)
+			f, err := unify.ApplyLit(r.Head, unify.NewBindings())
 			if err != nil {
-				return err
+				return fmt.Errorf("fact %q: %w", r.Head.String(), err)
 			}
 			if db.Insert(f) && opts.Provenance != nil {
 				opts.Provenance.record(&Derivation{Fact: f})
 			}
 		}
 	}
-	workers := opts.Workers
+	d := NewDriver(opts.Ctx, opts.Stats, opts.Workers, opts.MaxDerived)
+	d.memBudget = opts.MemBudget
 	if opts.Provenance != nil {
-		workers = 1
+		// The derivation trail is per-join state a replay cannot rebuild.
+		d.workers, d.x.prov = 1, opts.Provenance
 	}
-	ex := &exec{
-		db: db, stats: opts.Stats, prov: opts.Provenance, deltaSlot: -1,
-		maxDerived: opts.MaxDerived, memBudget: opts.MemBudget,
-		ctx: opts.Ctx, breach: new(atomic.Bool), workers: workers,
-		noReorder: opts.NoReorder, types: opts.Types,
-	}
+	d.live = d.workers <= 1
+	defer d.flush(&d.x)
+	ev := &evaluation{Driver: d, db: db, noReorder: opts.NoReorder, types: opts.Types}
 	for i, rules := range groups {
-		if err := ex.checkCtx(); err != nil {
+		if err := d.Err(); err != nil {
 			return err
 		}
-		if err := ex.evalLayer(rules, opts.Strategy); err != nil {
-			ex.flushAccessStats()
+		if err := ev.evalLayer(rules, opts.Strategy); err != nil {
 			return err
 		}
 		if after != nil {
 			after(i)
 		}
 	}
-	ex.flushAccessStats()
 	return nil
 }
 
@@ -221,655 +218,194 @@ func PlanBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool) ([]int, e
 	return p.order, nil
 }
 
-// applyHead evaluates the rule head under the bindings; a nil fact with a
-// nil error means the binding is not applicable (head outside U, §3.2).
-func applyHead(r ast.Rule, b *unify.Bindings) (*term.Fact, error) {
-	f, err := unify.ApplyLit(r.Head, b)
-	if err != nil {
-		if errors.Is(err, unify.ErrOutsideU) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("rule %q: %w", r.String(), err)
-	}
-	return f, nil
-}
-
-// applyHeadArgs applies the head arguments under b into dst (len(dst) ==
-// arity), reporting false when the binding falls outside U (the rule does
-// not fire, §3.2).  Evaluators use it with a reusable scratch slice so a
-// firing that re-derives an existing fact allocates nothing: the scratch
-// args feed Relation.GetArgs, and a Fact is built only for new facts.
-func applyHeadArgs(r ast.Rule, b *unify.Bindings, dst []term.Term) (bool, error) {
-	for i, a := range r.Head.Args {
-		v, err := unify.Apply(a, b)
-		if err != nil {
-			if errors.Is(err, unify.ErrOutsideU) {
-				return false, nil
-			}
-			return false, fmt.Errorf("rule %q: %w", r.String(), err)
-		}
-		dst[i] = v
-	}
-	return true, nil
-}
-
-func newBindings() *unify.Bindings { return unify.NewBindings() }
-
-func factOfRule(r ast.Rule) (*term.Fact, error) {
-	b := unify.NewBindings()
-	f, err := unify.ApplyLit(r.Head, b)
-	if err != nil {
-		return nil, fmt.Errorf("fact %q: %w", r.Head.String(), err)
-	}
-	return f, nil
-}
-
-// exec is the evaluation context for one database.
-type exec struct {
-	db    *store.DB
-	stats *Stats
-	prov  *Provenance
-	// delta, when non-nil, restricts one designated body occurrence to
-	// the facts derived in the previous iteration.
-	delta     *store.Relation
-	deltaSlot int // index into the execution order, -1 when unused
-	// trail holds the database facts matched by the literals of the
-	// current join, for provenance.
-	trail []*term.Fact
-	// derivation limit bookkeeping.
-	maxDerived int
-	derived    int
-	// memory budget bookkeeping: approximate bytes of derived facts.
-	memBudget int64
-	memUsed   int64
-	// ctx, when non-nil, is checked at round boundaries and polled inside
-	// joins; see Options.Ctx.
-	ctx   context.Context
-	polls uint
-	// breach is shared between the merge thread and parallel workers: set
-	// once a MaxDerived breach is certain, it lets in-flight workers stop
-	// enumerating early.  It never changes the outcome — the flag is only
-	// raised when the exact post-merge count is guaranteed past the limit.
-	breach *atomic.Bool
-	// roundBase is, in a parallel worker, the exact derived count at the
-	// start of the round (worker-local facts are distinct and absent from
-	// the shared database, so roundBase + locally-new > maxDerived proves
-	// a breach regardless of cross-worker duplicates).
-	roundBase int
-	// workers > 1 enables parallel rounds.
-	workers int
+// evaluation is one EvalGroupsEach call: the driver, the database being
+// completed, and what the planner needs.
+type evaluation struct {
+	*Driver
+	db *store.DB
 	// noReorder pins the static literal order; see Options.NoReorder.
 	noReorder bool
 	// types, when non-nil, refines cost-based planning; see Options.Types.
 	types *types.Env
-	// access-path counters, accumulated locally (workers have no stats
-	// sink) and flushed into stats by EvalGroups / the round merge.
-	idxHits   int
-	fullScans int
 }
 
-// plan compiles a body plan for evaluation against ex.db: cost-based by
-// default, static under Options.NoReorder.  Planner decisions are charged
-// to the stats sink here — plans are always compiled on the merge thread,
-// never inside parallel workers.
-func (ex *exec) plan(r ast.Rule, forcedFirst int) (*bodyPlan, error) {
-	db := ex.db
-	if ex.noReorder {
+// Probe and Accept make the evaluation its own sink: a head fact absent
+// from the database is inserted, charged and counted as derived.  A live
+// round has the database to itself, so there the first firing of a rule
+// creates its head relation: a derived predicate is part of the model even
+// when no fact of it is.
+func (ev *evaluation) Probe(pred string) (*store.Relation, bool) {
+	if ev.live {
+		return ev.db.Rel(pred), false
+	}
+	return ev.db.RelOrNil(pred), false
+}
+
+func (ev *evaluation) Accept(f *term.Fact) (bool, error) {
+	if !ev.db.Insert(f) {
+		return false, nil
+	}
+	if ev.stats != nil {
+		ev.stats.Derived++
+	}
+	return true, ev.Charge(f)
+}
+
+// variant compiles the rule with body literal dLit first (-1: no delta
+// literal) against ev.db: cost-based by default, static under
+// Options.NoReorder.  Planner decisions are charged to the stats sink here —
+// plans are always compiled on the driving goroutine.
+func (ev *evaluation) variant(r ast.Rule, dLit int) (*Variant, error) {
+	db := ev.db
+	if ev.noReorder {
 		db = nil
 	}
-	p, err := planBodyDB(r, forcedFirst, nil, db, ex.types)
+	p, err := planBodyDB(r, dLit, nil, db, ev.types)
 	if err != nil {
 		return nil, err
 	}
-	if ex.stats != nil {
+	if ev.stats != nil {
 		if p.reordered {
-			ex.stats.PlansReordered++
+			ev.stats.PlansReordered++
 		}
-		ex.stats.EstimatedRows += p.estRows
+		ev.stats.EstimatedRows += p.estRows
 	}
-	return p, nil
+	return &Variant{rule: r, head: r.Head, body: r.Body, plan: p, dLit: dLit}, nil
 }
 
-// replannable reports whether re-running the cost model against grown
-// relations could ever change the plan: only when the body offers a choice,
-// i.e. at least two positive database literals besides the forced delta
-// occurrence.  Single-choice bodies (the overwhelmingly common case for
-// rewrite-generated rules) are planned once and kept.
-func replannable(r ast.Rule, forcedFirst int) bool {
-	n := 0
-	for i, l := range r.Body {
-		if i == forcedFirst || l.Negated || layering.IsBuiltin(l.Pred) {
-			continue
+// replan refreshes the cost-based plans of the variants on geometrically
+// spaced rounds (1, 2, 4, 8, ...).  Cost-based plans are data-dependent, and
+// the relations of a layer grow as its fixpoint runs: a plan compiled when a
+// recursive relation held one seed tuple would keep scanning it first long
+// after it outgrew every alternative.  Relations grow monotonically within a
+// layer, so any growth-induced plan flip is picked up within a factor-2
+// window of rounds at O(log rounds) replanning cost.  Only bodies that offer
+// a choice — at least two positive database literals besides the delta
+// occurrence — are recompiled; static plans (NoReorder) are data-independent
+// and kept.
+func (ev *evaluation) replan(vars []*Variant) func(round int) (bool, error) {
+	next := 1
+	return func(round int) (bool, error) {
+		if ev.noReorder || round != next {
+			return true, nil
 		}
-		n++
-	}
-	return n >= 2
-}
-
-func (ex *exec) bumpIter() {
-	if ex.stats != nil {
-		ex.stats.Iterations++
-	}
-}
-
-// flushAccessStats moves the local access-path counters into the stats
-// sink, if any.
-func (ex *exec) flushAccessStats() {
-	if ex.stats != nil {
-		ex.stats.IndexHits += ex.idxHits
-		ex.stats.FullScans += ex.fullScans
-	}
-	ex.idxHits, ex.fullScans = 0, 0
-}
-
-// checkLimit enforces the resource guards — Options.MaxDerived against the
-// derived-fact count and Options.MemBudget against the derived bytes.
-func (ex *exec) checkLimit() error {
-	if ex.maxDerived > 0 && ex.derived > ex.maxDerived {
-		return &LimitError{Limit: ex.maxDerived}
-	}
-	if ex.memBudget > 0 && ex.memUsed > ex.memBudget {
-		return &lderr.MemBudgetError{Budget: ex.memBudget}
-	}
-	return nil
-}
-
-// checkCtx maps a canceled/expired context to its taxonomy error; nil when
-// no context is attached or it is still live.  Called at every round
-// boundary, so a cancellation aborts the fixpoint within one round.
-func (ex *exec) checkCtx() error {
-	if ex.ctx == nil {
-		return nil
-	}
-	return lderr.FromContext(ex.ctx)
-}
-
-// pollEvery is the firing interval of the in-join interrupt poll: frequent
-// enough that one monster round (a grouping enumeration, a wide join)
-// still aborts promptly, rare enough to stay off the profile.
-const pollEvery = 256
-
-// poll is the cheap in-join interrupt check: every pollEvery firings it
-// consults the context and, in parallel workers, the shared breach flag.
-func (ex *exec) poll() error {
-	ex.polls++
-	if ex.polls%pollEvery != 0 {
-		return nil
-	}
-	if ex.breach != nil && ex.breach.Load() {
-		return &LimitError{Limit: ex.maxDerived}
-	}
-	return ex.checkCtx()
-}
-
-// charge records one derived fact against the resource budgets.
-func (ex *exec) charge(f *term.Fact) {
-	ex.derived++
-	if ex.memBudget > 0 {
-		ex.memUsed += factBytes(f)
-	}
-}
-
-// factBytes estimates the retained heap size of a fact: headers plus a
-// structural walk of its arguments.  The estimate only needs to be
-// monotone and roughly proportional — MemBudget is a runaway guard, not an
-// accountant.
-func factBytes(f *term.Fact) int64 {
-	n := int64(48)
-	for _, a := range f.Args {
-		n += termBytes(a)
-	}
-	return n
-}
-
-func termBytes(t term.Term) int64 {
-	switch t := t.(type) {
-	case term.Int:
-		return 16
-	case term.Atom:
-		return 16 + int64(len(t))
-	case term.Str:
-		return 16 + int64(len(t))
-	case term.Var:
-		return 16 + int64(len(t))
-	case *term.Compound:
-		n := int64(32 + len(t.Functor))
-		for _, a := range t.Args {
-			n += termBytes(a)
+		next *= 2
+		for _, v := range vars {
+			n := 0
+			for i, l := range v.body {
+				if i != v.dLit && !l.Negated && !layering.IsBuiltin(l.Pred) {
+					n++
+				}
+			}
+			if n < 2 {
+				continue
+			}
+			nv, err := ev.variant(v.rule, v.dLit)
+			if err != nil {
+				return false, err
+			}
+			v.plan = nv.plan
 		}
-		return n
-	case *term.Set:
-		n := int64(32)
-		for _, e := range t.Elems() {
-			n += termBytes(e)
-		}
-		return n
+		return true, nil
 	}
-	return 16
 }
 
 // evalLayer computes the fixpoint of one layer: grouping rules are applied
 // once against the layer input (their bodies mention only lower layers, see
 // Lemma 3.2.3), then the remaining rules run to fixpoint.
-func (ex *exec) evalLayer(rules []ast.Rule, strat Strategy) error {
-	var grouping, simple []ast.Rule
+func (ev *evaluation) evalLayer(rules []ast.Rule, strat Strategy) error {
+	var simple []ast.Rule
 	for _, r := range rules {
-		if r.IsFact() {
-			continue // already inserted
-		}
-		if r.IsGroupingRule() {
-			grouping = append(grouping, r)
-		} else {
+		switch {
+		case r.IsFact(): // already inserted
+		case r.IsGroupingRule():
+			if err := ev.applyGroupingRule(r); err != nil {
+				return err
+			}
+		default:
 			simple = append(simple, r)
-		}
-	}
-	for _, r := range grouping {
-		if err := ex.applyGroupingRule(r); err != nil {
-			return err
 		}
 	}
 	if len(simple) == 0 {
 		return nil
 	}
 	if strat == Naive {
-		return ex.naiveFixpoint(simple)
+		return ev.naiveFixpoint(simple)
 	}
-	return ex.semiNaiveFixpoint(simple)
+	return ev.semiNaiveFixpoint(simple)
 }
 
-func (ex *exec) naiveFixpoint(rules []ast.Rule) error {
-	plans := make([]*bodyPlan, len(rules))
+// naiveFixpoint re-fires every rule against the whole database until a
+// round inserts nothing — the reference the other strategies are tested
+// against.
+func (ev *evaluation) naiveFixpoint(rules []ast.Rule) error {
+	vars := make([]*Variant, len(rules))
+	tasks := make([]Task, len(rules))
 	for i, r := range rules {
-		p, err := ex.plan(r, -1)
+		v, err := ev.variant(r, -1)
 		if err != nil {
 			return err
 		}
-		plans[i] = p
+		vars[i], tasks[i] = v, v.Task(ev.db, nil)
 	}
-	round, nextReplan := 0, 1
-	for {
-		if err := ex.checkCtx(); err != nil {
+	replan := ev.replan(vars)
+	for round := 1; ; round++ {
+		if err := ev.Err(); err != nil {
 			return err
 		}
-		ex.bumpIter()
-		// See semiNaiveFixpoint: refresh cost-based plans on geometrically
-		// spaced rounds as the layer's relations grow.
-		round++
-		if !ex.noReorder && round == nextReplan {
-			nextReplan *= 2
-			for i, r := range rules {
-				if !replannable(r, -1) {
-					continue
-				}
-				p, err := ex.plan(r, -1)
-				if err != nil {
-					return err
-				}
-				plans[i] = p
-			}
+		ev.bumpIter()
+		if _, err := replan(round); err != nil {
+			return err
 		}
-		changed := false
-		if ex.workers > 1 {
-			tasks := make([]ruleTask, len(rules))
-			for i, r := range rules {
-				tasks[i] = ruleTask{rule: r, plan: plans[i], deltaSlot: -1}
-			}
-			facts, err := ex.runParallelRound(tasks, ex.workers)
-			if err != nil {
-				return err
-			}
-			if ex.mergeRound(facts, nil) > 0 {
-				changed = true
-			}
-			if err := ex.checkLimit(); err != nil {
-				return err
-			}
-		} else {
-			for i, r := range rules {
-				n, err := ex.applyRule(r, plans[i], nil)
-				if err != nil {
-					return err
-				}
-				if n > 0 {
-					changed = true
-				}
-			}
+		before := ev.derived
+		if err := ev.Round(tasks, ev, nil); err != nil {
+			return err
 		}
-		if !changed {
+		if ev.derived == before {
 			return nil
 		}
 	}
 }
 
-// variant is a semi-naive rule variant: the rule with one recursive body
-// occurrence designated as the delta occurrence.
-type variant struct {
-	rule ast.Rule
-	dLit int       // body literal index bound to the delta relation
-	plan *bodyPlan // compiled plan with dLit first; delta chunks share it
-}
-
-func (ex *exec) semiNaiveFixpoint(rules []ast.Rule) error {
-	// Predicates defined in this layer (the recursive candidates).
+// semiNaiveFixpoint fires every rule once against the whole database, then
+// cascades: each further round fires only the variants of recursive rules
+// whose delta literal — a body occurrence of a predicate defined in this
+// layer — has facts new in the previous round.
+func (ev *evaluation) semiNaiveFixpoint(rules []ast.Rule) error {
 	layerPreds := map[string]bool{}
 	for _, r := range rules {
 		layerPreds[r.Head.Pred] = true
 	}
-	var base []variant    // non-recursive rules, run once
-	var recvars []variant // delta variants, run every iteration
-	// Round-0 tasks, planned once here: every rule exactly once — each
-	// recursive rule contributes one task regardless of how many delta
-	// variants it has, so no per-variant dedup is needed later.
-	var recRound0 []ruleTask
+	var recvars []*Variant
+	// Round 0 fires every rule exactly once, non-recursive rules first.
+	var base, rec []Task
 	for _, r := range rules {
-		rec := false
+		n := len(recvars)
 		for i, l := range r.Body {
 			if !l.Negated && layerPreds[l.Pred] {
-				p, err := ex.plan(r, i)
+				v, err := ev.variant(r, i)
 				if err != nil {
 					return err
 				}
-				recvars = append(recvars, variant{rule: r, dLit: i, plan: p})
-				rec = true
+				recvars = append(recvars, v)
 			}
 		}
-		p, err := ex.plan(r, -1)
+		v, err := ev.variant(r, -1)
 		if err != nil {
 			return err
 		}
-		if rec {
-			recRound0 = append(recRound0, ruleTask{rule: r, plan: p, deltaSlot: -1})
+		if len(recvars) > n {
+			rec = append(rec, v.Task(ev.db, nil))
 		} else {
-			base = append(base, variant{rule: r, dLit: -1, plan: p})
+			base = append(base, v.Task(ev.db, nil))
 		}
 	}
-
-	// Round 0: apply every rule once against the full database, recording
-	// the new facts as the first delta.
-	delta := map[string]*store.Relation{}
-	record := func(f *term.Fact) {
-		rel, ok := delta[f.Pred]
-		if !ok {
-			rel = store.NewRelation(f.Pred, ex.db.UseIndexes)
-			delta[f.Pred] = rel
-		}
-		rel.Insert(f)
+	ev.bumpIter()
+	fr := NewFrontier(ev.db.UseIndexes)
+	if err := ev.Round(append(base, rec...), ev, fr); err != nil {
+		return err
 	}
-	ex.bumpIter()
-	round0 := make([]ruleTask, 0, len(base)+len(recRound0))
-	for _, v := range base {
-		round0 = append(round0, ruleTask{rule: v.rule, plan: v.plan, deltaSlot: -1})
-	}
-	round0 = append(round0, recRound0...)
-	if ex.workers > 1 {
-		facts, err := ex.runParallelRound(round0, ex.workers)
-		if err != nil {
-			return err
-		}
-		ex.mergeRound(facts, record)
-		if err := ex.checkLimit(); err != nil {
-			return err
-		}
-	} else {
-		for _, t := range round0 {
-			if _, err := ex.applyRule(t.rule, t.plan, record); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Iterate: each round consumes the previous delta.
-	round, nextReplan := 0, 1
-	for len(delta) > 0 {
-		if err := ex.checkCtx(); err != nil {
-			return err
-		}
-		ex.bumpIter()
-		// Cost-based plans are data-dependent, and the relations of this
-		// layer grow as the fixpoint runs: a plan compiled when a recursive
-		// relation held one seed tuple would keep scanning it first long
-		// after it outgrew every alternative.  Recompile the delta variants
-		// on geometrically spaced rounds (1, 2, 4, 8, ...): relations grow
-		// monotonically within a layer, so any growth-induced plan flip is
-		// picked up within a factor-2 window of rounds at O(log rounds)
-		// replanning cost.  Static plans (NoReorder) are data-independent,
-		// so the compile-once copies stay valid.
-		round++
-		if !ex.noReorder && round == nextReplan {
-			nextReplan *= 2
-			for i := range recvars {
-				if !replannable(recvars[i].rule, recvars[i].dLit) {
-					continue
-				}
-				p, err := ex.plan(recvars[i].rule, recvars[i].dLit)
-				if err != nil {
-					return err
-				}
-				recvars[i].plan = p
-			}
-		}
-		next := map[string]*store.Relation{}
-		recordNext := func(f *term.Fact) {
-			rel, ok := next[f.Pred]
-			if !ok {
-				rel = store.NewRelation(f.Pred, ex.db.UseIndexes)
-				next[f.Pred] = rel
-			}
-			rel.Insert(f)
-		}
-		if ex.workers > 1 {
-			var tasks []ruleTask
-			for _, v := range recvars {
-				d, ok := delta[v.rule.Body[v.dLit].Pred]
-				if !ok || d.Len() == 0 {
-					continue
-				}
-				// Split large deltas into per-worker chunks so a single
-				// wide round parallelizes within one rule as well; every
-				// chunk reuses the variant's compiled plan.
-				for _, chunk := range chunkRelation(d, ex.workers, ex.db.UseIndexes) {
-					tasks = append(tasks, ruleTask{rule: v.rule, plan: v.plan, delta: chunk, deltaSlot: v.dLit})
-				}
-			}
-			facts, err := ex.runParallelRound(tasks, ex.workers)
-			if err != nil {
-				return err
-			}
-			ex.mergeRound(facts, recordNext)
-			if err := ex.checkLimit(); err != nil {
-				return err
-			}
-		} else {
-			for _, v := range recvars {
-				d, ok := delta[v.rule.Body[v.dLit].Pred]
-				if !ok || d.Len() == 0 {
-					continue
-				}
-				ex.delta = d
-				ex.deltaSlot = v.dLit
-				_, err := ex.applyRule(v.rule, v.plan, recordNext)
-				ex.delta = nil
-				ex.deltaSlot = -1
-				if err != nil {
-					return err
-				}
-			}
-		}
-		delta = next
-		empty := true
-		for _, rel := range delta {
-			if rel.Len() > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			break
-		}
-	}
-	return nil
-}
-
-// applyRule evaluates the body of a non-grouping rule under the compiled
-// plan and inserts head facts; onNew is invoked for each genuinely new
-// fact.  It returns the number of new facts.
-func (ex *exec) applyRule(r ast.Rule, p *bodyPlan, onNew func(*term.Fact)) (int, error) {
-	b := unify.NewBindings()
-	added := 0
-	headRel := ex.db.Rel(r.Head.Pred)
-	scratch := make([]term.Term, len(r.Head.Args))
-	err := ex.join(r.Body, p, 0, b, func() error {
-		if ex.stats != nil {
-			ex.stats.Firings++
-		}
-		if err := ex.poll(); err != nil {
-			return err
-		}
-		ok, err := applyHeadArgs(r, b, scratch)
-		if err != nil || !ok {
-			return err // nil when the binding is outside U (§3.2)
-		}
-		if _, dup := headRel.GetArgs(scratch); dup {
-			return nil // re-derivation: nothing to insert or record
-		}
-		args := make([]term.Term, len(scratch))
-		copy(args, scratch)
-		f := term.NewFact(r.Head.Pred, args...)
-		if ex.db.Insert(f) {
-			if added == 0 {
-				// The first insert into a relation a forked database still
-				// shares replaces it with a private copy: probe that one.
-				headRel = ex.db.RelOrNil(r.Head.Pred)
-			}
-			added++
-			ex.charge(f)
-			if err := ex.checkLimit(); err != nil {
-				return err
-			}
-			if ex.stats != nil {
-				ex.stats.Derived++
-			}
-			if ex.prov != nil {
-				prem := make([]*term.Fact, len(ex.trail))
-				copy(prem, ex.trail)
-				ex.prov.record(&Derivation{Fact: f, Rule: r.String(), Premises: prem})
-			}
-			if onNew != nil {
-				onNew(f)
-			}
-		}
-		return nil
-	})
-	return added, err
-}
-
-// join enumerates all bindings satisfying body literals p.order[step:],
-// probing each positive database literal through its compiled access path.
-func (ex *exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings, yield func() error) error {
-	if step == len(p.order) {
-		return yield()
-	}
-	idx := p.order[step]
-	l := body[idx]
-	cont := func() error { return ex.join(body, p, step+1, b, yield) }
-
-	if layering.IsBuiltin(l.Pred) {
-		return builtin.Eval(l, b, cont)
-	}
-	if l.Negated {
-		f, err := unify.ApplyLit(l.Positive(), b)
-		if err != nil {
-			if errors.Is(err, unify.ErrOutsideU) {
-				// A negated predicate on an object outside U is false,
-				// so its negation holds (§2.2 built-in restrictions).
-				return cont()
-			}
-			return fmt.Errorf("negated literal %q: %w", l.String(), err)
-		}
-		if ex.db.Contains(f) {
-			return nil
-		}
-		return cont()
-	}
-
-	rel := ex.relFor(idx, l.Pred)
-	candidates := ex.candidates(rel, &p.acc[step], b)
-	for _, f := range candidates {
-		mark := b.Mark()
-		if unify.MatchFact(l, f, b) {
-			if ex.prov != nil {
-				ex.trail = append(ex.trail, f)
-			}
-			err := cont()
-			if ex.prov != nil {
-				ex.trail = ex.trail[:len(ex.trail)-1]
-			}
-			if err != nil {
-				b.Undo(mark)
-				return err
-			}
-			b.Undo(mark)
-		}
-	}
-	return nil
-}
-
-// emptyRel is the shared placeholder candidates source for predicates with
-// no relation yet.  relFor must not create relations: workers and
-// maintenance enumerations run against shared (even published) databases,
-// and db.Rel would mutate the relation map under concurrent readers.
-var emptyRel = store.NewRelation("$empty", false)
-
-func (ex *exec) relFor(litIdx int, pred string) *store.Relation {
-	if ex.delta != nil && litIdx == ex.deltaSlot {
-		return ex.delta
-	}
-	if r := ex.db.RelOrNil(pred); r != nil {
-		return r
-	}
-	return emptyRel
-}
-
-// candidates narrows the fact scan through the literal's compiled access
-// path: the probe values for every plan-time-ground column are extracted
-// from the bindings and looked up in one (possibly composite) hash index.
-// The binding pattern is never re-derived here — planBody fixed it when the
-// layer was planned.
-func (ex *exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) []*term.Fact {
-	if len(a.cols) > 0 {
-		var arr [8]term.Term // probe buffer; stays on the stack
-		var vals []term.Term
-		if len(a.cols) <= len(arr) {
-			vals = arr[:len(a.cols)]
-		} else {
-			vals = make([]term.Term, len(a.cols))
-		}
-		ok := true
-		for i, key := range a.keys {
-			v, err := key(b)
-			if err != nil {
-				if errors.Is(err, unify.ErrOutsideU) {
-					return nil // argument outside U never matches
-				}
-				// The static analysis over-promised (should not happen);
-				// fall back to a scan rather than probing a bogus key.
-				ok = false
-				break
-			}
-			vals[i] = v
-		}
-		if ok {
-			facts, indexed := rel.LookupCols(a.cols, vals)
-			if indexed {
-				ex.idxHits++
-			} else {
-				ex.fullScans++
-			}
-			return facts
-		}
-	}
-	ex.fullScans++
-	return rel.All()
+	return ev.Cascade(fr, recvars, ev.db, ev, ev.replan(recvars))
 }
 
 // applyGroupingRule evaluates a rule whose head has a grouping argument
@@ -877,7 +413,7 @@ func (ex *exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) []
 // partitioned into ≡-equivalence classes by the interpretation of the
 // non-grouped head terms, and each class contributes one head fact whose
 // grouped argument is the (finite, non-empty) set of Y values (§3.2).
-func (ex *exec) applyGroupingRule(r ast.Rule) error {
+func (ev *evaluation) applyGroupingRule(r ast.Rule) error {
 	gIdx, inner := r.Head.GroupArg()
 	if gIdx < 0 {
 		return fmt.Errorf("eval: applyGroupingRule on non-grouping rule %q", r.String())
@@ -886,12 +422,17 @@ func (ex *exec) applyGroupingRule(r ast.Rule) error {
 	if !ok {
 		return fmt.Errorf("eval: grouping over non-variable term <%s>; rewrite LDL1.5 heads first", inner)
 	}
-	p, err := ex.plan(r, -1)
+	v, err := ev.variant(r, -1)
 	if err != nil {
 		return err
 	}
+	// Per solution, the head yields the ≡-class key with the grouped value
+	// in the group position.
+	v.head.Args = append([]term.Term(nil), r.Head.Args...)
+	v.head.Args[gIdx] = yVar
+	x := &ev.x
 	type class struct {
-		args  []term.Term // head args with nil at the group position
+		args  []term.Term // head args, the group position to be filled in
 		elems []term.Term // collected Y values (deduplicated by NewSet)
 		prems []*term.Fact
 		seen  *store.FactSet
@@ -901,36 +442,12 @@ func (ex *exec) applyGroupingRule(r ast.Rule) error {
 	classes := map[uint64][]*class{}
 	var classOrder []*class
 
-	b := unify.NewBindings()
-	err = ex.join(r.Body, p, 0, b, func() error {
-		if ex.stats != nil {
-			ex.stats.Firings++
-		}
-		if err := ex.poll(); err != nil {
-			return err
-		}
-		args := make([]term.Term, len(r.Head.Args))
+	err = x.heads(v, ev.db, nil, unify.NewBindings(), func(args []term.Term) error {
 		h := term.HashSeed
-		for i, a := range r.Head.Args {
-			if i == gIdx {
-				continue
+		for i, a := range args {
+			if i != gIdx {
+				h = term.HashFold(h, a.Hash())
 			}
-			v, err := unify.Apply(a, b)
-			if err != nil {
-				if errors.Is(err, unify.ErrOutsideU) {
-					return nil
-				}
-				return err
-			}
-			args[i] = v
-			h = term.HashFold(h, v.Hash())
-		}
-		y, err := unify.Apply(yVar, b)
-		if err != nil {
-			if errors.Is(err, unify.ErrOutsideU) {
-				return nil
-			}
-			return err
 		}
 		var c *class
 		for _, cand := range classes[h] {
@@ -940,16 +457,16 @@ func (ex *exec) applyGroupingRule(r ast.Rule) error {
 			}
 		}
 		if c == nil {
-			c = &class{args: args}
-			if ex.prov != nil {
+			c = &class{args: append([]term.Term(nil), args...)}
+			if x.prov != nil {
 				c.seen = store.NewFactSet()
 			}
 			classes[h] = append(classes[h], c)
 			classOrder = append(classOrder, c)
 		}
-		c.elems = append(c.elems, y)
-		if ex.prov != nil {
-			for _, f := range ex.trail {
+		c.elems = append(c.elems, args[gIdx])
+		if x.prov != nil {
+			for _, f := range x.trail {
 				if c.seen.Add(f) {
 					c.prems = append(c.prems, f)
 				}
@@ -961,21 +478,14 @@ func (ex *exec) applyGroupingRule(r ast.Rule) error {
 		return err
 	}
 	for _, c := range classOrder {
-		args := make([]term.Term, len(c.args))
-		copy(args, c.args)
-		args[gIdx] = term.NewSet(c.elems...)
-		f := term.NewFact(r.Head.Pred, args...)
-		if ex.db.Insert(f) {
-			ex.charge(f)
-			if err := ex.checkLimit(); err != nil {
-				return err
-			}
-			if ex.stats != nil {
-				ex.stats.Derived++
-			}
-			if ex.prov != nil {
-				ex.prov.record(&Derivation{Fact: f, Rule: r.String(), Premises: c.prems, Grouped: true})
-			}
+		c.args[gIdx] = term.NewSet(c.elems...)
+		f := term.NewFact(r.Head.Pred, c.args...)
+		ok, err := ev.Accept(f)
+		if err != nil {
+			return err
+		}
+		if ok && x.prov != nil {
+			x.prov.record(&Derivation{Fact: f, Rule: r.String(), Premises: c.prems, Grouped: true})
 		}
 	}
 	return nil
@@ -1015,10 +525,10 @@ func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim S
 	if err != nil {
 		return nil, err
 	}
-	ex := &exec{db: db, deltaSlot: -1, ctx: ctx}
+	x := &Exec{b: &budget{ctx: ctx}}
 	// One up-front check makes a done context fail even when the
 	// enumeration is too short to reach the in-join polling stride.
-	if err := ex.checkCtx(); err != nil {
+	if err := x.b.Err(); err != nil {
 		return nil, err
 	}
 	var out []map[term.Var]term.Term
@@ -1028,10 +538,7 @@ func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim S
 	seen := map[uint64][]map[term.Var]term.Term{}
 	vars := r.Vars()
 	b := unify.NewBindings()
-	err = ex.join(body, p, 0, b, func() error {
-		if err := ex.poll(); err != nil {
-			return err
-		}
+	err = x.heads(&Variant{body: body, plan: p, dLit: -1}, db, nil, b, func([]term.Term) error {
 		h := term.HashSeed
 		for _, v := range vars {
 			if t, ok := b.Lookup(v); ok {

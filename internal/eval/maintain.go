@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/layering"
@@ -13,13 +12,14 @@ import (
 )
 
 // Maintenance evaluation support (internal/incr): a rule is compiled once
-// per materialized program into the family of plans incremental maintenance
-// needs — one delta plan per body literal (insertions and the DRed deletion
-// overestimate bind one literal to a delta relation), a head-bound plan for
-// rederivation (is this fact still derivable?), and, for grouping rules, a
-// class-bound plan that recomputes a single ≡-equivalence class.  All
-// enumerations are read-only with respect to the database: candidates are
-// yielded, never inserted, so callers control merging and snapshotting.
+// per materialized program into the family of variants incremental
+// maintenance needs — one delta variant per body literal (insertions and the
+// DRed deletion overestimate bind one literal to a delta relation), a
+// head-bound variant for rederivation (is this fact still derivable?), and,
+// for grouping rules, a class-bound one that recomputes a single
+// ≡-equivalence class.  The plans are static: compiled once, valid for every
+// transaction.  Every enumeration runs on an Exec, so under the budget of
+// the transaction's Driver, and only reads the database.
 
 // errStop aborts an enumeration early (first-derivation checks).
 var errStop = errors.New("eval: stop enumeration")
@@ -28,20 +28,18 @@ var errStop = errors.New("eval: stop enumeration")
 type CompiledRule struct {
 	Rule ast.Rule
 
-	base *bodyPlan
-	// deltaPlans[j] executes the body with literal j first, bound to a
-	// delta relation.  For a negated literal j the plan runs the positive
-	// variant of the body (deltaBody[j]): maintenance enumerates the facts
-	// whose appearance killed — or whose disappearance enabled — the
-	// negated condition.  nil for built-in literals (they never change).
-	deltaPlans []*bodyPlan
-	deltaBody  [][]ast.Literal
+	base *Variant
+	// delta[j] executes the body with literal j first, bound to a delta
+	// relation.  For a negated literal j it runs the positive variant of
+	// the body: maintenance enumerates the facts whose appearance killed —
+	// or whose disappearance enabled — the negated condition.  nil for
+	// built-in literals (they never change).
+	delta []*Variant
 
 	// bound is planned with the head variables pre-bound: the rederivation
 	// plan for simple rules, the per-class recompute plan for grouping
 	// rules (non-grouped head variables only).
-	bound    *bodyPlan
-	headVars []term.Var
+	bound *Variant
 
 	// headMatchable reports that every head argument is an invertible
 	// pattern, so Derives can seed bindings by matching the head against
@@ -50,57 +48,29 @@ type CompiledRule struct {
 	headMatchable bool
 
 	// Grouping: gIdx is the head's group-argument position (-1 for simple
-	// rules), gVar the grouped variable, classBindable whether every
-	// non-grouped head argument is a plain variable so one class can be
-	// recomputed from its key bindings alone.
+	// rules); enumerations yield the grouped variable's value — the ≡-class
+	// element, not a set — at that position.  classBindable reports that
+	// every non-grouped head argument is a plain variable, so one class can
+	// be recomputed from its key bindings alone.
 	gIdx          int
-	gVar          term.Var
 	classBindable bool
 }
 
 // CompileRule compiles one non-fact rule for maintenance.
 func CompileRule(r ast.Rule) (*CompiledRule, error) {
 	cr := &CompiledRule{Rule: r, gIdx: -1}
-	base, err := planBody(r, -1, nil)
-	if err != nil {
-		return nil, err
-	}
-	cr.base = base
-
-	cr.deltaPlans = make([]*bodyPlan, len(r.Body))
-	cr.deltaBody = make([][]ast.Literal, len(r.Body))
-	for j, l := range r.Body {
-		if layering.IsBuiltin(l.Pred) {
-			continue
-		}
-		body := r.Body
-		rv := r
-		if l.Negated {
-			body = append([]ast.Literal(nil), r.Body...)
-			body[j] = l.Positive()
-			rv = ast.Rule{Head: r.Head, Body: body}
-		}
-		p, err := planBody(rv, j, nil)
-		if err != nil {
-			return nil, fmt.Errorf("delta plan for literal %d of %q: %w", j, r.String(), err)
-		}
-		cr.deltaPlans[j] = p
-		cr.deltaBody[j] = body
-	}
-
+	head := r.Head
 	if gIdx, inner := r.Head.GroupArg(); gIdx >= 0 {
 		cr.gIdx = gIdx
-		v, ok := inner.(term.Var)
+		gVar, ok := inner.(term.Var)
 		if !ok {
 			return nil, fmt.Errorf("eval: grouping over non-variable term <%s>; rewrite LDL1.5 heads first", inner)
 		}
-		cr.gVar = v
+		head.Args = append([]term.Term(nil), r.Head.Args...)
+		head.Args[gIdx] = gVar
 		cr.classBindable = true
 		for i, a := range r.Head.Args {
-			if i == gIdx {
-				continue
-			}
-			if _, ok := a.(term.Var); !ok {
+			if _, ok := a.(term.Var); i != gIdx && !ok {
 				cr.classBindable = false
 			}
 		}
@@ -113,31 +83,43 @@ func CompileRule(r ast.Rule) (*CompiledRule, error) {
 			}
 		}
 	}
+	variant := func(body []ast.Literal, dLit int, pre map[term.Var]bool) (*Variant, error) {
+		p, err := planBody(ast.Rule{Head: r.Head, Body: body}, dLit, pre)
+		return &Variant{rule: r, head: head, body: body, plan: p, dLit: dLit}, err
+	}
+	var err error
+	if cr.base, err = variant(r.Body, -1, nil); err != nil {
+		return nil, err
+	}
+	cr.delta = make([]*Variant, len(r.Body))
+	for j, l := range r.Body {
+		if layering.IsBuiltin(l.Pred) {
+			continue
+		}
+		body := r.Body
+		if l.Negated {
+			body = append([]ast.Literal(nil), r.Body...)
+			body[j] = l.Positive()
+		}
+		if cr.delta[j], err = variant(body, j, nil); err != nil {
+			return nil, fmt.Errorf("delta plan for literal %d of %q: %w", j, r.String(), err)
+		}
+	}
 
-	// Head variables (non-grouped positions for grouping rules), sorted
-	// for deterministic preBound sets.
-	seen := map[term.Var]bool{}
+	// The bound plan pre-binds the head variables (of the non-grouped
+	// positions, for a grouping rule).
+	pre := map[term.Var]bool{}
 	for i, a := range r.Head.Args {
 		if i == cr.gIdx {
 			continue
 		}
 		for _, v := range term.VarsOf(a) {
-			seen[v] = true
+			pre[v] = true
 		}
 	}
-	for v := range seen {
-		cr.headVars = append(cr.headVars, v)
-	}
-	sort.Slice(cr.headVars, func(i, j int) bool { return cr.headVars[i] < cr.headVars[j] })
-	pre := make(map[term.Var]bool, len(cr.headVars))
-	for _, v := range cr.headVars {
-		pre[v] = true
-	}
-	bound, err := planBody(r, -1, pre)
-	if err != nil {
+	if cr.bound, err = variant(r.Body, -1, pre); err != nil {
 		return nil, fmt.Errorf("bound plan for %q: %w", r.String(), err)
 	}
-	cr.bound = bound
 	return cr, nil
 }
 
@@ -169,61 +151,52 @@ func matchablePattern(t term.Term) bool {
 // GroupIdx returns the head group-argument position, -1 for simple rules.
 func (cr *CompiledRule) GroupIdx() int { return cr.gIdx }
 
-// GroupVar returns the grouped variable of a grouping rule.
-func (cr *CompiledRule) GroupVar() term.Var { return cr.gVar }
-
 // ClassBindable reports whether one ≡-class of this grouping rule can be
 // recomputed from its key alone (every non-grouped head argument is a
 // variable); otherwise maintenance falls back to a full enumeration.
 func (cr *CompiledRule) ClassBindable() bool { return cr.classBindable }
 
-// HeadVars returns the rule's head variables (excluding the grouped one),
-// the pre-bound set of the bound plan, in sorted order.
-func (cr *CompiledRule) HeadVars() []term.Var { return cr.headVars }
-
 // HasDelta reports whether body literal j can carry a delta (false for
 // built-ins, which never change).
 func (cr *CompiledRule) HasDelta(j int) bool {
-	return j >= 0 && j < len(cr.deltaPlans) && cr.deltaPlans[j] != nil
+	return j >= 0 && j < len(cr.delta) && cr.delta[j] != nil
 }
+
+// Delta returns the variant whose delta literal is body literal j; nil
+// unless HasDelta(j).
+func (cr *CompiledRule) Delta(j int) *Variant { return cr.delta[j] }
 
 // EnumerateDelta enumerates the body solutions of the rule against db, with
 // body literal j restricted to the facts of delta (j == -1 enumerates the
-// full body).  For a negated literal j the positive variant is enumerated:
-// the yielded bindings are the solutions gained or lost as the negated
-// predicate shrank or grew.  yield receives the live bindings, valid only
-// for the duration of the call; access-path counters accumulate into st
-// (which must not be shared across concurrent calls).
-func (cr *CompiledRule) EnumerateDelta(db *store.DB, j int, delta *store.Relation, st *Stats, yield func(b *unify.Bindings) error) error {
-	body, plan, slot := cr.Rule.Body, cr.base, -1
+// full body), and yields the head arguments of each.  For a negated literal
+// j the positive variant is enumerated: the solutions gained or lost as the
+// negated predicate shrank or grew.  args is valid only for the duration of
+// the call.
+func (cr *CompiledRule) EnumerateDelta(x *Exec, db *store.DB, j int, delta *store.Relation, yield func(args []term.Term) error) error {
+	v := cr.base
 	if j >= 0 {
 		if !cr.HasDelta(j) {
 			return fmt.Errorf("eval: literal %d of %q has no delta plan", j, cr.Rule.String())
 		}
-		body, plan, slot = cr.deltaBody[j], cr.deltaPlans[j], j
+		v = cr.delta[j]
 	}
-	ex := &exec{db: db, stats: st, delta: delta, deltaSlot: slot}
-	b := unify.NewBindings()
-	err := ex.join(body, plan, 0, b, func() error { return yield(b) })
-	ex.flushAccessStats()
-	return err
+	return x.heads(v, db, delta, unify.NewBindings(), yield)
 }
 
-// EnumerateBound enumerates the body solutions under the given pre-bindings
-// (which must bind HeadVars) — the per-class recompute path of grouping
-// maintenance.  Bindings made during enumeration are undone before return.
-func (cr *CompiledRule) EnumerateBound(db *store.DB, pre *unify.Bindings, st *Stats, yield func(b *unify.Bindings) error) error {
-	ex := &exec{db: db, stats: st, deltaSlot: -1}
+// EnumerateBound is EnumerateDelta of the full body under the given
+// pre-bindings (which must bind the non-grouped head variables) — the
+// per-class recompute path of grouping maintenance.  Bindings made during
+// enumeration are undone before return.
+func (cr *CompiledRule) EnumerateBound(x *Exec, db *store.DB, pre *unify.Bindings, yield func(args []term.Term) error) error {
 	mark := pre.Mark()
-	err := ex.join(cr.Rule.Body, cr.bound, 0, pre, func() error { return yield(pre) })
+	err := x.heads(cr.bound, db, nil, pre, yield)
 	pre.Undo(mark)
-	ex.flushAccessStats()
 	return err
 }
 
 // Derives reports whether the (simple) rule derives f from db in one step:
 // the rederivation test of delete-and-rederive.
-func (cr *CompiledRule) Derives(db *store.DB, f *term.Fact, st *Stats) (bool, error) {
+func (cr *CompiledRule) Derives(x *Exec, db *store.DB, f *term.Fact) (bool, error) {
 	if cr.gIdx >= 0 {
 		return false, fmt.Errorf("eval: Derives on grouping rule %q", cr.Rule.String())
 	}
@@ -231,34 +204,21 @@ func (cr *CompiledRule) Derives(db *store.DB, f *term.Fact, st *Stats) (bool, er
 	if f.Pred != h.Pred || len(f.Args) != len(h.Args) {
 		return false, nil
 	}
-	ex := &exec{db: db, stats: st, deltaSlot: -1}
-	defer ex.flushAccessStats()
-	found := false
+	// A head the matcher can invert seeds the bindings, and the bound plan
+	// runs from there; otherwise (e.g. arithmetic in the head) the whole
+	// body is enumerated.  Either way the first solution whose head is f
+	// answers.
+	v, b := cr.base, unify.NewBindings()
 	if cr.headMatchable {
-		b := unify.NewBindings()
 		if !unify.MatchFact(h, f, b) {
 			return false, nil
 		}
-		err := ex.join(cr.Rule.Body, cr.bound, 0, b, func() error {
-			found = true
-			return errStop
-		})
-		if err != nil && !errors.Is(err, errStop) {
-			return false, err
-		}
-		return found, nil
+		v = cr.bound
 	}
-	// Head patterns the matcher cannot invert (e.g. arithmetic): enumerate
-	// the body and compare evaluated heads.
-	scratch := make([]term.Term, len(h.Args))
-	b := unify.NewBindings()
-	err := ex.join(cr.Rule.Body, cr.base, 0, b, func() error {
-		ok, err := applyHeadArgs(cr.Rule, b, scratch)
-		if err != nil || !ok {
-			return err
-		}
-		for i := range scratch {
-			if !term.Equal(scratch[i], f.Args[i]) {
+	found := false
+	err := x.heads(v, db, nil, b, func(args []term.Term) error {
+		for i := range args {
+			if !term.Equal(args[i], f.Args[i]) {
 				return nil
 			}
 		}
@@ -269,27 +229,4 @@ func (cr *CompiledRule) Derives(db *store.DB, f *term.Fact, st *Stats) (bool, er
 		return false, err
 	}
 	return found, nil
-}
-
-// ApplyHead evaluates the rule's head arguments under b into a fresh slice;
-// ok is false when the binding falls outside U (§3.2) — the firing derives
-// nothing.  For grouping rules the group position receives the grouped
-// variable's value (the ≡-class element), not a set.
-func (cr *CompiledRule) ApplyHead(b *unify.Bindings) (args []term.Term, ok bool, err error) {
-	h := cr.Rule.Head
-	args = make([]term.Term, len(h.Args))
-	for i, a := range h.Args {
-		if i == cr.gIdx {
-			a = cr.gVar
-		}
-		v, err := unify.Apply(a, b)
-		if err != nil {
-			if errors.Is(err, unify.ErrOutsideU) {
-				return nil, false, nil
-			}
-			return nil, false, fmt.Errorf("rule %q: %w", cr.Rule.String(), err)
-		}
-		args[i] = v
-	}
-	return args, true, nil
 }

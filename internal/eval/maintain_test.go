@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"ldl1/internal/parser"
@@ -21,6 +22,25 @@ func mustCompileRule(t *testing.T, src string) *CompiledRule {
 
 func atom(s string) term.Term { return term.Atom(s) }
 
+// derives is cr.Derives on a fresh driver.
+func derives(t *testing.T, cr *CompiledRule, db *store.DB, f *term.Fact) (ok bool, err error) {
+	t.Helper()
+	err = NewDriver(context.Background(), nil, 1, 0).Do(func(x *Exec) error {
+		ok, err = cr.Derives(x, db, f)
+		return err
+	})
+	return ok, err
+}
+
+// onDriver runs f on the firing context of a fresh unbounded driver, the
+// way maintenance runs an enumeration outside a round.
+func onDriver(t *testing.T, st *Stats, f func(x *Exec) error) {
+	t.Helper()
+	if err := NewDriver(context.Background(), st, 1, 0).Do(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEnumerateDeltaPositive(t *testing.T) {
 	cr := mustCompileRule(t, `anc(X, Y) <- par(X, Z), anc(Z, Y).`)
 	db := store.NewDB()
@@ -33,16 +53,14 @@ func TestEnumerateDeltaPositive(t *testing.T) {
 	delta.Insert(term.NewFact("anc", atom("b"), atom("c")))
 	var got []*term.Fact
 	var st Stats
-	err := cr.EnumerateDelta(db, 1, delta, &st, func(b *unify.Bindings) error {
-		args, ok, err := cr.ApplyHead(b)
-		if err != nil || !ok {
-			return err
-		}
-		got = append(got, term.NewFact("anc", args...))
-		return nil
+	onDriver(t, &st, func(x *Exec) error {
+		return cr.EnumerateDelta(x, db, 1, delta, func(args []term.Term) error {
+			got = append(got, term.NewFact("anc", append([]term.Term(nil), args...)...))
+			return nil
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
+	if st.Firings != 1 {
+		t.Errorf("firings = %d, want 1", st.Firings)
 	}
 	if len(got) != 1 || !term.EqualFacts(got[0], term.NewFact("anc", atom("a"), atom("c"))) {
 		t.Fatalf("delta enumeration = %v, want [anc(a, c)]", got)
@@ -64,17 +82,12 @@ func TestEnumerateDeltaNegated(t *testing.T) {
 	delta.Insert(term.NewFact("r", atom("a")))
 	delta.Insert(term.NewFact("r", atom("z"))) // no matching p: ignored
 	var got []*term.Fact
-	err := cr.EnumerateDelta(db, 1, delta, nil, func(b *unify.Bindings) error {
-		args, ok, err := cr.ApplyHead(b)
-		if err != nil || !ok {
-			return err
-		}
-		got = append(got, term.NewFact("q", args...))
-		return nil
+	onDriver(t, nil, func(x *Exec) error {
+		return cr.EnumerateDelta(x, db, 1, delta, func(args []term.Term) error {
+			got = append(got, term.NewFact("q", append([]term.Term(nil), args...)...))
+			return nil
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 1 || !term.EqualFacts(got[0], term.NewFact("q", atom("a"))) {
 		t.Fatalf("negated delta enumeration = %v, want [q(a)]", got)
 	}
@@ -86,16 +99,16 @@ func TestDerives(t *testing.T) {
 	db.Insert(term.NewFact("par", atom("a"), atom("b")))
 	db.Insert(term.NewFact("anc", atom("b"), atom("c")))
 
-	ok, err := cr.Derives(db, term.NewFact("anc", atom("a"), atom("c")), nil)
+	ok, err := derives(t, cr, db, term.NewFact("anc", atom("a"), atom("c")))
 	if err != nil || !ok {
 		t.Fatalf("Derives(anc(a,c)) = %v, %v; want true", ok, err)
 	}
-	ok, err = cr.Derives(db, term.NewFact("anc", atom("c"), atom("a")), nil)
+	ok, err = derives(t, cr, db, term.NewFact("anc", atom("c"), atom("a")))
 	if err != nil || ok {
 		t.Fatalf("Derives(anc(c,a)) = %v, %v; want false", ok, err)
 	}
 	// Wrong predicate / arity never derives.
-	ok, _ = cr.Derives(db, term.NewFact("par", atom("a"), atom("b")), nil)
+	ok, _ = derives(t, cr, db, term.NewFact("par", atom("a"), atom("b")))
 	if ok {
 		t.Fatal("Derives matched a different predicate")
 	}
@@ -111,11 +124,11 @@ func TestDerivesArithmeticHeadFallback(t *testing.T) {
 	db := store.NewDB()
 	db.Insert(term.NewFact("a", term.Int(2)))
 	db.Insert(term.NewFact("b", term.Int(3)))
-	ok, err := cr.Derives(db, term.NewFact("sum", term.Int(2), term.Int(5)), nil)
+	ok, err := derives(t, cr, db, term.NewFact("sum", term.Int(2), term.Int(5)))
 	if err != nil || !ok {
 		t.Fatalf("Derives(sum(2,5)) = %v, %v; want true", ok, err)
 	}
-	ok, err = cr.Derives(db, term.NewFact("sum", term.Int(2), term.Int(6)), nil)
+	ok, err = derives(t, cr, db, term.NewFact("sum", term.Int(2), term.Int(6)))
 	if err != nil || ok {
 		t.Fatalf("Derives(sum(2,6)) = %v, %v; want false", ok, err)
 	}
@@ -132,19 +145,14 @@ func TestEnumerateBoundGroupingClass(t *testing.T) {
 	db.Insert(term.NewFact("sp", atom("s2"), atom("p3")))
 
 	pre := unify.NewBindings()
-	pre.Bind(cr.HeadVars()[0], atom("s1"))
+	pre.Bind(term.Var("S"), atom("s1"))
 	var elems []term.Term
-	err := cr.EnumerateBound(db, pre, nil, func(b *unify.Bindings) error {
-		v, err := unify.Apply(cr.GroupVar(), b)
-		if err != nil {
-			return err
-		}
-		elems = append(elems, v)
-		return nil
+	onDriver(t, nil, func(x *Exec) error {
+		return cr.EnumerateBound(x, db, pre, func(args []term.Term) error {
+			elems = append(elems, args[cr.GroupIdx()])
+			return nil
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := term.NewSet(elems...)
 	want := term.NewSet(atom("p1"), atom("p2"))
 	if !term.Equal(got, want) {

@@ -7,6 +7,7 @@ import (
 
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
+	"ldl1/internal/term"
 	"ldl1/internal/workload"
 )
 
@@ -97,5 +98,43 @@ func TestParallelStatsDerivedMatch(t *testing.T) {
 	}
 	if seq.Derived != par.Derived {
 		t.Errorf("derived: sequential %d vs parallel %d", seq.Derived, par.Derived)
+	}
+}
+
+// TestParallelOrderIndependentOfWorkers pins what deferred rounds promise:
+// any two worker counts above one build the same model fact for fact and in
+// the same relation order — every round replays its per-task buffers in
+// task order, and chunking a delta keeps its facts in order.  (Workers <= 1
+// inserts in place and may order a relation differently; it is compared as
+// a set, above.)
+func TestParallelOrderIndependentOfWorkers(t *testing.T) {
+	p := parser.MustParseProgram(ancestorSrc)
+	for _, db := range []*store.DB{
+		store.NewDB(),
+		workload.ParentChain(100),
+		workload.RandomDAG(150, 3, 9),
+	} {
+		for _, strat := range []Strategy{SemiNaive, Naive} {
+			var want []*term.Fact
+			for _, workers := range []int{2, 4, 8} {
+				m, err := Eval(p, db, Options{Strategy: strat, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := m.Facts()
+				if want == nil {
+					want = got
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d: %d facts, 2 workers %d", workers, len(got), len(want))
+				}
+				for i := range got {
+					if !term.EqualFacts(got[i], want[i]) {
+						t.Fatalf("workers=%d strategy %v: %s at position %d, 2 workers have %s", workers, strat, got[i], i, want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -177,3 +177,81 @@ func TestApplyMaxDerivedRollback(t *testing.T) {
 		}
 	}
 }
+
+// wideView materializes q(X, Y) <- r(X), s(Y) over n s-facts and no r-fact:
+// inserting one r-fact then makes a single maintenance task enumerate n
+// solutions and insert n facts in one round.
+func wideView(t *testing.T, n int, opts Options) *Materialized {
+	t.Helper()
+	edb := store.NewDB()
+	for i := 0; i < n; i++ {
+		edb.Insert(term.NewFact("s", term.Int(i)))
+	}
+	m, err := New(parser.MustParseProgram(`q(X, Y) <- r(X), s(Y).`), edb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestApplyCtxInterruptsInsideRound pins that a maintenance round is
+// interruptible from within: the one wide task polls the context every few
+// hundred firings, and a cancellation that lands between two of those polls
+// — far from any round boundary — rolls the transaction back.
+func TestApplyCtxInterruptsInsideRound(t *testing.T) {
+	const n = 1 << 15
+	tx := Tx{Insert: []*term.Fact{term.NewFact("r", term.Int(1))}}
+	for _, workers := range []int{1, 2, 4} {
+		var st eval.Stats
+		m := wideView(t, n, Options{Workers: workers, Stats: &st})
+		before := st.Firings
+		probe := newCountdownCtx(1 << 30)
+		if _, err := m.ApplyCtx(probe, tx); err != nil {
+			t.Fatal(err)
+		}
+		polls := int(1<<30 - probe.remaining.Load())
+		firings := st.Firings - before
+		if firings < n {
+			t.Fatalf("workers=%d: %d firings, want at least %d", workers, firings, n)
+		}
+		if polls < firings/256 {
+			t.Fatalf("workers=%d: %d polls for %d firings, want at least one per 256", workers, polls, firings)
+		}
+
+		m = wideView(t, n, Options{Workers: workers})
+		pre, preEDB := m.Snapshot(), len(m.EDBFacts())
+		_, err := m.ApplyCtx(newCountdownCtx(polls/2), tx)
+		if !errors.Is(err, lderr.Canceled) {
+			t.Fatalf("workers=%d: cancel at poll %d of %d: want lderr.Canceled, got %v", workers, polls/2, polls, err)
+		}
+		if m.Snapshot() != pre || len(m.EDBFacts()) != preEDB {
+			t.Fatalf("workers=%d: canceled Apply changed the view", workers)
+		}
+	}
+}
+
+// TestApplyMaxDerivedStopsAtTheBound pins that the derivation bound is
+// enforced where facts are inserted, not after the round that breached it:
+// the wide transaction stops within one poll stride of the bound.
+func TestApplyMaxDerivedStopsAtTheBound(t *testing.T) {
+	const n, bound = 1 << 15, 10
+	for _, workers := range []int{1, 2, 4} {
+		var st eval.Stats
+		m := wideView(t, n, Options{Workers: workers, Stats: &st, MaxDerived: bound})
+		pre, before := m.Snapshot(), st
+		_, err := m.Apply(Tx{Insert: []*term.Fact{term.NewFact("r", term.Int(1))}})
+		var le *lderr.LimitError
+		if !errors.As(err, &le) || le.Limit != bound {
+			t.Fatalf("workers=%d: want LimitError{%d}, got %v", workers, bound, err)
+		}
+		if m.Snapshot() != pre {
+			t.Fatalf("workers=%d: breaching transaction published a snapshot", workers)
+		}
+		if d := st.Derived - before.Derived; d > bound {
+			t.Errorf("workers=%d: %d facts derived under a bound of %d", workers, d, bound)
+		}
+		if f := st.Firings - before.Firings; f > bound+256 {
+			t.Errorf("workers=%d: %d firings before the bound of %d stopped the round", workers, f, bound)
+		}
+	}
+}

@@ -6,8 +6,8 @@ import (
 )
 
 // deltaSet is a per-predicate collection of changed facts, deduplicated.
-// The per-predicate relations double as the delta relations that
-// eval.CompiledRule.EnumerateDelta binds body literals to; iteration order
+// The per-predicate relations double as the delta relations the delta
+// literals of a round's tasks read; iteration order
 // (predicate first-seen order, then insertion order) is deterministic so
 // parallel and sequential maintenance visit facts identically.
 // Removal is lazy: remove tombstones the canonical fact and queues it, and
@@ -93,21 +93,6 @@ func (d *deltaSet) facts() []*term.Fact {
 	for _, p := range d.order {
 		d.flush(p)
 		out = append(out, d.rels[p].All()...)
-	}
-	return out
-}
-
-// splitByPred buckets facts into per-predicate delta relations, the shape a
-// cascade round binds body literals to.
-func splitByPred(facts []*term.Fact) map[string]*store.Relation {
-	out := map[string]*store.Relation{}
-	for _, f := range facts {
-		r := out[f.Pred]
-		if r == nil {
-			r = store.NewRelation(f.Pred, true)
-			out[f.Pred] = r
-		}
-		r.Insert(f)
 	}
 	return out
 }

@@ -29,11 +29,10 @@ type classKeys struct {
 	byHash map[uint64][]*classKey
 	order  []*classKey
 	gIdx   int
-	arity  int
 }
 
-func newClassKeys(gIdx, arity int) *classKeys {
-	return &classKeys{byHash: map[uint64][]*classKey{}, gIdx: gIdx, arity: arity}
+func newClassKeys(gIdx int) *classKeys {
+	return &classKeys{byHash: map[uint64][]*classKey{}, gIdx: gIdx}
 }
 
 func (ck *classKeys) hashOf(args []term.Term) uint64 {
@@ -47,23 +46,11 @@ func (ck *classKeys) hashOf(args []term.Term) uint64 {
 	return h
 }
 
-func (ck *classKeys) sameKey(a, b []term.Term) bool {
-	for i := 0; i < ck.arity; i++ {
-		if i == ck.gIdx {
-			continue
-		}
-		if !term.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // add records the class of args as touched (the group slot is ignored).
 func (ck *classKeys) add(args []term.Term) {
 	h := ck.hashOf(args)
 	for _, k := range ck.byHash[h] {
-		if ck.sameKey(k.args, args) {
+		if term.EqualTermsExcept(k.args, args, ck.gIdx) {
 			return
 		}
 	}
@@ -75,7 +62,7 @@ func (ck *classKeys) add(args []term.Term) {
 // find returns the recorded key for args, or nil.
 func (ck *classKeys) find(args []term.Term) *classKey {
 	for _, k := range ck.byHash[ck.hashOf(args)] {
-		if ck.sameKey(k.args, args) {
+		if term.EqualTermsExcept(k.args, args, ck.gIdx) {
 			return k
 		}
 	}
@@ -85,15 +72,11 @@ func (ck *classKeys) find(args []term.Term) *classKey {
 // regroup maintains one grouping rule across the transaction: it returns
 // the old facts of the changed classes (deletion seeds), the new facts
 // (insertion seeds), and the number of classes recomputed.
-func regroup(cr *eval.CompiledRule, s *txState) (delFacts, insFacts []*term.Fact, nClasses int, err error) {
+func regroup(x *eval.Exec, cr *eval.CompiledRule, s *txState) (delFacts, insFacts []*term.Fact, nClasses int, err error) {
 	gIdx := cr.GroupIdx()
-	keys := newClassKeys(gIdx, len(cr.Rule.Head.Args))
+	keys := newClassKeys(gIdx)
 	collect := func(db *store.DB, j int, delta *store.Relation) error {
-		return cr.EnumerateDelta(db, j, delta, s.st, func(b *unify.Bindings) error {
-			args, ok, err := cr.ApplyHead(b)
-			if err != nil || !ok {
-				return err
-			}
+		return cr.EnumerateDelta(x, db, j, delta, func(args []term.Term) error {
 			keys.add(args)
 			return nil
 		})
@@ -102,41 +85,32 @@ func regroup(cr *eval.CompiledRule, s *txState) (delFacts, insFacts []*term.Fact
 		if !cr.HasDelta(j) {
 			continue
 		}
-		q := lit.Pred
+		// Solutions lost existed in the old state, solutions gained exist
+		// in the new one; through a negated literal an insertion loses
+		// solutions (the premise became false) and a deletion gains them.
+		lost, gained := s.gDel, s.gIns
 		if lit.Negated {
-			// Solutions lost (a negated premise became true) existed in
-			// the old state; solutions gained exist in the new one.
-			if r := s.gIns.rel(q); r != nil {
-				if err := collect(s.old, j, r); err != nil {
-					return nil, nil, 0, err
-				}
+			lost, gained = gained, lost
+		}
+		if r := lost.rel(lit.Pred); r != nil {
+			if err := collect(s.old, j, r); err != nil {
+				return nil, nil, 0, err
 			}
-			if r := s.gDel.rel(q); r != nil {
-				if err := collect(s.w, j, r); err != nil {
-					return nil, nil, 0, err
-				}
-			}
-		} else {
-			if r := s.gDel.rel(q); r != nil {
-				if err := collect(s.old, j, r); err != nil {
-					return nil, nil, 0, err
-				}
-			}
-			if r := s.gIns.rel(q); r != nil {
-				if err := collect(s.w, j, r); err != nil {
-					return nil, nil, 0, err
-				}
+		}
+		if r := gained.rel(lit.Pred); r != nil {
+			if err := collect(s.w, j, r); err != nil {
+				return nil, nil, 0, err
 			}
 		}
 	}
 	if len(keys.order) == 0 {
 		return nil, nil, 0, nil
 	}
-	oldSets, err := classSets(cr, s.old, keys, s.st)
+	oldSets, err := classSets(x, cr, s.old, keys)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	newSets, err := classSets(cr, s.w, keys, s.st)
+	newSets, err := classSets(x, cr, s.w, keys)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -161,7 +135,7 @@ func regroup(cr *eval.CompiledRule, s *txState) (delFacts, insFacts []*term.Fact
 // every non-grouped head argument is a plain variable, each class is
 // recomputed from its key bindings alone via the bound plan; otherwise one
 // full enumeration is filtered to the touched keys.
-func classSets(cr *eval.CompiledRule, db *store.DB, keys *classKeys, st *eval.Stats) ([]*term.Set, error) {
+func classSets(x *eval.Exec, cr *eval.CompiledRule, db *store.DB, keys *classKeys) ([]*term.Set, error) {
 	sets := make([]*term.Set, len(keys.order))
 	if cr.ClassBindable() {
 		pre := unify.NewBindings()
@@ -188,12 +162,8 @@ func classSets(cr *eval.CompiledRule, db *store.DB, keys *classKeys, st *eval.St
 				continue
 			}
 			var elems []term.Term
-			err := cr.EnumerateBound(db, pre, st, func(b *unify.Bindings) error {
-				v, err := unify.Apply(cr.GroupVar(), b)
-				if err != nil {
-					return err
-				}
-				elems = append(elems, v)
+			err := cr.EnumerateBound(x, db, pre, func(args []term.Term) error {
+				elems = append(elems, args[keys.gIdx])
 				return nil
 			})
 			pre.Undo(mark)
@@ -207,11 +177,7 @@ func classSets(cr *eval.CompiledRule, db *store.DB, keys *classKeys, st *eval.St
 		return sets, nil
 	}
 	elems := make([][]term.Term, len(keys.order))
-	err := cr.EnumerateDelta(db, -1, nil, st, func(b *unify.Bindings) error {
-		args, ok, err := cr.ApplyHead(b)
-		if err != nil || !ok {
-			return err
-		}
+	err := cr.EnumerateDelta(x, db, -1, nil, func(args []term.Term) error {
 		if k := keys.find(args); k != nil {
 			elems[k.idx] = append(elems[k.idx], args[keys.gIdx])
 		}
@@ -239,7 +205,7 @@ func groupFact(cr *eval.CompiledRule, keyArgs []term.Term, set *term.Set) *term.
 
 // groupDerives is the rederivation test for grouping heads: the rule
 // derives f iff f's class, recomputed against db, yields exactly f's set.
-func groupDerives(cr *eval.CompiledRule, db *store.DB, f *term.Fact, st *eval.Stats) (bool, error) {
+func groupDerives(x *eval.Exec, cr *eval.CompiledRule, db *store.DB, f *term.Fact) (bool, error) {
 	h := cr.Rule.Head
 	if f.Pred != h.Pred || len(f.Args) != len(h.Args) {
 		return false, nil
@@ -249,9 +215,9 @@ func groupDerives(cr *eval.CompiledRule, db *store.DB, f *term.Fact, st *eval.St
 	if !ok {
 		return false, nil
 	}
-	keys := newClassKeys(gIdx, len(h.Args))
+	keys := newClassKeys(gIdx)
 	keys.add(f.Args)
-	sets, err := classSets(cr, db, keys, st)
+	sets, err := classSets(x, cr, db, keys)
 	if err != nil {
 		return false, err
 	}

@@ -64,18 +64,21 @@ type Result struct {
 // Options configures a materialization.
 type Options struct {
 	// Workers > 1 runs the delta-enumeration and rederivation rounds of
-	// each Apply concurrently.  The resulting model is identical to the
-	// sequential one (per-round results merge in deterministic task order).
+	// each Apply concurrently.  From the same model, the resulting model
+	// is identical to the sequential one, relation order included: every
+	// round buffers per task and replays in task order, whatever Workers.
 	Workers int
 	// Strategy is the fixpoint strategy of the initial materialization.
 	Strategy eval.Strategy
 	// Stats, when non-nil, accumulates evaluation counters across the
-	// initial materialization and every Apply (DeletedOverestimate,
-	// Rederived, RegroupedClasses, and the access-path counters).
+	// initial materialization and every Apply (Firings, Derived and
+	// Iterations of maintenance included, beside DeletedOverestimate,
+	// Rederived, RegroupedClasses and the access-path counters).
 	Stats *eval.Stats
 	// MaxDerived > 0 bounds the facts a single Apply may insert into the
-	// working model (net insertions and resurrections alike).  A breaching
-	// transaction fails with *lderr.LimitError and rolls back completely.
+	// working model (net insertions and resurrections alike), enforced at
+	// the insertion that exceeds it.  A breaching transaction fails with
+	// *lderr.LimitError and rolls back completely.
 	// The bound also applies to the initial materialization, where it is
 	// eval.Options.MaxDerived verbatim.
 	MaxDerived int
@@ -85,6 +88,10 @@ type Options struct {
 type layerRules struct {
 	simple   []*eval.CompiledRule
 	grouping []*eval.CompiledRule
+	// within lists, in rule and literal order, the delta variants a cascade
+	// inside the layer fires: one per positive body literal of a simple
+	// rule whose predicate lives in this layer.
+	within []*eval.Variant
 }
 
 // Materialized is a materialized view of a program over a mutable EDB: the
@@ -170,6 +177,16 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 			}
 		}
 	}
+	for i := range m.layers {
+		lr := &m.layers[i]
+		for _, cr := range lr.simple {
+			for j, lit := range cr.Rule.Body {
+				if cr.HasDelta(j) && !lit.Negated && lay.PredStratum(lit.Pred) == i {
+					lr.within = append(lr.within, cr.Delta(j))
+				}
+			}
+		}
+	}
 	m.edb = edb.Clone()
 	m.edb.LoadFacts(progFacts, store.LoadOpts{Workers: opts.Workers})
 	model, err := eval.Eval(p, m.edb, eval.Options{
@@ -211,23 +228,10 @@ type txState struct {
 	gIns, gDel *deltaSet
 	st         *eval.Stats
 
-	ctx        context.Context // cancellation; may be nil
-	derived    int             // facts inserted into w this transaction
-	maxDerived int             // Options.MaxDerived; 0 = unbounded
-}
-
-// interrupt reports why the transaction must stop: a done context or a
-// breached derivation bound.  It is checked at every phase and cascade-round
-// boundary; each round is finite, so the checks also guarantee termination
-// of a maintenance cascade that would otherwise exceed the bound unbounded.
-func (s *txState) interrupt() error {
-	if err := lderr.FromContext(s.ctx); err != nil {
-		return err
-	}
-	if s.maxDerived > 0 && s.derived > s.maxDerived {
-		return &lderr.LimitError{Limit: s.maxDerived}
-	}
-	return nil
+	// d is the transaction's driver: its budget — the context and
+	// Options.MaxDerived, charged per fact inserted into w — guards every
+	// enumeration and insertion of every layer.
+	d *eval.Driver
 }
 
 // Apply advances the materialized model by one transaction and returns the
@@ -238,9 +242,9 @@ func (m *Materialized) Apply(tx Tx) (Result, error) {
 	return m.ApplyCtx(context.Background(), tx)
 }
 
-// ApplyCtx is Apply under a context: maintenance checks ctx at every phase
-// and cascade-round boundary and aborts with lderr.Canceled or
-// lderr.DeadlineExceeded.  An aborted transaction rolls back completely —
+// ApplyCtx is Apply under a context: maintenance checks ctx at every phase,
+// round and task boundary and polls it every few hundred firings inside an
+// enumeration, and aborts with lderr.Canceled or lderr.DeadlineExceeded.  An aborted transaction rolls back completely —
 // the working model is a copy-on-write fork published only on success, so
 // neither the EDB nor any snapshot observes a partial transaction.
 func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
@@ -298,14 +302,13 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 	}
 
 	s := &txState{
-		old:        old,
-		w:          old.Fork(),
-		edb:        edb2,
-		gIns:       newDeltaSet(),
-		gDel:       newDeltaSet(),
-		st:         m.opts.Stats,
-		ctx:        ctx,
-		maxDerived: m.opts.MaxDerived,
+		old:  old,
+		w:    old.Fork(),
+		edb:  edb2,
+		gIns: newDeltaSet(),
+		gDel: newDeltaSet(),
+		st:   m.opts.Stats,
+		d:    eval.NewDriver(ctx, m.opts.Stats, m.opts.Workers, m.opts.MaxDerived),
 	}
 	for i := 0; i < ns; i++ {
 		if err := m.applyLayer(s, i, insBy[i], delBy[i]); err != nil {

@@ -7,6 +7,7 @@ import (
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
+	"ldl1/internal/workload"
 )
 
 func af(pred string, args ...string) *term.Fact {
@@ -284,5 +285,64 @@ par(a, b). par(b, c).
 	}
 	if !snap.Contains(af("anc", "b", "c")) {
 		t.Error("anc(b, c) lost: only par(a, b) was retracted")
+	}
+}
+
+// TestApplyOrderIndependentOfWorkers pins the promise of deferred rounds:
+// starting from one model, a view maintained on 2 or 4 workers holds the
+// same model as the sequential one fact for fact and in the same relation
+// order, after every transaction — on the DRed-heavy mixed stream and on
+// churn under negation and grouping.  (The views are materialized alike and
+// only then given their worker counts: the initial evaluation makes no such
+// promise, at Workers <= 1 it inserts in place.)
+func TestApplyOrderIndependentOfWorkers(t *testing.T) {
+	parentAnc := `
+ancestor(X, Y) <- parent(X, Y).
+ancestor(X, Y) <- parent(X, Z), ancestor(Z, Y).
+`
+	churn := `
+multi(P) <- sp(S1, P), sp(S2, P), S1 /= S2.
+sole(S, P) <- sp(S, P), not multi(P).
+supplies(S, <P>) <- sp(S, P).
+`
+	mixedEDB, mixedTxs := workload.MixedUpdates(48, 12, 23)
+	churnEDB, churnTxs := workload.ChurnSupplierParts(16, 4, 12, 29)
+	for _, c := range []struct {
+		name, src string
+		edb       *store.DB
+		txs       []workload.Update
+	}{
+		{"mixed", parentAnc, mixedEDB, mixedTxs},
+		{"churn", churn, churnEDB, churnTxs},
+	} {
+		p := parser.MustParseProgram(c.src)
+		var views []*Materialized
+		for _, workers := range []int{1, 2, 4} {
+			m, err := New(p, c.edb, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.opts.Workers = workers
+			views = append(views, m)
+		}
+		for k, u := range c.txs {
+			var want []*term.Fact
+			for i, m := range views {
+				mustApply(t, m, Tx{Insert: u.Insert, Retract: u.Retract})
+				got := m.Snapshot().Facts()
+				if i == 0 {
+					want = got
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s tx %d: view %d holds %d facts, the sequential one %d", c.name, k, i, len(got), len(want))
+				}
+				for j := range got {
+					if !term.EqualFacts(got[j], want[j]) {
+						t.Fatalf("%s tx %d: view %d has %s at position %d, the sequential one %s", c.name, k, i, got[j], j, want[j])
+					}
+				}
+			}
+		}
 	}
 }
