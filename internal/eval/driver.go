@@ -117,10 +117,14 @@ type Sink interface {
 	Accept(f *term.Fact) (bool, error)
 }
 
-// Frontier is the facts one round accepted, one delta relation per
-// predicate: what the body literals of the next round's tasks read.
+// Frontier is the facts one round accepted, per predicate: what the body
+// literals of the next round's tasks read.  It keeps plain slices — every
+// sink accepts a fact at most once per round, so there is nothing to
+// deduplicate — and wraps them as delta relations when the tasks are built.
 type Frontier struct {
-	rels   map[string]*store.Relation
+	facts  map[string][]*term.Fact
+	rels   map[string]*store.Relation // delta relations handed out so far
+	seen   *store.FactSet             // under DebugFrontier only
 	useIdx bool
 	n      int
 }
@@ -129,19 +133,38 @@ type Frontier struct {
 // facts iff useIdx.
 func NewFrontier(useIdx bool) *Frontier { return &Frontier{useIdx: useIdx} }
 
-// Add puts f in the delta relation of its predicate.
+// DebugFrontier makes Add panic on a fact its frontier already holds — the
+// distinctness the no-dedup construction assumes of every sink.  Only tests
+// set it (the eval and incr oracles run under it).
+var DebugFrontier bool
+
+// Add appends f to the facts of its predicate.
 func (fr *Frontier) Add(f *term.Fact) {
-	rel, ok := fr.rels[f.Pred]
-	if !ok {
-		if fr.rels == nil {
-			fr.rels = map[string]*store.Relation{}
+	if fr.facts == nil {
+		fr.facts, fr.rels = map[string][]*term.Fact{}, map[string]*store.Relation{}
+	}
+	if DebugFrontier {
+		if fr.seen == nil {
+			fr.seen = store.NewFactSet()
 		}
-		rel = store.NewRelation(f.Pred, fr.useIdx)
-		fr.rels[f.Pred] = rel
+		if !fr.seen.Add(f) {
+			panic(fmt.Sprintf("eval: %s accepted twice in one round", f))
+		}
 	}
-	if rel.Insert(f) {
-		fr.n++
+	fr.facts[f.Pred] = append(fr.facts[f.Pred], f)
+	fr.n++
+}
+
+// delta returns the delta relation of pred — one per round, shared by every
+// task that reads it, so its index is built once — or nil when the round
+// accepted no fact of pred.
+func (fr *Frontier) delta(pred string) *store.Relation {
+	rel := fr.rels[pred]
+	if facts := fr.facts[pred]; rel == nil && len(facts) > 0 {
+		rel = store.NewChunk(pred, facts, fr.useIdx)
+		fr.rels[pred] = rel
 	}
+	return rel
 }
 
 // Variant is a rule body compiled for firing: an execution plan with at
@@ -195,6 +218,7 @@ type Exec struct {
 	// facts so derivations can be recorded.
 	prov  *Provenance
 	trail []*term.Fact
+	neg   []term.Term // argument buffer of the negated literal being checked
 
 	firings, idxHits, fullScans int
 
@@ -311,24 +335,51 @@ func (x *Exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings
 		return builtin.Eval(l, b, cont)
 	}
 	if l.Negated {
-		f, err := unify.ApplyLit(l.Positive(), b)
-		if err != nil {
-			if errors.Is(err, unify.ErrOutsideU) {
-				// A negated predicate on an object outside U is false,
-				// so its negation holds (§2.2 built-in restrictions).
-				return cont()
+		// The probe needs the literal's ground arguments, not a fact: they
+		// go into a buffer the next negated literal overwrites.
+		x.neg = x.neg[:0]
+		for _, a := range l.Args {
+			t, err := unify.Apply(a, b)
+			if err != nil {
+				if errors.Is(err, unify.ErrOutsideU) {
+					// A negated predicate on an object outside U is false,
+					// so its negation holds (§2.2 built-in restrictions).
+					return cont()
+				}
+				return fmt.Errorf("negated literal %q: %w", l.String(), err)
 			}
-			return fmt.Errorf("negated literal %q: %w", l.String(), err)
+			x.neg = append(x.neg, t)
 		}
-		if x.db.Contains(f) {
-			return nil
+		if rel := x.db.RelOrNil(l.Pred); rel != nil {
+			if _, has := rel.GetArgs(x.neg); has {
+				return nil
+			}
 		}
 		return cont()
 	}
 
 	rel := x.relFor(idx, l.Pred)
-	candidates := x.candidates(rel, &p.acc[step], b)
-	for _, f := range candidates {
+	facts, scan := x.candidates(rel, &p.acc[step], b)
+	if !scan {
+		return x.match(l, facts, b, cont)
+	}
+	// A full scan walks the relation segment by segment and stops after the
+	// facts it held when the scan began: in a live round the body inserts
+	// into the relations it reads, and what it appends is the next round's.
+	for left, i := rel.Len(), 0; left > 0; i++ {
+		seg := rel.Segment(i)
+		seg = seg[:min(len(seg), left)]
+		left -= len(seg)
+		if err := x.match(l, seg, b, cont); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// match continues the join with every fact of facts that l matches.
+func (x *Exec) match(l ast.Literal, facts []*term.Fact, b *unify.Bindings, cont func() error) error {
+	for _, f := range facts {
 		mark := b.Mark()
 		if unify.MatchFact(l, f, b) {
 			if x.prov != nil {
@@ -338,11 +389,10 @@ func (x *Exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings
 			if x.prov != nil {
 				x.trail = x.trail[:len(x.trail)-1]
 			}
+			b.Undo(mark)
 			if err != nil {
-				b.Undo(mark)
 				return err
 			}
-			b.Undo(mark)
 		}
 	}
 	return nil
@@ -368,8 +418,9 @@ func (x *Exec) relFor(litIdx int, pred string) *store.Relation {
 // path: the probe values for every plan-time-ground column are extracted
 // from the bindings and looked up in one (possibly composite) hash index.
 // The binding pattern is never re-derived here — planBody fixed it when the
-// layer was planned.
-func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) []*term.Fact {
+// layer was planned.  scan reports that there is nothing to probe with and
+// the caller has to walk the whole relation.
+func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) (facts []*term.Fact, scan bool) {
 	if len(a.cols) > 0 {
 		var arr [8]term.Term // probe buffer; stays on the stack
 		var vals []term.Term
@@ -383,7 +434,7 @@ func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) []*
 			v, err := key(b)
 			if err != nil {
 				if errors.Is(err, unify.ErrOutsideU) {
-					return nil // argument outside U never matches
+					return nil, false // argument outside U never matches
 				}
 				// The static analysis over-promised (should not happen);
 				// fall back to a scan rather than probing a bogus key.
@@ -399,11 +450,11 @@ func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) []*
 			} else {
 				x.fullScans++
 			}
-			return facts
+			return facts, false
 		}
 	}
 	x.fullScans++
-	return rel.All()
+	return nil, true
 }
 
 // Driver runs rounds under one budget.  It is not safe for concurrent use:
@@ -592,7 +643,7 @@ func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink S
 		d.bumpIter()
 		tasks = tasks[:0]
 		for _, v := range variants {
-			if delta := fr.rels[v.body[v.dLit].Pred]; delta != nil {
+			if delta := fr.delta(v.body[v.dLit].Pred); delta != nil {
 				tasks = d.chunks(tasks, v, db, delta, fr.useIdx)
 			}
 		}
@@ -600,8 +651,9 @@ func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink S
 			return err
 		}
 		fr, next = next, fr
+		clear(next.facts)
 		clear(next.rels)
-		next.n = 0
+		next.seen, next.n = nil, 0
 	}
 	return nil
 }

@@ -78,3 +78,41 @@ func TestEvalGroupsOnFork(t *testing.T) {
 		t.Errorf("%.0f allocations for %d re-derivations: the duplicate probe is reading a stale relation", allocs, dups)
 	}
 }
+
+// TestNegatedLiteralProbesWithoutFact: checking `not q(t̄)` needs q's
+// relation and the ground arguments, not a fact.  On a complete model every
+// firing of the excl_ancestor rule re-derives, so what is left to allocate
+// is per negated check — two objects each (argument slice, fact) when the
+// check builds one.
+func TestNegatedLiteralProbesWithoutFact(t *testing.T) {
+	const chain, people = 24, 24
+	p := parser.MustParseProgram(`
+		anc(X, Y) <- par(X, Y).
+		anc(X, Y) <- par(X, Z), anc(Z, Y).
+		excl(X, Y, Z) <- anc(X, Y), not anc(X, Z), person(Z).`)
+	lay, err := layering.Stratify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb := store.NewDB()
+	for i := 0; i+1 < chain; i++ {
+		edb.Insert(term.NewFact("par", term.Int(i), term.Int(i+1)))
+	}
+	for i := 0; i < people; i++ {
+		edb.Insert(term.NewFact("person", term.Int(i)))
+	}
+	model, err := Eval(p, edb, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := model.Card("anc") * people
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := EvalGroups(lay.Rules, model.Fork(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d negated checks, %.0f allocations", checks, allocs)
+	if int(allocs) > checks/2 {
+		t.Errorf("%.0f allocations for %d negated checks: the check builds a fact", allocs, checks)
+	}
+}

@@ -10,27 +10,34 @@ import (
 // then processes whole shards independently: each shard's worker dedupes
 // against (and inserts into) only its own intern table, so workers share no
 // mutable state and need no locks.  Because a shard is always processed by
-// exactly one worker, in input order, the resulting relation state — and
-// therefore the fact order — is identical for every worker count, including
-// the degenerate single-goroutine run.
+// exactly one worker, in input order, which facts are new does not depend on
+// the worker count, and they join the relation in input order.
+
+// reshardMin is the batch size below which InsertBatch does not add shards
+// for its workers' sake: spreading a few hundred facts over more tables
+// costs more in fixed per-shard state than parallel interning recovers.
+const reshardMin = 1024
 
 // InsertBatch adds the facts in one batch, returning how many were new.
 // Duplicates — against the relation and within the batch — are discarded.
-// The batch path differs from repeated Insert in two ways: intern tables
-// are pre-sized once instead of grown doubling by doubling, and a large
-// batch first reshards the relation (per opts.Shards) so interning runs
-// shard-parallel with opts.Workers goroutines.  Facts land in shard-major
-// order, so single-shard relations (the default for everything but bulk
-// loads) keep exact input order.  InsertBatch is single-writer, like Insert.
+// The batch path differs from repeated Insert in three ways: the relation
+// is resharded once for the size it is about to have (and, for a large
+// batch, for at least opts.Workers shards, so interning runs shard-parallel),
+// intern tables are pre-sized once instead of grown doubling by doubling,
+// and the segments the new facts fill are allocated at their final size.
+// New facts land in input order.  InsertBatch is single-writer, like Insert.
 func (r *Relation) InsertBatch(fs []*term.Fact, opts LoadOpts) int {
 	if len(fs) == 0 {
 		return 0
 	}
 	r.ensureTables()
-	if t := normalizeShards(opts.Shards); t > len(r.shards) && len(fs) >= reshardMin {
-		r.reshard(t)
+	nsh := r.shardsFor(r.n + len(fs))
+	for len(fs) >= reshardMin && nsh < opts.Workers {
+		nsh *= 2
 	}
-	nsh := len(r.shards)
+	if nsh > len(r.shards) {
+		r.reshard(nsh)
+	}
 
 	// Phase A (serial): hash every fact — Hash memoizes lazily, so this
 	// must not race — and bucket input positions by shard.
@@ -42,70 +49,75 @@ func (r *Relation) InsertBatch(fs []*term.Fact, opts LoadOpts) int {
 	if nsh > 1 {
 		counts := make([]int, nsh)
 		for _, h := range hs {
-			counts[r.shardOf(h)]++
+			counts[h>>(64-r.shardBits)]++
 		}
 		buckets = make([][]int32, nsh)
 		for si := range buckets {
 			buckets[si] = make([]int32, 0, counts[si])
 		}
 		for i, h := range hs {
-			si := r.shardOf(h)
+			si := h >> (64 - r.shardBits)
 			buckets[si] = append(buckets[si], int32(i))
 		}
 	}
 
 	// Phase B: intern each shard's slice of the batch, one worker per
-	// shard at a time, results kept shard-local.
-	results := make([][]*term.Fact, nsh)
-	workers := opts.Workers
-	if workers > nsh {
-		workers = nsh
+	// shard at a time, each marking its new facts in its own positions of
+	// fresh.  A table shared with a relation this one was forked from is
+	// copied by the worker that is about to write it.
+	fresh := make([]bool, len(fs))
+	load := func(si int) {
+		var b []int32
+		if buckets != nil {
+			if b = buckets[si]; len(b) == 0 {
+				return
+			}
+		}
+		if t := r.shards[si]; t.owner != r.id {
+			r.shards[si] = t.cloneFor(r.id)
+		}
+		r.shards[si].load(fs, hs, b, fresh)
 	}
-	if workers > 1 {
+	if workers := min(opts.Workers, nsh); workers > 1 {
 		var wg sync.WaitGroup
 		for wi := 0; wi < workers; wi++ {
 			wg.Add(1)
 			go func(wi int) {
 				defer wg.Done()
 				for si := wi; si < nsh; si += workers {
-					results[si] = r.shards[si].load(fs, hs, buckets[si])
+					load(si)
 				}
 			}(wi)
 		}
 		wg.Wait()
 	} else {
 		for si := 0; si < nsh; si++ {
-			var b []int32
-			if buckets != nil {
-				b = buckets[si]
-			}
-			results[si] = r.shards[si].load(fs, hs, b)
+			load(si)
 		}
 	}
 
-	// Phase C (serial): splice shard results into the relation-global
-	// bookkeeping — fact order and indexes.
-	idxs := r.indexes.Load()
+	// Phase C (serial): append the new facts to the relation-global
+	// bookkeeping — fact order and indexes — in input order.
 	added := 0
-	for _, fresh := range results {
-		r.facts = append(r.facts, fresh...)
-		if idxs != nil {
-			for _, f := range fresh {
-				for _, ix := range *idxs {
-					ix.add(f)
-				}
-			}
+	for _, isNew := range fresh {
+		if isNew {
+			added++
 		}
-		added += len(fresh)
+	}
+	for i, left := 0, added; left > 0; i++ {
+		if fresh[i] {
+			r.push(fs[i], left)
+			left--
+		}
 	}
 	return added
 }
 
-// load interns one shard's candidates and returns the facts that were new,
-// in input order.  cand is the bucketed input positions, or nil for "the
-// whole batch" (single-shard relations skip bucketing).  It touches only
-// the table itself.
-func (t *factTable) load(fs []*term.Fact, hs []uint64, cand []int32) []*term.Fact {
+// load interns one shard's candidates and marks the ones that were new in
+// fresh.  cand is the bucketed input positions, or nil for "the whole
+// batch" (single-shard relations skip bucketing).  It touches only the
+// table itself and the candidates' positions of fresh.
+func (t *factTable) load(fs []*term.Fact, hs []uint64, cand []int32, fresh []bool) {
 	n := len(cand)
 	if cand == nil {
 		n = len(fs)
@@ -114,7 +126,6 @@ func (t *factTable) load(fs []*term.Fact, hs []uint64, cand []int32) []*term.Fac
 	// A fresh bulk load probes an empty intern table; skip that probe until
 	// an insert makes the table non-empty.
 	probe := t.n > 0
-	var fresh []*term.Fact
 	for k := 0; k < n; k++ {
 		fi := k
 		if cand != nil {
@@ -125,22 +136,23 @@ func (t *factTable) load(fs []*term.Fact, hs []uint64, cand []int32) []*term.Fac
 			continue
 		}
 		t.insert(h, f)
-		fresh = append(fresh, f)
+		fresh[fi] = true
 		probe = true
 	}
-	return fresh
 }
 
 // reshard redistributes the intern tables over n shards (a power of two
-// larger than the current count).  The fact slice — and with it, iteration
-// order — is untouched; only point-op routing changes.
-// Exclusive-writer only.
+// larger than the current count).  The insertion order is untouched; only
+// point-op routing changes.  Exclusive-writer only.
 func (r *Relation) reshard(n int) {
-	bits := shardBitsFor(n)
+	bits := uint(0)
+	for 1<<bits < n {
+		bits++
+	}
 	next := make([]*factTable, n)
-	hint := len(r.facts)/n + 1
 	for i := range next {
-		next[i] = newFactTable(hint)
+		next[i] = newFactTable(r.n/n + 1)
+		next[i].owner = r.id
 	}
 	for _, t := range r.shards {
 		for _, g := range t.entries {
@@ -155,33 +167,13 @@ func (r *Relation) reshard(n int) {
 	r.shardBits = bits
 }
 
-// normalizeShards clamps a requested shard count to a power of two in
-// [1, maxShards]; 0 stays 0 ("keep current").
-func normalizeShards(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
-}
-
 // LoadFacts bulk-inserts facts across relations, returning how many were
 // new.  Facts are grouped by predicate (first-appearance order) and each
-// group goes through Relation.InsertBatch; opts.Shards defaults to the
-// database's configured shard count.  Like all mutation, LoadFacts is
+// group goes through Relation.InsertBatch.  Like all mutation, LoadFacts is
 // single-writer.
 func (db *DB) LoadFacts(fs []*term.Fact, opts LoadOpts) int {
 	if len(fs) == 0 {
 		return 0
-	}
-	if opts.Shards == 0 {
-		opts.Shards = db.cfg.Shards
 	}
 	// Single-predicate batches (the common bulk shape) skip grouping.
 	single := true

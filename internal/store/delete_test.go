@@ -250,3 +250,58 @@ func TestForkPredsAndString(t *testing.T) {
 		t.Fatal("fork String should differ after insert")
 	}
 }
+
+type gauge struct{ slots, occupied, probes int }
+
+func (m *gauge) peak(g gauge) {
+	m.slots, m.occupied, m.probes = max(m.slots, g.slots), max(m.occupied, g.occupied), max(m.probes, g.probes)
+}
+
+// TestForkChurnKeepsTablesClean: balanced insert/delete pairs, each pair a
+// transaction of its own (fork, write, publish), hold a relation at one size
+// — so its intern tables never grow, and growth is the only other moment
+// tombstones are swept.  Slots allocated, slots occupied (live + tombstone)
+// and the mean probe length of a hit must be the same in the last thousand
+// transactions as in the first.
+func TestForkChurnKeepsTablesClean(t *testing.T) {
+	const live, txs, window = 3 * unit / 2, 10_000, 1000
+	db := NewDB()
+	for i := 0; i < live; i++ {
+		db.Insert(f("p", i))
+	}
+	measure := func(r *Relation) (g gauge) {
+		for _, tb := range r.shards {
+			g.slots += len(tb.entries)
+			g.occupied += tb.n + tb.dead
+			mask := len(tb.entries) - 1
+			for i, e := range tb.entries {
+				if e != nil && e != tombstone {
+					g.probes += (i-int(hashFact(e)))&mask + 1
+				}
+			}
+		}
+		return g
+	}
+	var first, last gauge
+	for i := 0; i < txs; i++ {
+		w := db.Fork()
+		if !w.Insert(f("p", live+i)) || !w.Delete(f("p", i)) {
+			t.Fatalf("tx %d: pair did not apply", i)
+		}
+		db = w
+		g := measure(db.RelOrNil("p"))
+		if i < window {
+			first.peak(g)
+		}
+		if i >= txs-window {
+			last.peak(g)
+		}
+	}
+	t.Logf("%d live facts; peak over the first %d transactions %+v, over the last %+v", live, window, first, last)
+	if last.slots > first.slots || last.occupied > first.occupied+first.occupied/20 || last.probes > first.probes+first.probes/10 {
+		t.Errorf("tables got dirtier under churn: first window %+v, last window %+v", first, last)
+	}
+	if db.Card("p") != live || last.occupied > live+live/4+db.RelOrNil("p").ShardCount() {
+		t.Errorf("%d facts occupy %d slots: tombstones are not swept when a shard is copied", db.Card("p"), last.occupied)
+	}
+}

@@ -1,6 +1,10 @@
 package store
 
-import "ldl1/internal/term"
+import (
+	"slices"
+
+	"ldl1/internal/term"
+)
 
 // factTable is an open-addressed hash table of interned facts: the fact
 // identity structure behind Relation and FactSet.  Compared with a Go map
@@ -10,8 +14,10 @@ import "ldl1/internal/term"
 // hash — simply probe past each other and are told apart by
 // term.EqualFacts.  Deletion (incremental maintenance retracts facts)
 // leaves a tombstone so later entries in the probe chain stay reachable;
-// tombstone slots are reused by insert and swept out on growth.
+// tombstone slots are reused by insert and swept out on growth and when a
+// fork copies the table for writing.
 type factTable struct {
+	owner   uint64       // the Relation allowed to write in place; see forkIDs
 	entries []*term.Fact // power-of-two sized; nil slots are empty
 	n       int          // live entries
 	dead    int          // tombstone slots awaiting reuse or sweep
@@ -23,12 +29,18 @@ var tombstone = &term.Fact{Pred: "\x00deleted"}
 
 const factTableMinSize = 8
 
-func newFactTable(hint int) *factTable {
+// tableSize is the slot count of an open-addressed table expected to hold
+// hint entries: the smallest power of two that keeps the load below 3/4.
+func tableSize(hint int) int {
 	size := factTableMinSize
-	for size*3 < hint*4 { // initial load below 3/4
+	for size*3 < hint*4 {
 		size *= 2
 	}
-	return &factTable{entries: make([]*term.Fact, size)}
+	return size
+}
+
+func newFactTable(hint int) *factTable {
+	return &factTable{entries: make([]*term.Fact, tableSize(hint))}
 }
 
 // get returns the interned fact equal to f (whose hash is h), or nil.
@@ -117,35 +129,44 @@ func (t *factTable) reserve(extra int) {
 	}
 }
 
+// growTo rebuilds the table with room for target entries, never smaller
+// than it is.  Tombstones are swept on every rebuild, so a delete-heavy
+// workload that hovers around one size re-compacts in place instead of
+// growing.
 func (t *factTable) growTo(target int) {
-	old := t.entries
-	// Tombstones are swept on every rebuild, so a delete-heavy workload
-	// that hovers around one size re-compacts in place instead of growing.
-	size := len(old)
-	if size < factTableMinSize {
-		size = factTableMinSize
-	}
+	size := max(len(t.entries), factTableMinSize)
 	for target*4 >= size*3 {
 		size *= 2
 	}
-	t.entries = make([]*term.Fact, size)
+	t.entries = rehashed(t.entries, size)
 	t.dead = 0
+}
+
+// rehashed returns the live facts of old in a fresh table of size slots.
+func rehashed(old []*term.Fact, size int) []*term.Fact {
+	entries := make([]*term.Fact, size)
 	mask := uint64(size - 1)
 	for _, f := range old {
 		if f == nil || f == tombstone {
 			continue
 		}
 		i := hashFact(f) & mask
-		for t.entries[i] != nil {
+		for entries[i] != nil {
 			i = (i + 1) & mask
 		}
-		t.entries[i] = f
+		entries[i] = f
 	}
+	return entries
 }
 
-// clone returns an independent copy of the table.
-func (t *factTable) clone() *factTable {
-	entries := make([]*term.Fact, len(t.entries))
-	copy(entries, t.entries)
-	return &factTable{entries: entries, n: t.n, dead: t.dead}
+// cloneFor returns a copy of the table that the relation numbered owner may
+// write.  The copy is where a table under churn gets clean: a table at
+// steady size never grows, so growth alone would let its tombstones — and
+// with them every probe chain — only lengthen.  Past a quarter of the live
+// entries the copy is a rebuild instead.
+func (t *factTable) cloneFor(owner uint64) *factTable {
+	if t.dead*4 > t.n {
+		return &factTable{owner: owner, entries: rehashed(t.entries, len(t.entries)), n: t.n}
+	}
+	return &factTable{owner: owner, entries: slices.Clone(t.entries), n: t.n, dead: t.dead}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"ldl1/internal/term"
@@ -91,7 +92,7 @@ func randOracleFact(rng *rand.Rand) *term.Fact {
 func oracleScenario(t *testing.T, seed int64, workers int) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	db := NewDBWith(Config{Shards: 4})
+	db := NewDB()
 	ref := newRefDB()
 	forks, loads := 0, 0
 	for step := 0; step < 60; step++ {
@@ -173,9 +174,7 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 		t.Fatalf("seed %d: final contents diverge\n store: %.300s\noracle: %.300s", seed, got, want)
 	}
 	for _, p := range db.Preds() {
-		if got := db.RelOrNil(p).ShardCount(); got != 4 {
-			t.Fatalf("seed %d: %s has %d shards, want 4", seed, p, got)
-		}
+		checkShards(t, db.RelOrNil(p))
 	}
 	// Canonical identity: Get must return one stable pointer per value.
 	for _, f := range ref.facts[:min(len(ref.facts), 20)] {
@@ -187,6 +186,18 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 		}
 	}
 	return db.String()
+}
+
+// checkShards asserts what the shard count is a function of: the relation's
+// size (a power of two, the fewest that keep the mean shard within one unit
+// — or more, where the relation has been larger or a bulk load asked for
+// one shard per worker).
+func checkShards(t *testing.T, r *Relation) {
+	t.Helper()
+	n := r.ShardCount()
+	if n&(n-1) != 0 || n*unit < r.Len() {
+		t.Fatalf("%s: %d facts in %d shards of at most %d", r.Name, r.Len(), n, unit)
+	}
 }
 
 func refString(r *refDB) string {
@@ -222,34 +233,274 @@ func TestShardedStoreOracle(t *testing.T) {
 }
 
 // TestLoadFactsDeterministicOrder pins the stronger property behind the
-// oracle: the fact order (not just the set) is identical for
-// every worker count, because shards are partitioned before workers start.
+// oracle: a bulk load appends its new facts in input order, whatever the
+// worker count and the shard count that comes with it.
 func TestLoadFactsDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fs := make([]*term.Fact, 5000)
+	ref := newRefDB()
 	for i := range fs {
 		fs[i] = term.NewFact("e", term.Int(int64(rng.Intn(3000))), term.Int(int64(rng.Intn(3000))))
+		ref.insert(fs[i])
 	}
-	var orders [][]*term.Fact
-	for _, workers := range []int{1, 2, 4} {
-		db := NewDBWith(Config{Shards: 8})
+	for _, workers := range []int{1, 2, 4, 64} {
+		db := NewDB()
 		db.LoadFacts(fs, LoadOpts{Workers: workers})
 		r := db.RelOrNil("e")
-		if r.ShardCount() != 8 {
-			t.Fatalf("workers=%d: resharded to %d, want 8", workers, r.ShardCount())
+		checkShards(t, r)
+		if r.ShardCount() < workers {
+			t.Fatalf("workers=%d: %d shards", workers, r.ShardCount())
 		}
-		orders = append(orders, append([]*term.Fact(nil), r.All()...))
+		if got := r.All(); !sameSequence(got, ref.facts) {
+			t.Fatalf("workers=%d: %d facts loaded, not the %d distinct ones in input order", workers, len(got), len(ref.facts))
+		}
 	}
-	for w := 1; w < len(orders); w++ {
-		if len(orders[0]) != len(orders[w]) {
-			t.Fatalf("order length differs: %d vs %d", len(orders[0]), len(orders[w]))
+}
+
+func sameSequence(got, want []*term.Fact) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if !term.EqualFacts(got[i], want[i]) {
+			return false
 		}
-		for i := range orders[0] {
-			if !term.EqualFacts(orders[0][i], orders[w][i]) {
-				t.Fatalf("fact order differs at %d: %s vs %s", i, orders[0][i], orders[w][i])
+	}
+	return true
+}
+
+// snapshot is a database that is no longer written — a published model, a
+// fork's parent — beside a deep copy of what it held when it froze.
+type snapshot struct {
+	db  *DB
+	ref *refDB
+}
+
+// check compares the snapshot with its reference: per predicate the facts
+// as a sequence, Len, and every index built so far — before the fork that
+// shares it or lazily afterwards, on this relation or inherited — bucket by
+// bucket, in order, for the values of a sample of facts.
+func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
+	t.Helper()
+	if s.db.Len() != len(s.ref.facts) {
+		t.Fatalf("%s: Len=%d oracle=%d", what, s.db.Len(), len(s.ref.facts))
+	}
+	byPred := map[string][]*term.Fact{}
+	for _, f := range s.ref.facts {
+		byPred[f.Pred] = append(byPred[f.Pred], f)
+	}
+	for _, p := range s.db.Preds() {
+		r, want := s.db.RelOrNil(p), byPred[p]
+		if got := r.All(); !sameSequence(got, want) {
+			t.Fatalf("%s: %s holds %d facts, oracle %d, or in another order", what, p, len(got), len(want))
+		}
+		var walked []*term.Fact
+		for i := 0; len(walked) < r.Len(); i++ {
+			walked = append(walked, r.Segment(i)...)
+		}
+		if !sameSequence(walked, want) {
+			t.Fatalf("%s: %s: segments do not concatenate to All()", what, p)
+		}
+		checkShards(t, r)
+		for _, ix := range builtIndexes(r) {
+			if ix.keys > unit<<ix.bits {
+				t.Fatalf("%s: %s index %v: %d keys in %d shards", what, p, ix.cols, ix.keys, len(ix.shards))
+			}
+			for k := 0; k < 3 && len(want) > 0; k++ {
+				probe := want[rng.Intn(len(want))]
+				if k == 0 {
+					probe = randOracleFact(rng) // usually absent
+				}
+				vals, ok := ix.key(probe, nil)
+				if !ok {
+					continue
+				}
+				var bucket []*term.Fact
+				for _, g := range want {
+					if gv, ok := ix.key(g, nil); ok && keyOf(gv) == keyOf(vals) {
+						bucket = append(bucket, g)
+					}
+				}
+				if got := ix.probe(vals); !sameSequence(got, bucket) {
+					t.Fatalf("%s: %s index %v bucket %v holds %d facts, oracle %d", what, p, ix.cols, vals, len(got), len(bucket))
+				}
 			}
 		}
 	}
+	for k := 0; k < 8; k++ {
+		f := randOracleFact(rng)
+		if len(s.ref.facts) > 0 && k%2 == 0 {
+			f = s.ref.facts[rng.Intn(len(s.ref.facts))]
+		}
+		if got, want := s.db.Contains(f), s.ref.contains(f); got != want {
+			t.Fatalf("%s: Contains(%s)=%v oracle=%v", what, f, got, want)
+		}
+	}
+}
+
+// forkChain drives a random write stream through chains and fans of forks:
+// the writer is always a fork of some frozen snapshot, publishing freezes it
+// and continues in a fork of it (a chain), and now and then the writer
+// moves to a second fork of an older snapshot (a fan, as concurrent magic
+// executions make of one EDB).  Probes land on the writer and on frozen
+// snapshots alike, so indexes get built before and after the forks that
+// share them.  visit sees every snapshot as it freezes.
+func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) (live []snapshot, w snapshot) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	some := func(n int) []*term.Fact {
+		fs := make([]*term.Fact, n)
+		for i := range fs {
+			fs[i] = randOracleFact(rng)
+			if size > 300 { // a universe wide enough to reach the size
+				fs[i] = term.NewFact(fs[i].Pred, append(fs[i].Args, term.Int(int64(rng.Intn(size))))...)
+			}
+		}
+		return fs
+	}
+	base := snapshot{NewDB(), newRefDB()}
+	for _, f := range some(size) {
+		base.db.Insert(f)
+		base.ref.insert(f)
+	}
+	freeze := func(s snapshot) {
+		live = append(live, s)
+		if len(live) > 5 {
+			live = live[1:]
+		}
+		visit(s)
+	}
+	freeze(base)
+	w = snapshot{base.db.Fork(), base.ref.clone()}
+	for step := 0; step < steps; step++ {
+		what := fmt.Sprintf("seed %d size %d step %d", seed, size, step)
+		switch op := rng.Intn(20); {
+		case op < 6:
+			f := some(1)[0]
+			if got, want := w.db.Insert(f), w.ref.insert(f); got != want {
+				t.Fatalf("%s: Insert=%v oracle=%v", what, got, want)
+			}
+		case op < 9:
+			f := some(1)[0]
+			if rng.Intn(3) > 0 && len(w.ref.facts) > 0 { // mostly a hit, often a recent one
+				f = w.ref.facts[len(w.ref.facts)-1-rng.Intn(min(len(w.ref.facts), 1+rng.Intn(64)))]
+			}
+			if got, want := w.db.Delete(f), w.ref.delete(f); got != want {
+				t.Fatalf("%s: Delete=%v oracle=%v", what, got, want)
+			}
+		case op < 11:
+			fs := some(1 + rng.Intn(20))
+			for i := range fs {
+				if rng.Intn(2) == 0 && len(w.ref.facts) > 0 {
+					fs[i] = w.ref.facts[rng.Intn(len(w.ref.facts))]
+				}
+			}
+			want := 0
+			for _, f := range fs {
+				if w.ref.delete(f) {
+					want++
+				}
+			}
+			if got := w.db.DeleteAll(fs); got != want {
+				t.Fatalf("%s: DeleteAll=%d oracle=%d", what, got, want)
+			}
+		case op < 13:
+			fs := some(1 + rng.Intn(2*unit))
+			want := 0
+			for _, f := range fs {
+				if w.ref.insert(f) {
+					want++
+				}
+			}
+			if got := w.db.LoadFacts(fs, LoadOpts{Workers: 1 + rng.Intn(3)}); got != want {
+				t.Fatalf("%s: LoadFacts=%d oracle=%d", what, got, want)
+			}
+		case op < 16: // probe a column of the writer or of a frozen snapshot
+			s := w
+			if rng.Intn(2) == 0 {
+				s = live[rng.Intn(len(live))]
+			}
+			f := some(1)[0]
+			if r := s.db.RelOrNil(f.Pred); r != nil && len(f.Args) > 0 {
+				c := rng.Intn(len(f.Args))
+				var keys []string
+				for _, g := range r.Lookup(c, f.Args[c]) {
+					keys = append(keys, g.Key())
+				}
+				sort.Strings(keys)
+				if want := s.ref.lookup(f.Pred, c, f.Args[c]); fmt.Sprint(keys) != fmt.Sprint(want) {
+					t.Fatalf("%s: Lookup(%s,%d,%s)=%v oracle=%v", what, f.Pred, c, f.Args[c], keys, want)
+				}
+			}
+		case op < 19: // publish: the chain grows by one
+			freeze(w)
+			w = snapshot{w.db.Fork(), w.ref.clone()}
+		default: // fan: a second fork of an older snapshot
+			freeze(w)
+			s := live[rng.Intn(len(live))]
+			w = snapshot{s.db.Fork(), s.ref.clone()}
+		}
+		for i, s := range live {
+			s.check(t, rng, fmt.Sprintf("%s, snapshot %d", what, i))
+		}
+		w.check(t, rng, what+", writer")
+	}
+	return live, w
+}
+
+// TestForkChainOracle runs the fork-chain stream at sizes below one unit,
+// across unit boundaries and across directory doublings, comparing every
+// live snapshot and the writer with their references after every step.
+func TestForkChainOracle(t *testing.T) {
+	for _, size := range []int{unit / 4, unit - 8, 4*unit - 16} {
+		for seed := int64(1); seed <= 3; seed++ {
+			forkChain(t, seed, size, 100, func(snapshot) {})
+		}
+	}
+}
+
+// TestForkChainReaders is the same stream with readers: every snapshot, as
+// it freezes, gets a goroutine that keeps scanning, probing (building
+// indexes on first use) and point-reading it against its reference while
+// the writer goes on to fork it, write next to it and supersede it.  Under
+// the race detector this is the check that a write never lands in a unit a
+// snapshot can still reach.
+func TestForkChainReaders(t *testing.T) {
+	var wg sync.WaitGroup
+	read := func(s snapshot, seed int64) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < 400; k++ {
+			f := randOracleFact(rng)
+			if len(s.ref.facts) > 0 && rng.Intn(2) == 0 {
+				f = s.ref.facts[rng.Intn(len(s.ref.facts))]
+			}
+			if got, want := s.db.Contains(f), s.ref.contains(f); got != want {
+				t.Errorf("reader: Contains(%s)=%v oracle=%v", f, got, want)
+				return
+			}
+			r := s.db.RelOrNil(f.Pred)
+			if r == nil || len(f.Args) == 0 {
+				continue
+			}
+			c := rng.Intn(len(f.Args))
+			if got, want := len(r.Lookup(c, f.Args[c])), len(s.ref.lookup(f.Pred, c, f.Args[c])); got != want {
+				t.Errorf("reader: Lookup(%s,%d,%s) has %d facts, oracle %d", f.Pred, c, f.Args[c], got, want)
+				return
+			}
+			n := 0
+			for i := 0; n < r.Len(); i++ {
+				n += len(r.Segment(i))
+			}
+		}
+	}
+	var next int64
+	forkChain(t, 11, 3*unit, 150, func(s snapshot) {
+		next++
+		wg.Add(1)
+		go read(s, next)
+	})
+	wg.Wait()
 }
 
 // TestDBLenCacheAndFactsOrder covers the DB satellites: Len is maintained

@@ -10,15 +10,16 @@
 // (deltas, indexes, provenance) share one interned fact pointer per U-fact
 // and equality checks usually short-circuit on pointer identity.
 //
-// Relations are hash-sharded: a fixed power-of-two array of intern tables,
-// selected by the top bits of the fact hash (the tables consume the low
-// bits).  Relations built by single-fact Insert stay single-shard — the
-// historical layout — and a large InsertBatch reshards them so fact
-// interning runs shard-parallel and table resizes are per-shard.  A fact
-// has one representation everywhere in the store: a *term.Fact.
+// A relation is three two-level structures — the insertion order as a
+// directory of segments, the intern tables as a directory of hash shards,
+// every index as a directory of hash shards of buckets — and the unit of
+// copy-on-write is one segment, shard or bucket, not the relation: a fork
+// copies the directories, and a write then copies the units it lands in.
+// A fact has one representation everywhere in the store: a *term.Fact.
 package store
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,32 +45,131 @@ var (
 // keeps serving lookups.
 const IndexThreshold = 16
 
-// reshardMin is the batch size below which InsertBatch never reshards a
-// relation: spreading a few hundred facts over shards costs more in fixed
-// per-shard state than parallel interning recovers.
-const reshardMin = 1024
+// unit is the page size of copy-on-write, in entries: a segment holds at
+// most unit facts, and an intern table or an index is spread over the fewest
+// power-of-two shards that keep the mean shard at or below unit entries.  A
+// fork copies one pointer per unit; a write copies the units it changes.
+// The value comes from a sweep on serve-mixed (DESIGN §12): smaller units
+// make every fork's directories longer, larger ones every copied page.
+const unit = 128
+
+// forkIDs numbers relation forks.  A relation stamps the units it creates
+// with its own number and mutates in place only units that carry it; every
+// other unit it reaches belongs to a relation it was forked from, possibly
+// to a published snapshot, and is copied before the first write.  Relations
+// that were never forked from anything are number 0: they reach no unit but
+// their own.  A number, not a pointer to the owner, so that a unit does not
+// keep the snapshot that made it (and that snapshot's other units) alive.
+var forkIDs atomic.Uint64
+
+// segment is one run of the insertion order.  Only the last segment of a
+// relation is appended to; a retraction shortens the segment it hits, and a
+// segment that empties leaves the directory.
+type segment struct {
+	owner uint64
+	facts []*term.Fact
+}
 
 // idxEntry is one distinct probe key in an index: the facts whose indexed
-// columns equal vals, plus a chain link for the (astronomically rare) case
-// of two distinct keys sharing a hash.
+// columns equal vals.  An entry leaves the index with its last fact.
 type idxEntry struct {
+	owner uint64
+	hash  uint64
 	vals  []term.Term // values at the index's columns, in cols order
 	facts []*term.Fact
-	next  *idxEntry
+}
+
+// idxShard is an open-addressed table of the entries whose key hashes share
+// their top bits: at most three quarters full, probed linearly from the low
+// hash bits.  Two keys with one hash sit in neighbouring slots and are told
+// apart by comparing vals.
+type idxShard struct {
+	owner uint64
+	slots []*idxEntry // power-of-two sized; nil slots are empty
+	n     int
+}
+
+func newIdxShard(owner uint64, hint int) *idxShard {
+	return &idxShard{owner: owner, slots: make([]*idxEntry, tableSize(hint))}
+}
+
+// find returns the slot of the entry for (h, vals), or the empty slot where
+// it would go.
+func (s *idxShard) find(h uint64, vals []term.Term) int {
+	mask := len(s.slots) - 1
+	i := int(h) & mask
+scan:
+	for ; s.slots[i] != nil; i = (i + 1) & mask {
+		e := s.slots[i]
+		if e.hash != h {
+			continue
+		}
+		for j, v := range vals {
+			if !term.Equal(e.vals[j], v) {
+				continue scan
+			}
+		}
+		break
+	}
+	return i
+}
+
+// place adds an entry whose key the shard does not hold.
+func (s *idxShard) place(e *idxEntry) {
+	if (s.n+1)*4 > len(s.slots)*3 {
+		old := s.slots
+		s.slots, s.n = make([]*idxEntry, 2*len(old)), 0
+		for _, o := range old {
+			if o != nil {
+				s.place(o)
+			}
+		}
+	}
+	mask := len(s.slots) - 1
+	i := int(e.hash) & mask
+	for s.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = e
+	s.n++
+}
+
+// evict empties slot i and closes the gap: every entry of the probe run
+// behind it that may move back towards its home slot does, so lookups need
+// no tombstones and a table under churn stays as clean as a fresh one.
+func (s *idxShard) evict(i int) {
+	mask := len(s.slots) - 1
+	s.n--
+	for j := i; ; {
+		s.slots[i] = nil
+		for {
+			j = (j + 1) & mask
+			e := s.slots[j]
+			if e == nil {
+				return
+			}
+			// e may fill the gap unless its home slot lies in (i, j].
+			if home := int(e.hash) & mask; (home-i-1)&mask >= (j-i)&mask {
+				break
+			}
+		}
+		s.slots[i] = s.slots[j]
+		i = j
+	}
 }
 
 // index is a hash index over one set of argument columns — a single column
 // or a composite.  The key of a fact folds its per-column term hashes in
-// cols order; collisions are resolved by structural comparison of vals.
-// An index is built once under Relation.mu and is immutable in shape
-// afterwards; only Insert (single-writer, between rounds) appends to its
-// buckets.  Indexes are relation-global, not per-shard: a per-shard split
-// would multiply every probe on the hot join path by the shard count, so
-// indexes are built over the merged view instead.
+// cols order; its top bits pick the shard, its low bits the slot.  An index
+// is built once under Relation.mu; afterwards only the relation's single
+// writer changes it.  Indexes are relation-global, not split along the
+// intern tables' shards: a probe answers from one bucket in one step.
 type index struct {
-	mask uint64 // bit c set ⇔ column c indexed
-	cols []int  // ascending
-	m    map[uint64]*idxEntry
+	mask   uint64 // bit c set ⇔ column c indexed
+	cols   []int  // ascending
+	shards []*idxShard
+	bits   uint // len(shards) == 1<<bits
+	keys   int  // entries over all shards
 }
 
 // colsMask folds a column set into its bitmask; ok is false when a column
@@ -84,7 +184,7 @@ func colsMask(cols []int) (mask uint64, ok bool) {
 	return mask, true
 }
 
-func (ix *index) keyOf(vals []term.Term) uint64 {
+func keyOf(vals []term.Term) uint64 {
 	h := term.HashSeed
 	for _, v := range vals {
 		h = term.HashFold(h, hashTerm(v))
@@ -92,103 +192,109 @@ func (ix *index) keyOf(vals []term.Term) uint64 {
 	return h
 }
 
-// add appends a fact to its bucket; facts too short for the index's
-// columns are skipped (they can never match a probe on those columns).
-func (ix *index) add(f *term.Fact) {
-	h := term.HashSeed
+// key appends f's values at the index's columns to buf; ok is false for a
+// fact too short for them (it can never match a probe on those columns).
+func (ix *index) key(f *term.Fact, buf []term.Term) (vals []term.Term, ok bool) {
 	for _, c := range ix.cols {
 		if c >= len(f.Args) {
-			return
+			return nil, false
 		}
-		h = term.HashFold(h, hashTerm(f.Args[c]))
+		buf = append(buf, f.Args[c])
 	}
-	for e := ix.m[h]; e != nil; e = e.next {
-		if ix.sameVals(e.vals, f) {
-			e.facts = append(e.facts, f)
-			return
-		}
-	}
-	vals := make([]term.Term, len(ix.cols))
-	for i, c := range ix.cols {
-		vals[i] = f.Args[c]
-	}
-	ix.m[h] = &idxEntry{vals: vals, facts: []*term.Fact{f}, next: ix.m[h]}
+	return buf, true
 }
 
-func (ix *index) sameVals(vals []term.Term, f *term.Fact) bool {
-	for i, c := range ix.cols {
-		if !term.Equal(vals[i], f.Args[c]) {
-			return false
-		}
+// own returns the shard for key hash h, first copying it if it belongs to a
+// relation this one was forked from: the table of entry pointers is copied,
+// the entries stay shared until they change themselves.
+func (ix *index) own(id, h uint64) *idxShard {
+	si := h >> (64 - ix.bits)
+	sh := ix.shards[si]
+	if sh.owner != id {
+		sh = &idxShard{owner: id, slots: slices.Clone(sh.slots), n: sh.n}
+		ix.shards[si] = sh
 	}
-	return true
+	return sh
 }
 
-// clone returns a private copy of the index: bucket fact slices are copied
-// (Insert appends to them in place, so sharing would alias the original),
-// vals and column metadata are shared.  Copying an entry per distinct key
-// is several times cheaper than re-hashing every fact through add, which
-// is what makes cloning indexes across a copy-on-write unshare worthwhile:
-// an incremental transaction would otherwise rebuild every index of every
-// relation it touches from scratch.
-func (ix *index) clone() *index {
-	m := make(map[uint64]*idxEntry, len(ix.m))
-	for h, e := range ix.m {
-		var head, tail *idxEntry
-		for ; e != nil; e = e.next {
-			ne := &idxEntry{
-				vals:  e.vals,
-				facts: append([]*term.Fact(nil), e.facts...),
-			}
-			if tail == nil {
-				head = ne
-			} else {
-				tail.next = ne
-			}
-			tail = ne
-		}
-		m[h] = head
+// add appends a fact to its bucket on behalf of the relation numbered id.
+func (ix *index) add(id uint64, f *term.Fact) {
+	var buf [8]term.Term
+	vals, ok := ix.key(f, buf[:0])
+	if !ok {
+		return
 	}
-	return &index{mask: ix.mask, cols: ix.cols, m: m}
+	h := keyOf(vals)
+	sh := ix.own(id, h)
+	i := sh.find(h, vals)
+	switch e := sh.slots[i]; {
+	case e == nil:
+		sh.place(&idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: []*term.Fact{f}})
+		if ix.keys++; ix.keys > unit<<ix.bits {
+			ix.split(id)
+		}
+	case e.owner != id:
+		sh.slots[i] = &idxEntry{owner: id, hash: h, vals: e.vals, facts: append(slices.Clip(e.facts), f)}
+	default:
+		e.facts = append(e.facts, f)
+	}
 }
 
 // remove drops a fact from its bucket (pointer identity: facts reaching an
 // index are the relation's canonical pointers).  Bucket order is preserved
 // so candidate enumeration stays deterministic under retraction.
-func (ix *index) remove(f *term.Fact) {
-	h := term.HashSeed
-	for _, c := range ix.cols {
-		if c >= len(f.Args) {
-			return
-		}
-		h = term.HashFold(h, hashTerm(f.Args[c]))
-	}
-	for e := ix.m[h]; e != nil; e = e.next {
-		if !ix.sameVals(e.vals, f) {
-			continue
-		}
-		for i, g := range e.facts {
-			if g == f {
-				e.facts = append(e.facts[:i], e.facts[i+1:]...)
-				return
-			}
-		}
+func (ix *index) remove(id uint64, f *term.Fact) {
+	var buf [8]term.Term
+	vals, ok := ix.key(f, buf[:0])
+	if !ok {
 		return
 	}
+	h := keyOf(vals)
+	sh := ix.own(id, h)
+	i := sh.find(h, vals)
+	e := sh.slots[i]
+	if e == nil {
+		return
+	}
+	at := slices.Index(e.facts, f)
+	if at < 0 {
+		return
+	}
+	if len(e.facts) == 1 {
+		sh.evict(i)
+		ix.keys--
+		return
+	}
+	if e.owner != id {
+		e = &idxEntry{owner: id, hash: h, vals: e.vals, facts: slices.Clone(e.facts)}
+		sh.slots[i] = e
+	}
+	e.facts = slices.Delete(e.facts, at, at+1)
+}
+
+// split doubles the shard directory.  Shards are keyed by the top hash
+// bits, so shard s spills into 2s and 2s+1 and nothing else moves.
+func (ix *index) split(id uint64) {
+	ix.bits++
+	next := make([]*idxShard, 1<<ix.bits)
+	for i := range next {
+		next[i] = newIdxShard(id, ix.keys/len(next))
+	}
+	for _, sh := range ix.shards {
+		for _, e := range sh.slots {
+			if e != nil {
+				next[e.hash>>(64-ix.bits)].place(e)
+			}
+		}
+	}
+	ix.shards = next
 }
 
 func (ix *index) probe(vals []term.Term) []*term.Fact {
-	for e := ix.m[ix.keyOf(vals)]; e != nil; e = e.next {
-		match := true
-		for i := range vals {
-			if !term.Equal(e.vals[i], vals[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return e.facts
-		}
+	h := keyOf(vals)
+	sh := ix.shards[h>>(64-ix.bits)]
+	if e := sh.slots[sh.find(h, vals)]; e != nil {
+		return e.facts
 	}
 	return nil
 }
@@ -204,7 +310,9 @@ func (ix *index) probe(vals []term.Term) []*term.Fact {
 // index).
 type Relation struct {
 	Name      string
-	facts     []*term.Fact // insertion order
+	id        uint64       // see forkIDs
+	n         int          // facts held
+	segs      []*segment   // insertion order; no segment is empty
 	shards    []*factTable // power-of-two; nil for chunks until first point op
 	shardBits uint
 	mu        sync.Mutex // guards index construction
@@ -227,38 +335,47 @@ func NewRelation(name string, useIndexes bool) *Relation {
 // facts slice is owned by the chunk.  Insert still works: the first call
 // rebuilds the buckets from the existing facts.
 func NewChunk(name string, facts []*term.Fact, useIndexes bool) *Relation {
-	return &Relation{
-		Name:   name,
-		facts:  facts[:len(facts):len(facts)],
-		useIdx: useIndexes,
+	r := &Relation{Name: name, n: len(facts), useIdx: useIndexes}
+	if len(facts) > 0 {
+		r.segs = []*segment{{facts: slices.Clip(facts)}}
 	}
+	return r
 }
 
-// ensureTables builds the intern table from the fact slice; only chunk
+// ensureTables builds the intern table from the facts; only chunk
 // relations (NewChunk) ever take this path, and only if someone performs a
 // point operation on them after construction.
 func (r *Relation) ensureTables() {
 	if r.shards != nil {
 		return
 	}
-	t := newFactTable(len(r.facts))
-	for _, g := range r.facts {
-		t.insert(hashFact(g), g)
+	t := newFactTable(r.n)
+	for _, s := range r.segs {
+		for _, g := range s.facts {
+			t.insert(hashFact(g), g)
+		}
 	}
 	r.shards = []*factTable{t}
 }
 
-// shardOf maps a fact hash to its shard: the top hash bits, because the
-// intern tables consume the low bits.
-func (r *Relation) shardOf(h uint64) int {
-	if r.shardBits == 0 {
-		return 0
+// table returns the intern table for fact hash h: the top hash bits pick
+// the shard, because the tables consume the low bits.
+func (r *Relation) table(h uint64) *factTable { return r.shards[h>>(64-r.shardBits)] }
+
+// own is table for a write: a table that belongs to a relation this one was
+// forked from is copied first.
+func (r *Relation) own(h uint64) *factTable {
+	si := h >> (64 - r.shardBits)
+	t := r.shards[si]
+	if t.owner != r.id {
+		t = t.cloneFor(r.id)
+		r.shards[si] = t
 	}
-	return int(h >> (64 - r.shardBits))
+	return t
 }
 
 // Len returns the number of facts.
-func (r *Relation) Len() int { return len(r.facts) }
+func (r *Relation) Len() int { return r.n }
 
 // ShardCount returns the relation's current shard count.
 func (r *Relation) ShardCount() int {
@@ -268,9 +385,33 @@ func (r *Relation) ShardCount() int {
 	return len(r.shards)
 }
 
-// All returns the facts in insertion order (a bulk load inserts in
-// shard-major batch order).  Callers must not mutate the returned slice.
-func (r *Relation) All() []*term.Fact { return r.facts }
+// Segment returns the i-th run of the insertion order: Segment(0),
+// Segment(1), … concatenated up to Len() facts are All(), without the copy.
+// Inserts only ever extend that sequence, so a scan that stops after the
+// Len() facts it started with sees a stable snapshot even when the body it
+// drives inserts into the relation.
+func (r *Relation) Segment(i int) []*term.Fact { return r.segs[i].facts }
+
+// All returns the facts in insertion order (a bulk load inserts in input
+// order).  Callers must not mutate the returned slice.  A relation of more
+// than one segment pays for a copy; scans should walk Segment instead.
+func (r *Relation) All() []*term.Fact {
+	switch len(r.segs) {
+	case 0:
+		return nil
+	case 1:
+		return r.segs[0].facts
+	}
+	return r.appendTo(make([]*term.Fact, 0, r.n))
+}
+
+// appendTo appends the facts, in insertion order, to out.
+func (r *Relation) appendTo(out []*term.Fact) []*term.Fact {
+	for _, s := range r.segs {
+		out = append(out, s.facts...)
+	}
+	return out
+}
 
 // Contains reports whether the relation holds the fact.
 func (r *Relation) Contains(f *term.Fact) bool {
@@ -282,7 +423,7 @@ func (r *Relation) Contains(f *term.Fact) bool {
 func (r *Relation) Get(f *term.Fact) (*term.Fact, bool) {
 	r.ensureTables()
 	h := hashFact(f)
-	g := r.shards[r.shardOf(h)].get(h, f)
+	g := r.table(h).get(h, f)
 	return g, g != nil
 }
 
@@ -292,7 +433,7 @@ func (r *Relation) Get(f *term.Fact) (*term.Fact, bool) {
 func (r *Relation) GetArgs(args []term.Term) (*term.Fact, bool) {
 	r.ensureTables()
 	h := hashFactArgs(r.Name, args)
-	g := r.shards[r.shardOf(h)].getArgs(h, r.Name, args)
+	g := r.table(h).getArgs(h, r.Name, args)
 	return g, g != nil
 }
 
@@ -308,27 +449,89 @@ func (r *Relation) Insert(f *term.Fact) bool {
 func (r *Relation) InsertGet(f *term.Fact) (*term.Fact, bool) {
 	r.ensureTables()
 	h := hashFact(f)
-	t := r.shards[r.shardOf(h)]
-	if g := t.get(h, f); g != nil {
+	if g := r.table(h).get(h, f); g != nil {
 		return g, false
 	}
-	t.insert(h, f)
-	r.facts = append(r.facts, f)
-	if p := r.indexes.Load(); p != nil {
-		for _, ix := range *p {
-			ix.add(f)
-		}
+	r.own(h).insert(h, f)
+	r.push(f, 1)
+	if nsh := r.shardsFor(r.n); nsh > len(r.shards) {
+		r.reshard(nsh)
 	}
 	return f, true
 }
 
-// spliceFact removes the canonical pointer g from the insertion-order
-// slice, preserving the relative order of the survivors.
-func (r *Relation) spliceFact(g *term.Fact) {
-	for i, x := range r.facts {
-		if x == g {
-			r.facts = append(r.facts[:i], r.facts[i+1:]...)
-			return
+// shardsFor returns the shard count for a relation of n facts: the current
+// one, doubled until the mean shard holds at most unit of them.
+func (r *Relation) shardsFor(n int) int {
+	nsh := len(r.shards)
+	for n > unit*nsh {
+		nsh *= 2
+	}
+	return nsh
+}
+
+// push appends an interned fact to the insertion order and to every built
+// index.  more is how many facts the caller is about to push, f included: a
+// segment that has to be allocated is sized for them.
+func (r *Relation) push(f *term.Fact, more int) {
+	r.n++
+	if k := len(r.segs) - 1; k >= 0 && len(r.segs[k].facts) < unit {
+		s := r.segs[k]
+		if s.owner != r.id {
+			n := len(s.facts)
+			s = &segment{owner: r.id, facts: append(make([]*term.Fact, 0, min(unit, n+max(n, more))), s.facts...)}
+			r.segs[k] = s
+		}
+		s.facts = append(s.facts, f)
+	} else {
+		s := &segment{owner: r.id, facts: make([]*term.Fact, 1, min(unit, more))}
+		s.facts[0] = f
+		r.segs = append(r.segs, s)
+	}
+	if p := r.indexes.Load(); p != nil {
+		for _, ix := range *p {
+			ix.add(r.id, f)
+		}
+	}
+}
+
+// cut removes the facts of segment si that drop selects, preserving the
+// order of the rest, and returns how many went.  An emptied segment is left
+// in place for the caller to sweep from the directory.
+func (r *Relation) cut(si int, drop func(*term.Fact) bool) int {
+	s := r.segs[si]
+	first := slices.IndexFunc(s.facts, drop)
+	if first < 0 {
+		return 0
+	}
+	if s.owner != r.id {
+		s = &segment{owner: r.id, facts: slices.Clone(s.facts)}
+		r.segs[si] = s
+	}
+	n := len(s.facts)
+	s.facts = s.facts[:first+len(slices.DeleteFunc(s.facts[first:], drop))] // DeleteFunc clears the tail
+	return n - len(s.facts)
+}
+
+// unlink removes the canonical facts gone (already out of the intern
+// tables) from the insertion order and from every built index.  Segments
+// are searched newest first — a retraction mostly undoes a recent insertion
+// — and the search stops with the last fact found.
+func (r *Relation) unlink(gone []*term.Fact, drop func(*term.Fact) bool) {
+	left, emptied := len(gone), false
+	for si := len(r.segs) - 1; si >= 0 && left > 0; si-- {
+		left -= r.cut(si, drop)
+		emptied = emptied || len(r.segs[si].facts) == 0
+	}
+	if emptied {
+		r.segs = slices.DeleteFunc(r.segs, func(s *segment) bool { return len(s.facts) == 0 })
+	}
+	r.n -= len(gone)
+	if p := r.indexes.Load(); p != nil {
+		for _, g := range gone {
+			for _, ix := range *p {
+				ix.remove(r.id, g)
+			}
 		}
 	}
 }
@@ -340,27 +543,21 @@ func (r *Relation) spliceFact(g *term.Fact) {
 func (r *Relation) Delete(f *term.Fact) bool {
 	r.ensureTables()
 	h := hashFact(f)
-	t := r.shards[r.shardOf(h)]
-	g := t.get(h, f)
+	g := r.table(h).get(h, f)
 	if g == nil {
 		return false
 	}
-	t.remove(h, g)
-	r.spliceFact(g)
-	if p := r.indexes.Load(); p != nil {
-		for _, ix := range *p {
-			ix.remove(g)
-		}
-	}
+	r.own(h).remove(h, g)
+	r.unlink([]*term.Fact{g}, func(x *term.Fact) bool { return x == g })
 	return true
 }
 
 // DeleteAll removes every listed fact present in the relation, returning
-// how many were removed.  The insertion-order slice is compacted in one
-// sweep, so a batch of k retractions costs O(n + k) instead of the k
-// O(n) splices of repeated Delete — the shape of DRed's per-transaction
-// batch delete.  Surviving facts keep their relative order.  Like Insert
-// and Delete, DeleteAll is single-writer.
+// how many were removed.  The insertion order is compacted in one sweep, so
+// a batch of k retractions costs one pass instead of the k passes of
+// repeated Delete — the shape of DRed's per-transaction batch delete.
+// Surviving facts keep their relative order.  Like Insert and Delete,
+// DeleteAll is single-writer.
 func (r *Relation) DeleteAll(fs []*term.Fact) int {
 	if len(fs) == 0 {
 		return 0
@@ -370,65 +567,58 @@ func (r *Relation) DeleteAll(fs []*term.Fact) int {
 	removed := make([]*term.Fact, 0, len(fs))
 	for _, f := range fs {
 		h := hashFact(f)
-		t := r.shards[r.shardOf(h)]
-		if g := t.get(h, f); g != nil {
-			t.remove(h, g)
+		if g := r.table(h).get(h, f); g != nil {
+			r.own(h).remove(h, g)
 			victims[g] = true
 			removed = append(removed, g)
 		}
 	}
-	if len(removed) == 0 {
-		return 0
-	}
-	kept := r.facts[:0]
-	for _, x := range r.facts {
-		if !victims[x] {
-			kept = append(kept, x)
-		}
-	}
-	for i := len(kept); i < len(r.facts); i++ {
-		r.facts[i] = nil // release the tail for the GC
-	}
-	r.facts = kept
-	if p := r.indexes.Load(); p != nil {
-		for _, g := range removed {
-			for _, ix := range *p {
-				ix.remove(g)
-			}
-		}
+	if len(removed) > 0 {
+		r.unlink(removed, func(x *term.Fact) bool { return victims[x] })
 	}
 	return len(removed)
 }
 
-// cloneForWrite returns a private copy sharing no mutable state with r:
-// the facts slice, interning tables and built indexes are all copied, so
-// the copy is immediately writable and keeps serving
-// indexed probes without a rebuild.  Fact pointers are shared — facts are
-// immutable.
-func (r *Relation) cloneForWrite() *Relation {
-	nr := r.cloneBase()
+// fork returns a relation holding r's facts that shares every segment,
+// intern table and index bucket with r and copies only the directories that
+// point at them; writes through the fork copy the units they land in, so r —
+// which must stay unmodified while the fork lives — never changes under its
+// readers.  Indexes r builds later are r's alone.
+func (r *Relation) fork() *Relation {
+	nr := &Relation{
+		Name:      r.Name,
+		id:        forkIDs.Add(1),
+		n:         r.n,
+		segs:      slices.Clone(r.segs),
+		shards:    slices.Clone(r.shards),
+		shardBits: r.shardBits,
+		useIdx:    r.useIdx,
+	}
 	if p := r.indexes.Load(); p != nil {
 		next := make([]*index, len(*p))
 		for i, ix := range *p {
-			next[i] = ix.clone()
+			c := *ix
+			c.shards = slices.Clone(ix.shards)
+			next[i] = &c
 		}
 		nr.indexes.Store(&next)
 	}
 	return nr
 }
 
-// cloneBase copies everything except indexes (which rebuild on demand).
-func (r *Relation) cloneBase() *Relation {
-	nr := &Relation{
-		Name:      r.Name,
-		facts:     append([]*term.Fact(nil), r.facts...),
-		shardBits: r.shardBits,
-		useIdx:    r.useIdx,
+// clone returns a relation holding r's facts that shares nothing mutable
+// with r, so both may be written afterwards.  Indexes are not copied; they
+// rebuild on demand.
+func (r *Relation) clone() *Relation {
+	nr := &Relation{Name: r.Name, n: r.n, shardBits: r.shardBits, useIdx: r.useIdx}
+	nr.segs = make([]*segment, len(r.segs))
+	for i, s := range r.segs {
+		nr.segs[i] = &segment{facts: slices.Clone(s.facts)}
 	}
 	if r.shards != nil {
 		nr.shards = make([]*factTable, len(r.shards))
 		for i, t := range r.shards {
-			nr.shards[i] = t.clone()
+			nr.shards[i] = t.cloneFor(0)
 		}
 	}
 	return nr
@@ -457,12 +647,14 @@ func (r *Relation) buildIndex(mask uint64, cols []int) *index {
 		return ix // another goroutine won the build race
 	}
 	ix := &index{
-		mask: mask,
-		cols: append([]int(nil), cols...),
-		m:    make(map[uint64]*idxEntry, len(r.facts)),
+		mask:   mask,
+		cols:   slices.Clone(cols),
+		shards: []*idxShard{newIdxShard(r.id, min(r.n, unit))},
 	}
-	for _, f := range r.facts {
-		ix.add(f)
+	for _, s := range r.segs {
+		for _, f := range s.facts {
+			ix.add(r.id, f)
+		}
 	}
 	var cur []*index
 	if p := r.indexes.Load(); p != nil {
@@ -479,14 +671,16 @@ func (r *Relation) buildIndex(mask uint64, cols []int) *index {
 // index.
 func (r *Relation) scanCols(cols []int, vals []term.Term) []*term.Fact {
 	var out []*term.Fact
-scan:
-	for _, f := range r.facts {
-		for i, c := range cols {
-			if c >= len(f.Args) || !term.Equal(f.Args[c], vals[i]) {
-				continue scan
+	for _, s := range r.segs {
+	scan:
+		for _, f := range s.facts {
+			for i, c := range cols {
+				if c >= len(f.Args) || !term.Equal(f.Args[c], vals[i]) {
+					continue scan
+				}
 			}
+			out = append(out, f)
 		}
-		out = append(out, f)
 	}
 	return out
 }
@@ -503,7 +697,7 @@ func (r *Relation) LookupCols(cols []int, vals []term.Term) ([]*term.Fact, bool)
 			if ix := r.findIndex(mask); ix != nil {
 				return ix.probe(vals), true
 			}
-			if len(r.facts) >= IndexThreshold {
+			if r.n >= IndexThreshold {
 				return r.buildIndex(mask, cols).probe(vals), true
 			}
 		}
@@ -530,7 +724,7 @@ func (r *Relation) DistinctCols(cols []int) (distinct int, ok bool) {
 		return 0, false
 	}
 	if ix := r.findIndex(mask); ix != nil {
-		return len(ix.m), true
+		return ix.keys, true
 	}
 	return 0, false
 }
@@ -544,7 +738,6 @@ type DB struct {
 	// databases that never forked.
 	shared     map[string]bool
 	UseIndexes bool
-	cfg        Config
 
 	// size caches Len(): maintained by the DB-level mutation methods,
 	// atomic because published model snapshots answer Len from concurrent
@@ -556,15 +749,8 @@ type DB struct {
 	leaked bool
 }
 
-// NewDB creates an empty database with indexing enabled and the default
-// configuration.
-func NewDB() *DB { return NewDBWith(DefaultConfig()) }
-
-// NewDBWith creates an empty database with indexing enabled and the given
-// store configuration (normalized: shard counts clamp to a power of two).
-func NewDBWith(cfg Config) *DB {
-	return &DB{rels: make(map[string]*Relation), UseIndexes: true, cfg: cfg.normalize()}
-}
+// NewDB creates an empty database with indexing enabled.
+func NewDB() *DB { return &DB{rels: make(map[string]*Relation), UseIndexes: true} }
 
 // rel returns the relation for pred, creating it if needed, without
 // disabling the size cache — internal mutation paths account for their own
@@ -584,7 +770,7 @@ func (db *DB) rel(pred string) *Relation {
 func (db *DB) mutableRel(pred string) *Relation {
 	r := db.rel(pred)
 	if db.shared != nil && db.shared[pred] {
-		r = r.cloneForWrite()
+		r = r.fork()
 		db.rels[pred] = r
 		delete(db.shared, pred)
 	}
@@ -616,8 +802,8 @@ func (db *DB) RelOrNil(pred string) *Relation {
 
 // MutableRel returns the relation for pred, guaranteed safe to mutate:
 // relations still shared with the database this one was Forked from are
-// unshared (facts and interning table copied) first.  Like Rel, it
-// disables the cached DB fact count.
+// unshared (Relation.fork) first.  Like Rel, it disables the cached DB
+// fact count.
 func (db *DB) MutableRel(pred string) *Relation {
 	db.leaked = true
 	return db.mutableRel(pred)
@@ -633,7 +819,7 @@ func (db *DB) sizeAdd(d int) {
 
 // Insert adds a fact, reporting whether it was new.  A relation shared with
 // a forked-from database is unshared only for a fact it lacks, so duplicate
-// inserts never copy anything.
+// inserts do not even copy its directories.
 func (db *DB) Insert(f *term.Fact) bool {
 	if db.shared[f.Pred] && db.rels[f.Pred].Contains(f) {
 		return false
@@ -744,21 +930,22 @@ func (db *DB) Facts() []*term.Fact {
 	sort.Strings(preds)
 	out := make([]*term.Fact, 0, db.Len())
 	for _, p := range preds {
-		out = append(out, db.rels[p].All()...)
+		out = db.rels[p].appendTo(out)
 	}
 	return out
 }
 
-// Clone returns an independent copy of the database.  Facts are shared
-// (they are immutable); relation bookkeeping — interning tables included —
-// is copied.  Indexes are not cloned — the copy rebuilds them on demand.
+// Clone returns an independent copy of the database: unlike a Fork, the
+// original may go on being written.  Facts are shared (they are immutable);
+// relation bookkeeping — interning tables included — is copied.  Indexes
+// are not cloned — the copy rebuilds them on demand.
 func (db *DB) Clone() *DB {
-	out := NewDBWith(db.cfg)
+	out := NewDB()
 	out.UseIndexes = db.UseIndexes
 	n := 0
 	for _, p := range db.order {
 		r := db.rels[p]
-		nr := r.cloneBase()
+		nr := r.clone()
 		out.rels[p] = nr
 		out.order = append(out.order, p)
 		n += nr.Len()
@@ -768,8 +955,11 @@ func (db *DB) Clone() *DB {
 }
 
 // Fork returns a copy-on-write view of the database: every relation is
-// shared with db until first mutated through the fork, at which point it is
-// copied (facts slice + interning table; indexes rebuild on demand).  The
+// shared with db until first mutated through the fork, at which point its
+// directories are copied (Relation.fork) and each later write copies the
+// segment, intern-table shard and index buckets it lands in — a transaction
+// allocates in proportion to what it changes, not to the relations it
+// touches, and built indexes keep serving.  The
 // original database must not be mutated while forks of it are alive —
 // incremental maintenance forks the published model snapshot, mutates only
 // the fork, and publishes it, so concurrent readers of the old snapshot
@@ -780,7 +970,6 @@ func (db *DB) Fork() *DB {
 		order:      append([]string(nil), db.order...),
 		shared:     make(map[string]bool, len(db.rels)),
 		UseIndexes: db.UseIndexes,
-		cfg:        db.cfg,
 		leaked:     db.leaked,
 	}
 	out.size.Store(db.size.Load())

@@ -5,10 +5,14 @@
 #
 #   scripts/ab.sh REV_A REV_B WORKLOAD [PAIRS=10]
 #   scripts/ab.sh HEAD~1 HEAD embed-magic
+#   scripts/ab.sh HEAD WORKTREE serve-mixed     the uncommitted change
 #
 # REV_A is the parent, REV_B the change.  Each is checked out as a git
-# worktree in a temporary directory and run through its OWN unmodified
-# bench/run.sh (which builds into that worktree's bench/out/), one run at a
+# worktree in a temporary directory — as a shared clone where the repository
+# cannot take a worktree, and REV_B = WORKTREE is a copy of the working
+# tree's tracked and unignored files as they are now — and run through its
+# OWN unmodified
+# bench/run.sh (which builds into that checkout's bench/out/), one run at a
 # time, same seed on both sides of a pair, the side that goes first
 # alternating per pair.  Per end-to-end metric of BENCHMARK.json it prints
 # both medians, the parent's interquartile range and how many pairs each side
@@ -31,12 +35,26 @@ cleanup() {
 		git -C "$root" worktree remove --force "$tmp/$side" 2>/dev/null || true
 	done
 	rm -rf "$tmp"
+	git -C "$root" worktree prune 2>/dev/null || true
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-git -C "$root" worktree add --detach "$tmp/a" "$rev_a" >/dev/null
-git -C "$root" worktree add --detach "$tmp/b" "$rev_b" >/dev/null
+# checkout SIDE REV
+checkout() {
+	if [ "$2" = WORKTREE ]; then
+		mkdir "$tmp/$1"
+		(cd "$root" && git ls-files -co --exclude-standard -z |
+			tar --null --ignore-failed-read -T - -cf -) | tar -C "$tmp/$1" -xf -
+	elif ! git -C "$root" worktree add --detach "$tmp/$1" "$2" >/dev/null 2>&1; then
+		sha=$(git -C "$root" rev-parse --verify "$2^{commit}")
+		rm -rf "$tmp/$1"
+		git clone -q --shared --no-checkout "$root" "$tmp/$1"
+		git -C "$tmp/$1" checkout -q --detach "$sha"
+	fi
+}
+checkout a "$rev_a"
+checkout b "$rev_b"
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' "$tmp/a/BENCHMARK.json")
 
 # run SIDE SEED: one harness-mode run; the last stdout line is the result.
