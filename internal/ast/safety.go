@@ -19,8 +19,9 @@ import (
 //     and under §4.1 body group patterns <t> (which the LDL1.5 rewrite
 //     turns into member/2 element binding), but NOT under interpreted
 //     functors — an enumerated set pattern {X}, scons, or arithmetic can
-//     only be evaluated forward, never inverted against a matched value
-//     (unify.Match refuses exactly these);
+//     only be evaluated forward once its variables are bound, never
+//     inverted against a matched value (unify.Match compares exactly these
+//     by value);
 //   - a generator mode of a built-in can produce it: X = t with t's
 //     variables limited binds X (so "vars bound only via = to a ground
 //     term" are safe); member(t, S) with S limited binds t; union and
@@ -72,6 +73,36 @@ func bindableVars(t term.Term, dst map[term.Var]bool) {
 			bindableVars(a, dst)
 		}
 	}
+}
+
+// Binds reports whether matching the terms against ground values together
+// (unify.MatchFact matches a literal's arguments as one pattern) leaves none
+// of their variables unbound: each is bound already or occurs at a bindable
+// position of one of the terms.  With the safety analysis below it is the
+// one statement of which positions bind a variable: the join planner
+// (internal/eval) and the built-in modes (builtin.Ready) ask it.  Only a
+// term with an interpreted functor inside can fail, so the common case
+// allocates nothing.
+func Binds(bound func(term.Var) bool, ts ...term.Term) bool {
+	var bindable map[term.Var]bool
+	for _, t := range ts {
+		c, ok := t.(*term.Compound)
+		if !ok || c.Pure() {
+			continue
+		}
+		if bindable == nil {
+			bindable = map[term.Var]bool{}
+			for _, u := range ts {
+				bindableVars(u, bindable)
+			}
+		}
+		for _, v := range term.VarsOf(c) {
+			if !bindable[v] && !bound(v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // allLimited reports whether every variable of t is in limited (then

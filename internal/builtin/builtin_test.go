@@ -214,6 +214,22 @@ func TestEquality(t *testing.T) {
 	}
 }
 
+// TestEqualityOutputBindsFirst pins the generator mode Ready allows for an
+// output with an interpreted argument: the variable binds at its bindable
+// position, and the set pattern is then compared by value.
+func TestEqualityOutputBindsFirst(t *testing.T) {
+	c5 := term.Atom("c5")
+	b := bind("T", term.NewCompound("f", term.NewSet(c5), c5))
+	sols := solutions(t, lit(t, "T = f({Y}, Y)"), b)
+	if len(sols) != 1 || !term.Equal(sols[0]["Y"], c5) {
+		t.Fatalf("T = f({Y}, Y): %v", sols)
+	}
+	b = bind("T", term.NewCompound("f", term.NewSet(c5), term.Atom("c6")))
+	if n := len(solutions(t, lit(t, "T = f({Y}, Y)"), b)); n != 0 {
+		t.Fatalf("T = f({Y}, Y) on a mismatched set: %d solutions", n)
+	}
+}
+
 func TestDisequalityAndComparisons(t *testing.T) {
 	b := bind("X", term.Int(1), "Y", term.Int(2))
 	for src, want := range map[string]int{
@@ -308,8 +324,18 @@ func TestReady(t *testing.T) {
 		{"partition(S, A, B)", []term.Var{"A", "B"}, true},
 		{"partition(S, A, B)", []term.Var{"A"}, false},
 		{"X = Y + 1", []term.Var{"Y"}, true},
-		{"X = Y + 1", []term.Var{"X"}, true},
+		// Y + 1 cannot be inverted: with only X bound it waits for Y.
+		{"X = Y + 1", []term.Var{"X"}, false},
+		{"X = Y + 1", []term.Var{"X", "Y"}, true},
 		{"X = Y + 1", nil, false},
+		{"T = {Y}", []term.Var{"T"}, false},
+		{"T = {Y}", []term.Var{"Y"}, true},
+		{"T = f({Y}, Y)", []term.Var{"T"}, true}, // Y binds, then {Y} compares
+		{"T = f(Y, Z)", []term.Var{"T"}, true},
+		{"member(X + 1, S)", []term.Var{"S"}, false},
+		{"member(f(X), S)", []term.Var{"S"}, true},
+		{"union(A, {B}, C)", []term.Var{"A", "C"}, false},
+		{"partition(S, {A}, B)", []term.Var{"S"}, false},
 		{"X < Y", []term.Var{"X", "Y"}, true},
 		{"X < Y", []term.Var{"X"}, false},
 		{"not member(X, S)", []term.Var{"X", "S"}, true},

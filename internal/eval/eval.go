@@ -205,19 +205,6 @@ func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(
 	return nil
 }
 
-// PlanBody exposes the join planner: it orders the rule's body literals for
-// left-to-right execution, optionally forcing one literal first and seeding
-// the bound-variable set.  CompileBody additionally returns the bound-column
-// analysis; the magic-sets compiler uses that to derive default sideways
-// information passing strategies (§6).
-func PlanBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool) ([]int, error) {
-	p, err := planBody(r, forcedFirst, preBound)
-	if err != nil {
-		return nil, err
-	}
-	return p.order, nil
-}
-
 // evaluation is one EvalGroupsEach call: the driver, the database being
 // completed, and what the planner needs.
 type evaluation struct {
@@ -406,89 +393,6 @@ func (ev *evaluation) semiNaiveFixpoint(rules []ast.Rule) error {
 		return err
 	}
 	return ev.Cascade(fr, recvars, ev.db, ev, ev.replan(recvars))
-}
-
-// applyGroupingRule evaluates a rule whose head has a grouping argument
-// <Y>: the body is evaluated as for the groupless rule r⁻, solutions are
-// partitioned into ≡-equivalence classes by the interpretation of the
-// non-grouped head terms, and each class contributes one head fact whose
-// grouped argument is the (finite, non-empty) set of Y values (§3.2).
-func (ev *evaluation) applyGroupingRule(r ast.Rule) error {
-	gIdx, inner := r.Head.GroupArg()
-	if gIdx < 0 {
-		return fmt.Errorf("eval: applyGroupingRule on non-grouping rule %q", r.String())
-	}
-	yVar, ok := inner.(term.Var)
-	if !ok {
-		return fmt.Errorf("eval: grouping over non-variable term <%s>; rewrite LDL1.5 heads first", inner)
-	}
-	v, err := ev.variant(r, -1)
-	if err != nil {
-		return err
-	}
-	// Per solution, the head yields the ≡-class key with the grouped value
-	// in the group position.
-	v.head.Args = append([]term.Term(nil), r.Head.Args...)
-	v.head.Args[gIdx] = yVar
-	x := &ev.x
-	type class struct {
-		args  []term.Term // head args, the group position to be filled in
-		elems []term.Term // collected Y values (deduplicated by NewSet)
-		prems []*term.Fact
-		seen  *store.FactSet
-	}
-	// ≡-classes keyed by the combined hash of the non-grouped head values;
-	// the bucket slice resolves hash collisions structurally.
-	classes := map[uint64][]*class{}
-	var classOrder []*class
-
-	err = x.heads(v, ev.db, nil, unify.NewBindings(), func(args []term.Term) error {
-		h := term.HashSeed
-		for i, a := range args {
-			if i != gIdx {
-				h = term.HashFold(h, a.Hash())
-			}
-		}
-		var c *class
-		for _, cand := range classes[h] {
-			if term.EqualTermsExcept(cand.args, args, gIdx) {
-				c = cand
-				break
-			}
-		}
-		if c == nil {
-			c = &class{args: append([]term.Term(nil), args...)}
-			if x.prov != nil {
-				c.seen = store.NewFactSet()
-			}
-			classes[h] = append(classes[h], c)
-			classOrder = append(classOrder, c)
-		}
-		c.elems = append(c.elems, args[gIdx])
-		if x.prov != nil {
-			for _, f := range x.trail {
-				if c.seen.Add(f) {
-					c.prems = append(c.prems, f)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, c := range classOrder {
-		c.args[gIdx] = term.NewSet(c.elems...)
-		f := term.NewFact(r.Head.Pred, c.args...)
-		ok, err := ev.Accept(f)
-		if err != nil {
-			return err
-		}
-		if ok && x.prov != nil {
-			x.prov.record(&Derivation{Fact: f, Rule: r.String(), Premises: c.prems, Grouped: true})
-		}
-	}
-	return nil
 }
 
 // Solve evaluates a conjunctive query body against a database, returning

@@ -17,9 +17,9 @@ import (
 // DRed deletion overestimate bind one literal to a delta relation), a
 // head-bound variant for rederivation (is this fact still derivable?), and,
 // for grouping rules, a class-bound one that recomputes a single
-// ≡-equivalence class.  The plans are static: compiled once, valid for every
-// transaction.  Every enumeration runs on an Exec, so under the budget of
-// the transaction's Driver, and only reads the database.
+// ≡-equivalence class (group.go).  The plans are static: compiled once,
+// valid for every transaction.  Every enumeration runs on an Exec, so under
+// the budget of the transaction's Driver, and only reads the database.
 
 // errStop aborts an enumeration early (first-derivation checks).
 var errStop = errors.New("eval: stop enumeration")
@@ -58,16 +58,13 @@ type CompiledRule struct {
 
 // CompileRule compiles one non-fact rule for maintenance.
 func CompileRule(r ast.Rule) (*CompiledRule, error) {
-	cr := &CompiledRule{Rule: r, gIdx: -1}
-	head := r.Head
-	if gIdx, inner := r.Head.GroupArg(); gIdx >= 0 {
-		cr.gIdx = gIdx
-		gVar, ok := inner.(term.Var)
-		if !ok {
-			return nil, fmt.Errorf("eval: grouping over non-variable term <%s>; rewrite LDL1.5 heads first", inner)
-		}
-		head.Args = append([]term.Term(nil), r.Head.Args...)
-		head.Args[gIdx] = gVar
+	cr := &CompiledRule{Rule: r}
+	gIdx, head, err := groupHead(r)
+	if err != nil {
+		return nil, err
+	}
+	cr.gIdx = gIdx
+	if gIdx >= 0 {
 		cr.classBindable = true
 		for i, a := range r.Head.Args {
 			if _, ok := a.(term.Var); i != gIdx && !ok {
@@ -87,7 +84,6 @@ func CompileRule(r ast.Rule) (*CompiledRule, error) {
 		p, err := planBody(ast.Rule{Head: r.Head, Body: body}, dLit, pre)
 		return &Variant{rule: r, head: head, body: body, plan: p, dLit: dLit}, err
 	}
-	var err error
 	if cr.base, err = variant(r.Body, -1, nil); err != nil {
 		return nil, err
 	}
@@ -148,14 +144,6 @@ func matchablePattern(t term.Term) bool {
 	return false
 }
 
-// GroupIdx returns the head group-argument position, -1 for simple rules.
-func (cr *CompiledRule) GroupIdx() int { return cr.gIdx }
-
-// ClassBindable reports whether one ≡-class of this grouping rule can be
-// recomputed from its key alone (every non-grouped head argument is a
-// variable); otherwise maintenance falls back to a full enumeration.
-func (cr *CompiledRule) ClassBindable() bool { return cr.classBindable }
-
 // HasDelta reports whether body literal j can carry a delta (false for
 // built-ins, which never change).
 func (cr *CompiledRule) HasDelta(j int) bool {
@@ -167,42 +155,30 @@ func (cr *CompiledRule) HasDelta(j int) bool {
 func (cr *CompiledRule) Delta(j int) *Variant { return cr.delta[j] }
 
 // EnumerateDelta enumerates the body solutions of the rule against db, with
-// body literal j restricted to the facts of delta (j == -1 enumerates the
-// full body), and yields the head arguments of each.  For a negated literal
-// j the positive variant is enumerated: the solutions gained or lost as the
-// negated predicate shrank or grew.  args is valid only for the duration of
-// the call.
+// body literal j (HasDelta(j)) restricted to the facts of delta, and yields
+// the head arguments of each.  For a negated literal j the positive variant
+// is enumerated: the solutions gained or lost as the negated predicate
+// shrank or grew.  args is valid only for the duration of the call.
 func (cr *CompiledRule) EnumerateDelta(x *Exec, db *store.DB, j int, delta *store.Relation, yield func(args []term.Term) error) error {
-	v := cr.base
-	if j >= 0 {
-		if !cr.HasDelta(j) {
-			return fmt.Errorf("eval: literal %d of %q has no delta plan", j, cr.Rule.String())
-		}
-		v = cr.delta[j]
-	}
-	return x.heads(v, db, delta, unify.NewBindings(), yield)
+	return x.heads(cr.delta[j], db, delta, unify.NewBindings(), yield)
 }
 
-// EnumerateBound is EnumerateDelta of the full body under the given
-// pre-bindings (which must bind the non-grouped head variables) — the
-// per-class recompute path of grouping maintenance.  Bindings made during
-// enumeration are undone before return.
-func (cr *CompiledRule) EnumerateBound(x *Exec, db *store.DB, pre *unify.Bindings, yield func(args []term.Term) error) error {
-	mark := pre.Mark()
-	err := x.heads(cr.bound, db, nil, pre, yield)
-	pre.Undo(mark)
-	return err
-}
-
-// Derives reports whether the (simple) rule derives f from db in one step:
-// the rederivation test of delete-and-rederive.
+// Derives reports whether the rule derives f from db in one step: the
+// rederivation test of delete-and-rederive.
 func (cr *CompiledRule) Derives(x *Exec, db *store.DB, f *term.Fact) (bool, error) {
-	if cr.gIdx >= 0 {
-		return false, fmt.Errorf("eval: Derives on grouping rule %q", cr.Rule.String())
-	}
 	h := cr.Rule.Head
 	if f.Pred != h.Pred || len(f.Args) != len(h.Args) {
 		return false, nil
+	}
+	if cr.gIdx >= 0 {
+		// f's class, recomputed against db, must yield exactly f's set.
+		t := cr.Classes()
+		c := t.add(f.Args)
+		if err := cr.recompute(x, db, &t); err != nil {
+			return false, err
+		}
+		s := c.take()
+		return s != nil && term.Equal(s, f.Args[cr.gIdx]), nil
 	}
 	// A head the matcher can invert seeds the bindings, and the bound plan
 	// runs from there; otherwise (e.g. arithmetic in the head) the whole

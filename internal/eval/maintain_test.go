@@ -7,7 +7,6 @@ import (
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
-	"ldl1/internal/unify"
 )
 
 func mustCompileRule(t *testing.T, src string) *CompiledRule {
@@ -134,31 +133,63 @@ func TestDerivesArithmeticHeadFallback(t *testing.T) {
 	}
 }
 
-func TestEnumerateBoundGroupingClass(t *testing.T) {
-	cr := mustCompileRule(t, `supplies(S, <P>) <- sp(S, P).`)
-	if cr.GroupIdx() != 1 || !cr.ClassBindable() {
-		t.Fatalf("GroupIdx = %d, ClassBindable = %v", cr.GroupIdx(), cr.ClassBindable())
-	}
+// TestRecomputeGroupingClass drives the class table's two recompute paths —
+// the bound plan from a class key of variables, the full enumeration
+// filtered through find for any other key — and Derives on grouping heads.
+func TestRecomputeGroupingClass(t *testing.T) {
 	db := store.NewDB()
 	db.Insert(term.NewFact("sp", atom("s1"), atom("p1")))
 	db.Insert(term.NewFact("sp", atom("s1"), atom("p2")))
 	db.Insert(term.NewFact("sp", atom("s2"), atom("p3")))
-
-	pre := unify.NewBindings()
-	pre.Bind(term.Var("S"), atom("s1"))
-	var elems []term.Term
-	onDriver(t, nil, func(x *Exec) error {
-		return cr.EnumerateBound(x, db, pre, func(args []term.Term) error {
-			elems = append(elems, args[cr.GroupIdx()])
-			return nil
-		})
-	})
-	got := term.NewSet(elems...)
-	want := term.NewSet(atom("p1"), atom("p2"))
-	if !term.Equal(got, want) {
-		t.Fatalf("class for s1 = %s, want %s", got, want)
+	s12 := term.NewSet(atom("p1"), atom("p2"))
+	// Class keys: the head arguments with the group slot ignored.
+	key := func(k term.Term) []term.Term { return []term.Term{k, nil} }
+	for _, c := range []struct {
+		rule      string
+		bindable  bool
+		key, miss []term.Term
+		want      *term.Set
+	}{
+		{`supplies(S, <P>) <- sp(S, P).`, true, key(atom("s1")), key(atom("s9")), s12},
+		{`boxed(box(S), <P>) <- sp(S, P).`, false,
+			key(term.NewCompound("box", atom("s1"))), key(atom("s1")), s12},
+		{`all(c0, <P>) <- sp(S, P).`, false, key(atom("c0")), key(atom("c1")),
+			term.NewSet(atom("p1"), atom("p2"), atom("p3"))},
+	} {
+		cr := mustCompileRule(t, c.rule)
+		if cr.gIdx != 1 || cr.classBindable != c.bindable {
+			t.Fatalf("%s: gIdx = %d, classBindable = %v", c.rule, cr.gIdx, cr.classBindable)
+		}
+		tab := cr.Classes()
+		hit, miss := tab.add(c.key), tab.add(c.miss)
+		var st Stats
+		onDriver(t, &st, func(x *Exec) error { return cr.recompute(x, db, &tab) })
+		if got := hit.take(); got == nil || !term.Equal(got, c.want) {
+			t.Errorf("%s: class %s = %v, want %s", c.rule, c.key, got, c.want)
+		}
+		if got := miss.take(); got != nil {
+			t.Errorf("%s: class %s = %s, want no solution", c.rule, c.miss, got)
+		}
+		if st.Firings == 0 {
+			t.Errorf("%s: recompute counted no firings", c.rule)
+		}
+		f := func(s *term.Set) *term.Fact { return tab.fact(cr.Rule.Head.Pred, hit, s) }
+		if ok, err := derives(t, cr, db, f(c.want)); err != nil || !ok {
+			t.Errorf("%s: Derives(%s) = %v, %v; want true", c.rule, f(c.want), ok, err)
+		}
+		if ok, err := derives(t, cr, db, f(term.NewSet(atom("p1")))); err != nil || ok {
+			t.Errorf("%s: Derives of a partial class = %v, %v; want false", c.rule, ok, err)
+		}
 	}
-	if pre.Len() != 1 {
-		t.Fatalf("EnumerateBound leaked bindings: %d", pre.Len())
+	// A repeated key variable: no body solution has a key whose two
+	// positions differ.
+	cr := mustCompileRule(t, `pair(S, S, <P>) <- sp(S, P).`)
+	ok, err := derives(t, cr, db, term.NewFact("pair", atom("s1"), atom("s2"), term.NewSet(atom("p1"))))
+	if err != nil || ok {
+		t.Fatalf("Derives(pair(s1, s2, {p1})) = %v, %v; want false", ok, err)
+	}
+	ok, err = derives(t, cr, db, term.NewFact("pair", atom("s1"), atom("s1"), s12))
+	if err != nil || !ok {
+		t.Fatalf("Derives(pair(s1, s1, {p1, p2})) = %v, %v; want true", ok, err)
 	}
 }

@@ -175,8 +175,12 @@ func compileKey(arg term.Term) keyFn {
 //  2. built-ins with a satisfiable generator mode,
 //  3. positive database literals, most bound arguments first.
 //
-// If forcedFirst >= 0 that literal is scheduled first (semi-naive delta
-// occurrence).  preBound seeds the bound-variable set (magic evaluation).
+// A positive database literal is a candidate only once matching it binds
+// all its variables (ast.Binds): b(X + 1) waits for X, s(X, {X}) does not.
+// If forcedFirst >= 0 that literal (the semi-naive delta occurrence) is
+// scheduled as soon as it is a candidate — first, unless an interpreted
+// argument waits for variables other literals bind.  preBound seeds the
+// bound-variable set (magic evaluation).
 func planBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool) (*bodyPlan, error) {
 	return planBodyDB(r, forcedFirst, preBound, nil, nil)
 }
@@ -266,6 +270,13 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 		argVars[i] = av
 	}
 	isBound := func(v term.Var) bool { return bound[v] }
+	// dbLeft: i is an unscheduled positive database literal; dbReady: one
+	// whose match binds every variable it has.
+	dbLeft := func(i int) bool {
+		l := body[i]
+		return !used[i] && !l.Negated && !layering.IsBuiltin(l.Pred)
+	}
+	dbReady := func(i int) bool { return dbLeft(i) && ast.Binds(isBound, body[i].Args...) }
 	bindAll := func(i int) {
 		for _, av := range argVars[i] {
 			for _, v := range av {
@@ -340,11 +351,11 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 		used[i] = true
 		bindAll(i)
 	}
-	if forcedFirst >= 0 {
-		take(forcedFirst)
-	}
 	for len(p.order) < n {
 		chosen := -1
+		if forcedFirst >= 0 && dbReady(forcedFirst) {
+			chosen, forcedFirst = forcedFirst, -1
+		}
 		// Class 1: fully bound tests.
 		for i := 0; i < n && chosen < 0; i++ {
 			if used[i] {
@@ -381,12 +392,23 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 		// argument columns first, source order on ties.  With a database
 		// to consult, cost-based: smallest estimated candidate count
 		// first — a bound-key probe of a large relation beats scanning a
-		// small one only when the estimate says so.
+		// small one only when the estimate says so.  A literal whose
+		// interpreted argument waits on a variable nothing binds (LDL106
+		// warns) is taken only when no other is left; it matches nothing.
 		if chosen < 0 {
+			cand, posLeft := dbReady, 0
+			for i := 0; i < n; i++ {
+				if cand(i) {
+					posLeft++
+				}
+			}
+			if posLeft == 0 {
+				cand = dbLeft
+			}
 			staticBest := -1
 			bestScore := -1
 			for i := 0; i < n; i++ {
-				if used[i] || body[i].Negated || layering.IsBuiltin(body[i].Pred) {
+				if !cand(i) {
 					continue
 				}
 				score := 0
@@ -408,12 +430,6 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 				}
 			}
 			chosen = staticBest
-			posLeft := 0
-			for i := 0; i < n; i++ {
-				if !used[i] && !body[i].Negated && !layering.IsBuiltin(body[i].Pred) {
-					posLeft++
-				}
-			}
 			// With a single remaining candidate there is nothing to rank;
 			// skip the cost loop (small programs plan often — every round
 			// of every fixpoint — so the constant matters).
@@ -422,7 +438,7 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 				var bestEst, bestN int64
 				bestCols, bestInt := -1, -1
 				for i := 0; i < n; i++ {
-					if used[i] || body[i].Negated || layering.IsBuiltin(body[i].Pred) {
+					if !cand(i) {
 						continue
 					}
 					a := compileAccess(body[i], argVars[i], bound, false)

@@ -16,11 +16,11 @@ func planOf(t *testing.T, src string, preBound ...term.Var) []int {
 	for _, v := range preBound {
 		bound[v] = true
 	}
-	order, err := PlanBody(p.Rules[0], -1, bound)
+	plan, err := planBody(p.Rules[0], -1, bound)
 	if err != nil {
 		t.Fatalf("plan %q: %v", src, err)
 	}
-	return order
+	return plan.order
 }
 
 func TestPlanTestsFirst(t *testing.T) {
@@ -58,7 +58,7 @@ func TestPlanIndexPreference(t *testing.T) {
 
 func TestPlanFlounder(t *testing.T) {
 	p := parser.MustParseProgram("h(X) <- e(X), member(Y, S).")
-	_, err := PlanBody(p.Rules[0], -1, nil)
+	_, err := planBody(p.Rules[0], -1, nil)
 	var fe *FlounderError
 	if !errors.As(err, &fe) {
 		t.Fatalf("expected FlounderError, got %v", err)
@@ -200,11 +200,53 @@ func TestEvalReportsIndexStats(t *testing.T) {
 
 func TestPlanForcedFirst(t *testing.T) {
 	p := parser.MustParseProgram("h(X, Y) <- a(X, Z), b(Z, Y).")
-	order, err := PlanBody(p.Rules[0], 1, nil)
+	plan, err := planBody(p.Rules[0], 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if order[0] != 1 {
-		t.Errorf("forced-first ignored: %v", order)
+	if plan.order[0] != 1 {
+		t.Errorf("forced-first ignored: %v", plan.order)
+	}
+}
+
+// TestPlanInterpretedArgumentsWait pins the one bindable-variables rule in
+// the planner: a database literal whose interpreted argument (arithmetic, an
+// enumerated set) needs a variable another literal binds runs after that
+// literal — under the cost model, and when it is the forced delta literal —
+// while one whose own arguments bind the variable does not wait.
+func TestPlanInterpretedArgumentsWait(t *testing.T) {
+	db := store.NewDB()
+	for i := 0; i < 50; i++ {
+		db.Insert(term.NewFact("a", term.Int(i)))
+	}
+	db.Insert(term.NewFact("b", term.Int(2)))
+	r := parser.MustParseProgram("q(X) <- a(X), b(X + 1).").Rules[0]
+	for _, c := range []struct {
+		name   string
+		forced int
+		db     *store.DB
+	}{{"static", -1, nil}, {"cost", -1, db}, {"forced", 1, nil}, {"forced cost", 1, db}} {
+		plan, err := planBodyDB(r, c.forced, nil, c.db, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if plan.order[0] != 0 {
+			t.Errorf("%s: order = %v; b(X + 1) must wait for a(X) to bind X", c.name, plan.order)
+		}
+	}
+	for _, src := range []string{
+		"r(X) <- t(X), s(X, {X}).",
+		"r(X) <- t(X), s({X}, X).",
+	} {
+		plan, err := planBody(parser.MustParseProgram(src).Rules[0], 1, nil)
+		if err != nil || plan.order[0] != 1 {
+			t.Errorf("%s forced at 1: order = %v, %v; the literal binds X itself", src, plan, err)
+		}
+	}
+	// A set pattern over a variable nothing binds still plans (LDL106
+	// warns; it matches nothing), last.
+	plan, err := planBody(parser.MustParseProgram("p(X) <- e({Y}), d(X).").Rules[0], -1, nil)
+	if err != nil || plan.order[0] != 1 {
+		t.Errorf("unbindable set pattern: order = %v, %v; want d(X) first", plan, err)
 	}
 }

@@ -230,14 +230,8 @@ func (m *Materialized) derivable(x *eval.Exec, s *txState, f *term.Fact) (bool, 
 	if s.edb.Contains(f) {
 		return true, nil
 	}
-	for _, cr := range m.simpleByHead[f.Pred] {
+	for _, cr := range m.byHead[f.Pred] {
 		ok, err := cr.Derives(x, s.w, f)
-		if err != nil || ok {
-			return ok, err
-		}
-	}
-	for _, cr := range m.groupByHead[f.Pred] {
-		ok, err := groupDerives(x, cr, s.w, f)
 		if err != nil || ok {
 			return ok, err
 		}

@@ -103,10 +103,9 @@ type Materialized struct {
 	prog   *ast.Program
 	lay    *layering.Layering
 	layers []layerRules
-	// simpleByHead / groupByHead index the compiled rules by head
-	// predicate for the rederivation test.
-	simpleByHead map[string][]*eval.CompiledRule
-	groupByHead  map[string][]*eval.CompiledRule
+	// byHead indexes the compiled rules by head predicate for the
+	// rederivation test.
+	byHead map[string][]*eval.CompiledRule
 
 	mu    sync.Mutex // serializes Apply; guards edb
 	edb   *store.DB  // current EDB (replaced, never mutated, per Apply)
@@ -146,12 +145,11 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 		return nil, err
 	}
 	m := &Materialized{
-		prog:         p,
-		lay:          lay,
-		layers:       make([]layerRules, lay.NumStrata),
-		simpleByHead: map[string][]*eval.CompiledRule{},
-		groupByHead:  map[string][]*eval.CompiledRule{},
-		opts:         opts,
+		prog:   p,
+		lay:    lay,
+		layers: make([]layerRules, lay.NumStrata),
+		byHead: map[string][]*eval.CompiledRule{},
+		opts:   opts,
 	}
 	var progFacts []*term.Fact
 	for i, rules := range lay.Rules {
@@ -168,12 +166,11 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 			if err != nil {
 				return nil, err
 			}
-			if cr.GroupIdx() >= 0 {
+			m.byHead[r.Head.Pred] = append(m.byHead[r.Head.Pred], cr)
+			if r.IsGroupingRule() {
 				m.layers[i].grouping = append(m.layers[i].grouping, cr)
-				m.groupByHead[r.Head.Pred] = append(m.groupByHead[r.Head.Pred], cr)
 			} else {
 				m.layers[i].simple = append(m.layers[i].simple, cr)
-				m.simpleByHead[r.Head.Pred] = append(m.simpleByHead[r.Head.Pred], cr)
 			}
 		}
 	}

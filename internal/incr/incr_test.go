@@ -119,6 +119,46 @@ func TestApplyNegationCrossEffects(t *testing.T) {
 	}
 }
 
+// TestApplyNegatedSetPattern replays the negated-set-pattern shapes in both
+// directions against from-scratch evaluation: the delta variant of
+// not g(X, {Y}) may not run before e1 binds Y, or maintenance never sees
+// the solutions the negation gained or lost.
+func TestApplyNegatedSetPattern(t *testing.T) {
+	e0, e1 := af("e0", "c5", "c5"), af("e1", "c5", "c5")
+	for _, src := range []string{
+		"g(X, <Y>) <- e0(X, Y).\nh(X) <- e1(X, Y), not g(X, {Y}).",
+		"g(X, S) <- e0(X, Y), S = {Y}.\nh(X) <- e1(X, Y), not g(X, {Y}).",
+		"g(X, <Y>) <- e0(X, Y).\nh(X) <- e1(X, Y), T = {Y}, not g(X, T).",
+	} {
+		p := parser.MustParseProgram(src)
+		for _, c := range []struct {
+			name    string
+			initial []*term.Fact
+			tx      Tx
+			wantH   bool
+		}{
+			{"assert e0", []*term.Fact{e1}, Tx{Insert: []*term.Fact{e0}}, false},
+			{"retract e0", []*term.Fact{e1, e0}, Tx{Retract: []*term.Fact{e0}}, true},
+		} {
+			m := mustNew(t, src, c.initial, Options{})
+			mustApply(t, m, c.tx)
+			edb := store.NewDB()
+			for _, f := range append(c.initial, c.tx.Insert...) {
+				edb.Insert(f)
+			}
+			edb.DeleteAll(c.tx.Retract)
+			want, err := eval.Eval(p, edb, eval.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := m.Snapshot()
+			if !got.Equal(want) || got.Contains(af("h", "c5")) != c.wantH {
+				t.Errorf("%s after %s: view\n%s\nfrom scratch\n%s", src, c.name, got, want)
+			}
+		}
+	}
+}
+
 func TestApplyGroupingRegroup(t *testing.T) {
 	var st eval.Stats
 	src := `

@@ -16,8 +16,13 @@ import (
 
 // randRules generates a random admissible rule set over EDB predicates
 // e0, e1 (binary) and an IDB tower i0..i{k-1}, with negation strictly below
-// and a grouping predicate on top — the same schema as the evaluator's
+// and a grouping predicate grp on top — the same schema as the evaluator's
 // differential test, minus the facts (the oracle supplies those as EDB).
+// grp's class key is, at random, a variable, a constant, a compound or a
+// repeated variable (then sometimes with a second grouping rule whose keys
+// differ, so rederiving its facts meets the repeated variable's conflict);
+// rules above read the grouped sets through member and through a negated
+// set pattern.
 func randRules(r *rand.Rand, idbCount, rulesPer int) string {
 	var sb strings.Builder
 	pred := func(level int) string {
@@ -63,7 +68,18 @@ func randRules(r *rand.Rand, idbCount, rulesPer int) string {
 			fmt.Fprintf(&sb, "%s(%s, %s) <- %s.\n", head, h1, h2, strings.Join(body, ", "))
 		}
 	}
-	fmt.Fprintf(&sb, "grp(X, <Y>) <- i%d(X, Y).\n", idbCount-1)
+	top := fmt.Sprintf("i%d", idbCount-1)
+	key := []string{"X", "c0", "f(X)", "X, X"}[r.Intn(4)]
+	fmt.Fprintf(&sb, "grp(%s, <Y>) <- %s(X, Y).\n", key, top)
+	if key == "X, X" && r.Intn(2) == 0 {
+		fmt.Fprintf(&sb, "grp(X, Z, <Y>) <- %s(X, Y), e1(Y, Z).\n", top)
+	}
+	if r.Intn(3) > 0 {
+		fmt.Fprintf(&sb, "mem(Z) <- grp(%s, S), member(Z, S).\n", key)
+	}
+	if r.Intn(3) > 0 {
+		fmt.Fprintf(&sb, "neg(X, Y) <- %s(X, Y), not grp(%s, {Y}).\n", pred(idbCount), key)
+	}
 	return sb.String()
 }
 
@@ -108,7 +124,7 @@ func randTxs(r *rand.Rand, initial []*term.Fact, count int) []Tx {
 func TestApplyMatchesEvalOnRandomPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(1987))
 	trials := 0
-	for trials < 20 {
+	for trials < 30 {
 		src := randRules(r, 1+r.Intn(3), 1+r.Intn(3))
 		p, err := parser.ParseProgram(src)
 		if err != nil {

@@ -47,13 +47,8 @@ type Prepared struct {
 	volatile []string
 }
 
-// Prepare compiles program + query for repeated execution under the Basic
-// rewriting variant.
-func Prepare(p *ast.Program, query parser.Query) (*Prepared, error) {
-	return PrepareVariant(p, query, Basic)
-}
-
-// PrepareVariant is Prepare under an explicit choice of rewriting variant.
+// PrepareVariant compiles program + query for repeated execution under the
+// given rewriting variant.
 func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, error) {
 	ap, err := Adorn(p, query)
 	if err != nil {
@@ -112,23 +107,8 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 	return pr, nil
 }
 
-// BoundPositions returns the query-argument positions Exec constants bind,
-// in the order Exec expects them.
-func (pr *Prepared) BoundPositions() []int {
-	return append([]int(nil), pr.boundPos...)
-}
-
-// NumBound is the number of constants Exec expects.
-func (pr *Prepared) NumBound() int { return len(pr.boundPos) }
-
-// Defaults returns the seed constants of the original query (already
-// normalized at rewrite time), in BoundPositions order.
-func (pr *Prepared) Defaults() []term.Term {
-	return append([]term.Term(nil), pr.defaults...)
-}
-
 // Exec evaluates the prepared query against edb with the given constants
-// bound at the query's bound argument positions (in BoundPositions order).
+// bound at the query's bound argument positions, in ascending order.
 // Nil consts re-runs the original query's constants.  The saturation is
 // AnswerVariant's (see Answer); only the parse/adorn/rewrite/stratify work
 // is skipped.

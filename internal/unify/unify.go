@@ -205,17 +205,24 @@ func ApplyPartial(t term.Term, b *Bindings) term.Term {
 // Match matches a rule term pattern against a ground value, extending b.
 // On failure the bindings made during this call are undone.  Patterns may
 // not invert built-in functions: a compound pattern only matches an
-// uninterpreted compound value with the same functor and arity.
+// uninterpreted compound value with the same functor and arity, and an
+// interpreted one (scons, $set, arithmetic) is evaluated under b — after
+// the rest of the pattern has bound what it can — and compared by value.
 func Match(pattern, value term.Term, b *Bindings) bool {
 	mark := b.Mark()
-	if matchRec(pattern, value, b) {
+	late := false
+	if matchRec(pattern, value, b, &late) && (!late || matchRec(pattern, value, b, nil)) {
 		return true
 	}
 	b.Undo(mark)
 	return false
 }
 
-func matchRec(pattern, value term.Term, b *Bindings) bool {
+// matchRec matches one pattern.  An interpreted compound with a variable
+// still unbound is postponed when late is non-nil (*late is set and the
+// match goes on), and fails otherwise; callers that postponed one match the
+// whole pattern again, with late nil, once everything bindable is bound.
+func matchRec(pattern, value term.Term, b *Bindings, late *bool) bool {
 	switch p := pattern.(type) {
 	case term.Var:
 		if bound, ok := b.Lookup(p); ok {
@@ -226,10 +233,14 @@ func matchRec(pattern, value term.Term, b *Bindings) bool {
 	case term.Atom, term.Int, term.Str, *term.Set:
 		return term.Equal(pattern, value)
 	case *term.Compound:
-		// Ground-evaluable built-ins can still be compared by value.
-		if term.IsGround(p) {
+		// Ground terms and interpreted functors are compared by value.
+		if term.IsGround(p) || !p.Pure() && isBuiltinFunctor(p.Functor) {
 			v, err := Apply(p, b)
 			if err != nil {
+				if late != nil && errors.Is(err, ErrUnbound) {
+					*late = true
+					return true
+				}
 				return false
 			}
 			return term.Equal(v, value)
@@ -238,12 +249,8 @@ func matchRec(pattern, value term.Term, b *Bindings) bool {
 		if !ok || c.Functor != p.Functor || len(c.Args) != len(p.Args) {
 			return false
 		}
-		if isBuiltinFunctor(p.Functor) {
-			// Cannot invert scons/$set/arithmetic against a value.
-			return false
-		}
 		for i := range p.Args {
-			if !matchRec(p.Args[i], c.Args[i], b) {
+			if !matchRec(p.Args[i], c.Args[i], b, late) {
 				return false
 			}
 		}
@@ -274,13 +281,22 @@ func ApplyLit(l ast.Literal, b *Bindings) (*term.Fact, error) {
 
 // MatchFact matches the (positive) literal pattern against a ground fact of
 // the same predicate and arity, extending b; bindings are undone on failure.
+// The arguments match as one pattern: an interpreted argument is evaluated
+// once the others have bound its variables, so s(X, {X}) matches s(c, {c}).
 func MatchFact(l ast.Literal, f *term.Fact, b *Bindings) bool {
 	if l.Pred != f.Pred || len(l.Args) != len(f.Args) {
 		return false
 	}
 	mark := b.Mark()
+	late := false
 	for i := range l.Args {
-		if !matchRec(l.Args[i], f.Args[i], b) {
+		if !matchRec(l.Args[i], f.Args[i], b, &late) {
+			b.Undo(mark)
+			return false
+		}
+	}
+	for i := 0; late && i < len(l.Args); i++ {
+		if !matchRec(l.Args[i], f.Args[i], b, nil) {
 			b.Undo(mark)
 			return false
 		}

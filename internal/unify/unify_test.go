@@ -163,6 +163,69 @@ func TestMatchCompoundAndSets(t *testing.T) {
 	}
 }
 
+// TestMatchEvaluatesBoundPatterns pins the one rule for interpreted
+// arguments: once the bindings (or the rest of the pattern) bind their
+// variables they are evaluated and compared by value; before that they
+// match nothing.
+func TestMatchEvaluatesBoundPatterns(t *testing.T) {
+	c5 := term.Atom("c5")
+	for _, c := range []struct {
+		pat   string
+		bound map[term.Var]term.Term
+		val   term.Term
+		want  bool
+	}{
+		{"X + 1", map[term.Var]term.Term{"X": term.Int(1)}, term.Int(2), true},
+		{"X + 1", map[term.Var]term.Term{"X": term.Int(1)}, term.Int(3), false},
+		{"X + 1", nil, term.Int(2), false},
+		{"{X}", map[term.Var]term.Term{"X": c5}, term.NewSet(c5), true},
+		{"{X}", nil, term.NewSet(c5), false},
+		{"scons(X, S)", map[term.Var]term.Term{"X": c5, "S": term.NewSet()}, term.NewSet(c5), true},
+		// The rest of the pattern binds X first, whatever the order.
+		{"f({X}, X)", nil, term.NewCompound("f", term.NewSet(c5), c5), true},
+		{"f({X}, X)", nil, term.NewCompound("f", term.NewSet(c5), term.Atom("c6")), false},
+	} {
+		b := NewBindings()
+		for v, x := range c.bound {
+			b.Bind(v, x)
+		}
+		n := b.Len()
+		if got := Match(mustTerm(t, c.pat), c.val, b); got != c.want {
+			t.Errorf("Match(%s, %s) under %v = %v, want %v", c.pat, c.val, c.bound, got, c.want)
+		} else if !got && b.Len() != n {
+			t.Errorf("Match(%s, %s) failed but left %d bindings", c.pat, c.val, b.Len()-n)
+		}
+	}
+
+	// A literal's arguments match as one pattern: s(X, {X}) and s({X}, X)
+	// both match s(c5, {c5}) with X unbound; b(X + 1) matches b(2) once X
+	// is bound.
+	prog, err := parser.ParseProgram("r(X) <- s(X, {X}), s({X}, X), b(X + 1).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := prog.Rules[0].Body
+	for i, f := range []*term.Fact{
+		term.NewFact("s", c5, term.NewSet(c5)),
+		term.NewFact("s", term.NewSet(c5), c5),
+	} {
+		b := NewBindings()
+		if !MatchFact(body[i], f, b) {
+			t.Errorf("%s should match %s", body[i], f)
+		} else if v, _ := b.Lookup("X"); !term.Equal(v, c5) {
+			t.Errorf("%s: X = %v", body[i], v)
+		}
+	}
+	b := NewBindings()
+	b.Bind("X", term.Int(1))
+	if !MatchFact(body[2], term.NewFact("b", term.Int(2)), b) {
+		t.Error("b(X + 1) should match b(2) with X = 1")
+	}
+	if MatchFact(body[2], term.NewFact("b", term.Int(2)), NewBindings()) {
+		t.Error("b(X + 1) matched b(2) with X unbound")
+	}
+}
+
 func TestMatchFact(t *testing.T) {
 	prog, err := parser.ParseProgram("r(X, Y) <- p(X, f(Y)).")
 	if err != nil {

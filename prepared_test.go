@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ldl1/internal/model"
+	"ldl1/internal/parser"
 )
 
 // prepProg has a recursive predicate (cone {anc, par}) and an unrelated
@@ -70,13 +73,27 @@ func TestPreparedExecOracle(t *testing.T) {
 }
 
 // agreeProg extends prepProg with grouping, negation, a compound head and a
-// cycle, so every query shape of TestReadPathsAgree has non-trivial answers.
+// cycle, so every query shape of TestReadPathsAgree has non-trivial answers,
+// and with interpreted body arguments: arithmetic and set patterns that only
+// match once other literals bind their variables (b is smaller than a, so
+// the cost model would like to scan it first), alone and under negation.
 const agreeProg = prepProg + `
 	par(loop, loop).
 	kids(X, <Y>) <- par(X, Y).
 	haspar(X) <- par(Y, X).
 	root(X) <- par(X, Y), ~haspar(X).
 	boxed(box(X), Y) <- anc(X, Y).
+	a(1). a(5). a(7). b(2).
+	q(X) <- a(X), b(X + 1).
+	t(c5). s(c5, {c5}). e1(c5, c5).
+	r(X) <- t(X), s(X, {X}).
+	h(X) <- s(X, T), T = {Y}, e1(X, Y).
+	k(X) <- e1(X, Y), s(X, T), T = {Y}.
+	g(X, <Y>) <- e0(X, Y).
+	g2(X, S) <- e0(X, Y), S = {Y}.
+	ng(X) <- e1(X, Y), ~g(X, {Y}).
+	ng2(X) <- e1(X, Y), ~g2(X, {Y}).
+	ng3(X) <- e1(X, Y), T = {Y}, ~g(X, T).
 `
 
 // TestReadPathsAgree is the Theorem-1 agreement table: an admissible
@@ -103,6 +120,14 @@ func TestReadPathsAgree(t *testing.T) {
 		{"ground compound argument", "boxed(box(b), W)", "boxed(box(a), Out)", []string{"box(b)"}},
 		{"base relation", "par(b, C)", "par(a, Child)", []string{"b"}},
 		{"stratified negation", "root(R)", "root(Top)", nil},
+		{"arithmetic argument", "q(X)", "q(N)", nil},
+		{"arithmetic argument bound", "q(1)", "q(5)", []string{"1"}},
+		{"set pattern argument", "r(X)", "r(Who)", nil},
+		{"set pattern test", "h(X)", "h(Who)", nil},
+		{"set pattern test reordered", "k(X)", "k(Who)", nil},
+		{"negated set pattern", "ng(X)", "ng(Who)", nil},
+		{"negated set pattern, no grouping", "ng2(X)", "ng2(Who)", nil},
+		{"negated set variable", "ng3(X)", "ng3(Who)", nil},
 	}
 	type target struct {
 		name    string
@@ -148,11 +173,19 @@ func TestReadPathsAgree(t *testing.T) {
 		}
 	}
 
+	// The interpreted-argument rules hold throughout; e0(c5, c5) gives
+	// g and g2 the class {c5} that the negated set patterns test.
+	always := []string{"q(1)", "r(c5)", "h(c5)", "k(c5)"}
+	negated := []string{"ng(c5)", "ng2(c5)", "ng3(c5)"}
 	facts := ""
-	for _, phase := range []struct{ name, add string }{
-		{"initial", ""},
-		{"in-cone update", "par(d, z). par(z, a)."},
-		{"out-of-cone update", "other(u2)."},
+	for _, phase := range []struct {
+		name, add     string
+		holds, absent []string
+	}{
+		{"initial", "", append(always, negated...), nil},
+		{"in-cone update", "par(d, z). par(z, a).", append(always, negated...), nil},
+		{"out-of-cone update", "other(u2).", append(always, negated...), nil},
+		{"set-pattern update", "e0(c5, c5).", always, negated},
 	} {
 		facts += phase.add
 		for _, tg := range targets {
@@ -163,6 +196,22 @@ func TestReadPathsAgree(t *testing.T) {
 		oracle, err := New(agreeProg + facts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The oracle itself answers to internal/model and to the facts
+		// the repro programs must (not) derive.
+		m, err := oracle.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := model.Check(parser.MustParseProgram(agreeProg+facts), m.DB()); err != nil || v != nil {
+			t.Fatalf("%s: oracle model fails internal/model: %v, %v", phase.name, v, err)
+		}
+		for want, fs := range map[bool][]string{true: phase.holds, false: phase.absent} {
+			for _, f := range fs {
+				if in, err := m.Contains(f); err != nil || in != want {
+					t.Errorf("%s: oracle Contains(%s) = %v, %v; want %v", phase.name, f, in, err, want)
+				}
+			}
 		}
 		for ci, c := range cases {
 			want, wantTwin := mustStr(t)(oracle.Query(c.q)), mustStr(t)(oracle.Query(c.twin))
