@@ -369,34 +369,3 @@ func BenchmarkE16Parallel(b *testing.B) {
 		})
 	}
 }
-
-// E16b: set interning/canonicalization cost on set-heavy workloads.
-func BenchmarkE16SetOps(b *testing.B) {
-	sets := make([]*term.Set, 64)
-	for i := range sets {
-		elems := make([]term.Term, 0, 16)
-		for j := 0; j < 16; j++ {
-			elems = append(elems, term.Int(int64((i*7+j*13)%97)))
-		}
-		sets[i] = term.NewSet(elems...)
-	}
-	b.Run("union", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sets[i%64].Union(sets[(i+1)%64])
-		}
-	})
-	b.Run("subset", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sets[i%64].SubsetOf(sets[(i+1)%64])
-		}
-	})
-	b.Run("key", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := term.NewSet(sets[i%64].Elems()...)
-			_ = s.Key()
-		}
-	})
-}

@@ -11,6 +11,7 @@ package builtin
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/lderr"
@@ -319,10 +320,11 @@ func evalUnion(l ast.Literal, b *unify.Bindings, yield func() error) error {
 		if s3.Len() > maxEnumerate {
 			return fmt.Errorf("builtin: refusing to enumerate unions of a set with %d elements", s3.Len())
 		}
-		return enumThreeWay(s3.Elems(), func(left, right []term.Term) error {
+		elems := s3.Elems()
+		return enumThreeWay(len(elems), func(left, right uint64) error {
 			mark := b.Mark()
-			if unify.Match(l.Args[0], term.NewSet(left...), b) {
-				if unify.Match(l.Args[1], term.NewSet(right...), b) {
+			if unify.Match(l.Args[0], pick(elems, left), b) {
+				if unify.Match(l.Args[1], pick(elems, right), b) {
 					if err := yield(); err != nil {
 						b.Undo(mark)
 						return err
@@ -336,53 +338,50 @@ func evalUnion(l ast.Literal, b *unify.Bindings, yield func() error) error {
 	return instErr(l)
 }
 
+// pick returns the set of the elements of the canonical slice elems whose
+// bit is set in mask.  A subsequence of a canonical order is canonical, so
+// the set is built exactly sized and never sorted.
+func pick(elems []term.Term, mask uint64) *term.Set {
+	out := make([]term.Term, 0, bits.OnesCount64(mask))
+	for i, e := range elems {
+		if mask&(1<<uint(i)) != 0 {
+			out = append(out, e)
+		}
+	}
+	return term.SortedSet(out)
+}
+
 // enumSubsets enumerates every subset of s.
 func enumSubsets(s *term.Set, fn func(*term.Set) error) error {
 	elems := s.Elems()
 	if len(elems) > maxEnumerate {
 		return fmt.Errorf("builtin: refusing to enumerate subsets of a set with %d elements", len(elems))
 	}
-	n := uint(len(elems))
-	for mask := uint64(0); mask < 1<<n; mask++ {
-		var sub []term.Term
-		for i := uint(0); i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sub = append(sub, elems[i])
-			}
-		}
-		if err := fn(term.NewSet(sub...)); err != nil {
+	for mask := uint64(0); mask < 1<<len(elems); mask++ {
+		if err := fn(pick(elems, mask)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// enumThreeWay assigns each element to left, right, or both.
-func enumThreeWay(elems []term.Term, fn func(left, right []term.Term) error) error {
-	assign := make([]int, len(elems))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(elems) {
-			var left, right []term.Term
-			for j, a := range assign {
-				if a == 0 || a == 2 {
-					left = append(left, elems[j])
-				}
-				if a == 1 || a == 2 {
-					right = append(right, elems[j])
-				}
-			}
+// enumThreeWay assigns each of n elements to left, right, or both, and
+// calls fn with the bit masks of the two sides.
+func enumThreeWay(n int, fn func(left, right uint64) error) error {
+	var rec func(i int, left, right uint64) error
+	rec = func(i int, left, right uint64) error {
+		if i == n {
 			return fn(left, right)
 		}
-		for a := 0; a < 3; a++ {
-			assign[i] = a
-			if err := rec(i + 1); err != nil {
+		bit := uint64(1) << i
+		for _, side := range [3][2]uint64{{bit, 0}, {0, bit}, {bit, bit}} {
+			if err := rec(i+1, left|side[0], right|side[1]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return rec(0)
+	return rec(0, 0, 0)
 }
 
 // evalPartition implements partition(S, S1, S2): S is the disjoint union of
@@ -424,22 +423,12 @@ func evalPartition(l ast.Literal, b *unify.Bindings, yield func() error) error {
 		if len(elems) > maxEnumerate {
 			return fmt.Errorf("builtin: refusing to enumerate partitions of a set with %d elements", len(elems))
 		}
-		if len(elems) < 2 {
-			return nil // no split into two non-empty parts
-		}
-		n := uint(len(elems))
-		for mask := uint64(1); mask < 1<<n-1; mask++ {
-			var left, right []term.Term
-			for i := uint(0); i < n; i++ {
-				if mask&(1<<i) != 0 {
-					left = append(left, elems[i])
-				} else {
-					right = append(right, elems[i])
-				}
-			}
+		// Masks 0 and all would leave one side empty.
+		all := uint64(1)<<len(elems) - 1
+		for mask := uint64(1); mask < all; mask++ {
 			mark := b.Mark()
-			if unify.Match(l.Args[1], term.NewSet(left...), b) &&
-				unify.Match(l.Args[2], term.NewSet(right...), b) {
+			if unify.Match(l.Args[1], pick(elems, mask), b) &&
+				unify.Match(l.Args[2], pick(elems, all&^mask), b) {
 				if err := yield(); err != nil {
 					b.Undo(mark)
 					return err

@@ -179,6 +179,37 @@ func TestPartitionModes(t *testing.T) {
 	}
 }
 
+// TestEnumeratedSetsAreCanonical checks that the sets the generator modes
+// build from S's canonical order, without sorting, equal their NewSet twins
+// hash for hash, over elements of every kind.
+func TestEnumeratedSetsAreCanonical(t *testing.T) {
+	s := term.NewSet(term.Int(3), term.Atom("a"), term.Str("s"),
+		term.NewCompound("f", term.Int(1)), term.NewSet(term.Int(1)))
+	for _, c := range []struct {
+		src  string
+		b    *unify.Bindings
+		vars []term.Var
+		want int
+	}{
+		{"partition(S, A, B)", bind("S", s), []term.Var{"A", "B"}, 30},
+		{"union(A, B, C)", bind("C", s), []term.Var{"A", "B"}, 243},
+		{"union(A, B, C)", bind("A", s, "C", s), []term.Var{"B"}, 32},
+	} {
+		sols := solutions(t, lit(t, c.src), c.b)
+		if len(sols) != c.want {
+			t.Fatalf("%s: %d solutions, want %d", c.src, len(sols), c.want)
+		}
+		for _, sol := range sols {
+			for _, v := range c.vars {
+				got := sol[v].(*term.Set)
+				if twin := term.NewSet(got.Elems()...); !term.Equal(got, twin) || got.Hash() != twin.Hash() {
+					t.Fatalf("%s: %s = %v is not canonical", c.src, v, got)
+				}
+			}
+		}
+	}
+}
+
 func TestEquality(t *testing.T) {
 	// Assignment right-to-left and left-to-right.
 	b := bind("X", term.Int(3))

@@ -624,8 +624,9 @@ func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 // Cascade runs rounds until the frontier is empty: each round fires every
 // variant whose delta literal has frontier facts (split into per-worker
 // chunks) against db, and the facts the sink accepts are the next frontier.
-// It consumes fr: two frontiers take turns, so a round allocates only the
-// delta relations it fills.
+// It consumes fr: two frontiers take turns and keep their per-predicate
+// slices, so a round allocates only the delta relations it fills and the
+// growth of a frontier larger than any before it.
 // before, when non-nil, runs ahead of every round — evaluation refreshes
 // its plans there — and ends the cascade by returning false.
 func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink Sink, before func(round int) (bool, error)) error {
@@ -651,7 +652,12 @@ func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink S
 			return err
 		}
 		fr, next = next, fr
-		clear(next.facts)
+		// The delta chunks of the retired frontier are dead: the next round
+		// appends into their slices instead of growing new ones.
+		for pred, facts := range next.facts {
+			clear(facts)
+			next.facts[pred] = facts[:0]
+		}
 		clear(next.rels)
 		next.seen, next.n = nil, 0
 	}

@@ -17,6 +17,7 @@ package qcache
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 
 	"ldl1/internal/term"
@@ -24,7 +25,7 @@ import (
 
 // Key identifies one cached query form: the queried predicate, its
 // adornment (binding pattern), and the bound constants rendered in a
-// canonical form (term.Fact keys are canonical per the interning layer).
+// canonical form (term keys: equal keys iff equal elements of U).
 type Key struct {
 	Pred   string
 	Adorn  string
@@ -33,10 +34,14 @@ type Key struct {
 
 // ConstsKey renders ground constants canonically for use in a Key.
 func ConstsKey(consts []term.Term) string {
-	if len(consts) == 0 {
-		return ""
+	var b strings.Builder
+	for i, c := range consts {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(c.Key())
 	}
-	return term.NewFact("", consts...).Key()
+	return b.String()
 }
 
 // Entry is one cached answer set.  Sols and Cone are frozen at PutAt time;

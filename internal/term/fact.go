@@ -8,9 +8,7 @@ type Fact struct {
 	Pred string
 	Args []Term
 
-	key    string
-	keySet bool
-	hash   uint64
+	hash uint64
 }
 
 // NewFact builds a U-fact, computing the structural hash eagerly so the
@@ -25,20 +23,11 @@ func NewFact(pred string, args ...Term) *Fact {
 // U-fact iff their keys are equal.  Key is for rendering and tests; fact
 // identity on hot paths goes through Hash and EqualFacts.
 func (f *Fact) Key() string {
-	if !f.keySet {
-		var b strings.Builder
-		b.WriteString(f.Pred)
-		b.WriteByte('/')
-		for i, a := range f.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(a.Key())
-		}
-		f.key = b.String()
-		f.keySet = true
-	}
-	return f.key
+	var b strings.Builder
+	b.WriteString(f.Pred)
+	b.WriteByte('/')
+	writeKeys(&b, f.Args)
+	return b.String()
 }
 
 func (f *Fact) String() string {

@@ -2,7 +2,7 @@ package term
 
 // Structural hashing for terms and facts: a 64-bit FNV-1a digest over kind
 // tags and contents, memoized on the heap-allocated kinds (Compound, Set,
-// Fact) the way Key is.  Two equal terms always have equal hashes, so hash
+// Fact).  Two equal terms always have equal hashes, so hash
 // inequality is a constant-time disequality certificate; hash-keyed
 // containers resolve the (astronomically rare) collisions with the
 // structural Equal/EqualFacts fast paths.

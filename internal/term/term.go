@@ -10,7 +10,7 @@ package term
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -81,11 +81,9 @@ type Compound struct {
 	Functor string
 	Args    []Term
 
-	key    string // lazily memoised canonical key
-	keySet bool
-	hash   uint64       // memoised structural hash, 0 = unset
-	ground groundMemo   // memoised IsGround answer
-	pure   bool         // no interpreted functor or group anywhere inside
+	hash   uint64     // memoised structural hash, 0 = unset
+	ground groundMemo // memoised IsGround answer
+	pure   bool       // no interpreted functor or group anywhere inside
 }
 
 // groundMemo is a tri-state groundness memo: unknown for terms built as
@@ -101,10 +99,8 @@ const (
 // Set is a finite set in U, held canonically: elements sorted by Compare
 // with duplicates removed.  The zero value is the empty set {}.
 type Set struct {
-	elems  []Term
-	key    string
-	keySet bool
-	hash   uint64
+	elems []Term
+	hash  uint64
 }
 
 func (Atom) Kind() Kind      { return KindAtom }
@@ -119,42 +115,44 @@ func (i Int) Key() string  { return "i:" + strconv.FormatInt(int64(i), 10) }
 func (s Str) Key() string  { return "s:" + strconv.Quote(string(s)) }
 func (v Var) Key() string  { return "v:" + string(v) }
 
-func (c *Compound) Key() string {
-	if !c.keySet {
-		var b strings.Builder
-		b.WriteString("c:")
-		b.WriteString(strconv.Itoa(len(c.Functor)))
-		b.WriteByte('~')
-		b.WriteString(c.Functor)
-		b.WriteByte('(')
-		for i, a := range c.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(a.Key())
-		}
-		b.WriteByte(')')
-		c.key = b.String()
-		c.keySet = true
-	}
-	return c.key
+// Keys are rendered on demand, never memoized: no field of a term is
+// written after its constructor returns.
+func (c *Compound) Key() string { return renderKey(c) }
+func (s *Set) Key() string      { return renderKey(s) }
+
+func renderKey(t Term) string {
+	var b strings.Builder
+	writeKey(&b, t)
+	return b.String()
 }
 
-func (s *Set) Key() string {
-	if !s.keySet {
-		var b strings.Builder
+// writeKey renders the canonical key of t into b.
+func writeKey(b *strings.Builder, t Term) {
+	switch t := t.(type) {
+	case *Compound:
+		b.WriteString("c:")
+		b.WriteString(strconv.Itoa(len(t.Functor)))
+		b.WriteByte('~')
+		b.WriteString(t.Functor)
+		b.WriteByte('(')
+		writeKeys(b, t.Args)
+		b.WriteByte(')')
+	case *Set:
 		b.WriteString("S:{")
-		for i, e := range s.elems {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(e.Key())
-		}
+		writeKeys(b, t.elems)
 		b.WriteByte('}')
-		s.key = b.String()
-		s.keySet = true
+	default:
+		b.WriteString(t.Key())
 	}
-	return s.key
+}
+
+func writeKeys(b *strings.Builder, ts []Term) {
+	for i, t := range ts {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		writeKey(b, t)
+	}
 }
 
 func (a Atom) String() string {
@@ -272,22 +270,20 @@ func newEmptySet() *Set {
 // NewSet builds the canonical set containing elems (duplicates removed,
 // elements sorted).  All elements must be ground; callers enforce this.
 func NewSet(elems ...Term) *Set {
+	es := make([]Term, len(elems))
+	copy(es, elems)
+	slices.SortFunc(es, Compare)
+	return SortedSet(slices.CompactFunc(es, Equal))
+}
+
+// SortedSet wraps elems, which must already be strictly increasing by
+// Compare, as a set without copying or sorting it: the set takes the slice
+// over.  The hash memo is written before the set is returned.
+func SortedSet(elems []Term) *Set {
 	if len(elems) == 0 {
 		return EmptySet
 	}
-	es := make([]Term, len(elems))
-	copy(es, elems)
-	sort.Slice(es, func(i, j int) bool { return Compare(es[i], es[j]) < 0 })
-	out := es[:1]
-	for _, e := range es[1:] {
-		if Compare(out[len(out)-1], e) != 0 {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return EmptySet
-	}
-	s := &Set{elems: out}
+	s := &Set{elems: elems}
 	s.Hash() // eager memo: sets are shared across goroutines
 	return s
 }
@@ -301,8 +297,8 @@ func (s *Set) Elems() []Term { return s.elems }
 
 // Contains reports whether x is an element of s.
 func (s *Set) Contains(x Term) bool {
-	i := sort.Search(len(s.elems), func(i int) bool { return Compare(s.elems[i], x) >= 0 })
-	return i < len(s.elems) && Compare(s.elems[i], x) == 0
+	_, ok := slices.BinarySearchFunc(s.elems, x, Compare)
+	return ok
 }
 
 // SubsetOf reports s ⊆ t.
@@ -323,59 +319,99 @@ func (s *Set) SubsetOf(t *Set) bool {
 	return true
 }
 
-// Union returns s ∪ t.
-func (s *Set) Union(t *Set) *Set {
-	merged := make([]Term, 0, len(s.elems)+len(t.elems))
-	merged = append(merged, s.elems...)
-	merged = append(merged, t.elems...)
-	return NewSet(merged...)
-}
-
-// Intersect returns s ∩ t.
-func (s *Set) Intersect(t *Set) *Set {
-	var out []Term
-	for _, e := range s.elems {
-		if t.Contains(e) {
-			out = append(out, e)
-		}
-	}
-	return NewSet(out...)
-}
-
-// Difference returns s \ t.
-func (s *Set) Difference(t *Set) *Set {
-	var out []Term
-	for _, e := range s.elems {
-		if !t.Contains(e) {
-			out = append(out, e)
-		}
-	}
-	return NewSet(out...)
-}
-
 // Disjoint reports s ∩ t = {}.
 func (s *Set) Disjoint(t *Set) bool {
-	a, b := s, t
-	if a.Len() > b.Len() {
-		a, b = b, a
-	}
-	for _, e := range a.elems {
-		if b.Contains(e) {
-			return false
-		}
-	}
-	return true
+	_, n := merge(nil, s.elems, t.elems, inBoth)
+	return n == 0
 }
+
+// Union returns s ∪ t.
+func (s *Set) Union(t *Set) *Set { return s.combine(t, inS|inT|inBoth) }
+
+// Intersect returns s ∩ t.
+func (s *Set) Intersect(t *Set) *Set { return s.combine(t, inBoth) }
+
+// Difference returns s \ t.
+func (s *Set) Difference(t *Set) *Set { return s.combine(t, inS) }
 
 // Add returns s ∪ {x}: the interpretation of scons(x, s) (§2.2).
 func (s *Set) Add(x Term) *Set {
-	if s.Contains(x) {
+	i, found := slices.BinarySearchFunc(s.elems, x, Compare)
+	if found {
 		return s
 	}
-	elems := make([]Term, 0, len(s.elems)+1)
-	elems = append(elems, s.elems...)
-	elems = append(elems, x)
-	return NewSet(elems...)
+	es := make([]Term, len(s.elems)+1)
+	copy(es, s.elems[:i])
+	es[i] = x
+	copy(es[i+1:], s.elems[i:])
+	return SortedSet(es)
+}
+
+// Where an element of a merge of s and t occurs.
+const (
+	inS uint8 = 1 << iota // in s only
+	inT                   // in t only
+	inBoth
+)
+
+// combine returns the set of the elements of s and t that keep selects, as
+// one merge of the two canonical slices: a counting walk sizes the result
+// exactly, and a result as long as an operand it contains, or is contained
+// in, is that operand.
+func (s *Set) combine(t *Set, keep uint8) *Set {
+	_, n := merge(nil, s.elems, t.elems, keep)
+	switch {
+	case n == len(s.elems) && (keep&inT == 0 || keep&(inS|inBoth) == inS|inBoth):
+		return s
+	case n == len(t.elems) && (keep&inS == 0 || keep&(inT|inBoth) == inT|inBoth):
+		return t
+	}
+	out, _ := merge(make([]Term, 0, n), s.elems, t.elems, keep)
+	return SortedSet(out)
+}
+
+// merge walks the canonical slices a (of s) and b (of t) in step and counts
+// the elements keep selects, appending them in canonical order to out unless
+// out is nil.
+func merge(out, a, b []Term, keep uint8) ([]Term, int) {
+	n, i, j := 0, 0, 0
+	for i < len(a) || j < len(b) {
+		side, e := inBoth, Term(nil)
+		switch {
+		case j == len(b):
+			if keep&inS == 0 {
+				return out, n
+			}
+			side, e = inS, a[i]
+			i++
+		case i == len(a):
+			if keep&inT == 0 {
+				return out, n
+			}
+			side, e = inT, b[j]
+			j++
+		default:
+			switch c := Compare(a[i], b[j]); {
+			case c < 0:
+				side, e = inS, a[i]
+				i++
+			case c > 0:
+				side, e = inT, b[j]
+				j++
+			default:
+				e = a[i]
+				i++
+				j++
+			}
+		}
+		if keep&side != 0 {
+			n++
+			if out != nil {
+				out = append(out, e)
+			}
+		}
+	}
+	return out, n
 }
 
 // Equal reports structural equality of two terms (equality in U for ground

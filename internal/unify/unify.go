@@ -170,36 +170,36 @@ func evalCompound(functor string, args []term.Term) (term.Term, error) {
 // ApplyPartial substitutes bound variables and evaluates any built-in
 // function whose arguments became ground, leaving unbound variables in
 // place.  Used by the "=" built-in and by program transformations.
+// An unbound variable comes back as the caller's own interface value, so
+// the call does not allocate for it.
 func ApplyPartial(t term.Term, b *Bindings) term.Term {
-	switch t := t.(type) {
+	switch u := t.(type) {
 	case term.Var:
-		if v, ok := b.Lookup(t); ok {
+		if v, ok := b.Lookup(u); ok {
 			return v
 		}
-		return t
 	case *term.Group:
-		return term.NewGroup(ApplyPartial(t.Inner, b))
+		return term.NewGroup(ApplyPartial(u.Inner, b))
 	case *term.Compound:
-		if t.Pure() && term.IsGround(t) {
+		if u.Pure() && term.IsGround(u) {
 			return t // already an element of U, nothing to substitute
 		}
-		args := make([]term.Term, len(t.Args))
+		args := make([]term.Term, len(u.Args))
 		ground := true
-		for i, a := range t.Args {
+		for i, a := range u.Args {
 			args[i] = ApplyPartial(a, b)
 			if !term.IsGround(args[i]) {
 				ground = false
 			}
 		}
 		if ground {
-			if v, err := evalCompound(t.Functor, args); err == nil {
+			if v, err := evalCompound(u.Functor, args); err == nil {
 				return v
 			}
 		}
-		return term.NewCompound(t.Functor, args...)
-	default:
-		return t
+		return term.NewCompound(u.Functor, args...)
 	}
+	return t
 }
 
 // Match matches a rule term pattern against a ground value, extending b.
