@@ -1,10 +1,11 @@
 package ldl1
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"ldl1/internal/ast"
+	"ldl1/internal/eval"
 	"ldl1/internal/lderr"
 	"ldl1/internal/term"
 )
@@ -12,61 +13,29 @@ import (
 // Answers holds the solutions of a query: one row per answer, with columns
 // in Vars order (first occurrence in the query).
 type Answers struct {
-	// Vars are the query's variable names in first-occurrence order.
+	// Vars are the query's named variables in first-occurrence order; an
+	// anonymous variable ("_") is never a column.
 	Vars []string
-	// Rows holds one term per variable per solution, sorted
-	// deterministically.
+	// Rows holds one term per variable per solution, sorted by column in
+	// Compare order, an unbound (nil) column first.  The rows are shared
+	// with the answer cache and must not be written to; the outer slice is
+	// the caller's own.
 	Rows [][]Term
 }
 
-// bodyVars lists a query body's variables in first-occurrence order.
-func bodyVars(body []ast.Literal) []term.Var {
-	seen := map[term.Var]bool{}
-	var vars []term.Var
-	for _, l := range body {
-		for _, v := range l.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-		}
-	}
-	return vars
-}
-
-// newAnswers tabulates sols, the solutions of the body solved, under the
-// variable names of the caller's body.  solved is body itself or its
-// positional form (see reader.read), so the two bodies' variables
-// correspond one to one in first-occurrence order.  A positive maxRows
-// that sols exceeds is a *lderr.LimitError, however sols was come by.
-func newAnswers(body, solved []ast.Literal, sols []map[term.Var]term.Term, maxRows int) (*Answers, error) {
-	if maxRows > 0 && len(sols) > maxRows {
+// newAnswers names the columns of rows, the answer table of the caller's
+// body as written or in positional form (see reader.read): both forms have
+// the same columns in the same order.  A positive maxRows that rows
+// exceeds is a *lderr.LimitError, however rows was come by.
+func newAnswers(body []ast.Literal, rows [][]term.Term, maxRows int) (*Answers, error) {
+	if maxRows > 0 && len(rows) > maxRows {
 		return nil, &lderr.LimitError{Limit: maxRows}
 	}
-	names, vars := bodyVars(body), bodyVars(solved)
-	a := &Answers{Vars: make([]string, len(names))}
-	for i, v := range names {
+	cols := eval.Columns(body)
+	a := &Answers{Vars: make([]string, len(cols)), Rows: slices.Clone(rows)}
+	for i, v := range cols {
 		a.Vars[i] = string(v)
 	}
-	for _, sol := range sols {
-		row := make([]Term, len(vars))
-		for i, v := range vars {
-			row[i] = sol[v]
-		}
-		a.Rows = append(a.Rows, row)
-	}
-	sort.Slice(a.Rows, func(i, j int) bool {
-		for k := range a.Rows[i] {
-			x, y := a.Rows[i][k], a.Rows[j][k]
-			if x == nil || y == nil {
-				continue
-			}
-			if c := term.Compare(x, y); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 	return a, nil
 }
 

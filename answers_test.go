@@ -100,3 +100,72 @@ func TestAnswersSetValues(t *testing.T) {
 		t.Fatalf("set answer = %q", got)
 	}
 }
+
+// TestAnonymousVariablesAreNotColumns: "_" matches anything and is never an
+// answer column, so rows are projected onto the named variables and
+// deduplicated there — by Query, by Prepare+Exec and on a view, answered
+// fresh and from the cache — and q(X, _) shares no cache entry or compiled
+// form with q(X, Y).
+func TestAnonymousVariablesAreNotColumns(t *testing.T) {
+	const src = `
+		p(a). p(b).
+		q(a, c). q(a, d). q(b, c).
+		r(X, Y) <- q(X, Y).
+	`
+	type target struct {
+		name    string
+		query   func(string) (*Answers, error)
+		prepare func(string) (*PreparedQuery, error)
+	}
+	plain, err := New(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	magic, err := New(src, WithMagic(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := mustView(t, src)
+	targets := []target{{"plain", plain.Query, plain.Prepare}, {"magic", magic.Query, magic.Prepare}, {"view", mv.Query, mv.Prepare}}
+
+	cases := []struct{ q, want string }{
+		{"p(X), q(X, _)", "X = a\nX = b"},
+		{"r(X, _)", "X = a\nX = b"},
+		{"r(X, Y)", "X = a, Y = c\nX = a, Y = d\nX = b, Y = c"},
+		{"r(_, Y)", "Y = c\nY = d"},
+		{"q(X, _)", "X = a\nX = b"},
+		{"r(_, _)", "yes"},
+		{"r(a, _)", "yes"},
+		{"r(d, _)", "no"},
+	}
+	for _, tg := range targets {
+		for pass := 0; pass < 2; pass++ { // the second pass reads the cache
+			for _, c := range cases {
+				ans, err := tg.query(c.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pq, err := tg.prepare(c.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec := mustStr(t)(pq.Exec())
+				if got := ans.String(); got != c.want || exec != c.want {
+					t.Errorf("%s pass %d: %s = %q, Exec %q, want %q", tg.name, pass, c.q, got, exec, c.want)
+				}
+				for _, v := range ans.Vars {
+					if strings.HasPrefix(v, "_") {
+						t.Errorf("%s: %s has column %s", tg.name, c.q, v)
+					}
+				}
+			}
+			pq, err := tg.prepare("r(a, _)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mustStr(t)(pq.Exec(Sym("b"))) + " " + mustStr(t)(pq.Exec(Sym("d"))); got != "yes no" {
+				t.Errorf("%s: r(?, _) Exec b, d = %q, want \"yes no\"", tg.name, got)
+			}
+		}
+	}
+}

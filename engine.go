@@ -422,8 +422,9 @@ func (e *Engine) Prepare(q string) (*PreparedQuery, error) {
 	return e.r.prepare(query)
 }
 
-// formKey identifies one compiled magic form.
-type formKey struct{ pred, adorn string }
+// formKey identifies one compiled magic form: a predicate and a literal
+// shape (see shape).
+type formKey struct{ pred, shape string }
 
 // magicForm is the reader's compile step on a WithMagic engine: the magic
 // form of a positive literal on a derived predicate, nil for any other
@@ -441,7 +442,7 @@ func (e *Engine) magicForm(lit ast.Literal, shared bool) (*magic.Prepared, error
 	if !shared || e.forms == nil {
 		return magic.PrepareVariant(e.source, query, variant)
 	}
-	k := formKey{lit.Pred, string(magic.AdornQuery(lit))}
+	k := formKey{lit.Pred, shape(lit)}
 	e.formsMu.Lock()
 	pr := e.forms[k]
 	e.formsMu.Unlock()
@@ -467,7 +468,7 @@ func (e *Engine) magicForm(lit ast.Literal, shared bool) (*magic.Prepared, error
 // execMagic is the reader's exec step on a WithMagic engine: one magic-sets
 // evaluation of a compiled form against the extensional database, under
 // the read lock, so a concurrent load invalidates strictly before or after.
-func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *Stats) ([]map[term.Var]term.Term, error) {
+func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *Stats) ([][]term.Term, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	opts := e.evalOpts(ctx, st)

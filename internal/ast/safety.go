@@ -1,10 +1,6 @@
 package ast
 
-import (
-	"sort"
-
-	"ldl1/internal/term"
-)
+import "ldl1/internal/term"
 
 // This file implements the safety (range-restriction) analysis of §2.2/§7:
 // which variables of a rule are *limited* — guaranteed bound to an element
@@ -31,27 +27,16 @@ import (
 // literal, which both over-accepted ({X} patterns that can never bind X)
 // and conflated built-in tests with generators (X < Y "binding" X).
 
-// builtinPreds mirrors layering.Builtins (kept local to avoid an import
-// cycle: layering imports ast).
-var builtinPreds = map[string]bool{
-	"member": true, "union": true, "partition": true, "set": true,
-	"=": true, "/=": true, "<": true, "<=": true, ">": true, ">=": true,
-	"true": true, "false": true,
-}
-
 // IsBuiltinPred reports whether pred is one of the engine's reserved
-// built-in predicates (the same set as layering.IsBuiltin).
-func IsBuiltinPred(pred string) bool { return builtinPreds[pred] }
-
-// BuiltinPredNames returns the reserved predicate names, sorted.  Exposed
-// so layering's tests can assert the two copies of the set never drift.
-func BuiltinPredNames() []string {
-	out := make([]string, 0, len(builtinPreds))
-	for p := range builtinPreds {
-		out = append(out, p)
+// built-in predicates: the one definition of the set, which layering and
+// builtin answer from.  A switch, not a map: the evaluator asks per join
+// step.
+func IsBuiltinPred(pred string) bool {
+	switch pred {
+	case "member", "union", "partition", "set", "=", "/=", "<", "<=", ">", ">=", "true", "false":
+		return true
 	}
-	sort.Strings(out)
-	return out
+	return false
 }
 
 // bindableVars adds to dst the variables of t that matching t against a

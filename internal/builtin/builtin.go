@@ -34,14 +34,9 @@ func instErr(l ast.Literal) error {
 // splits of, to keep the exponential generator modes from running away.
 const maxEnumerate = 20
 
-// IsBuiltin reports whether pred is handled by this package.
-func IsBuiltin(pred string) bool {
-	switch pred {
-	case "member", "union", "partition", "set", "=", "/=", "<", "<=", ">", ">=", "true", "false":
-		return true
-	}
-	return false
-}
+// IsBuiltin reports whether pred is handled by this package: one of the
+// reserved predicates of ast.IsBuiltinPred.
+func IsBuiltin(pred string) bool { return ast.IsBuiltinPred(pred) }
 
 // Eval evaluates the built-in literal under the bindings, invoking yield
 // once per solution with b extended (bindings are undone between solutions

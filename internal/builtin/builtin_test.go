@@ -20,12 +20,19 @@ func lit(t *testing.T, src string) ast.Literal {
 	return p.Rules[0].Body[0]
 }
 
-// solutions collects all binding snapshots produced by Eval.
+// solutions collects the bindings of l's variables at every solution Eval
+// produces.
 func solutions(t *testing.T, l ast.Literal, b *unify.Bindings) []map[term.Var]term.Term {
 	t.Helper()
 	var out []map[term.Var]term.Term
 	err := Eval(l, b, func() error {
-		out = append(out, b.Snapshot())
+		snap := map[term.Var]term.Term{}
+		for _, v := range l.Vars() {
+			if x, ok := b.Lookup(v); ok {
+				snap[v] = x
+			}
+		}
+		out = append(out, snap)
 		return nil
 	})
 	if err != nil {

@@ -285,14 +285,11 @@ func (x *Exec) fire(v *Variant, db *store.DB, delta *store.Relation) error {
 	rel, present := x.sink.Probe(pred)
 	fresh := true
 	return x.heads(v, db, delta, unify.NewBindings(), func(scratch []term.Term) error {
-		has := false
-		if rel != nil {
-			_, has = rel.GetArgs(scratch)
-		}
-		if has != present {
+		h := term.HashFactArgs(pred, scratch)
+		if has := rel != nil && rel.GetArgs(h, scratch) != nil; has != present {
 			return nil
 		}
-		f := term.NewFact(pred, append([]term.Term(nil), scratch...)...)
+		f := term.NewFactOf(pred, scratch, h)
 		ok, err := x.Emit(f)
 		if !ok || err != nil {
 			return err
@@ -350,10 +347,8 @@ func (x *Exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings
 			}
 			x.neg = append(x.neg, t)
 		}
-		if rel := x.db.RelOrNil(l.Pred); rel != nil {
-			if _, has := rel.GetArgs(x.neg); has {
-				return nil
-			}
+		if rel := x.db.RelOrNil(l.Pred); rel != nil && rel.GetArgs(term.HashFactArgs(l.Pred, x.neg), x.neg) != nil {
+			return nil
 		}
 		return cont()
 	}

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ldl1/internal/analyze/types"
 	"ldl1/internal/ast"
@@ -396,9 +397,33 @@ func (ev *evaluation) semiNaiveFixpoint(rules []ast.Rule) error {
 }
 
 // Solve evaluates a conjunctive query body against a database, returning
-// one binding snapshot per solution (restricted to the query's variables).
-func Solve(body []ast.Literal, db *store.DB) ([]map[term.Var]term.Term, error) {
+// its answer table: one row per distinct solution, one column per entry of
+// Columns(body), rows in CompareRows order.  A column is nil where no
+// positive literal binds its variable.
+func Solve(body []ast.Literal, db *store.DB) ([][]term.Term, error) {
 	return SolveCtx(nil, body, db)
+}
+
+// Columns lists the answer columns of a query body: its variables in
+// first-occurrence order, anonymous ones left out.
+func Columns(body []ast.Literal) []term.Var {
+	return slices.DeleteFunc(ast.Rule{Body: body}.Vars(), term.Var.Anonymous)
+}
+
+// CompareRows is the total order of answer rows: column by column, an
+// unbound (nil) column first, bound ones by term.Compare.
+func CompareRows(a, b []term.Term) int {
+	return slices.CompareFunc(a, b, func(x, y term.Term) int {
+		switch {
+		case x == nil && y == nil:
+			return 0
+		case x == nil:
+			return -1
+		case y == nil:
+			return 1
+		}
+		return term.Compare(x, y)
+	})
 }
 
 // SolveLimits bounds one Solve enumeration; the zero value imposes no
@@ -409,8 +434,8 @@ type SolveLimits struct {
 	// MaxSolutions > 0 aborts the enumeration with *lderr.LimitError once
 	// more than that many distinct solutions exist.
 	MaxSolutions int
-	// MemBudget > 0 aborts with *lderr.MemBudgetError once the retained
-	// solution bindings exceed approximately that many bytes (the same
+	// MemBudget > 0 aborts with *lderr.MemBudgetError once the terms of the
+	// retained rows exceed approximately that many bytes (the same
 	// structural estimate Options.MemBudget uses for derived facts).
 	MemBudget int64
 }
@@ -418,12 +443,12 @@ type SolveLimits struct {
 // SolveCtx is Solve under a context: the enumeration polls ctx and aborts
 // with lderr.Canceled / lderr.DeadlineExceeded when it is done.  A nil ctx
 // disables the polling.
-func SolveCtx(ctx context.Context, body []ast.Literal, db *store.DB) ([]map[term.Var]term.Term, error) {
+func SolveCtx(ctx context.Context, body []ast.Literal, db *store.DB) ([][]term.Term, error) {
 	return SolveLimitsCtx(ctx, body, db, SolveLimits{})
 }
 
 // SolveLimitsCtx is SolveCtx under per-call resource bounds.
-func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim SolveLimits) ([]map[term.Var]term.Term, error) {
+func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim SolveLimits) ([][]term.Term, error) {
 	r := ast.Rule{Head: ast.NewLit("$query"), Body: body}
 	p, err := planBodyDB(r, -1, nil, db, nil)
 	if err != nil {
@@ -435,35 +460,26 @@ func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim S
 	if err := x.b.Err(); err != nil {
 		return nil, err
 	}
-	var out []map[term.Var]term.Term
+	cols := Columns(body)
+	t := rowTable{width: len(cols), distinct: distinctRows(body)}
 	var solBytes int64
-	// Solution tuples keyed by the combined hash of their bindings; the
-	// bucket resolves collisions by structural comparison.
-	seen := map[uint64][]map[term.Var]term.Term{}
-	vars := r.Vars()
 	b := unify.NewBindings()
 	err = x.heads(&Variant{body: body, plan: p, dLit: -1}, db, nil, b, func([]term.Term) error {
-		h := term.HashSeed
-		for _, v := range vars {
-			if t, ok := b.Lookup(v); ok {
-				h = term.HashFold(h, v.Hash())
-				h = term.HashFold(h, t.Hash())
-			}
+		row := t.tail()
+		for i, v := range cols {
+			row[i], _ = b.Lookup(v)
 		}
-		for _, snap := range seen[h] {
-			if sameSolution(snap, b, vars) {
-				return nil
-			}
+		if !t.keep(row) {
+			return nil
 		}
-		snap := b.Snapshot()
-		seen[h] = append(seen[h], snap)
-		out = append(out, snap)
-		if lim.MaxSolutions > 0 && len(out) > lim.MaxSolutions {
+		if lim.MaxSolutions > 0 && t.n > lim.MaxSolutions {
 			return &LimitError{Limit: lim.MaxSolutions}
 		}
 		if lim.MemBudget > 0 {
-			for _, t := range snap {
-				solBytes += 48 + termBytes(t)
+			for _, c := range row {
+				if c != nil {
+					solBytes += 48 + termBytes(c)
+				}
 			}
 			if solBytes > lim.MemBudget {
 				return &lderr.MemBudgetError{Budget: lim.MemBudget}
@@ -471,21 +487,96 @@ func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim S
 		}
 		return nil
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return t.rows(), nil
 }
 
-// sameSolution reports whether the snapshot binds the query variables
-// exactly as the live bindings do.
-func sameSolution(snap map[term.Var]term.Term, b *unify.Bindings, vars []term.Var) bool {
-	for _, v := range vars {
-		t, ok := b.Lookup(v)
-		s, sok := snap[v]
-		if ok != sok {
-			return false
-		}
-		if ok && !term.Equal(t, s) {
+// distinctRows reports whether every solution of body is a row of its own:
+// one positive database literal whose arguments are ground or named
+// variables matches each stored fact once, and two facts it matches differ
+// at a variable position, so in a column.
+func distinctRows(body []ast.Literal) bool {
+	if len(body) != 1 || body[0].Negated || layering.IsBuiltin(body[0].Pred) {
+		return false
+	}
+	for _, a := range body[0].Args {
+		if v, isVar := a.(term.Var); isVar && v.Anonymous() || !isVar && !term.IsGround(a) {
 			return false
 		}
 	}
 	return true
+}
+
+// rowTable collects the distinct rows of one Solve back to back in one flat
+// slice.  slots is an open-addressed set of row numbers plus one (0 marks
+// a free slot) over hashes, at most half full; it stays empty when every
+// solution is known to be a distinct row.
+type rowTable struct {
+	width, n int
+	distinct bool
+	flat     []term.Term
+	hashes   []uint64
+	slots    []int32
+}
+
+// row returns kept row i.
+func (t *rowTable) row(i int) []term.Term {
+	return t.flat[i*t.width : (i+1)*t.width : (i+1)*t.width]
+}
+
+// tail returns the row after the kept ones, for the caller to fill in.
+func (t *rowTable) tail() []term.Term {
+	t.flat = slices.Grow(t.flat[:t.n*t.width], t.width)[:(t.n+1)*t.width]
+	return t.row(t.n)
+}
+
+// keep keeps the filled-in tail row unless an equal row is already kept.
+func (t *rowTable) keep(row []term.Term) bool {
+	if !t.distinct {
+		h := term.HashSeed
+		for _, c := range row {
+			var ch uint64 // an unbound column
+			if c != nil {
+				ch = c.Hash()
+			}
+			h = term.HashFold(h, ch)
+		}
+		if 2*(t.n+1) > len(t.slots) {
+			t.rehash(max(16, 2*len(t.slots)))
+		}
+		i := int(h) & (len(t.slots) - 1)
+		for ; t.slots[i] != 0; i = (i + 1) & (len(t.slots) - 1) {
+			if r := int(t.slots[i]) - 1; t.hashes[r] == h && CompareRows(t.row(r), row) == 0 {
+				return false
+			}
+		}
+		t.slots[i] = int32(t.n + 1)
+		t.hashes = append(t.hashes, h)
+	}
+	t.n++
+	return true
+}
+
+// rehash rebuilds slots at the given power-of-two size.
+func (t *rowTable) rehash(size int) {
+	t.slots = make([]int32, size)
+	for r, h := range t.hashes {
+		i := int(h) & (size - 1)
+		for t.slots[i] != 0 {
+			i = (i + 1) & (size - 1)
+		}
+		t.slots[i] = int32(r + 1)
+	}
+}
+
+// rows cuts the kept rows out of the flat slice, sorted by CompareRows.
+func (t *rowTable) rows() [][]term.Term {
+	out := make([][]term.Term, t.n)
+	for i := range out {
+		out[i] = t.row(i)
+	}
+	slices.SortFunc(out, CompareRows)
+	return out
 }

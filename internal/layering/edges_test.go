@@ -87,16 +87,17 @@ func TestSCCs(t *testing.T) {
 	}
 }
 
-// TestBuiltinSetMatchesAst guards against drift between the two copies of
-// the reserved-predicate set (ast keeps its own to avoid an import cycle).
+// TestBuiltinSetMatchesAst pins the reserved-predicate set layering reads
+// from ast: every built-in, and no ordinary or near-miss name.
 func TestBuiltinSetMatchesAst(t *testing.T) {
-	names := ast.BuiltinPredNames()
-	if len(names) != len(Builtins) {
-		t.Errorf("ast knows %d builtins, layering knows %d", len(names), len(Builtins))
+	for _, n := range []string{"member", "union", "partition", "set", "=", "/=", "<", "<=", ">", ">=", "true", "false"} {
+		if !IsBuiltin(n) || !ast.IsBuiltinPred(n) {
+			t.Errorf("%q is not a builtin", n)
+		}
 	}
-	for _, n := range names {
-		if !Builtins[n] {
-			t.Errorf("ast builtin %q missing from layering.Builtins", n)
+	for _, n := range []string{"", "a", "sg", "members", "Set", "==", "=<", "!=", "magic_a", "true_"} {
+		if IsBuiltin(n) || ast.IsBuiltinPred(n) {
+			t.Errorf("%q is a builtin", n)
 		}
 	}
 }

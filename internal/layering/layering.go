@@ -19,16 +19,9 @@ import (
 	"ldl1/internal/ast"
 )
 
-// Builtins are the reserved predicate symbols evaluated directly by the
-// engine; they impose no layering constraints.
-var Builtins = map[string]bool{
-	"member": true, "union": true, "partition": true, "set": true,
-	"=": true, "/=": true, "<": true, "<=": true, ">": true, ">=": true,
-	"true": true, "false": true,
-}
-
-// IsBuiltin reports whether pred is a reserved built-in predicate.
-func IsBuiltin(pred string) bool { return Builtins[pred] }
+// IsBuiltin reports whether pred is a reserved built-in predicate: one
+// evaluated directly by the engine, imposing no layering constraint.
+func IsBuiltin(pred string) bool { return ast.IsBuiltinPred(pred) }
 
 // edge is a dependency from head predicate to body predicate.
 type edge struct {

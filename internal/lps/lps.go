@@ -92,15 +92,18 @@ func Eval(p *Program, edb *store.DB) (*store.DB, error) {
 }
 
 func applyRule(r Rule, db *store.DB) (int, error) {
-	sols, err := eval.Solve(r.Regular, db)
+	rows, err := eval.Solve(r.Regular, db)
 	if err != nil {
 		return 0, err
 	}
+	cols := eval.Columns(r.Regular)
 	added := 0
-	for _, sol := range sols {
+	for _, row := range rows {
 		b := unify.NewBindings()
-		for v, t := range sol {
-			b.Bind(v, t)
+		for i, t := range row {
+			if t != nil {
+				b.Bind(cols[i], t)
+			}
 		}
 		ok, err := forallHolds(r.Quants, r.Body, b, db)
 		if err != nil {

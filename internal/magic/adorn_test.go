@@ -112,7 +112,7 @@ func TestAdornMultipleAdornmentsSamePred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameSolutions(res.Solutions, base, q) {
+	if !SameSolutions(res.Solutions, base) {
 		t.Errorf("multi-adornment answers differ: %v vs %v", res.Solutions, base)
 	}
 }

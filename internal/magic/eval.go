@@ -2,6 +2,7 @@ package magic
 
 import (
 	"fmt"
+	"slices"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
@@ -26,8 +27,9 @@ type Result struct {
 	// input database.  Base relations are the input's own: do not mutate
 	// them.
 	DB *store.DB
-	// Solutions are the query answers, one binding per tuple.
-	Solutions []map[term.Var]term.Term
+	// Solutions is the answer table read off the adorned query predicate:
+	// one sorted row per answer, columns as eval.Solve gives them.
+	Solutions [][]term.Term
 	// Passes is the number of saturation passes.  It is 1 when every magic
 	// fact is found no later than the first rule group that reads it — a
 	// feed-forward program, the common case — and grows by one each time a
@@ -73,9 +75,9 @@ func AnswerVariant(p *ast.Program, edb *store.DB, query parser.Query, opts eval.
 }
 
 // AnswerWithout evaluates the same query without magic sets, as the
-// baseline: full bottom-up evaluation followed by filtering.  Returned
-// solutions use the same shape as Answer.
-func AnswerWithout(p *ast.Program, edb *store.DB, query parser.Query, opts eval.Options) ([]map[term.Var]term.Term, *store.DB, error) {
+// baseline: full bottom-up evaluation followed by filtering.  The answer
+// table has the shape of Result.Solutions.
+func AnswerWithout(p *ast.Program, edb *store.DB, query parser.Query, opts eval.Options) ([][]term.Term, *store.DB, error) {
 	db, err := eval.Eval(p, edb, opts)
 	if err != nil {
 		return nil, nil, err
@@ -87,96 +89,11 @@ func AnswerWithout(p *ast.Program, edb *store.DB, query parser.Query, opts eval.
 	return sols, db, nil
 }
 
-// SameSolutions reports whether two solution lists bind the query's
-// variables identically (as sets of tuples).  Tuples are bucketed by their
-// combined structural hash and compared structurally, never through Key().
-func SameSolutions(a, b []map[term.Var]term.Term, q parser.Query) bool {
-	vars := map[term.Var]bool{}
-	var order []term.Var
-	for _, l := range q.Body {
-		for _, v := range l.Vars() {
-			if !vars[v] {
-				vars[v] = true
-				order = append(order, v)
-			}
-		}
-	}
-	as := newSolutionSet(order)
-	for _, s := range a {
-		as.add(s)
-	}
-	bs := newSolutionSet(order)
-	for _, s := range b {
-		bs.add(s)
-	}
-	if as.n != bs.n {
-		return false
-	}
-	for _, bucket := range as.m {
-		for _, sol := range bucket {
-			if !bs.contains(sol) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// solutionSet is a set of solution tuples over a fixed variable order,
-// bucketed by combined term hash with structural collision handling.
-type solutionSet struct {
-	order []term.Var
-	m     map[uint64][]map[term.Var]term.Term
-	n     int
-}
-
-func newSolutionSet(order []term.Var) *solutionSet {
-	return &solutionSet{order: order, m: map[uint64][]map[term.Var]term.Term{}}
-}
-
-func (s *solutionSet) hash(sol map[term.Var]term.Term) uint64 {
-	h := term.HashSeed
-	for _, v := range s.order {
-		if t, ok := sol[v]; ok {
-			h = term.HashFold(h, v.Hash())
-			h = term.HashFold(h, t.Hash())
-		}
-	}
-	return h
-}
-
-func (s *solutionSet) same(a, b map[term.Var]term.Term) bool {
-	for _, v := range s.order {
-		x, xok := a[v]
-		y, yok := b[v]
-		if xok != yok {
-			return false
-		}
-		if xok && !term.Equal(x, y) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *solutionSet) contains(sol map[term.Var]term.Term) bool {
-	for _, got := range s.m[s.hash(sol)] {
-		if s.same(got, sol) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *solutionSet) add(sol map[term.Var]term.Term) {
-	h := s.hash(sol)
-	for _, got := range s.m[h] {
-		if s.same(got, sol) {
-			return
-		}
-	}
-	s.m[h] = append(s.m[h], sol)
-	s.n++
+// SameSolutions reports whether two answer tables of one query hold the
+// same rows.  Both are sorted and duplicate-free (eval.Solve), so that is
+// equality in order.
+func SameSolutions(a, b [][]term.Term) bool {
+	return slices.EqualFunc(a, b, func(x, y []term.Term) bool { return eval.CompareRows(x, y) == 0 })
 }
 
 // ParseAndAnswer is a convenience wrapper: parse source containing rules,

@@ -239,7 +239,7 @@ func TestSaturationAcrossLayers(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %s variant %d: %v", seed, qs, v, err)
 					}
-					if !SameSolutions(res.Solutions, base, q) {
+					if !SameSolutions(res.Solutions, base) {
 						t.Errorf("seed %d %s variant %d (%d passes): magic %v, baseline %v\n%s",
 							seed, qs, v, res.Passes, res.Solutions, base, src)
 					}

@@ -63,7 +63,7 @@ func TestRandomMagicDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d variant %d: %v\n%s", trial, v, err, src)
 			}
-			if !SameSolutions(res.Solutions, base, q) {
+			if !SameSolutions(res.Solutions, base) {
 				t.Fatalf("trial %d variant %d: %q\nmagic %v\nbaseline %v\nprogram:\n%s",
 					trial, v, qsrc, res.Solutions, base, src)
 			}

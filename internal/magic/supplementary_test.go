@@ -42,14 +42,14 @@ func TestSupplementaryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: baseline: %v", i, err)
 		}
-		if !SameSolutions(sup.Solutions, base, q) {
+		if !SameSolutions(sup.Solutions, base) {
 			t.Errorf("case %d (%s): supplementary %v vs baseline %v", i, c.query, sup.Solutions, base)
 		}
 		basic, err := AnswerVariant(unit.Program, store.NewDB(), q, eval.Options{}, Basic)
 		if err != nil {
 			t.Fatalf("case %d: basic: %v", i, err)
 		}
-		if !SameSolutions(sup.Solutions, basic.Solutions, q) {
+		if !SameSolutions(sup.Solutions, basic.Solutions) {
 			t.Errorf("case %d: supplementary vs basic disagree", i)
 		}
 	}
@@ -112,7 +112,7 @@ func TestSupplementarySavesPrefixWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameSolutions(basic.Solutions, sup.Solutions, q) {
+	if !SameSolutions(basic.Solutions, sup.Solutions) {
 		t.Fatalf("variants disagree: %d vs %d solutions", len(basic.Solutions), len(sup.Solutions))
 	}
 	if len(sup.Solutions) != 10 {

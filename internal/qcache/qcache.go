@@ -47,9 +47,10 @@ func ConstsKey(consts []term.Term) string {
 // Entry is one cached answer set.  Sols and Cone are frozen at PutAt time;
 // the cache hands out the same slice to every hit.
 type Entry struct {
-	// Sols are the solutions of the read that filled the entry, in the
-	// order the evaluator produced them.
-	Sols []map[term.Var]term.Term
+	// Sols is the answer table of the read that filled the entry: one
+	// sorted row per answer (eval.Solve).  Neither the table nor its rows
+	// may be written to.
+	Sols [][]term.Term
 	// Cone holds every predicate (EDB and IDB) the query depends on; an
 	// update touching any of them evicts the entry.
 	Cone map[string]bool

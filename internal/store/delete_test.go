@@ -54,7 +54,7 @@ func TestRelationDelete(t *testing.T) {
 			if r.Contains(fact("p", 2, 3)) {
 				t.Fatal("deleted fact still present")
 			}
-			if g, ok := r.GetArgs([]term.Term{term.Int(2), term.Int(3)}); ok || g != nil {
+			if args := []term.Term{term.Int(2), term.Int(3)}; r.GetArgs(term.HashFactArgs("p", args), args) != nil {
 				t.Fatal("GetArgs finds deleted fact")
 			}
 			// Reinsert works and the fact is live again, once.

@@ -33,9 +33,8 @@ import (
 // hashes and drive every fact into one bucket; production code always uses
 // the memoized structural hashes.
 var (
-	hashFact     = (*term.Fact).Hash
-	hashTerm     = term.Term.Hash
-	hashFactArgs = term.HashFactArgs
+	hashFact = (*term.Fact).Hash
+	hashTerm = term.Term.Hash
 )
 
 // IndexThreshold is the relation size below which Lookup scans
@@ -427,14 +426,13 @@ func (r *Relation) Get(f *term.Fact) (*term.Fact, bool) {
 	return g, g != nil
 }
 
-// GetArgs returns the relation's canonical fact for Name(args...), without
-// requiring the fact to be constructed: evaluators probe it per firing and
-// allocate only when the derivation is genuinely new.
-func (r *Relation) GetArgs(args []term.Term) (*term.Fact, bool) {
+// GetArgs returns the relation's canonical fact for Name(args...), whose
+// term.HashFactArgs is h, or nil, without requiring the fact to be
+// constructed: evaluators probe it per firing and allocate only when the
+// derivation is genuinely new, with the hash they probed by.
+func (r *Relation) GetArgs(h uint64, args []term.Term) *term.Fact {
 	r.ensureTables()
-	h := hashFactArgs(r.Name, args)
-	g := r.table(h).getArgs(h, r.Name, args)
-	return g, g != nil
+	return r.table(h).getArgs(h, r.Name, args)
 }
 
 // Insert adds the fact, reporting whether it was new.
@@ -821,10 +819,17 @@ func (db *DB) sizeAdd(d int) {
 // a forked-from database is unshared only for a fact it lacks, so duplicate
 // inserts do not even copy its directories.
 func (db *DB) Insert(f *term.Fact) bool {
-	if db.shared[f.Pred] && db.rels[f.Pred].Contains(f) {
-		return false
+	r := db.rels[f.Pred]
+	switch {
+	case r == nil:
+		r = db.rel(f.Pred)
+	case db.shared[f.Pred]:
+		if r.Contains(f) {
+			return false
+		}
+		r = db.mutableRel(f.Pred)
 	}
-	if db.mutableRel(f.Pred).Insert(f) {
+	if r.Insert(f) {
 		db.sizeAdd(1)
 		return true
 	}

@@ -32,6 +32,8 @@ func TestSetKernelAllocs(t *testing.T) {
 	a, b := term.NewSet(evens...), term.NewSet(odds...)
 	x := term.Term(term.Int(14))
 	v, bs := term.Term(term.Var("X")), unify.NewBindings()
+	head := []term.Term{a, x}
+	h := term.HashFactArgs("p", head)
 	for _, c := range []struct {
 		name string
 		want float64
@@ -43,6 +45,7 @@ func TestSetKernelAllocs(t *testing.T) {
 		{"Contains", 0, func() { a.Contains(x) }},
 		{"NewSet of 16", 2, func() { term.NewSet(odds...) }},
 		{"ApplyPartial on an unbound variable", 0, func() { unify.ApplyPartial(v, bs) }},
+		{"NewFactOf with two arguments", 1, func() { term.NewFactOf("p", head, h) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)

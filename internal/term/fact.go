@@ -19,6 +19,37 @@ func NewFact(pred string, args ...Term) *Fact {
 	return f
 }
 
+// NewFactOf is NewFact over a copy of args whose hash h, HashFactArgs(pred,
+// args), the caller has already computed: the shape of a fact a rule
+// derives from a scratch head after probing for it.  For up to three
+// arguments the fact and its argument array are one allocation.
+func NewFactOf(pred string, args []Term, h uint64) *Fact {
+	var f *Fact
+	switch len(args) {
+	case 1:
+		p := new(factWith[[1]Term])
+		p.Args, f = p.a[:], &p.Fact
+	case 2:
+		p := new(factWith[[2]Term])
+		p.Args, f = p.a[:], &p.Fact
+	case 3:
+		p := new(factWith[[3]Term])
+		p.Args, f = p.a[:], &p.Fact
+	default:
+		f = &Fact{Args: make([]Term, len(args))}
+	}
+	f.Pred = pred
+	copy(f.Args, args)
+	f.hash = h
+	return f
+}
+
+// factWith is a fact allocated together with its argument array A.
+type factWith[A any] struct {
+	Fact
+	a A
+}
+
 // Key returns a canonical encoding of the fact; two facts are the same
 // U-fact iff their keys are equal.  Key is for rendering and tests; fact
 // identity on hot paths goes through Hash and EqualFacts.

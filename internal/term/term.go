@@ -74,6 +74,13 @@ type Str string
 // ("_") apart, so distinct occurrences never share a name.
 type Var string
 
+// Anonymous reports whether v is the parser's renaming of "_" (_G1, _G2,
+// ...): it binds like any variable but is never an answer column.
+func (v Var) Anonymous() bool {
+	n, ok := strings.CutPrefix(string(v), "_G")
+	return ok && n != "" && strings.Trim(n, "0123456789") == ""
+}
+
 // Compound is an uninterpreted function term f(t1,...,tn).  The built-in
 // binary function scons is never stored as a Compound in ground data: it is
 // evaluated away into a Set during binding application (see Eval).

@@ -230,6 +230,29 @@ func TestFactKeyAndEqual(t *testing.T) {
 	}
 }
 
+// TestNewFactOf checks that a fact built over a scratch head is NewFact's
+// twin at every arity — inline argument array or not — and owns its
+// arguments.
+func TestNewFactOf(t *testing.T) {
+	for n := 0; n <= 6; n++ {
+		scratch := make([]Term, n)
+		for i := range scratch {
+			scratch[i] = NewSet(Int(i), Atom("a"))
+		}
+		f := NewFactOf("p", scratch, HashFactArgs("p", scratch))
+		g := NewFact("p", append([]Term(nil), scratch...)...)
+		if !f.Equal(g) || f.Hash() != g.Hash() || len(f.Args) != n || cap(f.Args) != n {
+			t.Fatalf("arity %d: NewFactOf = %v (hash %x, cap %d), NewFact = %v (hash %x)", n, f, f.Hash(), cap(f.Args), g, g.Hash())
+		}
+		for i := range scratch {
+			scratch[i] = Int(-1)
+		}
+		if !f.Equal(g) {
+			t.Fatalf("arity %d: overwriting the scratch head changed the fact to %v", n, f)
+		}
+	}
+}
+
 func TestDominated(t *testing.T) {
 	// From §2.4: p({1}) ≤ p({1,2}); q(1) only dominated by itself.
 	p1 := NewFact("p", NewSet(Int(1)))

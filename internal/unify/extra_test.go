@@ -78,16 +78,3 @@ func TestMatchFactArityMismatch(t *testing.T) {
 		t.Fatal("bindings leaked")
 	}
 }
-
-func TestSnapshotIsolated(t *testing.T) {
-	b := NewBindings()
-	b.Bind("X", term.Int(1))
-	snap := b.Snapshot()
-	b.Bind("Y", term.Int(2))
-	if _, ok := snap["Y"]; ok {
-		t.Fatal("snapshot not isolated")
-	}
-	if !term.Equal(snap["X"], term.Int(1)) {
-		t.Fatal("snapshot missing X")
-	}
-}

@@ -70,15 +70,6 @@ func (b *Bindings) Undo(mark int) {
 	b.pairs = b.pairs[:mark]
 }
 
-// Snapshot returns an immutable copy of the current bindings.
-func (b *Bindings) Snapshot() map[term.Var]term.Term {
-	out := make(map[term.Var]term.Term, len(b.pairs))
-	for _, p := range b.pairs {
-		out[p.v] = p.t
-	}
-	return out
-}
-
 // Len returns the number of live bindings.
 func (b *Bindings) Len() int { return len(b.pairs) }
 

@@ -59,7 +59,7 @@ type reader struct {
 	// any other literal, which is answered from the snapshot), and exec
 	// evaluates a form for the given constants under the engine's read lock.
 	compile func(lit ast.Literal, shared bool) (*magic.Prepared, error)
-	exec    func(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *eval.Stats) ([]map[term.Var]term.Term, error)
+	exec    func(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error)
 
 	// cache memoizes the answers of cache-shaped literals (see
 	// canonicalLit); disabled, not nil, under WithoutQueryCache.
@@ -186,17 +186,17 @@ func (r *reader) read(ctx context.Context, query parser.Query, form *magic.Prepa
 	defer merge()
 
 	if len(query.Body) != 1 || !canonicalLit(query.Body[0]) {
-		sols, err := r.compute(ctx, query.Body, form, false, o, st)
+		rows, err := r.compute(ctx, query.Body, form, false, o, st)
 		if err != nil {
 			return nil, err
 		}
-		return newAnswers(query.Body, query.Body, sols, o.MaxRows)
+		return newAnswers(query.Body, rows, o.MaxRows)
 	}
 	lit := query.Body[0]
 	canon := []ast.Literal{positional(lit)}
 	key := qcache.Key{
 		Pred:   lit.Pred,
-		Adorn:  string(magic.AdornQuery(lit)),
+		Adorn:  shape(lit),
 		Consts: qcache.ConstsKey(groundArgs(lit)),
 	}
 	ent, hit := r.cache.Get(key)
@@ -206,21 +206,21 @@ func (r *reader) read(ctx context.Context, query parser.Query, form *magic.Prepa
 		}
 	} else {
 		gen := r.cache.Gen()
-		sols, err := r.compute(ctx, canon, form, true, o, st)
+		rows, err := r.compute(ctx, canon, form, true, o, st)
 		if err != nil {
 			return nil, err
 		}
-		ent = &qcache.Entry{Sols: sols, Cone: r.cone(lit.Pred)}
+		ent = &qcache.Entry{Sols: rows, Cone: r.cone(lit.Pred)}
 		r.cache.PutAt(key, ent, gen)
 	}
-	return newAnswers(query.Body, canon, ent.Sols, o.MaxRows)
+	return newAnswers(query.Body, ent.Sols, o.MaxRows)
 }
 
 // compute evaluates body — by the magic pipeline when the reader has one
 // and the body is a literal it covers, else by solving against the
 // snapshot.  shared marks a positional literal, whose compiled form may be
 // shared with every query of the same predicate and adornment.
-func (r *reader) compute(ctx context.Context, body []ast.Literal, form *magic.Prepared, shared bool, o ReadOpts, st *eval.Stats) ([]map[term.Var]term.Term, error) {
+func (r *reader) compute(ctx context.Context, body []ast.Literal, form *magic.Prepared, shared bool, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
 	if form == nil && r.compile != nil && len(body) == 1 {
 		var err error
 		if form, err = r.compile(body[0], shared); err != nil {
@@ -263,17 +263,31 @@ func canonicalLit(l ast.Literal) bool {
 	return true
 }
 
-// positional returns the cache-shaped literal l with the variable at
-// argument position i renamed $i.
+// positional returns the cache-shaped literal l with the named variable at
+// argument position i renamed $i.  An anonymous variable stays anonymous,
+// so l and its positional form have the same answer columns.
 func positional(l ast.Literal) ast.Literal {
 	out := ast.Literal{Pred: l.Pred, Args: make([]term.Term, len(l.Args))}
 	for i, a := range l.Args {
-		if _, ok := a.(term.Var); ok {
+		if v, ok := a.(term.Var); ok && !v.Anonymous() {
 			a = term.Var("$" + strconv.Itoa(i))
 		}
 		out.Args[i] = a
 	}
 	return out
+}
+
+// shape is the adornment of a cache-shaped literal with its anonymous
+// positions marked '_': they are not answer columns, so p(X, _) and
+// p(X, Y) share neither a cache entry nor a compiled form.
+func shape(l ast.Literal) string {
+	s := []byte(magic.AdornQuery(l))
+	for i, a := range l.Args {
+		if v, ok := a.(term.Var); ok && v.Anonymous() {
+			s[i] = '_'
+		}
+	}
+	return string(s)
 }
 
 // groundArgs returns l's ground arguments in position order: the constants
