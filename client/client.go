@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"ldl1"
+	"ldl1/internal/bufpool"
 )
 
 // Client talks to one ldl1d server.
@@ -128,10 +129,12 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	p := bufpool.Get()
+	defer bufpool.Put(p)
+	if err := bufpool.ReadFrom(p, resp.Body); err != nil {
 		return err
 	}
+	data := *p
 	if resp.StatusCode >= 400 {
 		var eb struct {
 			Error APIError `json:"error"`
@@ -148,21 +151,24 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return json.Unmarshal(data, out)
 }
 
-func readBody(q string, o *ReadOpts) map[string]any {
-	body := map[string]any{}
-	if q != "" {
-		body["query"] = q
-	}
+// readRequest is the body of a query or a prepared execution.  Its fields
+// are in key order, so it encodes to the same bytes as a map of the keys it
+// sends.
+type readRequest struct {
+	Args       []string `json:"args,omitempty"`
+	DeadlineMS int64    `json:"deadline_ms,omitempty"`
+	MaxRows    int      `json:"max_rows,omitempty"`
+	MemBudget  int64    `json:"mem_budget,omitempty"`
+	Query      string   `json:"query,omitempty"`
+}
+
+func readBody(q string, args []string, o *ReadOpts) *readRequest {
+	body := &readRequest{Query: q, Args: args}
 	if o != nil {
 		if o.Deadline > 0 {
-			body["deadline_ms"] = o.Deadline.Milliseconds()
+			body.DeadlineMS = o.Deadline.Milliseconds()
 		}
-		if o.MaxRows > 0 {
-			body["max_rows"] = o.MaxRows
-		}
-		if o.MemBudget > 0 {
-			body["mem_budget"] = o.MemBudget
-		}
+		body.MaxRows, body.MemBudget = max(o.MaxRows, 0), max(o.MemBudget, 0)
 	}
 	return body
 }
@@ -170,7 +176,7 @@ func readBody(q string, o *ReadOpts) map[string]any {
 // Query answers a conjunctive query against db's current model snapshot.
 func (c *Client) Query(ctx context.Context, db, query string, o *ReadOpts) (*Result, error) {
 	var out Result
-	if err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/query", readBody(query, o), &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/query", readBody(query, nil, o), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -179,28 +185,29 @@ func (c *Client) Query(ctx context.Context, db, query string, o *ReadOpts) (*Res
 // Exec executes the named prepared query with the given arguments (terms
 // as source text: "abe", "42", `"str"`).
 func (c *Client) Exec(ctx context.Context, db, name string, args []string, o *ReadOpts) (*Result, error) {
-	body := readBody("", o)
-	if len(args) > 0 {
-		body["args"] = args
-	}
 	var out Result
-	if err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/prepared/"+url.PathEscape(name), body, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/prepared/"+url.PathEscape(name), readBody("", args, o), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
+// factsBody is the body of an assert or a retract.
+type factsBody struct {
+	Facts string `json:"facts"`
+}
+
 // Assert inserts facts ("p(a). p(b).") as one transaction.
 func (c *Client) Assert(ctx context.Context, db, facts string) (UpdateResult, error) {
 	var out UpdateResult
-	err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/assert", map[string]any{"facts": facts}, &out)
+	err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/assert", factsBody{facts}, &out)
 	return out, err
 }
 
 // Retract removes facts as one transaction.
 func (c *Client) Retract(ctx context.Context, db, facts string) (UpdateResult, error) {
 	var out UpdateResult
-	err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/retract", map[string]any{"facts": facts}, &out)
+	err := c.do(ctx, http.MethodPost, "/db/"+url.PathEscape(db)+"/retract", factsBody{facts}, &out)
 	return out, err
 }
 

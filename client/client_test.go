@@ -1,10 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"ldl1"
 	"ldl1/internal/server"
@@ -149,6 +154,71 @@ func TestClientErrorTaxonomy(t *testing.T) {
 	// Server-level codes have no engine twin: Unwrap yields nothing.
 	if ae.Unwrap() != nil {
 		t.Fatalf("not_found unwrapped to %v", ae.Unwrap())
+	}
+}
+
+// TestRequestBodiesUnchanged: the typed request bodies encode to the bytes
+// of the map[string]any bodies the client used to send, sorted keys, HTML
+// escaping and omitted defaults included.
+func TestRequestBodiesUnchanged(t *testing.T) {
+	var got []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		_, _ = w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	c, ctx := New(ts.URL, ts.Client()), context.Background()
+	// readMap is the map body of a query or an exec.
+	readMap := func(q string, args []string, o *ReadOpts) map[string]any {
+		body := map[string]any{}
+		if q != "" {
+			body["query"] = q
+		}
+		if len(args) > 0 {
+			body["args"] = args
+		}
+		if o != nil {
+			if o.Deadline > 0 {
+				body["deadline_ms"] = o.Deadline.Milliseconds()
+			}
+			if o.MaxRows > 0 {
+				body["max_rows"] = o.MaxRows
+			}
+			if o.MemBudget > 0 {
+				body["mem_budget"] = o.MemBudget
+			}
+		}
+		return body
+	}
+	q, facts := `p(X, "<&>"), q(X, 'y')`, "p(a). p(\"<b> &  \")."
+	for _, o := range []*ReadOpts{nil, {}, {Deadline: 1500 * time.Millisecond, MaxRows: 10, MemBudget: 1 << 20}, {MaxRows: -1, MemBudget: -5}} {
+		for _, args := range [][]string{nil, {}, {"abe", `"s<t>"`}} {
+			_, _ = c.Exec(ctx, "db", "h", args, o)
+			checkBody(t, "exec", got, readMap("", args, o))
+		}
+		_, _ = c.Query(ctx, "db", q, o)
+		checkBody(t, "query", got, readMap(q, nil, o))
+	}
+	_, _ = c.Assert(ctx, "db", facts)
+	checkBody(t, "assert", got, map[string]any{"facts": facts})
+	_, _ = c.Retract(ctx, "db", "")
+	checkBody(t, "retract", got, map[string]any{"facts": ""})
+	_, _ = c.Tx(ctx, "db", facts, "")
+	checkBody(t, "tx", got, map[string]any{"assert": facts, "retract": ""})
+	_ = c.Load(ctx, "db", facts)
+	checkBody(t, "load", got, map[string]any{"program": facts})
+	_ = c.Prepare(ctx, "db", "h", q)
+	checkBody(t, "prepare", got, map[string]any{"query": q})
+}
+
+func checkBody(t *testing.T, what string, got []byte, want map[string]any) {
+	t.Helper()
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Errorf("%s body %s, want %s", what, got, data)
 	}
 }
 

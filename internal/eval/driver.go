@@ -218,7 +218,8 @@ type Exec struct {
 	// facts so derivations can be recorded.
 	prov  *Provenance
 	trail []*term.Fact
-	neg   []term.Term // argument buffer of the negated literal being checked
+	neg   []term.Term   // argument buffer of the negated literal being checked
+	one   [1]*term.Fact // a full-key probe's fact; match reads it before the next probe
 
 	firings, idxHits, fullScans int
 
@@ -439,7 +440,18 @@ func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) (fa
 			vals[i] = v
 		}
 		if ok {
-			facts, indexed := rel.LookupCols(a.cols, vals)
+			var indexed bool
+			if a.full && rel != x.delta {
+				// A probe naming a whole fact reads the intern tables (delta
+				// chunks have none), so no index over every column is built
+				// and kept up to date; it counts as LookupCols would.
+				indexed = rel.Indexed(a.cols)
+				if x.one[0] = rel.GetArgs(term.HashFactArgs(rel.Name, vals), vals); x.one[0] != nil {
+					facts = x.one[:]
+				}
+			} else {
+				facts, indexed = rel.LookupCols(a.cols, vals)
+			}
 			if indexed {
 				x.idxHits++
 			} else {

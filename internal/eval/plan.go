@@ -43,6 +43,9 @@ type keyFn func(b *unify.Bindings) (term.Term, error)
 type access struct {
 	cols []int
 	keys []keyFn
+	// full reports that cols is every column of a positive database
+	// literal: a probe names one fact.
+	full bool
 }
 
 // bodyPlan is a compiled rule body: the literal execution order plus the
@@ -134,6 +137,7 @@ func compileAccess(l ast.Literal, argVars [][]term.Var, bound map[term.Var]bool,
 			a.keys = append(a.keys, compileKey(arg))
 		}
 	}
+	a.full = withKeys && len(a.cols) == len(l.Args)
 	return a
 }
 

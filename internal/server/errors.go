@@ -19,6 +19,7 @@ package server
 //	unknown database    404  not_found
 //	ArgError            400  bad_request           (prepared Exec arguments)
 //	malformed request   400  bad_request
+//	body over 16 MiB    413  request_too_large     limit
 //	admin disabled      403  admin_disabled
 //	anything else       500  internal
 //

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -231,6 +232,29 @@ func TestErrorsEndToEnd(t *testing.T) {
 	st, e = errResp(t, qURL, "", nil)
 	if st != 400 || e.Code != "bad_request" {
 		t.Errorf("missing query: %d %q", st, e.Code)
+	}
+}
+
+// TestOversizeBody: a request body of 16 MiB is read; one byte more is
+// 413 request_too_large, not a malformed request.
+func TestOversizeBody(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	query := []byte(`{"query": "ancestor(abe, W)"}`)
+	for _, c := range []struct {
+		size, status int
+		code         string
+	}{{16 << 20, 200, ""}, {16<<20 + 1, 413, "request_too_large"}} {
+		body := append(bytes.Repeat([]byte(" "), c.size-len(query)), query...)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/db/family/query", bytes.NewReader(body)))
+		var eb errorBody
+		_ = json.Unmarshal(rec.Body.Bytes(), &eb)
+		if rec.Code != c.status || eb.Error.Code != c.code {
+			t.Errorf("%d-byte body: %d %q, want %d %q", c.size, rec.Code, eb.Error.Code, c.status, c.code)
+		}
+		if c.code != "" && eb.Error.Limit != 16<<20 {
+			t.Errorf("%d-byte body: limit %d, want %d", c.size, eb.Error.Limit, 16<<20)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -43,14 +42,7 @@ type prepareRequest struct {
 	Query string `json:"query"`
 }
 
-// Response bodies.
-type queryResponse struct {
-	Vars []string   `json:"vars"`
-	Rows [][]string `json:"rows"`
-	// Count duplicates len(rows) so scripts can jq .count.
-	Count int `json:"count"`
-}
-
+// Response bodies.  A query's answer table is written by writeAnswers.
 type updateResponse struct {
 	// Inserted and Deleted count the net model change, derived facts
 	// included (ldl1.UpdateResult).
@@ -81,19 +73,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /db/{name}/prepared", s.handlePreparedList)
 	s.mux.HandleFunc("PUT /db/{name}/prepared/{pname}", s.handlePreparedDefine)
 	s.mux.HandleFunc("POST /db/{name}/prepared/{pname}", s.handlePreparedExec)
-}
-
-// decode unmarshals a JSON request body into v, tolerating an empty body
-// (all-default request).
-func decode(r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if len(body) == 0 {
-		return nil
-	}
-	return json.Unmarshal(body, v)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -150,8 +129,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	if err := decode(r, &req); err != nil {
-		errBadRequest(w, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Program == "" {
@@ -177,33 +155,13 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"dropped": r.PathValue("name")})
 }
 
-// answersJSON renders an answer table; unbound columns (query variables a
-// solution does not constrain) render as "_".
-func answersJSON(a *ldl1.Answers) queryResponse {
-	resp := queryResponse{Vars: a.Vars, Rows: make([][]string, 0, len(a.Rows))}
-	for _, row := range a.Rows {
-		out := make([]string, len(row))
-		for i, t := range row {
-			if t == nil {
-				out[i] = "_"
-			} else {
-				out[i] = t.String()
-			}
-		}
-		resp.Rows = append(resp.Rows, out)
-	}
-	resp.Count = len(resp.Rows)
-	return resp
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	db := s.db(w, r)
 	if db == nil {
 		return
 	}
 	var req queryRequest
-	if err := decode(r, &req); err != nil {
-		errBadRequest(w, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -222,7 +180,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	db.reads.Add(1)
-	writeJSON(w, answersJSON(ans))
+	writeAnswers(w, ans)
 }
 
 func (s *Server) handlePreparedList(w http.ResponseWriter, r *http.Request) {
@@ -248,8 +206,7 @@ func (s *Server) handlePreparedDefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req prepareRequest
-	if err := decode(r, &req); err != nil {
-		errBadRequest(w, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -276,8 +233,7 @@ func (s *Server) handlePreparedExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req execRequest
-	if err := decode(r, &req); err != nil {
-		errBadRequest(w, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	args := make([]ldl1.Term, 0, len(req.Args))
@@ -301,7 +257,7 @@ func (s *Server) handlePreparedExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	db.reads.Add(1)
-	writeJSON(w, answersJSON(ans))
+	writeAnswers(w, ans)
 }
 
 // handleUpdate is the shared write path: one transaction of insertions
@@ -340,8 +296,7 @@ type factsRequest struct {
 
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 	var req factsRequest
-	if err := decode(r, &req); err != nil {
-		errBadRequest(w, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	s.handleUpdate(w, r, req.Facts, "", req.DeadlineMS)
@@ -349,8 +304,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 	var req factsRequest
-	if err := decode(r, &req); err != nil {
-		errBadRequest(w, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	s.handleUpdate(w, r, "", req.Facts, req.DeadlineMS)
@@ -358,8 +312,7 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := decode(r, &req); err != nil {
-		errBadRequest(w, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	s.handleUpdate(w, r, req.Assert, req.Retract, req.DeadlineMS)

@@ -703,6 +703,13 @@ func (r *Relation) LookupCols(cols []int, vals []term.Term) ([]*term.Fact, bool)
 	return r.scanCols(cols, vals), false
 }
 
+// Indexed reports whether LookupCols(cols, ...) would be answered by an
+// index, built already or built by that call, without building one.
+func (r *Relation) Indexed(cols []int) bool {
+	mask, ok := colsMask(cols)
+	return r.useIdx && len(cols) > 0 && ok && (r.findIndex(mask) != nil || r.n >= IndexThreshold)
+}
+
 // Lookup returns the facts whose argument at column col equals value: the
 // single-column case of LookupCols.
 func (r *Relation) Lookup(col int, value term.Term) []*term.Fact {

@@ -61,22 +61,7 @@ func (f *Fact) Key() string {
 	return b.String()
 }
 
-func (f *Fact) String() string {
-	if len(f.Args) == 0 {
-		return f.Pred
-	}
-	var b strings.Builder
-	b.WriteString(f.Pred)
-	b.WriteByte('(')
-	for i, a := range f.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.String())
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+func (f *Fact) String() string { return string(appendCall(nil, f.Pred, f.Args)) }
 
 // Equal reports whether f and g are the same U-fact.
 func (f *Fact) Equal(g *Fact) bool { return EqualFacts(f, g) }

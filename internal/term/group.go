@@ -17,7 +17,7 @@ func (*Group) Kind() Kind { return KindGroup }
 
 func (g *Group) Key() string { return "g:<" + g.Inner.Key() + ">" }
 
-func (g *Group) String() string { return "<" + g.Inner.String() + ">" }
+func (g *Group) String() string { return string(AppendText(nil, g)) }
 
 // NewGroup builds <inner>.
 func NewGroup(inner Term) *Group { return &Group{Inner: inner} }

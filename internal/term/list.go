@@ -40,23 +40,18 @@ func IsList(t Term) ([]Term, bool) {
 	}
 }
 
-// listString renders cons structures in [a, b | T] notation; it returns
-// false when c is not a cons cell.
-func listString(c *Compound) (string, bool) {
-	if c.Functor != ConsFunctor || len(c.Args) != 2 {
-		return "", false
-	}
-	s := "[" + c.Args[0].String()
-	t := c.Args[1]
-	for {
+// appendList renders the cons cell c in [a, b | T] notation.
+func appendList(dst []byte, c *Compound) []byte {
+	dst = AppendText(append(dst, '['), c.Args[0])
+	for t := c.Args[1]; ; {
 		if Equal(t, EmptyList) {
-			return s + "]", true
+			return append(dst, ']')
 		}
 		cc, ok := t.(*Compound)
 		if !ok || cc.Functor != ConsFunctor || len(cc.Args) != 2 {
-			return s + " | " + t.String() + "]", true
+			return append(AppendText(append(dst, " | "...), t), ']')
 		}
-		s += ", " + cc.Args[0].String()
+		dst = AppendText(append(dst, ", "...), cc.Args[0])
 		t = cc.Args[1]
 	}
 }

@@ -172,58 +172,62 @@ func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 func (s Str) String() string { return strconv.Quote(string(s)) }
 func (v Var) String() string { return string(v) }
 
-func (c *Compound) String() string {
-	if s, ok := listString(c); ok {
-		return s
-	}
-	// The parser's enumerated-set pattern renders back in braces, and
-	// binary arithmetic renders infix (parenthesized, so it re-parses
-	// unambiguously).
-	if c.Functor == "$set" {
-		var b strings.Builder
-		b.WriteByte('{')
-		for i, a := range c.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(a.String())
+func (c *Compound) String() string { return string(AppendText(nil, c)) }
+func (s *Set) String() string      { return string(AppendText(nil, s)) }
+
+// AppendText appends the concrete LDL1 syntax of t — what t.String()
+// returns — to dst and returns the extended slice.
+func AppendText(dst []byte, t Term) []byte {
+	switch t := t.(type) {
+	case Atom:
+		return append(dst, t.String()...)
+	case Int:
+		return strconv.AppendInt(dst, int64(t), 10)
+	case Str:
+		return strconv.AppendQuote(dst, string(t))
+	case Var:
+		return append(dst, t...)
+	case *Set:
+		return appendSeq(append(dst, '{'), t.elems, '}')
+	case *Group:
+		return append(AppendText(append(dst, '<'), t.Inner), '>')
+	case *Compound:
+		// Lists render in brackets, the parser's enumerated-set pattern in
+		// braces, and binary arithmetic infix (parenthesized, so it
+		// re-parses unambiguously).
+		switch {
+		case t.Functor == ConsFunctor && len(t.Args) == 2:
+			return appendList(dst, t)
+		case t.Functor == "$set":
+			return appendSeq(append(dst, '{'), t.Args, '}')
+		case len(t.Args) == 2 && (t.Functor == "+" || t.Functor == "-" || t.Functor == "*" || t.Functor == "/"):
+			dst = append(AppendText(append(dst, '('), t.Args[0]), ' ')
+			dst = append(append(dst, t.Functor...), ' ')
+			return append(AppendText(dst, t.Args[1]), ')')
 		}
-		b.WriteByte('}')
-		return b.String()
+		return appendCall(dst, t.Functor, t.Args)
 	}
-	if len(c.Args) == 2 {
-		switch c.Functor {
-		case "+", "-", "*", "/":
-			return "(" + c.Args[0].String() + " " + c.Functor + " " + c.Args[1].String() + ")"
-		}
-	}
-	if len(c.Args) == 0 {
-		return c.Functor
-	}
-	var b strings.Builder
-	b.WriteString(c.Functor)
-	b.WriteByte('(')
-	for i, a := range c.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.String())
-	}
-	b.WriteByte(')')
-	return b.String()
+	panic("term: unknown kind")
 }
 
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, e := range s.elems {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(e.String())
+// appendCall renders name(args...), or name alone when there are no args.
+func appendCall(dst []byte, name string, args []Term) []byte {
+	dst = append(dst, name...)
+	if len(args) == 0 {
+		return dst
 	}
-	b.WriteByte('}')
-	return b.String()
+	return appendSeq(append(dst, '('), args, ')')
+}
+
+// appendSeq renders ts separated by ", " and then the closing byte.
+func appendSeq(dst []byte, ts []Term, closing byte) []byte {
+	for i, t := range ts {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendText(dst, t)
+	}
+	return append(dst, closing)
 }
 
 // NewCompound builds f(args...), computing the structural hash and the

@@ -2,13 +2,16 @@
 # End-to-end smoke test for ldl1d: build the server, boot it against the
 # shipped programs/, run a scripted session over the HTTP surface (query,
 # assert, re-query, stats), then shut it down gracefully and check it
-# drained cleanly.  Run from the repo root; CI runs it on every push.
+# drained cleanly.  One answer body is compared with a committed file byte
+# for byte, which pins the wire format through the real binary.  Run from
+# the repo root; CI runs it on every push.
 set -euo pipefail
 
 ADDR="127.0.0.1:${LDL1D_PORT:-8370}"
 BASE="http://$ADDR"
 BIN="${TMPDIR:-/tmp}/ldl1d-smoke"
 LOG="${TMPDIR:-/tmp}/ldl1d-smoke.log"
+BODY="${TMPDIR:-/tmp}/ldl1d-smoke.body"
 
 say()  { printf '\n== %s\n' "$*"; }
 fail() { printf 'FAIL: %s\n' "$*" >&2; [ -f "$LOG" ] && sed 's/^/  ldl1d: /' "$LOG" >&2; exit 1; }
@@ -37,6 +40,10 @@ R=$(curl -sf "$BASE/db/family/query" -d '{"query": "ancestor(abe, W)"}') || fail
 N0=$(jget "$R" count)
 [ "$N0" -gt 0 ] || fail "ancestor(abe, W) returned no rows: $R"
 echo "   ancestor(abe, W): $N0 rows"
+
+say "the answer body is the committed one, byte for byte"
+curl -sf "$BASE/db/family/query" -d '{"query": "ancestor(abe, W)"}' -o "$BODY" || fail "query request"
+cmp "$BODY" testdata/ldl1d_ancestor_abe.json || fail "ancestor(abe, W) body differs from testdata/ldl1d_ancestor_abe.json: $(cat "$BODY")"
 
 say "assert"
 R=$(curl -sf "$BASE/db/family/assert" -d '{"facts": "parent(smoke1, smoke2). parent(smoke2, smoke3)."}') || fail "assert request"
