@@ -84,6 +84,14 @@ func WithSupplementaryMagic() Option {
 	}
 }
 
+// magicVariant is the §6 rewriting a WithMagic engine runs.
+func (c config) magicVariant() magic.Variant {
+	if c.supplementary {
+		return magic.Supplementary
+	}
+	return magic.Basic
+}
+
 // WithWorkers evaluates each fixpoint round's rule applications with n
 // concurrent workers (derivations are buffered and merged between rounds;
 // the computed model is unchanged).
@@ -134,11 +142,13 @@ func WithoutRewrite() Option { return func(c *config) { c.noRewrite = true } }
 
 // Engine holds a checked LDL1 program plus its extensional database.
 //
-// Concurrency: fact loading (AddFact, AddFacts, AddDB) takes a write lock;
-// Run, Query, and prepared-handle Exec evaluate under a read lock, so
-// queries may run concurrently with each other and are serialized against
-// loads.  The answer cache and the compiled-form memo carry their own locks
-// and publish only fully built, immutable entries.
+// Concurrency: fact loading (AddFact, AddFacts, AddDB) takes a write lock,
+// and so does computing the memoized model that Run and plain reads answer
+// from.  A magic-sets read (WithMagic) and Explain clone the extensional
+// database under a read lock and evaluate the clone without it, so they run
+// concurrently with each other and with loads, and each sees a load wholly
+// or not at all.  The answer cache and the compiled-form memo carry their
+// own locks and publish only fully built, immutable entries.
 type Engine struct {
 	cfg      config
 	source   *ast.Program // program as written (after LDL1.5 expansion)
@@ -434,13 +444,9 @@ func (e *Engine) magicForm(lit ast.Literal, shared bool) (*magic.Prepared, error
 	if _, derived := e.r.cones[lit.Pred]; !derived || lit.Negated {
 		return nil, nil
 	}
-	variant := magic.Basic
-	if e.cfg.supplementary {
-		variant = magic.Supplementary
-	}
 	query := parser.Query{Body: []ast.Literal{lit}}
 	if !shared || e.forms == nil {
-		return magic.PrepareVariant(e.source, query, variant)
+		return magic.PrepareVariant(e.source, query, e.cfg.magicVariant())
 	}
 	k := formKey{lit.Pred, shape(lit)}
 	e.formsMu.Lock()
@@ -449,7 +455,7 @@ func (e *Engine) magicForm(lit ast.Literal, shared bool) (*magic.Prepared, error
 	if pr != nil {
 		return pr, nil
 	}
-	pr, err := magic.PrepareVariant(e.source, query, variant)
+	pr, err := magic.PrepareVariant(e.source, query, e.cfg.magicVariant())
 	if err != nil {
 		return nil, err
 	}
@@ -466,16 +472,18 @@ func (e *Engine) magicForm(lit ast.Literal, shared bool) (*magic.Prepared, error
 }
 
 // execMagic is the reader's exec step on a WithMagic engine: one magic-sets
-// evaluation of a compiled form against the extensional database, under
-// the read lock, so a concurrent load invalidates strictly before or after.
+// evaluation of a compiled form against a clone of the extensional
+// database, taken under the read lock, so a concurrent load lands strictly
+// before or after it and the saturation runs without the lock.
 func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *Stats) ([][]term.Term, error) {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
+	edb := e.edb.Clone()
 	opts := e.evalOpts(ctx, st)
+	e.mu.RUnlock()
 	if o.MemBudget > 0 {
 		opts.MemBudget = o.MemBudget
 	}
-	res, err := pr.Exec(e.edb, consts, opts)
+	res, err := pr.Exec(edb, consts, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -522,6 +530,7 @@ func (m *Model) Len() int { return m.db.Len() }
 // String renders the whole model as sorted fact lines.
 func (m *Model) String() string { return m.db.String() }
 
-// DB exposes the underlying fact store (shared, do not mutate) for
-// advanced use such as the model-theory checkers.
+// DB exposes the underlying fact store for advanced use such as the
+// model-theory checkers.  It is shared with the engine's readers: write a
+// Clone of it instead.
 func (m *Model) DB() *store.DB { return m.db }

@@ -1,9 +1,11 @@
 package ldl1
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ldl1/internal/store"
 	"ldl1/internal/term"
@@ -213,6 +215,13 @@ func TestEngineExplainQuery(t *testing.T) {
 	if !strings.Contains(plan, "par(X, Y)") {
 		t.Errorf("plan = %s", plan)
 	}
+	sup, err := New("anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).", WithSupplementaryMagic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, rewritten, _, err := sup.ExplainQuery("anc(a, W)"); err != nil || !strings.Contains(rewritten, "sup__") {
+		t.Errorf("supplementary engine explains the rewriting %s (%v), not the one it runs", rewritten, err)
+	}
 }
 
 func TestTermConstructors(t *testing.T) {
@@ -280,6 +289,72 @@ func TestExplain(t *testing.T) {
 	}
 	if _, err := eng.Explain("not a fact"); err == nil {
 		t.Error("garbage input should fail")
+	}
+}
+
+// TestExplainUnderBounds: Explain evaluates under the engine's bounds.  The
+// program diverges, so an Explain that ignored them would never return: the
+// test waits on its own timer and fails instead of hanging.
+func TestExplainUnderBounds(t *testing.T) {
+	for name, c := range map[string]struct {
+		opt  Option
+		want func(error) bool
+	}{
+		"limit":    {WithLimit(100), func(err error) bool { var le *LimitError; return errors.As(err, &le) }},
+		"budget":   {WithMemBudget(4096), func(err error) bool { var me *MemBudgetError; return errors.As(err, &me) }},
+		"deadline": {WithDeadline(50 * time.Millisecond), func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }},
+	} {
+		eng, err := New("nat(0). nat(X + 1) <- nat(X).", c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := eng.Explain("nat(0)")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !c.want(err) {
+				t.Errorf("%s: Explain = %v", name, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s: Explain still running after 3 s", name)
+		}
+	}
+}
+
+// TestExplainConcurrentWithLoads: Explain reads the extensional database
+// under the engine's lock, so under the race detector it may run beside
+// AddFacts; every explanation sees a load wholly or not at all.
+func TestExplainConcurrentWithLoads(t *testing.T) {
+	eng, err := New(`
+		ancestor(X, Y) <- parent(X, Y).
+		ancestor(X, Y) <- parent(X, Z), ancestor(Z, Y).
+		parent(abe, bob).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if err := eng.AddFacts(fmt.Sprintf("parent(bob, c%d). parent(c%d, d%d).", i, i, i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		why, err := eng.Explain("ancestor(abe, bob)")
+		if err != nil || !strings.Contains(why, "parent(abe, bob)") {
+			t.Fatalf("Explain = %q, %v", why, err)
+		}
+	}
+	<-done
+	if _, err := eng.Explain("ancestor(abe, d49)"); err != nil {
+		t.Fatal(err)
 	}
 }
 

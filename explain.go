@@ -1,6 +1,7 @@
 package ldl1
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -14,7 +15,9 @@ import (
 // Explain returns a proof tree showing why a fact holds in the program's
 // minimal model: the rule instance that derived it and, recursively, the
 // derivations of the body facts it matched.  Returns an error if the fact
-// is not in the model.
+// is not in the model.  The evaluation runs under the engine's WithLimit,
+// WithDeadline and WithMemBudget bounds, against the facts loaded when it
+// starts.
 //
 //	why, _ := eng.Explain("ancestor(abe, carl)")
 //	fmt.Println(why)
@@ -33,11 +36,15 @@ func (e *Engine) Explain(factSrc string) (string, error) {
 	h := p.Rules[0].Head
 	f := term.NewFact(h.Pred, h.Args...)
 
+	ctx, cancel := withDeadline(context.Background(), e.cfg.deadline)
+	defer cancel()
+	e.mu.RLock()
+	edb := e.edb.Clone()
+	opts := e.evalOpts(ctx, nil)
+	e.mu.RUnlock()
 	prov := eval.NewProvenance()
-	db, err := eval.Eval(e.source, e.edb, eval.Options{
-		Strategy:   e.cfg.strategy,
-		Provenance: prov,
-	})
+	opts.Provenance = prov
+	db, err := eval.Eval(e.source, edb, opts)
 	if err != nil {
 		return "", err
 	}
@@ -48,7 +55,8 @@ func (e *Engine) Explain(factSrc string) (string, error) {
 }
 
 // ExplainQuery returns the compilation artifacts for a query: the adorned
-// program and the magic-rewritten rules in the paper's §6 notation, plus
+// program and the magic-rewritten rules in the paper's §6 notation (the
+// supplementary rewriting under WithSupplementaryMagic), plus
 // the cost-based join plan the evaluator would run — for every rule in the
 // query's dependency cone, the literal execution order with the planner's
 // bound columns and candidate estimates against the current database.
@@ -57,15 +65,11 @@ func (e *Engine) ExplainQuery(q string) (adorned, rewritten, plan string, err er
 	if err != nil {
 		return "", "", "", err
 	}
-	ap, err := magic.Adorn(e.source, query)
+	pr, err := magic.PrepareVariant(e.source, query, e.cfg.magicVariant())
 	if err != nil {
 		return "", "", "", err
 	}
-	rw, err := magic.Rewrite(ap)
-	if err != nil {
-		return "", "", "", err
-	}
-	return ap.String(), rw.Program.String(), e.planString(query), nil
+	return pr.Adorned.String(), pr.Rewritten.Program.String(), e.planString(query), nil
 }
 
 // planString renders the cost-based join plan of every rule in the query's

@@ -109,7 +109,7 @@ func TestEstimateUsesDistinctIndexStat(t *testing.T) {
 	// 128 facts over 4 distinct first-column values; once the index exists,
 	// the estimate is n/distinct = 32 rather than the blind n>>3 = 16.
 	db := store.NewDB()
-	rel := db.MutableRel("skew")
+	rel := db.Rel("skew")
 	for i := 0; i < 128; i++ {
 		rel.Insert(term.NewFact("skew", atom(fmt.Sprintf("g%d", i%4)), atom(fmt.Sprintf("v%d", i))))
 	}

@@ -296,8 +296,8 @@ func (x *Exec) fire(v *Variant, db *store.DB, delta *store.Relation) error {
 			return err
 		}
 		if fresh {
-			// The first insert into a relation a forked database still
-			// shares replaces it with a private copy: probe that one.
+			// The first insert into a relation the database shares with a
+			// clone replaces it with a private copy: probe that one.
 			fresh = false
 			rel, _ = x.sink.Probe(pred)
 		}

@@ -138,9 +138,10 @@ type Options struct {
 type LimitError = lderr.LimitError
 
 // Eval computes the standard minimal model M_n of the admissible program P
-// with respect to the U-facts in edb (Theorem 1): facts are added to a copy
+// with respect to the U-facts in edb (Theorem 1): facts are added to a clone
 // of edb, then each layer L_i is evaluated to its fixpoint M_i = L_i(M_{i-1}).
-// The input database is not modified.
+// The input database is not modified, and the caller may go on writing it:
+// the model does not see it.
 func Eval(p *ast.Program, edb *store.DB, opts Options) (*store.DB, error) {
 	if err := ast.CheckWellFormed(p); err != nil {
 		return nil, err
@@ -220,8 +221,8 @@ type evaluation struct {
 // Probe and Accept make the evaluation its own sink: a head fact absent
 // from the database is inserted, charged and counted as derived.  A live
 // round has the database to itself, so there the first firing of a rule
-// creates its head relation: a derived predicate is part of the model even
-// when no fact of it is.
+// creates its head relation (a derived predicate is part of the model even
+// when no fact of it is), or the private copy of one a clone shares.
 func (ev *evaluation) Probe(pred string) (*store.Relation, bool) {
 	if ev.live {
 		return ev.db.Rel(pred), false

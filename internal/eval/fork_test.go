@@ -11,12 +11,12 @@ import (
 )
 
 // TestEvalGroupsOnFork: p is both extensional and derived, and is evaluated
-// in place on a copy-on-write fork.  The first derived fact replaces the
-// relation the fork shares with its parent by a private copy; the rule's
-// allocation-free duplicate probe must follow it there.  Probing the parent's
-// relation for the rest of that rule application misses every fact derived
-// in it, so each re-derivation builds a fact only for Insert to turn it
-// down: the model stays right and the allocations give it away.
+// in place on a clone.  The first derived fact replaces the relation the
+// clone shares with its source by a private copy; the rule's allocation-free
+// duplicate probe must follow it there.  Probing the source's relation for
+// the rest of that rule application misses every fact derived in it, so
+// each re-derivation builds a fact only for Insert to turn it down: the
+// model stays right and the allocations give it away.
 func TestEvalGroupsOnFork(t *testing.T) {
 	// n nodes joined to each other only through h hubs: the first rule
 	// application derives each of the n*n pairs once per hub.
@@ -45,29 +45,29 @@ func TestEvalGroupsOnFork(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		var st Stats
-		fork := parent.Fork()
-		if err := EvalGroups(lay.Rules, fork, Options{Workers: workers, Stats: &st}); err != nil {
+		cl := parent.Clone()
+		if err := EvalGroups(lay.Rules, cl, Options{Workers: workers, Stats: &st}); err != nil {
 			t.Fatal(err)
 		}
-		if !fork.Equal(want) {
-			t.Errorf("workers=%d: model on the fork differs from Eval's", workers)
+		if !cl.Equal(want) {
+			t.Errorf("workers=%d: model on the clone differs from Eval's", workers)
 		}
 		if st.Derived != closure-edb {
 			t.Errorf("workers=%d: derived %d, want %d", workers, st.Derived, closure-edb)
 		}
 		if parent.String() != beforeText || !parent.Equal(before) || parent.Len() != edb ||
 			fmt.Sprint(parent.Preds()) != "[p]" || parent.RelOrNil("p").Len() != edb {
-			t.Errorf("workers=%d: evaluation on the fork changed its parent", workers)
+			t.Errorf("workers=%d: evaluation on the clone changed its source", workers)
 		}
 	}
 
 	var st Stats
-	if err := EvalGroups(lay.Rules, parent.Fork(), Options{Stats: &st}); err != nil {
+	if err := EvalGroups(lay.Rules, parent.Clone(), Options{Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	dups := st.Firings - st.Derived
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := EvalGroups(lay.Rules, parent.Fork(), Options{}); err != nil {
+		if err := EvalGroups(lay.Rules, parent.Clone(), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -107,7 +107,7 @@ func TestNegatedLiteralProbesWithoutFact(t *testing.T) {
 	}
 	checks := model.Card("anc") * people
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := EvalGroups(lay.Rules, model.Fork(), Options{}); err != nil {
+		if err := EvalGroups(lay.Rules, model.Clone(), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -82,8 +82,9 @@ type Plan struct {
 	Reordered bool
 }
 
-// CompileBody plans the rule body like PlanBody and additionally exposes
-// the per-literal bound-column analysis.  The order is the static one —
+// CompileBody plans the rule body — forcedFirst (-1: none) leading,
+// preBound ground on entry — and exposes the execution order with the
+// per-literal bound-column analysis.  The order is the static one —
 // data-independent, so magic-set sips and analysis diagnostics are stable
 // across databases.
 func CompileBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool) (*Plan, error) {

@@ -25,9 +25,9 @@
 //     re-inserted after being deleted in phase 2 is a resurrection — it is
 //     net-unchanged and propagates no delta to higher layers.
 //
-// Snapshot publication is atomic: Apply mutates a copy-on-write fork of the
-// current model and swaps it in only when the whole transaction has been
-// applied, so concurrent readers never observe a half-applied transaction.
+// Snapshot publication is atomic: Apply writes a clone of the current model
+// and swaps it in only when the whole transaction has been applied, so
+// concurrent readers never observe a half-applied transaction.
 package incr
 
 import (
@@ -108,7 +108,7 @@ type Materialized struct {
 	byHead map[string][]*eval.CompiledRule
 
 	mu    sync.Mutex // serializes Apply; guards edb
-	edb   *store.DB  // current EDB (replaced, never mutated, per Apply)
+	edb   *store.DB  // current EDB (replaced by a written clone per Apply)
 	model atomic.Pointer[store.DB]
 
 	// onChange, when set, is invoked after every successfully published
@@ -131,11 +131,11 @@ func (m *Materialized) OnChange(fn func(preds []string)) {
 	m.onChange = fn
 }
 
-// New compiles the program, evaluates it once against edb (which is copied,
-// not retained), and returns the materialized handle.  Facts written in the
-// program text seed the view's extensional state alongside edb: under
-// maintenance they are ordinary EDB facts, so a transaction may retract
-// them like any other.
+// New compiles the program, evaluates it once against a clone of edb, and
+// returns the materialized handle; the caller may go on writing edb, and
+// the view does not see it.  Facts written in the program text seed the
+// view's extensional state alongside edb: under maintenance they are
+// ordinary EDB facts, so a transaction may retract them like any other.
 func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 	if err := ast.CheckWellFormed(p); err != nil {
 		return nil, err
@@ -217,7 +217,7 @@ func (m *Materialized) Program() *ast.Program { return m.prog }
 // txState carries one transaction through the layers.
 type txState struct {
 	old *store.DB // pre-transaction model (read-only)
-	w   *store.DB // working fork; published as the next model
+	w   *store.DB // working clone of old; published as the next model
 	edb *store.DB // post-transaction EDB (read-only during layers)
 	// gIns / gDel accumulate the net model deltas of the layers processed
 	// so far; layer i reads them for strictly lower predicates (where they
@@ -241,9 +241,10 @@ func (m *Materialized) Apply(tx Tx) (Result, error) {
 
 // ApplyCtx is Apply under a context: maintenance checks ctx at every phase,
 // round and task boundary and polls it every few hundred firings inside an
-// enumeration, and aborts with lderr.Canceled or lderr.DeadlineExceeded.  An aborted transaction rolls back completely —
-// the working model is a copy-on-write fork published only on success, so
-// neither the EDB nor any snapshot observes a partial transaction.
+// enumeration, and aborts with lderr.Canceled or lderr.DeadlineExceeded.  An
+// aborted transaction rolls back completely — the working model is a clone
+// published only on success, so neither the EDB nor any snapshot observes a
+// partial transaction.
 func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -252,7 +253,7 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 		return Result{}, err
 	}
 	old := m.model.Load()
-	edb2 := m.edb.Fork()
+	edb2 := m.edb.Clone()
 
 	// Normalise the transaction against the current EDB: only genuinely
 	// new insertions and genuinely present retractions generate deltas,
@@ -261,7 +262,7 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 	dropped := store.NewFactSet()
 	var added, removed []*term.Fact
 	for _, f := range tx.Insert {
-		g, ok := edb2.MutableRel(f.Pred).InsertGet(f)
+		g, ok := edb2.InsertGet(f)
 		if ok {
 			addedSet.Add(g)
 			added = append(added, g)
@@ -300,7 +301,7 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 
 	s := &txState{
 		old:  old,
-		w:    old.Fork(),
+		w:    old.Clone(),
 		edb:  edb2,
 		gIns: newDeltaSet(),
 		gDel: newDeltaSet(),

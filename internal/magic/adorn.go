@@ -98,12 +98,8 @@ func Adorn(p *ast.Program, query parser.Query) (*AdornedProgram, error) {
 		return nil, fmt.Errorf("magic: query predicate %s is a base relation; nothing to rewrite", qlit.Pred)
 	}
 
-	type job struct {
-		pred  string
-		adorn Adornment
-	}
-	done := map[job]bool{}
-	queue := []job{{qlit.Pred, ap.QueryAdorn}}
+	done := map[adornJob]bool{}
+	queue := []adornJob{{qlit.Pred, ap.QueryAdorn}}
 	for len(queue) > 0 {
 		j := queue[0]
 		queue = queue[1:]
@@ -117,9 +113,7 @@ func Adorn(p *ast.Program, query parser.Query) (*AdornedProgram, error) {
 				return nil, err
 			}
 			ap.Rules = append(ap.Rules, ar)
-			for _, nj := range next {
-				queue = append(queue, job{nj.pred, nj.adorn})
-			}
+			queue = append(queue, next...)
 		}
 	}
 	// Deterministic order: by predicate, adornment, then original text.

@@ -23,9 +23,8 @@ type Result struct {
 	// Rewritten is the magic program (step three of §6).
 	Rewritten *Rewritten
 	// DB is the database the saturation ended on: the relevant portions of
-	// every relation, under adorned names, in a copy-on-write fork of the
-	// input database.  Base relations are the input's own: do not mutate
-	// them.
+	// every relation, under adorned names, in a clone of the input
+	// database.
 	DB *store.DB
 	// Solutions is the answer table read off the adorned query predicate:
 	// one sorted row per answer, columns as eval.Solve gives them.
@@ -40,8 +39,8 @@ type Result struct {
 
 // Answer evaluates the query against program + database using the magic
 // sets method end to end: adorn, rewrite, then evaluate the rewritten
-// program by iterated stratified saturation, in place, on one copy-on-write
-// fork of the database with the seed inserted.
+// program by iterated stratified saturation, in place, on one clone of the
+// database with the seed inserted.
 //
 // Because the rewritten program is not layered (§6), a pass evaluates the
 // rewritten rules group by group along the ORIGINAL program's layering

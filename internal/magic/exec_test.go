@@ -105,7 +105,7 @@ func baseState(edb *store.DB) string {
 }
 
 // TestExecSharesEDB: every shape under both variants, from several
-// goroutines at once, against ONE bulk-loaded EDB.  Executions fork it, so
+// goroutines at once, against ONE bulk-loaded EDB.  Executions clone it, so
 // they share its relations — lazily indexed — and must neither write to it
 // nor see each other's derived facts.  Run under -race in CI.
 func TestExecSharesEDB(t *testing.T) {
@@ -215,7 +215,7 @@ func TestSaturationAcrossLayers(t *testing.T) {
 		src, queries := randLayeredProgram(rand.New(rand.NewSource(seed)))
 		p := parser.MustParseProgram(src)
 		// The same program with its facts moved to the EDB: executions then
-		// run on a fork that shares them.
+		// run on a clone that shares them.
 		rules, edb := ast.NewProgram(), store.NewDB()
 		for _, r := range p.Rules {
 			if r.IsFact() {

@@ -113,12 +113,10 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 // AnswerVariant's (see Answer); only the parse/adorn/rewrite/stratify work
 // is skipped.
 //
-// Exec works on a copy-on-write fork of edb: base relations — with the
-// indexes they have built, which an execution may add to — are shared with
-// edb and with every concurrent Exec, and only
-// derived and magic relations are private.  edb itself is never written to;
-// it must not be mutated while an Exec runs, and the base relations of
-// Result.DB must not be mutated at all.
+// Exec works on a clone of edb: base relations — with the indexes they have
+// built, which an execution may add to — are shared with edb and with every
+// concurrent Exec, and only derived and magic relations are private.  edb
+// itself is never written to.
 func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (*Result, error) {
 	if consts == nil {
 		consts = pr.defaults
@@ -139,7 +137,7 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 		seedArgs[i] = v
 	}
 
-	db := edb.Fork()
+	db := edb.Clone()
 	db.Insert(term.NewFact(pr.seedPred, seedArgs...))
 	// found counts the magic facts seen so far, per predicate; the seed is
 	// there before the first pass and so is never late.

@@ -2,6 +2,7 @@ package magic
 
 import (
 	"fmt"
+	"slices"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/layering"
@@ -146,7 +147,9 @@ func (rw *Rewritten) finish(ap *AdornedProgram, lay *layering.Layering, scale in
 	}
 	factAdorns := map[string][]Adornment{}
 	for _, ar := range ap.Rules {
-		factAdorns[ar.Rule.Head.Pred] = appendUniqueAdorn(factAdorns[ar.Rule.Head.Pred], ar.Head)
+		if p := ar.Rule.Head.Pred; !slices.Contains(factAdorns[p], ar.Head) {
+			factAdorns[p] = append(factAdorns[p], ar.Head)
+		}
 	}
 	for _, r := range ap.Original.Rules {
 		if !r.IsFact() || !ap.IDB[r.Head.Pred] {
@@ -184,12 +187,3 @@ func (rw *Rewritten) finish(ap *AdornedProgram, lay *layering.Layering, scale in
 // groupColumn is the variable standing in a magic guard for the bound
 // grouping argument at head position i.
 func groupColumn(i int) term.Var { return term.Var(fmt.Sprintf("$group%d", i)) }
-
-func appendUniqueAdorn(list []Adornment, a Adornment) []Adornment {
-	for _, x := range list {
-		if x == a {
-			return list
-		}
-	}
-	return append(list, a)
-}

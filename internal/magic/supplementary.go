@@ -1,6 +1,8 @@
 package magic
 
 import (
+	"strconv"
+
 	"ldl1/internal/ast"
 	"ldl1/internal/layering"
 	"ldl1/internal/term"
@@ -101,7 +103,7 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 		liveVars := func(j int, bound map[term.Var]bool) []term.Term {
 			// Variables bound so far that are still needed later.
 			var out []term.Term
-			for _, v := range orderedVars(ar.Rule) {
+			for _, v := range ar.Rule.Vars() {
 				if bound[v] && neededAfter[j+1][v] {
 					out = append(out, v)
 				}
@@ -165,26 +167,7 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 }
 
 func supPredName(rule, step int) string {
-	return "sup__" + itoa(rule) + "_" + itoa(step)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// orderedVars returns the rule's variables in a deterministic order.
-func orderedVars(r ast.Rule) []term.Var {
-	return r.Vars()
+	return "sup__" + strconv.Itoa(rule) + "_" + strconv.Itoa(step)
 }
 
 // Variant selects the §6 rewriting algorithm.

@@ -243,7 +243,11 @@ func join(body []ast.Literal, order []int, step int, m *store.DB, b *unify.Bindi
 		}
 		return cont()
 	}
-	for _, f := range m.Rel(l.Pred).All() {
+	rel := m.RelOrNil(l.Pred)
+	if rel == nil {
+		return nil
+	}
+	for _, f := range rel.All() {
 		mark := b.Mark()
 		if unify.MatchFact(l, f, b) {
 			if err := cont(); err != nil {

@@ -30,6 +30,7 @@ func (r *Relation) InsertBatch(fs []*term.Fact, opts LoadOpts) int {
 	if len(fs) == 0 {
 		return 0
 	}
+	r.checkWrite()
 	r.ensureTables()
 	nsh := r.shardsFor(r.n + len(fs))
 	for len(fs) >= reshardMin && nsh < opts.Workers {
@@ -185,7 +186,7 @@ func (db *DB) LoadFacts(fs []*term.Fact, opts LoadOpts) int {
 	}
 	n := 0
 	if single {
-		n = db.mutableRel(fs[0].Pred).InsertBatch(fs, opts)
+		n = db.Rel(fs[0].Pred).InsertBatch(fs, opts)
 	} else {
 		groups := make(map[string][]*term.Fact)
 		var order []string
@@ -196,9 +197,8 @@ func (db *DB) LoadFacts(fs []*term.Fact, opts LoadOpts) int {
 			groups[f.Pred] = append(groups[f.Pred], f)
 		}
 		for _, p := range order {
-			n += db.mutableRel(p).InsertBatch(groups[p], opts)
+			n += db.Rel(p).InsertBatch(groups[p], opts)
 		}
 	}
-	db.sizeAdd(n)
 	return n
 }

@@ -163,91 +163,110 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	}
 }
 
+// TestDBForkCopyOnWrite: a Clone shares every relation until one side
+// writes it, and then only the writer's copy changes, whichever side it is.
 func TestDBForkCopyOnWrite(t *testing.T) {
 	base := NewDB()
 	for i := 0; i < 32; i++ {
 		base.Insert(fact("p", i))
 		base.Insert(fact("q", i))
 	}
-	w := base.Fork()
+	w := base.Clone()
 
-	// Mutations through the fork: one relation deleted from, one inserted
+	// Writes through the clone: one relation deleted from, one inserted
 	// into, one created fresh.
 	if !w.Delete(fact("p", 5)) {
-		t.Fatal("fork delete failed")
+		t.Fatal("clone delete failed")
 	}
 	w.Insert(fact("q", 100))
 	w.Insert(fact("r", 1))
 
-	if base.Contains(fact("p", 5)) == false {
-		t.Fatal("base lost p(5) through fork mutation")
+	if !base.Contains(fact("p", 5)) {
+		t.Fatal("source lost p(5) through a write to the clone")
 	}
 	if base.Contains(fact("q", 100)) {
-		t.Fatal("base gained q(100) through fork mutation")
+		t.Fatal("source gained q(100) through a write to the clone")
 	}
-	if base.Has("r") {
-		t.Fatal("base gained relation r through fork mutation")
+	if base.RelOrNil("r") != nil {
+		t.Fatal("source gained relation r through a write to the clone")
 	}
 	if w.Contains(fact("p", 5)) {
-		t.Fatal("fork still has deleted p(5)")
+		t.Fatal("clone still has deleted p(5)")
 	}
 	if !w.Contains(fact("q", 100)) || !w.Contains(fact("r", 1)) {
-		t.Fatal("fork missing its own inserts")
+		t.Fatal("clone missing its own inserts")
 	}
-	// Unmutated relations stay pointer-shared; mutated ones are copies.
+	// Unwritten relations stay pointer-shared; written ones are copies.
 	if base.RelOrNil("p") == w.RelOrNil("p") {
-		t.Fatal("mutated relation p still shared")
+		t.Fatal("written relation p still shared")
 	}
 	if base.Len() != 64 {
-		t.Fatalf("base Len = %d, want 64", base.Len())
+		t.Fatalf("source Len = %d, want 64", base.Len())
 	}
 	if w.Len() != 64+1 {
-		t.Fatalf("fork Len = %d, want 65", w.Len())
+		t.Fatalf("clone Len = %d, want 65", w.Len())
 	}
 
-	// A no-op delete must not unshare.
-	w2 := base.Fork()
+	// The source goes on being written, and the clone does not see it.
+	base.Insert(fact("q", 200))
+	base.Delete(fact("q", 3))
+	if w.Contains(fact("q", 200)) || !w.Contains(fact("q", 3)) || w.Len() != 65 {
+		t.Fatal("a write to the source reached the clone")
+	}
+
+	// A no-op delete must not copy.
+	w2 := base.Clone()
 	if w2.Delete(fact("p", 999)) {
 		t.Fatal("delete of absent fact returned true")
 	}
 	if base.RelOrNil("p") != w2.RelOrNil("p") {
-		t.Fatal("no-op delete unshared the relation")
+		t.Fatal("no-op delete copied the relation")
 	}
 	// Nor a duplicate insert (a magic execution re-asserts the program's own
-	// base facts on a fork of the extensional database).
+	// base facts on a clone of the extensional database).
 	if w2.Insert(fact("q", 7)) {
 		t.Fatal("insert of present fact returned true")
 	}
 	if base.RelOrNil("q") != w2.RelOrNil("q") {
-		t.Fatal("duplicate insert unshared the relation")
+		t.Fatal("duplicate insert copied the relation")
 	}
 
-	// Clear hands a shared relation back to the parent and starts afresh in
+	// Clear leaves a shared relation to the other side and starts afresh in
 	// the same creation-order slot.
 	w2.Clear("p")
 	w2.Clear("absent")
 	if w2.Card("p") != 0 || w2.Len() != 32 || base.Card("p") != 32 || fmt.Sprint(w2.Preds()) != "[p q]" {
-		t.Fatalf("after Clear: fork p=%d len=%d preds=%v, base p=%d", w2.Card("p"), w2.Len(), w2.Preds(), base.Card("p"))
+		t.Fatalf("after Clear: clone p=%d len=%d preds=%v, source p=%d", w2.Card("p"), w2.Len(), w2.Preds(), base.Card("p"))
 	}
 	w2.Insert(fact("p", 1))
 	if base.RelOrNil("p") == w2.RelOrNil("p") || base.Card("p") != 32 || w2.Len() != 33 {
-		t.Fatal("insert after Clear reached the parent's relation")
+		t.Fatal("insert after Clear reached the source's relation")
 	}
+
+	// A *Relation held across a Clone is frozen: writing it panics.
+	held := base.Rel("q")
+	base.Clone()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a write to a frozen relation did not panic")
+		}
+	}()
+	held.Insert(fact("q", 300))
 }
 
 func TestForkPredsAndString(t *testing.T) {
 	base := NewDB()
 	base.Insert(fact("b", 1))
 	base.Insert(fact("a", 1))
-	w := base.Fork()
+	w := base.Clone()
 	w.Insert(fact("c", 1))
 	want := []string{"b", "a", "c"}
 	got := w.Preds()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("fork Preds = %v, want %v", got, want)
+		t.Fatalf("clone Preds = %v, want %v", got, want)
 	}
 	if base.String() == w.String() {
-		t.Fatal("fork String should differ after insert")
+		t.Fatal("clone String should differ after insert")
 	}
 }
 
@@ -258,7 +277,7 @@ func (m *gauge) peak(g gauge) {
 }
 
 // TestForkChurnKeepsTablesClean: balanced insert/delete pairs, each pair a
-// transaction of its own (fork, write, publish), hold a relation at one size
+// transaction of its own (clone, write, publish), hold a relation at one size
 // — so its intern tables never grow, and growth is the only other moment
 // tombstones are swept.  Slots allocated, slots occupied (live + tombstone)
 // and the mean probe length of a hit must be the same in the last thousand
@@ -284,7 +303,7 @@ func TestForkChurnKeepsTablesClean(t *testing.T) {
 	}
 	var first, last gauge
 	for i := 0; i < txs; i++ {
-		w := db.Fork()
+		w := db.Clone()
 		if !w.Insert(f("p", live+i)) || !w.Delete(f("p", i)) {
 			t.Fatalf("tx %d: pair did not apply", i)
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -47,6 +48,16 @@ func (r *refDB) delete(f *term.Fact) bool {
 }
 
 func (r *refDB) contains(f *term.Fact) bool { return r.seen[f.Key()] }
+
+func (r *refDB) clear(pred string) {
+	r.facts = slices.DeleteFunc(r.facts, func(g *term.Fact) bool {
+		if g.Pred != pred {
+			return false
+		}
+		delete(r.seen, g.Key())
+		return true
+	})
+}
 
 func (r *refDB) clone() *refDB {
 	out := newRefDB()
@@ -94,7 +105,7 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 	rng := rand.New(rand.NewSource(seed))
 	db := NewDB()
 	ref := newRefDB()
-	forks, loads := 0, 0
+	loads := 0
 	for step := 0; step < 60; step++ {
 		switch op := rng.Intn(10); {
 		case op < 3: // bulk load; the first is of resharding size
@@ -142,9 +153,6 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 			if got := db.DeleteAll(fs); got != want {
 				t.Fatalf("seed %d step %d: DeleteAll=%d oracle=%d", seed, step, got, want)
 			}
-		case op < 8 && forks < 3: // fork and continue in the fork
-			db = db.Fork()
-			forks++
 		case op < 9: // clone and continue in the clone
 			db = db.Clone()
 			ref = ref.clone()
@@ -269,15 +277,18 @@ func sameSequence(got, want []*term.Fact) bool {
 	return true
 }
 
-// snapshot is a database that is no longer written — a published model, a
-// fork's parent — beside a deep copy of what it held when it froze.
+// snapshot is a database beside a deep copy of what it holds: a writer, or
+// a published clone that is no longer written.
 type snapshot struct {
 	db  *DB
 	ref *refDB
 }
 
+// clone is DB.Clone beside a deep copy of the reference.
+func (s snapshot) clone() snapshot { return snapshot{s.db.Clone(), s.ref.clone()} }
+
 // check compares the snapshot with its reference: per predicate the facts
-// as a sequence, Len, and every index built so far — before the fork that
+// as a sequence, Len, and every index built so far — before the clone that
 // shares it or lazily afterwards, on this relation or inherited — bucket by
 // bucket, in order, for the values of a sample of facts.
 func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
@@ -338,14 +349,18 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 	}
 }
 
-// forkChain drives a random write stream through chains and fans of forks:
-// the writer is always a fork of some frozen snapshot, publishing freezes it
-// and continues in a fork of it (a chain), and now and then the writer
-// moves to a second fork of an older snapshot (a fan, as concurrent magic
-// executions make of one EDB).  Probes land on the writer and on frozen
-// snapshots alike, so indexes get built before and after the forks that
-// share them.  visit sees every snapshot as it freezes.
-func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) (live []snapshot, w snapshot) {
+// forkChain drives a random write stream through chains and fans of clones.
+// Up to three writers take the writes, among them Clear.  Publishing clones
+// a writer into a snapshot that is never written again, and the writer —
+// the clone's source — goes on being written, as a view's next transaction
+// writes a clone of the published model while readers hold the old one.  A
+// split clones a writer or an older snapshot into a new writer, after which
+// both sides of a writer's clone are written, as concurrent magic
+// executions clone one EDB.  Probes land on writers and snapshots alike, so
+// indexes get built before and after the clones that share them.  Every
+// live database is compared with its reference after every step; visit sees
+// every snapshot as it is published.
+func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	some := func(n int) []*term.Fact {
@@ -363,18 +378,21 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 		base.db.Insert(f)
 		base.ref.insert(f)
 	}
-	freeze := func(s snapshot) {
+	var live []snapshot
+	publish := func(w snapshot) {
+		s := w.clone()
 		live = append(live, s)
 		if len(live) > 5 {
 			live = live[1:]
 		}
 		visit(s)
 	}
-	freeze(base)
-	w = snapshot{base.db.Fork(), base.ref.clone()}
+	writers := []snapshot{base}
+	publish(base)
 	for step := 0; step < steps; step++ {
 		what := fmt.Sprintf("seed %d size %d step %d", seed, size, step)
-		switch op := rng.Intn(20); {
+		w := writers[rng.Intn(len(writers))]
+		switch op := rng.Intn(21); {
 		case op < 6:
 			f := some(1)[0]
 			if got, want := w.db.Insert(f), w.ref.insert(f); got != want {
@@ -415,7 +433,11 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 			if got := w.db.LoadFacts(fs, LoadOpts{Workers: 1 + rng.Intn(3)}); got != want {
 				t.Fatalf("%s: LoadFacts=%d oracle=%d", what, got, want)
 			}
-		case op < 16: // probe a column of the writer or of a frozen snapshot
+		case op < 14:
+			pred := some(1)[0].Pred
+			w.db.Clear(pred)
+			w.ref.clear(pred)
+		case op < 17: // probe a column of a writer or of a published snapshot
 			s := w
 			if rng.Intn(2) == 0 {
 				s = live[rng.Intn(len(live))]
@@ -433,24 +455,30 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 				}
 			}
 		case op < 19: // publish: the chain grows by one
-			freeze(w)
-			w = snapshot{w.db.Fork(), w.ref.clone()}
-		default: // fan: a second fork of an older snapshot
-			freeze(w)
-			s := live[rng.Intn(len(live))]
-			w = snapshot{s.db.Fork(), s.ref.clone()}
+			publish(w)
+		default: // split: a new writer cloned from a writer or an older snapshot
+			src := w
+			if rng.Intn(2) == 0 {
+				src = live[rng.Intn(len(live))]
+			}
+			if len(writers) < 3 {
+				writers = append(writers, src.clone())
+			} else {
+				writers[rng.Intn(len(writers))] = src.clone()
+			}
 		}
 		for i, s := range live {
 			s.check(t, rng, fmt.Sprintf("%s, snapshot %d", what, i))
 		}
-		w.check(t, rng, what+", writer")
+		for i, s := range writers {
+			s.check(t, rng, fmt.Sprintf("%s, writer %d", what, i))
+		}
 	}
-	return live, w
 }
 
-// TestForkChainOracle runs the fork-chain stream at sizes below one unit,
+// TestForkChainOracle runs the clone-chain stream at sizes below one unit,
 // across unit boundaries and across directory doublings, comparing every
-// live snapshot and the writer with their references after every step.
+// published snapshot and every writer with its reference after every step.
 func TestForkChainOracle(t *testing.T) {
 	for _, size := range []int{unit / 4, unit - 8, 4*unit - 16} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -460,11 +488,11 @@ func TestForkChainOracle(t *testing.T) {
 }
 
 // TestForkChainReaders is the same stream with readers: every snapshot, as
-// it freezes, gets a goroutine that keeps scanning, probing (building
+// it is published, gets a goroutine that keeps scanning, probing (building
 // indexes on first use) and point-reading it against its reference while
-// the writer goes on to fork it, write next to it and supersede it.  Under
-// the race detector this is the check that a write never lands in a unit a
-// snapshot can still reach.
+// the writers go on writing its source and cloning it.  Under the race
+// detector this is the check that a write never lands in a unit a snapshot
+// can still reach.
 func TestForkChainReaders(t *testing.T) {
 	var wg sync.WaitGroup
 	read := func(s snapshot, seed int64) {
@@ -503,9 +531,60 @@ func TestForkChainReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDBLenCacheAndFactsOrder covers the DB satellites: Len is maintained
-// incrementally by the DB-level mutators, survives the fallback once a
-// mutable relation escapes, and Facts() is pred-sorted.
+// TestConcurrentClones: several goroutines clone one database at once, each
+// writing its clone (building indexes on the shared relations on the way),
+// and the source is written once they are done.  Under the race detector a
+// write that reaches a relation another database shares is a reported race;
+// the references catch the rest.
+func TestConcurrentClones(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := snapshot{NewDB(), newRefDB()}
+	for i := 0; i < 3*unit; i++ {
+		f := randOracleFact(rng)
+		f = term.NewFact(f.Pred, append(f.Args, term.Int(int64(i)))...)
+		src.db.Insert(f)
+		src.ref.insert(f)
+	}
+	write := func(s snapshot, rng *rand.Rand) {
+		for k := 0; k < 300; k++ {
+			f := randOracleFact(rng)
+			if rng.Intn(2) == 0 {
+				f = s.ref.facts[rng.Intn(len(s.ref.facts))]
+			}
+			switch rng.Intn(3) {
+			case 0:
+				s.db.Insert(f)
+				s.ref.insert(f)
+			case 1:
+				s.db.Delete(f)
+				s.ref.delete(f)
+			default:
+				if r := s.db.RelOrNil(f.Pred); r != nil && len(f.Args) > 0 {
+					r.Lookup(0, f.Args[0])
+				}
+			}
+		}
+	}
+	clones := make([]snapshot, 4)
+	var wg sync.WaitGroup
+	for g := range clones {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			clones[g] = src.clone()
+			write(clones[g], rand.New(rand.NewSource(int64(g))))
+		}(g)
+	}
+	wg.Wait()
+	write(src, rng)
+	for g, c := range append(clones, src) {
+		c.check(t, rng, fmt.Sprintf("database %d", g))
+	}
+}
+
+// TestDBLenCacheAndFactsOrder covers the DB satellites: Len counts what the
+// DB-level mutators and a written Rel handle put in, on both sides of a
+// Clone, and Facts() is pred-sorted.
 func TestDBLenCacheAndFactsOrder(t *testing.T) {
 	db := NewDB()
 	db.Insert(f("zz", 1))
@@ -523,14 +602,14 @@ func TestDBLenCacheAndFactsOrder(t *testing.T) {
 	if len(facts) != 2 || facts[0].Pred != "aa" || facts[1].Pred != "zz" {
 		t.Fatalf("Facts() not pred-sorted: %v", facts)
 	}
-	// Direct relation mutation after Rel escape must still be reflected.
 	db.Rel("zz").Insert(f("zz", 2))
 	if db.Len() != 3 {
-		t.Fatalf("Len=%d after escaped insert, want 3", db.Len())
+		t.Fatalf("Len=%d after an insert through Rel, want 3", db.Len())
 	}
-	fk := db.Fork()
-	fk.Insert(f("aa", 9))
-	if fk.Len() != 4 || db.Len() != 3 {
-		t.Fatalf("fork Len=%d base Len=%d, want 4/3", fk.Len(), db.Len())
+	cl := db.Clone()
+	cl.Insert(f("aa", 9))
+	db.Delete(f("zz", 2))
+	if cl.Len() != 4 || db.Len() != 2 {
+		t.Fatalf("clone Len=%d source Len=%d, want 4/2", cl.Len(), db.Len())
 	}
 }

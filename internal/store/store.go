@@ -15,6 +15,8 @@
 // every index as a directory of hash shards of buckets — and the unit of
 // copy-on-write is one segment, shard or bucket, not the relation: a fork
 // copies the directories, and a write then copies the units it lands in.
+// DB.Clone shares every relation between the two databases, frozen; the
+// first of them to write a frozen relation forks it.
 // A fact has one representation everywhere in the store: a *term.Fact.
 package store
 
@@ -306,7 +308,7 @@ func (ix *index) probe(vals []term.Term) []*term.Fact {
 // immutable snapshot behind an atomic pointer: probes against built
 // indexes take no lock at all, and only the first build per column set
 // serializes on mu (double-checked, so racing builders agree on one
-// index).
+// index).  A frozen relation is never written again: a write panics.
 type Relation struct {
 	Name      string
 	id        uint64       // see forkIDs
@@ -317,6 +319,9 @@ type Relation struct {
 	mu        sync.Mutex // guards index construction
 	indexes   atomic.Pointer[[]*index]
 	useIdx    bool
+	// frozen is set by DB.Clone, possibly from several goroutines at once:
+	// two databases reach the relation, and each writes a fork of it.
+	frozen atomic.Bool
 }
 
 // NewRelation creates an empty relation.
@@ -371,6 +376,15 @@ func (r *Relation) own(h uint64) *factTable {
 		r.shards[si] = t
 	}
 	return t
+}
+
+// checkWrite panics on a write to a frozen relation: the databases that
+// share it write forks of it (DB.Rel), so only a *Relation held across a
+// Clone lands here, and writing it would change a copy under its reader.
+func (r *Relation) checkWrite() {
+	if r.frozen.Load() {
+		panic("store: write to frozen relation " + r.Name + " (shared by a DB.Clone)")
+	}
 }
 
 // Len returns the number of facts.
@@ -445,6 +459,7 @@ func (r *Relation) Insert(f *term.Fact) bool {
 // (interned) fact for the value and whether f was newly added.  Every
 // built index is maintained incrementally.
 func (r *Relation) InsertGet(f *term.Fact) (*term.Fact, bool) {
+	r.checkWrite()
 	r.ensureTables()
 	h := hashFact(f)
 	if g := r.table(h).get(h, f); g != nil {
@@ -539,6 +554,7 @@ func (r *Relation) unlink(gone []*term.Fact, drop func(*term.Fact) bool) {
 // stable snapshot ordering under retraction — and every built index is
 // maintained in place.  Like Insert, Delete is single-writer.
 func (r *Relation) Delete(f *term.Fact) bool {
+	r.checkWrite()
 	r.ensureTables()
 	h := hashFact(f)
 	g := r.table(h).get(h, f)
@@ -560,6 +576,7 @@ func (r *Relation) DeleteAll(fs []*term.Fact) int {
 	if len(fs) == 0 {
 		return 0
 	}
+	r.checkWrite()
 	r.ensureTables()
 	victims := make(map[*term.Fact]bool, len(fs))
 	removed := make([]*term.Fact, 0, len(fs))
@@ -580,8 +597,8 @@ func (r *Relation) DeleteAll(fs []*term.Fact) int {
 // fork returns a relation holding r's facts that shares every segment,
 // intern table and index bucket with r and copies only the directories that
 // point at them; writes through the fork copy the units they land in, so r —
-// which must stay unmodified while the fork lives — never changes under its
-// readers.  Indexes r builds later are r's alone.
+// frozen, and so never written again — never changes under its readers.
+// Indexes r builds later are r's alone.
 func (r *Relation) fork() *Relation {
 	nr := &Relation{
 		Name:      r.Name,
@@ -600,24 +617,6 @@ func (r *Relation) fork() *Relation {
 			next[i] = &c
 		}
 		nr.indexes.Store(&next)
-	}
-	return nr
-}
-
-// clone returns a relation holding r's facts that shares nothing mutable
-// with r, so both may be written afterwards.  Indexes are not copied; they
-// rebuild on demand.
-func (r *Relation) clone() *Relation {
-	nr := &Relation{Name: r.Name, n: r.n, shardBits: r.shardBits, useIdx: r.useIdx}
-	nr.segs = make([]*segment, len(r.segs))
-	for i, s := range r.segs {
-		nr.segs[i] = &segment{facts: slices.Clone(s.facts)}
-	}
-	if r.shards != nil {
-		nr.shards = make([]*factTable, len(r.shards))
-		for i, t := range r.shards {
-			nr.shards[i] = t.cloneFor(0)
-		}
 	}
 	return nr
 }
@@ -736,131 +735,79 @@ func (r *Relation) DistinctCols(cols []int) (distinct int, ok bool) {
 
 // DB is a database: a set of U-facts grouped into relations.
 type DB struct {
-	rels  map[string]*Relation
-	order []string // relation creation order, for deterministic output
-	// shared marks relations still co-owned with the DB this one was
-	// Forked from; they are unshared (copied) on first mutation.  nil for
-	// databases that never forked.
-	shared     map[string]bool
+	rels       map[string]*Relation
+	order      []string // relation creation order, for deterministic output
 	UseIndexes bool
-
-	// size caches Len(): maintained by the DB-level mutation methods,
-	// atomic because published model snapshots answer Len from concurrent
-	// readers.  leaked turns the cache off permanently once a mutable
-	// *Relation escapes through Rel/MutableRel — the DB can no longer see
-	// every mutation, so Len falls back to summing per-relation counts
-	// (still O(#relations), never O(#facts)).
-	size   atomic.Int64
-	leaked bool
 }
 
 // NewDB creates an empty database with indexing enabled.
 func NewDB() *DB { return &DB{rels: make(map[string]*Relation), UseIndexes: true} }
 
-// rel returns the relation for pred, creating it if needed, without
-// disabling the size cache — internal mutation paths account for their own
-// insertions and deletions.
-func (db *DB) rel(pred string) *Relation {
-	r, ok := db.rels[pred]
-	if !ok {
-		r = NewRelation(pred, db.UseIndexes)
-		db.rels[pred] = r
-		db.order = append(db.order, pred)
-	}
-	return r
-}
-
-// mutableRel is MutableRel without the size-cache leak: the relation is
-// unshared if needed but the caller promises to report size changes.
-func (db *DB) mutableRel(pred string) *Relation {
-	r := db.rel(pred)
-	if db.shared != nil && db.shared[pred] {
-		r = r.fork()
-		db.rels[pred] = r
-		delete(db.shared, pred)
-	}
-	return r
-}
-
-// Rel returns the relation for pred, creating it if needed.  The returned
-// relation is mutable, so the cached DB fact count is disabled from here
-// on (Len degrades to summing per-relation counts).
+// Rel returns the relation for pred, creating it if needed, as one this
+// database may write: a relation it shares with a clone is replaced by a
+// fork of it first (Relation.fork copies its directories, and each later
+// write the units it lands in).  The result stays writable until the
+// database is next cloned.
 func (db *DB) Rel(pred string) *Relation {
-	db.leaked = true
-	return db.rel(pred)
-}
-
-// Has reports whether a relation exists for pred (even if empty).
-func (db *DB) Has(pred string) bool {
-	_, ok := db.rels[pred]
-	return ok
+	r, ok := db.rels[pred]
+	switch {
+	case !ok:
+		r = NewRelation(pred, db.UseIndexes)
+		db.order = append(db.order, pred)
+	case r.frozen.Load():
+		r = r.fork()
+	default:
+		return r
+	}
+	db.rels[pred] = r
+	return r
 }
 
 // RelOrNil returns the relation for pred without creating it.  Unlike Rel
 // it never mutates the database, so concurrent readers (parallel rule
 // workers) may call it while no writer is active.  Callers must treat the
-// result as read-only; mutating it bypasses fork-sharing and the Len
-// cache.
+// result as read-only: it may be shared with a clone.
 func (db *DB) RelOrNil(pred string) *Relation {
 	return db.rels[pred]
 }
 
-// MutableRel returns the relation for pred, guaranteed safe to mutate:
-// relations still shared with the database this one was Forked from are
-// unshared (Relation.fork) first.  Like Rel, it disables the cached DB
-// fact count.
-func (db *DB) MutableRel(pred string) *Relation {
-	db.leaked = true
-	return db.mutableRel(pred)
-}
-
-// sizeAdd maintains the cached fact count across an internal mutation.
-func (db *DB) sizeAdd(d int) {
-	if db.leaked || d == 0 {
-		return
-	}
-	db.size.Add(int64(d))
-}
-
-// Insert adds a fact, reporting whether it was new.  A relation shared with
-// a forked-from database is unshared only for a fact it lacks, so duplicate
-// inserts do not even copy its directories.
+// Insert adds a fact, reporting whether it was new.
 func (db *DB) Insert(f *term.Fact) bool {
+	_, added := db.InsertGet(f)
+	return added
+}
+
+// InsertGet adds a fact if new, returning the database's canonical fact for
+// the value and whether f was newly added.  A relation shared with a clone
+// is forked only for a fact it lacks, so duplicate inserts copy nothing.
+func (db *DB) InsertGet(f *term.Fact) (*term.Fact, bool) {
 	r := db.rels[f.Pred]
 	switch {
 	case r == nil:
-		r = db.rel(f.Pred)
-	case db.shared[f.Pred]:
-		if r.Contains(f) {
-			return false
+		r = db.Rel(f.Pred)
+	case r.frozen.Load():
+		if g, ok := r.Get(f); ok {
+			return g, false
 		}
-		r = db.mutableRel(f.Pred)
+		r = db.Rel(f.Pred)
 	}
-	if r.Insert(f) {
-		db.sizeAdd(1)
-		return true
-	}
-	return false
+	return r.InsertGet(f)
 }
 
 // Delete removes a fact, reporting whether it was present.  A relation
-// shared with a forked-from database is unshared only when the fact is
-// actually there, so pure-miss deletes never copy anything.
+// shared with a clone is forked only when the fact is actually there, so
+// pure-miss deletes never copy anything.
 func (db *DB) Delete(f *term.Fact) bool {
 	r, ok := db.rels[f.Pred]
 	if !ok || !r.Contains(f) {
 		return false
 	}
-	if db.mutableRel(f.Pred).Delete(f) {
-		db.sizeAdd(-1)
-		return true
-	}
-	return false
+	return db.Rel(f.Pred).Delete(f)
 }
 
 // DeleteAll removes every listed fact present in the database, returning
 // how many were removed.  Facts are grouped by predicate so each touched
-// relation is unshared at most once and compacted in a single sweep.
+// relation is forked at most once and compacted in a single sweep.
 func (db *DB) DeleteAll(fs []*term.Fact) int {
 	byPred := make(map[string][]*term.Fact)
 	var order []string
@@ -876,23 +823,18 @@ func (db *DB) DeleteAll(fs []*term.Fact) int {
 	}
 	n := 0
 	for _, p := range order {
-		n += db.mutableRel(p).DeleteAll(byPred[p])
+		n += db.Rel(p).DeleteAll(byPred[p])
 	}
-	db.sizeAdd(-n)
 	return n
 }
 
-// Clear empties the relation for pred, if there is one.  A relation shared
-// with a forked-from database is left to that database; this one starts a
-// fresh relation under the same name and creation-order slot.
+// Clear empties the relation for pred, if there is one: a fresh relation
+// takes its name and creation-order slot, and a clone sharing the old one
+// keeps it.
 func (db *DB) Clear(pred string) {
-	r, ok := db.rels[pred]
-	if !ok {
-		return
+	if r, ok := db.rels[pred]; ok {
+		db.rels[pred] = NewRelation(pred, r.useIdx)
 	}
-	db.sizeAdd(-r.Len())
-	db.rels[pred] = NewRelation(pred, r.useIdx)
-	delete(db.shared, pred)
 }
 
 // Card returns the number of facts currently held for pred, 0 when no
@@ -911,14 +853,8 @@ func (db *DB) Contains(f *term.Fact) bool {
 	return ok && r.Contains(f)
 }
 
-// Len returns the total number of facts.  While the database is mutated
-// only through DB-level methods the count is maintained incrementally;
-// once a mutable relation escapes through Rel/MutableRel it is recomputed
-// by summing the per-relation counts (O(#relations), not O(#facts)).
+// Len returns the total number of facts, summed over the relations.
 func (db *DB) Len() int {
-	if !db.leaked {
-		return int(db.size.Load())
-	}
 	n := 0
 	for _, r := range db.rels {
 		n += r.Len()
@@ -947,47 +883,23 @@ func (db *DB) Facts() []*term.Fact {
 	return out
 }
 
-// Clone returns an independent copy of the database: unlike a Fork, the
-// original may go on being written.  Facts are shared (they are immutable);
-// relation bookkeeping — interning tables included — is copied.  Indexes
-// are not cloned — the copy rebuilds them on demand.
+// Clone returns an independent copy of the database in O(#relations): both
+// databases may go on being written, and neither sees the other's writes.
+// The two share every relation, frozen, with the indexes it has built; the
+// first of them to write one writes a fork of it (Rel), so a write copies
+// in proportion to what it changes.  Several goroutines may clone one
+// database at once.
 func (db *DB) Clone() *DB {
-	out := NewDB()
-	out.UseIndexes = db.UseIndexes
-	n := 0
-	for _, p := range db.order {
-		r := db.rels[p]
-		nr := r.clone()
-		out.rels[p] = nr
-		out.order = append(out.order, p)
-		n += nr.Len()
-	}
-	out.size.Store(int64(n))
-	return out
-}
-
-// Fork returns a copy-on-write view of the database: every relation is
-// shared with db until first mutated through the fork, at which point its
-// directories are copied (Relation.fork) and each later write copies the
-// segment, intern-table shard and index buckets it lands in — a transaction
-// allocates in proportion to what it changes, not to the relations it
-// touches, and built indexes keep serving.  The
-// original database must not be mutated while forks of it are alive —
-// incremental maintenance forks the published model snapshot, mutates only
-// the fork, and publishes it, so concurrent readers of the old snapshot
-// never observe a half-applied transaction.
-func (db *DB) Fork() *DB {
 	out := &DB{
 		rels:       make(map[string]*Relation, len(db.rels)),
-		order:      append([]string(nil), db.order...),
-		shared:     make(map[string]bool, len(db.rels)),
+		order:      slices.Clone(db.order),
 		UseIndexes: db.UseIndexes,
-		leaked:     db.leaked,
 	}
-	out.size.Store(db.size.Load())
 	for p, r := range db.rels {
+		if !r.frozen.Load() { // so that cloning a clone writes nothing
+			r.frozen.Store(true)
+		}
 		out.rels[p] = r
-		out.shared[p] = true
 	}
 	return out
 }

@@ -88,8 +88,8 @@ func TestDBBasics(t *testing.T) {
 	if db.Len() != 3 {
 		t.Fatalf("Len = %d", db.Len())
 	}
-	if !db.Has("p") || db.Has("r") {
-		t.Fatal("Has wrong")
+	if db.RelOrNil("p") == nil || db.RelOrNil("r") != nil {
+		t.Fatal("RelOrNil wrong")
 	}
 	if got := db.Preds(); len(got) != 2 || got[0] != "p" || got[1] != "q" {
 		t.Fatalf("Preds = %v", got)
@@ -107,8 +107,9 @@ func TestDBCloneIndependent(t *testing.T) {
 	db.Insert(f("p", 1))
 	cl := db.Clone()
 	cl.Insert(f("p", 2))
-	if db.Contains(f("p", 2)) {
-		t.Fatal("clone mutation leaked into original")
+	db.Insert(f("p", 3))
+	if db.Contains(f("p", 2)) || cl.Contains(f("p", 3)) {
+		t.Fatal("a write to one side of a clone leaked into the other")
 	}
 	if !cl.Contains(f("p", 1)) {
 		t.Fatal("clone lost original facts")

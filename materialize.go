@@ -26,7 +26,7 @@ type Materialized struct {
 	inner *incr.Materialized
 	// r answers every Query and prepared Exec from the snapshot current at
 	// the read's start.  Its answer cache is the view's own: entries depend
-	// on the view's EDB state, which forked from the engine's at
+	// on the view's EDB state, which was cloned from the engine's at
 	// Materialize.
 	r *reader
 }

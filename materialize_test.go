@@ -89,7 +89,7 @@ kids(P, <C>) <- p(P, C).
 	return b.String()
 }
 
-// TestWriteAllocBoundedByChange: a transaction runs on a copy-on-write fork
+// TestWriteAllocBoundedByChange: a transaction runs on a clone
 // of the model, and what it allocates follows what it changes, not the size
 // of the relations the changed facts live in nor how many indexes readers
 // have built on them.  The change here is a leaf attached to the bottom of

@@ -329,7 +329,7 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 }
 
 // TestMaterializedAssertLeavesEngineCache pins the separation of the two
-// caches: the view forked the engine's EDB, so a transaction on the view
+// caches: the view cloned the engine's EDB, so a transaction on the view
 // cannot change the engine's answers and must not evict them, while the
 // view's own entry for the same query is evicted.
 func TestMaterializedAssertLeavesEngineCache(t *testing.T) {
