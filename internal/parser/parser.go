@@ -110,7 +110,8 @@ func ParseProgram(src string) (*ast.Program, error) {
 		return nil, err
 	}
 	if len(unit.Queries) != 0 {
-		return nil, fmt.Errorf("parser: unexpected query in program source")
+		at := unit.Queries[0].Body[0].Pos
+		return nil, &Error{Line: at.Line, Col: at.Col, Msg: "unexpected query in program source"}
 	}
 	return unit.Program, nil
 }

@@ -14,6 +14,7 @@
 package server
 
 import (
+	"math"
 	"time"
 )
 
@@ -56,12 +57,16 @@ type Config struct {
 	StrictVet bool
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration holds; a larger
+// one saturates to it rather than wrapping negative (no deadline) or small.
+const maxDeadlineMS = int64(math.MaxInt64 / time.Millisecond)
+
 // effective resolves one request's bounds: overrides replace defaults,
 // then ceilings clamp the result.
 func (c *Config) effective(deadlineMS int64, maxRows int, memBudget int64) Limits {
 	out := c.Defaults
 	if deadlineMS > 0 {
-		out.Deadline = time.Duration(deadlineMS) * time.Millisecond
+		out.Deadline = time.Duration(min(deadlineMS, maxDeadlineMS)) * time.Millisecond
 	}
 	if maxRows > 0 {
 		out.MaxRows = maxRows

@@ -388,4 +388,14 @@ func TestEffectiveLimits(t *testing.T) {
 	if got.Deadline != time.Second || got.MaxRows != 10 || got.MemBudget != 0 {
 		t.Fatalf("ceiling without default: %+v", got)
 	}
+	// deadline_ms past what a time.Duration holds saturates: it neither
+	// wraps negative (no deadline, overriding the default) nor wraps small
+	// (a spurious timeout under the ceiling).
+	noCeiling := Config{Defaults: Limits{Deadline: time.Second}}
+	if got = noCeiling.effective(9223372036855, 0, 0); got.Deadline != time.Duration(maxDeadlineMS)*time.Millisecond {
+		t.Fatalf("deadline_ms 9223372036855 without a ceiling: %v", got.Deadline)
+	}
+	if got = cfg.effective(18446744073710, 0, 0); got.Deadline != 2*time.Second {
+		t.Fatalf("deadline_ms 18446744073710 under a 2s ceiling: %v", got.Deadline)
+	}
 }

@@ -1,5 +1,5 @@
-// Package workload generates the synthetic databases the root package's
-// TestWorkCounts rows and Go benchmarks evaluate.  The paper evaluates no
+// Package workload holds the generators for TestWorkCounts and the oracle
+// tests: the synthetic databases they evaluate.  The paper evaluates no
 // concrete datasets (it is a semantics paper), so these generators supply
 // the family of inputs its examples assume: parent chains and trees for
 // ancestor/same-generation, supplier catalogs for grouping, bill-of-material
@@ -143,49 +143,9 @@ func FamilyForest(count, depth int) *store.DB {
 	return db
 }
 
-// TeacherSchedule returns the §4.2 relation r(Teacher, Student, Class,
-// Day) with the given numbers of teachers, students per teacher, and
-// classes per student.
-func TeacherSchedule(teachers, studentsPer, classesPer int, seed int64) *store.DB {
-	r := rand.New(rand.NewSource(seed))
-	days := []string{"mon", "tue", "wed", "thu", "fri"}
-	db := store.NewDB()
-	for t := 0; t < teachers; t++ {
-		for s := 0; s < studentsPer; s++ {
-			for c := 0; c < classesPer; c++ {
-				db.Insert(term.NewFact("r",
-					term.Atom(fmt.Sprintf("t%d", t)),
-					term.Atom(fmt.Sprintf("s%d", t*studentsPer+s)),
-					term.Atom(fmt.Sprintf("c%d", r.Intn(teachers*classesPer))),
-					term.Atom(days[r.Intn(len(days))])))
-			}
-		}
-	}
-	return db
-}
-
-// SetPairs returns pair(S1, S2) facts over random integer sets, for the
-// §5 LPS benchmarks.
-func SetPairs(n, maxCard int, seed int64) *store.DB {
-	r := rand.New(rand.NewSource(seed))
-	db := store.NewDB()
-	mkset := func() *term.Set {
-		card := r.Intn(maxCard + 1)
-		elems := make([]term.Term, card)
-		for i := range elems {
-			elems[i] = term.Int(int64(r.Intn(2 * maxCard)))
-		}
-		return term.NewSet(elems...)
-	}
-	for i := 0; i < n; i++ {
-		db.Insert(term.NewFact("pair", mkset(), mkset()))
-	}
-	return db
-}
-
 // Graph returns an edge relation e(X, Y): a random directed graph on n
 // nodes with roughly edgesPerNode outgoing edges per node (no self-loops).
-// Used by the triangle join benchmark, whose third body literal probes the
+// Used by the triangle join row, whose third body literal probes the
 // relation on two bound columns at once.
 func Graph(n, edgesPerNode int, seed int64) *store.DB {
 	r := rand.New(rand.NewSource(seed))
@@ -202,7 +162,7 @@ func Graph(n, edgesPerNode int, seed int64) *store.DB {
 	return db
 }
 
-// WideSelective returns a wide EDB for the selective-join benchmark:
+// WideSelective returns a wide EDB for the selective-join rows:
 // wide(G, T, P, W) with n rows whose first column takes only `groups`
 // distinct values and whose (G, T) pair is selective, plus dim(G, T)
 // probe rows covering each group once.  A single-column index on G is
@@ -229,7 +189,7 @@ func WideSelective(n, groups, tags int, seed int64) *store.DB {
 }
 
 // Update is one transaction of an update-stream workload: facts to insert
-// into and retract from the EDB.  The incremental-maintenance benchmarks
+// into and retract from the EDB.  The incremental-maintenance rows
 // replay a stream of Updates against a materialized view and against
 // from-scratch recomputation.
 type Update struct {

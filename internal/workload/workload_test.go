@@ -90,36 +90,6 @@ func TestFamilyForest(t *testing.T) {
 	}
 }
 
-func TestTeacherSchedule(t *testing.T) {
-	db := TeacherSchedule(3, 4, 2, 1)
-	if db.Rel("r").Len() == 0 || db.Rel("r").Len() > 24 {
-		t.Fatalf("r = %d", db.Rel("r").Len())
-	}
-	for _, f := range db.Rel("r").All() {
-		if len(f.Args) != 4 {
-			t.Fatalf("bad arity: %v", f)
-		}
-	}
-}
-
-func TestSetPairs(t *testing.T) {
-	db := SetPairs(10, 5, 2)
-	if db.Rel("pair").Len() == 0 {
-		t.Fatal("no pairs")
-	}
-	for _, f := range db.Rel("pair").All() {
-		for _, a := range f.Args {
-			s, ok := a.(*term.Set)
-			if !ok {
-				t.Fatalf("non-set pair arg: %v", f)
-			}
-			if s.Len() > 5 {
-				t.Fatalf("cardinality exceeded: %v", s)
-			}
-		}
-	}
-}
-
 func TestPersons(t *testing.T) {
 	db := Persons(ParentChain(3), 3)
 	if db.Rel("person").Len() != 4 {

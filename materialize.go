@@ -2,7 +2,6 @@ package ldl1
 
 import (
 	"context"
-	"fmt"
 
 	"ldl1/internal/incr"
 	"ldl1/internal/parser"
@@ -69,7 +68,7 @@ func parseFactList(src string) ([]*term.Fact, error) {
 	out := make([]*term.Fact, 0, len(p.Rules))
 	for _, r := range p.Rules {
 		if !r.IsFact() {
-			return nil, fmt.Errorf("ldl1: fact list contains a rule: %s", r.String())
+			return nil, &ParseError{Line: r.Pos.Line, Col: r.Pos.Col, Msg: "fact list contains a rule: " + r.String()}
 		}
 		out = append(out, term.NewFact(r.Head.Pred, r.Head.Args...))
 	}

@@ -59,8 +59,29 @@ type workRow struct {
 func (r workRow) key() string { return r.id + " " + r.name }
 
 const (
-	workExclRules = benchAncestorRules + `
+	workAncestorRules = `
+	ancestor(X, Y) <- parent(X, Y).
+	ancestor(X, Y) <- parent(X, Z), ancestor(Z, Y).
+`
+	workExclRules = workAncestorRules + `
 	excl_ancestor(X, Y, Z) <- ancestor(X, Y), not ancestor(X, Z), person(Z).
+`
+	// e6: §1 part cost (grouping + partition + set recursion).
+	workPartCostRules = `
+	part(P, <S>) <- p(P, S).
+	tc({X}, C) <- q(X, C).
+	tc({X}, C) <- part(X, S), tc(S, C).
+	tc(S, C) <- partition(S, S1, S2), tc(S1, C1), tc(S2, C2), C = C1 + C2.
+	result(X, C) <- tc(S, C), member(X, S), S = {X}.
+`
+	// e15: §6 young, the magic-sets query of the paper.
+	workYoungRules = `
+	a(X, Y) <- p(X, Y).
+	a(X, Y) <- a(X, Z), a(Z, Y).
+	sg(X, Y) <- siblings(X, Y).
+	sg(X, Y) <- p(Z1, X), sg(Z1, Z2), p(Z2, Y).
+	hasdesc(X) <- a(X, Z).
+	young(X, <Y>) <- sg(X, Y), not hasdesc(X).
 `
 	workSgRules = `
 	sib(X, Y) <- parent(P, X), parent(P, Y).
@@ -233,7 +254,7 @@ func workRows(t *testing.T) []workRow {
 		}
 		return p
 	}
-	anc, excl := parse(benchAncestorRules), parse(workExclRules)
+	anc, excl := parse(workAncestorRules), parse(workExclRules)
 	exclPositive, err := rewrite.EliminateNegation(excl)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +266,7 @@ func workRows(t *testing.T) []workRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	young := parse(benchYoung)
+	young := parse(workYoungRules)
 	churn := parse(workChurnRules)
 	// j2: `wide` has 4096 rows of which a (G, T) pair selects few; `dim` has
 	// 48.  The source-bad rule leads with wide, nothing bound.
@@ -282,7 +303,7 @@ func workRows(t *testing.T) []workRow {
 			parse(`supplies(S, <P>) <- sp(S, P).`),
 			func() *store.DB { return workload.SupplierParts(256, 8, 11) }, semi)},
 		{id: "e6", name: "part-cost-depth2-fanout2", run: evalRow(
-			parse(benchPartCost), func() *store.DB { return workload.BOM(2, 2) }, semi)},
+			parse(workPartCostRules), func() *store.DB { return workload.BOM(2, 2) }, semi)},
 		{id: "e7", name: "model-check", run: func(int) (work, error) {
 			m := store.NewDB()
 			for _, r := range parse("r(1). h({1}). p({1}). q({1}).").Rules {
@@ -317,9 +338,9 @@ func workRows(t *testing.T) []workRow {
 		{id: "e15", name: "young-magic-forest-64", run: magicRow(young, forest(64), "young(n16, S)", magic.Basic, false)},
 		{id: "e15", name: "young-plain-forest-64", run: magicRow(young, forest(64), "young(n16, S)", magic.Basic, true)},
 		// E16 ablations through the root Engine: WithStrategy, WithoutIndexes.
-		{id: "e16", name: "ancestor-dag256-seminaive", run: engineRow(benchAncestorRules, dag)},
-		{id: "e16", name: "ancestor-dag256-naive", run: engineRow(benchAncestorRules, dag, WithStrategy(Naive))},
-		{id: "e16", name: "ancestor-dag256-unindexed", run: engineRow(benchAncestorRules, dag, WithoutIndexes())},
+		{id: "e16", name: "ancestor-dag256-seminaive", run: engineRow(workAncestorRules, dag)},
+		{id: "e16", name: "ancestor-dag256-naive", run: engineRow(workAncestorRules, dag, WithStrategy(Naive))},
+		{id: "e16", name: "ancestor-dag256-unindexed", run: engineRow(workAncestorRules, dag, WithoutIndexes())},
 		// Composite-index joins: the triangle rule's third literal probes e
 		// on both columns; the wide join probes wide on its leading pair.
 		{id: "j1", name: "triangle-join-n96", run: evalRow(
@@ -328,8 +349,8 @@ func workRows(t *testing.T) []workRow {
 		{id: "j2", name: "wide-selective-join-4096", run: evalRow(wideGood, wide, semi)},
 		{id: "j2", name: "wide-srcbad-cost-4096", run: evalRow(wideBad, wide, semi)},
 		{id: "j2", name: "wide-srcbad-static-4096", run: evalRow(wideBad, wide, eval.Options{NoReorder: true})},
-		{id: "q1", name: "anc-point-prepared-chain256", run: pointRow(benchAncestorRules, chain(256), "ancestor", q1, true)},
-		{id: "q1", name: "anc-point-unprepared-chain256", run: pointRow(benchAncestorRules, chain(256), "ancestor", q1, false)},
+		{id: "q1", name: "anc-point-prepared-chain256", run: pointRow(workAncestorRules, chain(256), "ancestor", q1, true)},
+		{id: "q1", name: "anc-point-unprepared-chain256", run: pointRow(workAncestorRules, chain(256), "ancestor", q1, false)},
 		{id: "q2", name: "sg-point-prepared-tree9", run: pointRow(workSgRules, tree9, "sg", q2, true)},
 		{id: "q2", name: "sg-point-unprepared-tree9", run: pointRow(workSgRules, tree9, "sg", q2, false)},
 		// Update streams: each incr row is paired with the recompute row of
