@@ -37,12 +37,16 @@ func parseExecArgs(s string) ([]ldl1.Term, error) {
 // repl runs an interactive query loop against the engine.  Lines are
 // queries ("ancestor(abe, W)" or "?- ancestor(abe, W)."); assert/retract
 // apply incremental update transactions to a materialized view of the
-// model; colon commands provide extras:
+// model, and from the first of them on every command reads that view;
+// colon commands provide extras:
 //
 //	assert f(a, b).    insert extensional facts, update the model in place
 //	retract f(a, b).   remove extensional facts, update the model in place
-//	:assert f(a, b).   add an extensional fact (full re-evaluation on query)
-//	:explain f(a, b)   print a proof tree for a fact in the model
+//	:assert f(a, b).   load an extensional fact into the engine (full
+//	                   re-evaluation on query); once there is a view, the
+//	                   same as assert
+//	:explain f(a, b)   print a proof tree for a fact in the model of the
+//	                   loaded facts (assert/retract are not covered)
 //	:prepare q(a, X)   compile a query once for repeated execution
 //	:exec b, c         run the prepared query with new constants (no args
 //	                   re-runs the original ones)
@@ -92,7 +96,8 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 	}
 
 	// The materialized view is built on first assert/retract; afterwards
-	// queries and :model read its incrementally maintained snapshot.
+	// queries, prepared queries and :model read its incrementally
+	// maintained snapshot.
 	var mat *ldl1.Materialized
 	// The current :prepare handle, run by :exec.
 	var prep *ldl1.PreparedQuery
@@ -103,6 +108,11 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 				return nil, err
 			}
 			mat = m
+			if prep != nil {
+				if prep, err = mat.Prepare(prep.Query()); err != nil {
+					return nil, err
+				}
+			}
 		}
 		return mat, nil
 	}
@@ -185,6 +195,8 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 			update(strings.TrimPrefix(line, "assert "), false)
 		case strings.HasPrefix(line, "retract "):
 			update(strings.TrimPrefix(line, "retract "), true)
+		case strings.HasPrefix(line, ":assert ") && mat != nil:
+			update(strings.TrimPrefix(line, ":assert "), false)
 		case strings.HasPrefix(line, ":assert "):
 			src := strings.TrimPrefix(line, ":assert ")
 			if !strings.HasSuffix(src, ".") {
@@ -195,7 +207,11 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 			}
 		case strings.HasPrefix(line, ":prepare "):
 			q := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(line, ":prepare "), "."))
-			p, err := eng.Prepare(q)
+			prepare := eng.Prepare
+			if mat != nil {
+				prepare = mat.Prepare
+			}
+			p, err := prepare(q)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				continue
@@ -225,6 +241,9 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 			fmt.Fprintln(out, ans)
 		case strings.HasPrefix(line, ":explain "):
 			fact := strings.TrimSuffix(strings.TrimPrefix(line, ":explain "), ".")
+			if mat != nil {
+				fmt.Fprintln(out, "% :explain covers the loaded facts only, not assert/retract")
+			}
 			why, err := eng.Explain(fact)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)

@@ -133,3 +133,51 @@ func TestReplEOF(t *testing.T) {
 		t.Errorf("output = %q", out)
 	}
 }
+
+// TestReplReadsOneModel pins a session that prepares a query and then
+// asserts: from the first assert on, :exec, queries and :assert all use the
+// view, and :explain says it covers the loaded facts only.
+func TestReplReadsOneModel(t *testing.T) {
+	eng, err := ldl1.New(`
+		anc(X, Y) <- par(X, Y).
+		anc(X, Y) <- par(X, Z), anc(Z, Y).
+		par(a, b).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := `:prepare anc(a, W)
+assert par(b, c).
+?- anc(a, W).
+:exec
+:explain anc(a, c)
+:assert par(c, d).
+anc(a, W)
+:exec
+:prepare anc(b, W)
+:exec c
+:quit
+`
+	want := `LDL1 interactive — :help for commands, :quit to leave (Ctrl-C interrupts a running query)
+?- prepared: anc(a, W) (1 parameter(s); run with :exec)
+?- model: +3 -0 facts
+?- W = b
+W = c
+?- W = b
+W = c
+?- % :explain covers the loaded facts only, not assert/retract
+error: ldl1: anc(a, c) is not in the model
+?- model: +4 -0 facts
+?- W = b
+W = c
+W = d
+?- W = b
+W = c
+W = d
+?- prepared: anc(b, W) (1 parameter(s); run with :exec)
+?- W = d
+?- `
+	if got := runRepl(t, eng, in); got != want {
+		t.Errorf("transcript:\n%s\nwant:\n%s", got, want)
+	}
+}

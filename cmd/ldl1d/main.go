@@ -47,7 +47,6 @@ func main() {
 		memBudget = flag.Int64("mem-budget", 0, "default per-request solution memory budget in bytes (0 = none)")
 		maxDL     = flag.Duration("max-deadline", 0, "hard ceiling on per-request deadlines (0 = none)")
 		txLimit   = flag.Int("tx-limit", 0, "max facts one write transaction may derive; breach rolls back (0 = none)")
-		workers   = flag.Int("workers", 0, "evaluation workers for materialization and writes (0 = sequential)")
 		admin     = flag.Bool("admin", false, "enable admin endpoints (load/drop databases, define prepared queries)")
 		strict    = flag.Bool("strict", false, "reject programs with any vet diagnostic, warnings included")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown drain period before in-flight requests are canceled")
@@ -66,7 +65,6 @@ func main() {
 		Defaults:        server.Limits{Deadline: *deadline, MaxRows: *maxRows, MemBudget: *memBudget},
 		Max:             server.Limits{Deadline: *maxDL},
 		MaxDerivedPerTx: *txLimit,
-		Workers:         *workers,
 		AllowAdmin:      *admin,
 		StrictVet:       *strict,
 	})

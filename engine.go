@@ -53,7 +53,6 @@ type config struct {
 	noReorder     bool
 	noQueryCache  bool
 	limit         int
-	workers       int
 	deadline      time.Duration
 	memBudget     int64
 	strict        bool
@@ -62,11 +61,11 @@ type config struct {
 // WithStrategy selects naive or semi-naive evaluation.
 func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
 
-// WithStats attaches a counter sink.  Run, Query and prepared Exec each
-// count into a Stats of their own and merge it into the sink under a lock
-// when they finish, so concurrent reads may share one sink; read it once
-// they have returned.  A view's transactions count into it directly,
-// serialized by the view.
+// WithStats attaches a counter sink.  Run, Query, prepared Exec, Materialize
+// and every transaction of a view it returns each count into a Stats of
+// their own and merge it into the sink under one lock when they finish, so
+// concurrent reads and writes may share one sink; read it once they have
+// returned.
 func WithStats(s *Stats) Option { return func(c *config) { c.stats = s } }
 
 // WithMagic enables Generalized Magic Sets query compilation (§6):
@@ -92,11 +91,6 @@ func (c config) magicVariant() magic.Variant {
 	return magic.Basic
 }
 
-// WithWorkers evaluates each fixpoint round's rule applications with n
-// concurrent workers (derivations are buffered and merged between rounds;
-// the computed model is unchanged).
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
 // WithLimit bounds the number of facts one evaluation — a Run, a magic-sets
 // read, or a view transaction — may derive; it aborts with *lderr.LimitError
 // beyond it.  A termination guard for programs whose function symbols
@@ -118,7 +112,7 @@ func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline 
 // already-computed model evaluates nothing); beyond it evaluation aborts
 // with *lderr.MemBudgetError.
 // The estimate is deterministic (a structural walk of each derived fact),
-// so a breaching program fails identically across runs and worker counts.
+// so a breaching program fails identically across runs.
 func WithMemBudget(bytes int64) Option { return func(c *config) { c.memBudget = bytes } }
 
 // WithoutIndexes disables per-column hash indexes (for ablation).
@@ -257,21 +251,21 @@ func (e *Engine) AddFacts(src string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = nil
-	e.edb.LoadFacts(fs, store.LoadOpts{Workers: e.cfg.workers})
+	e.edb.LoadFacts(fs, store.LoadOpts{})
 	e.r.cache.Invalidate(preds...)
 	return nil
 }
 
 // AddDB inserts every fact of a prebuilt database (e.g. from the workload
 // generators used in benchmarks).  Each source relation is loaded through
-// the parallel bulk path and shares the caller's facts as they are.
+// the bulk path and shares the caller's facts as they are.
 func (e *Engine) AddDB(db *store.DB) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = nil
 	for _, p := range db.Preds() {
 		if r := db.RelOrNil(p); r != nil && r.Len() > 0 {
-			e.edb.LoadFacts(r.All(), store.LoadOpts{Workers: e.cfg.workers})
+			e.edb.LoadFacts(r.All(), store.LoadOpts{})
 		}
 	}
 	e.r.cache.Invalidate(db.Preds()...)
@@ -343,7 +337,6 @@ func (e *Engine) evalOpts(ctx context.Context, st *Stats) eval.Options {
 		Strategy:   e.cfg.strategy,
 		Stats:      st,
 		MaxDerived: e.cfg.limit,
-		Workers:    e.cfg.workers,
 		MemBudget:  e.cfg.memBudget,
 		NoReorder:  e.cfg.noReorder,
 		Types:      e.typeEnvNow(),

@@ -324,6 +324,105 @@ func TestExplainUnderBounds(t *testing.T) {
 	}
 }
 
+// TestMaterializeUnderBounds: a view's initial evaluation runs under the
+// engine's bounds, as Run does.  The program diverges; a backstop limit far
+// above what the deadline or the budget lets through ends a Materialize that
+// ignored them, with the wrong error.
+func TestMaterializeUnderBounds(t *testing.T) {
+	for name, c := range map[string]struct {
+		opt  Option
+		want func(error) bool
+	}{
+		"limit":    {WithLimit(100), func(err error) bool { var le *LimitError; return errors.As(err, &le) && le.Limit == 100 }},
+		"budget":   {WithMemBudget(4096), func(err error) bool { var me *MemBudgetError; return errors.As(err, &me) }},
+		"deadline": {WithDeadline(5 * time.Millisecond), func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }},
+	} {
+		eng, err := New("nat(0). nat(X + 1) <- nat(X).", WithLimit(1<<19), c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, merr := eng.Materialize()
+		_, rerr := eng.Run()
+		if !c.want(merr) || !c.want(rerr) {
+			t.Errorf("%s: Materialize = %v, Run = %v", name, merr, rerr)
+		}
+	}
+}
+
+// TestFactListsAreGround: a fact list is ground (§7), as a program's facts
+// are.  A variable in one is a parse error at its fact, and nothing of the
+// list is loaded.
+func TestFactListsAreGround(t *testing.T) {
+	eng, err := New(prepProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := eng.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const list = "par(d, f).\npar(X, a)."
+	for name, load := range map[string]func() error{
+		"AddFacts": func() error { return eng.AddFacts(list) },
+		"Assert":   func() error { _, err := mv.Assert(list); return err },
+		"Retract":  func() error { _, err := mv.Retract(list); return err },
+		"Update":   func() error { _, err := mv.Update("", list); return err },
+	} {
+		var pe *ParseError
+		if err := load(); !errors.As(err, &pe) || pe.Line != 2 || !strings.Contains(pe.Msg, "facts may not contain variables") {
+			t.Errorf("%s: %v, want a parse error at line 2", name, err)
+		}
+	}
+	want := "W = b\nW = c\nW = d\nW = e"
+	if got := mustStr(t)(eng.Query("anc(a, W)")); got != want {
+		t.Errorf("engine after rejected loads: %q", got)
+	}
+	if got := mustStr(t)(mv.Query("anc(a, W)")); got != want {
+		t.Errorf("view after rejected transactions: %q", got)
+	}
+}
+
+// TestViewSharesStatsSink: an engine's loads and reads and its view's
+// transactions count into one WithStats sink from two goroutines.  Under
+// -race, a view writing the sink outside the lock the engine's reads merge
+// under is a reported race.
+func TestViewSharesStatsSink(t *testing.T) {
+	var st Stats
+	eng, err := New(prepProg, WithStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := eng.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Derived == 0 {
+		t.Fatal("the sink did not count the view's initial evaluation")
+	}
+	before := st
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 25; i++ {
+			if _, err := mv.Assert(fmt.Sprintf("par(d, v%d).", i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 25; i++ {
+		eng.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("e%d", i))))
+		if _, err := eng.Query("anc(a, W)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	// Each of the 50 writes derives at least its anc(d, _) fact.
+	if d := st.Derived - before.Derived; d < 50 {
+		t.Errorf("the sink counted %d derived facts for 50 writes", d)
+	}
+}
+
 // TestExplainConcurrentWithLoads: Explain reads the extensional database
 // under the engine's lock, so under the race detector it may run beside
 // AddFacts; every explanation sees a load wholly or not at all.

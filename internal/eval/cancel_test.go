@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"ldl1/internal/lderr"
@@ -14,31 +13,27 @@ import (
 
 // countdownCtx is a context whose Err() flips to context.Canceled after a
 // fixed number of polls, so tests can cancel evaluation deterministically
-// at every possible cancellation point.  The counter is atomic: parallel
-// workers poll the shared context concurrently.
+// at every possible cancellation point.
 type countdownCtx struct {
 	context.Context
-	remaining atomic.Int64
+	remaining int
 }
 
 func newCountdownCtx(polls int) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.remaining.Store(int64(polls))
-	return c
+	return &countdownCtx{Context: context.Background(), remaining: polls}
 }
 
 func (c *countdownCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
+	if c.remaining--; c.remaining < 0 {
 		return context.Canceled
 	}
 	return nil
 }
 
 // TestCancellationOracle drives evaluation to completion once, then
-// replays it with the context canceling at every poll index in turn, under
-// 1, 2 and 4 workers.  Every run must either return the complete model or
-// fail with lderr.Canceled leaving the input database untouched — a
-// partial model is never returned.
+// replays it with the context canceling at every poll index in turn.  Every
+// run must either return the complete model or fail with lderr.Canceled
+// leaving the input database untouched — a partial model is never returned.
 func TestCancellationOracle(t *testing.T) {
 	p := parser.MustParseProgram(`
 		ancestor(X, Y) <- parent(X, Y).
@@ -54,33 +49,31 @@ func TestCancellationOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		canceled, completed := 0, 0
-		for polls := 0; polls < 64; polls++ {
-			ctx := newCountdownCtx(polls)
-			got, err := Eval(p, edb, Options{Ctx: ctx, Workers: workers})
-			switch {
-			case err != nil:
-				if !errors.Is(err, lderr.Canceled) {
-					t.Fatalf("workers=%d polls=%d: want lderr.Canceled, got %v", workers, polls, err)
-				}
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("workers=%d polls=%d: error does not unwrap to context.Canceled", workers, polls)
-				}
-				canceled++
-			default:
-				if !got.Equal(full) {
-					t.Fatalf("workers=%d polls=%d: completed run returned a model different from the full one", workers, polls)
-				}
-				completed++
+	canceled, completed := 0, 0
+	for polls := 0; polls < 64; polls++ {
+		ctx := newCountdownCtx(polls)
+		got, err := Eval(p, edb, Options{Ctx: ctx})
+		switch {
+		case err != nil:
+			if !errors.Is(err, lderr.Canceled) {
+				t.Fatalf("polls=%d: want lderr.Canceled, got %v", polls, err)
 			}
-			if !edb.Equal(pristine) {
-				t.Fatalf("workers=%d polls=%d: input database mutated", workers, polls)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("polls=%d: error does not unwrap to context.Canceled", polls)
 			}
+			canceled++
+		default:
+			if !got.Equal(full) {
+				t.Fatalf("polls=%d: completed run returned a model different from the full one", polls)
+			}
+			completed++
 		}
-		if canceled == 0 || completed == 0 {
-			t.Fatalf("workers=%d: oracle did not exercise both outcomes (canceled=%d completed=%d)", workers, canceled, completed)
+		if !edb.Equal(pristine) {
+			t.Fatalf("polls=%d: input database mutated", polls)
 		}
+	}
+	if canceled == 0 || completed == 0 {
+		t.Fatalf("oracle did not exercise both outcomes (canceled=%d completed=%d)", canceled, completed)
 	}
 }
 
@@ -108,21 +101,19 @@ func TestEvalDeadline(t *testing.T) {
 
 // TestMemBudget pins the derived-byte guard: a diverging program fails
 // with MemBudgetError deterministically, and a terminating one under a
-// generous budget is unaffected, across worker counts.
+// generous budget is unaffected.
 func TestMemBudget(t *testing.T) {
 	div := parser.MustParseProgram(`
 		nat(z).
 		nat(s(X)) <- nat(X).
 	`)
-	for _, workers := range []int{1, 4} {
-		_, err := Eval(div, store.NewDB(), Options{MemBudget: 1 << 12, Workers: workers})
-		var me *lderr.MemBudgetError
-		if !errors.As(err, &me) {
-			t.Fatalf("workers=%d: want MemBudgetError, got %v", workers, err)
-		}
-		if me.Budget != 1<<12 {
-			t.Errorf("workers=%d: budget = %d", workers, me.Budget)
-		}
+	_, err := Eval(div, store.NewDB(), Options{MemBudget: 1 << 12})
+	var me *lderr.MemBudgetError
+	if !errors.As(err, &me) {
+		t.Fatalf("want MemBudgetError, got %v", err)
+	}
+	if me.Budget != 1<<12 {
+		t.Errorf("budget = %d", me.Budget)
 	}
 	ok := parser.MustParseProgram(`
 		anc(X, Y) <- par(X, Y).

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/builtin"
@@ -18,8 +16,8 @@ import (
 
 // The driver is the one place rules fire.  A budget bounds the work, fire
 // enumerates one compiled body and hands each head fact to a Sink, Round
-// runs the tasks of one fixpoint round (on the caller's goroutine or on the
-// worker pool), and Cascade repeats rounds until a frontier dries up.
+// runs the tasks of one fixpoint round on the caller's goroutine, and
+// Cascade repeats rounds until a frontier dries up.
 // From-scratch evaluation (eval.go), incremental maintenance (internal/incr)
 // and, through EvalGroupsEach, magic saturation differ only in the tasks
 // they schedule and in what their sinks do with a head fact.
@@ -33,11 +31,6 @@ type budget struct {
 	memBudget  int64           // Options.MemBudget; 0 = unbounded
 	derived    int
 	memUsed    int64
-	// breach is raised by a worker that has buffered enough new facts to
-	// make a MaxDerived breach certain; the other workers poll it and stop
-	// enumerating.  It is only ever raised on a certain breach, so stopping
-	// early cannot flip an outcome.
-	breach atomic.Bool
 }
 
 // Err maps a canceled/expired context to its taxonomy error; nil when no
@@ -108,12 +101,10 @@ type Sink interface {
 	// Probe names the relation head facts of pred are filtered against
 	// before one is built (nil stands for an empty relation) and whether a
 	// fact must be present in it, or absent from it, to reach Accept.  It
-	// is a prefilter only and must not mutate anything: pool workers call
-	// it concurrently.
+	// is a prefilter only.
 	Probe(pred string) (rel *store.Relation, present bool)
-	// Accept takes one head fact — always on the driver's goroutine, in
-	// task order — and reports whether it joins the next frontier.  An
-	// error aborts the round.
+	// Accept takes one head fact, in task order, and reports whether it
+	// joins the next frontier.  An error aborts the round.
 	Accept(f *term.Fact) (bool, error)
 }
 
@@ -208,9 +199,9 @@ func (t *Task) run(x *Exec) error {
 	return x.fire(t.v, t.db, t.delta)
 }
 
-// Exec is the firing context of one goroutine: the budget it polls, the
-// counters it accumulates (the driver flushes them into Stats on its own
-// goroutine), and where the head facts of the running task go.
+// Exec is the firing context of one driver: the budget it polls, the
+// counters it accumulates (the driver flushes them into Stats), and where
+// the head facts of the running task go.
 type Exec struct {
 	b     *budget
 	polls uint
@@ -239,14 +230,11 @@ type Exec struct {
 const pollEvery = 256
 
 // poll is the cheap in-join interrupt check: every pollEvery firings it
-// consults the shared breach flag and the context.
+// consults the context.
 func (x *Exec) poll() error {
 	x.polls++
 	if x.polls%pollEvery != 0 {
 		return nil
-	}
-	if x.b.breach.Load() {
-		return &LimitError{Limit: x.b.maxDerived}
 	}
 	return x.b.Err()
 }
@@ -395,9 +383,9 @@ func (x *Exec) match(l ast.Literal, facts []*term.Fact, b *unify.Bindings, cont 
 }
 
 // emptyRel is the shared placeholder candidates source for predicates with
-// no relation yet.  relFor must not create relations: workers and
-// maintenance enumerations run against shared (even published) databases,
-// and db.Rel would mutate the relation map under concurrent readers.
+// no relation yet.  relFor must not create relations: maintenance
+// enumerations run against shared (even published) databases, and db.Rel
+// would mutate the relation map under concurrent readers.
 var emptyRel = store.NewRelation("$empty", false)
 
 func (x *Exec) relFor(litIdx int, pred string) *store.Relation {
@@ -464,36 +452,34 @@ func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) (fa
 	return nil, true
 }
 
-// Driver runs rounds under one budget.  It is not safe for concurrent use:
-// one goroutine drives, and only Round starts others.
+// Driver runs rounds under one budget, all on the caller's goroutine.  It
+// is not safe for concurrent use.
 type Driver struct {
 	budget
-	stats   *Stats
-	workers int
-	// live makes a round on the caller's goroutine hand each head fact to
-	// the sink during the join that found it.  From-scratch evaluation with
-	// Workers <= 1 runs live — a fact inserted mid-round serves the rest of
-	// the round, and nothing is buffered; every other round is deferred, so
-	// its tasks read the state the round started from and what the sink
-	// sees does not depend on the worker count.
+	stats *Stats
+	// live makes a round hand each head fact to the sink during the join
+	// that found it.  From-scratch evaluation runs live — a fact inserted
+	// mid-round serves the rest of the round, and nothing is buffered;
+	// maintenance rounds are deferred, so their tasks read the state the
+	// round started from.
 	live bool
-	x    Exec // the driving goroutine's context
+	x    Exec
 }
 
 // NewDriver returns a driver for one maintenance transaction: enumerations
 // through it poll ctx (which may be nil), facts charged to it count against
-// maxDerived (0 = unbounded), its counters land in st (which may be nil),
-// and its rounds run on up to workers goroutines.
-func NewDriver(ctx context.Context, st *Stats, workers, maxDerived int) *Driver {
-	d := &Driver{stats: st, workers: workers}
+// maxDerived (0 = unbounded), and its counters land in st (which may be
+// nil).
+func NewDriver(ctx context.Context, st *Stats, maxDerived int) *Driver {
+	d := &Driver{stats: st}
 	d.ctx, d.maxDerived = ctx, maxDerived
 	d.x.b = &d.budget
 	return d
 }
 
-// Do runs f on the caller's goroutine with the driver's own firing context:
-// enumerations outside any round (the regrouping of maintenance) poll the
-// same budget and land in the same counters.
+// Do runs f with the driver's firing context: enumerations outside any
+// round (the regrouping of maintenance) poll the same budget and land in
+// the same counters.
 func (d *Driver) Do(f func(x *Exec) error) error {
 	defer d.flush(&d.x)
 	return f(&d.x)
@@ -547,7 +533,6 @@ func (s *bufSink) Accept(f *term.Fact) (bool, error) {
 	// the exact count the round started from — whatever the other tasks
 	// find.  Past the bound that is a certain breach.
 	if s.absent && s.b.maxDerived > 0 && s.b.derived+len(s.out) > s.b.maxDerived {
-		s.b.breach.Store(true)
 		return false, &LimitError{Limit: s.b.maxDerived}
 	}
 	return false, nil
@@ -555,16 +540,14 @@ func (s *bufSink) Accept(f *term.Fact) (bool, error) {
 
 // Round runs the tasks of one round and records the facts the sink accepts
 // in next (which may be nil).  A live round hands head facts to the sink as
-// they are found.  A deferred round gives every task a private buffer,
-// fills the buffers on min(workers, len(tasks)) goroutines — the caller's
-// own when that is one — and replays them into the sink in task order, so
-// the sink sees the same facts in the same order for any worker count.
-// The tasks only read: sink.Accept alone mutates, on the caller's goroutine.
+// they are found.  A deferred round gives every task a private buffer and
+// replays the buffers into the sink in task order once every task has run,
+// so the tasks read the state the round started from.
 func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 	x := &d.x
 	defer d.flush(x)
-	x.sink, x.next = sink, next
 	if d.live {
+		x.sink, x.next = sink, next
 		for i := range tasks {
 			if err := tasks[i].run(x); err != nil {
 				return err
@@ -573,47 +556,13 @@ func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 		return nil
 	}
 	bufs := make([]bufSink, len(tasks))
-	errs := make([]error, len(tasks))
-	var claimed atomic.Int64
-	// A worker stops at its first error: tasks are claimed in order, so
-	// every earlier task is already with a worker that finishes it, and
-	// the first error in task order is the same on every schedule.
-	work := func(w *Exec) {
-		for {
-			i := int(claimed.Add(1)) - 1
-			if i >= len(tasks) {
-				return
-			}
-			if errs[i] = d.Err(); errs[i] != nil {
-				return
-			}
-			bufs[i] = bufSink{Sink: sink, b: &d.budget}
-			w.sink, w.next, w.polls = &bufs[i], nil, 0
-			if errs[i] = tasks[i].run(w); errs[i] != nil {
-				return
-			}
+	for i := range tasks {
+		if err := d.Err(); err != nil {
+			return err
 		}
-	}
-	if n := min(d.workers, len(tasks)); n <= 1 {
-		work(x)
-	} else {
-		pool := make([]Exec, n)
-		var wg sync.WaitGroup
-		for i := range pool {
-			pool[i].b = &d.budget
-			wg.Add(1)
-			go func(w *Exec) {
-				defer wg.Done()
-				work(w)
-			}(&pool[i])
-		}
-		wg.Wait()
-		for i := range pool {
-			d.flush(&pool[i])
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
+		bufs[i] = bufSink{Sink: sink, b: &d.budget}
+		x.sink, x.next, x.polls = &bufs[i], nil, 0
+		if err := tasks[i].run(x); err != nil {
 			return err
 		}
 	}
@@ -629,8 +578,8 @@ func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 }
 
 // Cascade runs rounds until the frontier is empty: each round fires every
-// variant whose delta literal has frontier facts (split into per-worker
-// chunks) against db, and the facts the sink accepts are the next frontier.
+// variant whose delta literal has frontier facts against db, and the facts
+// the sink accepts are the next frontier.
 // It consumes fr: two frontiers take turns and keep their per-predicate
 // slices, so a round allocates only the delta relations it fills and the
 // growth of a frontier larger than any before it.
@@ -652,7 +601,7 @@ func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink S
 		tasks = tasks[:0]
 		for _, v := range variants {
 			if delta := fr.delta(v.body[v.dLit].Pred); delta != nil {
-				tasks = d.chunks(tasks, v, db, delta, fr.useIdx)
+				tasks = append(tasks, v.Task(db, delta))
 			}
 		}
 		if err := d.Round(tasks, sink, next); err != nil {
@@ -669,22 +618,4 @@ func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink S
 		next.seen, next.n = nil, 0
 	}
 	return nil
-}
-
-// chunks appends the round's tasks for one variant: its delta split into up
-// to Workers roughly equal pieces that share the variant's plan, so a single
-// wide round parallelizes within one rule as well; small deltas stay whole.
-// Delta facts are already distinct, so chunks use the no-dedup construction:
-// no per-chunk bucket maps are built only to be thrown away after the round.
-func (d *Driver) chunks(tasks []Task, v *Variant, db *store.DB, delta *store.Relation, useIdx bool) []Task {
-	facts, n := delta.All(), d.workers
-	if n <= 1 || len(facts) < 2*n {
-		return append(tasks, v.Task(db, delta))
-	}
-	size := (len(facts) + n - 1) / n
-	for start := 0; start < len(facts); start += size {
-		end := min(start+size, len(facts))
-		tasks = append(tasks, v.Task(db, store.NewChunk(delta.Name, facts[start:end], useIdx)))
-	}
-	return tasks
 }

@@ -108,18 +108,10 @@ type Options struct {
 	// MaxDerived, when positive, bounds the number of DERIVED facts —
 	// facts newly added by rule application, not counting the input
 	// database — and aborts evaluation with a LimitError once more than
-	// MaxDerived facts have been derived.  The count and the semantics
-	// are identical for sequential and parallel evaluation (with Workers > 1
-	// a round's facts are inserted, and counted, once its tasks are done).
-	// Useful as a termination guard for programs whose function symbols
-	// can generate unbounded terms (the LDL1 universe U is infinite).
+	// MaxDerived facts have been derived.  Useful as a termination guard
+	// for programs whose function symbols can generate unbounded terms (the
+	// LDL1 universe U is infinite).
 	MaxDerived int
-	// Workers, when > 1, evaluates the rule applications of each fixpoint
-	// round concurrently (derivations are buffered per task and replayed
-	// in task order between rounds, so the computed model is unchanged and
-	// its relation order is the same for every Workers > 1).  Ignored when
-	// Provenance is set.
-	Workers int
 	// NoReorder disables the cost-based join planner and falls back to the
 	// static most-bound-columns literal order — the ablation switch for
 	// benchmarks and for reproducing pre-cost plans.  The computed model is
@@ -184,13 +176,8 @@ func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(
 			}
 		}
 	}
-	d := NewDriver(opts.Ctx, opts.Stats, opts.Workers, opts.MaxDerived)
-	d.memBudget = opts.MemBudget
-	if opts.Provenance != nil {
-		// The derivation trail is per-join state a replay cannot rebuild.
-		d.workers, d.x.prov = 1, opts.Provenance
-	}
-	d.live = d.workers <= 1
+	d := NewDriver(opts.Ctx, opts.Stats, opts.MaxDerived)
+	d.memBudget, d.live, d.x.prov = opts.MemBudget, true, opts.Provenance
 	defer d.flush(&d.x)
 	ev := &evaluation{Driver: d, db: db, noReorder: opts.NoReorder, types: opts.Types}
 	for i, rules := range groups {
@@ -219,15 +206,12 @@ type evaluation struct {
 }
 
 // Probe and Accept make the evaluation its own sink: a head fact absent
-// from the database is inserted, charged and counted as derived.  A live
-// round has the database to itself, so there the first firing of a rule
+// from the database is inserted, charged and counted as derived.  The
+// evaluation has the database to itself, so the first firing of a rule
 // creates its head relation (a derived predicate is part of the model even
 // when no fact of it is), or the private copy of one a clone shares.
 func (ev *evaluation) Probe(pred string) (*store.Relation, bool) {
-	if ev.live {
-		return ev.db.Rel(pred), false
-	}
-	return ev.db.RelOrNil(pred), false
+	return ev.db.Rel(pred), false
 }
 
 func (ev *evaluation) Accept(f *term.Fact) (bool, error) {
@@ -242,8 +226,7 @@ func (ev *evaluation) Accept(f *term.Fact) (bool, error) {
 
 // variant compiles the rule with body literal dLit first (-1: no delta
 // literal) against ev.db: cost-based by default, static under
-// Options.NoReorder.  Planner decisions are charged to the stats sink here —
-// plans are always compiled on the driving goroutine.
+// Options.NoReorder.  Planner decisions are charged to the stats sink here.
 func (ev *evaluation) variant(r ast.Rule, dLit int) (*Variant, error) {
 	db := ev.db
 	if ev.noReorder {

@@ -43,28 +43,22 @@ func TestEvalGroupsOnFork(t *testing.T) {
 		t.Fatalf("closure has %d facts, want %d", want.Len(), closure)
 	}
 
-	for _, workers := range []int{1, 2} {
-		var st Stats
-		cl := parent.Clone()
-		if err := EvalGroups(lay.Rules, cl, Options{Workers: workers, Stats: &st}); err != nil {
-			t.Fatal(err)
-		}
-		if !cl.Equal(want) {
-			t.Errorf("workers=%d: model on the clone differs from Eval's", workers)
-		}
-		if st.Derived != closure-edb {
-			t.Errorf("workers=%d: derived %d, want %d", workers, st.Derived, closure-edb)
-		}
-		if parent.String() != beforeText || !parent.Equal(before) || parent.Len() != edb ||
-			fmt.Sprint(parent.Preds()) != "[p]" || parent.RelOrNil("p").Len() != edb {
-			t.Errorf("workers=%d: evaluation on the clone changed its source", workers)
-		}
-	}
-
 	var st Stats
-	if err := EvalGroups(lay.Rules, parent.Clone(), Options{Stats: &st}); err != nil {
+	cl := parent.Clone()
+	if err := EvalGroups(lay.Rules, cl, Options{Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
+	if !cl.Equal(want) {
+		t.Error("model on the clone differs from Eval's")
+	}
+	if st.Derived != closure-edb {
+		t.Errorf("derived %d, want %d", st.Derived, closure-edb)
+	}
+	if parent.String() != beforeText || !parent.Equal(before) || parent.Len() != edb ||
+		fmt.Sprint(parent.Preds()) != "[p]" || parent.RelOrNil("p").Len() != edb {
+		t.Error("evaluation on the clone changed its source")
+	}
+
 	dups := st.Firings - st.Derived
 	allocs := testing.AllocsPerRun(5, func() {
 		if err := EvalGroups(lay.Rules, parent.Clone(), Options{}); err != nil {

@@ -43,36 +43,31 @@ func TestDerivationLimit(t *testing.T) {
 	}
 }
 
-// TestDerivationLimitWorkerConsistency pins the MaxDerived semantics: the
-// limit counts DERIVED facts only — not the input database — and behaves
-// the same under sequential and parallel evaluation.
-func TestDerivationLimitWorkerConsistency(t *testing.T) {
+// TestDerivationLimitCountsDerivedOnly pins the MaxDerived semantics: the
+// limit counts DERIVED facts only — not the input database — and a run
+// whose exact deduplicated count fits the limit succeeds.
+func TestDerivationLimitCountsDerivedOnly(t *testing.T) {
 	p := parser.MustParseProgram(ancestorSrc) // 4 parent facts, derives 8 ancestor facts
 	derived := 8
 
-	for _, workers := range []int{1, 2, 4} {
-		// A limit below the derivation count aborts.
-		_, err := Eval(p, store.NewDB(), Options{MaxDerived: derived - 1, Workers: workers})
-		var le *LimitError
-		if !errors.As(err, &le) {
-			t.Errorf("workers=%d: limit %d: expected LimitError, got %v", workers, derived-1, err)
-		}
-		// A limit at or above the derivation count succeeds — the breach
-		// flag raised by parallel workers must never fire on a run whose
-		// exact deduplicated count fits the limit.
-		for _, limit := range []int{derived, derived + 1} {
-			db, err := Eval(p, store.NewDB(), Options{MaxDerived: limit, Workers: workers})
-			if err != nil {
-				t.Errorf("workers=%d: limit %d: unexpected error %v", workers, limit, err)
-			} else if db.Rel("ancestor").Len() != derived {
-				t.Errorf("workers=%d: ancestor = %d, want %d", workers, db.Rel("ancestor").Len(), derived)
-			}
+	// A limit below the derivation count aborts.
+	_, err := Eval(p, store.NewDB(), Options{MaxDerived: derived - 1})
+	var le *LimitError
+	if !errors.As(err, &le) {
+		t.Errorf("limit %d: expected LimitError, got %v", derived-1, err)
+	}
+	// A limit at or above the derivation count succeeds.
+	for _, limit := range []int{derived, derived + 1} {
+		db, err := Eval(p, store.NewDB(), Options{MaxDerived: limit})
+		if err != nil {
+			t.Errorf("limit %d: unexpected error %v", limit, err)
+		} else if db.Rel("ancestor").Len() != derived {
+			t.Errorf("ancestor = %d, want %d", db.Rel("ancestor").Len(), derived)
 		}
 	}
 
 	// The input database does not count against the limit, no matter how
-	// large: 200 EDB facts with 3 derivations fit under a limit of 5 in
-	// both modes (the old parallel path compared total database size).
+	// large: 200 EDB facts with 3 derivations fit under a limit of 5.
 	big := parser.MustParseProgram(`anc(X, Y) <- par(X, Y).`)
 	edb := store.NewDB()
 	for i := 0; i < 200; i++ {
@@ -81,14 +76,11 @@ func TestDerivationLimitWorkerConsistency(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		edb.Insert(term.NewFact("par", term.Int(i), term.Int(i+1)))
 	}
-	for _, workers := range []int{1, 2, 4} {
-		db, err := Eval(big, edb, Options{MaxDerived: 5, Workers: workers})
-		if err != nil {
-			t.Errorf("workers=%d: EDB size counted against MaxDerived: %v", workers, err)
-			continue
-		}
-		if db.Rel("anc").Len() != 3 {
-			t.Errorf("workers=%d: anc = %d, want 3", workers, db.Rel("anc").Len())
-		}
+	db, err := Eval(big, edb, Options{MaxDerived: 5})
+	if err != nil {
+		t.Fatalf("EDB size counted against MaxDerived: %v", err)
+	}
+	if db.Rel("anc").Len() != 3 {
+		t.Errorf("anc = %d, want 3", db.Rel("anc").Len())
 	}
 }

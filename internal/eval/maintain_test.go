@@ -24,7 +24,7 @@ func atom(s string) term.Term { return term.Atom(s) }
 // derives is cr.Derives on a fresh driver.
 func derives(t *testing.T, cr *CompiledRule, db *store.DB, f *term.Fact) (ok bool, err error) {
 	t.Helper()
-	err = NewDriver(context.Background(), nil, 1, 0).Do(func(x *Exec) error {
+	err = NewDriver(context.Background(), nil, 0).Do(func(x *Exec) error {
 		ok, err = cr.Derives(x, db, f)
 		return err
 	})
@@ -35,7 +35,7 @@ func derives(t *testing.T, cr *CompiledRule, db *store.DB, f *term.Fact) (ok boo
 // way maintenance runs an enumeration outside a round.
 func onDriver(t *testing.T, st *Stats, f func(x *Exec) error) {
 	t.Helper()
-	if err := NewDriver(context.Background(), st, 1, 0).Do(f); err != nil {
+	if err := NewDriver(context.Background(), st, 0).Do(f); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,8 +50,7 @@ type access struct {
 
 // bodyPlan is a compiled rule body: the literal execution order plus the
 // access path of each step (acc is parallel to order).  Plans are computed
-// once per rule (variant) per layer and shared by every candidate scan,
-// including the per-worker delta chunks of a parallel round.
+// once per rule (variant) per layer and shared by every candidate scan.
 type bodyPlan struct {
 	order []int
 	acc   []access

@@ -173,8 +173,7 @@ func TestPlanFlounderHasNoPlan(t *testing.T) {
 }
 
 // TestEvalReportsIndexStats: an indexed join records index hits, a
-// scan-only body records full scans, and parallel workers merge their
-// counters into the same sink.
+// scan-only body records full scans.
 func TestEvalReportsIndexStats(t *testing.T) {
 	src := `triangle(X, Y, Z) <- e(X, Y), e(Y, Z), e(X, Z).`
 	p := parser.MustParseProgram(src)
@@ -184,17 +183,15 @@ func TestEvalReportsIndexStats(t *testing.T) {
 		db.Insert(term.NewFact("e", term.Int(i), term.Int((i*7+1)%30)))
 		db.Insert(term.NewFact("e", term.Int(i), term.Int((i*11+2)%30)))
 	}
-	for _, workers := range []int{1, 4} {
-		var st Stats
-		if _, err := Eval(p, db, Options{Stats: &st, Workers: workers}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if st.IndexHits == 0 {
-			t.Errorf("workers=%d: IndexHits = 0, want > 0 (e is above the index threshold)", workers)
-		}
-		if st.FullScans == 0 {
-			t.Errorf("workers=%d: FullScans = 0, want > 0 (the leading literal scans)", workers)
-		}
+	var st Stats
+	if _, err := Eval(p, db, Options{Stats: &st}); err != nil {
+		t.Fatal(err)
+	}
+	if st.IndexHits == 0 {
+		t.Error("IndexHits = 0, want > 0 (e is above the index threshold)")
+	}
+	if st.FullScans == 0 {
+		t.Error("FullScans = 0, want > 0 (the leading literal scans)")
 	}
 }
 

@@ -3,7 +3,6 @@ package incr
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"ldl1/internal/eval"
@@ -14,21 +13,18 @@ import (
 )
 
 // countdownCtx cancels after a fixed number of polls; see the eval package
-// twin.  The counter is atomic because parallel maintenance workers poll
-// the shared context concurrently.
+// twin.
 type countdownCtx struct {
 	context.Context
-	remaining atomic.Int64
+	remaining int
 }
 
 func newCountdownCtx(polls int) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.remaining.Store(int64(polls))
-	return c
+	return &countdownCtx{Context: context.Background(), remaining: polls}
 }
 
 func (c *countdownCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
+	if c.remaining--; c.remaining < 0 {
 		return context.Canceled
 	}
 	return nil
@@ -48,10 +44,10 @@ func chainEDB(n int) *store.DB {
 }
 
 // TestApplyCtxCancellationOracle cancels one mixed transaction at every
-// poll index in turn, under 1, 2 and 4 workers.  A canceled Apply must
-// leave the EDB, the published snapshot and all future maintenance exactly
-// as if it was never attempted: after retrying the same transaction to
-// completion, the model must equal the from-scratch evaluation.
+// poll index in turn.  A canceled Apply must leave the EDB, the published
+// snapshot and all future maintenance exactly as if it was never attempted:
+// after retrying the same transaction to completion, the model must equal
+// the from-scratch evaluation.
 func TestApplyCtxCancellationOracle(t *testing.T) {
 	p := parser.MustParseProgram(cancelRules)
 	tx := Tx{
@@ -76,62 +72,60 @@ func TestApplyCtxCancellationOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		// Measure how often a full run polls the context, then cancel at
-		// every index up to (and including) that count: the last iteration
-		// completes, all shorter ones cancel somewhere mid-maintenance.
-		probe := newCountdownCtx(1 << 30)
-		m0, err := New(p, chainEDB(8), Options{Workers: workers})
+	// Measure how often a full run polls the context, then cancel at
+	// every index up to (and including) that count: the last iteration
+	// completes, all shorter ones cancel somewhere mid-maintenance.
+	probe := newCountdownCtx(1 << 30)
+	m0, err := New(p, chainEDB(8), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m0.ApplyCtx(probe, tx); err != nil {
+		t.Fatal(err)
+	}
+	totalPolls := int(1<<30 - probe.remaining)
+	if totalPolls < 2 {
+		t.Fatalf("transaction polled only %d times", totalPolls)
+	}
+
+	canceled, completed := 0, 0
+	for polls := 0; polls <= totalPolls; polls++ {
+		m, err := New(p, chainEDB(8), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m0.ApplyCtx(probe, tx); err != nil {
-			t.Fatal(err)
+		pre := m.Snapshot()
+		preEDB := store.NewFactSet()
+		for _, f := range m.EDBFacts() {
+			preEDB.Add(f)
 		}
-		totalPolls := int(1<<30 - probe.remaining.Load())
-		if totalPolls < 2 {
-			t.Fatalf("workers=%d: transaction polled only %d times", workers, totalPolls)
-		}
-
-		canceled, completed := 0, 0
-		for polls := 0; polls <= totalPolls; polls++ {
-			m, err := New(p, chainEDB(8), Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+		_, err = m.ApplyCtx(newCountdownCtx(polls), tx)
+		if err != nil {
+			if !errors.Is(err, lderr.Canceled) {
+				t.Fatalf("polls=%d: want lderr.Canceled, got %v", polls, err)
 			}
-			pre := m.Snapshot()
-			preEDB := store.NewFactSet()
+			if m.Snapshot() != pre {
+				t.Fatalf("polls=%d: canceled Apply published a new snapshot", polls)
+			}
 			for _, f := range m.EDBFacts() {
-				preEDB.Add(f)
+				if !preEDB.Contains(f) {
+					t.Fatalf("polls=%d: canceled Apply mutated the EDB (%s)", polls, f)
+				}
 			}
-			_, err = m.ApplyCtx(newCountdownCtx(polls), tx)
-			if err != nil {
-				if !errors.Is(err, lderr.Canceled) {
-					t.Fatalf("workers=%d polls=%d: want lderr.Canceled, got %v", workers, polls, err)
-				}
-				if m.Snapshot() != pre {
-					t.Fatalf("workers=%d polls=%d: canceled Apply published a new snapshot", workers, polls)
-				}
-				for _, f := range m.EDBFacts() {
-					if !preEDB.Contains(f) {
-						t.Fatalf("workers=%d polls=%d: canceled Apply mutated the EDB (%s)", workers, polls, f)
-					}
-				}
-				canceled++
-				// The rolled-back view must accept the same transaction.
-				if _, err := m.Apply(tx); err != nil {
-					t.Fatalf("workers=%d polls=%d: retry after cancel: %v", workers, polls, err)
-				}
-			} else {
-				completed++
+			canceled++
+			// The rolled-back view must accept the same transaction.
+			if _, err := m.Apply(tx); err != nil {
+				t.Fatalf("polls=%d: retry after cancel: %v", polls, err)
 			}
-			if !m.Snapshot().Equal(want) {
-				t.Fatalf("workers=%d polls=%d: final model differs from from-scratch evaluation", workers, polls)
-			}
+		} else {
+			completed++
 		}
-		if canceled == 0 || completed == 0 {
-			t.Fatalf("workers=%d: oracle did not exercise both outcomes (canceled=%d completed=%d)", workers, canceled, completed)
+		if !m.Snapshot().Equal(want) {
+			t.Fatalf("polls=%d: final model differs from from-scratch evaluation", polls)
 		}
+	}
+	if canceled == 0 || completed == 0 {
+		t.Fatalf("oracle did not exercise both outcomes (canceled=%d completed=%d)", canceled, completed)
 	}
 }
 
@@ -140,41 +134,39 @@ func TestApplyCtxCancellationOracle(t *testing.T) {
 // keeps accepting transactions that fit.
 func TestApplyMaxDerivedRollback(t *testing.T) {
 	p := parser.MustParseProgram(cancelRules)
-	for _, workers := range []int{1, 4} {
-		m, err := New(p, chainEDB(2), Options{Workers: workers, MaxDerived: 6})
-		if err != nil {
-			t.Fatalf("workers=%d: initial materialization: %v", workers, err)
-		}
-		pre := m.Snapshot()
+	m, err := New(p, chainEDB(2), Options{MaxDerived: 6})
+	if err != nil {
+		t.Fatalf("initial materialization: %v", err)
+	}
+	pre := m.Snapshot()
 
-		// Extending the chain by 3 edges derives 3 parent + 12 ancestor
-		// facts — far over the bound of 6.
-		big := Tx{Insert: []*term.Fact{
-			term.NewFact("parent", term.Int(2), term.Int(3)),
-			term.NewFact("parent", term.Int(3), term.Int(4)),
-			term.NewFact("parent", term.Int(4), term.Int(5)),
-		}}
-		_, err = m.Apply(big)
-		var le *lderr.LimitError
-		if !errors.As(err, &le) {
-			t.Fatalf("workers=%d: want LimitError, got %v", workers, err)
-		}
-		if le.Limit != 6 {
-			t.Errorf("workers=%d: limit = %d", workers, le.Limit)
-		}
-		if m.Snapshot() != pre {
-			t.Fatalf("workers=%d: breaching transaction published a snapshot", workers)
-		}
+	// Extending the chain by 3 edges derives 3 parent + 12 ancestor
+	// facts — far over the bound of 6.
+	big := Tx{Insert: []*term.Fact{
+		term.NewFact("parent", term.Int(2), term.Int(3)),
+		term.NewFact("parent", term.Int(3), term.Int(4)),
+		term.NewFact("parent", term.Int(4), term.Int(5)),
+	}}
+	_, err = m.Apply(big)
+	var le *lderr.LimitError
+	if !errors.As(err, &le) {
+		t.Fatalf("want LimitError, got %v", err)
+	}
+	if le.Limit != 6 {
+		t.Errorf("limit = %d", le.Limit)
+	}
+	if m.Snapshot() != pre {
+		t.Fatal("breaching transaction published a snapshot")
+	}
 
-		// A disconnected edge derives 2 facts and still fits.
-		small := Tx{Insert: []*term.Fact{term.NewFact("parent", term.Int(50), term.Int(51))}}
-		res, err := m.Apply(small)
-		if err != nil {
-			t.Fatalf("workers=%d: small transaction after rollback: %v", workers, err)
-		}
-		if res.Inserted != 2 {
-			t.Errorf("workers=%d: small tx inserted %d facts, want 2", workers, res.Inserted)
-		}
+	// A disconnected edge derives 2 facts and still fits.
+	small := Tx{Insert: []*term.Fact{term.NewFact("parent", term.Int(50), term.Int(51))}}
+	res, err := m.Apply(small)
+	if err != nil {
+		t.Fatalf("small transaction after rollback: %v", err)
+	}
+	if res.Inserted != 2 {
+		t.Errorf("small tx inserted %d facts, want 2", res.Inserted)
 	}
 }
 
@@ -201,32 +193,30 @@ func wideView(t *testing.T, n int, opts Options) *Materialized {
 func TestApplyCtxInterruptsInsideRound(t *testing.T) {
 	const n = 1 << 15
 	tx := Tx{Insert: []*term.Fact{term.NewFact("r", term.Int(1))}}
-	for _, workers := range []int{1, 2, 4} {
-		var st eval.Stats
-		m := wideView(t, n, Options{Workers: workers, Stats: &st})
-		before := st.Firings
-		probe := newCountdownCtx(1 << 30)
-		if _, err := m.ApplyCtx(probe, tx); err != nil {
-			t.Fatal(err)
-		}
-		polls := int(1<<30 - probe.remaining.Load())
-		firings := st.Firings - before
-		if firings < n {
-			t.Fatalf("workers=%d: %d firings, want at least %d", workers, firings, n)
-		}
-		if polls < firings/256 {
-			t.Fatalf("workers=%d: %d polls for %d firings, want at least one per 256", workers, polls, firings)
-		}
+	var st eval.Stats
+	m := wideView(t, n, Options{Stats: &st})
+	before := st.Firings
+	probe := newCountdownCtx(1 << 30)
+	if _, err := m.ApplyCtx(probe, tx); err != nil {
+		t.Fatal(err)
+	}
+	polls := int(1<<30 - probe.remaining)
+	firings := st.Firings - before
+	if firings < n {
+		t.Fatalf("%d firings, want at least %d", firings, n)
+	}
+	if polls < firings/256 {
+		t.Fatalf("%d polls for %d firings, want at least one per 256", polls, firings)
+	}
 
-		m = wideView(t, n, Options{Workers: workers})
-		pre, preEDB := m.Snapshot(), len(m.EDBFacts())
-		_, err := m.ApplyCtx(newCountdownCtx(polls/2), tx)
-		if !errors.Is(err, lderr.Canceled) {
-			t.Fatalf("workers=%d: cancel at poll %d of %d: want lderr.Canceled, got %v", workers, polls/2, polls, err)
-		}
-		if m.Snapshot() != pre || len(m.EDBFacts()) != preEDB {
-			t.Fatalf("workers=%d: canceled Apply changed the view", workers)
-		}
+	m = wideView(t, n, Options{})
+	pre, preEDB := m.Snapshot(), len(m.EDBFacts())
+	_, err := m.ApplyCtx(newCountdownCtx(polls/2), tx)
+	if !errors.Is(err, lderr.Canceled) {
+		t.Fatalf("cancel at poll %d of %d: want lderr.Canceled, got %v", polls/2, polls, err)
+	}
+	if m.Snapshot() != pre || len(m.EDBFacts()) != preEDB {
+		t.Fatal("canceled Apply changed the view")
 	}
 }
 
@@ -235,23 +225,21 @@ func TestApplyCtxInterruptsInsideRound(t *testing.T) {
 // the wide transaction stops within one poll stride of the bound.
 func TestApplyMaxDerivedStopsAtTheBound(t *testing.T) {
 	const n, bound = 1 << 15, 10
-	for _, workers := range []int{1, 2, 4} {
-		var st eval.Stats
-		m := wideView(t, n, Options{Workers: workers, Stats: &st, MaxDerived: bound})
-		pre, before := m.Snapshot(), st
-		_, err := m.Apply(Tx{Insert: []*term.Fact{term.NewFact("r", term.Int(1))}})
-		var le *lderr.LimitError
-		if !errors.As(err, &le) || le.Limit != bound {
-			t.Fatalf("workers=%d: want LimitError{%d}, got %v", workers, bound, err)
-		}
-		if m.Snapshot() != pre {
-			t.Fatalf("workers=%d: breaching transaction published a snapshot", workers)
-		}
-		if d := st.Derived - before.Derived; d > bound {
-			t.Errorf("workers=%d: %d facts derived under a bound of %d", workers, d, bound)
-		}
-		if f := st.Firings - before.Firings; f > bound+256 {
-			t.Errorf("workers=%d: %d firings before the bound of %d stopped the round", workers, f, bound)
-		}
+	var st eval.Stats
+	m := wideView(t, n, Options{Stats: &st, MaxDerived: bound})
+	pre, before := m.Snapshot(), st
+	_, err := m.Apply(Tx{Insert: []*term.Fact{term.NewFact("r", term.Int(1))}})
+	var le *lderr.LimitError
+	if !errors.As(err, &le) || le.Limit != bound {
+		t.Fatalf("want LimitError{%d}, got %v", bound, err)
+	}
+	if m.Snapshot() != pre {
+		t.Fatal("breaching transaction published a snapshot")
+	}
+	if d := st.Derived - before.Derived; d > bound {
+		t.Errorf("%d facts derived under a bound of %d", d, bound)
+	}
+	if f := st.Firings - before.Firings; f > bound+256 {
+		t.Errorf("%d firings before the bound of %d stopped the round", f, bound)
 	}
 }

@@ -7,9 +7,8 @@ import (
 
 // deltaSet is a per-predicate collection of changed facts, deduplicated.
 // The per-predicate relations double as the delta relations the delta
-// literals of a round's tasks read; iteration order
-// (predicate first-seen order, then insertion order) is deterministic so
-// parallel and sequential maintenance visit facts identically.
+// literals of a round's tasks read; iteration order (predicate first-seen
+// order, then insertion order) is deterministic.
 // Removal is lazy: remove tombstones the canonical fact and queues it, and
 // the queue is flushed into the relation with one batched DeleteAll sweep
 // the next time the relation is read.  The rederive loop removes thousands

@@ -51,6 +51,9 @@ import (
 type Tx struct {
 	Insert  []*term.Fact
 	Retract []*term.Fact
+	// Stats, when non-nil, receives the transaction's counters in place of
+	// the view's Options.Stats.
+	Stats *eval.Stats
 }
 
 // Result summarises the net model change of one Apply.
@@ -61,28 +64,15 @@ type Result struct {
 	Deleted  int
 }
 
-// Options configures a materialization.
-type Options struct {
-	// Workers > 1 runs the delta-enumeration and rederivation rounds of
-	// each Apply concurrently.  From the same model, the resulting model
-	// is identical to the sequential one, relation order included: every
-	// round buffers per task and replays in task order, whatever Workers.
-	Workers int
-	// Strategy is the fixpoint strategy of the initial materialization.
-	Strategy eval.Strategy
-	// Stats, when non-nil, accumulates evaluation counters across the
-	// initial materialization and every Apply (Firings, Derived and
-	// Iterations of maintenance included, beside DeletedOverestimate,
-	// Rederived, RegroupedClasses and the access-path counters).
-	Stats *eval.Stats
-	// MaxDerived > 0 bounds the facts a single Apply may insert into the
-	// working model (net insertions and resurrections alike), enforced at
-	// the insertion that exceeds it.  A breaching transaction fails with
-	// *lderr.LimitError and rolls back completely.
-	// The bound also applies to the initial materialization, where it is
-	// eval.Options.MaxDerived verbatim.
-	MaxDerived int
-}
+// Options configures a materialization: the initial evaluation runs under
+// all of them, as eval.Eval does.  A transaction keeps Stats, where its
+// counters accumulate (maintenance adds DeletedOverestimate, Rederived and
+// RegroupedClasses to the evaluation counters), and MaxDerived, which bounds
+// the facts one transaction may insert into the working model (net
+// insertions and resurrections alike) at the insertion that exceeds it; a
+// breaching transaction fails with *lderr.LimitError and rolls back
+// completely.  Its context is the one ApplyCtx is given.
+type Options = eval.Options
 
 // layerRules holds the compiled rules of one layer, split by kind.
 type layerRules struct {
@@ -115,7 +105,8 @@ type Materialized struct {
 	// transaction with the predicates whose extensions changed; see OnChange.
 	onChange func(preds []string)
 
-	opts Options
+	stats      *eval.Stats
+	maxDerived int
 }
 
 // OnChange registers a callback fired after each successful Apply, with the
@@ -145,11 +136,12 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 		return nil, err
 	}
 	m := &Materialized{
-		prog:   p,
-		lay:    lay,
-		layers: make([]layerRules, lay.NumStrata),
-		byHead: map[string][]*eval.CompiledRule{},
-		opts:   opts,
+		prog:       p,
+		lay:        lay,
+		layers:     make([]layerRules, lay.NumStrata),
+		byHead:     map[string][]*eval.CompiledRule{},
+		stats:      opts.Stats,
+		maxDerived: opts.MaxDerived,
 	}
 	var progFacts []*term.Fact
 	for i, rules := range lay.Rules {
@@ -185,13 +177,8 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 		}
 	}
 	m.edb = edb.Clone()
-	m.edb.LoadFacts(progFacts, store.LoadOpts{Workers: opts.Workers})
-	model, err := eval.Eval(p, m.edb, eval.Options{
-		Strategy:   opts.Strategy,
-		Stats:      opts.Stats,
-		Workers:    opts.Workers,
-		MaxDerived: opts.MaxDerived,
-	})
+	m.edb.LoadFacts(progFacts, store.LoadOpts{})
+	model, err := eval.Eval(p, m.edb, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -299,14 +286,18 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 		return Result{}, nil
 	}
 
+	st := tx.Stats
+	if st == nil {
+		st = m.stats
+	}
 	s := &txState{
 		old:  old,
 		w:    old.Clone(),
 		edb:  edb2,
 		gIns: newDeltaSet(),
 		gDel: newDeltaSet(),
-		st:   m.opts.Stats,
-		d:    eval.NewDriver(ctx, m.opts.Stats, m.opts.Workers, m.opts.MaxDerived),
+		st:   st,
+		d:    eval.NewDriver(ctx, st, m.maxDerived),
 	}
 	for i := 0; i < ns; i++ {
 		if err := m.applyLayer(s, i, insBy[i], delBy[i]); err != nil {

@@ -117,10 +117,7 @@ func randTxs(r *rand.Rand, initial []*term.Fact, count int) []Tx {
 // TestApplyMatchesEvalOnRandomPrograms is the incremental-correctness
 // oracle (ISSUE 3): for random admissible programs and random update
 // sequences, Apply-ing each transaction yields a model identical to
-// evaluating the program from scratch on the transaction's final EDB —
-// sequentially and with parallel maintenance rounds.  CI runs this package
-// under -race, which makes the 2- and 4-worker runs a concurrency check of
-// snapshot publication and the round-based task merge as well.
+// evaluating the program from scratch on the transaction's final EDB.
 func TestApplyMatchesEvalOnRandomPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(1987))
 	trials := 0
@@ -141,33 +138,31 @@ func TestApplyMatchesEvalOnRandomPrograms(t *testing.T) {
 		}
 		txs := randTxs(r, initial, 6)
 
-		for _, workers := range []int{1, 2, 4} {
-			edb := store.NewDB()
-			for _, f := range initial {
+		edb := store.NewDB()
+		for _, f := range initial {
+			edb.Insert(f)
+		}
+		m, err := New(p, edb.Clone(), Options{})
+		if err != nil {
+			t.Fatalf("trial %d: New: %v\n%s", trials, err, src)
+		}
+		for k, tx := range txs {
+			if _, err := m.Apply(tx); err != nil {
+				t.Fatalf("trial %d tx %d: Apply: %v\n%s", trials, k, err, src)
+			}
+			for _, f := range tx.Insert {
 				edb.Insert(f)
 			}
-			m, err := New(p, edb.Clone(), Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("trial %d workers=%d: New: %v\n%s", trials, workers, err, src)
+			for _, f := range tx.Retract {
+				edb.Delete(f)
 			}
-			for k, tx := range txs {
-				if _, err := m.Apply(tx); err != nil {
-					t.Fatalf("trial %d workers=%d tx %d: Apply: %v\n%s", trials, workers, k, err, src)
-				}
-				for _, f := range tx.Insert {
-					edb.Insert(f)
-				}
-				for _, f := range tx.Retract {
-					edb.Delete(f)
-				}
-				want, err := eval.Eval(p, edb, eval.Options{})
-				if err != nil {
-					t.Fatalf("trial %d tx %d: oracle eval: %v\n%s", trials, k, err, src)
-				}
-				if got := m.Snapshot(); !got.Equal(want) {
-					t.Fatalf("trial %d workers=%d tx %d: incremental model diverged\nprogram:\n%s\ntx: +%v -%v\ngot:\n%s\nwant:\n%s",
-						trials, workers, k, src, tx.Insert, tx.Retract, got, want)
-				}
+			want, err := eval.Eval(p, edb, eval.Options{})
+			if err != nil {
+				t.Fatalf("trial %d tx %d: oracle eval: %v\n%s", trials, k, err, src)
+			}
+			if got := m.Snapshot(); !got.Equal(want) {
+				t.Fatalf("trial %d tx %d: incremental model diverged\nprogram:\n%s\ntx: +%v -%v\ngot:\n%s\nwant:\n%s",
+					trials, k, src, tx.Insert, tx.Retract, got, want)
 			}
 		}
 	}

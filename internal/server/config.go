@@ -44,9 +44,6 @@ type Config struct {
 	// derive (ldl1.WithLimit on each database's engine); a breaching
 	// transaction rolls back and fails with code limit_error.
 	MaxDerivedPerTx int
-	// Workers is the evaluation worker count for materialization and
-	// write transactions (0 = sequential).
-	Workers int
 	// AllowAdmin enables the mutating admin endpoints: loading and
 	// dropping databases and defining named prepared queries over HTTP.
 	// Boot-time loading through Server.Load works regardless.

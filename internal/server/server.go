@@ -110,9 +110,6 @@ func (s *Server) Load(name, src string) error {
 	}
 	st := &ldl1.Stats{}
 	opts := []ldl1.Option{ldl1.WithStats(st)}
-	if s.cfg.Workers > 0 {
-		opts = append(opts, ldl1.WithWorkers(s.cfg.Workers))
-	}
 	if s.cfg.MaxDerivedPerTx > 0 {
 		opts = append(opts, ldl1.WithLimit(s.cfg.MaxDerivedPerTx))
 	}

@@ -137,6 +137,28 @@ func TestTxAtomicAndRetract(t *testing.T) {
 	}
 }
 
+// TestNonGroundFactsRejected: a fact in a write body is ground (§7), as a
+// program's facts are; a variable is a positioned 400 parse_error on every
+// write endpoint, and the transaction does not happen.
+func TestNonGroundFactsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for path, body := range map[string]any{
+		"assert":  factsRequest{Facts: "parent(dee, eve).\nparent(X, Y)."},
+		"retract": factsRequest{Facts: "parent(abe, bob).\nparent(X, bob)."},
+		"tx":      updateRequest{Assert: "parent(dee, eve).", Retract: "parent(abe, bob).\nparent(X, bob)."},
+	} {
+		var eb errorBody
+		if st := post(t, ts.URL+"/db/family/"+path, body, &eb); st != 400 || eb.Error.Code != "parse_error" || eb.Error.Line != 2 {
+			t.Errorf("%s: status %d, error %+v; want 400 parse_error at line 2", path, st, eb.Error)
+		}
+	}
+	var q queryResponse
+	post(t, ts.URL+"/db/family/query", queryRequest{Query: "ancestor(X, Y)"}, &q)
+	if q.Count != 6 {
+		t.Fatalf("after rejected writes: %d ancestor facts, want the 6 loaded ones: %v", q.Count, q.Rows)
+	}
+}
+
 func TestPreparedEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, Config{AllowAdmin: true})
 

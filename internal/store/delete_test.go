@@ -28,7 +28,7 @@ func TestRelationDelete(t *testing.T) {
 			}
 			return n
 		},
-		"batch": func(r *Relation, fs ...*term.Fact) int { return r.InsertBatch(fs, LoadOpts{}) },
+		"batch": func(r *Relation, fs ...*term.Fact) int { return r.InsertBatch(fs) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := NewRelation("p", true)

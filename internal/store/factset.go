@@ -3,7 +3,7 @@ package store
 import "ldl1/internal/term"
 
 // FactSet is a hash-keyed set of U-facts: the map[string]bool replacement
-// for hot-path membership tracking (parallel-round seen sets, per-rule
+// for hot-path membership tracking (deferred-round seen sets, per-rule
 // dedup buffers, provenance walks).  It is backed by the same
 // open-addressed table as Relation; collisions are resolved by the
 // structural term.EqualFacts, so membership is exact.

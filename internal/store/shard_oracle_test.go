@@ -98,9 +98,8 @@ func randOracleFact(rng *rand.Rand) *term.Fact {
 }
 
 // oracleScenario runs one randomized op sequence against a sharded DB and
-// the reference, returning the final DB rendering for cross-worker-count
-// comparison.
-func oracleScenario(t *testing.T, seed int64, workers int) string {
+// the reference.
+func oracleScenario(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := NewDB()
@@ -111,14 +110,14 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 		case op < 3: // bulk load; the first is of resharding size
 			n := 1 + rng.Intn(200)
 			if loads == 0 {
-				n = 4 * reshardMin
+				n = 32 * unit
 			}
 			loads++
 			fs := make([]*term.Fact, n)
 			for i := range fs {
 				fs[i] = randOracleFact(rng)
 			}
-			got := db.LoadFacts(fs, LoadOpts{Workers: workers})
+			got := db.LoadFacts(fs, LoadOpts{})
 			want := 0
 			for _, f := range fs {
 				if ref.insert(f) {
@@ -193,13 +192,11 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 			t.Fatalf("seed %d: Get not canonical for %s", seed, f)
 		}
 	}
-	return db.String()
 }
 
 // checkShards asserts what the shard count is a function of: the relation's
 // size (a power of two, the fewest that keep the mean shard within one unit
-// — or more, where the relation has been larger or a bulk load asked for
-// one shard per worker).
+// — or more, where the relation has been larger).
 func checkShards(t *testing.T, r *Relation) {
 	t.Helper()
 	n := r.ShardCount()
@@ -225,24 +222,16 @@ func refString(r *refDB) string {
 }
 
 // TestShardedStoreOracle drives randomized op sequences through the
-// sharded store at worker counts 1, 2 and 4 and checks every observable
-// against the naive reference — and that the three worker counts land on
-// identical final states.
+// sharded store and checks every observable against the naive reference.
 func TestShardedStoreOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		var states []string
-		for _, workers := range []int{1, 2, 4} {
-			states = append(states, oracleScenario(t, seed, workers))
-		}
-		if states[0] != states[1] || states[0] != states[2] {
-			t.Fatalf("seed %d: final state differs across worker counts", seed)
-		}
+		oracleScenario(t, seed)
 	}
 }
 
 // TestLoadFactsDeterministicOrder pins the stronger property behind the
 // oracle: a bulk load appends its new facts in input order, whatever the
-// worker count and the shard count that comes with it.
+// shard count.
 func TestLoadFactsDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fs := make([]*term.Fact, 5000)
@@ -251,17 +240,15 @@ func TestLoadFactsDeterministicOrder(t *testing.T) {
 		fs[i] = term.NewFact("e", term.Int(int64(rng.Intn(3000))), term.Int(int64(rng.Intn(3000))))
 		ref.insert(fs[i])
 	}
-	for _, workers := range []int{1, 2, 4, 64} {
-		db := NewDB()
-		db.LoadFacts(fs, LoadOpts{Workers: workers})
-		r := db.RelOrNil("e")
-		checkShards(t, r)
-		if r.ShardCount() < workers {
-			t.Fatalf("workers=%d: %d shards", workers, r.ShardCount())
-		}
-		if got := r.All(); !sameSequence(got, ref.facts) {
-			t.Fatalf("workers=%d: %d facts loaded, not the %d distinct ones in input order", workers, len(got), len(ref.facts))
-		}
+	db := NewDB()
+	db.LoadFacts(fs, LoadOpts{})
+	r := db.RelOrNil("e")
+	checkShards(t, r)
+	if r.ShardCount() < 2 {
+		t.Fatalf("%d shards for %d facts", r.ShardCount(), r.Len())
+	}
+	if got := r.All(); !sameSequence(got, ref.facts) {
+		t.Fatalf("%d facts loaded, not the %d distinct ones in input order", len(got), len(ref.facts))
 	}
 }
 
@@ -430,7 +417,7 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 					want++
 				}
 			}
-			if got := w.db.LoadFacts(fs, LoadOpts{Workers: 1 + rng.Intn(3)}); got != want {
+			if got := w.db.LoadFacts(fs, LoadOpts{}); got != want {
 				t.Fatalf("%s: LoadFacts=%d oracle=%d", what, got, want)
 			}
 		case op < 14:

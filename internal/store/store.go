@@ -303,8 +303,8 @@ func (ix *index) probe(vals []term.Term) []*term.Fact {
 // Relation is a set of U-facts for one predicate.
 //
 // Concurrency: Insert is single-writer; Lookup, All and Get may run from
-// many goroutines BETWEEN writes (the parallel evaluator derives into
-// private buffers and merges single-threaded).  The index list is an
+// many goroutines BETWEEN writes (snapshot reads, magic executions on
+// clones of one database).  The index list is an
 // immutable snapshot behind an atomic pointer: probes against built
 // indexes take no lock at all, and only the first build per column set
 // serializes on mu (double-checked, so racing builders agree on one
@@ -764,8 +764,8 @@ func (db *DB) Rel(pred string) *Relation {
 }
 
 // RelOrNil returns the relation for pred without creating it.  Unlike Rel
-// it never mutates the database, so concurrent readers (parallel rule
-// workers) may call it while no writer is active.  Callers must treat the
+// it never mutates the database, so concurrent readers (snapshot reads,
+// magic executions on clones) may call it while no writer is active.  Callers must treat the
 // result as read-only: it may be shared with a clone.
 func (db *DB) RelOrNil(pred string) *Relation {
 	return db.rels[pred]

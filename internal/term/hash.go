@@ -8,8 +8,8 @@ package term
 // structural Equal/EqualFacts fast paths.
 //
 // Constructors compute the memo eagerly, so hashes of shared terms are
-// never written after publication — the parallel evaluator may hash the
-// same term from many goroutines without synchronization.
+// never written after publication — concurrent readers may hash the same
+// term from many goroutines without synchronization.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037

@@ -3,6 +3,8 @@ package ldl1
 import (
 	"context"
 
+	"ldl1/internal/ast"
+	"ldl1/internal/eval"
 	"ldl1/internal/incr"
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
@@ -28,24 +30,29 @@ type Materialized struct {
 	// on the view's EDB state, which was cloned from the engine's at
 	// Materialize.
 	r *reader
+	// stats is the engine reader's: each transaction counts into a Stats of
+	// its own, merged into the WithStats sink under the lock the engine's
+	// reads merge under.
+	stats func() (*eval.Stats, func())
 }
 
 // Materialize evaluates the engine's program once against its current
 // extensional database and returns the incrementally maintained view.
 // Subsequent AddFact calls on the engine do not affect the view; use
-// Assert/Retract on the view instead.  The engine's WithLimit bound
-// carries over: it caps the facts any single update transaction may
-// derive, and a breaching transaction rolls back.  WithDeadline carries
-// over likewise, per operation.
+// Assert/Retract on the view instead.  The evaluation runs under the
+// engine's bounds exactly as Run does (WithLimit, WithDeadline,
+// WithMemBudget).  Each transaction keeps WithLimit, which caps the facts
+// it may derive (a breaching transaction rolls back), and WithDeadline.
 func (e *Engine) Materialize() (*Materialized, error) {
+	ctx, cancel := withDeadline(context.Background(), e.cfg.deadline)
+	defer cancel()
+	st, merge := e.r.stats()
+	defer merge()
 	e.mu.RLock()
-	inner, err := incr.New(e.source, e.edb, incr.Options{
-		Workers:    e.cfg.workers,
-		Strategy:   e.cfg.strategy,
-		Stats:      e.cfg.stats,
-		MaxDerived: e.cfg.limit,
-	})
+	edb := e.edb.Clone()
+	opts := e.evalOpts(ctx, st)
 	e.mu.RUnlock()
+	inner, err := incr.New(e.source, edb, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -55,11 +62,11 @@ func (e *Engine) Materialize() (*Materialized, error) {
 	// runs after the view publishes its new snapshot and before its next
 	// transaction, so eviction is never lost under concurrent Exec/Assert.
 	inner.OnChange(func(preds []string) { r.cache.Invalidate(preds...) })
-	return &Materialized{inner: inner, r: r}, nil
+	return &Materialized{inner: inner, r: r, stats: e.r.stats}, nil
 }
 
-// parseFactList parses LDL1 source text consisting of facts only: what
-// Engine.AddFacts loads and a view transaction asserts or retracts.
+// parseFactList parses LDL1 source text consisting of ground facts only:
+// what Engine.AddFacts loads and a view transaction asserts or retracts.
 func parseFactList(src string) ([]*term.Fact, error) {
 	p, err := parser.ParseProgram(src)
 	if err != nil {
@@ -70,9 +77,22 @@ func parseFactList(src string) ([]*term.Fact, error) {
 		if !r.IsFact() {
 			return nil, &ParseError{Line: r.Pos.Line, Col: r.Pos.Col, Msg: "fact list contains a rule: " + r.String()}
 		}
+		if err := ast.CheckRuleSafe(r); err != nil { // §7: facts are ground
+			return nil, &ParseError{Line: r.Pos.Line, Col: r.Pos.Col, Msg: err.Error()}
+		}
 		out = append(out, term.NewFact(r.Head.Pred, r.Head.Args...))
 	}
 	return out, nil
+}
+
+// apply runs one transaction under the view's deadline.
+func (mv *Materialized) apply(ctx context.Context, tx incr.Tx) (UpdateResult, error) {
+	ctx, cancel := withDeadline(ctx, mv.r.deadline)
+	defer cancel()
+	st, merge := mv.stats()
+	defer merge()
+	tx.Stats = st
+	return mv.inner.ApplyCtx(ctx, tx)
 }
 
 // Assert inserts extensional facts given as source text ("par(a, b). ...")
@@ -90,9 +110,7 @@ func (mv *Materialized) AssertCtx(ctx context.Context, src string) (UpdateResult
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := withDeadline(ctx, mv.r.deadline)
-	defer cancel()
-	return mv.inner.ApplyCtx(ctx, incr.Tx{Insert: fs})
+	return mv.apply(ctx, incr.Tx{Insert: fs})
 }
 
 // Retract removes extensional facts given as source text as one
@@ -109,9 +127,7 @@ func (mv *Materialized) RetractCtx(ctx context.Context, src string) (UpdateResul
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := withDeadline(ctx, mv.r.deadline)
-	defer cancel()
-	return mv.inner.ApplyCtx(ctx, incr.Tx{Retract: fs})
+	return mv.apply(ctx, incr.Tx{Retract: fs})
 }
 
 // Update applies insertions and retractions, both given as fact-list
@@ -134,9 +150,7 @@ func (mv *Materialized) UpdateCtx(ctx context.Context, assertSrc, retractSrc str
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := withDeadline(ctx, mv.r.deadline)
-	defer cancel()
-	return mv.inner.ApplyCtx(ctx, incr.Tx{Insert: ins, Retract: del})
+	return mv.apply(ctx, incr.Tx{Insert: ins, Retract: del})
 }
 
 // Model returns the current model as an immutable snapshot.

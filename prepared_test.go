@@ -33,43 +33,42 @@ func mustStr(t *testing.T) func(*Answers, error) string {
 	}
 }
 
-// TestPreparedExecOracle pins the core equivalence: for every constant and
-// worker count, Prepare+Exec on a magic engine, a fresh magic Query, and a
-// full bottom-up Query all return the same answers — including repeated
-// Execs that hit the answer cache.
+// TestPreparedExecOracle pins the core equivalence: for every constant,
+// Prepare+Exec on a magic engine, a fresh magic Query, and a full bottom-up
+// Query all return the same answers — including repeated Execs that hit the
+// answer cache. Evaluation runs on one goroutine; the subtest keeps the
+// name it had when the oracle also swept 2 and 4 workers.
 func TestPreparedExecOracle(t *testing.T) {
-	for _, w := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			eng, err := New(prepProg, WithMagic(true), WithWorkers(w))
+	t.Run("workers=1", func(t *testing.T) {
+		eng, err := New(prepProg, WithMagic(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := eng.Prepare("anc(a, W)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pq.NumArgs() != 1 {
+			t.Fatalf("NumArgs = %d, want 1", pq.NumArgs())
+		}
+		for _, c := range []string{"a", "b", "c", "d", "nobody"} {
+			got := mustStr(t)(pq.Exec(Sym(c)))
+			again := mustStr(t)(pq.Exec(Sym(c))) // cache hit path
+			fresh, err := New(prepProg, WithMagic(true))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pq, err := eng.Prepare("anc(a, W)")
+			magic := mustStr(t)(fresh.Query(fmt.Sprintf("anc(%s, W)", c)))
+			plain, err := New(prepProg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pq.NumArgs() != 1 {
-				t.Fatalf("NumArgs = %d, want 1", pq.NumArgs())
+			full := mustStr(t)(plain.Query(fmt.Sprintf("anc(%s, W)", c)))
+			if got != magic || got != full || got != again {
+				t.Errorf("anc(%s, W): exec=%q reexec=%q magic=%q full=%q", c, got, again, magic, full)
 			}
-			for _, c := range []string{"a", "b", "c", "d", "nobody"} {
-				got := mustStr(t)(pq.Exec(Sym(c)))
-				again := mustStr(t)(pq.Exec(Sym(c))) // cache hit path
-				fresh, err := New(prepProg, WithMagic(true), WithWorkers(w))
-				if err != nil {
-					t.Fatal(err)
-				}
-				magic := mustStr(t)(fresh.Query(fmt.Sprintf("anc(%s, W)", c)))
-				plain, err := New(prepProg, WithWorkers(w))
-				if err != nil {
-					t.Fatal(err)
-				}
-				full := mustStr(t)(plain.Query(fmt.Sprintf("anc(%s, W)", c)))
-				if got != magic || got != full || got != again {
-					t.Errorf("anc(%s, W): exec=%q reexec=%q magic=%q full=%q", c, got, again, magic, full)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // agreeProg extends prepProg with grouping, negation, a compound head and a

@@ -46,14 +46,13 @@ type work struct {
 }
 
 // workRow is one configuration.  run builds its input from scratch, so two
-// calls are independent; workers is the evaluation parallelism.
+// calls are independent.
 type workRow struct {
 	id, name string
 	// slow marks the two chain256 update rows, seconds per run: skipped
-	// under -short and left out of the worker sweep, which their chain128
-	// twins (same program, same stream shape) go through.
+	// under -short.
 	slow bool
-	run  func(workers int) (work, error)
+	run  func() (work, error)
 }
 
 func (r workRow) key() string { return r.id + " " + r.name }
@@ -103,11 +102,11 @@ const (
 )
 
 // evalRow evaluates prog over a fresh db() with the given options.
-func evalRow(prog *ast.Program, db func() *store.DB, opts eval.Options) func(int) (work, error) {
-	return func(workers int) (work, error) {
+func evalRow(prog *ast.Program, db func() *store.DB, opts eval.Options) func() (work, error) {
+	return func() (work, error) {
 		var w work
 		opts := opts
-		opts.Stats, opts.Workers = &w.Stats, workers
+		opts.Stats = &w.Stats
 		out, err := eval.Eval(prog, db(), opts)
 		if err == nil {
 			w.model = out.Len()
@@ -118,10 +117,10 @@ func evalRow(prog *ast.Program, db func() *store.DB, opts eval.Options) func(int
 
 // engineRow runs the whole program through the root Engine, so the row
 // depends on how the Option under test is interpreted there.
-func engineRow(src string, db func() *store.DB, opts ...Option) func(int) (work, error) {
-	return func(workers int) (work, error) {
+func engineRow(src string, db func() *store.DB, opts ...Option) func() (work, error) {
+	return func() (work, error) {
 		var w work
-		eng, err := New(src, append([]Option{WithStats(&w.Stats), WithWorkers(workers)}, opts...)...)
+		eng, err := New(src, append([]Option{WithStats(&w.Stats)}, opts...)...)
 		if err != nil {
 			return w, err
 		}
@@ -139,10 +138,10 @@ func engineRow(src string, db func() *store.DB, opts ...Option) func(int) (work,
 // of the one Prepare handle is an answer-cache hit; unprepared, every lookup
 // recompiles and re-evaluates on a cache-disabled engine (over relations the
 // first pass already indexed, which is what the planner then sees).
-func pointRow(src string, db func() *store.DB, pred string, consts []string, prepared bool) func(int) (work, error) {
-	return func(workers int) (work, error) {
+func pointRow(src string, db func() *store.DB, pred string, consts []string, prepared bool) func() (work, error) {
+	return func() (work, error) {
 		var w work
-		opts := []Option{WithMagic(true), WithStats(&w.Stats), WithWorkers(workers)}
+		opts := []Option{WithMagic(true), WithStats(&w.Stats)}
 		if !prepared {
 			opts = append(opts, WithoutQueryCache())
 		}
@@ -177,14 +176,14 @@ func pointRow(src string, db func() *store.DB, pred string, consts []string, pre
 
 // magicRow answers one selective query through a magic rewriting, or (plain)
 // by evaluating the whole program and selecting.
-func magicRow(prog *ast.Program, db func() *store.DB, query string, variant magic.Variant, plain bool) func(int) (work, error) {
-	return func(workers int) (work, error) {
+func magicRow(prog *ast.Program, db func() *store.DB, query string, variant magic.Variant, plain bool) func() (work, error) {
+	return func() (work, error) {
 		var w work
 		q, err := parser.ParseQuery(query)
 		if err != nil {
 			return w, err
 		}
-		opts := eval.Options{Stats: &w.Stats, Workers: workers}
+		opts := eval.Options{Stats: &w.Stats}
 		if plain {
 			sols, _, err := magic.AnswerWithout(prog, db(), q, opts)
 			w.model = len(sols)
@@ -200,11 +199,11 @@ func magicRow(prog *ast.Program, db func() *store.DB, query string, variant magi
 
 // incrRow replays an update stream through a materialized view: one initial
 // evaluation, then one incremental Apply per transaction.
-func incrRow(prog *ast.Program, gen func() (*store.DB, []workload.Update)) func(int) (work, error) {
-	return func(workers int) (work, error) {
+func incrRow(prog *ast.Program, gen func() (*store.DB, []workload.Update)) func() (work, error) {
+	return func() (work, error) {
 		var w work
 		initial, txs := gen()
-		m, err := incr.New(prog, initial, incr.Options{Stats: &w.Stats, Workers: workers})
+		m, err := incr.New(prog, initial, incr.Options{Stats: &w.Stats})
 		if err != nil {
 			return w, err
 		}
@@ -220,11 +219,11 @@ func incrRow(prog *ast.Program, gen func() (*store.DB, []workload.Update)) func(
 
 // recomputeRow replays the same stream by full recomputation after every
 // transaction — the twin every incrRow is compared against.
-func recomputeRow(prog *ast.Program, gen func() (*store.DB, []workload.Update)) func(int) (work, error) {
-	return func(workers int) (work, error) {
+func recomputeRow(prog *ast.Program, gen func() (*store.DB, []workload.Update)) func() (work, error) {
+	return func() (work, error) {
 		var w work
 		db, txs := gen()
-		opts := eval.Options{Stats: &w.Stats, Workers: workers}
+		opts := eval.Options{Stats: &w.Stats}
 		out, err := eval.Eval(prog, db, opts)
 		for _, u := range txs {
 			if err != nil {
@@ -304,7 +303,7 @@ func workRows(t *testing.T) []workRow {
 			func() *store.DB { return workload.SupplierParts(256, 8, 11) }, semi)},
 		{id: "e6", name: "part-cost-depth2-fanout2", run: evalRow(
 			parse(workPartCostRules), func() *store.DB { return workload.BOM(2, 2) }, semi)},
-		{id: "e7", name: "model-check", run: func(int) (work, error) {
+		{id: "e7", name: "model-check", run: func() (work, error) {
 			m := store.NewDB()
 			for _, r := range parse("r(1). h({1}). p({1}). q({1}).").Rules {
 				m.Insert(term.NewFact(r.Head.Pred, r.Head.Args...))
@@ -315,9 +314,9 @@ func workRows(t *testing.T) []workRow {
 			}
 			return work{model: m.Len()}, err
 		}},
-		{id: "e10", name: "eval-and-verify-chain-32", run: func(workers int) (work, error) {
+		{id: "e10", name: "eval-and-verify-chain-32", run: func() (work, error) {
 			var w work
-			m, err := eval.Eval(anc, workload.ParentChain(32), eval.Options{Stats: &w.Stats, Workers: workers})
+			m, err := eval.Eval(anc, workload.ParentChain(32), eval.Options{Stats: &w.Stats})
 			if err != nil {
 				return w, err
 			}
@@ -416,33 +415,19 @@ func TestWorkCounts(t *testing.T) {
 			}
 			t.Run(r.id+"/"+r.name, func(t *testing.T) {
 				t.Parallel()
-				w, err := r.run(1)
+				w, err := r.run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				// A function of program and input only: a second run in the
 				// same process, after every other row has touched the shared
-				// intern tables, reports the same work; more workers change
-				// the schedule but neither the model nor what was derived.
-				again, err := r.run(1)
+				// intern tables, reports the same work.
+				again, err := r.run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if again != w {
 					t.Fatalf("two runs differ:\n%s\n%s", formatWork(r, w), formatWork(r, again))
-				}
-				sweep := []int{2, 4}
-				if r.slow {
-					sweep = nil
-				}
-				for _, workers := range sweep {
-					p, err := r.run(workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if p.model != w.model || p.Derived != w.Derived {
-						t.Errorf("workers=%d: model %d derived %d, want %d / %d", workers, p.model, p.Derived, w.model, w.Derived)
-					}
 				}
 				got[i] = &w
 				if line := formatWork(r, w); golden != nil && golden[r.key()] != line {
