@@ -17,7 +17,8 @@ import (
 
 // parseExecArgs parses the comma-separated constants of an :exec line by
 // wrapping them in a dummy literal, so commas nested inside compound terms
-// and sets parse correctly.
+// and sets parse correctly.  Input that closes the literal early
+// ("a), foo(b") is rejected, not cut short.
 func parseExecArgs(s string) ([]ldl1.Term, error) {
 	if s == "" {
 		return nil, nil
@@ -25,6 +26,9 @@ func parseExecArgs(s string) ([]ldl1.Term, error) {
 	q, err := parser.ParseQuery("exec(" + s + ")")
 	if err != nil {
 		return nil, fmt.Errorf("bad :exec arguments: %w", err)
+	}
+	if len(q.Body) != 1 {
+		return nil, fmt.Errorf("bad :exec arguments: %q is not one argument list", s)
 	}
 	lit := q.Body[0]
 	out := make([]ldl1.Term, len(lit.Args))

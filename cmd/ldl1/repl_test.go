@@ -106,6 +106,18 @@ func TestReplExplain(t *testing.T) {
 	}
 }
 
+func TestParseExecArgs(t *testing.T) {
+	args, err := parseExecArgs("a, f(b, c), {1, 2}")
+	if err != nil || len(args) != 3 {
+		t.Errorf("three arguments: got %v, %v", args, err)
+	}
+	for _, in := range []string{"a), foo(b", "a) , not b(c", "(("} {
+		if args, err := parseExecArgs(in); err == nil || !strings.Contains(err.Error(), "bad :exec arguments") {
+			t.Errorf("parseExecArgs(%q) = %v, %v; want a bad :exec arguments error", in, args, err)
+		}
+	}
+}
+
 func TestReplModelAndHelp(t *testing.T) {
 	out := runRepl(t, newTestEngine(t), ":help\n:model\n:quit\n")
 	if !strings.Contains(out, ":assert") {

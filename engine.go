@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -159,18 +158,6 @@ type Engine struct {
 	// serves every constant.  Nil under WithoutQueryCache.
 	formsMu sync.Mutex
 	forms   map[formKey]*magic.Prepared
-
-	// typeMu guards the memoized type environment below.  The inference
-	// depends only on the compiled program (fixed) and the NAMES of the
-	// extensional predicates (externally loaded facts type as ⊤), so the
-	// memo is keyed by the sorted predicate list and survives fact loads
-	// that introduce no new predicate.
-	typeMu      sync.Mutex
-	typeEnv     *types.Env
-	typeEnvKey  string
-	vetMemo     []analyze.Diagnostic
-	vetMemoKey  string
-	vetMemoInit bool
 }
 
 // New parses an LDL1 (or LDL1.5) program — rules and facts — compiles any
@@ -292,31 +279,14 @@ func (e *Engine) Strata() map[string]int {
 func (e *Engine) IsPositive() bool { return e.source.IsPositive() }
 
 // knownPreds is the set of extensional predicate names — the only store
-// input the type inference and the vet pass depend on — and its
-// fingerprint, which keys their memos.  Callers hold e.mu.
-func (e *Engine) knownPreds() (known map[string]bool, key string) {
+// input the type inference and the vet pass depend on.  Callers hold e.mu.
+func (e *Engine) knownPreds() map[string]bool {
 	preds := e.edb.Preds()
-	sort.Strings(preds)
-	known = make(map[string]bool, len(preds))
+	known := make(map[string]bool, len(preds))
 	for _, p := range preds {
 		known[p] = true
 	}
-	return known, strings.Join(preds, "\x00")
-}
-
-// typeEnvNow returns the inferred type environment of the compiled program
-// with every extensional predicate marked Known, memoized until the
-// predicate set changes.  Callers must hold e.mu (read suffices: the memo
-// has its own lock).
-func (e *Engine) typeEnvNow() *types.Env {
-	known, key := e.knownPreds()
-	e.typeMu.Lock()
-	defer e.typeMu.Unlock()
-	if e.typeEnv == nil || e.typeEnvKey != key {
-		e.typeEnv = types.Infer(e.source, nil, types.Options{Known: known}).Env
-		e.typeEnvKey = key
-	}
-	return e.typeEnv
+	return known
 }
 
 // Signatures returns the inferred per-predicate argument signatures of the
@@ -325,7 +295,7 @@ func (e *Engine) typeEnvNow() *types.Env {
 // and are omitted.
 func (e *Engine) Signatures() []types.PredSig {
 	e.mu.RLock()
-	known, _ := e.knownPreds()
+	known := e.knownPreds()
 	e.mu.RUnlock()
 	return analyze.Signatures(e.original, analyze.Options{KnownPreds: known})
 }
@@ -339,7 +309,6 @@ func (e *Engine) evalOpts(ctx context.Context, st *Stats) eval.Options {
 		MaxDerived: e.cfg.limit,
 		MemBudget:  e.cfg.memBudget,
 		NoReorder:  e.cfg.noReorder,
-		Types:      e.typeEnvNow(),
 		Ctx:        ctx,
 	}
 }
@@ -416,7 +385,7 @@ func (e *Engine) Prepare(q string) (*PreparedQuery, error) {
 		// and positions (within the query text) match what Vet reports
 		// for the same query appended to the program source.
 		e.mu.RLock()
-		known, _ := e.knownPreds()
+		known := e.knownPreds()
 		e.mu.RUnlock()
 		if ds := analyze.Program(e.original, []parser.Query{query}, analyze.Options{KnownPreds: known}); len(ds) > 0 {
 			return nil, &VetError{Diagnostics: ds}

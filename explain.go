@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ldl1/internal/analyze/types"
 	"ldl1/internal/eval"
 	"ldl1/internal/layering"
 	"ldl1/internal/magic"
@@ -84,7 +85,7 @@ func (e *Engine) planString(query parser.Query) string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var sb strings.Builder
-	env := e.typeEnvNow()
+	env := types.Infer(e.source, nil, types.Options{Known: e.knownPreds()}).Env
 	if sigs := env.Render(); len(sigs) > 0 {
 		sb.WriteString("-- inferred signatures\n")
 		for _, s := range sigs {
@@ -102,7 +103,7 @@ func (e *Engine) planString(query parser.Query) string {
 		if e.cfg.noReorder {
 			db = nil
 		}
-		p, err := eval.CompileBodyDB(r, -1, nil, db, env)
+		p, err := eval.CompileBody(r, -1, nil, db)
 		if err != nil {
 			fmt.Fprintf(&sb, "%s  -- unplannable: %v\n", r.String(), err)
 			continue

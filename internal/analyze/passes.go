@@ -355,7 +355,7 @@ func (a *analysis) checkBody(r ast.Rule, isQuery bool) {
 		ruleText = "?- " + strings.Join(parts, ", ") + "."
 		pred = ""
 	}
-	plan, err := eval.CompileBody(r, -1, nil)
+	plan, err := eval.CompileBody(r, -1, nil, nil)
 	if err != nil {
 		var fe *eval.FlounderError
 		if !errors.As(err, &fe) {

@@ -53,18 +53,6 @@ func (e *Env) Sig(pred string, arity int) (Sig, bool) {
 	return s, ok
 }
 
-// ArgType returns the type of one argument column, ⊤ when unconstrained
-// (including every Known predicate — external facts can have any type).
-func (e *Env) ArgType(pred string, arity, col int) Type {
-	if e == nil || e.known[pred] {
-		return Top()
-	}
-	if s, ok := e.Sig(pred, arity); ok && col < len(s) {
-		return s[col]
-	}
-	return Top()
-}
-
 // PredSig is one rendered signature row for tooling surfaces (vet -sigs,
 // ExplainQuery, REPL :check).
 type PredSig struct {
@@ -190,9 +178,7 @@ func (st *inferState) sigOf(pred string, arity int) (Sig, bool) {
 	if s, ok := st.env.sigs[k]; ok {
 		return s, true
 	}
-	// env.known, not opts.Known: RuleVarTypes re-enters through a bare
-	// inferState carrying only the environment.
-	if st.env.defined[k] && !st.env.known[pred] {
+	if st.env.defined[k] {
 		return nil, true // defined, nothing derived yet: provably empty so far
 	}
 	return nil, false // external or undefined: unconstrained
@@ -731,41 +717,4 @@ func (rc *ruleCtx) refine(t term.Term, m Type) bool {
 		}
 	}
 	return false
-}
-
-// ProvablyEmpty reports that pred/arity is defined by the program's rules
-// yet derives no tuples — every defining rule is statically dead.  External
-// (Known) and undefined predicates are never provably empty.
-func (e *Env) ProvablyEmpty(pred string, arity int) bool {
-	if e == nil || e.known[pred] {
-		return false
-	}
-	k := sigKey{pred, arity}
-	if _, ok := e.sigs[k]; ok {
-		return false
-	}
-	return e.defined[k]
-}
-
-// RuleVarTypes computes the variable types of one rule body under an
-// already-inferred environment — the planner's entry point for typed
-// selectivity refinement.  The second result reports the rule statically
-// dead (some literal can never match).
-func (e *Env) RuleVarTypes(r ast.Rule) (map[term.Var]Type, bool) {
-	if e == nil {
-		return nil, false
-	}
-	st := &inferState{env: e}
-	rc := st.interpret(r.Body, nil)
-	return rc.vt, rc.dead
-}
-
-// TypeOfArg types one literal argument under a variable store computed by
-// RuleVarTypes (nil store = all variables ⊤).
-func (e *Env) TypeOfArg(vt map[term.Var]Type, a term.Term) Type {
-	rc := &ruleCtx{vt: vt}
-	if vt == nil {
-		rc.vt = map[term.Var]Type{}
-	}
-	return rc.typeOf(a)
 }

@@ -13,9 +13,9 @@
 // ⊤ (every kind, no refinement) means "unknown"; ⊥ (no kind) means "no
 // ground term fits", which proves dead rules and empty predicates.
 //
-// The package is deliberately free of evaluator dependencies (it imports
-// only ast, term, and layering) so the join planner in internal/eval can
-// consume inferred signatures without an import cycle.
+// Its consumers are the analyzer's LDL200 family and the signature
+// surfaces (vet -sigs, ExplainQuery's header, the REPL's :check); the
+// evaluator plans from the database alone and never reads a signature.
 package types
 
 import (

@@ -176,20 +176,3 @@ func TestInferClashAndDead(t *testing.T) {
 		}
 	}
 }
-
-func TestRuleVarTypes(t *testing.T) {
-	unit, err := parser.Parse(`
-		edge(1, 2).
-		lbl(a, b).
-		join(X, Y) <- edge(X, N), lbl(A, Y), N = A.
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Infer(unit.Program, nil, Options{})
-	r := unit.Program.Rules[2]
-	_, dead := res.Env.RuleVarTypes(r)
-	if !dead {
-		t.Fatalf("N = A joins int with atom: rule must be dead")
-	}
-}

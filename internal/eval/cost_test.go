@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ldl1/internal/analyze/types"
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
@@ -26,14 +25,14 @@ func TestCostPlanPrefersSmallRelation(t *testing.T) {
 	fill(db, "big", 200)
 	fill(db, "small", 3)
 
-	static, err := planBody(p.Rules[0], -1, nil)
+	static, err := planBody(p.Rules[0], -1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if static.order[0] != 0 {
 		t.Fatalf("static order = %v; source order should lead", static.order)
 	}
-	cost, err := planBodyDB(p.Rules[0], -1, nil, db, nil)
+	cost, err := planBody(p.Rules[0], -1, nil, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +56,14 @@ func TestCostPlanBoundProbeTieBreak(t *testing.T) {
 	fill(db, "b", 10)
 	bound := map[term.Var]bool{term.Var("X"): true}
 
-	static, err := planBody(p.Rules[0], -1, bound)
+	static, err := planBody(p.Rules[0], -1, bound, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if static.order[0] != 0 {
 		t.Fatalf("static order = %v", static.order)
 	}
-	cost, err := planBodyDB(p.Rules[0], -1, bound, db, nil)
+	cost, err := planBody(p.Rules[0], -1, bound, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestCompileBodyDBExposesEstimates(t *testing.T) {
 	fill(db, "big", 200)
 	fill(db, "small", 3)
 
-	plan, err := CompileBodyDB(p.Rules[0], -1, nil, db, nil)
+	plan, err := CompileBody(p.Rules[0], -1, nil, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +94,8 @@ func TestCompileBodyDBExposesEstimates(t *testing.T) {
 	if plan.Est[1] != 200 {
 		t.Errorf("step 1 est = %d; want 200 (full scan of big)", plan.Est[1])
 	}
-	// The static CompileBody carries no estimates.
-	sp, err := CompileBody(p.Rules[0], -1, nil)
+	// Without a database the plan is static and carries no estimates.
+	sp, err := CompileBody(p.Rules[0], -1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,112 +138,6 @@ func TestEstimateFallbacks(t *testing.T) {
 	// One bound column, no index yet: n >> 3.
 	if est, _ := estimate(db, "r", []int{0}, 2); est != 12 {
 		t.Errorf("heuristic: est=%d; want 100>>3 = 12", est)
-	}
-}
-
-// typedEnv infers the type environment of a small program for planner tests.
-func typedEnv(t *testing.T, src string) *types.Env {
-	t.Helper()
-	p := parser.MustParseProgram(src)
-	return types.Infer(p, nil, types.Options{}).Env
-}
-
-func TestTypedPlanSchedulesDisjointProbeFirst(t *testing.T) {
-	// lbl's column is always an atom and num's always an int, so in
-	// `lbl(Y), num(Y)` the num probe can never match.  The typed planner
-	// prices it at zero and runs it first; the join then short-circuits
-	// without ever scanning lbl.
-	env := typedEnv(t, `
-		lbl(a). lbl(b).
-		num(1). num(2).
-	`)
-	p := parser.MustParseProgram("out(Y) <- lbl(Y), num(Y).")
-	db := store.NewDB()
-	for i := 0; i < 10; i++ {
-		db.Insert(term.NewFact("lbl", atom(fmt.Sprintf("a%d", i))))
-	}
-	for i := 0; i < 1000; i++ {
-		db.Insert(term.NewFact("num", term.Int(i)))
-	}
-	plain, err := planBodyDB(p.Rules[0], -1, nil, db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.order[0] != 0 {
-		t.Fatalf("untyped order = %v; smaller lbl should lead", plain.order)
-	}
-	typed, err := planBodyDB(p.Rules[0], -1, nil, db, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typed.order[0] != 1 {
-		t.Errorf("typed order = %v; disjoint num probe should lead", typed.order)
-	}
-	if typed.est[0] != 0 {
-		t.Errorf("typed est[0] = %d; a disjoint probe costs 0", typed.est[0])
-	}
-}
-
-func TestTypedPlanPricesEmptyPredicateZero(t *testing.T) {
-	// ghost/1 is defined but its only rule contains a type clash, so the
-	// inference proves it empty.  Its relation is absent from the database
-	// (unknownCard would price it above the 10-row src), yet the typed
-	// planner runs the ghost probe first: zero candidate facts, the join
-	// stops immediately.
-	env := typedEnv(t, `
-		num(1).
-		ghost(X) <- num(X), X = a.
-	`)
-	p := parser.MustParseProgram("out(X, Y) <- src(X), ghost(Y).")
-	db := store.NewDB()
-	for i := 0; i < 10; i++ {
-		db.Insert(term.NewFact("src", term.Int(i)))
-	}
-	plain, err := planBodyDB(p.Rules[0], -1, nil, db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.order[0] != 0 {
-		t.Fatalf("untyped order = %v; 10-row src beats unknownCard", plain.order)
-	}
-	typed, err := planBodyDB(p.Rules[0], -1, nil, db, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typed.order[0] != 1 {
-		t.Errorf("typed order = %v; provably empty ghost should lead", typed.order)
-	}
-	if typed.est[0] != 0 {
-		t.Errorf("typed est[0] = %d; an empty predicate costs 0", typed.est[0])
-	}
-}
-
-func TestTypedPlanPrefersIntKeyedProbe(t *testing.T) {
-	// With X bound after seed, u(X, _) and ki(X, _) tie on estimate, bound
-	// columns, and cardinality; the untyped tie-break keeps source order
-	// (u), while the typed planner prefers ki, whose key column is
-	// statically int and thus served by the compact int-keyed index path.
-	env := typedEnv(t, "ki(1, 2).")
-	p := parser.MustParseProgram("out(X, Z, Y) <- seed(X), u(X, Z), ki(X, Y).")
-	db := store.NewDB()
-	db.Insert(term.NewFact("seed", term.Int(0)))
-	for i := 0; i < 100; i++ {
-		db.Insert(term.NewFact("u", term.Int(i%10), term.Int(i)))
-		db.Insert(term.NewFact("ki", term.Int(i%10), term.Int(i)))
-	}
-	plain, err := planBodyDB(p.Rules[0], -1, nil, db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.order[1] != 1 {
-		t.Fatalf("untyped order = %v; source order should win the tie", plain.order)
-	}
-	typed, err := planBodyDB(p.Rules[0], -1, nil, db, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typed.order[1] != 2 {
-		t.Errorf("typed order = %v; int-keyed ki should win the tie", typed.order)
 	}
 }
 

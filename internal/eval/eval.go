@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"ldl1/internal/analyze/types"
 	"ldl1/internal/ast"
 	"ldl1/internal/layering"
 	"ldl1/internal/lderr"
@@ -86,7 +85,8 @@ func (s *Stats) Merge(other *Stats) {
 	s.CacheHits += other.CacheHits
 }
 
-// Options configures evaluation.
+// Options configures evaluation.  None of it describes the program: the
+// planner orders each body from the rule and the database alone.
 type Options struct {
 	Strategy Strategy
 	Stats    *Stats
@@ -117,12 +117,6 @@ type Options struct {
 	// benchmarks and for reproducing pre-cost plans.  The computed model is
 	// identical either way; only the join schedule differs.
 	NoReorder bool
-	// Types, when non-nil, is the program's inferred type environment
-	// (internal/analyze/types).  The cost-based planner uses it to price
-	// statically impossible probes at zero and to prefer int-keyed index
-	// paths on ties.  The computed model is unchanged — typing only informs
-	// the join schedule.  Ignored under NoReorder.
-	Types *types.Env
 }
 
 // LimitError reports that evaluation exceeded Options.MaxDerived.  It is
@@ -179,7 +173,7 @@ func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(
 	d := NewDriver(opts.Ctx, opts.Stats, opts.MaxDerived)
 	d.memBudget, d.live, d.x.prov = opts.MemBudget, true, opts.Provenance
 	defer d.flush(&d.x)
-	ev := &evaluation{Driver: d, db: db, noReorder: opts.NoReorder, types: opts.Types}
+	ev := &evaluation{Driver: d, db: db, noReorder: opts.NoReorder}
 	for i, rules := range groups {
 		if err := d.Err(); err != nil {
 			return err
@@ -201,8 +195,6 @@ type evaluation struct {
 	db *store.DB
 	// noReorder pins the static literal order; see Options.NoReorder.
 	noReorder bool
-	// types, when non-nil, refines cost-based planning; see Options.Types.
-	types *types.Env
 }
 
 // Probe and Accept make the evaluation its own sink: a head fact absent
@@ -232,7 +224,7 @@ func (ev *evaluation) variant(r ast.Rule, dLit int) (*Variant, error) {
 	if ev.noReorder {
 		db = nil
 	}
-	p, err := planBodyDB(r, dLit, nil, db, ev.types)
+	p, err := planBody(r, dLit, nil, db)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +426,7 @@ func SolveCtx(ctx context.Context, body []ast.Literal, db *store.DB) ([][]term.T
 // SolveLimitsCtx is SolveCtx under per-call resource bounds.
 func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim SolveLimits) ([][]term.Term, error) {
 	r := ast.Rule{Head: ast.NewLit("$query"), Body: body}
-	p, err := planBodyDB(r, -1, nil, db, nil)
+	p, err := planBody(r, -1, nil, db)
 	if err != nil {
 		return nil, err
 	}

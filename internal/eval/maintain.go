@@ -81,7 +81,7 @@ func CompileRule(r ast.Rule) (*CompiledRule, error) {
 		}
 	}
 	variant := func(body []ast.Literal, dLit int, pre map[term.Var]bool) (*Variant, error) {
-		p, err := planBody(ast.Rule{Head: r.Head, Body: body}, dLit, pre)
+		p, err := planBody(ast.Rule{Head: r.Head, Body: body}, dLit, pre, nil)
 		return &Variant{rule: r, head: head, body: body, plan: p, dLit: dLit}, err
 	}
 	if cr.base, err = variant(r.Body, -1, nil); err != nil {

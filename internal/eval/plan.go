@@ -6,7 +6,6 @@ package eval
 import (
 	"fmt"
 
-	"ldl1/internal/analyze/types"
 	"ldl1/internal/ast"
 	"ldl1/internal/builtin"
 	"ldl1/internal/layering"
@@ -67,8 +66,8 @@ type bodyPlan struct {
 // compiler (§6) to derive sideways information passing: the execution
 // order plus, for each body literal (by original body position), the
 // argument columns that are ground when it executes.  Plans compiled
-// against a live database (CompileBodyDB) additionally carry the cost
-// model's per-step candidate estimates.
+// against a database additionally carry the cost model's per-step
+// candidate estimates.
 type Plan struct {
 	Order     []int
 	BoundCols [][]int
@@ -83,24 +82,12 @@ type Plan struct {
 
 // CompileBody plans the rule body — forcedFirst (-1: none) leading,
 // preBound ground on entry — and exposes the execution order with the
-// per-literal bound-column analysis.  The order is the static one —
+// per-literal bound-column analysis.  A nil db gives the static order,
 // data-independent, so magic-set sips and analysis diagnostics are stable
-// across databases.
-func CompileBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool) (*Plan, error) {
-	return compilePlan(r, forcedFirst, preBound, nil, nil)
-}
-
-// CompileBodyDB is CompileBody under the cost model: body literals are
-// scheduled by estimated candidate count against the live cardinalities of
-// db, refined by the inferred type environment when env is non-nil (probes
-// proven empty by typing cost 0; int-keyed probes win ties).  A nil db
-// degrades to the static order.
-func CompileBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store.DB, env *types.Env) (*Plan, error) {
-	return compilePlan(r, forcedFirst, preBound, db, env)
-}
-
-func compilePlan(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store.DB, env *types.Env) (*Plan, error) {
-	p, err := planBodyDB(r, forcedFirst, preBound, db, env)
+// across databases; a non-nil db schedules by the cost model against its
+// live cardinalities (see planBody).
+func CompileBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store.DB) (*Plan, error) {
+	p, err := planBody(r, forcedFirst, preBound, db)
 	if err != nil {
 		return nil, err
 	}
@@ -170,25 +157,6 @@ func compileKey(arg term.Term) keyFn {
 	}
 }
 
-// planBody compiles a rule body: it orders the literals for left-to-right
-// join execution and records, per step, the access path — the columns
-// ground at execution time with their key extractors.  At each step it
-// prefers, among the remaining literals:
-//
-//  1. fully bound tests (negated literals, test-mode built-ins) — cheapest,
-//  2. built-ins with a satisfiable generator mode,
-//  3. positive database literals, most bound arguments first.
-//
-// A positive database literal is a candidate only once matching it binds
-// all its variables (ast.Binds): b(X + 1) waits for X, s(X, {X}) does not.
-// If forcedFirst >= 0 that literal (the semi-naive delta occurrence) is
-// scheduled as soon as it is a candidate — first, unless an interpreted
-// argument waits for variables other literals bind.  preBound seeds the
-// bound-variable set (magic evaluation).
-func planBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool) (*bodyPlan, error) {
-	return planBodyDB(r, forcedFirst, preBound, nil, nil)
-}
-
 // unknownCard is the assumed cardinality of a predicate with no relation in
 // the database at plan time — typically an IDB predicate whose facts have
 // not been derived yet.  Deliberately modest: an absent relation should
@@ -240,19 +208,29 @@ func estimate(db *store.DB, pred string, cols []int, arity int) (est, n int64) {
 	return est, n
 }
 
-// planBodyDB is planBody with an optional database: when db is non-nil the
-// class-3 choice (positive database literals) is cost-based — the literal
-// with the smallest estimated candidate count runs next, with ties broken
-// by more bound columns, then more int-typed bound columns, then smaller
-// relation, then source order.  A non-nil env refines the estimates with
-// inferred types: a literal whose argument types are disjoint from the
-// predicate's inferred signature (or whose predicate is provably empty)
-// can never match and costs 0, and ties prefer probes whose bound columns
-// are statically integers — those hit the store's compact int-keyed index
-// paths.  A nil db preserves the static most-bound-columns order exactly,
-// which keeps magic-set sips, analysis diagnostics, and maintenance plans
+// planBody compiles a rule body: it orders the literals for left-to-right
+// join execution and records, per step, the access path — the columns
+// ground at execution time with their key extractors.  At each step it
+// prefers, among the remaining literals:
+//
+//  1. fully bound tests (negated literals, test-mode built-ins) — cheapest,
+//  2. built-ins with a satisfiable generator mode,
+//  3. positive database literals, most bound arguments first.
+//
+// A positive database literal is a candidate only once matching it binds
+// all its variables (ast.Binds): b(X + 1) waits for X, s(X, {X}) does not.
+// If forcedFirst >= 0 that literal (the semi-naive delta occurrence) is
+// scheduled as soon as it is a candidate — first, unless an interpreted
+// argument waits for variables other literals bind.  preBound seeds the
+// bound-variable set (magic evaluation).
+//
+// With a database the class-3 choice is cost-based: the literal with the
+// smallest estimated candidate count runs next, with ties broken by more
+// bound columns, then smaller relation, then source order.  A nil db
+// preserves the static most-bound-columns order exactly, which keeps
+// magic-set sips, analysis diagnostics, and maintenance plans
 // data-independent.
-func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store.DB, env *types.Env) (*bodyPlan, error) {
+func planBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store.DB) (*bodyPlan, error) {
 	body := r.Body
 	n := len(body)
 	used := make([]bool, n)
@@ -288,52 +266,6 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 			}
 		}
 	}
-	// Typed selectivity: the rule's variable types under env, computed
-	// lazily — RuleVarTypes runs a per-body meet fixpoint, so only pay for
-	// it when a database literal is actually priced.  The store is
-	// binding-independent, so one computation serves every step.  Only the
-	// individually unmatchable literal is priced at zero (not every literal
-	// of a dead rule): that schedules the refuting probe first, so the join
-	// short-circuits after zero candidate facts.
-	var (
-		tvt     map[term.Var]types.Type
-		tLoaded bool
-	)
-	typedPrune := func(l ast.Literal) bool {
-		if env == nil {
-			return false
-		}
-		if !tLoaded {
-			tvt, _ = env.RuleVarTypes(r)
-			tLoaded = true
-		}
-		if env.ProvablyEmpty(l.Pred, len(l.Args)) {
-			return true
-		}
-		for col, arg := range l.Args {
-			ta := env.TypeOfArg(tvt, arg)
-			tc := env.ArgType(l.Pred, len(l.Args), col)
-			if ta.IsBottom() || tc.IsBottom() {
-				continue
-			}
-			if types.Meet(ta, tc).IsBottom() {
-				return true
-			}
-		}
-		return false
-	}
-	intBound := func(l ast.Literal, cols []int) int {
-		if env == nil {
-			return 0
-		}
-		k := 0
-		for _, c := range cols {
-			if env.ArgType(l.Pred, len(l.Args), c).Kinds == types.Int {
-				k++
-			}
-		}
-		return k
-	}
 	p := &bodyPlan{order: make([]int, 0, n), acc: make([]access, 0, n), est: make([]int64, 0, n)}
 	take := func(i int) {
 		l := body[i]
@@ -345,9 +277,6 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 		var stepEst int64
 		if db != nil && isDB {
 			stepEst, _ = estimate(db, l.Pred, a.cols, len(l.Args))
-			if stepEst > 0 && typedPrune(l) {
-				stepEst = 0
-			}
 			p.estRows += stepEst
 		}
 		p.est = append(p.est, stepEst)
@@ -440,26 +369,19 @@ func planBodyDB(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *sto
 			if db != nil && staticBest >= 0 && posLeft > 1 {
 				best := -1
 				var bestEst, bestN int64
-				bestCols, bestInt := -1, -1
+				bestCols := -1
 				for i := 0; i < n; i++ {
 					if !cand(i) {
 						continue
 					}
 					a := compileAccess(body[i], argVars[i], bound, false)
 					est, card := estimate(db, body[i].Pred, a.cols, len(body[i].Args))
-					if est > 0 && typedPrune(body[i]) {
-						// Typing proves this literal matches nothing: running
-						// it first short-circuits the whole join.
-						est = 0
-					}
-					ik := intBound(body[i], a.cols)
 					better := best < 0 ||
 						est < bestEst ||
 						(est == bestEst && (len(a.cols) > bestCols ||
-							(len(a.cols) == bestCols && (ik > bestInt ||
-								(ik == bestInt && card < bestN)))))
+							(len(a.cols) == bestCols && card < bestN)))
 					if better {
-						best, bestEst, bestCols, bestInt, bestN = i, est, len(a.cols), ik, card
+						best, bestEst, bestCols, bestN = i, est, len(a.cols), card
 					}
 				}
 				if best != staticBest {

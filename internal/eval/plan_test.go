@@ -16,7 +16,7 @@ func planOf(t *testing.T, src string, preBound ...term.Var) []int {
 	for _, v := range preBound {
 		bound[v] = true
 	}
-	plan, err := planBody(p.Rules[0], -1, bound)
+	plan, err := planBody(p.Rules[0], -1, bound, nil)
 	if err != nil {
 		t.Fatalf("plan %q: %v", src, err)
 	}
@@ -58,7 +58,7 @@ func TestPlanIndexPreference(t *testing.T) {
 
 func TestPlanFlounder(t *testing.T) {
 	p := parser.MustParseProgram("h(X) <- e(X), member(Y, S).")
-	_, err := planBody(p.Rules[0], -1, nil)
+	_, err := planBody(p.Rules[0], -1, nil, nil)
 	var fe *FlounderError
 	if !errors.As(err, &fe) {
 		t.Fatalf("expected FlounderError, got %v", err)
@@ -142,7 +142,7 @@ func TestPlanAccessBoundCols(t *testing.T) {
 			if forced == 0 {
 				forced = -1 // no case forces literal 0; zero value means unforced
 			}
-			plan, err := CompileBody(p.Rules[0], forced, bound)
+			plan, err := CompileBody(p.Rules[0], forced, bound, nil)
 			if err != nil {
 				t.Fatalf("CompileBody: %v", err)
 			}
@@ -167,7 +167,7 @@ func TestPlanAccessBoundCols(t *testing.T) {
 // flounder error as the order planner.
 func TestPlanFlounderHasNoPlan(t *testing.T) {
 	p := parser.MustParseProgram("h(X) <- e(X), member(Y, S).")
-	if _, err := CompileBody(p.Rules[0], -1, nil); err == nil {
+	if _, err := CompileBody(p.Rules[0], -1, nil, nil); err == nil {
 		t.Fatal("expected flounder error from CompileBody")
 	}
 }
@@ -197,7 +197,7 @@ func TestEvalReportsIndexStats(t *testing.T) {
 
 func TestPlanForcedFirst(t *testing.T) {
 	p := parser.MustParseProgram("h(X, Y) <- a(X, Z), b(Z, Y).")
-	plan, err := planBody(p.Rules[0], 1, nil)
+	plan, err := planBody(p.Rules[0], 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPlanInterpretedArgumentsWait(t *testing.T) {
 		forced int
 		db     *store.DB
 	}{{"static", -1, nil}, {"cost", -1, db}, {"forced", 1, nil}, {"forced cost", 1, db}} {
-		plan, err := planBodyDB(r, c.forced, nil, c.db, nil)
+		plan, err := planBody(r, c.forced, nil, c.db)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -235,14 +235,14 @@ func TestPlanInterpretedArgumentsWait(t *testing.T) {
 		"r(X) <- t(X), s(X, {X}).",
 		"r(X) <- t(X), s({X}, X).",
 	} {
-		plan, err := planBody(parser.MustParseProgram(src).Rules[0], 1, nil)
+		plan, err := planBody(parser.MustParseProgram(src).Rules[0], 1, nil, nil)
 		if err != nil || plan.order[0] != 1 {
 			t.Errorf("%s forced at 1: order = %v, %v; the literal binds X itself", src, plan, err)
 		}
 	}
 	// A set pattern over a variable nothing binds still plans (LDL106
 	// warns; it matches nothing), last.
-	plan, err := planBody(parser.MustParseProgram("p(X) <- e({Y}), d(X).").Rules[0], -1, nil)
+	plan, err := planBody(parser.MustParseProgram("p(X) <- e({Y}), d(X).").Rules[0], -1, nil, nil)
 	if err != nil || plan.order[0] != 1 {
 		t.Errorf("unbindable set pattern: order = %v, %v; want d(X) first", plan, err)
 	}

@@ -155,7 +155,7 @@ func adornRule(r ast.Rule, head Adornment, idb map[string]bool) (AdornedRule, []
 	// The compiled plan's binding analysis is exactly the sip: a body
 	// argument is bound iff its column is in the plan's bound-column set
 	// when the literal executes.
-	plan, err := eval.CompileBody(r, -1, bound)
+	plan, err := eval.CompileBody(r, -1, bound, nil)
 	if err != nil {
 		return AdornedRule{}, nil, err
 	}

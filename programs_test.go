@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"ldl1/internal/eval"
 	"ldl1/internal/parser"
+	"ldl1/internal/store"
 )
 
 // TestShippedPrograms loads every .ldl file under programs/, checks it
@@ -80,5 +82,45 @@ func TestShippedProgramsExpectedAnswers(t *testing.T) {
 		if got := ans.String(); got != c.want {
 			t.Errorf("%s %s = %q, want %q", file, c.query, got, c.want)
 		}
+	}
+}
+
+// TestEngineRunPlansAsEval pins that the engine hands the planner nothing a
+// direct eval caller lacks: for every shipped program, Engine.Run and
+// eval.Eval of the compiled program over an empty database count exactly
+// the same work.
+func TestEngineRunPlansAsEval(t *testing.T) {
+	files, err := filepath.Glob("programs/*.ldl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit, err := parser.Parse(string(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var viaEngine, direct Stats
+			eng, err := NewFromAST(unit.Program, WithStats(&viaEngine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eval.Eval(eng.source, store.NewDB(), eval.Options{Stats: &direct}); err != nil {
+				t.Fatal(err)
+			}
+			if direct.Derived == 0 {
+				t.Fatal("the program derives nothing; the comparison is empty")
+			}
+			if viaEngine != direct {
+				t.Errorf("Engine.Run counted %+v, eval.Eval %+v", viaEngine, direct)
+			}
+		})
 	}
 }

@@ -38,27 +38,13 @@ func Vet(src string) []Diagnostic {
 // Vet statically analyzes the engine's program as written (before the
 // LDL1.5 expansion).  Predicates present in the extensional database count
 // as defined, so facts added after New do not show up as undefined
-// predicates.
-//
-// The result is memoized: the program is immutable after New, and the
-// analysis depends on the store only through the set of extensional
-// predicate NAMES, so the memo is keyed by that set and survives fact
-// loads that introduce no new predicate.  Callers receive a fresh copy
-// each time and may mutate it freely.
+// predicates.  Each call runs the analyzer afresh against the current
+// predicate set; the caller owns the returned slice.
 func (e *Engine) Vet() []Diagnostic {
 	e.mu.RLock()
-	known, key := e.knownPreds()
+	known := e.knownPreds()
 	e.mu.RUnlock()
-	e.typeMu.Lock()
-	if !e.vetMemoInit || e.vetMemoKey != key {
-		e.vetMemo = analyze.Program(e.original, nil, analyze.Options{KnownPreds: known})
-		e.vetMemoKey = key
-		e.vetMemoInit = true
-	}
-	out := make([]Diagnostic, len(e.vetMemo))
-	copy(out, e.vetMemo)
-	e.typeMu.Unlock()
-	return out
+	return analyze.Program(e.original, nil, analyze.Options{KnownPreds: known})
 }
 
 // VetError is returned by New/NewFromAST under WithStrict when the program

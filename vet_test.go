@@ -66,20 +66,21 @@ func TestEngineVetMemoized(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("expected diagnostics (undefined edb/1)")
 	}
-	// Callers own the returned slice: mutating it must not corrupt the memo.
+	// Callers own the returned slice: mutating it must not change what the
+	// next call reports.
 	first[0].Code = "MUTATED"
 	second := eng.Vet()
 	if hasCode(second, "MUTATED") {
-		t.Error("memoized diagnostics were corrupted by caller mutation")
+		t.Error("a caller's mutation leaked into the next Vet")
 	}
-	// Loading facts invalidates by predicate set, not by fact count: the
-	// memo recomputes when edb/1 appears and the LDL102 disappears, then
-	// stays stable across further loads of the same predicate.
+	// Vet reads the current extensional predicate set: the LDL102 goes once
+	// edb/1 has facts, and repeated calls after further loads of the same
+	// predicate agree.
 	if err := eng.AddFacts("edb(7)."); err != nil {
 		t.Fatal(err)
 	}
 	if ds := eng.Vet(); hasCode(ds, "LDL102") {
-		t.Errorf("memo not invalidated by a new extensional predicate: %v", ds)
+		t.Errorf("a new extensional predicate is still reported undefined: %v", ds)
 	}
 	if err := eng.AddFacts("edb(8)."); err != nil {
 		t.Fatal(err)
