@@ -347,18 +347,10 @@ func (x *Exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings
 	if !scan {
 		return x.match(l, facts, b, cont)
 	}
-	// A full scan walks the relation segment by segment and stops after the
-	// facts it held when the scan began: in a live round the body inserts
-	// into the relations it reads, and what it appends is the next round's.
-	for left, i := rel.Len(), 0; left > 0; i++ {
-		seg := rel.Segment(i)
-		seg = seg[:min(len(seg), left)]
-		left -= len(seg)
-		if err := x.match(l, seg, b, cont); err != nil {
-			return err
-		}
-	}
-	return nil
+	// A full scan walks the relation run by run and stops after the facts it
+	// held when the scan began: in a live round the body inserts into the
+	// relations it reads, and what it appends is the next round's.
+	return rel.Scan(func(run []*term.Fact) error { return x.match(l, run, b, cont) })
 }
 
 // match continues the join with every fact of facts that l matches.

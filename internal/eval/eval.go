@@ -216,10 +216,10 @@ func (ev *evaluation) Accept(f *term.Fact) (bool, error) {
 	return true, ev.Charge(f)
 }
 
-// variant compiles the rule with body literal dLit first (-1: no delta
-// literal) against ev.db: cost-based by default, static under
+// plan compiles the body of the rule with body literal dLit first (-1: no
+// delta literal) against ev.db: cost-based by default, static under
 // Options.NoReorder.  Planner decisions are charged to the stats sink here.
-func (ev *evaluation) variant(r ast.Rule, dLit int) (*Variant, error) {
+func (ev *evaluation) plan(r ast.Rule, dLit int) (*bodyPlan, error) {
 	db := ev.db
 	if ev.noReorder {
 		db = nil
@@ -233,6 +233,15 @@ func (ev *evaluation) variant(r ast.Rule, dLit int) (*Variant, error) {
 			ev.stats.PlansReordered++
 		}
 		ev.stats.EstimatedRows += p.estRows
+	}
+	return p, nil
+}
+
+// variant is the rule compiled by plan.
+func (ev *evaluation) variant(r ast.Rule, dLit int) (*Variant, error) {
+	p, err := ev.plan(r, dLit)
+	if err != nil {
+		return nil, err
 	}
 	return &Variant{rule: r, head: r.Head, body: r.Body, plan: p, dLit: dLit}, nil
 }
@@ -264,11 +273,11 @@ func (ev *evaluation) replan(vars []*Variant) func(round int) (bool, error) {
 			if n < 2 {
 				continue
 			}
-			nv, err := ev.variant(v.rule, v.dLit)
+			p, err := ev.plan(v.rule, v.dLit)
 			if err != nil {
 				return false, err
 			}
-			v.plan = nv.plan
+			v.plan = p
 		}
 		return true, nil
 	}

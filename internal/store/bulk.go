@@ -15,27 +15,26 @@ func (r *Relation) InsertBatch(fs []*term.Fact) int {
 	}
 	r.checkWrite()
 	r.ensureTables()
-	if nsh := r.shardsFor(r.n + len(fs)); nsh > len(r.shards) {
+	if nsh := r.shardsFor(r.n + len(fs)); nsh > r.shards.len() {
 		r.reshard(nsh)
 	}
 
 	// Hash every fact, then grow each intern table once for its share of
 	// the batch.  A table shared with a relation this one was forked from
-	// is copied first.
+	// is copied first.  The tables are looked up once per shard, not once
+	// per fact through the directory.
 	hs := make([]uint64, len(fs))
-	counts := make([]int, len(r.shards))
+	counts := make([]int, r.shards.len())
 	for i, f := range fs {
 		hs[i] = hashFact(f)
-		counts[hs[i]>>(64-r.shardBits)]++
+		counts[r.shard(hs[i])]++
 	}
+	tables := make([]*factTable, len(counts))
 	for si, c := range counts {
-		if c == 0 {
-			continue
+		if c > 0 {
+			tables[si] = r.own(si)
+			tables[si].reserve(c)
 		}
-		if t := r.shards[si]; t.owner != r.id {
-			r.shards[si] = t.cloneFor(r.id)
-		}
-		r.shards[si].reserve(c)
 	}
 
 	// Intern the batch, marking its new facts in fresh; a fresh bulk load
@@ -45,7 +44,7 @@ func (r *Relation) InsertBatch(fs []*term.Fact) int {
 	fresh := make([]bool, len(fs))
 	added := 0
 	for i, f := range fs {
-		t := r.table(hs[i])
+		t := tables[r.shard(hs[i])]
 		if t.n > 0 && t.get(hs[i], f) != nil {
 			continue
 		}
@@ -70,20 +69,21 @@ func (r *Relation) reshard(n int) {
 	for 1<<bits < n {
 		bits++
 	}
-	next := make([]*factTable, n)
-	for i := range next {
-		next[i] = newFactTable(r.n/n + 1)
-		next[i].owner = r.id
+	next := dir[*factTable]{flat: make([]*factTable, 0, min(n, unit))}
+	for range n {
+		t := newFactTable(r.n/n + 1)
+		t.owner = r.id
+		next.push(r.id, t)
 	}
-	for _, t := range r.shards {
+	r.shards.each(func(t *factTable) {
 		for _, g := range t.entries {
 			if g == nil || g == tombstone {
 				continue
 			}
 			h := hashFact(g)
-			next[h>>(64-bits)].insert(h, g)
+			next.at(int(h>>(64-bits))).insert(h, g)
 		}
-	}
+	})
 	r.shards = next
 	r.shardBits = bits
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"ldl1/internal/term"
@@ -289,7 +291,7 @@ func TestForkChurnKeepsTablesClean(t *testing.T) {
 		db.Insert(f("p", i))
 	}
 	measure := func(r *Relation) (g gauge) {
-		for _, tb := range r.shards {
+		r.shards.each(func(tb *factTable) {
 			g.slots += len(tb.entries)
 			g.occupied += tb.n + tb.dead
 			mask := len(tb.entries) - 1
@@ -298,7 +300,7 @@ func TestForkChurnKeepsTablesClean(t *testing.T) {
 					g.probes += (i-int(hashFact(e)))&mask + 1
 				}
 			}
-		}
+		})
 		return g
 	}
 	var first, last gauge
@@ -320,7 +322,41 @@ func TestForkChurnKeepsTablesClean(t *testing.T) {
 	if last.slots > first.slots || last.occupied > first.occupied+first.occupied/20 || last.probes > first.probes+first.probes/10 {
 		t.Errorf("tables got dirtier under churn: first window %+v, last window %+v", first, last)
 	}
-	if db.Card("p") != live || last.occupied > live+live/4+db.RelOrNil("p").ShardCount() {
+	if db.Card("p") != live || last.occupied > live+live/4+db.RelOrNil("p").shards.len() {
 		t.Errorf("%d facts occupy %d slots: tombstones are not swept when a shard is copied", db.Card("p"), last.occupied)
+	}
+}
+
+// TestForkWriteIndependentOfSize: a write to a clone copies the units it
+// lands in and the directory page above each, and of the directories only
+// the tops — one pointer per directory page — grow with the relation.  So
+// Clone + Insert + Delete on the clone allocate the same for a relation of
+// n > 2·unit² facts, whose every directory is paged, and for one of 16n, give
+// or take one page of units and one directory page: 2·unit 8-byte pointers.
+func TestForkWriteIndependentOfSize(t *testing.T) {
+	write := func(n int) uint64 {
+		fs := make([]*term.Fact, n)
+		for i := range fs {
+			fs[i] = fact("p", i)
+		}
+		db := NewDB()
+		db.LoadFacts(fs, LoadOpts{})
+		least := uint64(math.MaxUint64)
+		for k := 0; k < 3; k++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			c := db.Clone()
+			c.Insert(fact("p", -1))
+			c.Delete(fs[n/2])
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return least
+	}
+	n := 2*unit*unit + 1
+	small, large := write(n), write(16*n)
+	t.Logf("Clone + Insert + Delete: %d B at %d facts, %d B at %d", small, n, large, 16*n)
+	if large > small+2*unit*8 {
+		t.Errorf("the write allocates %d B at %d facts and %d B at %d: more than a page and a directory page apart", small, n, large, 16*n)
 	}
 }

@@ -199,7 +199,7 @@ func oracleScenario(t *testing.T, seed int64) {
 // — or more, where the relation has been larger).
 func checkShards(t *testing.T, r *Relation) {
 	t.Helper()
-	n := r.ShardCount()
+	n := r.shards.len()
 	if n&(n-1) != 0 || n*unit < r.Len() {
 		t.Fatalf("%s: %d facts in %d shards of at most %d", r.Name, r.Len(), n, unit)
 	}
@@ -244,8 +244,8 @@ func TestLoadFactsDeterministicOrder(t *testing.T) {
 	db.LoadFacts(fs, LoadOpts{})
 	r := db.RelOrNil("e")
 	checkShards(t, r)
-	if r.ShardCount() < 2 {
-		t.Fatalf("%d shards for %d facts", r.ShardCount(), r.Len())
+	if r.shards.len() < 2 {
+		t.Fatalf("%d shards for %d facts", r.shards.len(), r.Len())
 	}
 	if got := r.All(); !sameSequence(got, ref.facts) {
 		t.Fatalf("%d facts loaded, not the %d distinct ones in input order", len(got), len(ref.facts))
@@ -293,16 +293,17 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 			t.Fatalf("%s: %s holds %d facts, oracle %d, or in another order", what, p, len(got), len(want))
 		}
 		var walked []*term.Fact
-		for i := 0; len(walked) < r.Len(); i++ {
-			walked = append(walked, r.Segment(i)...)
-		}
+		r.Scan(func(run []*term.Fact) error {
+			walked = append(walked, run...)
+			return nil
+		})
 		if !sameSequence(walked, want) {
-			t.Fatalf("%s: %s: segments do not concatenate to All()", what, p)
+			t.Fatalf("%s: %s: the runs Scan hands out do not concatenate to All()", what, p)
 		}
 		checkShards(t, r)
 		for _, ix := range builtIndexes(r) {
 			if ix.keys > unit<<ix.bits {
-				t.Fatalf("%s: %s index %v: %d keys in %d shards", what, p, ix.cols, ix.keys, len(ix.shards))
+				t.Fatalf("%s: %s index %v: %d keys in %d shards", what, p, ix.cols, ix.keys, ix.shards.len())
 			}
 			for k := 0; k < 3 && len(want) > 0; k++ {
 				probe := want[rng.Intn(len(want))]
@@ -346,7 +347,8 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 // executions clone one EDB.  Probes land on writers and snapshots alike, so
 // indexes get built before and after the clones that share them.  Every
 // live database is compared with its reference after every step; visit sees
-// every snapshot as it is published.
+// every snapshot as it is published.  A stream of pagedSize starts with
+// spanPages.
 func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -354,8 +356,8 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 		fs := make([]*term.Fact, n)
 		for i := range fs {
 			fs[i] = randOracleFact(rng)
-			if size > 300 { // a universe wide enough to reach the size
-				fs[i] = term.NewFact(fs[i].Pred, append(fs[i].Args, term.Int(int64(rng.Intn(size))))...)
+			if size > 300 { // a universe wide enough to reach the size, in column 0
+				fs[i] = term.NewFact(fs[i].Pred, append([]term.Term{term.Int(int64(rng.Intn(4 * size)))}, fs[i].Args...)...)
 			}
 		}
 		return fs
@@ -364,6 +366,9 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 	for _, f := range some(size) {
 		base.db.Insert(f)
 		base.ref.insert(f)
+	}
+	if size == pagedSize {
+		base.db.RelOrNil("p0").Lookup(0, term.Int(0)) // an index the clones share
 	}
 	var live []snapshot
 	publish := func(w snapshot) {
@@ -376,6 +381,12 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 	}
 	writers := []snapshot{base}
 	publish(base)
+	if size == pagedSize {
+		spanPages(t, base, some)
+		for i, s := range append(live, base) {
+			s.check(t, rng, fmt.Sprintf("seed %d size %d after spanPages, database %d", seed, size, i))
+		}
+	}
 	for step := 0; step < steps; step++ {
 		what := fmt.Sprintf("seed %d size %d step %d", seed, size, step)
 		w := writers[rng.Intn(len(writers))]
@@ -463,15 +474,58 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 	}
 }
 
+// pagedSize is a clone-chain size at which every directory is paged: about
+// 1.5·unit² facts per predicate, and spanPages takes p0 past 2·unit².
+const pagedSize = 9 * unit * unit / 2
+
+// spanPages writes p0 of a writer that has just been cloned, so a fork of
+// it, until the fork has resharded its intern tables and split its index on
+// column 0 (an index it inherited): its segments, intern shards and index
+// shards then span three directory pages or more each.  Then it empties a
+// segment in the middle of p0 with one DeleteAll, and clears p1.
+func spanPages(t *testing.T, w snapshot, some func(int) []*term.Fact) {
+	t.Helper()
+	r := w.db.RelOrNil("p0")
+	shards, bits := r.shards.len(), r.findIndex(1).bits
+	for r = w.db.Rel("p0"); r.shards.len() == shards || r.findIndex(1).bits == bits; {
+		fs := some(unit)
+		for i, f := range fs {
+			fs[i] = term.NewFact("p0", f.Args...)
+			w.ref.insert(fs[i])
+		}
+		w.db.LoadFacts(fs, LoadOpts{})
+	}
+	if r.id == 0 || r.segs.npages() < 3 || r.shards.npages() < 3 || r.findIndex(1).shards.npages() < 3 {
+		t.Fatalf("p0 (fork %d): %d segment, %d shard and %d index directory pages, want a fork with 3 or more each",
+			r.id, r.segs.npages(), r.shards.npages(), r.findIndex(1).shards.npages())
+	}
+	var runs [][]*term.Fact
+	r.Scan(func(run []*term.Fact) error {
+		runs = append(runs, run)
+		return nil
+	})
+	mid, segs := slices.Clone(runs[len(runs)/2]), r.segs.len()
+	for _, f := range mid {
+		w.ref.delete(f)
+	}
+	if got := w.db.DeleteAll(mid); got != len(mid) || r.segs.len() != segs-1 {
+		t.Fatalf("DeleteAll of the %d facts of a middle segment removed %d, left %d of %d segments", len(mid), got, r.segs.len(), segs)
+	}
+	w.db.Clear("p1")
+	w.ref.clear("p1")
+}
+
 // TestForkChainOracle runs the clone-chain stream at sizes below one unit,
-// across unit boundaries and across directory doublings, comparing every
-// published snapshot and every writer with its reference after every step.
+// across unit boundaries, across directory doublings and across directory
+// pages, comparing every published snapshot and every writer with its
+// reference after every step.
 func TestForkChainOracle(t *testing.T) {
 	for _, size := range []int{unit / 4, unit - 8, 4*unit - 16} {
 		for seed := int64(1); seed <= 3; seed++ {
 			forkChain(t, seed, size, 100, func(snapshot) {})
 		}
 	}
+	forkChain(t, 1, pagedSize, 30, func(snapshot) {})
 }
 
 // TestForkChainReaders is the same stream with readers: every snapshot, as
@@ -482,10 +536,10 @@ func TestForkChainOracle(t *testing.T) {
 // can still reach.
 func TestForkChainReaders(t *testing.T) {
 	var wg sync.WaitGroup
-	read := func(s snapshot, seed int64) {
+	read := func(s snapshot, seed int64, reads int) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(seed))
-		for k := 0; k < 400; k++ {
+		for k := 0; k < reads; k++ {
 			f := randOracleFact(rng)
 			if len(s.ref.facts) > 0 && rng.Intn(2) == 0 {
 				f = s.ref.facts[rng.Intn(len(s.ref.facts))]
@@ -504,17 +558,24 @@ func TestForkChainReaders(t *testing.T) {
 				return
 			}
 			n := 0
-			for i := 0; n < r.Len(); i++ {
-				n += len(r.Segment(i))
+			r.Scan(func(run []*term.Fact) error {
+				n += len(run)
+				return nil
+			})
+			if n != r.Len() {
+				t.Errorf("reader: Scan of %s handed out %d facts of %d", f.Pred, n, r.Len())
+				return
 			}
 		}
 	}
 	var next int64
-	forkChain(t, 11, 3*unit, 150, func(s snapshot) {
-		next++
-		wg.Add(1)
-		go read(s, next)
-	})
+	for _, c := range []struct{ size, steps, reads int }{{3 * unit, 150, 400}, {pagedSize, 30, 40}} {
+		forkChain(t, 11, c.size, c.steps, func(s snapshot) {
+			next++
+			wg.Add(1)
+			go read(s, next, c.reads)
+		})
+	}
 	wg.Wait()
 }
 
@@ -524,11 +585,20 @@ func TestForkChainReaders(t *testing.T) {
 // write that reaches a relation another database shares is a reported race;
 // the references catch the rest.
 func TestConcurrentClones(t *testing.T) {
+	for _, size := range []int{3 * unit, 3 * (2*unit*unit + unit)} {
+		concurrentClones(t, size)
+	}
+}
+
+// concurrentClones runs TestConcurrentClones on a source of size facts in
+// three relations, each indexed on column 0, where every fact has a value of
+// its own: past 3·2·unit² facts every directory is paged.
+func concurrentClones(t *testing.T, size int) {
 	rng := rand.New(rand.NewSource(5))
 	src := snapshot{NewDB(), newRefDB()}
-	for i := 0; i < 3*unit; i++ {
+	for i := 0; i < size; i++ {
 		f := randOracleFact(rng)
-		f = term.NewFact(f.Pred, append(f.Args, term.Int(int64(i)))...)
+		f = term.NewFact(f.Pred, append([]term.Term{term.Int(int64(i))}, f.Args...)...)
 		src.db.Insert(f)
 		src.ref.insert(f)
 	}
@@ -564,8 +634,19 @@ func TestConcurrentClones(t *testing.T) {
 	}
 	wg.Wait()
 	write(src, rng)
+	if size > 6*unit*unit {
+		paged := false
+		for _, p := range src.db.Preds() {
+			r := src.db.RelOrNil(p)
+			ix := r.findIndex(1)
+			paged = paged || ix != nil && r.segs.npages() >= 3 && r.shards.npages() >= 3 && ix.shards.npages() >= 3
+		}
+		if !paged {
+			t.Fatalf("size %d: no relation spans three directory pages in its segments, intern shards and column-0 index", size)
+		}
+	}
 	for g, c := range append(clones, src) {
-		c.check(t, rng, fmt.Sprintf("database %d", g))
+		c.check(t, rng, fmt.Sprintf("size %d database %d", size, g))
 	}
 }
 

@@ -13,8 +13,9 @@
 // A relation is three two-level structures — the insertion order as a
 // directory of segments, the intern tables as a directory of hash shards,
 // every index as a directory of hash shards of buckets — and the unit of
-// copy-on-write is one segment, shard or bucket, not the relation: a fork
-// copies the directories, and a write then copies the units it lands in.
+// copy-on-write is one segment, shard or bucket, not the relation.  The
+// directories are paged (dir): a fork copies their tops, and a write then
+// copies the units it lands in and the directory pages above them.
 // DB.Clone shares every relation between the two databases, frozen; the
 // first of them to write a frozen relation forks it.
 // A fact has one representation everywhere in the store: a *term.Fact.
@@ -47,12 +48,14 @@ var (
 const IndexThreshold = 16
 
 // unit is the page size of copy-on-write, in entries: a segment holds at
-// most unit facts, and an intern table or an index is spread over the fewest
-// power-of-two shards that keep the mean shard at or below unit entries.  A
-// fork copies one pointer per unit; a write copies the units it changes.
-// The value comes from a sweep on serve-mixed (DESIGN §12): smaller units
-// make every fork's directories longer, larger ones every copied page.
-const unit = 128
+// most unit facts, an intern table or an index is spread over the fewest
+// power-of-two shards that keep the mean shard at or below unit entries, and
+// a directory page (dir) holds at most unit pointers to segments or shards.
+// A fork copies one pointer per directory page; a write copies the units it
+// changes and the directory page above each.  The value comes from a sweep
+// on serve-mixed (DESIGN §12): smaller units make every copied page smaller,
+// and below 64 the headers of the extra units raise the live heap.
+const unit = 64
 
 // forkIDs numbers relation forks.  A relation stamps the units it creates
 // with its own number and mutates in place only units that carry it; every
@@ -168,8 +171,8 @@ func (s *idxShard) evict(i int) {
 type index struct {
 	mask   uint64 // bit c set ⇔ column c indexed
 	cols   []int  // ascending
-	shards []*idxShard
-	bits   uint // len(shards) == 1<<bits
+	shards dir[*idxShard]
+	bits   uint // shards.len() == 1<<bits
 	keys   int  // entries over all shards
 }
 
@@ -209,11 +212,11 @@ func (ix *index) key(f *term.Fact, buf []term.Term) (vals []term.Term, ok bool) 
 // relation this one was forked from: the table of entry pointers is copied,
 // the entries stay shared until they change themselves.
 func (ix *index) own(id, h uint64) *idxShard {
-	si := h >> (64 - ix.bits)
-	sh := ix.shards[si]
+	si := int(h >> (64 - ix.bits))
+	sh := ix.shards.at(si)
 	if sh.owner != id {
 		sh = &idxShard{owner: id, slots: slices.Clone(sh.slots), n: sh.n}
-		ix.shards[si] = sh
+		ix.shards.set(id, si, sh)
 	}
 	return sh
 }
@@ -277,23 +280,24 @@ func (ix *index) remove(id uint64, f *term.Fact) {
 // bits, so shard s spills into 2s and 2s+1 and nothing else moves.
 func (ix *index) split(id uint64) {
 	ix.bits++
-	next := make([]*idxShard, 1<<ix.bits)
-	for i := range next {
-		next[i] = newIdxShard(id, ix.keys/len(next))
+	n := 1 << ix.bits
+	next := dir[*idxShard]{flat: make([]*idxShard, 0, min(n, unit))}
+	for range n {
+		next.push(id, newIdxShard(id, ix.keys/n))
 	}
-	for _, sh := range ix.shards {
+	ix.shards.each(func(sh *idxShard) {
 		for _, e := range sh.slots {
 			if e != nil {
-				next[e.hash>>(64-ix.bits)].place(e)
+				next.at(int(e.hash >> (64 - ix.bits))).place(e)
 			}
 		}
-	}
+	})
 	ix.shards = next
 }
 
 func (ix *index) probe(vals []term.Term) []*term.Fact {
 	h := keyOf(vals)
-	sh := ix.shards[h>>(64-ix.bits)]
+	sh := ix.shards.at(int(h >> (64 - ix.bits)))
 	if e := sh.slots[sh.find(h, vals)]; e != nil {
 		return e.facts
 	}
@@ -311,10 +315,10 @@ func (ix *index) probe(vals []term.Term) []*term.Fact {
 // index).  A frozen relation is never written again: a write panics.
 type Relation struct {
 	Name      string
-	id        uint64       // see forkIDs
-	n         int          // facts held
-	segs      []*segment   // insertion order; no segment is empty
-	shards    []*factTable // power-of-two; nil for chunks until first point op
+	id        uint64          // see forkIDs
+	n         int             // facts held
+	segs      dir[*segment]   // insertion order; no segment is empty
+	shards    dir[*factTable] // power-of-two; empty for chunks until first point op
 	shardBits uint
 	mu        sync.Mutex // guards index construction
 	indexes   atomic.Pointer[[]*index]
@@ -328,7 +332,7 @@ type Relation struct {
 func NewRelation(name string, useIndexes bool) *Relation {
 	return &Relation{
 		Name:   name,
-		shards: []*factTable{newFactTable(0)},
+		shards: dir[*factTable]{flat: []*factTable{newFactTable(0)}},
 		useIdx: useIndexes,
 	}
 }
@@ -341,7 +345,7 @@ func NewRelation(name string, useIndexes bool) *Relation {
 func NewChunk(name string, facts []*term.Fact, useIndexes bool) *Relation {
 	r := &Relation{Name: name, n: len(facts), useIdx: useIndexes}
 	if len(facts) > 0 {
-		r.segs = []*segment{{facts: slices.Clip(facts)}}
+		r.segs = dir[*segment]{flat: []*segment{{facts: slices.Clip(facts)}}}
 	}
 	return r
 }
@@ -350,30 +354,31 @@ func NewChunk(name string, facts []*term.Fact, useIndexes bool) *Relation {
 // relations (NewChunk) ever take this path, and only if someone performs a
 // point operation on them after construction.
 func (r *Relation) ensureTables() {
-	if r.shards != nil {
+	if r.shards.len() > 0 {
 		return
 	}
 	t := newFactTable(r.n)
-	for _, s := range r.segs {
+	r.segs.each(func(s *segment) {
 		for _, g := range s.facts {
 			t.insert(hashFact(g), g)
 		}
-	}
-	r.shards = []*factTable{t}
+	})
+	r.shards = dir[*factTable]{flat: []*factTable{t}}
 }
 
-// table returns the intern table for fact hash h: the top hash bits pick
-// the shard, because the tables consume the low bits.
-func (r *Relation) table(h uint64) *factTable { return r.shards[h>>(64-r.shardBits)] }
+// shard returns the index of the intern table for fact hash h: the top hash
+// bits pick the shard, because the tables consume the low bits.
+func (r *Relation) shard(h uint64) int { return int(h >> (64 - r.shardBits)) }
 
-// own is table for a write: a table that belongs to a relation this one was
-// forked from is copied first.
-func (r *Relation) own(h uint64) *factTable {
-	si := h >> (64 - r.shardBits)
-	t := r.shards[si]
+func (r *Relation) table(h uint64) *factTable { return r.shards.at(r.shard(h)) }
+
+// own returns intern table si for a write: a table that belongs to a
+// relation this one was forked from is copied first.
+func (r *Relation) own(si int) *factTable {
+	t := r.shards.at(si)
 	if t.owner != r.id {
 		t = t.cloneFor(r.id)
-		r.shards[si] = t
+		r.shards.set(r.id, si, t)
 	}
 	return t
 }
@@ -390,39 +395,40 @@ func (r *Relation) checkWrite() {
 // Len returns the number of facts.
 func (r *Relation) Len() int { return r.n }
 
-// ShardCount returns the relation's current shard count.
-func (r *Relation) ShardCount() int {
-	if r.shards == nil {
-		return 1
-	}
-	return len(r.shards)
+// Scan calls f with the runs of the insertion order, in order, until f
+// fails: what All() holds, without the copy.  It stops after the Len()
+// facts it started with, and inserts only ever extend that sequence, so a
+// scan sees a stable snapshot even when f drives inserts into the relation.
+func (r *Relation) Scan(f func([]*term.Fact) error) (err error) {
+	n := r.n
+	r.segs.each(func(s *segment) {
+		if n > 0 && err == nil {
+			run := s.facts[:min(len(s.facts), n)]
+			n -= len(run)
+			err = f(run)
+		}
+	})
+	return err
 }
-
-// Segment returns the i-th run of the insertion order: Segment(0),
-// Segment(1), … concatenated up to Len() facts are All(), without the copy.
-// Inserts only ever extend that sequence, so a scan that stops after the
-// Len() facts it started with sees a stable snapshot even when the body it
-// drives inserts into the relation.
-func (r *Relation) Segment(i int) []*term.Fact { return r.segs[i].facts }
 
 // All returns the facts in insertion order (a bulk load inserts in input
 // order).  Callers must not mutate the returned slice.  A relation of more
-// than one segment pays for a copy; scans should walk Segment instead.
+// than one segment pays for a copy; scans should use Scan instead.
 func (r *Relation) All() []*term.Fact {
-	switch len(r.segs) {
+	switch r.segs.len() {
 	case 0:
 		return nil
 	case 1:
-		return r.segs[0].facts
+		return r.segs.last().facts
 	}
 	return r.appendTo(make([]*term.Fact, 0, r.n))
 }
 
 // appendTo appends the facts, in insertion order, to out.
 func (r *Relation) appendTo(out []*term.Fact) []*term.Fact {
-	for _, s := range r.segs {
+	r.segs.each(func(s *segment) {
 		out = append(out, s.facts...)
-	}
+	})
 	return out
 }
 
@@ -465,9 +471,9 @@ func (r *Relation) InsertGet(f *term.Fact) (*term.Fact, bool) {
 	if g := r.table(h).get(h, f); g != nil {
 		return g, false
 	}
-	r.own(h).insert(h, f)
+	r.own(r.shard(h)).insert(h, f)
 	r.push(f, 1)
-	if nsh := r.shardsFor(r.n); nsh > len(r.shards) {
+	if nsh := r.shardsFor(r.n); nsh > r.shards.len() {
 		r.reshard(nsh)
 	}
 	return f, true
@@ -476,7 +482,7 @@ func (r *Relation) InsertGet(f *term.Fact) (*term.Fact, bool) {
 // shardsFor returns the shard count for a relation of n facts: the current
 // one, doubled until the mean shard holds at most unit of them.
 func (r *Relation) shardsFor(n int) int {
-	nsh := len(r.shards)
+	nsh := r.shards.len()
 	for n > unit*nsh {
 		nsh *= 2
 	}
@@ -488,18 +494,17 @@ func (r *Relation) shardsFor(n int) int {
 // segment that has to be allocated is sized for them.
 func (r *Relation) push(f *term.Fact, more int) {
 	r.n++
-	if k := len(r.segs) - 1; k >= 0 && len(r.segs[k].facts) < unit {
-		s := r.segs[k]
+	if s := r.segs.last(); s != nil && len(s.facts) < unit {
 		if s.owner != r.id {
 			n := len(s.facts)
 			s = &segment{owner: r.id, facts: append(make([]*term.Fact, 0, min(unit, n+max(n, more))), s.facts...)}
-			r.segs[k] = s
+			r.segs.setLast(r.id, s)
 		}
 		s.facts = append(s.facts, f)
 	} else {
 		s := &segment{owner: r.id, facts: make([]*term.Fact, 1, min(unit, more))}
 		s.facts[0] = f
-		r.segs = append(r.segs, s)
+		r.segs.push(r.id, s)
 	}
 	if p := r.indexes.Load(); p != nil {
 		for _, ix := range *p {
@@ -508,37 +513,28 @@ func (r *Relation) push(f *term.Fact, more int) {
 	}
 }
 
-// cut removes the facts of segment si that drop selects, preserving the
-// order of the rest, and returns how many went.  An emptied segment is left
-// in place for the caller to sweep from the directory.
-func (r *Relation) cut(si int, drop func(*term.Fact) bool) int {
-	s := r.segs[si]
-	first := slices.IndexFunc(s.facts, drop)
-	if first < 0 {
-		return 0
-	}
-	if s.owner != r.id {
-		s = &segment{owner: r.id, facts: slices.Clone(s.facts)}
-		r.segs[si] = s
-	}
-	n := len(s.facts)
-	s.facts = s.facts[:first+len(slices.DeleteFunc(s.facts[first:], drop))] // DeleteFunc clears the tail
-	return n - len(s.facts)
-}
-
 // unlink removes the canonical facts gone (already out of the intern
 // tables) from the insertion order and from every built index.  Segments
 // are searched newest first — a retraction mostly undoes a recent insertion
-// — and the search stops with the last fact found.
+// — and the search stops with the last fact found.  A segment keeps the
+// order of its other facts, and one that empties leaves the directory.
 func (r *Relation) unlink(gone []*term.Fact, drop func(*term.Fact) bool) {
-	left, emptied := len(gone), false
-	for si := len(r.segs) - 1; si >= 0 && left > 0; si-- {
-		left -= r.cut(si, drop)
-		emptied = emptied || len(r.segs[si].facts) == 0
-	}
-	if emptied {
-		r.segs = slices.DeleteFunc(r.segs, func(s *segment) bool { return len(s.facts) == 0 })
-	}
+	left := len(gone)
+	r.segs.sweepBack(r.id, func(s *segment) (*segment, bool) {
+		first := slices.IndexFunc(s.facts, drop)
+		if first < 0 {
+			return s, true
+		}
+		if s.owner != r.id {
+			s = &segment{owner: r.id, facts: slices.Clone(s.facts)}
+		}
+		n := len(s.facts)
+		s.facts = s.facts[:first+len(slices.DeleteFunc(s.facts[first:], drop))] // DeleteFunc clears the tail
+		if left -= n - len(s.facts); len(s.facts) == 0 {
+			s = nil
+		}
+		return s, left > 0
+	})
 	r.n -= len(gone)
 	if p := r.indexes.Load(); p != nil {
 		for _, g := range gone {
@@ -561,7 +557,7 @@ func (r *Relation) Delete(f *term.Fact) bool {
 	if g == nil {
 		return false
 	}
-	r.own(h).remove(h, g)
+	r.own(r.shard(h)).remove(h, g)
 	r.unlink([]*term.Fact{g}, func(x *term.Fact) bool { return x == g })
 	return true
 }
@@ -583,7 +579,7 @@ func (r *Relation) DeleteAll(fs []*term.Fact) int {
 	for _, f := range fs {
 		h := hashFact(f)
 		if g := r.table(h).get(h, f); g != nil {
-			r.own(h).remove(h, g)
+			r.own(r.shard(h)).remove(h, g)
 			victims[g] = true
 			removed = append(removed, g)
 		}
@@ -595,17 +591,18 @@ func (r *Relation) DeleteAll(fs []*term.Fact) int {
 }
 
 // fork returns a relation holding r's facts that shares every segment,
-// intern table and index bucket with r and copies only the directories that
-// point at them; writes through the fork copy the units they land in, so r —
-// frozen, and so never written again — never changes under its readers.
-// Indexes r builds later are r's alone.
+// intern table and index bucket with r, and every directory page above
+// them, and copies only the directories' tops; writes through the fork copy
+// the units they land in and the pages above those, so r — frozen, and so
+// never written again — never changes under its readers.  Indexes r builds
+// later are r's alone.
 func (r *Relation) fork() *Relation {
 	nr := &Relation{
 		Name:      r.Name,
 		id:        forkIDs.Add(1),
 		n:         r.n,
-		segs:      slices.Clone(r.segs),
-		shards:    slices.Clone(r.shards),
+		segs:      r.segs.clone(),
+		shards:    r.shards.clone(),
 		shardBits: r.shardBits,
 		useIdx:    r.useIdx,
 	}
@@ -613,7 +610,7 @@ func (r *Relation) fork() *Relation {
 		next := make([]*index, len(*p))
 		for i, ix := range *p {
 			c := *ix
-			c.shards = slices.Clone(ix.shards)
+			c.shards = ix.shards.clone()
 			next[i] = &c
 		}
 		nr.indexes.Store(&next)
@@ -646,13 +643,13 @@ func (r *Relation) buildIndex(mask uint64, cols []int) *index {
 	ix := &index{
 		mask:   mask,
 		cols:   slices.Clone(cols),
-		shards: []*idxShard{newIdxShard(r.id, min(r.n, unit))},
+		shards: dir[*idxShard]{flat: []*idxShard{newIdxShard(r.id, min(r.n, unit))}},
 	}
-	for _, s := range r.segs {
+	r.segs.each(func(s *segment) {
 		for _, f := range s.facts {
 			ix.add(r.id, f)
 		}
-	}
+	})
 	var cur []*index
 	if p := r.indexes.Load(); p != nil {
 		cur = *p
@@ -668,7 +665,7 @@ func (r *Relation) buildIndex(mask uint64, cols []int) *index {
 // index.
 func (r *Relation) scanCols(cols []int, vals []term.Term) []*term.Fact {
 	var out []*term.Fact
-	for _, s := range r.segs {
+	r.segs.each(func(s *segment) {
 	scan:
 		for _, f := range s.facts {
 			for i, c := range cols {
@@ -678,7 +675,7 @@ func (r *Relation) scanCols(cols []int, vals []term.Term) []*term.Fact {
 			}
 			out = append(out, f)
 		}
-	}
+	})
 	return out
 }
 
@@ -745,9 +742,9 @@ func NewDB() *DB { return &DB{rels: make(map[string]*Relation), UseIndexes: true
 
 // Rel returns the relation for pred, creating it if needed, as one this
 // database may write: a relation it shares with a clone is replaced by a
-// fork of it first (Relation.fork copies its directories, and each later
-// write the units it lands in).  The result stays writable until the
-// database is next cloned.
+// fork of it first (Relation.fork copies its directories' tops, and each
+// later write the units it lands in and the directory pages above them).
+// The result stays writable until the database is next cloned.
 func (db *DB) Rel(pred string) *Relation {
 	r, ok := db.rels[pred]
 	switch {

@@ -156,7 +156,7 @@ func TestWriteAllocBoundedByChange(t *testing.T) {
 	if kb9 > 2*kb7 || kb9 > 4*kb5 {
 		t.Errorf("the pair allocates %.0f / %.0f / %.0f KB at depth 5 / 7 / 9: it follows the model, not the change", kb5, kb7, kb9)
 	}
-	if kb9two > 2*kb9 {
-		t.Errorf("the pair allocates %.0f KB beside a second leaf, %.0f KB alone: more than twice as much", kb9two, kb9)
+	if kb9two > 1.3*kb9 {
+		t.Errorf("the pair allocates %.0f KB beside a second leaf, %.0f KB alone: more than 1.3 times as much", kb9two, kb9)
 	}
 }
