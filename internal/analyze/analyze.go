@@ -65,26 +65,26 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 // Diagnostic codes.  Codes are stable across releases: new checks get new
 // codes, retired checks leave gaps.
 const (
-	CodeSyntax       = "LDL000" // source text does not lex/parse
-	CodeUnsafeHead   = "LDL001" // head variable not limited by the body
-	CodeUnsafeNeg    = "LDL002" // negated-literal variable not limited
-	CodeUnsafeGroup  = "LDL003" // grouped head variable not limited
-	CodeFactVars     = "LDL004" // fact contains variables
-	CodeShape        = "LDL005" // malformed or inexpressible grouping shape
-	CodeNotAdmiss    = "LDL006" // grouping/negation dependency cycle (§3.1)
-	CodeFlounder     = "LDL007" // body cannot be ordered; built-in would flounder
-	CodeUnreachable  = "LDL101" // rule-defined predicate unreachable from queries
-	CodeUndefined    = "LDL102" // predicate has no rules and no facts
-	CodeArity        = "LDL103" // predicate used with conflicting arities
-	CodeSingleton    = "LDL104" // variable occurs exactly once in a rule
-	CodeGroupFree    = "LDL105" // grouped variable also free in the head (§2.3)
-	CodeSetPattern   = "LDL106" // body set pattern can never bind its variables
-	CodeNonTerm      = "LDL107" // function symbols feed a recursive SCC
-	CodeCartesian    = "LDL108" // join step with no bound argument columns
-	CodeTypeClash    = "LDL200" // unification/comparison of disjoint types
-	CodeIllTyped     = "LDL201" // built-in applied to a statically ill-typed argument
-	CodeDead         = "LDL202" // rule or query provably derives nothing (⊥ propagation)
-	CodeMixedGroup   = "LDL203" // grouping collects elements of provably mixed kinds
+	CodeSyntax      = "LDL000" // source text does not lex/parse
+	CodeUnsafeHead  = "LDL001" // head variable not limited by the body
+	CodeUnsafeNeg   = "LDL002" // negated-literal variable not limited
+	CodeUnsafeGroup = "LDL003" // grouped head variable not limited
+	CodeFactVars    = "LDL004" // fact contains variables
+	CodeShape       = "LDL005" // malformed or inexpressible grouping shape
+	CodeNotAdmiss   = "LDL006" // grouping/negation dependency cycle (§3.1)
+	CodeFlounder    = "LDL007" // body cannot be ordered; built-in would flounder
+	CodeUnreachable = "LDL101" // rule-defined predicate unreachable from queries
+	CodeUndefined   = "LDL102" // predicate has no rules and no facts
+	CodeArity       = "LDL103" // predicate used with conflicting arities
+	CodeSingleton   = "LDL104" // variable occurs exactly once in a rule
+	CodeGroupFree   = "LDL105" // grouped variable also free in the head (§2.3)
+	CodeSetPattern  = "LDL106" // body set pattern can never bind its variables
+	CodeNonTerm     = "LDL107" // function symbols feed a recursive SCC
+	CodeCartesian   = "LDL108" // join step with no bound argument columns
+	CodeTypeClash   = "LDL200" // unification/comparison of disjoint types
+	CodeIllTyped    = "LDL201" // built-in applied to a statically ill-typed argument
+	CodeDead        = "LDL202" // rule or query provably derives nothing (⊥ propagation)
+	CodeMixedGroup  = "LDL203" // grouping collects elements of provably mixed kinds
 )
 
 // CodeInfo describes one diagnostic code for documentation and tooling.

@@ -31,11 +31,11 @@ type Kind uint8
 // The kind bits.  Var has no bit: variables are typed by what they can be
 // bound to, never as a kind of their own.
 const (
-	Int  Kind = 1 << iota // integer constants
-	Atom                  // symbolic constants
-	Str                   // string constants
-	SetK                  // finite sets
-	CompK                 // uninterpreted compound terms
+	Int   Kind = 1 << iota // integer constants
+	Atom                   // symbolic constants
+	Str                    // string constants
+	SetK                   // finite sets
+	CompK                  // uninterpreted compound terms
 
 	// AllKinds is the kind component of ⊤.
 	AllKinds = Int | Atom | Str | SetK | CompK

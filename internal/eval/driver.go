@@ -47,7 +47,7 @@ func (b *budget) Err() error {
 func (b *budget) Charge(f *term.Fact) error {
 	b.derived++
 	if b.maxDerived > 0 && b.derived > b.maxDerived {
-		return &LimitError{Limit: b.maxDerived}
+		return &lderr.LimitError{Limit: b.maxDerived}
 	}
 	if b.memBudget > 0 {
 		if b.memUsed += factBytes(f); b.memUsed > b.memBudget {
@@ -103,8 +103,9 @@ type Sink interface {
 	// fact must be present in it, or absent from it, to reach Accept.  It
 	// is a prefilter only.
 	Probe(pred string) (rel *store.Relation, present bool)
-	// Accept takes one head fact, in task order, and reports whether it
-	// joins the next frontier.  An error aborts the round.
+	// Accept takes one head fact, during the join that found it, and
+	// reports whether it joins the next frontier.  An error aborts the
+	// round.
 	Accept(f *term.Fact) (bool, error)
 }
 
@@ -174,29 +175,16 @@ type Variant struct {
 }
 
 // Task is one unit of a round: a variant fired against a database and, when
-// the variant has a delta literal, a delta relation — or a Check.
+// the variant has a delta literal, a delta relation.
 type Task struct {
 	v     *Variant
 	db    *store.DB
 	delta *store.Relation
-	check func(x *Exec) error
 }
 
 // Task schedules the variant against db, its delta literal reading delta.
 func (v *Variant) Task(db *store.DB, delta *store.Relation) Task {
 	return Task{v: v, db: db, delta: delta}
-}
-
-// Check wraps a composite task — several enumerations behind one decision,
-// such as the rederivation test of delete-and-rederive — that hands the
-// round's sink at most a few facts through Exec.Emit.
-func Check(f func(x *Exec) error) Task { return Task{check: f} }
-
-func (t *Task) run(x *Exec) error {
-	if t.check != nil {
-		return t.check(x)
-	}
-	return x.fire(t.v, t.db, t.delta)
 }
 
 // Exec is the firing context of one driver: the budget it polls, the
@@ -279,9 +267,12 @@ func (x *Exec) fire(v *Variant, db *store.DB, delta *store.Relation) error {
 			return nil
 		}
 		f := term.NewFactOf(pred, scratch, h)
-		ok, err := x.Emit(f)
+		ok, err := x.sink.Accept(f)
 		if !ok || err != nil {
 			return err
+		}
+		if x.next != nil {
+			x.next.Add(f)
 		}
 		if fresh {
 			// The first insert into a relation the database shares with a
@@ -294,17 +285,6 @@ func (x *Exec) fire(v *Variant, db *store.DB, delta *store.Relation) error {
 		}
 		return nil
 	})
-}
-
-// Emit hands f to the sink of the running round, reporting whether the sink
-// took it at once (false while a round buffers).  Tasks made by Check call
-// it; tasks made by Variant.Task emit through their own firing.
-func (x *Exec) Emit(f *term.Fact) (bool, error) {
-	ok, err := x.sink.Accept(f)
-	if ok && x.next != nil {
-		x.next.Add(f)
-	}
-	return ok, err
 }
 
 // join enumerates all bindings satisfying body literals p.order[step:],
@@ -348,8 +328,8 @@ func (x *Exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings
 		return x.match(l, facts, b, cont)
 	}
 	// A full scan walks the relation run by run and stops after the facts it
-	// held when the scan began: in a live round the body inserts into the
-	// relations it reads, and what it appends is the next round's.
+	// held when the scan began: the round's sink may insert into the
+	// relations the body reads, and what it appends is the next round's.
 	return rel.Scan(func(run []*term.Fact) error { return x.match(l, run, b, cont) })
 }
 
@@ -449,19 +429,13 @@ func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) (fa
 type Driver struct {
 	budget
 	stats *Stats
-	// live makes a round hand each head fact to the sink during the join
-	// that found it.  From-scratch evaluation runs live — a fact inserted
-	// mid-round serves the rest of the round, and nothing is buffered;
-	// maintenance rounds are deferred, so their tasks read the state the
-	// round started from.
-	live bool
-	x    Exec
+	x     Exec
 }
 
-// NewDriver returns a driver for one maintenance transaction: enumerations
-// through it poll ctx (which may be nil), facts charged to it count against
-// maxDerived (0 = unbounded), and its counters land in st (which may be
-// nil).
+// NewDriver returns a driver for one evaluation or maintenance
+// transaction: enumerations through it poll ctx (which may be nil), facts
+// charged to it count against maxDerived (0 = unbounded), and its counters
+// land in st (which may be nil).
 func NewDriver(ctx context.Context, st *Stats, maxDerived int) *Driver {
 	d := &Driver{stats: st}
 	d.ctx, d.maxDerived = ctx, maxDerived
@@ -493,77 +467,20 @@ func (d *Driver) bumpIter() {
 	}
 }
 
-// bufSink stands in for the round's sink while a task of a deferred round
-// runs: it keeps the task's distinct head facts for the replay.
-type bufSink struct {
-	Sink
-	b      *budget
-	absent bool // the facts buffered are absent from the relation probed
-	out    []*term.Fact
-	seen   *store.FactSet // nil until the second fact
-}
-
-func (s *bufSink) Probe(pred string) (*store.Relation, bool) {
-	rel, present := s.Sink.Probe(pred)
-	s.absent = !present
-	return rel, present
-}
-
-func (s *bufSink) Accept(f *term.Fact) (bool, error) {
-	if len(s.out) > 0 {
-		if s.seen == nil {
-			s.seen = store.NewFactSet()
-			s.seen.Add(s.out[0])
-		}
-		if !s.seen.Add(f) {
-			return false, nil
-		}
-	}
-	s.out = append(s.out, f)
-	// The task's facts are distinct and absent from the relation they will
-	// be inserted into, so the replay charges at least this many on top of
-	// the exact count the round started from — whatever the other tasks
-	// find.  Past the bound that is a certain breach.
-	if s.absent && s.b.maxDerived > 0 && s.b.derived+len(s.out) > s.b.maxDerived {
-		return false, &LimitError{Limit: s.b.maxDerived}
-	}
-	return false, nil
-}
-
-// Round runs the tasks of one round and records the facts the sink accepts
-// in next (which may be nil).  A live round hands head facts to the sink as
-// they are found.  A deferred round gives every task a private buffer and
-// replays the buffers into the sink in task order once every task has run,
-// so the tasks read the state the round started from.
+// Round runs the tasks of one round in order and records the facts the sink
+// accepts in next (which may be nil).  Each head fact goes to the sink
+// during the join that found it, so a fact the sink inserts serves the rest
+// of the round.  The budget is checked before every task.
 func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 	x := &d.x
 	defer d.flush(x)
-	if d.live {
-		x.sink, x.next = sink, next
-		for i := range tasks {
-			if err := tasks[i].run(x); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	bufs := make([]bufSink, len(tasks))
-	for i := range tasks {
+	x.sink, x.next = sink, next
+	for _, t := range tasks {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		bufs[i] = bufSink{Sink: sink, b: &d.budget}
-		x.sink, x.next, x.polls = &bufs[i], nil, 0
-		if err := tasks[i].run(x); err != nil {
+		if err := x.fire(t.v, t.db, t.delta); err != nil {
 			return err
-		}
-	}
-	x.sink, x.next = sink, next
-	for i := range bufs {
-		for _, f := range bufs[i].out {
-			if _, err := x.Emit(f); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

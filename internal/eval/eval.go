@@ -94,7 +94,7 @@ type Options struct {
 	// polled (cheaply, every few hundred firings) inside long joins: a
 	// canceled context aborts evaluation promptly with lderr.Canceled (or
 	// lderr.DeadlineExceeded after a deadline).  The abort is clean — the
-	// input database of Eval is never mutated, and EvalGroups callers
+	// input database of Eval is never mutated, and EvalGroupsEach callers
 	// discard the partially evaluated working database on error.
 	Ctx context.Context
 	// MemBudget, when positive, bounds the approximate bytes retained by
@@ -107,7 +107,7 @@ type Options struct {
 	Provenance *Provenance
 	// MaxDerived, when positive, bounds the number of DERIVED facts —
 	// facts newly added by rule application, not counting the input
-	// database — and aborts evaluation with a LimitError once more than
+	// database — and aborts evaluation with *lderr.LimitError once more than
 	// MaxDerived facts have been derived.  Useful as a termination guard
 	// for programs whose function symbols can generate unbounded terms (the
 	// LDL1 universe U is infinite).
@@ -118,10 +118,6 @@ type Options struct {
 	// identical either way; only the join schedule differs.
 	NoReorder bool
 }
-
-// LimitError reports that evaluation exceeded Options.MaxDerived.  It is
-// an alias of lderr.LimitError, the engine-wide error taxonomy type.
-type LimitError = lderr.LimitError
 
 // Eval computes the standard minimal model M_n of the admissible program P
 // with respect to the U-facts in edb (Theorem 1): facts are added to a clone
@@ -137,24 +133,19 @@ func Eval(p *ast.Program, edb *store.DB, opts Options) (*store.DB, error) {
 		return nil, err
 	}
 	db := edb.Clone()
-	if err := EvalGroups(lay.Rules, db, opts); err != nil {
+	if err := EvalGroupsEach(lay.Rules, db, opts, nil); err != nil {
 		return nil, err
 	}
 	return db, nil
 }
 
-// EvalGroups evaluates rule groups in order, each to its fixpoint, against
-// db (mutated in place).  Facts from every group are inserted first.  This
-// is the layer-by-layer engine behind Eval; the magic-sets evaluator uses
-// it directly with its own (non-admissible) group assignment, so no
-// admissibility check is performed here.
-func EvalGroups(groups [][]ast.Rule, db *store.DB, opts Options) error {
-	return EvalGroupsEach(groups, db, opts, nil)
-}
-
-// EvalGroupsEach is EvalGroups reporting progress: after(i), when non-nil,
-// runs once group i has reached its fixpoint and before group i+1 starts,
-// all under the one set of budgets and counters of the call.
+// EvalGroupsEach evaluates rule groups in order, each to its fixpoint,
+// against db (mutated in place).  Facts from every group are inserted
+// first.  This is the layer-by-layer engine behind Eval; the magic-sets
+// evaluator uses it directly with its own (non-admissible) group
+// assignment, so no admissibility check is performed here.  after(i), when
+// non-nil, runs once group i has reached its fixpoint and before group i+1
+// starts, all under the one set of budgets and counters of the call.
 func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(group int)) error {
 	for _, rules := range groups {
 		for _, r := range rules {
@@ -171,7 +162,7 @@ func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(
 		}
 	}
 	d := NewDriver(opts.Ctx, opts.Stats, opts.MaxDerived)
-	d.memBudget, d.live, d.x.prov = opts.MemBudget, true, opts.Provenance
+	d.memBudget, d.x.prov = opts.MemBudget, opts.Provenance
 	defer d.flush(&d.x)
 	ev := &evaluation{Driver: d, db: db, noReorder: opts.NoReorder}
 	for i, rules := range groups {
@@ -458,7 +449,7 @@ func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim S
 			return nil
 		}
 		if lim.MaxSolutions > 0 && t.n > lim.MaxSolutions {
-			return &LimitError{Limit: lim.MaxSolutions}
+			return &lderr.LimitError{Limit: lim.MaxSolutions}
 		}
 		if lim.MemBudget > 0 {
 			for _, c := range row {

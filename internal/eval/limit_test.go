@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"ldl1/internal/lderr"
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
@@ -17,7 +18,7 @@ func TestDerivationLimit(t *testing.T) {
 		nat(s(X)) <- nat(X).
 	`)
 	_, err := Eval(p, store.NewDB(), Options{MaxDerived: 100})
-	var le *LimitError
+	var le *lderr.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("expected LimitError, got %v", err)
 	}
@@ -44,15 +45,16 @@ func TestDerivationLimit(t *testing.T) {
 }
 
 // TestDerivationLimitCountsDerivedOnly pins the MaxDerived semantics: the
-// limit counts DERIVED facts only — not the input database — and a run
-// whose exact deduplicated count fits the limit succeeds.
+// limit counts DERIVED facts only — not the input database — and is
+// charged at the insertion of each new fact, so a run whose exact count
+// fits the limit succeeds and one fact more fails.
 func TestDerivationLimitCountsDerivedOnly(t *testing.T) {
 	p := parser.MustParseProgram(ancestorSrc) // 4 parent facts, derives 8 ancestor facts
 	derived := 8
 
 	// A limit below the derivation count aborts.
 	_, err := Eval(p, store.NewDB(), Options{MaxDerived: derived - 1})
-	var le *LimitError
+	var le *lderr.LimitError
 	if !errors.As(err, &le) {
 		t.Errorf("limit %d: expected LimitError, got %v", derived-1, err)
 	}

@@ -173,26 +173,32 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	}
 
 	// Rederive: a candidate survives if it is a base fact or some rule
-	// still derives it from the new state.  Round 1 checks every candidate
-	// in full; after that the only change to w is resurrection itself, and
-	// same-layer body literals are necessarily positive, so semi-naive
+	// still derives it from the post-deletion state.  Round 1 checks every
+	// candidate in full against that state, and only then resurrects the
+	// survivors; after that the only change to w is resurrection itself,
+	// and same-layer body literals are necessarily positive, so semi-naive
 	// propagation from the resurrected facts reaches exactly the candidates
 	// whose derivability can have changed — no per-round rescan of the
 	// whole survivor set.
-	res := &resurrector{s: s, deleted: deleted}
-	fr = eval.NewFrontier(true)
-	var checks []eval.Task
-	for _, f := range deleted.facts() {
-		checks = append(checks, eval.Check(func(x *eval.Exec) error {
+	var alive []*term.Fact
+	err = s.d.Do(func(x *eval.Exec) error {
+		for _, f := range deleted.facts() {
 			ok, err := m.derivable(x, s, f)
-			if err != nil || !ok {
+			if err != nil {
 				return err
 			}
-			_, err = x.Emit(f)
-			return err
-		}))
+			if ok {
+				alive = append(alive, f)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if err := s.d.Round(checks, res, fr); err != nil {
+	res := &resurrector{s: s, deleted: deleted}
+	fr = eval.NewFrontier(true)
+	if err := seed(fr, alive, res.Accept); err != nil {
 		return err
 	}
 	more := func(int) (bool, error) { return deleted.len() > 0, nil }

@@ -47,7 +47,7 @@ func TestEdges(t *testing.T) {
 	p, err := parser.ParseProgram(
 		"g(X, <Y>) <- e(X, Y).\n" +
 			"h(X) <- g(X, S), not e(X, X), X = 1.\n" +
-				"e(1, 2).\n")
+			"e(1, 2).\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func TestMagicErrors(t *testing.T) {
 }
 
 // TestMagicUsesCompiledAccessPaths: the magic evaluator runs through
-// eval.EvalGroups, so the compiled access paths (and their index-hit
+// eval.EvalGroupsEach, so the compiled access paths (and their index-hit
 // accounting) must be active during magic evaluation on any EDB above the
 // store index threshold.
 func TestMagicUsesCompiledAccessPaths(t *testing.T) {

@@ -32,7 +32,9 @@ type Key struct {
 	Consts string
 }
 
-// ConstsKey renders ground constants canonically for use in a Key.
+// ConstsKey renders ground constants canonically for use in a Key.  Term
+// keys are self-delimiting, so two lists share a rendering only if they
+// are equal.
 func ConstsKey(consts []term.Term) string {
 	var b strings.Builder
 	for i, c := range consts {

@@ -3,10 +3,10 @@ package store
 import "ldl1/internal/term"
 
 // FactSet is a hash-keyed set of U-facts: the map[string]bool replacement
-// for hot-path membership tracking (deferred-round seen sets, per-rule
-// dedup buffers, provenance walks).  It is backed by the same
-// open-addressed table as Relation; collisions are resolved by the
-// structural term.EqualFacts, so membership is exact.
+// for hot-path membership tracking (a transaction's normalized updates,
+// grouping premises, provenance walks, the frontier's debug check).  It is
+// backed by the same open-addressed table as Relation; collisions are
+// resolved by the structural term.EqualFacts, so membership is exact.
 //
 // The zero value is not ready; use NewFactSet.  Not safe for concurrent
 // mutation.

@@ -64,7 +64,7 @@ func TestGroupTermBasics(t *testing.T) {
 	if g.String() != "<X>" {
 		t.Errorf("String = %q", g.String())
 	}
-	if g.Key() != "g:<v:X>" {
+	if g.Key() != "g:<v:1~X>" {
 		t.Errorf("Key = %q", g.Key())
 	}
 	if Compare(NewGroup(Var("X")), NewGroup(Var("X"))) != 0 {

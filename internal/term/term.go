@@ -51,8 +51,10 @@ type Term interface {
 	Kind() Kind
 	// Key returns a canonical encoding of the term.  Two terms are equal
 	// (as elements of U, or syntactically for non-ground terms) iff their
-	// keys are equal.  Key is for rendering, debugging and tests; identity
-	// on hot paths (store, eval) goes through Hash and Equal.
+	// keys are equal, and a key is self-delimiting, so a sequence of keys
+	// joined by any separator still names one sequence of terms: the
+	// answer cache keys its entries by them.  Identity on hot paths (store,
+	// eval) goes through Hash and Equal.
 	Key() string
 	// Hash returns a structural 64-bit FNV-1a digest: equal terms have
 	// equal hashes.  Memoized on Compound and Set.
@@ -117,10 +119,11 @@ func (Var) Kind() Kind       { return KindVar }
 func (*Compound) Kind() Kind { return KindCompound }
 func (*Set) Kind() Kind      { return KindSet }
 
-func (a Atom) Key() string { return "a:" + string(a) }
+// Names are length-prefixed, as a Compound's functor is.
+func (a Atom) Key() string { return "a:" + strconv.Itoa(len(a)) + "~" + string(a) }
 func (i Int) Key() string  { return "i:" + strconv.FormatInt(int64(i), 10) }
 func (s Str) Key() string  { return "s:" + strconv.Quote(string(s)) }
-func (v Var) Key() string  { return "v:" + string(v) }
+func (v Var) Key() string  { return "v:" + strconv.Itoa(len(v)) + "~" + string(v) }
 
 // Keys are rendered on demand, never memoized: no field of a term is
 // written after its constructor returns.

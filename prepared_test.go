@@ -438,6 +438,39 @@ func TestRepeatedVariableQueryNotConfusedByCache(t *testing.T) {
 	}
 }
 
+// TestCacheKeyTellsConstantsApart: an atom may hold the characters that
+// separate the constants of a cache key, so Exec(p, 'q,a:r') and
+// Exec('p,a:q', r) name different queries and must not share an entry.
+func TestCacheKeyTellsConstantsApart(t *testing.T) {
+	for _, magic := range []bool{false, true} {
+		eng, err := New(`q(X, Y, Z) <- s(X, Y, Z).`, WithMagic(magic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.AddFact(NewFact("s", Sym("p"), Sym("q,a:r"), Sym("one")))
+		eng.AddFact(NewFact("s", Sym("p,a:q"), Sym("r"), Sym("two")))
+		pq, err := eng.Prepare("q(a, b, Z)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			args []Term
+			want string
+		}{
+			{[]Term{Sym("p"), Sym("q,a:r")}, "one"},
+			{[]Term{Sym("p,a:q"), Sym("r")}, "two"},
+		} {
+			a, err := pq.Exec(c.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a.Rows) != 1 || !Equal(a.Rows[0][0], Sym(c.want)) {
+				t.Errorf("magic=%v Exec%v = %v, want Z = %s", magic, c.args, a, c.want)
+			}
+		}
+	}
+}
+
 // TestWithoutQueryCache pins the opt-out: no hits ever accrue.
 func TestWithoutQueryCache(t *testing.T) {
 	var st Stats
