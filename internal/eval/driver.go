@@ -322,15 +322,7 @@ func (x *Exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings
 		return cont()
 	}
 
-	rel := x.relFor(idx, l.Pred)
-	facts, scan := x.candidates(rel, &p.acc[step], b)
-	if !scan {
-		return x.match(l, facts, b, cont)
-	}
-	// A full scan walks the relation run by run and stops after the facts it
-	// held when the scan began: the round's sink may insert into the
-	// relations the body reads, and what it appends is the next round's.
-	return rel.Scan(func(run []*term.Fact) error { return x.match(l, run, b, cont) })
+	return x.candidates(x.relFor(idx, l.Pred), &p.acc[step], l, b, cont)
 }
 
 // match continues the join with every fact of facts that l matches.
@@ -370,13 +362,16 @@ func (x *Exec) relFor(litIdx int, pred string) *store.Relation {
 	return emptyRel
 }
 
-// candidates narrows the fact scan through the literal's compiled access
-// path: the probe values for every plan-time-ground column are extracted
-// from the bindings and looked up in one (possibly composite) hash index.
-// The binding pattern is never re-derived here — planBody fixed it when the
-// layer was planned.  scan reports that there is nothing to probe with and
-// the caller has to walk the whole relation.
-func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) (facts []*term.Fact, scan bool) {
+// candidates matches l against the facts its compiled access path narrows
+// the relation to: the probe values for every plan-time-ground column are
+// extracted from the bindings and looked up in one (possibly composite) hash
+// index.  The binding pattern is never re-derived here — planBody fixed it
+// when the layer was planned.  With nothing to probe with, it walks the
+// whole relation.  A probe or a scan walks run by run and stops after the
+// facts it held when the walk began: the round's sink may insert into the
+// relations the body reads, and what it appends is the next round's.
+func (x *Exec) candidates(rel *store.Relation, a *access, l ast.Literal, b *unify.Bindings, cont func() error) error {
+	each := func(run []*term.Fact) error { return x.match(l, run, b, cont) }
 	if len(a.cols) > 0 {
 		var arr [8]term.Term // probe buffer; stays on the stack
 		var vals []term.Term
@@ -390,7 +385,7 @@ func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) (fa
 			v, err := key(b)
 			if err != nil {
 				if errors.Is(err, unify.ErrOutsideU) {
-					return nil, false // argument outside U never matches
+					return nil // argument outside U never matches
 				}
 				// The static analysis over-promised (should not happen);
 				// fall back to a scan rather than probing a bogus key.
@@ -401,27 +396,28 @@ func (x *Exec) candidates(rel *store.Relation, a *access, b *unify.Bindings) (fa
 		}
 		if ok {
 			var indexed bool
+			var err error
 			if a.full && rel != x.delta {
 				// A probe naming a whole fact reads the intern tables (delta
 				// chunks have none), so no index over every column is built
-				// and kept up to date; it counts as LookupCols would.
+				// and kept up to date; it counts as ScanCols would.
 				indexed = rel.Indexed(a.cols)
 				if x.one[0] = rel.GetArgs(term.HashFactArgs(rel.Name, vals), vals); x.one[0] != nil {
-					facts = x.one[:]
+					err = x.match(l, x.one[:], b, cont)
 				}
 			} else {
-				facts, indexed = rel.LookupCols(a.cols, vals)
+				indexed, err = rel.ScanCols(a.cols, vals, each)
 			}
 			if indexed {
 				x.idxHits++
 			} else {
 				x.fullScans++
 			}
-			return facts, false
+			return err
 		}
 	}
 	x.fullScans++
-	return nil, true
+	return rel.Scan(each)
 }
 
 // Driver runs rounds under one budget, all on the caller's goroutine.  It

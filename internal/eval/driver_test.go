@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"ldl1/internal/store"
@@ -38,4 +39,44 @@ func TestRoundFeedsLaterTasks(t *testing.T) {
 	if next.n != 2 || st.Firings != 2 {
 		t.Errorf("frontier holds %d facts after %d firings, want 2 and 2", next.n, st.Firings)
 	}
+}
+
+// TestProbeSeesBucketAsProbed pins the snapshot rule of an index probe: in
+// a live round, a rule whose sink appends to the very bucket it is probing
+// walks only the facts the bucket held when the probe began, as a full scan
+// walks only the facts its relation held.  e(a, s(X)) <- e(a, X) probes the
+// bucket of a and appends to it once per fact walked.  The store keeps a
+// bucket of up to 64 facts flat and pages it beyond, so the sizes cover a
+// flat bucket that stays flat, one whose appends open its first page, and
+// paged ones whose appends fill the last page and open the next.
+func TestProbeSeesBucketAsProbed(t *testing.T) {
+	rule := mustCompileRule(t, `e(a, s(X)) <- e(a, X).`)
+	for _, n := range []int{32, 60, 190, 192} {
+		db := store.NewDB()
+		for i := range n {
+			db.Insert(term.NewFact("e", atom("a"), term.Int(int64(i))))
+		}
+		var st Stats
+		if err := NewDriver(context.Background(), &st, 0).Round([]Task{rule.base.Task(db, nil)}, &capped{inserter{db}, n}, nil); err != nil {
+			t.Fatalf("a bucket of %d facts: %v", n, err)
+		}
+		if st.Firings != n || st.IndexHits != 1 || db.Card("e") != 2*n {
+			t.Errorf("a bucket of %d facts: %d firings, %d index probes, %d facts after the round; want %d, 1 and %d",
+				n, st.Firings, st.IndexHits, db.Card("e"), n, 2*n)
+		}
+	}
+}
+
+// capped is an inserter that fails the round past its n-th new fact.
+type capped struct {
+	inserter
+	n int
+}
+
+func (s *capped) Accept(f *term.Fact) (bool, error) {
+	if s.n == 0 {
+		return false, errors.New("the round walked a fact its own sink appended")
+	}
+	s.n--
+	return s.inserter.Accept(f)
 }

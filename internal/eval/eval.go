@@ -486,9 +486,9 @@ func distinctRows(body []ast.Literal) bool {
 }
 
 // rowTable collects the distinct rows of one Solve back to back in one flat
-// slice.  slots is an open-addressed set of row numbers plus one (0 marks
-// a free slot) over hashes, at most half full; it stays empty when every
-// solution is known to be a distinct row.
+// slice, which doubles when it fills.  slots is an open-addressed set of
+// row numbers plus one (0 marks a free slot) over hashes, at most half full;
+// it stays empty when every solution is known to be a distinct row.
 type rowTable struct {
 	width, n int
 	distinct bool
@@ -504,7 +504,10 @@ func (t *rowTable) row(i int) []term.Term {
 
 // tail returns the row after the kept ones, for the caller to fill in.
 func (t *rowTable) tail() []term.Term {
-	t.flat = slices.Grow(t.flat[:t.n*t.width], t.width)[:(t.n+1)*t.width]
+	if need := (t.n + 1) * t.width; need > cap(t.flat) {
+		t.flat = append(make([]term.Term, 0, max(need, 2*cap(t.flat))), t.flat[:t.n*t.width]...)
+	}
+	t.flat = t.flat[:(t.n+1)*t.width]
 	return t.row(t.n)
 }
 

@@ -156,20 +156,28 @@ classes:
 	return nil
 }
 
-// Regroup maintains a grouping rule across one transaction: it recomputes
-// the classes t has been touched with against old and cur, and returns the
-// old facts of the classes that changed (deletion seeds), their new facts
-// (insertion seeds) and the number of classes recomputed.
-func (cr *CompiledRule) Regroup(x *Exec, t *ClassTable, old, cur *store.DB) (del, ins []*term.Fact, n int, err error) {
+// Regroup maintains a grouping rule across one transaction: it takes the
+// old set of every class t has been touched with, recomputes the class
+// against cur, and returns the old facts of the classes that changed
+// (deletion seeds), their new facts (insertion seeds) and the number of
+// classes regrouped.  When own holds, the rule is the only source of its
+// predicate's facts in old, which by §3.2 holds one fact per class with a
+// body solution: the old set is read from that fact.  Otherwise it is
+// recomputed against old.
+func (cr *CompiledRule) Regroup(x *Exec, t *ClassTable, old, cur *store.DB, own bool) (del, ins []*term.Fact, n int, err error) {
 	if len(t.order) == 0 {
 		return nil, nil, 0, nil
 	}
-	if err := cr.recompute(x, old, t); err != nil {
-		return nil, nil, 0, err
-	}
 	olds := make([]*term.Set, len(t.order))
-	for i, c := range t.order {
-		olds[i] = c.take()
+	if own {
+		cr.stored(old, t, olds)
+	} else {
+		if err := cr.recompute(x, old, t); err != nil {
+			return nil, nil, 0, err
+		}
+		for i, c := range t.order {
+			olds[i] = c.take()
+		}
 	}
 	if err := cr.recompute(x, cur, t); err != nil {
 		return nil, nil, 0, err
@@ -188,6 +196,31 @@ func (cr *CompiledRule) Regroup(x *Exec, t *ClassTable, old, cur *store.DB) (del
 		}
 	}
 	return del, ins, len(t.order), nil
+}
+
+// stored sets sets[i] to the group set of the fact of class t.order[i] in
+// db, probed on the non-grouped columns, or leaves it nil when db has none.
+func (cr *CompiledRule) stored(db *store.DB, t *ClassTable, sets []*term.Set) {
+	rel := db.RelOrNil(cr.Rule.Head.Pred)
+	if rel == nil {
+		return
+	}
+	cols := make([]int, 0, len(cr.Rule.Head.Args)-1)
+	for i := range cr.Rule.Head.Args {
+		if i != t.gIdx {
+			cols = append(cols, i)
+		}
+	}
+	vals := make([]term.Term, len(cols))
+	for i, c := range t.order {
+		for j, col := range cols {
+			vals[j] = c.args[col]
+		}
+		rel.ScanCols(cols, vals, func(run []*term.Fact) error {
+			sets[i], _ = run[0].Args[t.gIdx].(*term.Set)
+			return nil
+		})
+	}
 }
 
 // applyGroupingRule evaluates a grouping rule once against the layer input

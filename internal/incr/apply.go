@@ -106,7 +106,11 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	var groupDel, groupIns []*term.Fact
 	err := s.d.Do(func(x *eval.Exec) error {
 		for _, cr := range lr.grouping {
-			d, a, n, err := regroup(x, cr, s)
+			// The old model's facts of the head predicate are the rule's
+			// own unless another rule or the old EDB contributes some.
+			pred := cr.Rule.Head.Pred
+			own := len(m.byHead[pred]) == 1 && s.oldEDB.Card(pred) == 0
+			d, a, n, err := regroup(x, cr, s, own)
 			if err != nil {
 				return err
 			}

@@ -10,13 +10,15 @@ import (
 // every such solution touches a delta of a body predicate — so regrouping
 // enumerates the deltas into eval's one class table (eval.ClassTable) to
 // find the touched classes; CompiledRule.Regroup recomputes exactly those
-// against the old and new states and emits old-fact/new-fact pairs where
-// they differ.
+// against the new state and emits old-fact/new-fact pairs where they
+// differ.  A class's old set is the group argument of its fact in the old
+// model when own holds — the rule is the only source of its predicate's
+// facts there — and is recomputed against the old state otherwise.
 
 // regroup maintains one grouping rule across the transaction: it returns
 // the old facts of the changed classes (deletion seeds), the new facts
-// (insertion seeds), and the number of classes recomputed.
-func regroup(x *eval.Exec, cr *eval.CompiledRule, s *txState) (delFacts, insFacts []*term.Fact, nClasses int, err error) {
+// (insertion seeds), and the number of classes regrouped.
+func regroup(x *eval.Exec, cr *eval.CompiledRule, s *txState, own bool) (delFacts, insFacts []*term.Fact, nClasses int, err error) {
 	touched := cr.Classes()
 	for j, lit := range cr.Rule.Body {
 		if !cr.HasDelta(j) {
@@ -40,5 +42,5 @@ func regroup(x *eval.Exec, cr *eval.CompiledRule, s *txState) (delFacts, insFact
 			}
 		}
 	}
-	return cr.Regroup(x, &touched, s.old, s.w)
+	return cr.Regroup(x, &touched, s.old, s.w, own)
 }

@@ -11,8 +11,10 @@
 //  1. Grouping (§3.2): bodies of grouping rules lie strictly below layer i
 //     (Lemma 3.2.3), so the net deltas of the lower layers are final.  Only
 //     the ≡-equivalence classes whose keys are touched by a delta are
-//     recomputed; a changed class contributes its old fact to the deletion
-//     seeds and its new fact to the insertion seeds.
+//     recomputed, and their old sets are read from the old model where the
+//     rule is the only source of its predicate's facts; a changed class
+//     contributes its old fact to the deletion seeds and its new fact to
+//     the insertion seeds.
 //  2. Deletion, by delete-and-rederive (DRed): overestimate the deletions —
 //     every derivation that consumed a deleted positive premise or a
 //     newly-true negated premise — cascading within the layer against the
@@ -203,9 +205,10 @@ func (m *Materialized) Program() *ast.Program { return m.prog }
 
 // txState carries one transaction through the layers.
 type txState struct {
-	old *store.DB // pre-transaction model (read-only)
-	w   *store.DB // working clone of old; published as the next model
-	edb *store.DB // post-transaction EDB (read-only during layers)
+	old    *store.DB // pre-transaction model (read-only)
+	w      *store.DB // working clone of old; published as the next model
+	oldEDB *store.DB // pre-transaction EDB, whose model old is (read-only)
+	edb    *store.DB // post-transaction EDB (read-only during layers)
 	// gIns / gDel accumulate the net model deltas of the layers processed
 	// so far; layer i reads them for strictly lower predicates (where they
 	// are final) and appends its own net changes.
@@ -291,13 +294,14 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 		st = m.stats
 	}
 	s := &txState{
-		old:  old,
-		w:    old.Clone(),
-		edb:  edb2,
-		gIns: newDeltaSet(),
-		gDel: newDeltaSet(),
-		st:   st,
-		d:    eval.NewDriver(ctx, st, m.maxDerived),
+		old:    old,
+		w:      old.Clone(),
+		oldEDB: m.edb,
+		edb:    edb2,
+		gIns:   newDeltaSet(),
+		gDel:   newDeltaSet(),
+		st:     st,
+		d:      eval.NewDriver(ctx, st, m.maxDerived),
 	}
 	for i := 0; i < ns; i++ {
 		if err := m.applyLayer(s, i, insBy[i], delBy[i]); err != nil {

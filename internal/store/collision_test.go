@@ -67,7 +67,7 @@ func TestLookupAllHashesCollide(t *testing.T) {
 			}
 		}
 		for v := 0; v < 10; v++ {
-			got := r.Lookup(0, term.Int(v))
+			got := lookupCol(r, 0, term.Int(v))
 			if len(got) != 10 {
 				t.Fatalf("useIdx=%v: Lookup(0, %d) returned %d facts, want 10", useIdx, v, len(got))
 			}
@@ -77,7 +77,7 @@ func TestLookupAllHashesCollide(t *testing.T) {
 				}
 			}
 		}
-		if got := r.Lookup(0, term.Int(99)); len(got) != 0 {
+		if got := lookupCol(r, 0, term.Int(99)); len(got) != 0 {
 			t.Fatalf("useIdx=%v: Lookup of absent value returned %d facts", useIdx, len(got))
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"ldl1/internal/term"
 )
@@ -143,7 +144,7 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 		r.Insert(fact("e", i%8, i))
 	}
 	// Build a single-column and a composite index.
-	if got := r.Lookup(0, term.Int(3)); len(got) != 8 {
+	if got := lookupCol(r, 0, term.Int(3)); len(got) != 8 {
 		t.Fatalf("pre-delete Lookup col0=3: %d facts, want 8", len(got))
 	}
 	if got, indexed := r.LookupCols([]int{0, 1}, []term.Term{term.Int(3), term.Int(11)}); !indexed || len(got) != 1 {
@@ -152,7 +153,7 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	if !r.Delete(fact("e", 3, 11)) {
 		t.Fatal("delete failed")
 	}
-	if got := r.Lookup(0, term.Int(3)); len(got) != 7 {
+	if got := lookupCol(r, 0, term.Int(3)); len(got) != 7 {
 		t.Fatalf("post-delete Lookup col0=3: %d facts, want 7", len(got))
 	}
 	if got, _ := r.LookupCols([]int{0, 1}, []term.Term{term.Int(3), term.Int(11)}); len(got) != 0 {
@@ -160,7 +161,7 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	}
 	// Insert after delete is visible through both indexes again.
 	r.Insert(fact("e", 3, 11))
-	if got := r.Lookup(0, term.Int(3)); len(got) != 8 {
+	if got := lookupCol(r, 0, term.Int(3)); len(got) != 8 {
 		t.Fatalf("post-reinsert Lookup col0=3: %d facts, want 8", len(got))
 	}
 }
@@ -358,5 +359,54 @@ func TestForkWriteIndependentOfSize(t *testing.T) {
 	t.Logf("Clone + Insert + Delete: %d B at %d facts, %d B at %d", small, n, large, 16*n)
 	if large > small+2*unit*8 {
 		t.Errorf("the write allocates %d B at %d facts and %d B at %d: more than a page and a directory page apart", small, n, large, 16*n)
+	}
+}
+
+// TestForkWriteIndependentOfBucket: an index bucket is paged like the
+// directories, so a write to a clone copies the bucket's top and the one
+// page it lands in, not the bucket.  Clone + Insert + Delete of one fact
+// whose column-0 key holds 8·unit facts allocates, for the column-0 index,
+// no more than a page of the bucket, the bucket's top (a pointer per page,
+// copied and then grown by one page), the index shard table the key lives
+// in, the entry and the fork's copy of the index header: measured as the
+// same write with and without that index.
+func TestForkWriteIndependentOfBucket(t *testing.T) {
+	const n = 8 * unit
+	key := term.Atom("k")
+	write := func(indexed bool) (uint64, *Relation) {
+		fs := make([]*term.Fact, n)
+		for i := range fs {
+			fs[i] = term.NewFact("p", key, term.Int(int64(i)))
+		}
+		db := NewDB()
+		db.LoadFacts(fs, LoadOpts{})
+		if indexed {
+			lookupCol(db.Rel("p"), 0, key)
+		}
+		f := term.NewFact("p", key, term.Int(n))
+		least := uint64(math.MaxUint64)
+		for k := 0; k < 3; k++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			c := db.Clone()
+			c.Insert(f)
+			c.Delete(f)
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return least, db.RelOrNil("p")
+	}
+	plain, _ := write(false)
+	indexed, r := write(true)
+	const ptr = 8
+	page := int(unsafe.Sizeof(dirPage[*term.Fact]{})) + unit*ptr
+	top := int(unsafe.Sizeof(dirTop[*term.Fact]{})) + 3*(n/unit)*ptr
+	table := int(unsafe.Sizeof(idxShard{})) + len(r.findIndex(1).shards.at(0).slots)*ptr
+	header := int(unsafe.Sizeof(idxEntry{})+unsafe.Sizeof(index{})) + 8*ptr
+	// The allocator rounds an object up to its size class: by an eighth at most.
+	bound := uint64(page+top+table+header) * 9 / 8
+	t.Logf("Clone + Insert + Delete on a key of %d facts: %d B without the index, %d B with it; bound %d B", n, plain, indexed, bound)
+	if indexed > plain+bound {
+		t.Errorf("the index costs the write %d B, more than a page, a bucket top, a shard table and the headers (%d B)", indexed-plain, bound)
 	}
 }

@@ -3,13 +3,15 @@ package store
 import "slices"
 
 // dir is a copy-on-write directory of units: a relation's segment list, its
-// intern-shard list, or one index's shard list.  While it holds at most unit
+// intern-shard list, one index's shard list, or the facts of one index
+// bucket.  While it holds at most unit
 // entries it is one flat slice, which a fork copies whole.  Past that it is a
 // top of pages of at most unit entries, each page stamped like the units it
 // points to (forkIDs): a fork copies the top, one pointer per unit units, and
 // a write copies the one page above the unit it replaces.  The shard lists
-// keep every page full, so at and set index them; the segment list, whose
-// sweep leaves pages short, is walked and appended to, never indexed.
+// keep every page full, so at and set index them; the segment list and the
+// buckets, whose sweeps leave pages short, are walked and appended to,
+// never indexed.
 type dir[T comparable] struct {
 	flat []T
 	top  *dirTop[T] // nil while the directory is flat

@@ -163,7 +163,7 @@ func oracleScenario(t *testing.T, seed int64) {
 			if r := db.RelOrNil(f.Pred); r != nil && len(f.Args) > 0 {
 				c := rng.Intn(len(f.Args))
 				var keys []string
-				for _, g := range r.Lookup(c, f.Args[c]) {
+				for _, g := range lookupCol(r, c, f.Args[c]) {
 					keys = append(keys, g.Key())
 				}
 				sort.Strings(keys)
@@ -307,21 +307,24 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 			}
 			for k := 0; k < 3 && len(want) > 0; k++ {
 				probe := want[rng.Intn(len(want))]
-				if k == 0 {
+				switch k {
+				case 0:
 					probe = randOracleFact(rng) // usually absent
+				case 1:
+					probe = bigFact(0) // the key of the paged bucket
 				}
 				vals, ok := ix.key(probe, nil)
 				if !ok {
 					continue
 				}
-				var bucket []*term.Fact
+				var inBucket []*term.Fact
 				for _, g := range want {
 					if gv, ok := ix.key(g, nil); ok && keyOf(gv) == keyOf(vals) {
-						bucket = append(bucket, g)
+						inBucket = append(inBucket, g)
 					}
 				}
-				if got := ix.probe(vals); !sameSequence(got, bucket) {
-					t.Fatalf("%s: %s index %v bucket %v holds %d facts, oracle %d", what, p, ix.cols, vals, len(got), len(bucket))
+				if got := bucket(ix, vals); !sameSequence(got, inBucket) {
+					t.Fatalf("%s: %s index %v bucket %v holds %d facts, oracle %d", what, p, ix.cols, vals, len(got), len(inBucket))
 				}
 			}
 		}
@@ -347,8 +350,9 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 // executions clone one EDB.  Probes land on writers and snapshots alike, so
 // indexes get built before and after the clones that share them.  Every
 // live database is compared with its reference after every step; visit sees
-// every snapshot as it is published.  A stream of pagedSize starts with
-// spanPages.
+// every snapshot as it is published.  p0 holds a bucket of 4·unit facts
+// under one key in its column-0 index, which cutBucket cuts down on a fork
+// first; a stream of pagedSize then goes on with spanPages.
 func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -359,17 +363,18 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 			if size > 300 { // a universe wide enough to reach the size, in column 0
 				fs[i] = term.NewFact(fs[i].Pred, append([]term.Term{term.Int(int64(rng.Intn(4 * size)))}, fs[i].Args...)...)
 			}
+			if rng.Intn(16) == 0 {
+				fs[i] = bigFact(rng.Intn(8 * unit))
+			}
 		}
 		return fs
 	}
 	base := snapshot{NewDB(), newRefDB()}
-	for _, f := range some(size) {
+	for _, f := range append(some(size), bigFacts(4*unit)...) {
 		base.db.Insert(f)
 		base.ref.insert(f)
 	}
-	if size == pagedSize {
-		base.db.RelOrNil("p0").Lookup(0, term.Int(0)) // an index the clones share
-	}
+	lookupCol(base.db.RelOrNil("p0"), 0, big) // an index the clones share
 	var live []snapshot
 	publish := func(w snapshot) {
 		s := w.clone()
@@ -381,6 +386,14 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 	}
 	writers := []snapshot{base}
 	publish(base)
+	for how := range 3 {
+		if err := cutBucket(base, how); err != nil {
+			t.Fatalf("seed %d size %d: %v", seed, size, err)
+		}
+		for i, s := range append(live, base) {
+			s.check(t, rng, fmt.Sprintf("seed %d size %d after cutBucket %d, database %d", seed, size, how, i))
+		}
+	}
 	if size == pagedSize {
 		spanPages(t, base, some)
 		for i, s := range append(live, base) {
@@ -444,7 +457,7 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 			if r := s.db.RelOrNil(f.Pred); r != nil && len(f.Args) > 0 {
 				c := rng.Intn(len(f.Args))
 				var keys []string
-				for _, g := range r.Lookup(c, f.Args[c]) {
+				for _, g := range lookupCol(r, c, f.Args[c]) {
 					keys = append(keys, g.Key())
 				}
 				sort.Strings(keys)
@@ -472,6 +485,64 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 			s.check(t, rng, fmt.Sprintf("%s, writer %d", what, i))
 		}
 	}
+}
+
+// big is the column-0 value of the p0 facts that fill one index bucket
+// past a page.
+var big = term.Atom("big")
+
+func bigFact(i int) *term.Fact { return term.NewFact("p0", big, term.Int(int64(i))) }
+
+func bigFacts(n int) []*term.Fact {
+	fs := make([]*term.Fact, n)
+	for i := range fs {
+		fs[i] = bigFact(i)
+	}
+	return fs
+}
+
+// cutBucket deletes from the bucket of big in the column-0 index of a
+// writer's p0, a bucket that spans three pages or more in a relation the
+// writer shares with a clone, so it writes a fork: how 0 removes one fact
+// of a middle page, 1 every fact of a middle page, and 2 all but the
+// newest unit facts.  It reports a bucket that did not change as it should.
+func cutBucket(w snapshot, how int) error {
+	b := w.db.RelOrNil("p0").findIndex(1).probe([]term.Term{big})
+	if b.npages() < 3 {
+		return fmt.Errorf("cutBucket %d: the bucket of %s spans %d pages, want 3 or more", how, big, b.npages())
+	}
+	mid := b.page(b.npages() / 2)
+	var gone []*term.Fact
+	switch how {
+	case 0:
+		gone = mid[len(mid)/2 : len(mid)/2+1]
+	case 1:
+		gone = mid
+	default:
+		gone = bucket(w.db.RelOrNil("p0").findIndex(1), []term.Term{big})
+		gone = gone[:len(gone)-unit]
+	}
+	gone = slices.Clone(gone)
+	for _, f := range gone {
+		w.ref.delete(f)
+	}
+	n, pages := b.len(), b.npages()
+	r := w.db.Rel("p0")
+	if got := r.DeleteAll(gone); got != len(gone) {
+		return fmt.Errorf("cutBucket %d: DeleteAll removed %d of %d facts", how, got, len(gone))
+	}
+	after := r.findIndex(1).probe([]term.Term{big})
+	switch {
+	case r.id == 0:
+		return fmt.Errorf("cutBucket %d: p0 is no fork", how)
+	case after.len() != n-len(gone):
+		return fmt.Errorf("cutBucket %d: the bucket holds %d facts, want %d", how, after.len(), n-len(gone))
+	case how == 0 && after.npages() != pages, how == 1 && after.npages() != pages-1:
+		return fmt.Errorf("cutBucket %d: the bucket spans %d pages, %d before", how, after.npages(), pages)
+	case how == 2 && after.len() > unit:
+		return fmt.Errorf("cutBucket %d: the bucket holds %d facts, want %d or fewer", how, after.len(), unit)
+	}
+	return nil
 }
 
 // pagedSize is a clone-chain size at which every directory is paged: about
@@ -541,8 +612,13 @@ func TestForkChainReaders(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for k := 0; k < reads; k++ {
 			f := randOracleFact(rng)
-			if len(s.ref.facts) > 0 && rng.Intn(2) == 0 {
-				f = s.ref.facts[rng.Intn(len(s.ref.facts))]
+			switch rng.Intn(4) {
+			case 0:
+				f = bigFact(rng.Intn(8 * unit))
+			case 1, 2:
+				if len(s.ref.facts) > 0 {
+					f = s.ref.facts[rng.Intn(len(s.ref.facts))]
+				}
 			}
 			if got, want := s.db.Contains(f), s.ref.contains(f); got != want {
 				t.Errorf("reader: Contains(%s)=%v oracle=%v", f, got, want)
@@ -553,7 +629,7 @@ func TestForkChainReaders(t *testing.T) {
 				continue
 			}
 			c := rng.Intn(len(f.Args))
-			if got, want := len(r.Lookup(c, f.Args[c])), len(s.ref.lookup(f.Pred, c, f.Args[c])); got != want {
+			if got, want := len(lookupCol(r, c, f.Args[c])), len(s.ref.lookup(f.Pred, c, f.Args[c])); got != want {
 				t.Errorf("reader: Lookup(%s,%d,%s) has %d facts, oracle %d", f.Pred, c, f.Args[c], got, want)
 				return
 			}
@@ -580,8 +656,9 @@ func TestForkChainReaders(t *testing.T) {
 }
 
 // TestConcurrentClones: several goroutines clone one database at once, each
-// writing its clone (building indexes on the shared relations on the way),
-// and the source is written once they are done.  Under the race detector a
+// writing its clone (building indexes on the shared relations on the way,
+// and cutting down a paged index bucket of the source with cutBucket), and
+// the source is written once they are done.  Under the race detector a
 // write that reaches a relation another database shares is a reported race;
 // the references catch the rest.
 func TestConcurrentClones(t *testing.T) {
@@ -592,7 +669,8 @@ func TestConcurrentClones(t *testing.T) {
 
 // concurrentClones runs TestConcurrentClones on a source of size facts in
 // three relations, each indexed on column 0, where every fact has a value of
-// its own: past 3·2·unit² facts every directory is paged.
+// its own but 4·unit facts of p0 that share one: past 3·2·unit² facts every
+// directory is paged.
 func concurrentClones(t *testing.T, size int) {
 	rng := rand.New(rand.NewSource(5))
 	src := snapshot{NewDB(), newRefDB()}
@@ -602,6 +680,11 @@ func concurrentClones(t *testing.T, size int) {
 		src.db.Insert(f)
 		src.ref.insert(f)
 	}
+	for _, f := range bigFacts(4 * unit) {
+		src.db.Insert(f)
+		src.ref.insert(f)
+	}
+	lookupCol(src.db.RelOrNil("p0"), 0, big)
 	write := func(s snapshot, rng *rand.Rand) {
 		for k := 0; k < 300; k++ {
 			f := randOracleFact(rng)
@@ -617,7 +700,7 @@ func concurrentClones(t *testing.T, size int) {
 				s.ref.delete(f)
 			default:
 				if r := s.db.RelOrNil(f.Pred); r != nil && len(f.Args) > 0 {
-					r.Lookup(0, f.Args[0])
+					lookupCol(r, 0, f.Args[0])
 				}
 			}
 		}
@@ -629,6 +712,9 @@ func concurrentClones(t *testing.T, size int) {
 		go func(g int) {
 			defer wg.Done()
 			clones[g] = src.clone()
+			if err := cutBucket(clones[g], g%3); err != nil {
+				t.Errorf("size %d clone %d: %v", size, g, err)
+			}
 			write(clones[g], rand.New(rand.NewSource(int64(g))))
 		}(g)
 	}

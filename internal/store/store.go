@@ -14,8 +14,11 @@
 // directory of segments, the intern tables as a directory of hash shards,
 // every index as a directory of hash shards of buckets — and the unit of
 // copy-on-write is one segment, shard or bucket, not the relation.  The
-// directories are paged (dir): a fork copies their tops, and a write then
-// copies the units it lands in and the directory pages above them.
+// directories, and the facts of a bucket, are paged (dir): a fork copies
+// their tops, and a write then copies the units it lands in and the pages
+// above them; a write to a bucket of more than unit facts copies the
+// bucket's top and the one page it lands in.  A probe walks a bucket page
+// by page (ScanCols), as a scan walks the segments (Scan).
 // DB.Clone shares every relation between the two databases, frozen; the
 // first of them to write a frozen relation forks it.
 // A fact has one representation everywhere in the store: a *term.Fact.
@@ -40,7 +43,7 @@ var (
 	hashTerm = term.Term.Hash
 )
 
-// IndexThreshold is the relation size below which Lookup scans
+// IndexThreshold is the relation size below which ScanCols scans
 // instead of building a hash index: constructing per-column maps over a
 // handful of facts (semi-naive delta chunks especially) costs more than the
 // scans it saves.  An index already built while the relation was larger
@@ -75,12 +78,15 @@ type segment struct {
 }
 
 // idxEntry is one distinct probe key in an index: the facts whose indexed
-// columns equal vals.  An entry leaves the index with its last fact.
+// columns equal vals, its bucket.  The bucket is a directory like the
+// relation's segment list: a write to an entry copied from a relation this
+// one was forked from copies the bucket's top and the page it lands in.  An
+// entry leaves the index with its last fact.
 type idxEntry struct {
 	owner uint64
 	hash  uint64
 	vals  []term.Term // values at the index's columns, in cols order
-	facts []*term.Fact
+	facts dir[*term.Fact]
 }
 
 // idxShard is an open-addressed table of the entries whose key hashes share
@@ -221,6 +227,18 @@ func (ix *index) own(id, h uint64) *idxShard {
 	return sh
 }
 
+// ownEntry returns the entry in slot i for a write by the relation numbered
+// id, first copying it, with its bucket's top, if it belongs to a relation
+// this one was forked from.
+func (s *idxShard) ownEntry(id uint64, i int) *idxEntry {
+	e := s.slots[i]
+	if e.owner != id {
+		e = &idxEntry{owner: id, hash: e.hash, vals: e.vals, facts: e.facts.clone()}
+		s.slots[i] = e
+	}
+	return e
+}
+
 // add appends a fact to its bucket on behalf of the relation numbered id.
 func (ix *index) add(id uint64, f *term.Fact) {
 	var buf [8]term.Term
@@ -231,17 +249,15 @@ func (ix *index) add(id uint64, f *term.Fact) {
 	h := keyOf(vals)
 	sh := ix.own(id, h)
 	i := sh.find(h, vals)
-	switch e := sh.slots[i]; {
-	case e == nil:
-		sh.place(&idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: []*term.Fact{f}})
+	e := sh.slots[i]
+	if e == nil {
+		sh.place(&idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: dir[*term.Fact]{flat: []*term.Fact{f}}})
 		if ix.keys++; ix.keys > unit<<ix.bits {
 			ix.split(id)
 		}
-	case e.owner != id:
-		sh.slots[i] = &idxEntry{owner: id, hash: h, vals: e.vals, facts: append(slices.Clip(e.facts), f)}
-	default:
-		e.facts = append(e.facts, f)
+		return
 	}
+	sh.ownEntry(id, i).facts.push(id, f)
 }
 
 // remove drops a fact from its bucket (pointer identity: facts reaching an
@@ -260,20 +276,19 @@ func (ix *index) remove(id uint64, f *term.Fact) {
 	if e == nil {
 		return
 	}
-	at := slices.Index(e.facts, f)
-	if at < 0 {
+	if e.facts.len() == 1 {
+		if e.facts.last() == f {
+			sh.evict(i)
+			ix.keys--
+		}
 		return
 	}
-	if len(e.facts) == 1 {
-		sh.evict(i)
-		ix.keys--
-		return
-	}
-	if e.owner != id {
-		e = &idxEntry{owner: id, hash: h, vals: e.vals, facts: slices.Clone(e.facts)}
-		sh.slots[i] = e
-	}
-	e.facts = slices.Delete(e.facts, at, at+1)
+	sh.ownEntry(id, i).facts.sweepBack(id, func(g *term.Fact) (*term.Fact, bool) {
+		if g == f {
+			return nil, false
+		}
+		return g, true
+	})
 }
 
 // split doubles the shard directory.  Shards are keyed by the top hash
@@ -295,19 +310,22 @@ func (ix *index) split(id uint64) {
 	ix.shards = next
 }
 
-func (ix *index) probe(vals []term.Term) []*term.Fact {
+// probe returns the bucket of vals as it stands, empty when the index has
+// none: later appends to the bucket reach its pages but not the count, so
+// walking the copy's first len() facts sees the bucket of the probe.
+func (ix *index) probe(vals []term.Term) dir[*term.Fact] {
 	h := keyOf(vals)
 	sh := ix.shards.at(int(h >> (64 - ix.bits)))
 	if e := sh.slots[sh.find(h, vals)]; e != nil {
 		return e.facts
 	}
-	return nil
+	return dir[*term.Fact]{}
 }
 
 // Relation is a set of U-facts for one predicate.
 //
-// Concurrency: Insert is single-writer; Lookup, All and Get may run from
-// many goroutines BETWEEN writes (snapshot reads, magic executions on
+// Concurrency: Insert is single-writer; ScanCols, Scan, All and Get may run
+// from many goroutines BETWEEN writes (snapshot reads, magic executions on
 // clones of one database).  The index list is an
 // immutable snapshot behind an atomic pointer: probes against built
 // indexes take no lock at all, and only the first build per column set
@@ -661,42 +679,73 @@ func (r *Relation) buildIndex(mask uint64, cols []int) *index {
 	return ix
 }
 
-// scanCols enumerates the facts matching the column constraints without an
-// index.
-func (r *Relation) scanCols(cols []int, vals []term.Term) []*term.Fact {
-	var out []*term.Fact
-	r.segs.each(func(s *segment) {
+// indexFor returns the index that answers probes on cols, building it the
+// first time the relation holds IndexThreshold facts, or nil when a probe
+// has to scan.
+func (r *Relation) indexFor(cols []int) *index {
+	if !r.useIdx || len(cols) == 0 {
+		return nil
+	}
+	mask, ok := colsMask(cols)
+	if !ok {
+		return nil
+	}
+	if ix := r.findIndex(mask); ix != nil || r.n < IndexThreshold {
+		return ix
+	}
+	return r.buildIndex(mask, cols)
+}
+
+// ScanCols calls f with the runs of the facts whose arguments at the given
+// columns equal vals (cols ascending, len(vals) == len(cols)), in order,
+// until f fails.  With indexing enabled and at least IndexThreshold facts,
+// the first probe per column set builds a composite hash index that Insert
+// then maintains, and the runs are the pages of one bucket; indexed reports
+// that.  Otherwise every match is a run of its own.  Like Scan it stops
+// after the facts that matched when it began, so f may drive inserts into
+// the relation, and it allocates nothing once the index exists.
+func (r *Relation) ScanCols(cols []int, vals []term.Term, f func([]*term.Fact) error) (indexed bool, err error) {
+	if ix := r.indexFor(cols); ix != nil {
+		b := ix.probe(vals)
+		n := b.len()
+		for p := 0; n > 0 && err == nil; p++ {
+			run := b.page(p)
+			run = run[:min(len(run), n)]
+			n -= len(run)
+			err = f(run)
+		}
+		return true, err
+	}
+	return false, r.Scan(func(run []*term.Fact) error {
 	scan:
-		for _, f := range s.facts {
-			for i, c := range cols {
-				if c >= len(f.Args) || !term.Equal(f.Args[c], vals[i]) {
+		for i, g := range run {
+			for j, c := range cols {
+				if c >= len(g.Args) || !term.Equal(g.Args[c], vals[j]) {
 					continue scan
 				}
 			}
-			out = append(out, f)
+			if err := f(run[i : i+1]); err != nil {
+				return err
+			}
 		}
+		return nil
 	})
-	return out
 }
 
-// LookupCols returns the facts whose arguments at the given columns equal
-// the corresponding values (cols ascending, len(vals) == len(cols)).  With
-// indexing enabled and at least IndexThreshold facts, the first probe per
-// column set builds a composite hash index that Insert then maintains; the
-// second return reports whether an index (rather than a scan) served the
-// probe.  Reads never lock once the index exists.
-func (r *Relation) LookupCols(cols []int, vals []term.Term) ([]*term.Fact, bool) {
-	if r.useIdx && len(cols) > 0 {
-		if mask, ok := colsMask(cols); ok {
-			if ix := r.findIndex(mask); ix != nil {
-				return ix.probe(vals), true
-			}
-			if r.n >= IndexThreshold {
-				return r.buildIndex(mask, cols).probe(vals), true
-			}
+// LookupCols returns the facts ScanCols hands out, in one slice the caller
+// must not mutate: a bucket of at most unit facts as it is, a longer one
+// copied out of its pages.
+func (r *Relation) LookupCols(cols []int, vals []term.Term) (facts []*term.Fact, indexed bool) {
+	if ix := r.indexFor(cols); ix != nil {
+		if b := ix.probe(vals); b.top == nil {
+			return b.flat, true
 		}
 	}
-	return r.scanCols(cols, vals), false
+	indexed, _ = r.ScanCols(cols, vals, func(run []*term.Fact) error {
+		facts = append(facts, run...)
+		return nil
+	})
+	return facts, indexed
 }
 
 // Indexed reports whether LookupCols(cols, ...) would be answered by an
@@ -704,13 +753,6 @@ func (r *Relation) LookupCols(cols []int, vals []term.Term) ([]*term.Fact, bool)
 func (r *Relation) Indexed(cols []int) bool {
 	mask, ok := colsMask(cols)
 	return r.useIdx && len(cols) > 0 && ok && (r.findIndex(mask) != nil || r.n >= IndexThreshold)
-}
-
-// Lookup returns the facts whose argument at column col equals value: the
-// single-column case of LookupCols.
-func (r *Relation) Lookup(col int, value term.Term) []*term.Fact {
-	out, _ := r.LookupCols([]int{col}, []term.Term{value})
-	return out
 }
 
 // DistinctCols returns the number of distinct value combinations the

@@ -74,7 +74,7 @@ func TestBOMShape(t *testing.T) {
 		t.Fatalf("q = %d", db.Rel("q").Len())
 	}
 	// Root has id 1 and two subparts.
-	if len(db.Rel("p").Lookup(0, term.Int(1))) != 2 {
+	if root, _ := db.Rel("p").LookupCols([]int{0}, []term.Term{term.Int(1)}); len(root) != 2 {
 		t.Fatal("root should have two subparts")
 	}
 }

@@ -91,20 +91,24 @@ kids(P, <C>) <- p(P, C).
 
 // TestWriteAllocBoundedByChange: a transaction runs on a clone
 // of the model, and what it allocates follows what it changes, not the size
-// of the relations the changed facts live in nor how many indexes readers
-// have built on them.  The change here is a leaf attached to the bottom of
-// the tree and detached again: a fact per ancestor, one regrouped young set
-// — neither quite constant, the path grows by one and the set doubles per
-// level — in a model that grows fourfold per level.  Below a few hundred
-// facts per relation a transaction copies whole small relations, beyond
-// that a page per changed fact and structure, so the figure climbs from
-// depth 5 to 7 and flattens after.  With a second extra leaf attached the
-// pair also adds and removes same-generation facts, in the model's largest
-// relation.  (One relation-sized copy per touched relation, the layout this
-// replaced, measured 18x from depth 5 to 9 and 8x for the second leaf.)  The
-// rederivation test a(Z, Y) of a(X, Y) <- a(X, Z), a(Z, Y) binds every
-// column of a, and such a probe reads the intern tables: no index over both
-// columns is built, so none is copied and kept up to date per write.
+// of the relations the changed facts live in, nor how many indexes readers
+// have built on them, nor how many facts share an index key with a changed
+// fact.  The change here is a leaf attached to the bottom of the tree and
+// detached again: a fact per ancestor, one regrouped young set — neither
+// quite constant, the path grows by one and the set doubles per level — in
+// a model that grows fourfold per level.  Below a few hundred facts per
+// relation a transaction copies whole small relations, beyond that a page
+// per changed fact and structure — of an index bucket too: the root's
+// a(n1, _) bucket holds every node, and a write copies its top and the page
+// it lands in — so the figure climbs from depth 5 to 7 and flattens after.
+// With a second extra leaf attached the pair also adds and removes
+// same-generation facts, in the model's largest relation.  (One
+// relation-sized copy per touched relation, the layout this replaced,
+// measured 18x from depth 5 to 9 and 8x for the second leaf; whole-bucket
+// copies measured 1.8x from depth 7 to 9.)  The rederivation test a(Z, Y)
+// of a(X, Y) <- a(X, Z), a(Z, Y) binds every column of a, and such a probe
+// reads the intern tables: no index over both columns is built, so none is
+// copied and kept up to date per write.
 func TestWriteAllocBoundedByChange(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pair := func(depth int, second bool) (kb float64, model int) {
@@ -153,7 +157,7 @@ func TestWriteAllocBoundedByChange(t *testing.T) {
 	kb9two, _ := pair(9, true)
 	t.Logf("attach+detach of one leaf: %.0f KB at depth 5 (%d facts), %.0f KB at depth 7 (%d), %.0f KB at depth 9 (%d); %.0f KB at depth 9 beside a second leaf",
 		kb5, n5, kb7, n7, kb9, n9, kb9two)
-	if kb9 > 2*kb7 || kb9 > 4*kb5 {
+	if kb9 > 1.6*kb7 || kb9 > 4*kb5 {
 		t.Errorf("the pair allocates %.0f / %.0f / %.0f KB at depth 5 / 7 / 9: it follows the model, not the change", kb5, kb7, kb9)
 	}
 	if kb9two > 1.3*kb9 {
