@@ -293,9 +293,7 @@ func (t Type) String() string {
 	return strings.Join(parts, "|")
 }
 
-// OfGround returns the exact type of a ground term (depth-bounded).
-func OfGround(t term.Term) Type { return ofGround(t, maxDepth) }
-
+// ofGround returns the exact type of a ground term, to depth levels.
 func ofGround(t term.Term, depth int) Type {
 	switch t := t.(type) {
 	case term.Int:

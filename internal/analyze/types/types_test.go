@@ -77,8 +77,8 @@ func TestOfGround(t *testing.T) {
 		{term.NewCompound("f", term.Int(1)), "f(int)"},
 	}
 	for _, c := range cases {
-		if got := OfGround(c.t).String(); got != c.want {
-			t.Errorf("OfGround(%s) = %s, want %s", c.t, got, c.want)
+		if got := ofGround(c.t, maxDepth).String(); got != c.want {
+			t.Errorf("ofGround(%s) = %s, want %s", c.t, got, c.want)
 		}
 	}
 }

@@ -118,11 +118,6 @@ type Rule struct {
 	VarPos map[term.Var]Pos
 }
 
-// NewRule builds a rule.
-func NewRule(head Literal, body ...Literal) Rule {
-	return Rule{Head: head, Body: body}
-}
-
 // IsFact reports whether the rule has an empty body.
 func (r Rule) IsFact() bool { return len(r.Body) == 0 }
 

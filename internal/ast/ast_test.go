@@ -69,22 +69,22 @@ func TestRuleClassification(t *testing.T) {
 	if !fact.IsFact() || fact.IsGroupingRule() || !fact.IsSimple() {
 		t.Fatal("fact classification wrong")
 	}
-	grouping := NewRule(NewLit("p", term.NewGroup(term.Var("X"))), NewLit("q", term.Var("X")))
+	grouping := rule(NewLit("p", term.NewGroup(term.Var("X"))), NewLit("q", term.Var("X")))
 	if grouping.IsFact() || !grouping.IsGroupingRule() || grouping.IsSimple() {
 		t.Fatal("grouping classification wrong")
 	}
-	negated := NewRule(NewLit("p", term.Var("X")), NewLit("q", term.Var("X")), NewNegLit("r", term.Var("X")))
+	negated := rule(NewLit("p", term.Var("X")), NewLit("q", term.Var("X")), NewNegLit("r", term.Var("X")))
 	if negated.IsSimple() {
 		t.Fatal("negated rule is not simple")
 	}
-	simple := NewRule(NewLit("p", term.Var("X")), NewLit("q", term.Var("X")))
+	simple := rule(NewLit("p", term.Var("X")), NewLit("q", term.Var("X")))
 	if !simple.IsSimple() {
 		t.Fatal("simple rule misclassified")
 	}
 }
 
 func TestRuleVarsOrder(t *testing.T) {
-	r := NewRule(
+	r := rule(
 		NewLit("h", term.Var("A"), term.Var("B")),
 		NewLit("p", term.Var("B"), term.Var("C")),
 		NewLit("q", term.Var("A"), term.Var("D")),
@@ -103,10 +103,10 @@ func TestRuleVarsOrder(t *testing.T) {
 
 func TestProgramHelpers(t *testing.T) {
 	p := NewProgram(
-		NewRule(NewLit("a", term.Var("X")), NewLit("e", term.Var("X"))),
+		rule(NewLit("a", term.Var("X")), NewLit("e", term.Var("X"))),
 		Rule{Head: NewLit("e", term.Int(1))},
 	)
-	p.Add(NewRule(NewLit("b", term.Var("X")), NewLit("e", term.Var("X")), NewNegLit("a", term.Var("X"))))
+	p.Add(rule(NewLit("b", term.Var("X")), NewLit("e", term.Var("X")), NewNegLit("a", term.Var("X"))))
 	if p.IsPositive() {
 		t.Fatal("program with negation is not positive")
 	}
@@ -123,7 +123,7 @@ func TestProgramHelpers(t *testing.T) {
 }
 
 func TestProgramCloneIsolation(t *testing.T) {
-	p := NewProgram(NewRule(NewLit("a", term.Var("X")), NewLit("e", term.Var("X"))))
+	p := NewProgram(rule(NewLit("a", term.Var("X")), NewLit("e", term.Var("X"))))
 	c := p.Clone()
 	c.Rules[0].Body[0] = NewLit("changed", term.Var("X"))
 	if p.Rules[0].Body[0].Pred != "e" {
@@ -138,7 +138,7 @@ func TestProgramCloneIsolation(t *testing.T) {
 func TestWellFormedAcceptsGroupingWithNegation(t *testing.T) {
 	// The §6 young rule shape: negation in a grouping body is allowed
 	// (admissibility handles it; see package comment).
-	r := NewRule(
+	r := rule(
 		NewLit("young", term.Var("X"), term.NewGroup(term.Var("Y"))),
 		NewLit("sg", term.Var("X"), term.Var("Y")),
 		NewNegLit("hasdesc", term.Var("X")),
@@ -149,7 +149,7 @@ func TestWellFormedAcceptsGroupingWithNegation(t *testing.T) {
 }
 
 func TestWellFormedGroupOverNonVariable(t *testing.T) {
-	r := NewRule(
+	r := rule(
 		NewLit("p", term.NewGroup(term.NewCompound("f", term.Var("X")))),
 		NewLit("q", term.Var("X")),
 	)
@@ -160,7 +160,7 @@ func TestWellFormedGroupOverNonVariable(t *testing.T) {
 }
 
 func TestWellFormedError(t *testing.T) {
-	r := NewRule(NewLit("p", term.Var("X"), term.Var("Y")), NewLit("q", term.Var("X")))
+	r := rule(NewLit("p", term.Var("X"), term.Var("Y")), NewLit("q", term.Var("X")))
 	err := CheckRuleWellFormed(r)
 	if err == nil {
 		t.Fatal("unsafe rule accepted")
@@ -181,3 +181,6 @@ func asWellFormed(err error, target **WellFormedError) bool {
 	}
 	return false
 }
+
+// rule builds a rule in Go code.
+func rule(head Literal, body ...Literal) Rule { return Rule{Head: head, Body: body} }

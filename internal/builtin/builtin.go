@@ -84,19 +84,6 @@ func Eval(l ast.Literal, b *unify.Bindings, yield func() error) error {
 // errStop aborts enumeration early (internal sentinel).
 var errStop = errors.New("stop")
 
-// Holds evaluates a fully bound built-in literal as a boolean test.
-func Holds(l ast.Literal, b *unify.Bindings) (bool, error) {
-	holds := false
-	err := Eval(l, b, func() error {
-		holds = true
-		return errStop
-	})
-	if err != nil && err != errStop {
-		return false, err
-	}
-	return holds, nil
-}
-
 func arity(l ast.Literal, n int) error {
 	if len(l.Args) != n {
 		return fmt.Errorf("builtin: %s expects %d arguments, got %d", l.Pred, n, len(l.Args))

@@ -328,15 +328,15 @@ func TestTrueFalse(t *testing.T) {
 	}
 }
 
+// TestHolds: a fully bound comparison continues the enumeration exactly
+// when it holds.
 func TestHolds(t *testing.T) {
 	b := bind("X", term.Int(1))
-	ok, err := Holds(lit(t, "X < 5"), b)
-	if err != nil || !ok {
-		t.Errorf("Holds(X<5) = %v, %v", ok, err)
-	}
-	ok, err = Holds(lit(t, "X > 5"), b)
-	if err != nil || ok {
-		t.Errorf("Holds(X>5) = %v, %v", ok, err)
+	for src, want := range map[string]int{"X < 5": 1, "X > 5": 0} {
+		n := 0
+		if err := Eval(lit(t, src), b, func() error { n++; return nil }); err != nil || n != want {
+			t.Errorf("Eval(%s) continued %d times, err %v; want %d", src, n, err, want)
+		}
 	}
 }
 

@@ -109,32 +109,46 @@ type Sink interface {
 	Accept(f *term.Fact) (bool, error)
 }
 
-// Frontier is the facts one round accepted, per predicate: what the body
-// literals of the next round's tasks read.  It keeps plain slices — every
+// Frontier is the facts one round accepted that the next round reads: those
+// of the predicates some variant of the cascade it feeds reads as its delta
+// literal.  It keeps them per predicate in pages of pageLen facts — every
 // sink accepts a fact at most once per round, so there is nothing to
-// deduplicate — and wraps them as delta relations when the tasks are built.
+// deduplicate — and wraps the pages as delta relations, without a copy, when
+// the tasks are built.
 type Frontier struct {
-	facts  map[string][]*term.Fact
-	rels   map[string]*store.Relation // delta relations handed out so far
-	seen   *store.FactSet             // under DebugFrontier only
+	feeds  []*Variant
+	preds  map[string]*deltaPages
+	seen   *store.FactSet // under DebugFrontier only
 	useIdx bool
 	n      int
 }
 
-// NewFrontier returns an empty frontier whose delta relations index their
-// facts iff useIdx.
-func NewFrontier(useIdx bool) *Frontier { return &Frontier{useIdx: useIdx} }
+// deltaPages is what a frontier holds of one predicate.
+type deltaPages struct {
+	reads bool            // a variant of the cascade reads it
+	pages [][]*term.Fact  // past len: a retired round's, emptied, for reuse
+	rel   *store.Relation // the delta relation handed out this round
+}
 
-// DebugFrontier makes Add panic on a fact its frontier already holds — the
-// distinctness the no-dedup construction assumes of every sink.  Only tests
-// set it (the eval and incr oracles run under it).
+// pageLen is the length of a frontier page: the store's segment length, so a
+// delta chunk has the shape of a relation's insertion order.
+const pageLen = 64
+
+// NewFrontier returns an empty frontier for the cascade of feeds, whose delta
+// relations index their facts iff useIdx.
+func NewFrontier(useIdx bool, feeds []*Variant) *Frontier {
+	return &Frontier{feeds: feeds, useIdx: useIdx}
+}
+
+// DebugFrontier makes Add panic on a fact its frontier was already offered
+// — the distinctness the no-dedup construction assumes of every sink.  Only
+// tests set it (the eval and incr oracles run under it).
 var DebugFrontier bool
 
-// Add appends f to the facts of its predicate.
+// Add records f if a variant of the cascade reads its predicate.  The first
+// page of a predicate grows from empty; the next ones are whole pages, a
+// retired round's where there is one.
 func (fr *Frontier) Add(f *term.Fact) {
-	if fr.facts == nil {
-		fr.facts, fr.rels = map[string][]*term.Fact{}, map[string]*store.Relation{}
-	}
 	if DebugFrontier {
 		if fr.seen == nil {
 			fr.seen = store.NewFactSet()
@@ -143,7 +157,28 @@ func (fr *Frontier) Add(f *term.Fact) {
 			panic(fmt.Sprintf("eval: %s accepted twice in one round", f))
 		}
 	}
-	fr.facts[f.Pred] = append(fr.facts[f.Pred], f)
+	dp := fr.preds[f.Pred]
+	if dp == nil {
+		if fr.preds == nil {
+			fr.preds = map[string]*deltaPages{}
+		}
+		dp = &deltaPages{}
+		for _, v := range fr.feeds {
+			dp.reads = dp.reads || v.body[v.dLit].Pred == f.Pred
+		}
+		fr.preds[f.Pred] = dp
+	}
+	if !dp.reads {
+		return
+	}
+	if k := len(dp.pages); k == 0 || len(dp.pages[k-1]) == pageLen {
+		if k == cap(dp.pages) {
+			dp.pages = append(dp.pages, make([]*term.Fact, 0, min(k, 1)*pageLen))
+		}
+		dp.pages = dp.pages[:k+1]
+	}
+	last := &dp.pages[len(dp.pages)-1]
+	*last = append(*last, f)
 	fr.n++
 }
 
@@ -151,12 +186,27 @@ func (fr *Frontier) Add(f *term.Fact) {
 // task that reads it, so its index is built once — or nil when the round
 // accepted no fact of pred.
 func (fr *Frontier) delta(pred string) *store.Relation {
-	rel := fr.rels[pred]
-	if facts := fr.facts[pred]; rel == nil && len(facts) > 0 {
-		rel = store.NewChunk(pred, facts, fr.useIdx)
-		fr.rels[pred] = rel
+	dp := fr.preds[pred]
+	if dp == nil || len(dp.pages) == 0 {
+		return nil
 	}
-	return rel
+	if dp.rel == nil {
+		dp.rel = store.NewChunk(pred, dp.pages, fr.useIdx)
+	}
+	return dp.rel
+}
+
+// retire empties the frontier once its delta relations are dead, keeping
+// its pages for the round after next.
+func (fr *Frontier) retire() {
+	for _, dp := range fr.preds {
+		for i, p := range dp.pages {
+			clear(p)
+			dp.pages[i] = p[:0]
+		}
+		dp.pages, dp.rel = dp.pages[:0], nil
+	}
+	fr.seen, fr.n = nil, 0
 }
 
 // Variant is a rule body compiled for firing: an execution plan with at
@@ -483,16 +533,16 @@ func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 }
 
 // Cascade runs rounds until the frontier is empty: each round fires every
-// variant whose delta literal has frontier facts against db, and the facts
-// the sink accepts are the next frontier.
-// It consumes fr: two frontiers take turns and keep their per-predicate
-// slices, so a round allocates only the delta relations it fills and the
-// growth of a frontier larger than any before it.
+// variant fr feeds whose delta literal has frontier facts against db, and the
+// facts the sink accepts are the next frontier.
+// It consumes fr: two frontiers take turns and keep their pages, so a round
+// allocates only the delta relations it fills and the pages of a frontier
+// larger than any before it.
 // before, when non-nil, runs ahead of every round — evaluation refreshes
 // its plans there — and ends the cascade by returning false.
-func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink Sink, before func(round int) (bool, error)) error {
+func (d *Driver) Cascade(fr *Frontier, db *store.DB, sink Sink, before func(round int) (bool, error)) error {
 	var tasks []Task
-	next := NewFrontier(fr.useIdx)
+	next := NewFrontier(fr.useIdx, fr.feeds)
 	for round := 1; fr.n > 0; round++ {
 		if err := d.Err(); err != nil {
 			return err
@@ -504,7 +554,7 @@ func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink S
 		}
 		d.bumpIter()
 		tasks = tasks[:0]
-		for _, v := range variants {
+		for _, v := range fr.feeds {
 			if delta := fr.delta(v.body[v.dLit].Pred); delta != nil {
 				tasks = append(tasks, v.Task(db, delta))
 			}
@@ -513,14 +563,7 @@ func (d *Driver) Cascade(fr *Frontier, variants []*Variant, db *store.DB, sink S
 			return err
 		}
 		fr, next = next, fr
-		// The delta chunks of the retired frontier are dead: the next round
-		// appends into their slices instead of growing new ones.
-		for pred, facts := range next.facts {
-			clear(facts)
-			next.facts[pred] = facts[:0]
-		}
-		clear(next.rels)
-		next.seen, next.n = nil, 0
+		next.retire()
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"ldl1/internal/store"
@@ -23,12 +24,13 @@ func (s inserter) Accept(f *term.Fact) (bool, error) { return s.db.Insert(f), ni
 func TestRoundFeedsLaterTasks(t *testing.T) {
 	first := mustCompileRule(t, `q(X) <- p(X).`)
 	second := mustCompileRule(t, `r(X) <- q(X).`)
+	third := mustCompileRule(t, `s(X) <- r(X).`)
 	db := store.NewDB()
 	delta := store.NewRelation("p", false)
 	delta.Insert(term.NewFact("p", atom("a")))
 
 	var st Stats
-	next := NewFrontier(false)
+	next := NewFrontier(false, []*Variant{second.Delta(0), third.Delta(0)})
 	tasks := []Task{first.Delta(0).Task(db, delta), second.base.Task(db, nil)}
 	if err := NewDriver(context.Background(), &st, 0).Round(tasks, inserter{db}, next); err != nil {
 		t.Fatal(err)
@@ -79,4 +81,56 @@ func (s *capped) Accept(f *term.Fact) (bool, error) {
 	}
 	s.n--
 	return s.inserter.Accept(f)
+}
+
+// TestFrontierKeepsWhatTheNextRoundReads: in a layer with a non-recursive
+// head predicate (b) and a recursive one (t), the frontier of the cascade —
+// whose only variant reads t — keeps the facts of t and none of b, and the
+// cascade still reaches the fixpoint.  A delta relation is a chunk over the
+// frontier's pages, and an insert into the chunk leaves every page as it
+// was, up to its capacity.
+func TestFrontierKeepsWhatTheNextRoundReads(t *testing.T) {
+	b := mustCompileRule(t, `b(X) <- e(X, Y).`)
+	base := mustCompileRule(t, `t(X, Y) <- e(X, Y).`)
+	rec := mustCompileRule(t, `t(X, Z) <- t(X, Y), e(Y, Z).`)
+	db := store.NewDB()
+	const n = 100 // a chain: t holds n(n+1)/2 facts
+	for i := range n {
+		db.Insert(term.NewFact("e", term.Int(int64(i)), term.Int(int64(i+1))))
+	}
+	feeds := []*Variant{rec.Delta(0)}
+	fr := NewFrontier(false, feeds)
+	d := NewDriver(context.Background(), nil, 0)
+	round0 := []Task{b.base.Task(db, nil), base.base.Task(db, nil), rec.base.Task(db, nil)}
+	if err := d.Round(round0, inserter{db}, fr); err != nil {
+		t.Fatal(err)
+	}
+	if fr.delta("b") != nil || fr.delta("t") == nil || fr.n != fr.delta("t").Len() {
+		t.Fatalf("the frontier holds %d facts, %v of b: want only facts of t", fr.n, fr.delta("b") != nil)
+	}
+	if err := d.Cascade(fr, db, inserter{db}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if db.Card("b") != n || db.Card("t") != n*(n+1)/2 {
+		t.Fatalf("%d facts of b and %d of t, want %d and %d", db.Card("b"), db.Card("t"), n, n*(n+1)/2)
+	}
+
+	fr = NewFrontier(false, feeds)
+	for i := range pageLen + 5 {
+		fr.Add(term.NewFact("t", atom("x"), term.Int(int64(i))))
+	}
+	pages := fr.preds["t"].pages
+	var was [][]*term.Fact
+	for _, p := range pages {
+		was = append(was, slices.Clone(p[:cap(p)]))
+	}
+	chunk := fr.delta("t")
+	if !chunk.Insert(term.NewFact("t", atom("y"), term.Int(0))) || chunk.Len() != pageLen+6 {
+		t.Fatalf("the chunk took no new fact, or holds %d facts", chunk.Len())
+	}
+	for i, p := range pages {
+		if !slices.Equal(p[:cap(p)], was[i]) {
+			t.Fatalf("an insert into the chunk wrote into page %d of the frontier", i)
+		}
+	}
 }

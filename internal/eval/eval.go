@@ -365,11 +365,11 @@ func (ev *evaluation) semiNaiveFixpoint(rules []ast.Rule) error {
 		}
 	}
 	ev.bumpIter()
-	fr := NewFrontier(ev.db.UseIndexes)
+	fr := NewFrontier(ev.db.UseIndexes, recvars)
 	if err := ev.Round(append(base, rec...), ev, fr); err != nil {
 		return err
 	}
-	return ev.Cascade(fr, recvars, ev.db, ev, ev.replan(recvars))
+	return ev.Cascade(fr, ev.db, ev, ev.replan(recvars))
 }
 
 // Solve evaluates a conjunctive query body against a database, returning

@@ -16,7 +16,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestFrontierChecksDistinctness(t *testing.T) {
-	fr := NewFrontier(false)
+	fr := NewFrontier(false, nil)
 	fr.Add(term.NewFact("p", term.Int(1)))
 	fr.Add(term.NewFact("p", term.Int(2)))
 	defer func() {

@@ -157,7 +157,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	// (a deleted positive premise, or a negated premise that became true),
 	// cascading within the layer against the OLD model.
 	cands := &candidates{w: s.w, set: newDeltaSet()}
-	fr := eval.NewFrontier(true)
+	fr := eval.NewFrontier(true, lr.within)
 	if err := seed(fr, txDel, cands.Accept); err != nil {
 		return err
 	}
@@ -167,7 +167,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	if err := s.d.Round(below(s.old, s.gDel, s.gIns), cands, fr); err != nil {
 		return err
 	}
-	if err := s.d.Cascade(fr, lr.within, s.old, cands, nil); err != nil {
+	if err := s.d.Cascade(fr, s.old, cands, nil); err != nil {
 		return err
 	}
 	deleted := cands.set
@@ -201,12 +201,12 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 		return err
 	}
 	res := &resurrector{s: s, deleted: deleted}
-	fr = eval.NewFrontier(true)
+	fr = eval.NewFrontier(true, lr.within)
 	if err := seed(fr, alive, res.Accept); err != nil {
 		return err
 	}
 	more := func(int) (bool, error) { return deleted.len() > 0, nil }
-	if err := s.d.Cascade(fr, lr.within, s.w, res, more); err != nil {
+	if err := s.d.Cascade(fr, s.w, res, more); err != nil {
 		return err
 	}
 	for _, f := range deleted.facts() {
@@ -219,7 +219,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	// premise that became false), then the cascade within the layer, all
 	// against the NEW state.
 	ins := inserter{s}
-	fr = eval.NewFrontier(true)
+	fr = eval.NewFrontier(true, lr.within)
 	if err := seed(fr, txIns, ins.insert); err != nil {
 		return err
 	}
@@ -229,7 +229,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	if err := s.d.Round(below(s.w, s.gIns, s.gDel), ins, fr); err != nil {
 		return err
 	}
-	return s.d.Cascade(fr, lr.within, s.w, ins, nil)
+	return s.d.Cascade(fr, s.w, ins, nil)
 }
 
 // derivable is the rederivation test: f survives the deletion overestimate

@@ -20,16 +20,11 @@ const (
 	AlternativeSemantics
 )
 
-// RewriteHeads expands the LDL1.5 complex head terms of §4.2 — nested
-// groupings and groupings over tuple terms — into plain LDL1 rules, using
-// the paper's Distribution, Grouping and Nesting translation rules.  Rules
-// whose heads are already core LDL1 (at most one direct <Var> argument)
-// pass through unchanged.
-func RewriteHeads(p *ast.Program) (*ast.Program, error) {
-	return RewriteHeadsWithSemantics(p, StandardSemantics)
-}
-
-// RewriteHeadsWithSemantics is RewriteHeads under a chosen §4.2 semantics.
+// RewriteHeadsWithSemantics expands the LDL1.5 complex head terms of §4.2 —
+// nested groupings and groupings over tuple terms — into plain LDL1 rules,
+// under the chosen semantics, using the paper's Distribution, Grouping and
+// Nesting translation rules.  Rules whose heads are already core LDL1 (at
+// most one direct <Var> argument) pass through unchanged.
 func RewriteHeadsWithSemantics(p *ast.Program, sem HeadSemantics) (*ast.Program, error) {
 	g := newGen(p)
 	out := ast.NewProgram()

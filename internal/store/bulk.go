@@ -1,28 +1,37 @@
 package store
 
-import "ldl1/internal/term"
+import (
+	"slices"
+
+	"ldl1/internal/term"
+)
 
 // InsertBatch adds the facts in one batch, returning how many were new.
 // Duplicates — against the relation and within the batch — are discarded.
-// The batch path differs from repeated Insert in three ways: the relation
-// is resharded once for the size it is about to have, intern tables are
-// pre-sized once instead of grown doubling by doubling, and the segments the
-// new facts fill are allocated at their final size.  New facts land in input
-// order.  InsertBatch is single-writer, like Insert.
+// The batch path differs from repeated Insert in three ways: the shard
+// directory deepens once for the size the relation is about to have, each
+// intern table the batch reaches is rebuilt once at the size of its share
+// instead of split or grown fact by fact, and the segments the new facts
+// fill are allocated at their final size.  New facts land in input order.
+// InsertBatch is single-writer, like Insert.
 func (r *Relation) InsertBatch(fs []*term.Fact) int {
 	if len(fs) == 0 {
 		return 0
 	}
 	r.checkWrite()
 	r.ensureTables()
-	if nsh := r.shardsFor(r.n + len(fs)); nsh > r.shards.len() {
-		r.reshard(nsh)
+	bits := r.shardBits
+	for r.n+len(fs) > unit<<bits {
+		bits++
+	}
+	if bits > r.shardBits {
+		r.shards = r.shards.spread(r.id, 1<<(bits-r.shardBits))
+		r.shardBits = bits
 	}
 
-	// Hash every fact, then grow each intern table once for its share of
-	// the batch.  A table shared with a relation this one was forked from
-	// is copied first.  The tables are looked up once per shard, not once
-	// per fact through the directory.
+	// Hash every fact, then deal each table the batch reaches out into one
+	// table per directory entry it is listed at.  The tables are looked up
+	// once per entry, not once per fact through the directory.
 	hs := make([]uint64, len(fs))
 	counts := make([]int, r.shards.len())
 	for i, f := range fs {
@@ -31,9 +40,10 @@ func (r *Relation) InsertBatch(fs []*term.Fact) int {
 	}
 	tables := make([]*factTable, len(counts))
 	for si, c := range counts {
-		if c > 0 {
-			tables[si] = r.own(si)
-			tables[si].reserve(c)
+		if c > 0 && tables[si] == nil {
+			t := r.shards.at(si)
+			lo, n := span(si, bits, t.depth)
+			copy(tables[lo:lo+n], r.deal(t, lo, counts[lo:lo+n]))
 		}
 	}
 
@@ -61,31 +71,29 @@ func (r *Relation) InsertBatch(fs []*term.Fact) int {
 	return added
 }
 
-// reshard redistributes the intern tables over n shards (a power of two
-// larger than the current count).  The insertion order is untouched; only
-// point-op routing changes.  Exclusive-writer only.
-func (r *Relation) reshard(n int) {
-	bits := uint(0)
-	for 1<<bits < n {
-		bits++
-	}
-	next := dir[*factTable]{flat: make([]*factTable, 0, min(n, unit))}
-	for range n {
-		t := newFactTable(r.n/n + 1)
-		t.owner = r.id
-		next.push(r.id, t)
-	}
-	r.shards.each(func(t *factTable) {
-		for _, g := range t.entries {
-			if g == nil || g == tombstone {
-				continue
-			}
-			h := hashFact(g)
-			next.at(int(h>>(64-bits))).insert(h, g)
+// deal replaces t, listed at the directory entries from lo, by one table per
+// entry, as deep as the directory, each sized for the facts of t it takes
+// and its share of a batch, and returns them.  t itself, which may be shared
+// with a relation this one was forked from, is not written.
+func (r *Relation) deal(t *factTable, lo int, shares []int) []*factTable {
+	sizes := slices.Clone(shares)
+	for _, g := range t.entries {
+		if g != nil && g != tombstone {
+			sizes[r.shard(hashFact(g))-lo]++
 		}
-	})
-	r.shards = next
-	r.shardBits = bits
+	}
+	ts := make([]*factTable, len(shares))
+	for k, n := range sizes {
+		ts[k] = &factTable{owner: r.id, entries: make([]*term.Fact, tableSize(n)), depth: uint8(r.shardBits), sized: true}
+		r.shards.set(r.id, lo+k, ts[k])
+	}
+	for _, g := range t.entries {
+		if g != nil && g != tombstone {
+			h := hashFact(g)
+			ts[r.shard(h)-lo].insert(h, g)
+		}
+	}
+	return ts
 }
 
 // LoadFacts bulk-inserts facts across relations, returning how many were

@@ -217,3 +217,30 @@ func TestInsertGetInterns(t *testing.T) {
 		t.Fatalf("InsertGet did not intern: got %p, want canonical %p", got2, f1)
 	}
 }
+
+// TestCollisionsNeverDeepenDirectory: a table whose entries the next hash bit
+// does not separate grows instead of splitting, so under a degenerate hash
+// neither the intern directory nor an index directory ever doubles.
+func TestCollisionsNeverDeepenDirectory(t *testing.T) {
+	defer forceCollisions(t)()
+
+	r := NewRelation("p", true)
+	for i := range 10 * unit {
+		r.Insert(term.NewFact("p", term.Int(i), term.Int(i%3)))
+		if r.shardBits != 0 {
+			t.Fatalf("%d colliding facts: intern directory of depth %d", i+1, r.shardBits)
+		}
+	}
+	if got := lookupCol(r, 0, term.Int(7)); len(got) != 1 {
+		t.Fatalf("Lookup(0, 7) returned %d facts, want 1", len(got))
+	}
+	if ix := r.findIndex(1); ix.bits != 0 || ix.keys != 10*unit {
+		t.Fatalf("column-0 index of depth %d over %d keys, want 0 and %d", ix.bits, ix.keys, 10*unit)
+	}
+	for i := range 10 * unit {
+		if !r.Contains(term.NewFact("p", term.Int(i), term.Int(i%3))) {
+			t.Fatalf("p(%d, %d) missing", i, i%3)
+		}
+	}
+	checkShards(t, r)
+}

@@ -410,3 +410,62 @@ func TestForkWriteIndependentOfBucket(t *testing.T) {
 		t.Errorf("the index costs the write %d B, more than a page, a bucket top, a shard table and the headers (%d B)", indexed-plain, bound)
 	}
 }
+
+// TestWriteNeverRebuildsTables: a write that fills an intern table splits
+// that table alone, so no single insert rebuilds the tables it already has.
+// On a fork of a relation of unit·2^k facts — the size at which a directory
+// doubled by fact count would rebuild all 2^(k+1) of them — each of the
+// next n/2 inserts, each on a fork of its own and one of them doubling the
+// directory, allocates at most two tables (the fork's copy of the full one
+// and the half that leaves it), a segment, and the intern directory and the
+// segment list each copied at twice their length: the worst case is a
+// directory copy, not every table.
+func TestWriteNeverRebuildsTables(t *testing.T) {
+	for _, k := range []int{3, 5} {
+		n := unit << k
+		db := NewDB()
+		for i := range n {
+			db.Insert(fact("p", i))
+		}
+		var worst uint64
+		before, entries := tables(db.RelOrNil("p")), db.RelOrNil("p").shards.len()
+		for i := range n / 2 {
+			f := fact("p", n+i)
+			least := uint64(math.MaxUint64)
+			var c *DB
+			for range 3 { // the least of three, against allocations elsewhere in the process
+				c = db.Clone()
+				r := c.Rel("p") // the fork, outside the measure
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				r.Insert(f)
+				runtime.ReadMemStats(&m1)
+				least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+			}
+			worst = max(worst, least)
+			db = c
+		}
+		r := db.RelOrNil("p")
+		const ptr = 8
+		table := int(unsafe.Sizeof(factTable{})) + unit*ptr
+		seg := int(unsafe.Sizeof(segment{})) + unit*ptr
+		dirs := 2 * (r.shards.len() + r.segs.len()) * ptr
+		// The allocator rounds an object up to its size class: by an eighth at most.
+		bound := uint64(2*table+seg+dirs) * 9 / 8
+		t.Logf("%d facts, %d intern tables listed at %d entries, then %d at %d: the costliest of %d inserts on forks allocates %d B; bound %d B",
+			n, before, entries, tables(r), r.shards.len(), n/2, worst, bound)
+		if r.shards.len() == entries {
+			t.Errorf("%d facts: %d inserts never doubled the directory", n, n/2)
+		}
+		if worst > bound {
+			t.Errorf("%d facts: an insert allocates %d B, more than two tables, a segment and two directory copies (%d B)", n, worst, bound)
+		}
+	}
+}
+
+// tables counts the distinct intern tables of r.
+func tables(r *Relation) int {
+	seen := map[*factTable]bool{}
+	r.shards.each(func(t *factTable) { seen[t] = true })
+	return len(seen)
+}

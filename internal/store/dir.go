@@ -156,6 +156,45 @@ func (d *dir[T]) sweepBack(id uint64, f func(T) (T, bool)) {
 	}
 }
 
+// span returns the run of entries [lo, lo+n) of a shard directory of depth
+// bits that list the table of local depth depth listed at entry i: the
+// entries whose top depth bits are i's.
+func span(i int, bits uint, depth uint8) (lo, n int) {
+	n = 1 << (bits - uint(depth))
+	return i &^ (n - 1), n
+}
+
+// fill lists v at entries [lo, lo+n) of a directory whose pages are full.
+func (d *dir[T]) fill(id uint64, lo, n int, v T) {
+	for i := lo; i < lo+n; i++ {
+		d.set(id, i, v)
+	}
+}
+
+// spread returns the directory with every entry listed k times in a row: a
+// shard directory k times as deep, by a pointer copy.
+func (d *dir[T]) spread(id uint64, k int) dir[T] {
+	next := dir[T]{flat: make([]T, 0, min(k*d.len(), unit))}
+	d.each(func(v T) {
+		for range k {
+			next.push(id, v)
+		}
+	})
+	return next
+}
+
+// split lists hi, which has taken from the table listed at entry i the
+// entries whose next hash bit is 1, at the upper half of that table's run;
+// both are now of local depth depth.  A table that was as deep as the
+// directory (*bits) doubles it first.
+func (d *dir[T]) split(id uint64, bits *uint, i int, depth uint8, hi T) {
+	if uint(depth) > *bits {
+		*d, *bits, i = d.spread(id, 2), *bits+1, 2*i
+	}
+	lo, n := span(i, *bits, depth-1)
+	d.fill(id, lo+n/2, n/2, hi)
+}
+
 // clone returns the directory a fork starts from: the flat slice or the top
 // is copied, and the pages are shared until written.
 func (d *dir[T]) clone() dir[T] {

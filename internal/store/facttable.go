@@ -14,13 +14,15 @@ import (
 // hash — simply probe past each other and are told apart by
 // term.EqualFacts.  Deletion (incremental maintenance retracts facts)
 // leaves a tombstone so later entries in the probe chain stay reachable;
-// tombstone slots are reused by insert and swept out on growth and when a
-// fork copies the table for writing.
+// tombstone slots are reused by insert and swept out on growth, on a split
+// and when a fork copies the table for writing.
 type factTable struct {
 	owner   uint64       // the Relation allowed to write in place; see forkIDs
 	entries []*term.Fact // power-of-two sized; nil slots are empty
 	n       int          // live entries
 	dead    int          // tombstone slots awaiting reuse or sweep
+	depth   uint8        // top hash bits its facts share (Relation.room)
+	sized   bool         // a bulk load sized it, possibly past unit slots
 }
 
 // tombstone marks a deleted slot.  It is compared by pointer identity only
@@ -81,11 +83,14 @@ probe:
 	return nil
 }
 
-// insert places f (whose hash is h) into the table.  The caller must have
-// checked with get that no equal fact is present.  The first tombstone on
-// the probe path is reused.
+// full reports whether one more entry would take the table past 3/4 load.
+func (t *factTable) full() bool { return (t.n+t.dead+1)*4 > len(t.entries)*3 }
+
+// insert places f (whose hash is h) into the table, growing it if it is
+// full.  The caller must have checked with get that no equal fact is
+// present.  The first tombstone on the probe path is reused.
 func (t *factTable) insert(h uint64, f *term.Fact) {
-	if (t.n+t.dead+1)*4 > len(t.entries)*3 {
+	if t.full() {
 		t.grow()
 	}
 	mask := uint64(len(t.entries) - 1)
@@ -119,44 +124,84 @@ func (t *factTable) remove(h uint64, g *term.Fact) bool {
 	return false
 }
 
-func (t *factTable) grow() { t.growTo(t.n) }
-
-// reserve grows the table ahead of a batch of extra insertions, so bulk
-// loads rehash at most once instead of doubling through every size.
-func (t *factTable) reserve(extra int) {
-	if (t.n+t.dead+extra)*4 > len(t.entries)*3 {
-		t.growTo(t.n + extra)
-	}
-}
-
-// growTo rebuilds the table with room for target entries, never smaller
-// than it is.  Tombstones are swept on every rebuild, so a delete-heavy
-// workload that hovers around one size re-compacts in place instead of
-// growing.
-func (t *factTable) growTo(target int) {
+// grow rebuilds the table with room for one more entry, never smaller than
+// it is.  Tombstones are swept on every rebuild, so a delete-heavy workload
+// that hovers around one size re-compacts in place instead of growing.
+func (t *factTable) grow() {
 	size := max(len(t.entries), factTableMinSize)
-	for target*4 >= size*3 {
+	for t.n*4 >= size*3 {
 		size *= 2
 	}
-	t.entries = rehashed(t.entries, size)
-	t.dead = 0
+	t.entries, t.dead = rehashed(t.entries, size), 0
 }
 
 // rehashed returns the live facts of old in a fresh table of size slots.
 func rehashed(old []*term.Fact, size int) []*term.Fact {
 	entries := make([]*term.Fact, size)
-	mask := uint64(size - 1)
 	for _, f := range old {
-		if f == nil || f == tombstone {
-			continue
+		if f != nil && f != tombstone {
+			place(entries, hashFact(f), f)
 		}
-		i := hashFact(f) & mask
-		for entries[i] != nil {
-			i = (i + 1) & mask
-		}
-		entries[i] = f
 	}
 	return entries
+}
+
+// place puts e, whose hash is h, in the first empty slot of its probe run.
+func place[T comparable](slots []T, h uint64, e T) {
+	var empty T
+	mask := uint64(len(slots) - 1)
+	i := h & mask
+	for slots[i] != empty {
+		i = (i + 1) & mask
+	}
+	slots[i] = e
+}
+
+// splitSlots is how a full table splits (Relation.room, index.room): the
+// live entries of slots whose hash has bit set move to a new table sized
+// for them, returned with their count, and the others are re-placed in
+// slots in one pass that drops the tombstones (dead).  It changes nothing
+// and returns nil when the bit sends every live entry the same way.
+func splitSlots[T comparable](slots []T, hash func(T) uint64, bit uint64, dead T) (hi []T, moved int) {
+	var empty T
+	live, start := 0, -1
+	for i, e := range slots {
+		switch {
+		case e == empty:
+			if start < 0 {
+				start = i
+			}
+		case e != dead:
+			live++
+			if hash(e)&bit != 0 {
+				moved++
+			}
+		}
+	}
+	if moved == 0 || moved == live {
+		return nil, 0
+	}
+	hi = make([]T, tableSize(moved))
+	// Starting just after a slot empty before any entry left, every probe
+	// run starts inside the pass: an entry lands at or before its old slot.
+	mask := len(slots) - 1
+	for k := 1; k <= len(slots); k++ {
+		i := (start + k) & mask
+		e := slots[i]
+		if e == empty {
+			continue
+		}
+		slots[i] = empty
+		if e == dead {
+			continue
+		}
+		if h := hash(e); h&bit != 0 {
+			place(hi, h, e)
+		} else {
+			place(slots, h, e)
+		}
+	}
+	return hi, moved
 }
 
 // cloneFor returns a copy of the table that the relation numbered owner may
@@ -165,8 +210,12 @@ func rehashed(old []*term.Fact, size int) []*term.Fact {
 // with them every probe chain — only lengthen.  Past a quarter of the live
 // entries the copy is a rebuild instead.
 func (t *factTable) cloneFor(owner uint64) *factTable {
+	c := *t
+	c.owner = owner
 	if t.dead*4 > t.n {
-		return &factTable{owner: owner, entries: rehashed(t.entries, len(t.entries)), n: t.n}
+		c.entries, c.dead = rehashed(t.entries, len(t.entries)), 0
+	} else {
+		c.entries = slices.Clone(t.entries)
 	}
-	return &factTable{owner: owner, entries: slices.Clone(t.entries), n: t.n, dead: t.dead}
+	return &c
 }

@@ -107,7 +107,7 @@ func oracleScenario(t *testing.T, seed int64) {
 	loads := 0
 	for step := 0; step < 60; step++ {
 		switch op := rng.Intn(10); {
-		case op < 3: // bulk load; the first is of resharding size
+		case op < 3: // bulk load; the first deepens the directory
 			n := 1 + rng.Intn(200)
 			if loads == 0 {
 				n = 32 * unit
@@ -194,15 +194,109 @@ func oracleScenario(t *testing.T, seed int64) {
 	}
 }
 
-// checkShards asserts what the shard count is a function of: the relation's
-// size (a power of two, the fewest that keep the mean shard within one unit
-// — or more, where the relation has been larger).
+// checkShards asserts the split invariant (checkDir) of the relation's
+// intern tables and of every index it has built (Relation.room, index.room),
+// and that an index counts its keys.
 func checkShards(t *testing.T, r *Relation) {
 	t.Helper()
-	n := r.shards.len()
-	if n&(n-1) != 0 || n*unit < r.Len() {
-		t.Fatalf("%s: %d facts in %d shards of at most %d", r.Name, r.Len(), n, unit)
+	if r.shards.len() > 0 {
+		checkDir(t, r.Name+" intern tables", &r.shards, r.shardBits, func(tb *factTable) shardView {
+			v := shardView{depth: tb.depth, slots: len(tb.entries), used: tb.n + tb.dead, n: tb.n, sized: tb.sized}
+			for _, g := range tb.entries {
+				if g != nil && g != tombstone {
+					v.hashes = append(v.hashes, hashFact(g))
+					if tb.get(hashFact(g), g) != g {
+						v.lost++
+					}
+				}
+			}
+			return v
+		})
 	}
+	for _, ix := range builtIndexes(r) {
+		keys := checkDir(t, fmt.Sprintf("%s index %v", r.Name, ix.cols), &ix.shards, ix.bits, func(sh *idxShard) shardView {
+			v := shardView{depth: sh.depth, slots: len(sh.slots), used: sh.n, n: sh.n}
+			for _, e := range sh.slots {
+				if e != nil {
+					v.hashes = append(v.hashes, e.hash)
+					if sh.slots[sh.find(e.hash, e.vals)] != e {
+						v.lost++
+					}
+				}
+			}
+			return v
+		})
+		if keys != ix.keys {
+			t.Fatalf("%s index %v: %d keys in the shards, %d counted", r.Name, ix.cols, keys, ix.keys)
+		}
+	}
+}
+
+// shardView is what checkDir needs of one table: its local depth, the hashes
+// of its live entries, how many of them a probe from their home slot misses,
+// its slots, the slots in use (tombstones included), its live count and
+// whether a bulk load sized it.
+type shardView struct {
+	depth       uint8
+	hashes      []uint64
+	lost        int
+	slots, used int
+	n           int
+	sized       bool
+}
+
+// checkDir asserts the split invariant of one shard directory of depth bits:
+// it has 2^bits entries; each table is listed at an aligned run of
+// 2^(bits−depth) entries and nowhere else, and the top depth bits of its
+// entries' hashes name that run; a probe from its home slot reaches every
+// entry; no table is more than 3/4 full; and no table
+// exceeds unit slots unless the next hash bit does not separate its entries
+// or a bulk load sized it.  It returns the live entries over all tables.
+func checkDir[T comparable](t *testing.T, what string, d *dir[T], bits uint, view func(T) shardView) (live int) {
+	t.Helper()
+	if d.len() != 1<<bits {
+		t.Fatalf("%s: %d directory entries at depth %d", what, d.len(), bits)
+	}
+	seen := map[T]bool{}
+	for i := 0; i < d.len(); {
+		tb := d.at(i)
+		v := view(tb)
+		if uint(v.depth) > bits || seen[tb] {
+			t.Fatalf("%s: the table at entry %d (depth %d) is deeper than the directory (%d) or listed twice", what, i, v.depth, bits)
+		}
+		seen[tb] = true
+		lo, n := span(i, bits, v.depth)
+		if lo != i {
+			t.Fatalf("%s: the table of depth %d at entry %d does not start an aligned run of %d", what, v.depth, i, n)
+		}
+		for j := i; j < i+n; j++ {
+			if d.at(j) != tb {
+				t.Fatalf("%s: entry %d of the run [%d, %d) lists another table", what, j, i, i+n)
+			}
+		}
+		ones := 0
+		for _, h := range v.hashes {
+			if int(h>>(64-uint(v.depth))) != i>>(bits-uint(v.depth)) {
+				t.Fatalf("%s: an entry of hash %#x sits in the table of run [%d, %d), depth %d", what, h, i, i+n, v.depth)
+			}
+			if h&(1<<(63-v.depth)) != 0 {
+				ones++
+			}
+		}
+		switch {
+		case v.lost > 0:
+			t.Fatalf("%s: a probe misses %d entries of the table of run [%d, %d)", what, v.lost, i, i+n)
+		case len(v.hashes) != v.n:
+			t.Fatalf("%s: the table of run [%d, %d) holds %d entries, counts %d", what, i, i+n, len(v.hashes), v.n)
+		case v.used*4 > v.slots*3:
+			t.Fatalf("%s: the table of run [%d, %d) uses %d of %d slots", what, i, i+n, v.used, v.slots)
+		case v.slots > unit && !v.sized && ones > 0 && ones < len(v.hashes):
+			t.Fatalf("%s: the table of run [%d, %d) has %d slots for %d entries its next bit separates", what, i, i+n, v.slots, len(v.hashes))
+		}
+		live += v.n
+		i += n
+	}
+	return live
 }
 
 func refString(r *refDB) string {
@@ -274,11 +368,12 @@ type snapshot struct {
 // clone is DB.Clone beside a deep copy of the reference.
 func (s snapshot) clone() snapshot { return snapshot{s.db.Clone(), s.ref.clone()} }
 
-// check compares the snapshot with its reference: per predicate the facts
-// as a sequence, Len, and every index built so far — before the clone that
-// shares it or lazily afterwards, on this relation or inherited — bucket by
-// bucket, in order, for the values of a sample of facts.
-func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
+// check compares the snapshot with its reference: per predicate (of only,
+// when given) the facts as a sequence, the split invariant, Len, and every
+// index built so far — before the clone that shares it or lazily
+// afterwards, on this relation or inherited — bucket by bucket, in order,
+// for the values of a sample of facts.
+func (s snapshot) check(t *testing.T, rng *rand.Rand, what string, only ...string) {
 	t.Helper()
 	if s.db.Len() != len(s.ref.facts) {
 		t.Fatalf("%s: Len=%d oracle=%d", what, s.db.Len(), len(s.ref.facts))
@@ -288,6 +383,9 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 		byPred[f.Pred] = append(byPred[f.Pred], f)
 	}
 	for _, p := range s.db.Preds() {
+		if len(only) > 0 && !slices.Contains(only, p) {
+			continue
+		}
 		r, want := s.db.RelOrNil(p), byPred[p]
 		if got := r.All(); !sameSequence(got, want) {
 			t.Fatalf("%s: %s holds %d facts, oracle %d, or in another order", what, p, len(got), len(want))
@@ -302,9 +400,6 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 		}
 		checkShards(t, r)
 		for _, ix := range builtIndexes(r) {
-			if ix.keys > unit<<ix.bits {
-				t.Fatalf("%s: %s index %v: %d keys in %d shards", what, p, ix.cols, ix.keys, ix.shards.len())
-			}
 			for k := 0; k < 3 && len(want) > 0; k++ {
 				probe := want[rng.Intn(len(want))]
 				switch k {
@@ -318,8 +413,9 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 					continue
 				}
 				var inBucket []*term.Fact
+				var buf [8]term.Term
 				for _, g := range want {
-					if gv, ok := ix.key(g, nil); ok && keyOf(gv) == keyOf(vals) {
+					if gv, ok := ix.key(g, buf[:0]); ok && keyOf(gv) == keyOf(vals) {
 						inBucket = append(inBucket, g)
 					}
 				}
@@ -352,7 +448,9 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string) {
 // live database is compared with its reference after every step; visit sees
 // every snapshot as it is published.  p0 holds a bucket of 4·unit facts
 // under one key in its column-0 index, which cutBucket cuts down on a fork
-// first; a stream of pagedSize then goes on with spanPages.
+// first; a stream below pagedSize then grows g and its column-0 index from
+// one fact to 8·unit and more across forks, and one of pagedSize goes on
+// with spanPages.
 func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -394,7 +492,34 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 			s.check(t, rng, fmt.Sprintf("seed %d size %d after cutBucket %d, database %d", seed, size, how, i))
 		}
 	}
-	if size == pagedSize {
+	// Below pagedSize, g grows from one fact to 8·unit and more, a batch at a
+	// time, and a snapshot is published before each batch: every split and
+	// directory doubling of its intern tables and of its column-0 index
+	// happens on a fork of a relation the snapshots share.
+	for k := 0; size < pagedSize && k < 8*unit; {
+		publish(base)
+		fs := gFacts(k, 1+rng.Intn(unit))
+		for _, f := range fs {
+			base.ref.insert(f)
+		}
+		if rng.Intn(4) == 0 {
+			base.db.LoadFacts(fs, LoadOpts{})
+		} else {
+			for _, f := range fs {
+				base.db.Insert(f)
+			}
+		}
+		k += len(fs)
+		lookupCol(base.db.RelOrNil("g"), 0, term.Int(int64(rng.Intn(k))))
+		for i, s := range append(live, base) {
+			s.check(t, rng, fmt.Sprintf("seed %d size %d growing g to %d facts, database %d", seed, size, k, i), "g")
+		}
+	}
+	if size < pagedSize {
+		if err := grown(base.db.RelOrNil("g")); err != nil {
+			t.Fatalf("seed %d size %d: %v", seed, size, err)
+		}
+	} else {
 		spanPages(t, base, some)
 		for i, s := range append(live, base) {
 			s.check(t, rng, fmt.Sprintf("seed %d size %d after spanPages, database %d", seed, size, i))
@@ -487,6 +612,25 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 	}
 }
 
+// gFacts returns n facts of g from the k-th on: the relation the clone-chain
+// streams grow across forks, each fact a key of its own in column 0.
+func gFacts(k, n int) []*term.Fact {
+	fs := make([]*term.Fact, n)
+	for i := range fs {
+		fs[i] = term.NewFact("g", term.Int(int64(k+i)), term.Atom(fmt.Sprintf("a%d", (k+i)%7)))
+	}
+	return fs
+}
+
+// grown reports a g that its growth left without a fork, or without a
+// directory of intern tables and a column-0 index of eight entries or more.
+func grown(r *Relation) error {
+	if ix := r.findIndex(1); r.id == 0 || ix == nil || r.shardBits < 3 || ix.bits < 3 {
+		return fmt.Errorf("g (fork %d) of %d facts: intern directory depth %d, column-0 index %v; want a fork, both of depth 3 or more", r.id, r.Len(), r.shardBits, ix != nil)
+	}
+	return nil
+}
+
 // big is the column-0 value of the p0 facts that fill one index bucket
 // past a page.
 var big = term.Atom("big")
@@ -550,9 +694,9 @@ func cutBucket(w snapshot, how int) error {
 const pagedSize = 9 * unit * unit / 2
 
 // spanPages writes p0 of a writer that has just been cloned, so a fork of
-// it, until the fork has resharded its intern tables and split its index on
-// column 0 (an index it inherited): its segments, intern shards and index
-// shards then span three directory pages or more each.  Then it empties a
+// it, until the fork has doubled the directories of its intern tables and of
+// its index on column 0 (an index it inherited): its segments, intern shards
+// and index shards then span three directory pages or more each.  Then it empties a
 // segment in the middle of p0 with one DeleteAll, and clears p1.
 func spanPages(t *testing.T, w snapshot, some func(int) []*term.Fact) {
 	t.Helper()
@@ -657,8 +801,9 @@ func TestForkChainReaders(t *testing.T) {
 
 // TestConcurrentClones: several goroutines clone one database at once, each
 // writing its clone (building indexes on the shared relations on the way,
-// and cutting down a paged index bucket of the source with cutBucket), and
-// the source is written once they are done.  Under the race detector a
+// cutting down a paged index bucket of the source with cutBucket, and
+// growing g and its column-0 index from IndexThreshold facts to 8·unit and
+// more), and the source is written once they are done.  Under the race detector a
 // write that reaches a relation another database shares is a reported race;
 // the references catch the rest.
 func TestConcurrentClones(t *testing.T) {
@@ -685,6 +830,11 @@ func concurrentClones(t *testing.T, size int) {
 		src.ref.insert(f)
 	}
 	lookupCol(src.db.RelOrNil("p0"), 0, big)
+	for _, f := range gFacts(0, IndexThreshold) {
+		src.db.Insert(f)
+		src.ref.insert(f)
+	}
+	lookupCol(src.db.RelOrNil("g"), 0, term.Int(0))
 	write := func(s snapshot, rng *rand.Rand) {
 		for k := 0; k < 300; k++ {
 			f := randOracleFact(rng)
@@ -713,6 +863,15 @@ func concurrentClones(t *testing.T, size int) {
 			defer wg.Done()
 			clones[g] = src.clone()
 			if err := cutBucket(clones[g], g%3); err != nil {
+				t.Errorf("size %d clone %d: %v", size, g, err)
+			}
+			// Each clone grows g to 8·unit facts and more on its fork of the
+			// relation the source and the other clones share.
+			for _, f := range gFacts(IndexThreshold, 8*unit) {
+				clones[g].db.Insert(f)
+				clones[g].ref.insert(f)
+			}
+			if err := grown(clones[g].db.RelOrNil("g")); err != nil {
 				t.Errorf("size %d clone %d: %v", size, g, err)
 			}
 			write(clones[g], rand.New(rand.NewSource(int64(g))))

@@ -13,7 +13,10 @@
 // A relation is three two-level structures — the insertion order as a
 // directory of segments, the intern tables as a directory of hash shards,
 // every index as a directory of hash shards of buckets — and the unit of
-// copy-on-write is one segment, shard or bucket, not the relation.  The
+// copy-on-write is one segment, shard or bucket, not the relation.  A shard
+// directory grows by splitting one shard in place: a table full at unit
+// slots splits by its next hash bit, and the directory doubles, by a
+// pointer copy, only when that table was as deep as it (Relation.room).  The
 // directories, and the facts of a bucket, are paged (dir): a fork copies
 // their tops, and a write then copies the units it lands in and the pages
 // above them; a write to a bucket of more than unit facts copies the
@@ -51,9 +54,9 @@ var (
 const IndexThreshold = 16
 
 // unit is the page size of copy-on-write, in entries: a segment holds at
-// most unit facts, an intern table or an index is spread over the fewest
-// power-of-two shards that keep the mean shard at or below unit entries, and
-// a directory page (dir) holds at most unit pointers to segments or shards.
+// most unit facts, an intern table or an index shard splits rather than grow
+// past unit slots (Relation.room), and a directory page (dir) holds at most
+// unit pointers to segments or shards.
 // A fork copies one pointer per directory page; a write copies the units it
 // changes and the directory page above each.  The value comes from a sweep
 // on serve-mixed (DESIGN §12): smaller units make every copied page smaller,
@@ -90,18 +93,17 @@ type idxEntry struct {
 }
 
 // idxShard is an open-addressed table of the entries whose key hashes share
-// their top bits: at most three quarters full, probed linearly from the low
-// hash bits.  Two keys with one hash sit in neighbouring slots and are told
-// apart by comparing vals.
+// their top depth bits: at most three quarters full, probed linearly from the
+// low hash bits.  Two keys with one hash sit in neighbouring slots and are
+// told apart by comparing vals.
 type idxShard struct {
 	owner uint64
 	slots []*idxEntry // power-of-two sized; nil slots are empty
 	n     int
+	depth uint8
 }
 
-func newIdxShard(owner uint64, hint int) *idxShard {
-	return &idxShard{owner: owner, slots: make([]*idxEntry, tableSize(hint))}
-}
+func entryHash(e *idxEntry) uint64 { return e.hash }
 
 // find returns the slot of the entry for (h, vals), or the empty slot where
 // it would go.
@@ -124,23 +126,21 @@ scan:
 	return i
 }
 
-// place adds an entry whose key the shard does not hold.
+func (s *idxShard) full() bool { return (s.n+1)*4 > len(s.slots)*3 }
+
+// place adds an entry whose key the shard does not hold, growing the shard
+// if it is full.
 func (s *idxShard) place(e *idxEntry) {
-	if (s.n+1)*4 > len(s.slots)*3 {
+	if s.full() {
 		old := s.slots
-		s.slots, s.n = make([]*idxEntry, 2*len(old)), 0
+		s.slots = make([]*idxEntry, 2*len(old))
 		for _, o := range old {
 			if o != nil {
-				s.place(o)
+				place(s.slots, o.hash, o)
 			}
 		}
 	}
-	mask := len(s.slots) - 1
-	i := int(e.hash) & mask
-	for s.slots[i] != nil {
-		i = (i + 1) & mask
-	}
-	s.slots[i] = e
+	place(s.slots, e.hash, e)
 	s.n++
 }
 
@@ -170,16 +170,17 @@ func (s *idxShard) evict(i int) {
 
 // index is a hash index over one set of argument columns — a single column
 // or a composite.  The key of a fact folds its per-column term hashes in
-// cols order; its top bits pick the shard, its low bits the slot.  An index
-// is built once under Relation.mu; afterwards only the relation's single
-// writer changes it.  Indexes are relation-global, not split along the
-// intern tables' shards: a probe answers from one bucket in one step.
+// cols order; its top bits pick the shard, its low bits the slot.  The shards
+// split like the intern tables (Relation.room).  An index is built once
+// under Relation.mu; afterwards only the relation's single writer changes
+// it.  Indexes are relation-global, not split along the intern tables'
+// shards: a probe answers from one bucket in one step.
 type index struct {
 	mask   uint64 // bit c set ⇔ column c indexed
 	cols   []int  // ascending
 	shards dir[*idxShard]
 	bits   uint // shards.len() == 1<<bits
-	keys   int  // entries over all shards
+	keys   int  // entries over all shards: DistinctCols
 }
 
 // colsMask folds a column set into its bitmask; ok is false when a column
@@ -214,17 +215,37 @@ func (ix *index) key(f *term.Fact, buf []term.Term) (vals []term.Term, ok bool) 
 	return buf, true
 }
 
+func (ix *index) shard(h uint64) int { return int(h >> (64 - ix.bits)) }
+
 // own returns the shard for key hash h, first copying it if it belongs to a
-// relation this one was forked from: the table of entry pointers is copied,
-// the entries stay shared until they change themselves.
+// relation this one was forked from: the table of entry pointers is copied
+// and listed at every directory entry that listed the original, the entries
+// stay shared until they change themselves.
 func (ix *index) own(id, h uint64) *idxShard {
-	si := int(h >> (64 - ix.bits))
+	si := ix.shard(h)
 	sh := ix.shards.at(si)
 	if sh.owner != id {
-		sh = &idxShard{owner: id, slots: slices.Clone(sh.slots), n: sh.n}
-		ix.shards.set(id, si, sh)
+		sh = &idxShard{owner: id, slots: slices.Clone(sh.slots), n: sh.n, depth: sh.depth}
+		lo, n := span(si, ix.bits, sh.depth)
+		ix.shards.fill(id, lo, n, sh)
 	}
 	return sh
+}
+
+// room returns the shard that key hash h goes to, owned by id, for a new
+// key: it splits like an intern table (Relation.room).
+func (ix *index) room(id, h uint64) *idxShard {
+	sh := ix.own(id, h)
+	if !sh.full() || len(sh.slots) < unit {
+		return sh
+	}
+	hi, moved := splitSlots(sh.slots, entryHash, 1<<(63-sh.depth), nil)
+	if hi == nil {
+		return sh
+	}
+	sh.n, sh.depth = sh.n-moved, sh.depth+1
+	ix.shards.split(id, &ix.bits, ix.shard(h), sh.depth, &idxShard{owner: id, slots: hi, n: moved, depth: sh.depth})
+	return ix.shards.at(ix.shard(h))
 }
 
 // ownEntry returns the entry in slot i for a write by the relation numbered
@@ -248,16 +269,12 @@ func (ix *index) add(id uint64, f *term.Fact) {
 	}
 	h := keyOf(vals)
 	sh := ix.own(id, h)
-	i := sh.find(h, vals)
-	e := sh.slots[i]
-	if e == nil {
-		sh.place(&idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: dir[*term.Fact]{flat: []*term.Fact{f}}})
-		if ix.keys++; ix.keys > unit<<ix.bits {
-			ix.split(id)
-		}
+	if i := sh.find(h, vals); sh.slots[i] != nil {
+		sh.ownEntry(id, i).facts.push(id, f)
 		return
 	}
-	sh.ownEntry(id, i).facts.push(id, f)
+	ix.room(id, h).place(&idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: dir[*term.Fact]{flat: []*term.Fact{f}}})
+	ix.keys++
 }
 
 // remove drops a fact from its bucket (pointer identity: facts reaching an
@@ -291,31 +308,12 @@ func (ix *index) remove(id uint64, f *term.Fact) {
 	})
 }
 
-// split doubles the shard directory.  Shards are keyed by the top hash
-// bits, so shard s spills into 2s and 2s+1 and nothing else moves.
-func (ix *index) split(id uint64) {
-	ix.bits++
-	n := 1 << ix.bits
-	next := dir[*idxShard]{flat: make([]*idxShard, 0, min(n, unit))}
-	for range n {
-		next.push(id, newIdxShard(id, ix.keys/n))
-	}
-	ix.shards.each(func(sh *idxShard) {
-		for _, e := range sh.slots {
-			if e != nil {
-				next.at(int(e.hash >> (64 - ix.bits))).place(e)
-			}
-		}
-	})
-	ix.shards = next
-}
-
 // probe returns the bucket of vals as it stands, empty when the index has
 // none: later appends to the bucket reach its pages but not the count, so
 // walking the copy's first len() facts sees the bucket of the probe.
 func (ix *index) probe(vals []term.Term) dir[*term.Fact] {
 	h := keyOf(vals)
-	sh := ix.shards.at(int(h >> (64 - ix.bits)))
+	sh := ix.shards.at(ix.shard(h))
 	if e := sh.slots[sh.find(h, vals)]; e != nil {
 		return e.facts
 	}
@@ -336,7 +334,7 @@ type Relation struct {
 	id        uint64          // see forkIDs
 	n         int             // facts held
 	segs      dir[*segment]   // insertion order; no segment is empty
-	shards    dir[*factTable] // power-of-two; empty for chunks until first point op
+	shards    dir[*factTable] // 1<<shardBits entries; empty for chunks until first point op
 	shardBits uint
 	mu        sync.Mutex // guards index construction
 	indexes   atomic.Pointer[[]*index]
@@ -355,15 +353,19 @@ func NewRelation(name string, useIndexes bool) *Relation {
 	}
 }
 
-// NewChunk wraps a slice of already-distinct facts as a relation without
-// building the dedup buckets — the cheap construction used for delta
-// chunks, which are consumed by one round of joins and discarded.  The
-// facts slice is owned by the chunk.  Insert still works: the first call
-// rebuilds the buckets from the existing facts.
-func NewChunk(name string, facts []*term.Fact, useIndexes bool) *Relation {
-	r := &Relation{Name: name, n: len(facts), useIdx: useIndexes}
-	if len(facts) > 0 {
-		r.segs = dir[*segment]{flat: []*segment{{facts: slices.Clip(facts)}}}
+// NewChunk wraps runs of already-distinct facts, in order, as a relation
+// without building the dedup buckets — the cheap construction used for delta
+// chunks, which are consumed by one round of joins and discarded.  Each run
+// becomes a segment without a copy, clipped, so nothing written to the
+// chunk lands in a run.  Insert still works: the first call rebuilds the
+// buckets from the existing facts.
+func NewChunk(name string, runs [][]*term.Fact, useIndexes bool) *Relation {
+	r := &Relation{Name: name, useIdx: useIndexes}
+	for _, run := range runs {
+		if len(run) > 0 {
+			r.n += len(run)
+			r.segs.push(0, &segment{facts: slices.Clip(run)})
+		}
 	}
 	return r
 }
@@ -391,14 +393,35 @@ func (r *Relation) shard(h uint64) int { return int(h >> (64 - r.shardBits)) }
 func (r *Relation) table(h uint64) *factTable { return r.shards.at(r.shard(h)) }
 
 // own returns intern table si for a write: a table that belongs to a
-// relation this one was forked from is copied first.
+// relation this one was forked from is copied first, and the copy listed at
+// every directory entry that listed the original.
 func (r *Relation) own(si int) *factTable {
 	t := r.shards.at(si)
 	if t.owner != r.id {
 		t = t.cloneFor(r.id)
-		r.shards.set(r.id, si, t)
+		lo, n := span(si, r.shardBits, t.depth)
+		r.shards.fill(r.id, lo, n, t)
 	}
 	return t
+}
+
+// room returns the intern table that fact hash h goes to, owned by r, for an
+// insert.  A full table of unit slots or more splits by its next hash bit
+// instead of growing: the facts whose bit is 1 move to a new table, the
+// others stay, and the directory doubles only when the table was as deep as
+// it.  A table whose facts the bit does not separate grows instead.
+func (r *Relation) room(h uint64) *factTable {
+	t := r.own(r.shard(h))
+	if !t.full() || len(t.entries) < unit {
+		return t
+	}
+	hi, moved := splitSlots(t.entries, hashFact, 1<<(63-t.depth), tombstone)
+	if hi == nil {
+		return t
+	}
+	t.n, t.dead, t.depth = t.n-moved, 0, t.depth+1
+	r.shards.split(r.id, &r.shardBits, r.shard(h), t.depth, &factTable{owner: r.id, entries: hi, n: moved, depth: t.depth, sized: t.sized})
+	return r.table(h)
 }
 
 // checkWrite panics on a write to a frozen relation: the databases that
@@ -489,27 +512,15 @@ func (r *Relation) InsertGet(f *term.Fact) (*term.Fact, bool) {
 	if g := r.table(h).get(h, f); g != nil {
 		return g, false
 	}
-	r.own(r.shard(h)).insert(h, f)
+	r.room(h).insert(h, f)
 	r.push(f, 1)
-	if nsh := r.shardsFor(r.n); nsh > r.shards.len() {
-		r.reshard(nsh)
-	}
 	return f, true
-}
-
-// shardsFor returns the shard count for a relation of n facts: the current
-// one, doubled until the mean shard holds at most unit of them.
-func (r *Relation) shardsFor(n int) int {
-	nsh := r.shards.len()
-	for n > unit*nsh {
-		nsh *= 2
-	}
-	return nsh
 }
 
 // push appends an interned fact to the insertion order and to every built
 // index.  more is how many facts the caller is about to push, f included: a
-// segment that has to be allocated is sized for them.
+// segment that has to be allocated is sized for them, or whole when it
+// follows a full one.
 func (r *Relation) push(f *term.Fact, more int) {
 	r.n++
 	if s := r.segs.last(); s != nil && len(s.facts) < unit {
@@ -520,7 +531,7 @@ func (r *Relation) push(f *term.Fact, more int) {
 		}
 		s.facts = append(s.facts, f)
 	} else {
-		s := &segment{owner: r.id, facts: make([]*term.Fact, 1, min(unit, more))}
+		s := &segment{owner: r.id, facts: make([]*term.Fact, 1, min(unit, max(more, r.n-1)))}
 		s.facts[0] = f
 		r.segs.push(r.id, s)
 	}
@@ -661,7 +672,7 @@ func (r *Relation) buildIndex(mask uint64, cols []int) *index {
 	ix := &index{
 		mask:   mask,
 		cols:   slices.Clone(cols),
-		shards: dir[*idxShard]{flat: []*idxShard{newIdxShard(r.id, min(r.n, unit))}},
+		shards: dir[*idxShard]{flat: []*idxShard{{owner: r.id, slots: make([]*idxEntry, unit)}}},
 	}
 	r.segs.each(func(s *segment) {
 		for _, f := range s.facts {

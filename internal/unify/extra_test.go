@@ -56,17 +56,6 @@ func TestApplyListTerms(t *testing.T) {
 	}
 }
 
-func TestRenameNegatedAndSets(t *testing.T) {
-	p := parser.MustParseProgram("h(X) <- q(X), not r(X, {1, 2}).")
-	r := Rename(p.Rules[0], "k_")
-	if r.Body[1].String() != "not r(k_X, {1, 2})" {
-		t.Fatalf("renamed = %q", r.Body[1].String())
-	}
-	if !r.Body[1].Negated {
-		t.Fatal("negation lost in rename")
-	}
-}
-
 func TestMatchFactArityMismatch(t *testing.T) {
 	p := parser.MustParseProgram("h(X) <- q(X).")
 	lit := p.Rules[0].Body[0]

@@ -294,38 +294,3 @@ func MatchFact(l ast.Literal, f *term.Fact, b *Bindings) bool {
 	}
 	return true
 }
-
-// Rename returns a copy of the rule with every variable prefixed, making it
-// variable-disjoint from any other rule renamed with a different prefix.
-func Rename(r ast.Rule, prefix string) ast.Rule {
-	ren := func(l ast.Literal) ast.Literal {
-		args := make([]term.Term, len(l.Args))
-		for i, a := range l.Args {
-			args[i] = renameTerm(a, prefix)
-		}
-		return ast.Literal{Negated: l.Negated, Pred: l.Pred, Args: args}
-	}
-	out := ast.Rule{Head: ren(r.Head)}
-	out.Body = make([]ast.Literal, len(r.Body))
-	for i, l := range r.Body {
-		out.Body[i] = ren(l)
-	}
-	return out
-}
-
-func renameTerm(t term.Term, prefix string) term.Term {
-	switch t := t.(type) {
-	case term.Var:
-		return term.Var(prefix + string(t))
-	case *term.Group:
-		return term.NewGroup(renameTerm(t.Inner, prefix))
-	case *term.Compound:
-		args := make([]term.Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = renameTerm(a, prefix)
-		}
-		return term.NewCompound(t.Functor, args...)
-	default:
-		return t
-	}
-}

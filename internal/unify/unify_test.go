@@ -273,21 +273,6 @@ func TestApplyPartial(t *testing.T) {
 	}
 }
 
-func TestRenameApart(t *testing.T) {
-	prog, err := parser.ParseProgram("p(X, <Y>) <- q(X, Y), r(f(Y)).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Rename(prog.Rules[0], "v1_")
-	if got := r.String(); got != "p(v1_X, <v1_Y>) <- q(v1_X, v1_Y), r(f(v1_Y))." {
-		t.Fatalf("renamed = %q", got)
-	}
-	// Original untouched.
-	if prog.Rules[0].String() != "p(X, <Y>) <- q(X, Y), r(f(Y))." {
-		t.Fatal("rename mutated original rule")
-	}
-}
-
 func TestTrailMarkUndo(t *testing.T) {
 	b := NewBindings()
 	b.Bind("A", term.Int(1))
