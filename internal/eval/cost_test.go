@@ -25,24 +25,24 @@ func TestCostPlanPrefersSmallRelation(t *testing.T) {
 	fill(db, "big", 200)
 	fill(db, "small", 3)
 
-	static, err := planBody(p.Rules[0], -1, nil, nil)
+	static, staticReordered, err := planBody(p.Rules[0], -1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if static.order[0] != 0 {
 		t.Fatalf("static order = %v; source order should lead", static.order)
 	}
-	cost, err := planBody(p.Rules[0], -1, nil, db)
+	cost, costReordered, err := planBody(p.Rules[0], -1, nil, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost.order[0] != 1 {
 		t.Errorf("cost order = %v; small relation should lead", cost.order)
 	}
-	if !cost.reordered {
+	if !costReordered {
 		t.Error("cost plan not marked reordered")
 	}
-	if static.reordered {
+	if staticReordered {
 		t.Error("static plan marked reordered")
 	}
 }
@@ -56,14 +56,14 @@ func TestCostPlanBoundProbeTieBreak(t *testing.T) {
 	fill(db, "b", 10)
 	bound := map[term.Var]bool{term.Var("X"): true}
 
-	static, err := planBody(p.Rules[0], -1, bound, nil)
+	static, _, err := planBody(p.Rules[0], -1, bound, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if static.order[0] != 0 {
 		t.Fatalf("static order = %v", static.order)
 	}
-	cost, err := planBody(p.Rules[0], -1, bound, db)
+	cost, _, err := planBody(p.Rules[0], -1, bound, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 // runs the tasks of one fixpoint round on the caller's goroutine, and
 // Cascade repeats rounds until a frontier dries up.
 // From-scratch evaluation (eval.go), incremental maintenance (internal/incr)
-// and, through EvalGroupsEach, magic saturation differ only in the tasks
-// they schedule and in what their sinks do with a head fact.
+// and, through Program.Run, magic saturation differ only in the tasks they
+// schedule and in what their sinks do with a head fact.
 
 // budget is the resource guard of one Eval call, one magic pass or one
 // maintenance transaction: the context, the derived-fact and derived-byte
@@ -109,15 +109,34 @@ type Sink interface {
 	Accept(f *term.Fact) (bool, error)
 }
 
+// Feeds is the variants of one cascade, compiled once, and the predicates
+// they read as delta literal, numbered: the only ones a frontier keeps.
+type Feeds struct {
+	vars  []*Variant
+	reads map[string]int
+}
+
+// NewFeeds compiles the variants a cascade fires.
+func NewFeeds(vars []*Variant) *Feeds {
+	fs := &Feeds{vars: vars, reads: map[string]int{}}
+	for _, v := range vars {
+		p := v.body[v.dLit].Pred
+		if _, ok := fs.reads[p]; !ok {
+			fs.reads[p] = len(fs.reads)
+		}
+	}
+	return fs
+}
+
 // Frontier is the facts one round accepted that the next round reads: those
-// of the predicates some variant of the cascade it feeds reads as its delta
-// literal.  It keeps them per predicate in pages of pageLen facts — every
-// sink accepts a fact at most once per round, so there is nothing to
-// deduplicate — and wraps the pages as delta relations, without a copy, when
-// the tasks are built.
+// of the predicates its feeds read.  It keeps them per predicate in pages
+// of pageLen facts — every sink accepts a fact at most once per round, so
+// there is nothing to deduplicate — and wraps the pages as delta relations,
+// without a copy, when the tasks are built.
 type Frontier struct {
-	feeds  []*Variant
-	preds  map[string]*deltaPages
+	feeds  *Feeds
+	plans  []*bodyPlan    // by Variant.slot; nil: each variant's fixed plan
+	preds  []deltaPages   // by feeds.reads
 	seen   *store.FactSet // under DebugFrontier only
 	useIdx bool
 	n      int
@@ -125,7 +144,6 @@ type Frontier struct {
 
 // deltaPages is what a frontier holds of one predicate.
 type deltaPages struct {
-	reads bool            // a variant of the cascade reads it
 	pages [][]*term.Fact  // past len: a retired round's, emptied, for reuse
 	rel   *store.Relation // the delta relation handed out this round
 }
@@ -136,8 +154,8 @@ const pageLen = 64
 
 // NewFrontier returns an empty frontier for the cascade of feeds, whose delta
 // relations index their facts iff useIdx.
-func NewFrontier(useIdx bool, feeds []*Variant) *Frontier {
-	return &Frontier{feeds: feeds, useIdx: useIdx}
+func NewFrontier(useIdx bool, feeds *Feeds) *Frontier {
+	return &Frontier{feeds: feeds, preds: make([]deltaPages, len(feeds.reads)), useIdx: useIdx}
 }
 
 // DebugFrontier makes Add panic on a fact its frontier was already offered
@@ -145,9 +163,9 @@ func NewFrontier(useIdx bool, feeds []*Variant) *Frontier {
 // tests set it (the eval and incr oracles run under it).
 var DebugFrontier bool
 
-// Add records f if a variant of the cascade reads its predicate.  The first
-// page of a predicate grows from empty; the next ones are whole pages, a
-// retired round's where there is one.
+// Add records f if a feed reads its predicate.  The first page of a
+// predicate grows from empty; the next ones are whole pages, a retired
+// round's where there is one.
 func (fr *Frontier) Add(f *term.Fact) {
 	if DebugFrontier {
 		if fr.seen == nil {
@@ -157,20 +175,11 @@ func (fr *Frontier) Add(f *term.Fact) {
 			panic(fmt.Sprintf("eval: %s accepted twice in one round", f))
 		}
 	}
-	dp := fr.preds[f.Pred]
-	if dp == nil {
-		if fr.preds == nil {
-			fr.preds = map[string]*deltaPages{}
-		}
-		dp = &deltaPages{}
-		for _, v := range fr.feeds {
-			dp.reads = dp.reads || v.body[v.dLit].Pred == f.Pred
-		}
-		fr.preds[f.Pred] = dp
-	}
-	if !dp.reads {
+	i, ok := fr.feeds.reads[f.Pred]
+	if !ok {
 		return
 	}
+	dp := &fr.preds[i]
 	if k := len(dp.pages); k == 0 || len(dp.pages[k-1]) == pageLen {
 		if k == cap(dp.pages) {
 			dp.pages = append(dp.pages, make([]*term.Fact, 0, min(k, 1)*pageLen))
@@ -186,10 +195,11 @@ func (fr *Frontier) Add(f *term.Fact) {
 // task that reads it, so its index is built once — or nil when the round
 // accepted no fact of pred.
 func (fr *Frontier) delta(pred string) *store.Relation {
-	dp := fr.preds[pred]
-	if dp == nil || len(dp.pages) == 0 {
+	i, ok := fr.feeds.reads[pred]
+	if !ok || len(fr.preds[i].pages) == 0 {
 		return nil
 	}
+	dp := &fr.preds[i]
 	if dp.rel == nil {
 		dp.rel = store.NewChunk(pred, dp.pages, fr.useIdx)
 	}
@@ -199,7 +209,8 @@ func (fr *Frontier) delta(pred string) *store.Relation {
 // retire empties the frontier once its delta relations are dead, keeping
 // its pages for the round after next.
 func (fr *Frontier) retire() {
-	for _, dp := range fr.preds {
+	for k := range fr.preds {
+		dp := &fr.preds[k]
 		for i, p := range dp.pages {
 			clear(p)
 			dp.pages[i] = p[:0]
@@ -209,32 +220,35 @@ func (fr *Frontier) retire() {
 	fr.seen, fr.n = nil, 0
 }
 
-// Variant is a rule body compiled for firing: an execution plan with at
-// most one literal (dLit) designated to read a delta relation instead of
-// the database.
+// Variant is a rule body compiled for firing, read-only but for its memo:
+// the shape of its body, with at most one literal (dLit) designated to read
+// a delta relation instead of the database.  Its body is the rule's, except
+// that maintenance delta variants on a negated literal carry that literal
+// positively.
 type Variant struct {
-	rule ast.Rule
-	// head is evaluated per solution; for a grouping rule compiled for
-	// maintenance its group argument is the grouped variable itself.
+	shape
+	// head is evaluated per solution; for a grouping rule its group
+	// argument is the grouped variable itself.
 	head ast.Literal
-	// body is rule.Body, except that maintenance delta variants on a
-	// negated literal carry that literal positively.
-	body []ast.Literal
-	plan *bodyPlan
-	dLit int // -1: every literal reads the database
+	// fixed is the static plan of a maintenance variant; evaluation plans
+	// its variants per call, into a slice indexed by slot.
+	fixed *bodyPlan
+	slot  int
 }
 
-// Task is one unit of a round: a variant fired against a database and, when
-// the variant has a delta literal, a delta relation.
+// Task is one unit of a round: a variant fired under plan p against a
+// database and, when the variant has a delta literal, a delta relation.
 type Task struct {
 	v     *Variant
+	p     *bodyPlan
 	db    *store.DB
 	delta *store.Relation
 }
 
-// Task schedules the variant against db, its delta literal reading delta.
+// Task schedules the variant under its static plan against db, its delta
+// literal reading delta.
 func (v *Variant) Task(db *store.DB, delta *store.Relation) Task {
-	return Task{v: v, db: db, delta: delta}
+	return Task{v: v, p: v.fixed, db: db, delta: delta}
 }
 
 // Exec is the firing context of one driver: the budget it polls, the
@@ -277,16 +291,16 @@ func (x *Exec) poll() error {
 	return x.b.Err()
 }
 
-// heads enumerates the solutions of the variant's body — its delta literal
-// reading delta, the rest db — counting a firing and polling the budget per
-// solution, and yields the head arguments of every solution inside U (§3.2)
-// in a scratch slice valid only for the duration of the call, so a firing
-// that derives nothing new allocates nothing.  b holds the live bindings
-// during yield.
-func (x *Exec) heads(v *Variant, db *store.DB, delta *store.Relation, b *unify.Bindings, yield func(args []term.Term) error) error {
+// heads enumerates the solutions of the variant's body under plan p — its
+// delta literal reading delta, the rest db — counting a firing and polling
+// the budget per solution, and yields the head arguments of every solution
+// inside U (§3.2) in a scratch slice valid only for the duration of the
+// call, so a firing that derives nothing new allocates nothing.  b holds the
+// live bindings during yield.
+func (x *Exec) heads(v *Variant, p *bodyPlan, db *store.DB, delta *store.Relation, b *unify.Bindings, yield func(args []term.Term) error) error {
 	x.db, x.delta, x.deltaSlot = db, delta, v.dLit
 	scratch := make([]term.Term, len(v.head.Args))
-	return x.join(v.body, v.plan, 0, b, func() error {
+	return x.join(v.body, p, 0, b, func() error {
 		x.firings++
 		if err := x.poll(); err != nil {
 			return err
@@ -305,13 +319,13 @@ func (x *Exec) heads(v *Variant, db *store.DB, delta *store.Relation, b *unify.B
 	})
 }
 
-// fire enumerates the variant and offers every head fact that passes the
+// fire enumerates the task and offers every head fact that passes the
 // sink's probe to the sink.
-func (x *Exec) fire(v *Variant, db *store.DB, delta *store.Relation) error {
-	pred := v.head.Pred
+func (x *Exec) fire(t Task) error {
+	pred := t.v.head.Pred
 	rel, present := x.sink.Probe(pred)
 	fresh := true
-	return x.heads(v, db, delta, unify.NewBindings(), func(scratch []term.Term) error {
+	return x.heads(t.v, t.p, t.db, t.delta, unify.NewBindings(), func(scratch []term.Term) error {
 		h := term.HashFactArgs(pred, scratch)
 		if has := rel != nil && rel.GetArgs(h, scratch) != nil; has != present {
 			return nil
@@ -331,7 +345,7 @@ func (x *Exec) fire(v *Variant, db *store.DB, delta *store.Relation) error {
 			rel, _ = x.sink.Probe(pred)
 		}
 		if x.prov != nil {
-			x.prov.record(&Derivation{Fact: f, Rule: v.rule.String(), Premises: append([]*term.Fact(nil), x.trail...)})
+			x.prov.record(&Derivation{Fact: f, Rule: t.v.rule.String(), Premises: append([]*term.Fact(nil), x.trail...)})
 		}
 		return nil
 	})
@@ -415,8 +429,8 @@ func (x *Exec) relFor(litIdx int, pred string) *store.Relation {
 // candidates matches l against the facts its compiled access path narrows
 // the relation to: the probe values for every plan-time-ground column are
 // extracted from the bindings and looked up in one (possibly composite) hash
-// index.  The binding pattern is never re-derived here — planBody fixed it
-// when the layer was planned.  With nothing to probe with, it walks the
+// index.  The binding pattern is never re-derived here — the plan fixed it
+// when the order was compiled.  With nothing to probe with, it walks the
 // whole relation.  A probe or a scan walks run by run and stops after the
 // facts it held when the walk began: the round's sink may insert into the
 // relations the body reads, and what it appends is the next round's.
@@ -476,6 +490,7 @@ type Driver struct {
 	budget
 	stats *Stats
 	x     Exec
+	tasks []Task // a round's tasks, reused round after round
 }
 
 // NewDriver returns a driver for one evaluation or maintenance
@@ -525,7 +540,7 @@ func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if err := x.fire(t.v, t.db, t.delta); err != nil {
+		if err := x.fire(t); err != nil {
 			return err
 		}
 	}
@@ -541,8 +556,8 @@ func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 // before, when non-nil, runs ahead of every round — evaluation refreshes
 // its plans there — and ends the cascade by returning false.
 func (d *Driver) Cascade(fr *Frontier, db *store.DB, sink Sink, before func(round int) (bool, error)) error {
-	var tasks []Task
 	next := NewFrontier(fr.useIdx, fr.feeds)
+	next.plans = fr.plans
 	for round := 1; fr.n > 0; round++ {
 		if err := d.Err(); err != nil {
 			return err
@@ -553,12 +568,17 @@ func (d *Driver) Cascade(fr *Frontier, db *store.DB, sink Sink, before func(roun
 			}
 		}
 		d.bumpIter()
-		tasks = tasks[:0]
-		for _, v := range fr.feeds {
+		tasks := d.tasks[:0]
+		for _, v := range fr.feeds.vars {
 			if delta := fr.delta(v.body[v.dLit].Pred); delta != nil {
-				tasks = append(tasks, v.Task(db, delta))
+				t := v.Task(db, delta)
+				if fr.plans != nil {
+					t.p = fr.plans[v.slot]
+				}
+				tasks = append(tasks, t)
 			}
 		}
+		d.tasks = tasks
 		if err := d.Round(tasks, sink, next); err != nil {
 			return err
 		}

@@ -30,7 +30,7 @@ func TestRoundFeedsLaterTasks(t *testing.T) {
 	delta.Insert(term.NewFact("p", atom("a")))
 
 	var st Stats
-	next := NewFrontier(false, []*Variant{second.Delta(0), third.Delta(0)})
+	next := NewFrontier(false, NewFeeds([]*Variant{second.Delta(0), third.Delta(0)}))
 	tasks := []Task{first.Delta(0).Task(db, delta), second.base.Task(db, nil)}
 	if err := NewDriver(context.Background(), &st, 0).Round(tasks, inserter{db}, next); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestFrontierKeepsWhatTheNextRoundReads(t *testing.T) {
 	for i := range n {
 		db.Insert(term.NewFact("e", term.Int(int64(i)), term.Int(int64(i+1))))
 	}
-	feeds := []*Variant{rec.Delta(0)}
+	feeds := NewFeeds([]*Variant{rec.Delta(0)})
 	fr := NewFrontier(false, feeds)
 	d := NewDriver(context.Background(), nil, 0)
 	round0 := []Task{b.base.Task(db, nil), base.base.Task(db, nil), rec.base.Task(db, nil)}
@@ -119,7 +119,7 @@ func TestFrontierKeepsWhatTheNextRoundReads(t *testing.T) {
 	for i := range pageLen + 5 {
 		fr.Add(term.NewFact("t", atom("x"), term.Int(int64(i))))
 	}
-	pages := fr.preds["t"].pages
+	pages := fr.preds[feeds.reads["t"]].pages
 	var was [][]*term.Fact
 	for _, p := range pages {
 		was = append(was, slices.Clone(p[:cap(p)]))

@@ -94,7 +94,7 @@ type Options struct {
 	// polled (cheaply, every few hundred firings) inside long joins: a
 	// canceled context aborts evaluation promptly with lderr.Canceled (or
 	// lderr.DeadlineExceeded after a deadline).  The abort is clean — the
-	// input database of Eval is never mutated, and EvalGroupsEach callers
+	// input database of Eval is never mutated, and Program.Run callers
 	// discard the partially evaluated working database on error.
 	Ctx context.Context
 	// MemBudget, when positive, bounds the approximate bytes retained by
@@ -132,44 +132,111 @@ func Eval(p *ast.Program, edb *store.DB, opts Options) (*store.DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	prog, err := Compile(lay.Rules)
+	if err != nil {
+		return nil, err
+	}
 	db := edb.Clone()
-	if err := EvalGroupsEach(lay.Rules, db, opts, nil); err != nil {
+	if err := prog.Run(db, opts, nil); err != nil {
 		return nil, err
 	}
 	return db, nil
 }
 
-// EvalGroupsEach evaluates rule groups in order, each to its fixpoint,
-// against db (mutated in place).  Facts from every group are inserted
-// first.  This is the layer-by-layer engine behind Eval; the magic-sets
-// evaluator uses it directly with its own (non-admissible) group
-// assignment, so no admissibility check is performed here.  after(i), when
-// non-nil, runs once group i has reached its fixpoint and before group i+1
-// starts, all under the one set of budgets and counters of the call.
-func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(group int)) error {
-	for _, rules := range groups {
+// Program is rule groups compiled for evaluation: what Run derives from the
+// rules alone — the facts, and each group's rules as variants whose shapes'
+// memos fill as evaluations choose join orders.  The memos publish safely,
+// so one Program serves any number of concurrent Run calls.
+type Program struct {
+	facts  []ast.Literal // the heads of every group's facts
+	layers []layer
+}
+
+// layer is one rule group compiled.
+type layer struct {
+	grouping []*Variant // the grouping rules, applied once on entry
+	// vars are the other rules, in source order, then their variants with a
+	// delta literal, each an occurrence of a predicate the layer's rules
+	// define; they number an evaluation's plan slice (Variant.slot).
+	vars   []*Variant
+	rules  []*Variant // the rules of vars: a naive round
+	round0 []*Variant // the same, non-recursive ones first: round 0
+	feeds  *Feeds     // the delta variants of vars: the cascade's
+}
+
+// Compile compiles rule groups for Run.  Groups run in order, each to its
+// fixpoint; no admissibility check is performed, so the magic-sets
+// evaluator compiles its own (non-admissible) group assignment with it.
+func Compile(groups [][]ast.Rule) (*Program, error) {
+	prog := &Program{layers: make([]layer, len(groups))}
+	for g, rules := range groups {
+		l := &prog.layers[g]
+		heads := map[string]bool{}
 		for _, r := range rules {
-			if !r.IsFact() {
-				continue
+			if !r.IsFact() && !r.IsGroupingRule() {
+				heads[r.Head.Pred] = true
 			}
-			f, err := unify.ApplyLit(r.Head, unify.NewBindings())
-			if err != nil {
-				return fmt.Errorf("fact %q: %w", r.Head.String(), err)
+		}
+		var base, rec, deltas []*Variant
+		for _, r := range rules {
+			switch {
+			case r.IsFact():
+				prog.facts = append(prog.facts, r.Head)
+			case r.IsGroupingRule():
+				_, head, err := groupHead(r)
+				if err != nil {
+					return nil, err
+				}
+				l.grouping = append(l.grouping, newVariant(r, head, r.Body, -1, nil))
+			default:
+				v, n := newVariant(r, r.Head, r.Body, -1, nil), len(deltas)
+				for i, lit := range r.Body {
+					if !lit.Negated && heads[lit.Pred] {
+						deltas = append(deltas, newVariant(r, r.Head, r.Body, i, nil))
+					}
+				}
+				l.vars = append(l.vars, v)
+				if len(deltas) > n {
+					rec = append(rec, v)
+				} else {
+					base = append(base, v)
+				}
 			}
-			if db.Insert(f) && opts.Provenance != nil {
-				opts.Provenance.record(&Derivation{Fact: f})
-			}
+		}
+		n := len(l.vars)
+		l.vars = append(l.vars, deltas...)
+		l.rules, l.round0, l.feeds = l.vars[:n], append(base, rec...), NewFeeds(l.vars[n:])
+		for i, v := range l.vars {
+			v.slot = i
+		}
+	}
+	return prog, nil
+}
+
+// Run evaluates the compiled groups in order, each to its fixpoint, against
+// db (mutated in place).  Facts from every group are inserted first.
+// after(i), when non-nil, runs once group i has reached its fixpoint and
+// before group i+1 starts, all under the one set of budgets and counters of
+// the call.
+func (prog *Program) Run(db *store.DB, opts Options, after func(group int)) error {
+	for _, h := range prog.facts {
+		f, err := unify.ApplyLit(h, unify.NewBindings())
+		if err != nil {
+			return fmt.Errorf("fact %q: %w", h.String(), err)
+		}
+		if db.Insert(f) && opts.Provenance != nil {
+			opts.Provenance.record(&Derivation{Fact: f})
 		}
 	}
 	d := NewDriver(opts.Ctx, opts.Stats, opts.MaxDerived)
 	d.memBudget, d.x.prov = opts.MemBudget, opts.Provenance
 	defer d.flush(&d.x)
 	ev := &evaluation{Driver: d, db: db, noReorder: opts.NoReorder}
-	for i, rules := range groups {
+	for i := range prog.layers {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if err := ev.evalLayer(rules, opts.Strategy); err != nil {
+		if err := ev.evalLayer(&prog.layers[i], opts.Strategy); err != nil {
 			return err
 		}
 		if after != nil {
@@ -179,7 +246,7 @@ func EvalGroupsEach(groups [][]ast.Rule, db *store.DB, opts Options, after func(
 	return nil
 }
 
-// evaluation is one EvalGroupsEach call: the driver, the database being
+// evaluation is one Program.Run call: the driver, the database being
 // completed, and what the planner needs.
 type evaluation struct {
 	*Driver
@@ -207,112 +274,110 @@ func (ev *evaluation) Accept(f *term.Fact) (bool, error) {
 	return true, ev.Charge(f)
 }
 
-// plan compiles the body of the rule with body literal dLit first (-1: no
-// delta literal) against ev.db: cost-based by default, static under
-// Options.NoReorder.  Planner decisions are charged to the stats sink here.
-func (ev *evaluation) plan(r ast.Rule, dLit int) (*bodyPlan, error) {
+// plan orders the variant's body against ev.db — cost-based by default,
+// static under Options.NoReorder — and returns the plan of that order.
+// Planner decisions are charged to the stats sink here, per call.
+func (ev *evaluation) plan(v *Variant) (*bodyPlan, error) {
 	db := ev.db
 	if ev.noReorder {
 		db = nil
 	}
-	p, err := planBody(r, dLit, nil, db)
+	p, reordered, err := v.plan(db)
 	if err != nil {
 		return nil, err
 	}
 	if ev.stats != nil {
-		if p.reordered {
+		if reordered {
 			ev.stats.PlansReordered++
 		}
-		ev.stats.EstimatedRows += p.estRows
+		if db != nil {
+			ev.stats.EstimatedRows += v.estimates(p, db, nil)
+		}
 	}
 	return p, nil
 }
 
-// variant is the rule compiled by plan.
-func (ev *evaluation) variant(r ast.Rule, dLit int) (*Variant, error) {
-	p, err := ev.plan(r, dLit)
-	if err != nil {
-		return nil, err
+// planVars orders vars into their slots of plans: all, or under choice those
+// with two positive database literals or more besides the delta literal.
+func (ev *evaluation) planVars(vars []*Variant, plans []*bodyPlan, choice bool) error {
+	for _, v := range vars {
+		n := 0
+		for i, db := range v.isDB {
+			if db && i != v.dLit {
+				n++
+			}
+		}
+		if choice && n < 2 {
+			continue
+		}
+		p, err := ev.plan(v)
+		if err != nil {
+			return err
+		}
+		plans[v.slot] = p
 	}
-	return &Variant{rule: r, head: r.Head, body: r.Body, plan: p, dLit: dLit}, nil
+	return nil
 }
 
-// replan refreshes the cost-based plans of the variants on geometrically
-// spaced rounds (1, 2, 4, 8, ...).  Cost-based plans are data-dependent, and
-// the relations of a layer grow as its fixpoint runs: a plan compiled when a
+// roundTasks returns the round tasks of vars under plans, against ev.db.
+func (ev *evaluation) roundTasks(vars []*Variant, plans []*bodyPlan) []Task {
+	tasks := ev.Driver.tasks[:0]
+	for _, v := range vars {
+		tasks = append(tasks, Task{v: v, p: plans[v.slot], db: ev.db})
+	}
+	ev.Driver.tasks = tasks
+	return tasks
+}
+
+// replan re-orders the variants on geometrically spaced rounds (1, 2, 4, 8,
+// ...), replacing their plans.  Cost-based plans are data-dependent, and
+// the relations of a layer grow as its fixpoint runs: a plan chosen when a
 // recursive relation held one seed tuple would keep scanning it first long
 // after it outgrew every alternative.  Relations grow monotonically within a
 // layer, so any growth-induced plan flip is picked up within a factor-2
-// window of rounds at O(log rounds) replanning cost.  Only bodies that offer
-// a choice — at least two positive database literals besides the delta
-// occurrence — are recompiled; static plans (NoReorder) are data-independent
-// and kept.
-func (ev *evaluation) replan(vars []*Variant) func(round int) (bool, error) {
+// window of rounds at O(log rounds) replanning cost; an order chosen before
+// is a memo hit.  Only bodies that offer a choice are re-ordered; static
+// plans (NoReorder) are data-independent and kept.
+func (ev *evaluation) replan(vars []*Variant, plans []*bodyPlan) func(round int) (bool, error) {
 	next := 1
 	return func(round int) (bool, error) {
 		if ev.noReorder || round != next {
 			return true, nil
 		}
 		next *= 2
-		for _, v := range vars {
-			n := 0
-			for i, l := range v.body {
-				if i != v.dLit && !l.Negated && !layering.IsBuiltin(l.Pred) {
-					n++
-				}
-			}
-			if n < 2 {
-				continue
-			}
-			p, err := ev.plan(v.rule, v.dLit)
-			if err != nil {
-				return false, err
-			}
-			v.plan = p
-		}
-		return true, nil
+		err := ev.planVars(vars, plans, true)
+		return err == nil, err
 	}
 }
 
 // evalLayer computes the fixpoint of one layer: grouping rules are applied
 // once against the layer input (their bodies mention only lower layers, see
-// Lemma 3.2.3), then the remaining rules run to fixpoint.
-func (ev *evaluation) evalLayer(rules []ast.Rule, strat Strategy) error {
-	var simple []ast.Rule
-	for _, r := range rules {
-		switch {
-		case r.IsFact(): // already inserted
-		case r.IsGroupingRule():
-			if err := ev.applyGroupingRule(r); err != nil {
-				return err
-			}
-		default:
-			simple = append(simple, r)
+// Lemma 3.2.3), then the remaining rules run to fixpoint under this
+// evaluation's plans of the layer's variants.
+func (ev *evaluation) evalLayer(l *layer, strat Strategy) error {
+	for _, v := range l.grouping {
+		if err := ev.applyGroupingRule(v); err != nil {
+			return err
 		}
 	}
-	if len(simple) == 0 {
+	if len(l.rules) == 0 {
 		return nil
 	}
+	plans := make([]*bodyPlan, len(l.vars))
 	if strat == Naive {
-		return ev.naiveFixpoint(simple)
+		return ev.naiveFixpoint(l.rules, plans)
 	}
-	return ev.semiNaiveFixpoint(simple)
+	return ev.semiNaiveFixpoint(l, plans)
 }
 
 // naiveFixpoint re-fires every rule against the whole database until a
 // round inserts nothing — the reference the other strategies are tested
 // against.
-func (ev *evaluation) naiveFixpoint(rules []ast.Rule) error {
-	vars := make([]*Variant, len(rules))
-	tasks := make([]Task, len(rules))
-	for i, r := range rules {
-		v, err := ev.variant(r, -1)
-		if err != nil {
-			return err
-		}
-		vars[i], tasks[i] = v, v.Task(ev.db, nil)
+func (ev *evaluation) naiveFixpoint(rules []*Variant, plans []*bodyPlan) error {
+	if err := ev.planVars(rules, plans, false); err != nil {
+		return err
 	}
-	replan := ev.replan(vars)
+	replan := ev.replan(rules, plans)
 	for round := 1; ; round++ {
 		if err := ev.Err(); err != nil {
 			return err
@@ -322,7 +387,7 @@ func (ev *evaluation) naiveFixpoint(rules []ast.Rule) error {
 			return err
 		}
 		before := ev.derived
-		if err := ev.Round(tasks, ev, nil); err != nil {
+		if err := ev.Round(ev.roundTasks(rules, plans), ev, nil); err != nil {
 			return err
 		}
 		if ev.derived == before {
@@ -335,41 +400,18 @@ func (ev *evaluation) naiveFixpoint(rules []ast.Rule) error {
 // cascades: each further round fires only the variants of recursive rules
 // whose delta literal — a body occurrence of a predicate defined in this
 // layer — has facts new in the previous round.
-func (ev *evaluation) semiNaiveFixpoint(rules []ast.Rule) error {
-	layerPreds := map[string]bool{}
-	for _, r := range rules {
-		layerPreds[r.Head.Pred] = true
-	}
-	var recvars []*Variant
-	// Round 0 fires every rule exactly once, non-recursive rules first.
-	var base, rec []Task
-	for _, r := range rules {
-		n := len(recvars)
-		for i, l := range r.Body {
-			if !l.Negated && layerPreds[l.Pred] {
-				v, err := ev.variant(r, i)
-				if err != nil {
-					return err
-				}
-				recvars = append(recvars, v)
-			}
-		}
-		v, err := ev.variant(r, -1)
-		if err != nil {
-			return err
-		}
-		if len(recvars) > n {
-			rec = append(rec, v.Task(ev.db, nil))
-		} else {
-			base = append(base, v.Task(ev.db, nil))
-		}
-	}
-	ev.bumpIter()
-	fr := NewFrontier(ev.db.UseIndexes, recvars)
-	if err := ev.Round(append(base, rec...), ev, fr); err != nil {
+func (ev *evaluation) semiNaiveFixpoint(l *layer, plans []*bodyPlan) error {
+	if err := ev.planVars(l.vars, plans, false); err != nil {
 		return err
 	}
-	return ev.Cascade(fr, ev.db, ev, ev.replan(recvars))
+	// Round 0 fires every rule exactly once, non-recursive rules first.
+	ev.bumpIter()
+	fr := NewFrontier(ev.db.UseIndexes, l.feeds)
+	fr.plans = plans
+	if err := ev.Round(ev.roundTasks(l.round0, plans), ev, fr); err != nil {
+		return err
+	}
+	return ev.Cascade(fr, ev.db, ev, ev.replan(l.feeds.vars, plans))
 }
 
 // Solve evaluates a conjunctive query body against a database, returning
@@ -425,8 +467,9 @@ func SolveCtx(ctx context.Context, body []ast.Literal, db *store.DB) ([][]term.T
 
 // SolveLimitsCtx is SolveCtx under per-call resource bounds.
 func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim SolveLimits) ([][]term.Term, error) {
-	r := ast.Rule{Head: ast.NewLit("$query"), Body: body}
-	p, err := planBody(r, -1, nil, db)
+	var v Variant
+	v.init(ast.Rule{Head: ast.NewLit("$query"), Body: body}, ast.Literal{}, body, -1, nil)
+	p, _, err := v.plan(db)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +483,7 @@ func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim S
 	t := rowTable{width: len(cols), distinct: distinctRows(body)}
 	var solBytes int64
 	b := unify.NewBindings()
-	err = x.heads(&Variant{body: body, plan: p, dLit: -1}, db, nil, b, func([]term.Term) error {
+	err = x.heads(&v, p, db, nil, b, func([]term.Term) error {
 		row := t.tail()
 		for i, v := range cols {
 			row[i], _ = b.Lookup(v)

@@ -45,7 +45,7 @@ func TestEvalGroupsOnFork(t *testing.T) {
 
 	var st Stats
 	cl := parent.Clone()
-	if err := EvalGroupsEach(lay.Rules, cl, Options{Stats: &st}, nil); err != nil {
+	if err := evalGroups(lay.Rules, cl, Options{Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if !cl.Equal(want) {
@@ -61,7 +61,7 @@ func TestEvalGroupsOnFork(t *testing.T) {
 
 	dups := st.Firings - st.Derived
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := EvalGroupsEach(lay.Rules, parent.Clone(), Options{}, nil); err != nil {
+		if err := evalGroups(lay.Rules, parent.Clone(), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -101,7 +101,7 @@ func TestNegatedLiteralProbesWithoutFact(t *testing.T) {
 	}
 	checks := model.Card("anc") * people
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := EvalGroupsEach(lay.Rules, model.Clone(), Options{}, nil); err != nil {
+		if err := evalGroups(lay.Rules, model.Clone(), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

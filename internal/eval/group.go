@@ -123,7 +123,7 @@ func (t *ClassTable) fact(pred string, c *class, s *term.Set) *term.Fact {
 // a variable, otherwise by one full enumeration filtered through find.
 func (cr *CompiledRule) recompute(x *Exec, db *store.DB, t *ClassTable) error {
 	if !cr.classBindable {
-		return x.heads(cr.base, db, nil, unify.NewBindings(), func(args []term.Term) error {
+		return x.heads(cr.base, cr.base.fixed, db, nil, unify.NewBindings(), func(args []term.Term) error {
 			if c := t.find(args); c != nil {
 				c.elems = append(c.elems, args[t.gIdx])
 			}
@@ -145,7 +145,7 @@ classes:
 				continue classes // a repeated variable meets two values: no solution has this key
 			}
 		}
-		err := x.heads(cr.bound, db, nil, b, func(args []term.Term) error {
+		err := x.heads(cr.bound, cr.bound.fixed, db, nil, b, func(args []term.Term) error {
 			c.elems = append(c.elems, args[t.gIdx])
 			return nil
 		})
@@ -225,19 +225,15 @@ func (cr *CompiledRule) stored(db *store.DB, t *ClassTable, sets []*term.Set) {
 
 // applyGroupingRule evaluates a grouping rule once against the layer input
 // (its body lies strictly below, Lemma 3.2.3): the body runs as for the
-// groupless rule r⁻ under the layer's cost-planned variant, every solution
-// joins its class, and each class contributes one head fact.
-func (ev *evaluation) applyGroupingRule(r ast.Rule) error {
-	gIdx, head, err := groupHead(r)
+// groupless rule r⁻ under a cost-planned order, every solution joins its
+// class, and each class contributes one head fact.
+func (ev *evaluation) applyGroupingRule(v *Variant) error {
+	p, err := ev.plan(v)
 	if err != nil {
 		return err
 	}
-	v, err := ev.variant(r, -1)
-	if err != nil {
-		return err
-	}
-	v.head = head
-	x := &ev.x
+	r, x := v.rule, &ev.x
+	gIdx, _ := r.Head.GroupArg()
 	t := ClassTable{gIdx: gIdx}
 	// Under provenance, the distinct premises of each class's solutions.
 	type premises struct {
@@ -248,7 +244,7 @@ func (ev *evaluation) applyGroupingRule(r ast.Rule) error {
 	if x.prov != nil {
 		prems = map[*class]*premises{}
 	}
-	err = x.heads(v, ev.db, nil, unify.NewBindings(), func(args []term.Term) error {
+	err = x.heads(v, p, ev.db, nil, unify.NewBindings(), func(args []term.Term) error {
 		c := t.add(args)
 		c.elems = append(c.elems, args[gIdx])
 		if x.prov != nil {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"testing"
 
+	"ldl1/internal/ast"
+	"ldl1/internal/store"
 	"ldl1/internal/term"
 )
 
@@ -15,8 +17,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// evalGroups compiles rule groups and runs them once against db.
+func evalGroups(groups [][]ast.Rule, db *store.DB, opts Options) error {
+	prog, err := Compile(groups)
+	if err != nil {
+		return err
+	}
+	return prog.Run(db, opts, nil)
+}
+
 func TestFrontierChecksDistinctness(t *testing.T) {
-	fr := NewFrontier(false, nil)
+	fr := NewFrontier(false, NewFeeds(nil))
 	fr.Add(term.NewFact("p", term.Int(1)))
 	fr.Add(term.NewFact("p", term.Int(2)))
 	defer func() {

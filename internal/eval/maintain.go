@@ -81,8 +81,10 @@ func CompileRule(r ast.Rule) (*CompiledRule, error) {
 		}
 	}
 	variant := func(body []ast.Literal, dLit int, pre map[term.Var]bool) (*Variant, error) {
-		p, err := planBody(ast.Rule{Head: r.Head, Body: body}, dLit, pre, nil)
-		return &Variant{rule: r, head: head, body: body, plan: p, dLit: dLit}, err
+		v := newVariant(r, head, body, dLit, pre)
+		var err error
+		v.fixed, _, err = v.plan(nil)
+		return v, err
 	}
 	if cr.base, err = variant(r.Body, -1, nil); err != nil {
 		return nil, err
@@ -160,7 +162,7 @@ func (cr *CompiledRule) Delta(j int) *Variant { return cr.delta[j] }
 // is enumerated: the solutions gained or lost as the negated predicate
 // shrank or grew.  args is valid only for the duration of the call.
 func (cr *CompiledRule) EnumerateDelta(x *Exec, db *store.DB, j int, delta *store.Relation, yield func(args []term.Term) error) error {
-	return x.heads(cr.delta[j], db, delta, unify.NewBindings(), yield)
+	return x.heads(cr.delta[j], cr.delta[j].fixed, db, delta, unify.NewBindings(), yield)
 }
 
 // Derives reports whether the rule derives f from db in one step: the
@@ -192,7 +194,7 @@ func (cr *CompiledRule) Derives(x *Exec, db *store.DB, f *term.Fact) (bool, erro
 		v = cr.bound
 	}
 	found := false
-	err := x.heads(v, db, nil, b, func(args []term.Term) error {
+	err := x.heads(v, v.fixed, db, nil, b, func(args []term.Term) error {
 		for i := range args {
 			if !term.Equal(args[i], f.Args[i]) {
 				return nil

@@ -5,6 +5,8 @@ package eval
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/builtin"
@@ -30,7 +32,7 @@ func (e *FlounderError) Error() string {
 // unify.ErrOutsideU means the literal can match nothing under the current
 // bindings; unify.ErrUnbound means the plan-time binding analysis
 // over-promised (the caller falls back to a scan — defensive, should not
-// happen for plans produced by planBody).
+// happen for plans the ordering produced).
 type keyFn func(b *unify.Bindings) (term.Term, error)
 
 // access is the compiled access path for one body literal under a plan:
@@ -48,18 +50,65 @@ type access struct {
 }
 
 // bodyPlan is a compiled rule body: the literal execution order plus the
-// access path of each step (acc is parallel to order).  Plans are computed
-// once per rule (variant) per layer and shared by every candidate scan.
+// access path of each step (acc is parallel to order).  It is an entry of
+// its shape's memo, immutable once published.
 type bodyPlan struct {
 	order []int
 	acc   []access
-	// reordered reports that the cost model chose a different literal than
-	// the static most-bound-columns heuristic would have, at some step.
-	reordered bool
-	// est[k] is the planner's estimated candidate count for step k (0 for
-	// built-ins and negated tests); estRows is their sum.
-	est     []int64
-	estRows int64
+	next  *bodyPlan // the memo entry published before this one
+}
+
+// shape is what planning a body reads of the rule alone, built once per
+// variant.  Its memo holds the plan of every join order chosen for it, so a
+// round that re-decides the order against the live database builds nothing
+// unless the order is new.  Every evaluation of a program shares it.
+type shape struct {
+	rule ast.Rule      // the source rule
+	body []ast.Literal // rule.Body, or maintenance's variant of it
+	dLit int           // scheduled as soon as it is a candidate; -1: none
+	pre  []term.Var    // bound on entry
+	// argVars[i][j] lists the variables of argument j of body literal i;
+	// isDB[i] marks a positive database literal.  memo lists the plans
+	// compiled, newest first; nil when planned once (Solve, CompileBody).
+	argVars [][][]term.Var
+	isDB    []bool
+	memo    *atomic.Pointer[bodyPlan]
+}
+
+// newVariant returns the variant of rule r evaluating head from body (r's, or
+// maintenance's variant of it), dLit forced first (-1: none), pre bound.
+func newVariant(r ast.Rule, head ast.Literal, body []ast.Literal, dLit int, pre map[term.Var]bool) *Variant {
+	v := &Variant{shape: shape{memo: new(atomic.Pointer[bodyPlan])}}
+	v.init(r, head, body, dLit, pre)
+	return v
+}
+
+// init is newVariant on a variant the caller allocated.
+func (v *Variant) init(r ast.Rule, head ast.Literal, body []ast.Literal, dLit int, pre map[term.Var]bool) {
+	v.rule, v.head, v.body, v.dLit = r, head, body, dLit
+	for x := range pre {
+		v.pre = append(v.pre, x)
+	}
+	v.argVars, v.isDB = make([][][]term.Var, len(body)), make([]bool, len(body))
+	for i, l := range body {
+		av := make([][]term.Var, len(l.Args))
+		for j, a := range l.Args {
+			av[j] = term.VarsOf(a)
+		}
+		v.argVars[i], v.isDB[i] = av, !l.Negated && !layering.IsBuiltin(l.Pred)
+	}
+}
+
+// bind adds the variables of one literal's arguments to bound.
+func bind(bound []term.Var, argVars [][]term.Var) []term.Var {
+	for _, av := range argVars {
+		for _, v := range av {
+			if !slices.Contains(bound, v) {
+				bound = append(bound, v)
+			}
+		}
+	}
+	return bound
 }
 
 // Plan is the public view of a compiled body plan, used by the magic-sets
@@ -85,38 +134,34 @@ type Plan struct {
 // per-literal bound-column analysis.  A nil db gives the static order,
 // data-independent, so magic-set sips and analysis diagnostics are stable
 // across databases; a non-nil db schedules by the cost model against its
-// live cardinalities (see planBody).
+// live cardinalities (see shape.plan).
 func CompileBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store.DB) (*Plan, error) {
-	p, err := planBody(r, forcedFirst, preBound, db)
+	var s Variant
+	s.init(r, r.Head, r.Body, forcedFirst, preBound)
+	p, reordered, err := s.plan(db)
 	if err != nil {
 		return nil, err
 	}
-	out := &Plan{Order: p.order, BoundCols: make([][]int, len(r.Body)), Reordered: p.reordered}
+	out := &Plan{Order: p.order, BoundCols: make([][]int, len(r.Body)), Reordered: reordered}
 	for step, idx := range p.order {
 		out.BoundCols[idx] = p.acc[step].cols
 	}
 	if db != nil {
-		out.Est = p.est
+		out.Est = make([]int64, len(p.order))
+		s.estimates(p, db, out.Est)
 	}
 	return out, nil
 }
 
 // compileAccess records which argument columns of l are ground given the
-// bound-variable set, compiling a key extractor per column when withKeys
-// is set (positive database literals — the only ones that probe a store
-// relation).  argVars carries the pre-extracted variable list of each
-// argument (parallel to l.Args).
-func compileAccess(l ast.Literal, argVars [][]term.Var, bound map[term.Var]bool, withKeys bool) access {
+// bound variables, compiling a key extractor per column when withKeys is
+// set (positive database literals — the only ones that probe a store
+// relation).  argVars carries the variable list of each argument (parallel
+// to l.Args).
+func compileAccess(l ast.Literal, argVars [][]term.Var, bound []term.Var, withKeys bool) access {
 	var a access
 	for col, arg := range l.Args {
-		grounded := true
-		for _, v := range argVars[col] {
-			if !bound[v] {
-				grounded = false
-				break
-			}
-		}
-		if !grounded {
+		if !ground(argVars[col], bound) {
 			continue
 		}
 		a.cols = append(a.cols, col)
@@ -208,10 +253,22 @@ func estimate(db *store.DB, pred string, cols []int, arity int) (est, n int64) {
 	return est, n
 }
 
-// planBody compiles a rule body: it orders the literals for left-to-right
-// join execution and records, per step, the access path — the columns
-// ground at execution time with their key extractors.  At each step it
-// prefers, among the remaining literals:
+// ground reports whether every variable of one argument is bound.
+func ground(vars []term.Var, bound []term.Var) bool {
+	for _, v := range vars {
+		if !slices.Contains(bound, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// plan orders the shape's body for left-to-right join execution against db
+// and returns the plan of that order from the memo, compiling it on a miss;
+// reordered reports that the cost model departed from the static choice at
+// some step.  A memo hit allocates nothing (up to 16 literals over 32
+// variables) unless a built-in's readiness test does.  At each step the
+// ordering prefers, among the remaining literals:
 //
 //  1. fully bound tests (negated literals, test-mode built-ins) — cheapest,
 //  2. built-ins with a satisfiable generator mode,
@@ -219,10 +276,9 @@ func estimate(db *store.DB, pred string, cols []int, arity int) (est, n int64) {
 //
 // A positive database literal is a candidate only once matching it binds
 // all its variables (ast.Binds): b(X + 1) waits for X, s(X, {X}) does not.
-// If forcedFirst >= 0 that literal (the semi-naive delta occurrence) is
-// scheduled as soon as it is a candidate — first, unless an interpreted
-// argument waits for variables other literals bind.  preBound seeds the
-// bound-variable set (magic evaluation).
+// The delta literal, if any, is scheduled as soon as it is a candidate —
+// first, unless an interpreted argument waits for variables other literals
+// bind.
 //
 // With a database the class-3 choice is cost-based: the literal with the
 // smallest estimated candidate count runs next, with ties broken by more
@@ -230,91 +286,52 @@ func estimate(db *store.DB, pred string, cols []int, arity int) (est, n int64) {
 // preserves the static most-bound-columns order exactly, which keeps
 // magic-set sips, analysis diagnostics, and maintenance plans
 // data-independent.
-func planBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store.DB) (*bodyPlan, error) {
-	body := r.Body
-	n := len(body)
-	used := make([]bool, n)
-	bound := map[term.Var]bool{}
-	for v := range preBound {
-		bound[v] = true
-	}
-	// Variable occurrences, extracted once per argument: the scheduling
-	// loops below re-consult them every step, and VarsOf allocates per
-	// call.  A literal's variables are the union over its arguments; the
-	// loops tolerate a variable shared between arguments appearing in
-	// several lists.
-	argVars := make([][][]term.Var, n)
-	for i, l := range body {
-		av := make([][]term.Var, len(l.Args))
-		for j, a := range l.Args {
-			av[j] = term.VarsOf(a)
-		}
-		argVars[i] = av
-	}
-	isBound := func(v term.Var) bool { return bound[v] }
+func (s *shape) plan(db *store.DB) (p *bodyPlan, reordered bool, err error) {
+	body, n, forced := s.body, len(s.body), s.dLit
+	var orderBuf [16]int
+	var boundBuf [32]term.Var
+	var colBuf [8]int
+	order, bound := orderBuf[:0], append(boundBuf[:0], s.pre...)
+	used := func(i int) bool { return slices.Contains(order, i) }
+	isBound := func(v term.Var) bool { return slices.Contains(bound, v) }
 	// dbLeft: i is an unscheduled positive database literal; dbReady: one
 	// whose match binds every variable it has.
-	dbLeft := func(i int) bool {
-		l := body[i]
-		return !used[i] && !l.Negated && !layering.IsBuiltin(l.Pred)
-	}
+	dbLeft := func(i int) bool { return !used(i) && s.isDB[i] }
 	dbReady := func(i int) bool { return dbLeft(i) && ast.Binds(isBound, body[i].Args...) }
-	bindAll := func(i int) {
-		for _, av := range argVars[i] {
-			for _, v := range av {
-				bound[v] = true
+	// boundCols lists the argument columns of literal i ground under bound.
+	boundCols := func(i int) []int {
+		cols := colBuf[:0]
+		for j, av := range s.argVars[i] {
+			if ground(av, bound) {
+				cols = append(cols, j)
 			}
 		}
+		return cols
 	}
-	p := &bodyPlan{order: make([]int, 0, n), acc: make([]access, 0, n), est: make([]int64, 0, n)}
-	take := func(i int) {
-		l := body[i]
-		isDB := !l.Negated && !layering.IsBuiltin(l.Pred)
-		// The access path is determined by the bindings BEFORE this
-		// literal runs; compute it before extending the bound set.
-		a := compileAccess(l, argVars[i], bound, isDB)
-		p.acc = append(p.acc, a)
-		var stepEst int64
-		if db != nil && isDB {
-			stepEst, _ = estimate(db, l.Pred, a.cols, len(l.Args))
-			p.estRows += stepEst
-		}
-		p.est = append(p.est, stepEst)
-		p.order = append(p.order, i)
-		used[i] = true
-		bindAll(i)
-	}
-	for len(p.order) < n {
+	for len(order) < n {
 		chosen := -1
-		if forcedFirst >= 0 && dbReady(forcedFirst) {
-			chosen, forcedFirst = forcedFirst, -1
+		if forced >= 0 && dbReady(forced) {
+			chosen, forced = forced, -1
 		}
 		// Class 1: fully bound tests.
 		for i := 0; i < n && chosen < 0; i++ {
-			if used[i] {
-				continue
-			}
-			l := body[i]
-			if !l.Negated && !layering.IsBuiltin(l.Pred) {
+			if used(i) || s.isDB[i] {
 				continue
 			}
 			allBound := true
-		scan:
-			for _, av := range argVars[i] {
-				for _, v := range av {
-					if !bound[v] {
-						allBound = false
-						break scan
-					}
+			for _, av := range s.argVars[i] {
+				if !ground(av, bound) {
+					allBound = false
+					break
 				}
 			}
-			if allBound && (!layering.IsBuiltin(l.Pred) || builtin.Ready(l, isBound)) {
+			if allBound && (!layering.IsBuiltin(body[i].Pred) || builtin.Ready(body[i], isBound)) {
 				chosen = i
 			}
 		}
 		// Class 2: ready generator built-ins.
 		for i := 0; i < n && chosen < 0; i++ {
-			if used[i] || body[i].Negated || !layering.IsBuiltin(body[i].Pred) {
+			if used(i) || body[i].Negated || !layering.IsBuiltin(body[i].Pred) {
 				continue
 			}
 			if builtin.Ready(body[i], isBound) {
@@ -344,20 +361,7 @@ func planBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store
 				if !cand(i) {
 					continue
 				}
-				score := 0
-				for _, av := range argVars[i] {
-					grounded := true
-					for _, v := range av {
-						if !bound[v] {
-							grounded = false
-							break
-						}
-					}
-					if grounded {
-						score++
-					}
-				}
-				if score > bestScore {
+				if score := len(boundCols(i)); score > bestScore {
 					bestScore = score
 					staticBest = i
 				}
@@ -374,18 +378,18 @@ func planBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store
 					if !cand(i) {
 						continue
 					}
-					a := compileAccess(body[i], argVars[i], bound, false)
-					est, card := estimate(db, body[i].Pred, a.cols, len(body[i].Args))
+					cols := boundCols(i)
+					est, card := estimate(db, body[i].Pred, cols, len(body[i].Args))
 					better := best < 0 ||
 						est < bestEst ||
-						(est == bestEst && (len(a.cols) > bestCols ||
-							(len(a.cols) == bestCols && card < bestN)))
+						(est == bestEst && (len(cols) > bestCols ||
+							(len(cols) == bestCols && card < bestN)))
 					if better {
-						best, bestEst, bestCols, bestN = i, est, len(a.cols), card
+						best, bestEst, bestCols, bestN = i, est, len(cols), card
 					}
 				}
 				if best != staticBest {
-					p.reordered = true
+					reordered = true
 				}
 				chosen = best
 			}
@@ -393,13 +397,68 @@ func planBody(r ast.Rule, forcedFirst int, preBound map[term.Var]bool, db *store
 		if chosen < 0 {
 			var rest []ast.Literal
 			for i := 0; i < n; i++ {
-				if !used[i] {
+				if !used(i) {
 					rest = append(rest, body[i])
 				}
 			}
-			return nil, &FlounderError{Rule: r, Lits: rest}
+			return nil, false, &FlounderError{Rule: s.rule, Lits: rest}
 		}
-		take(chosen)
+		order = append(order, chosen)
+		bound = bind(bound, s.argVars[chosen])
 	}
-	return p, nil
+	return s.compile(order), reordered, nil
+}
+
+// compile returns the memo's plan of order.  On a miss it builds it — each
+// step's access path, from the bindings before it runs — and swaps it in as
+// the memo's head, so readers never lock; of two evaluations missing on one
+// order at once, the second to publish finds the first's plan and takes it.
+func (s *shape) compile(order []int) *bodyPlan {
+	var p, head *bodyPlan
+	for {
+		if s.memo != nil {
+			head = s.memo.Load()
+		}
+		for q := head; q != nil; q = q.next {
+			if slices.Equal(q.order, order) {
+				return q
+			}
+		}
+		if p == nil {
+			p = &bodyPlan{order: slices.Clone(order), acc: make([]access, len(order))}
+			var boundBuf [32]term.Var
+			bound := append(boundBuf[:0], s.pre...)
+			for k, i := range order {
+				p.acc[k] = compileAccess(s.body[i], s.argVars[i], bound, s.isDB[i])
+				bound = bind(bound, s.argVars[i])
+			}
+		}
+		if s.memo == nil {
+			return p
+		}
+		if p.next = head; s.memo.CompareAndSwap(head, p) {
+			plansCompiled.Add(1)
+			return p
+		}
+	}
+}
+
+// plansCompiled counts the plans published in memos; tests read it.
+var plansCompiled atomic.Int64
+
+// estimates returns the sum of the cost model's per-probe candidate
+// estimates for the database steps of p against db, and when est is non-nil
+// records each step's in est (0 for built-ins and negated tests).
+func (s *shape) estimates(p *bodyPlan, db *store.DB, est []int64) int64 {
+	var sum int64
+	for k, i := range p.order {
+		if s.isDB[i] {
+			e, _ := estimate(db, s.body[i].Pred, p.acc[k].cols, len(s.body[i].Args))
+			sum += e
+			if est != nil {
+				est[k] = e
+			}
+		}
+	}
+	return sum
 }

@@ -2,12 +2,25 @@ package eval
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
+	"ldl1/internal/ast"
+	"ldl1/internal/layering"
 	"ldl1/internal/parser"
+	"ldl1/internal/rewrite"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
 )
+
+// planBody plans r once from a fresh shape: the plan of the order chosen
+// against db (nil: static), and whether the cost model departed from the
+// static choice.
+func planBody(r ast.Rule, forced int, pre map[term.Var]bool, db *store.DB) (*bodyPlan, bool, error) {
+	return newVariant(r, r.Head, r.Body, forced, pre).plan(db)
+}
 
 func planOf(t *testing.T, src string, preBound ...term.Var) []int {
 	t.Helper()
@@ -16,7 +29,7 @@ func planOf(t *testing.T, src string, preBound ...term.Var) []int {
 	for _, v := range preBound {
 		bound[v] = true
 	}
-	plan, err := planBody(p.Rules[0], -1, bound, nil)
+	plan, _, err := planBody(p.Rules[0], -1, bound, nil)
 	if err != nil {
 		t.Fatalf("plan %q: %v", src, err)
 	}
@@ -58,7 +71,7 @@ func TestPlanIndexPreference(t *testing.T) {
 
 func TestPlanFlounder(t *testing.T) {
 	p := parser.MustParseProgram("h(X) <- e(X), member(Y, S).")
-	_, err := planBody(p.Rules[0], -1, nil, nil)
+	_, _, err := planBody(p.Rules[0], -1, nil, nil)
 	var fe *FlounderError
 	if !errors.As(err, &fe) {
 		t.Fatalf("expected FlounderError, got %v", err)
@@ -197,7 +210,7 @@ func TestEvalReportsIndexStats(t *testing.T) {
 
 func TestPlanForcedFirst(t *testing.T) {
 	p := parser.MustParseProgram("h(X, Y) <- a(X, Z), b(Z, Y).")
-	plan, err := planBody(p.Rules[0], 1, nil, nil)
+	plan, _, err := planBody(p.Rules[0], 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +236,7 @@ func TestPlanInterpretedArgumentsWait(t *testing.T) {
 		forced int
 		db     *store.DB
 	}{{"static", -1, nil}, {"cost", -1, db}, {"forced", 1, nil}, {"forced cost", 1, db}} {
-		plan, err := planBody(r, c.forced, nil, c.db)
+		plan, _, err := planBody(r, c.forced, nil, c.db)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -235,15 +248,92 @@ func TestPlanInterpretedArgumentsWait(t *testing.T) {
 		"r(X) <- t(X), s(X, {X}).",
 		"r(X) <- t(X), s({X}, X).",
 	} {
-		plan, err := planBody(parser.MustParseProgram(src).Rules[0], 1, nil, nil)
+		plan, _, err := planBody(parser.MustParseProgram(src).Rules[0], 1, nil, nil)
 		if err != nil || plan.order[0] != 1 {
 			t.Errorf("%s forced at 1: order = %v, %v; the literal binds X itself", src, plan, err)
 		}
 	}
 	// A set pattern over a variable nothing binds still plans (LDL106
 	// warns; it matches nothing), last.
-	plan, err := planBody(parser.MustParseProgram("p(X) <- e({Y}), d(X).").Rules[0], -1, nil, nil)
+	plan, _, err := planBody(parser.MustParseProgram("p(X) <- e({Y}), d(X).").Rules[0], -1, nil, nil)
 	if err != nil || plan.order[0] != 1 {
 		t.Errorf("unbindable set pattern: order = %v, %v; want d(X) first", plan, err)
 	}
+}
+
+// TestMemoPlanEqualsFreshCompile orders every rule of the shipped programs —
+// unforced and with each positive database literal forced first — against
+// no database, an empty one and the program's model, through one shape per
+// variant, so an ordering may take a plan an earlier database's published,
+// and a second ordering against the same database is a memo hit.  Every plan
+// it returns equals the one a fresh shape compiles from nothing against the
+// same database: the same order and, per step, the same columns, extractor
+// count and full-key flag.  A hit allocates nothing unless a built-in's
+// readiness test does.
+func TestMemoPlanEqualsFreshCompile(t *testing.T) {
+	files, err := filepath.Glob("../../programs/*.ldl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no programs: %v", err)
+	}
+	shared := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := parser.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := rewrite.Rewrite(unit.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := Eval(prog, store.NewDB(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range prog.Rules {
+			for forced := -1; forced < len(r.Body); forced++ {
+				s := newVariant(r, r.Head, r.Body, forced, nil)
+				if forced >= 0 && !s.isDB[forced] {
+					continue
+				}
+				for _, db := range []*store.DB{nil, store.NewDB(), model} {
+					before := s.memo.Load()
+					p, _, err := s.plan(db)
+					if err != nil {
+						t.Fatalf("%s: %v", r, err)
+					}
+					if before != nil && s.memo.Load() == before {
+						shared++
+					}
+					if again, _, _ := s.plan(db); again != p {
+						t.Fatalf("%s: a second ordering against the same database missed the memo", r)
+					}
+					if allocs := testing.AllocsPerRun(5, func() { s.plan(db) }); allocs != 0 && !hasBuiltin(r) {
+						t.Errorf("%s: an ordering that hits the memo allocates %.0f times", r, allocs)
+					}
+					want, _, _ := newVariant(r, r.Head, r.Body, forced, nil).plan(db)
+					if !slices.Equal(p.order, want.order) {
+						t.Fatalf("%s: order %v, fresh %v", r, p.order, want.order)
+					}
+					for k := range want.acc {
+						got, w := p.acc[k], want.acc[k]
+						if !slices.Equal(got.cols, w.cols) || len(got.keys) != len(w.keys) || got.full != w.full {
+							t.Errorf("%s step %d: cols %v keys %d full %v, fresh %v %d %v",
+								r, k, got.cols, len(got.keys), got.full, w.cols, len(w.keys), w.full)
+						}
+					}
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no ordering took a plan another database's ordering had published")
+	}
+}
+
+func hasBuiltin(r ast.Rule) bool {
+	return slices.ContainsFunc(r.Body, func(l ast.Literal) bool { return layering.IsBuiltin(l.Pred) })
 }

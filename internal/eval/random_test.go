@@ -116,7 +116,7 @@ func TestRandomProgramsDifferential(t *testing.T) {
 			t.Fatalf("trial %d: finest: %v", trial, err)
 		}
 		c := store.NewDB()
-		if err := EvalGroupsEach(fine.Rules, c, Options{}, nil); err != nil {
+		if err := evalGroups(fine.Rules, c, Options{}); err != nil {
 			t.Fatalf("trial %d: finest eval: %v", trial, err)
 		}
 		if !a.Equal(c) {

@@ -47,11 +47,11 @@ func TestTheorem2LayeringIndependence(t *testing.T) {
 			t.Logf("program %d: layerings coincide (%d strata)", i, fine.NumStrata)
 		}
 		dbA := store.NewDB()
-		if err := EvalGroupsEach(coarse.Rules, dbA, Options{}, nil); err != nil {
+		if err := evalGroups(coarse.Rules, dbA, Options{}); err != nil {
 			t.Fatalf("program %d coarse: %v", i, err)
 		}
 		dbB := store.NewDB()
-		if err := EvalGroupsEach(fine.Rules, dbB, Options{}, nil); err != nil {
+		if err := evalGroups(fine.Rules, dbB, Options{}); err != nil {
 			t.Fatalf("program %d fine: %v", i, err)
 		}
 		if !dbA.Equal(dbB) {
@@ -60,7 +60,7 @@ func TestTheorem2LayeringIndependence(t *testing.T) {
 		}
 		// And both strategies under both layerings.
 		dbC := store.NewDB()
-		if err := EvalGroupsEach(fine.Rules, dbC, Options{Strategy: Naive}, nil); err != nil {
+		if err := evalGroups(fine.Rules, dbC, Options{Strategy: Naive}); err != nil {
 			t.Fatalf("program %d fine naive: %v", i, err)
 		}
 		if !dbA.Equal(dbC) {

@@ -80,10 +80,10 @@ type Options = eval.Options
 type layerRules struct {
 	simple   []*eval.CompiledRule
 	grouping []*eval.CompiledRule
-	// within lists, in rule and literal order, the delta variants a cascade
+	// within holds, in rule and literal order, the delta variants a cascade
 	// inside the layer fires: one per positive body literal of a simple
 	// rule whose predicate lives in this layer.
-	within []*eval.Variant
+	within *eval.Feeds
 }
 
 // Materialized is a materialized view of a program over a mutable EDB: the
@@ -170,13 +170,15 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 	}
 	for i := range m.layers {
 		lr := &m.layers[i]
+		var within []*eval.Variant
 		for _, cr := range lr.simple {
 			for j, lit := range cr.Rule.Body {
 				if cr.HasDelta(j) && !lit.Negated && lay.PredStratum(lit.Pred) == i {
-					lr.within = append(lr.within, cr.Delta(j))
+					within = append(within, cr.Delta(j))
 				}
 			}
 		}
+		lr.within = eval.NewFeeds(within)
 	}
 	m.edb = edb.Clone()
 	m.edb.LoadFacts(progFacts, store.LoadOpts{})

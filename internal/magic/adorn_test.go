@@ -72,7 +72,7 @@ func TestAdornZeroAryQueryPred(t *testing.T) {
 	if rw.AnswerPred != "ok__0" {
 		t.Errorf("answer pred = %s", rw.AnswerPred)
 	}
-	res, err := Answer(p, store.NewDB(), q, eval.Options{})
+	res, err := answer(p, store.NewDB(), q, eval.Options{}, Basic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,15 @@ func TestAdornMultipleAdornmentsSamePred(t *testing.T) {
 	if len(adorns) < 1 {
 		t.Fatalf("adornments for t = %v", adorns)
 	}
-	res, err := Answer(p, store.NewDB(), q, eval.Options{})
+	res, err := answer(p, store.NewDB(), q, eval.Options{}, Basic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := AnswerWithout(p, store.NewDB(), q, eval.Options{})
+	base, err := baseline(p, q, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameSolutions(res.Solutions, base) {
+	if !sameRows(res.Solutions, base) {
 		t.Errorf("multi-adornment answers differ: %v vs %v", res.Solutions, base)
 	}
 }

@@ -164,6 +164,48 @@ func TestExecSharesEDB(t *testing.T) {
 	}
 }
 
+// TestExecConcurrentSharesMemos: eight goroutines Exec one fresh Prepared
+// per shape and rewriting at once, over every key of a depth-6 tree,
+// interleaved, so the join-order memos of its compiled program fill while
+// other executions read them.  Every answer equals the one a sequential
+// execution of another Prepared gives.  Run under -race in CI.
+func TestExecConcurrentSharesMemos(t *testing.T) {
+	const depth, workers = 6, 8
+	edb := treeEDB(depth)
+	for _, v := range []Variant{Basic, Supplementary} {
+		for _, shape := range treeShapes {
+			seq := prepareTree(t, shape, v)
+			want := make([][][]term.Term, 1<<(depth+1))
+			for n := 1; n < len(want); n++ {
+				res, err := seq.Exec(edb, []term.Term{node(n)}, eval.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[n] = res.Solutions
+			}
+			pr := prepareTree(t, shape, v)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for n := 1 + w; n < len(want); n += workers {
+						res, err := pr.Exec(edb, []term.Term{node(n)}, eval.Options{})
+						if err != nil {
+							t.Errorf("variant %d %s @n%d: %v", v, shape, n, err)
+							return
+						}
+						if !sameRows(res.Solutions, want[n]) {
+							t.Errorf("variant %d %s @n%d: %v, sequentially %v", v, shape, n, res.Solutions, want[n])
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		}
+	}
+}
+
 // randLayeredProgram generates an admissible program in which grouping and
 // negation alternate over a recursive core, so the rewritten program is
 // cyclic through its magic predicates across several layers: bindings found
@@ -226,7 +268,7 @@ func TestSaturationAcrossLayers(t *testing.T) {
 		}
 		for _, qs := range queries {
 			q := mustQuery(t, qs)
-			base, _, err := AnswerWithout(p, store.NewDB(), q, eval.Options{})
+			base, err := baseline(p, q, eval.Options{})
 			if err != nil {
 				t.Fatalf("seed %d %s: baseline: %v", seed, qs, err)
 			}
@@ -235,11 +277,11 @@ func TestSaturationAcrossLayers(t *testing.T) {
 					p   *ast.Program
 					edb *store.DB
 				}{{p, store.NewDB()}, {rules, edb}} {
-					res, err := AnswerVariant(in.p, in.edb, q, eval.Options{}, v)
+					res, err := answer(in.p, in.edb, q, eval.Options{}, v)
 					if err != nil {
 						t.Fatalf("seed %d %s variant %d: %v", seed, qs, v, err)
 					}
-					if !SameSolutions(res.Solutions, base) {
+					if !sameRows(res.Solutions, base) {
 						t.Errorf("seed %d %s variant %d (%d passes): magic %v, baseline %v\n%s",
 							seed, qs, v, res.Passes, res.Solutions, base, src)
 					}
@@ -257,10 +299,11 @@ func TestSaturationAcrossLayers(t *testing.T) {
 
 // execAllocCeiling is the allocation count of one execution of each tree
 // shape on a depth-6 tree, summed (a@n3 + sg@n100 + young@n100), plus a
-// quarter: 4 583 measured, so 5 730.  The host cannot move an allocation
+// quarter: 2 245 measured, so 2 807.  The host cannot move an allocation
 // count, so this gates in tier-1 what embed-magic/alloc_kb_per_op gates in
-// the benchmark pipeline.  The clone-per-pass driver it replaced made 14 959.
-const execAllocCeiling = 5730
+// the benchmark pipeline.  The clone-per-pass driver it replaced made
+// 14 959, and executions that compiled every rule again made 4 567.
+const execAllocCeiling = 2807
 
 func TestExecAllocCeiling(t *testing.T) {
 	edb := treeEDB(6)

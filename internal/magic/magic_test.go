@@ -2,9 +2,11 @@ package magic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"ldl1/internal/ast"
 	"ldl1/internal/eval"
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
@@ -38,6 +40,45 @@ func mustQuery(t *testing.T, src string) parser.Query {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// answer runs the query over p and edb the way the product does:
+// PrepareVariant, then one Exec of the query's own constants.
+func answer(p *ast.Program, edb *store.DB, q parser.Query, opts eval.Options, v Variant) (*Result, error) {
+	pr, err := PrepareVariant(p, q, v)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Exec(edb, nil, opts)
+}
+
+// answerSrc parses source holding rules, facts and exactly one query and
+// answers the query by basic magic sets over an empty database.
+func answerSrc(src string, opts eval.Options) (*Result, error) {
+	unit, err := parser.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(unit.Queries) != 1 {
+		return nil, fmt.Errorf("source must contain exactly one query, got %d", len(unit.Queries))
+	}
+	return answer(unit.Program, store.NewDB(), unit.Queries[0], opts, Basic)
+}
+
+// baseline answers the query without magic sets: full bottom-up evaluation
+// of p over an empty database, then the query over the model.
+func baseline(p *ast.Program, q parser.Query, opts eval.Options) ([][]term.Term, error) {
+	db, err := eval.Eval(p, store.NewDB(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return eval.SolveCtx(opts.Ctx, q.Body, db)
+}
+
+// sameRows reports whether two answer tables hold the same rows.  Both are
+// sorted and duplicate-free (eval.Solve), so that is equality in order.
+func sameRows(a, b [][]term.Term) bool {
+	return slices.EqualFunc(a, b, func(x, y []term.Term) bool { return eval.CompareRows(x, y) == 0 })
 }
 
 func TestAdornYoungExample(t *testing.T) {
@@ -103,7 +144,7 @@ func TestRewriteYoungExample(t *testing.T) {
 }
 
 func TestMagicYoungAnswers(t *testing.T) {
-	res, err := ParseAndAnswer(youngSrc+youngData+"?- young(john, S).", eval.Options{})
+	res, err := answerSrc(youngSrc+youngData+"?- young(john, S).", eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +195,15 @@ func TestMagicEquivalence(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		q := mustQuery(t, c.query)
-		res, err := Answer(unit.Program, store.NewDB(), q, eval.Options{})
+		res, err := answer(unit.Program, store.NewDB(), q, eval.Options{}, Basic)
 		if err != nil {
 			t.Fatalf("case %d: magic: %v", i, err)
 		}
-		base, _, err := AnswerWithout(unit.Program, store.NewDB(), q, eval.Options{})
+		base, err := baseline(unit.Program, q, eval.Options{})
 		if err != nil {
 			t.Fatalf("case %d: baseline: %v", i, err)
 		}
-		if !SameSolutions(res.Solutions, base) {
+		if !sameRows(res.Solutions, base) {
 			t.Errorf("case %d (%s): magic %v vs baseline %v", i, c.query, res.Solutions, base)
 		}
 	}
@@ -183,15 +224,15 @@ func TestMagicRestrictsComputation(t *testing.T) {
 	q := mustQuery(t, fmt.Sprintf("anc(n%d, W)", n-3))
 
 	var magicStats, baseStats eval.Stats
-	res, err := Answer(p, store.NewDB(), q, eval.Options{Stats: &magicStats})
+	res, err := answer(p, store.NewDB(), q, eval.Options{Stats: &magicStats}, Basic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := AnswerWithout(p, store.NewDB(), q, eval.Options{Stats: &baseStats})
+	base, err := baseline(p, q, eval.Options{Stats: &baseStats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameSolutions(res.Solutions, base) {
+	if !sameRows(res.Solutions, base) {
 		t.Fatalf("answers differ")
 	}
 	if len(res.Solutions) != 3 {
@@ -231,7 +272,7 @@ func TestMagicUsesCompiledAccessPaths(t *testing.T) {
 	}
 	sb.WriteString("?- anc(n0, Y).\n")
 	var st eval.Stats
-	res, err := ParseAndAnswer(sb.String(), eval.Options{Stats: &st})
+	res, err := answerSrc(sb.String(), eval.Options{Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +287,7 @@ func TestMagicUsesCompiledAccessPaths(t *testing.T) {
 func TestMagicSeedAllFree(t *testing.T) {
 	// ?- anc(X, Y): all-free adornment degenerates to full evaluation
 	// but must still return the right answers.
-	res, err := ParseAndAnswer(`
+	res, err := answerSrc(`
 		anc(X, Y) <- par(X, Y).
 		anc(X, Y) <- par(X, Z), anc(Z, Y).
 		par(a, b). par(b, c).

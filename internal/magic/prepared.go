@@ -12,19 +12,46 @@ import (
 	"ldl1/internal/unify"
 )
 
+// maxPasses bounds the outer magic-saturation loop as a safety net; every
+// pass but the last adds a magic fact, so the loop terminates on its own for
+// admissible inputs.
+const maxPasses = 1000
+
+// Result is the outcome of magic-sets query evaluation.
+type Result struct {
+	// Adorned is the adorned program (step two of §6).
+	Adorned *AdornedProgram
+	// Rewritten is the magic program (step three of §6).
+	Rewritten *Rewritten
+	// DB is the database the saturation ended on: the relevant portions of
+	// every relation, under adorned names, in a clone of the input
+	// database.
+	DB *store.DB
+	// Solutions is the answer table read off the adorned query predicate:
+	// one sorted row per answer, columns as eval.Solve gives them.
+	Solutions [][]term.Term
+	// Passes is the number of saturation passes.  It is 1 when every magic
+	// fact is found no later than the first rule group that reads it — a
+	// feed-forward program, the common case — and grows by one each time a
+	// binding found in a higher layer has to reach rules placed in a lower
+	// one (the §6 running example's young(n, S) takes 2).
+	Passes int
+}
+
 // Prepared is a query compiled once for a binding pattern: the program is
-// adorned, magic-rewritten, and stratum-grouped up front, with the seed
-// fact factored out so Exec can re-bind the query's constants per call.
+// adorned, magic-rewritten, stratum-grouped and compiled up front, with the
+// seed fact factored out so Exec can re-bind the query's constants per call.
 // Adornment depends only on which argument positions are ground — never on
 // their values — so one Prepared serves every query of the same predicate
-// and binding pattern.  A Prepared is immutable after PrepareVariant and
-// safe for concurrent Exec calls.
+// and binding pattern.  A Prepared is immutable after PrepareVariant (its
+// join-order memos publish safely) and safe for concurrent Exec calls.
 type Prepared struct {
 	// Adorned and Rewritten are the compiled forms, as in Result.  Exec
-	// evaluates Rewritten.Groups and supplies the seed from its per-call
-	// constants.
+	// evaluates Rewritten.Groups, compiled once into prog, and supplies the
+	// seed from its per-call constants.
 	Adorned   *AdornedProgram
 	Rewritten *Rewritten
+	prog      *eval.Program
 	// seedPred is the magic predicate the seed fact instantiates.
 	seedPred string
 	// boundPos lists the query-literal argument positions that are bound
@@ -63,9 +90,14 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 	if err != nil {
 		return nil, err
 	}
+	prog, err := eval.Compile(rw.Groups)
+	if err != nil {
+		return nil, err
+	}
 	pr := &Prepared{
 		Adorned:   ap,
 		Rewritten: rw,
+		prog:      prog,
 		seedPred:  rw.Seed.Head.Pred,
 		defaults:  append([]term.Term(nil), rw.Seed.Head.Args...),
 	}
@@ -109,9 +141,24 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 
 // Exec evaluates the prepared query against edb with the given constants
 // bound at the query's bound argument positions, in ascending order.
-// Nil consts re-runs the original query's constants.  The saturation is
-// AnswerVariant's (see Answer); only the parse/adorn/rewrite/stratify work
-// is skipped.
+// Nil consts re-runs the original query's constants.
+//
+// The saturation runs on one clone of the database with the seed inserted.
+// Because the rewritten program is not layered (§6), a pass evaluates the
+// rewritten rules group by group along the ORIGINAL program's layering
+// (Rewritten.Groups).  A pass is final when no magic fact it found arrived
+// late: after the first group holding a rule that reads it, or in that
+// group when the rule groups.  In a final pass every rule therefore ran
+// with every binding it will ever see, over lower layers evaluated under
+// those same bindings — grouped and negated bodies fully evaluated for every
+// magic binding, exactly the §6 evaluation constraint.  Otherwise another
+// pass runs, on the same database: magic facts stay (a binding too many only
+// asks for facts nobody reads), and so do the facts of predicates defined
+// without grouping or negation, directly or through another predicate —
+// those are monotone in the magic set, so what held under fewer bindings
+// holds under more.  Only the remaining derived relations, where a fact
+// derived under missing bindings can be wrong (a partial set, an absence
+// since filled), are emptied and derived afresh.
 //
 // Exec works on a clone of edb: base relations — with the indexes they have
 // built, which an execution may add to — are shared with edb and with every
@@ -153,7 +200,7 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 			}
 		}
 		late := false
-		err := eval.EvalGroupsEach(pr.Rewritten.Groups, db, opts, func(g int) {
+		err := pr.prog.Run(db, opts, func(g int) {
 			for m := range pr.Rewritten.MagicPreds {
 				if n := db.Card(m); n > found[m] {
 					found[m] = n

@@ -54,16 +54,16 @@ func TestRandomMagicDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _, err := AnswerWithout(p, store.NewDB(), q, eval.Options{})
+		base, err := baseline(p, q, eval.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: baseline: %v\n%s", trial, err, src)
 		}
 		for _, v := range []Variant{Basic, Supplementary} {
-			res, err := AnswerVariant(p, store.NewDB(), q, eval.Options{}, v)
+			res, err := answer(p, store.NewDB(), q, eval.Options{}, v)
 			if err != nil {
 				t.Fatalf("trial %d variant %d: %v\n%s", trial, v, err, src)
 			}
-			if !SameSolutions(res.Solutions, base) {
+			if !sameRows(res.Solutions, base) {
 				t.Fatalf("trial %d variant %d: %q\nmagic %v\nbaseline %v\nprogram:\n%s",
 					trial, v, qsrc, res.Solutions, base, src)
 			}

@@ -16,7 +16,7 @@ import (
 type Rewritten struct {
 	// Program holds the magic and modified rules.  It is generally NOT
 	// layered (§6 notes the cyclicity through magic predicates), so it
-	// must be evaluated with Answer, not eval.Eval.
+	// must be evaluated with Prepared.Exec, not eval.Eval.
 	Program *ast.Program
 	// Seed is the magic fact for the query's bound arguments.
 	Seed ast.Rule

@@ -34,22 +34,22 @@ func TestSupplementaryEquivalence(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		q := mustQuery(t, c.query)
-		sup, err := AnswerVariant(unit.Program, store.NewDB(), q, eval.Options{}, Supplementary)
+		sup, err := answer(unit.Program, store.NewDB(), q, eval.Options{}, Supplementary)
 		if err != nil {
 			t.Fatalf("case %d: supplementary: %v", i, err)
 		}
-		base, _, err := AnswerWithout(unit.Program, store.NewDB(), q, eval.Options{})
+		base, err := baseline(unit.Program, q, eval.Options{})
 		if err != nil {
 			t.Fatalf("case %d: baseline: %v", i, err)
 		}
-		if !SameSolutions(sup.Solutions, base) {
+		if !sameRows(sup.Solutions, base) {
 			t.Errorf("case %d (%s): supplementary %v vs baseline %v", i, c.query, sup.Solutions, base)
 		}
-		basic, err := AnswerVariant(unit.Program, store.NewDB(), q, eval.Options{}, Basic)
+		basic, err := answer(unit.Program, store.NewDB(), q, eval.Options{}, Basic)
 		if err != nil {
 			t.Fatalf("case %d: basic: %v", i, err)
 		}
-		if !SameSolutions(sup.Solutions, basic.Solutions) {
+		if !sameRows(sup.Solutions, basic.Solutions) {
 			t.Errorf("case %d: supplementary vs basic disagree", i)
 		}
 	}
@@ -104,15 +104,15 @@ func TestSupplementarySavesPrefixWork(t *testing.T) {
 	p := parser.MustParseProgram(sb.String())
 	q := mustQuery(t, "path(v0, W)")
 	var basicStats, supStats eval.Stats
-	basic, err := AnswerVariant(p, store.NewDB(), q, eval.Options{Stats: &basicStats}, Basic)
+	basic, err := answer(p, store.NewDB(), q, eval.Options{Stats: &basicStats}, Basic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := AnswerVariant(p, store.NewDB(), q, eval.Options{Stats: &supStats}, Supplementary)
+	sup, err := answer(p, store.NewDB(), q, eval.Options{Stats: &supStats}, Supplementary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameSolutions(basic.Solutions, sup.Solutions) {
+	if !sameRows(basic.Solutions, sup.Solutions) {
 		t.Fatalf("variants disagree: %d vs %d solutions", len(basic.Solutions), len(sup.Solutions))
 	}
 	if len(sup.Solutions) != 10 {

@@ -185,11 +185,19 @@ func magicRow(prog *ast.Program, db func() *store.DB, query string, variant magi
 		}
 		opts := eval.Options{Stats: &w.Stats}
 		if plain {
-			sols, _, err := magic.AnswerWithout(prog, db(), q, opts)
+			model, err := eval.Eval(prog, db(), opts)
+			if err != nil {
+				return w, err
+			}
+			sols, err := eval.SolveCtx(opts.Ctx, q.Body, model)
 			w.model = len(sols)
 			return w, err
 		}
-		res, err := magic.AnswerVariant(prog, db(), q, opts, variant)
+		pr, err := magic.PrepareVariant(prog, q, variant)
+		if err != nil {
+			return w, err
+		}
+		res, err := pr.Exec(db(), nil, opts)
 		if err == nil {
 			w.model = len(res.Solutions)
 		}
