@@ -3,6 +3,7 @@ package ldl1
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"ldl1/internal/analyze/types"
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
-	"ldl1/internal/layering"
 	"ldl1/internal/magic"
 	"ldl1/internal/parser"
 	"ldl1/internal/rewrite"
@@ -144,9 +144,10 @@ func WithoutRewrite() Option { return func(c *config) { c.noRewrite = true } }
 // own locks and publish only fully built, immutable entries.
 type Engine struct {
 	cfg      config
-	source   *ast.Program // program as written (after LDL1.5 expansion)
-	original *ast.Program // program as written, before expansion
-	mu       sync.RWMutex // guards edb mutation and model memoization vs evaluation
+	source   *ast.Program  // program as written (after LDL1.5 expansion)
+	prog     *eval.Program // source admitted: what Run and Materialize run
+	original *ast.Program  // program as written, before expansion
+	mu       sync.RWMutex  // guards edb mutation and model memoization vs evaluation
 	edb      *store.DB
 	model    *store.DB // memoized Run result
 
@@ -185,10 +186,8 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if err := ast.CheckWellFormed(compiled); err != nil {
-		return nil, err
-	}
-	if _, err := layering.Stratify(compiled); err != nil {
+	prog, err := eval.Admit(compiled)
+	if err != nil {
 		return nil, err
 	}
 	if e.cfg.strict {
@@ -196,7 +195,7 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 			return nil, &VetError{Diagnostics: ds}
 		}
 	}
-	e.source = compiled
+	e.source, e.prog = compiled, prog
 	e.edb = store.NewDB()
 	e.edb.UseIndexes = !e.cfg.noIndexes
 	e.r = e.cfg.newReader(e.modelDB, dependencyCones(compiled))
@@ -261,17 +260,11 @@ func (e *Engine) AddDB(db *store.DB) {
 // Program returns the compiled program text (after LDL1.5 expansion).
 func (e *Engine) Program() string { return e.source.String() }
 
-// Strata returns the layer index of every predicate (§3.1).
+// Strata returns the layer index of every predicate (§3.1) in the layering
+// the engine evaluates by: predicates no rule derives in layer 0, then one
+// layer per strongly connected component of the dependency graph.
 func (e *Engine) Strata() map[string]int {
-	lay, err := layering.Stratify(e.source)
-	if err != nil {
-		return nil // cannot happen: checked in New
-	}
-	out := make(map[string]int, len(lay.Stratum))
-	for k, v := range lay.Stratum {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(e.prog.Layering().Stratum)
 }
 
 // IsPositive reports whether the compiled program is negation-free, in
@@ -348,8 +341,8 @@ func (e *Engine) modelDB(ctx context.Context) (*store.DB, error) {
 		defer cancel()
 		st, merge := e.r.stats()
 		defer merge()
-		db, err := eval.Eval(e.source, e.edb, e.evalOpts(ctx, st))
-		if err != nil {
+		db := e.edb.Clone()
+		if err := e.prog.Run(db, e.evalOpts(ctx, st), nil); err != nil {
 			return nil, err
 		}
 		e.model = db

@@ -3,6 +3,7 @@ package ldl1
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -180,9 +181,15 @@ func TestEngineStrataAndPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The finest layering: the EDB predicate in layer 0, then one layer
+	// per component in dependency order.
 	st := eng.Strata()
-	if !(st["a"] < st["b"]) {
-		t.Errorf("strata = %v", st)
+	if want := map[string]int{"e": 0, "a": 1, "b": 2}; !maps.Equal(st, want) {
+		t.Errorf("strata = %v, want %v", st, want)
+	}
+	st["a"] = 7
+	if eng.Strata()["a"] != 1 {
+		t.Error("Strata hands out the engine's own map")
 	}
 	if eng.IsPositive() {
 		t.Error("program with negation reported positive")

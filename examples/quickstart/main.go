@@ -3,8 +3,11 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
+	"strings"
 
 	"ldl1"
 )
@@ -51,7 +54,15 @@ func main() {
 	fmt.Println(ex)
 
 	fmt.Println("\nPredicate layering (§3.1):")
-	for pred, layer := range eng.Strata() {
-		fmt.Printf("  %-14s layer %d\n", pred, layer)
+	strata := eng.Strata()
+	preds := make([]string, 0, len(strata))
+	for pred := range strata {
+		preds = append(preds, pred)
+	}
+	slices.SortFunc(preds, func(a, b string) int {
+		return cmp.Or(cmp.Compare(strata[a], strata[b]), strings.Compare(a, b))
+	})
+	for _, pred := range preds {
+		fmt.Printf("  %-14s layer %d\n", pred, strata[pred])
 	}
 }

@@ -45,11 +45,10 @@ func (e *Engine) Explain(factSrc string) (string, error) {
 	e.mu.RUnlock()
 	prov := eval.NewProvenance()
 	opts.Provenance = prov
-	db, err := eval.Eval(e.source, edb, opts)
-	if err != nil {
+	if err := e.prog.Run(edb, opts, nil); err != nil {
 		return "", err
 	}
-	if !db.Contains(f) {
+	if !edb.Contains(f) {
 		return "", fmt.Errorf("ldl1: %s is not in the model", f)
 	}
 	return prov.Explain(f), nil

@@ -556,6 +556,9 @@ func (d *Driver) Round(tasks []Task, sink Sink, next *Frontier) error {
 // before, when non-nil, runs ahead of every round — evaluation refreshes
 // its plans there — and ends the cascade by returning false.
 func (d *Driver) Cascade(fr *Frontier, db *store.DB, sink Sink, before func(round int) (bool, error)) error {
+	if fr.n == 0 {
+		return nil
+	}
 	next := NewFrontier(fr.useIdx, fr.feeds)
 	next.plans = fr.plans
 	for round := 1; fr.n > 0; round++ {

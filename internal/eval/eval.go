@@ -120,11 +120,27 @@ type Options struct {
 }
 
 // Eval computes the standard minimal model M_n of the admissible program P
-// with respect to the U-facts in edb (Theorem 1): facts are added to a clone
-// of edb, then each layer L_i is evaluated to its fixpoint M_i = L_i(M_{i-1}).
-// The input database is not modified, and the caller may go on writing it:
-// the model does not see it.
+// with respect to the U-facts in edb (Theorem 1): Admit, then Run on a clone
+// of edb.  The input database is not modified, and the caller may go on
+// writing it: the model does not see it.
 func Eval(p *ast.Program, edb *store.DB, opts Options) (*store.DB, error) {
+	prog, err := Admit(p)
+	if err != nil {
+		return nil, err
+	}
+	db := edb.Clone()
+	if err := prog.Run(db, opts, nil); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// Admit is the one admission of a program: it checks that p is well formed
+// (§2.1, §7) and admissible (§3.1), layers it one strongly connected
+// component per layer (layering.Stratify) and compiles the layers.  The
+// Program keeps its layering; evaluation (Run) and maintenance
+// (internal/incr) both run it.
+func Admit(p *ast.Program) (*Program, error) {
 	if err := ast.CheckWellFormed(p); err != nil {
 		return nil, err
 	}
@@ -136,11 +152,8 @@ func Eval(p *ast.Program, edb *store.DB, opts Options) (*store.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := edb.Clone()
-	if err := prog.Run(db, opts, nil); err != nil {
-		return nil, err
-	}
-	return db, nil
+	prog.lay = lay
+	return prog, nil
 }
 
 // Program is rule groups compiled for evaluation: what Run derives from the
@@ -150,7 +163,12 @@ func Eval(p *ast.Program, edb *store.DB, opts Options) (*store.DB, error) {
 type Program struct {
 	facts  []ast.Literal // the heads of every group's facts
 	layers []layer
+	lay    *layering.Layering // the groups' layering, under Admit
 }
+
+// Layering returns the layering Admit grouped the program by: one layer per
+// group.  Nil for a Program built by Compile.
+func (prog *Program) Layering() *layering.Layering { return prog.lay }
 
 // layer is one rule group compiled.
 type layer struct {

@@ -35,14 +35,11 @@ func TestTheorem2LayeringIndependence(t *testing.T) {
 	}
 	for i, src := range srcs {
 		p := parser.MustParseProgram(src)
-		coarse, err := layering.Stratify(p)
+		fine, err := layering.Stratify(p)
 		if err != nil {
 			t.Fatalf("program %d: %v", i, err)
 		}
-		fine, err := layering.StratifyFinest(p)
-		if err != nil {
-			t.Fatalf("program %d: %v", i, err)
-		}
+		coarse := fine.Coarse()
 		if fine.NumStrata <= coarse.NumStrata && i != 0 {
 			t.Logf("program %d: layerings coincide (%d strata)", i, fine.NumStrata)
 		}

@@ -151,11 +151,45 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 		return tasks
 	}
 
-	// Phase D — deletion overestimate.  Collect every layer-i fact whose
-	// known derivation may have broken: transaction retractions, changed
-	// grouping classes, then one round of rules fed by lower-layer deltas
-	// (a deleted positive premise, or a negated premise that became true),
-	// cascading within the layer against the OLD model.
+	// Phase D — deletion overestimate, then rederivation; skipped when the
+	// layer has no deletion source, as both would find nothing.
+	if tasks := below(s.old, s.gDel, s.gIns); len(txDel)+len(groupDel)+len(tasks) > 0 {
+		if err := m.deleteLayer(s, lr, txDel, groupDel, tasks); err != nil {
+			return err
+		}
+	}
+
+	// Phase I — insertions, semi-naive.  Seeds are the transaction's own
+	// insertions and the new grouping facts; one round of rules fed by
+	// lower-layer deltas (an inserted positive premise, or a negated
+	// premise that became false), then the cascade within the layer, all
+	// against the NEW state.  Skipped, like phase D, with no source.
+	tasks := below(s.w, s.gIns, s.gDel)
+	if len(txIns)+len(groupIns)+len(tasks) == 0 {
+		return nil
+	}
+	ins := inserter{s}
+	fr := eval.NewFrontier(true, lr.within)
+	if err := seed(fr, txIns, ins.insert); err != nil {
+		return err
+	}
+	if err := seed(fr, groupIns, ins.Accept); err != nil {
+		return err
+	}
+	if err := s.d.Round(tasks, ins, fr); err != nil {
+		return err
+	}
+	return s.d.Cascade(fr, s.w, ins, nil)
+}
+
+// deleteLayer is phase D of layer lr: the DRed deletion overestimate
+// collects every fact of the layer whose known derivation may have broken —
+// the transaction's retractions txDel, the changed grouping classes'
+// groupDel, then one round of tasks, the rules fed by lower-layer deltas (a
+// deleted positive premise, or a negated premise that became true) —
+// cascading within the layer against the OLD model; the candidates leave
+// the working model, and those still derivable come back.
+func (m *Materialized) deleteLayer(s *txState, lr *layerRules, txDel, groupDel []*term.Fact, tasks []eval.Task) error {
 	cands := &candidates{w: s.w, set: newDeltaSet()}
 	fr := eval.NewFrontier(true, lr.within)
 	if err := seed(fr, txDel, cands.Accept); err != nil {
@@ -164,7 +198,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	if err := seed(fr, groupDel, cands.Accept); err != nil {
 		return err
 	}
-	if err := s.d.Round(below(s.old, s.gDel, s.gIns), cands, fr); err != nil {
+	if err := s.d.Round(tasks, cands, fr); err != nil {
 		return err
 	}
 	if err := s.d.Cascade(fr, s.old, cands, nil); err != nil {
@@ -185,7 +219,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	// whose derivability can have changed — no per-round rescan of the
 	// whole survivor set.
 	var alive []*term.Fact
-	err = s.d.Do(func(x *eval.Exec) error {
+	err := s.d.Do(func(x *eval.Exec) error {
 		for _, f := range deleted.facts() {
 			ok, err := m.derivable(x, s, f)
 			if err != nil {
@@ -212,24 +246,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	for _, f := range deleted.facts() {
 		s.gDel.add(f)
 	}
-
-	// Phase I — insertions, semi-naive.  Seeds are the transaction's own
-	// insertions and the new grouping facts; one round of rules fed by
-	// lower-layer deltas (an inserted positive premise, or a negated
-	// premise that became false), then the cascade within the layer, all
-	// against the NEW state.
-	ins := inserter{s}
-	fr = eval.NewFrontier(true, lr.within)
-	if err := seed(fr, txIns, ins.insert); err != nil {
-		return err
-	}
-	if err := seed(fr, groupIns, ins.Accept); err != nil {
-		return err
-	}
-	if err := s.d.Round(below(s.w, s.gIns, s.gDel), ins, fr); err != nil {
-		return err
-	}
-	return s.d.Cascade(fr, s.w, ins, nil)
+	return nil
 }
 
 // derivable is the rederivation test: f survives the deletion overestimate

@@ -5,8 +5,11 @@
 // from-scratch evaluation.
 //
 // The algorithm processes layers bottom-up (Theorem 1 of the paper keeps
-// the model well-defined layer by layer).  Within layer i, three phases run
-// in order:
+// the model well-defined layer by layer): the layers the program was
+// admitted with (eval.Admit), one per strongly connected component above
+// the EDB layer 0.  A layer the transaction does not reach — no fact of its
+// own, no delta on a lower predicate its rules read — is skipped.  Within
+// layer i, three phases run in order:
 //
 //  1. Grouping (§3.2): bodies of grouping rules lie strictly below layer i
 //     (Lemma 3.2.3), so the net deltas of the lower layers are final.  Only
@@ -34,6 +37,7 @@ package incr
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -84,6 +88,10 @@ type layerRules struct {
 	// inside the layer fires: one per positive body literal of a simple
 	// rule whose predicate lives in this layer.
 	within *eval.Feeds
+	// below lists the predicates of lower layers the layer's rules read: a
+	// transaction that changes none of them and has no fact of the layer's
+	// own leaves the layer as it is.
+	below []string
 }
 
 // Materialized is a materialized view of a program over a mutable EDB: the
@@ -92,7 +100,6 @@ type layerRules struct {
 // immutable handle.  Apply calls serialize on an internal lock; Snapshot
 // and reads of returned snapshots are safe from any goroutine.
 type Materialized struct {
-	prog   *ast.Program
 	lay    *layering.Layering
 	layers []layerRules
 	// byHead indexes the compiled rules by head predicate for the
@@ -124,21 +131,26 @@ func (m *Materialized) OnChange(fn func(preds []string)) {
 	m.onChange = fn
 }
 
-// New compiles the program, evaluates it once against a clone of edb, and
-// returns the materialized handle; the caller may go on writing edb, and
-// the view does not see it.  Facts written in the program text seed the
-// view's extensional state alongside edb: under maintenance they are
-// ordinary EDB facts, so a transaction may retract them like any other.
+// New admits the program (eval.Admit) and materializes it over edb; see
+// From.
 func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
-	if err := ast.CheckWellFormed(p); err != nil {
-		return nil, err
-	}
-	lay, err := layering.Stratify(p)
+	prog, err := eval.Admit(p)
 	if err != nil {
 		return nil, err
 	}
+	return From(prog, edb, opts)
+}
+
+// From materializes an admitted program: it compiles the program's rules
+// for maintenance, layer by layer of the program's layering, evaluates the
+// program once against a clone of edb, and returns the handle; the caller
+// may go on writing edb, and the view does not see it.  Facts written in
+// the program text seed the view's extensional state alongside edb: under
+// maintenance they are ordinary EDB facts, so a transaction may retract
+// them like any other.
+func From(prog *eval.Program, edb *store.DB, opts Options) (*Materialized, error) {
+	lay := prog.Layering()
 	m := &Materialized{
-		prog:       p,
 		lay:        lay,
 		layers:     make([]layerRules, lay.NumStrata),
 		byHead:     map[string][]*eval.CompiledRule{},
@@ -147,6 +159,8 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 	}
 	var progFacts []*term.Fact
 	for i, rules := range lay.Rules {
+		lr := &m.layers[i]
+		var within []*eval.Variant
 		for _, r := range rules {
 			if r.IsFact() {
 				f, err := unify.ApplyLit(r.Head, unify.NewBindings())
@@ -162,18 +176,16 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 			}
 			m.byHead[r.Head.Pred] = append(m.byHead[r.Head.Pred], cr)
 			if r.IsGroupingRule() {
-				m.layers[i].grouping = append(m.layers[i].grouping, cr)
+				lr.grouping = append(lr.grouping, cr)
 			} else {
-				m.layers[i].simple = append(m.layers[i].simple, cr)
+				lr.simple = append(lr.simple, cr)
 			}
-		}
-	}
-	for i := range m.layers {
-		lr := &m.layers[i]
-		var within []*eval.Variant
-		for _, cr := range lr.simple {
-			for j, lit := range cr.Rule.Body {
-				if cr.HasDelta(j) && !lit.Negated && lay.PredStratum(lit.Pred) == i {
+			for j, lit := range r.Body {
+				switch s := lay.PredStratum(lit.Pred); {
+				case !cr.HasDelta(j):
+				case s < i && !slices.Contains(lr.below, lit.Pred):
+					lr.below = append(lr.below, lit.Pred)
+				case s == i && !lit.Negated:
 					within = append(within, cr.Delta(j))
 				}
 			}
@@ -182,8 +194,8 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 	}
 	m.edb = edb.Clone()
 	m.edb.LoadFacts(progFacts, store.LoadOpts{})
-	model, err := eval.Eval(p, m.edb, opts)
-	if err != nil {
+	model := m.edb.Clone()
+	if err := prog.Run(model, opts, nil); err != nil {
 		return nil, err
 	}
 	m.model.Store(model)
@@ -202,9 +214,6 @@ func (m *Materialized) EDBFacts() []*term.Fact {
 	return append([]*term.Fact(nil), m.edb.Facts()...)
 }
 
-// Program returns the program the view materializes.
-func (m *Materialized) Program() *ast.Program { return m.prog }
-
 // txState carries one transaction through the layers.
 type txState struct {
 	old    *store.DB // pre-transaction model (read-only)
@@ -221,6 +230,16 @@ type txState struct {
 	// Options.MaxDerived, charged per fact inserted into w — guards every
 	// enumeration and insertion of every layer.
 	d *eval.Driver
+}
+
+// changed reports whether a lower layer changed any of preds.
+func (s *txState) changed(preds []string) bool {
+	for _, p := range preds {
+		if s.gIns.rel(p) != nil || s.gDel.rel(p) != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Apply advances the materialized model by one transaction and returns the
@@ -306,6 +325,9 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 		d:      eval.NewDriver(ctx, st, m.maxDerived),
 	}
 	for i := 0; i < ns; i++ {
+		if len(insBy[i]) == 0 && len(delBy[i]) == 0 && !s.changed(m.layers[i].below) {
+			continue
+		}
 		if err := m.applyLayer(s, i, insBy[i], delBy[i]); err != nil {
 			return Result{}, err
 		}

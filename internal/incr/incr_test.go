@@ -2,6 +2,7 @@ package incr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ldl1/internal/eval"
@@ -391,6 +392,68 @@ h(X, <Y>) <- e(X, Y).
 		}
 		if got := m.Snapshot(); !got.Equal(want) {
 			t.Fatalf("step %d: +%v -%v: incremental model diverged\ngot:\n%s\nwant:\n%s", step, tx.Insert, tx.Retract, got, want)
+		}
+	}
+}
+
+// TestApplySkipsUnreachedLayers: a negated EDB predicate n and an unrelated
+// EDB predicate f feed different layers, so a transaction on one of them
+// leaves the other's layer unreached, and Apply skips it.  Each transaction
+// alone, then both together, must leave the view equal to a from-scratch
+// evaluation of the new EDB.
+func TestApplySkipsUnreachedLayers(t *testing.T) {
+	p := parser.MustParseProgram(`
+		a(X) <- e(X), not n(X).
+		b(X) <- f(X).
+		both(X) <- a(X), b(X).
+		cnt(<X>) <- a(X).
+	`)
+	edb := store.NewDB()
+	for _, f := range []*term.Fact{af("e", "1"), af("e", "2"), af("f", "1"), af("n", "3")} {
+		edb.Insert(f)
+	}
+	m, err := New(p, edb.Clone(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Layer 0 holds the EDB; a, b, both and cnt get one layer each, and
+	// each lists the lower predicates a delta on which reaches it.
+	reads := map[string][]string{}
+	for i, lr := range m.layers {
+		for _, cr := range append(lr.simple, lr.grouping...) {
+			reads[cr.Rule.Head.Pred] = lr.below
+			if got := m.lay.Stratum[cr.Rule.Head.Pred]; got != i {
+				t.Fatalf("%s compiled in layer %d, stratum %d", cr.Rule.Head.Pred, i, got)
+			}
+		}
+	}
+	if len(m.layers) != 5 || len(m.layers[0].simple)+len(m.layers[0].grouping) != 0 {
+		t.Fatalf("%d layers, layer 0 %+v", len(m.layers), m.layers[0])
+	}
+	want := map[string][]string{"a": {"e", "n"}, "b": {"f"}, "both": {"a", "b"}, "cnt": {"a"}}
+	for pred, w := range want {
+		if !slices.Equal(reads[pred], w) {
+			t.Errorf("layer of %s reads %v, want %v", pred, reads[pred], w)
+		}
+	}
+	for k, tx := range []Tx{
+		{Insert: []*term.Fact{af("n", "1")}}, // a's layer only
+		{Insert: []*term.Fact{af("f", "2")}}, // b's layer only
+		{Insert: []*term.Fact{af("n", "2"), af("f", "3")}, Retract: []*term.Fact{af("n", "1"), af("f", "1")}}, // both
+	} {
+		mustApply(t, m, tx)
+		for _, f := range tx.Insert {
+			edb.Insert(f)
+		}
+		for _, f := range tx.Retract {
+			edb.Delete(f)
+		}
+		model, err := eval.Eval(p, edb, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Snapshot(); !got.Equal(model) {
+			t.Fatalf("tx %d: view\n%s\nwant\n%s", k, got, model)
 		}
 	}
 }

@@ -127,7 +127,10 @@ func TestApplyMatchesEvalOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v\n%s", err, src)
 		}
-		if ast.CheckWellFormed(p) != nil || !layering.Admissible(p) {
+		if ast.CheckWellFormed(p) != nil {
+			continue
+		}
+		if _, err := layering.Stratify(p); err != nil {
 			continue
 		}
 		trials++

@@ -23,14 +23,7 @@ import (
 // evaluated directly by the engine, imposing no layering constraint.
 func IsBuiltin(pred string) bool { return ast.IsBuiltinPred(pred) }
 
-// edge is a dependency from head predicate to body predicate.
-type edge struct {
-	to     string
-	strict bool // true for >, false for ≥
-	rule   int  // index into the program's Rules of the inducing rule
-}
-
-// DepEdge is the exported view of one dependency edge: head predicate From
+// DepEdge is one dependency edge: head predicate From
 // depends on body predicate To, strictly (>) when the inducing rule groups
 // in its head or negates the body literal.  RuleIndex identifies the
 // inducing rule in the program's Rules slice, so diagnostics can point at
@@ -72,14 +65,17 @@ func SCCs(p *ast.Program) [][]string {
 
 // Layering is the result of stratifying an admissible program.
 type Layering struct {
-	// Stratum maps each predicate to its layer index, 0-based.  EDB
-	// predicates (those with no rules) are in stratum 0.
+	// Stratum maps each predicate to its layer index, 0-based.  Predicates
+	// no rule derives (EDB predicates) are in stratum 0.
 	Stratum map[string]int
 	// NumStrata is 1 + the maximum stratum index.
 	NumStrata int
 	// Rules[i] holds the program rules whose head predicate lies in
 	// stratum i, in original program order.
 	Rules [][]ast.Rule
+
+	rules  []ast.Rule     // the program's, for Coarse
+	coarse map[string]int // the strata of Coarse
 }
 
 // NotAdmissibleError reports a dependency cycle through a strict edge
@@ -127,60 +123,81 @@ func (e *NotAdmissibleError) Error() string {
 		strings.Join(e.Cycle, " -> "))
 }
 
-// Stratify checks admissibility and returns a layering for the program.
-// Built-in predicates are ignored.
+// Stratify checks admissibility and returns the finest layering of the
+// program: one layer per strongly connected component of the dependency
+// graph that rules define, in dependency order, above layer 0, which holds
+// the predicates no rule derives (EDB predicates, and those only facts
+// define) and no rule but those facts.  A non-recursive rule then fires
+// once, on final inputs.  Theorem 2 makes the model the same under every
+// layering.  Built-in predicates are ignored.
+//
+// A program is admissible iff no strict (>) edge lies inside a component.
+// The components come from one Tarjan pass, in dependency order, which the
+// minimum-index layering of Coarse is derived from in the same pass.
 func Stratify(p *ast.Program) (*Layering, error) {
 	graph := buildGraph(p)
-
-	// Predicate universe in deterministic order.
-	preds := make([]string, 0, len(graph))
-	for pred := range graph {
-		preds = append(preds, pred)
+	derived := map[string]bool{}
+	for _, r := range p.Rules {
+		if !r.IsFact() {
+			derived[r.Head.Pred] = true
+		}
 	}
-	sort.Strings(preds)
-
-	// Compute strata by iterating to a fixed point:
-	//   stratum(p) ≥ stratum(q)      for p ≥ q
-	//   stratum(p) ≥ stratum(q) + 1  for p > q
-	// A program with n predicates needs at most n strata; if a value
-	// exceeds n the constraints are unsatisfiable (cycle through >).
-	stratum := make(map[string]int, len(preds))
-	for _, pred := range preds {
-		stratum[pred] = 0
-	}
-	n := len(preds)
-	for changed := true; changed; {
-		changed = false
-		for _, pred := range preds {
+	// An underived predicate has no edges out, so it is a component of its
+	// own; a derived component gets the next layer.  Every edge out of a
+	// component leads to one emitted before it, so a target in the current
+	// layer lies in the same component.
+	fine := make(map[string]int, len(graph))
+	coarse := make(map[string]int, len(graph))
+	n := 0
+	for _, scc := range tarjan(graph) {
+		if !derived[scc[0]] {
+			fine[scc[0]], coarse[scc[0]] = 0, 0
+			continue
+		}
+		n++
+		for _, pred := range scc {
+			fine[pred] = n
+		}
+		// coarse: the most strict edges on a path down from the component.
+		c := 0
+		for _, pred := range scc {
 			for _, e := range graph[pred] {
-				want := stratum[e.to]
-				if e.strict {
-					want++
-				}
-				if stratum[pred] < want {
-					if want > n {
-						return nil, &NotAdmissibleError{Cycle: canonicalCycle(findCycle(graph, pred))}
-					}
-					stratum[pred] = want
-					changed = true
+				switch {
+				case fine[e.To] == n && e.Strict:
+					return nil, &NotAdmissibleError{Cycle: canonicalCycle(findCycle(graph, pred))}
+				case fine[e.To] == n:
+				case e.Strict:
+					c = max(c, coarse[e.To]+1)
+				default:
+					c = max(c, coarse[e.To])
 				}
 			}
 		}
-	}
-
-	max := 0
-	for _, s := range stratum {
-		if s > max {
-			max = s
+		for _, pred := range scc {
+			coarse[pred] = c
 		}
 	}
-	l := &Layering{Stratum: stratum, NumStrata: max + 1}
-	l.Rules = make([][]ast.Rule, l.NumStrata)
-	for _, r := range p.Rules {
+	return layer(p.Rules, fine, coarse), nil
+}
+
+// Coarse returns the minimum-index layering of the program: every predicate
+// in the lowest layer the constraints allow, stratum(p) ≥ stratum(q) for
+// p ≥ q and stratum(p) > stratum(q) for p > q — the longest path down from
+// p counted in strict edges.  It groups more components per layer than l.
+func (l *Layering) Coarse() *Layering { return layer(l.rules, l.coarse, l.coarse) }
+
+// layer partitions rules by the stratum of their head predicates.
+func layer(rules []ast.Rule, stratum, coarse map[string]int) *Layering {
+	n := 0
+	for _, s := range stratum {
+		n = max(n, s)
+	}
+	l := &Layering{Stratum: stratum, NumStrata: n + 1, Rules: make([][]ast.Rule, n+1), rules: rules, coarse: coarse}
+	for _, r := range rules {
 		s := stratum[r.Head.Pred]
 		l.Rules[s] = append(l.Rules[s], r)
 	}
-	return l, nil
+	return l
 }
 
 // PredStratum returns the layer index of pred, defaulting to 0 for
@@ -193,40 +210,30 @@ func (l *Layering) PredStratum(pred string) int {
 	return 0
 }
 
-// Admissible reports whether the program has a layering (Lemma 3.1).
-func Admissible(p *ast.Program) bool {
-	_, err := Stratify(p)
-	return err == nil
-}
-
-func buildGraph(p *ast.Program) map[string][]edge {
-	graph := map[string][]edge{}
-	touch := func(pred string) {
-		if _, ok := graph[pred]; !ok {
-			graph[pred] = nil
-		}
+// buildGraph indexes the program's dependency edges by head predicate;
+// every predicate the program mentions, built-ins aside, is a key.
+func buildGraph(p *ast.Program) map[string][]DepEdge {
+	graph := map[string][]DepEdge{}
+	for _, r := range p.Rules {
+		graph[r.Head.Pred] = nil
 	}
-	for i, r := range p.Rules {
-		head := r.Head.Pred
-		touch(head)
-		grouping := r.IsGroupingRule()
-		for _, l := range r.Body {
-			if IsBuiltin(l.Pred) {
-				continue
-			}
-			touch(l.Pred)
-			strict := grouping || l.Negated
-			graph[head] = append(graph[head], edge{to: l.Pred, strict: strict, rule: i})
+	for _, e := range Edges(p) {
+		graph[e.From] = append(graph[e.From], e)
+		if _, ok := graph[e.To]; !ok {
+			graph[e.To] = nil
 		}
 	}
 	return graph
 }
 
-// findCycle locates a cycle through a strict edge for error reporting.
+// findCycle locates a cycle through a strict edge for error reporting,
+// from start, the tail of a strict edge inside a component: every simple
+// path from start is tried, so the cycle that edge closes is found if no
+// other is first.
 // Each path frame records the predicate and the strictness of the edge used
 // to leave it; a back edge closes a cycle, which offends iff some leaving
 // edge on it is strict.
-func findCycle(graph map[string][]edge, start string) []string {
+func findCycle(graph map[string][]DepEdge, start string) []string {
 	type frame struct {
 		pred      string
 		outStrict bool
@@ -255,33 +262,20 @@ func findCycle(graph map[string][]edge, start string) []string {
 			delete(onPath, pred)
 			path = path[:len(path)-1]
 		}()
-		edges := append([]edge(nil), graph[pred]...)
+		edges := append([]DepEdge(nil), graph[pred]...)
 		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].strict != edges[j].strict {
-				return edges[i].strict
+			if edges[i].Strict != edges[j].Strict {
+				return edges[i].Strict
 			}
-			return edges[i].to < edges[j].to
+			return edges[i].To < edges[j].To
 		})
 		for _, e := range edges {
-			path[len(path)-1].outStrict = e.strict
-			if cyc := visit(e.to); cyc != nil {
+			path[len(path)-1].outStrict = e.Strict
+			if cyc := visit(e.To); cyc != nil {
 				return cyc
 			}
 		}
 		return nil
 	}
-	if cyc := visit(start); cyc != nil {
-		return cyc
-	}
-	preds := make([]string, 0, len(graph))
-	for p := range graph {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-	for _, p := range preds {
-		if cyc := visit(p); cyc != nil {
-			return cyc
-		}
-	}
-	return []string{start}
+	return visit(start)
 }

@@ -4,18 +4,26 @@ import (
 	"strings"
 	"testing"
 
+	"ldl1/internal/ast"
 	"ldl1/internal/parser"
 )
+
+// coarse returns the minimum-index layering of p, which these tests pin.
+func coarse(t *testing.T, p *ast.Program) *Layering {
+	t.Helper()
+	l, err := Stratify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Coarse()
+}
 
 func TestAncestorSingleStratum(t *testing.T) {
 	p := parser.MustParseProgram(`
 		ancestor(X, Y) <- parent(X, Y).
 		ancestor(X, Y) <- parent(X, Z), ancestor(Z, Y).
 	`)
-	l, err := Stratify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := coarse(t, p)
 	if l.NumStrata != 1 {
 		t.Fatalf("NumStrata = %d", l.NumStrata)
 	}
@@ -31,10 +39,7 @@ func TestExclAncestorTwoLayers(t *testing.T) {
 		ancestor(X, Y) <- parent(X, Z), ancestor(Z, Y).
 		excl_ancestor(X, Y, Z) <- ancestor(X, Y), not ancestor(X, Z), person(Z).
 	`)
-	l, err := Stratify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := coarse(t, p)
 	if l.NumStrata != 2 {
 		t.Fatalf("NumStrata = %d, strata %v", l.NumStrata, l.Stratum)
 	}
@@ -61,9 +66,6 @@ func TestEvenProgramInadmissible(t *testing.T) {
 	if !strings.Contains(err.Error(), "even") {
 		t.Errorf("error should mention the cycle through even: %v", err)
 	}
-	if Admissible(p) {
-		t.Error("Admissible should be false")
-	}
 }
 
 func TestRussellProgramInadmissible(t *testing.T) {
@@ -73,7 +75,7 @@ func TestRussellProgramInadmissible(t *testing.T) {
 		p(<X>) <- p(X).
 		p(1).
 	`)
-	if Admissible(p) {
+	if _, err := Stratify(p); err == nil {
 		t.Fatal("Russell-style program must be inadmissible")
 	}
 }
@@ -84,10 +86,7 @@ func TestGroupingForcesStrictlyLowerLayer(t *testing.T) {
 		part(P, <S>) <- sp(P, S).
 		big(P) <- part(P, S), member(X, S), X > 10.
 	`)
-	l, err := Stratify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := coarse(t, p)
 	if !(l.Stratum["sp"] < l.Stratum["part"]) {
 		t.Fatalf("sp must be strictly below part: %v", l.Stratum)
 	}
@@ -106,10 +105,7 @@ func TestMutualRecursionOneStratum(t *testing.T) {
 		b(X) <- a(X).
 		a(X) <- e(X).
 	`)
-	l, err := Stratify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := coarse(t, p)
 	if l.Stratum["a"] != l.Stratum["b"] {
 		t.Fatalf("mutually recursive predicates must share a stratum: %v", l.Stratum)
 	}
@@ -122,10 +118,7 @@ func TestNegationChainLayers(t *testing.T) {
 		c(X) <- e(X), not b(X).
 		d(X) <- c(X), b(X).
 	`)
-	l, err := Stratify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := coarse(t, p)
 	if !(l.Stratum["a"] < l.Stratum["b"] && l.Stratum["b"] < l.Stratum["c"]) {
 		t.Fatalf("negation must strictly increase strata: %v", l.Stratum)
 	}
@@ -138,7 +131,7 @@ func TestNegationInsideRecursionInadmissible(t *testing.T) {
 	p := parser.MustParseProgram(`
 		win(X) <- move(X, Y), not win(Y).
 	`)
-	if Admissible(p) {
+	if _, err := Stratify(p); err == nil {
 		t.Fatal("win/move with negation through recursion must be inadmissible")
 	}
 }
@@ -152,7 +145,7 @@ func TestGroupingThroughMutualRecursionInadmissible(t *testing.T) {
 	`)
 	// §2.3's two-minimal-models program: p > q and q ≥ p forms a cycle
 	// through >, so it is not admissible.
-	if Admissible(p) {
+	if _, err := Stratify(p); err == nil {
 		t.Fatal("the §2.3 two-minimal-models program must be inadmissible")
 	}
 }
@@ -166,10 +159,7 @@ func TestYoungProgramLayers(t *testing.T) {
 		sg(X, Y) <- p(Z1, X), sg(Z1, Z2), p(Z2, Y).
 		young(X, <Y>) <- not a(X, Z), sg(X, Y), person(Z).
 	`)
-	l, err := Stratify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := coarse(t, p)
 	if !(l.Stratum["a"] < l.Stratum["young"] && l.Stratum["sg"] < l.Stratum["young"]) {
 		t.Fatalf("young must be above a and sg: %v", l.Stratum)
 	}
@@ -180,10 +170,7 @@ func TestStratumMapIncludesAllPredicates(t *testing.T) {
 		a(X, Y) <- p(X, Y).
 		young(X, <Y>) <- a(X, Y).
 	`)
-	l, err := Stratify(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := coarse(t, p)
 	for _, pred := range []string{"a", "p", "young"} {
 		if _, ok := l.Stratum[pred]; !ok {
 			t.Errorf("stratum map missing %s (stratum-0 predicates must be materialized)", pred)

@@ -1,82 +1,11 @@
 package layering
 
-import (
-	"sort"
+import "sort"
 
-	"ldl1/internal/ast"
-)
-
-// StratifyFinest returns an alternative, maximally fine layering: every
-// strongly connected component of the dependency graph gets its own layer,
-// in topological order.  The paper observes that a program may admit many
-// layerings (§3.1) and Theorem 2 states the computed model is the same for
-// all of them; this construction provides a second layering to check that
-// against the canonical (minimum-index) one of Stratify.
-func StratifyFinest(p *ast.Program) (*Layering, error) {
-	// Reuse Stratify for the admissibility check and as a fallback
-	// constraint base.
-	if _, err := Stratify(p); err != nil {
-		return nil, err
-	}
-	graph := buildGraph(p)
-
-	// tarjan emits an SCC only after every SCC it has edges into (its
-	// dependencies, since edges run head → body predicate), so the
-	// emission order already lists dependencies first.
-	sccs := tarjan(graph)
-
-	comp := map[string]int{}
-	for i, scc := range sccs {
-		for _, pred := range scc {
-			comp[pred] = i
-		}
-	}
-
-	stratum := map[string]int{}
-	for i, scc := range sccs {
-		// The layer must exceed every strict dependency's layer and not
-		// precede any dependency; giving each SCC a fresh index achieves
-		// both since dependencies come first.
-		for _, pred := range scc {
-			stratum[pred] = i
-		}
-	}
-
-	// Sanity: verify the layering conditions (they hold by construction
-	// for admissible programs, but guard against graph anomalies).
-	for pred, edges := range graph {
-		for _, e := range edges {
-			if e.strict && stratum[pred] <= stratum[e.to] && comp[pred] != comp[e.to] {
-				// A strict edge within one SCC would have failed
-				// Stratify already.
-				return nil, &NotAdmissibleError{Cycle: canonicalCycle([]string{pred, e.to, pred})}
-			}
-			if !e.strict && stratum[pred] < stratum[e.to] {
-				return nil, &NotAdmissibleError{Cycle: canonicalCycle([]string{pred, e.to, pred})}
-			}
-		}
-	}
-
-	max := 0
-	for _, s := range stratum {
-		if s > max {
-			max = s
-		}
-	}
-	l := &Layering{Stratum: stratum, NumStrata: max + 1}
-	l.Rules = make([][]ast.Rule, l.NumStrata)
-	for _, r := range p.Rules {
-		s := stratum[r.Head.Pred]
-		l.Rules[s] = append(l.Rules[s], r)
-	}
-	return l, nil
-}
-
-// tarjan computes strongly connected components; the returned list is in
-// reverse topological order of the condensation (a component appears
-// before the components it depends on are emitted... i.e. standard Tarjan
-// emission order: every SCC is emitted after all SCCs it has edges INTO).
-func tarjan(graph map[string][]edge) [][]string {
+// tarjan computes the strongly connected components of graph, each sorted,
+// in Tarjan emission order: every component after all those it has edges
+// into, so dependencies first, as edges run head → body predicate.
+func tarjan(graph map[string][]DepEdge) [][]string {
 	preds := make([]string, 0, len(graph))
 	for p := range graph {
 		preds = append(preds, p)
@@ -98,7 +27,7 @@ func tarjan(graph map[string][]edge) [][]string {
 		stack = append(stack, v)
 		onStack[v] = true
 		for _, e := range graph[v] {
-			w := e.to
+			w := e.To
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
 				if low[w] < low[v] {

@@ -47,7 +47,10 @@ func TestRandomMagicDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := ast.CheckWellFormed(p); err != nil || !layering.Admissible(p) {
+		if err := ast.CheckWellFormed(p); err != nil {
+			continue
+		}
+		if _, err := layering.Stratify(p); err != nil {
 			continue
 		}
 		q, err := parser.ParseQuery(qsrc)

@@ -64,6 +64,10 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Groups follow the minimum-index layering: the finest one splits the
+	// rewritten program into more groups, and a recursive magic program
+	// then saturates in more passes.
+	lay = lay.Coarse()
 	out := &Rewritten{
 		Program:    ast.NewProgram(),
 		AnswerPred: adornedName(ap.QueryPred, ap.QueryAdorn),

@@ -26,6 +26,7 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 	if err != nil {
 		return nil, err
 	}
+	lay = lay.Coarse() // grouped as Rewrite groups
 	out := &Rewritten{
 		Program:    ast.NewProgram(),
 		AnswerPred: adornedName(ap.QueryPred, ap.QueryAdorn),

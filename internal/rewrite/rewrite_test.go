@@ -193,8 +193,8 @@ func TestNegationElimination(t *testing.T) {
 	if !pos.IsPositive() {
 		t.Fatalf("transformed program still has negation:\n%s", pos)
 	}
-	if !layering.Admissible(pos) {
-		t.Fatalf("transformed program is not admissible:\n%s", pos)
+	if _, err := layering.Stratify(pos); err != nil {
+		t.Fatalf("transformed program is not admissible: %v\n%s", err, pos)
 	}
 	orig, err := eval.Eval(p, store.NewDB(), eval.Options{})
 	if err != nil {
@@ -273,8 +273,8 @@ func TestRewriteKeepsWellFormedAdmissible(t *testing.T) {
 		if err := ast.CheckWellFormed(rp); err != nil {
 			t.Errorf("program %d ill-formed after rewrite: %v", i, err)
 		}
-		if !layering.Admissible(rp) {
-			t.Errorf("program %d not admissible after rewrite:\n%s", i, rp)
+		if _, err := layering.Stratify(rp); err != nil {
+			t.Errorf("program %d not admissible after rewrite: %v\n%s", i, err, rp)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func (e *Engine) Materialize() (*Materialized, error) {
 	edb := e.edb.Clone()
 	opts := e.evalOpts(ctx, st)
 	e.mu.RUnlock()
-	inner, err := incr.New(e.source, edb, opts)
+	inner, err := incr.From(e.prog, edb, opts)
 	if err != nil {
 		return nil, err
 	}
