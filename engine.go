@@ -209,13 +209,19 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// AddFact inserts one extensional fact.
-func (e *Engine) AddFact(f *Fact) {
+// AddFact inserts one extensional fact.  Facts are ground (§7): a fact
+// with a variable is rejected, with the error AddFacts wraps for it, and
+// nothing is inserted.
+func (e *Engine) AddFact(f *Fact) error {
+	if err := ast.CheckRuleSafe(ast.Rule{Head: ast.NewLit(f.Pred, f.Args...)}); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = nil
 	e.edb.Insert(f)
 	e.r.cache.Invalidate(f.Pred)
+	return nil
 }
 
 // AddFacts inserts facts given as LDL1 source text ("parent(a, b). ...").

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -101,7 +102,7 @@ func TestEngineMagicMatchesBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			eng.AddFact(NewFact("par", Sym(nodeName(i)), Sym(nodeName(i+1))))
+			mustAddFact(t, eng, NewFact("par", Sym(nodeName(i)), Sym(nodeName(i+1))))
 		}
 		return eng
 	}
@@ -389,6 +390,39 @@ func TestFactListsAreGround(t *testing.T) {
 	}
 }
 
+// TestAddFactIsGround: AddFact takes ground facts only (§7), as AddFacts
+// does.  A fact with a variable gets the error AddFacts wraps for its text,
+// and neither the model nor a query sees it.
+func TestAddFactIsGround(t *testing.T) {
+	eng, err := New(prepProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = eng.AddFact(NewFact("par", Sym("a"), Variable("X")))
+	listErr := eng.AddFacts("par(a, X).")
+	if err == nil || listErr == nil || !strings.HasSuffix(listErr.Error(), ": "+err.Error()) {
+		t.Fatalf("AddFact: %v; AddFacts: %v; want the same §7 error", err, listErr)
+	}
+	m, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Facts("anc"); len(got) != 8 || slices.ContainsFunc(got, func(f string) bool { return strings.Contains(f, "X") }) {
+		t.Errorf("model after a rejected fact: %v", got)
+	}
+	if got, want := mustStr(t)(eng.Query("anc(a, W)")), "W = b\nW = c\nW = d\nW = e"; got != want {
+		t.Errorf("engine after a rejected fact: %q, want %q", got, want)
+	}
+}
+
+// mustAddFact inserts f into eng, failing the test on an error.
+func mustAddFact(t *testing.T, eng *Engine, f *Fact) {
+	t.Helper()
+	if err := eng.AddFact(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestViewSharesStatsSink: an engine's loads and reads and its view's
 // transactions count into one WithStats sink from two goroutines.  Under
 // -race, a view writing the sink outside the lock the engine's reads merge
@@ -418,7 +452,7 @@ func TestViewSharesStatsSink(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 25; i++ {
-		eng.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("e%d", i))))
+		mustAddFact(t, eng, NewFact("par", Sym("d"), Sym(fmt.Sprintf("e%d", i))))
 		if _, err := eng.Query("anc(a, W)"); err != nil {
 			t.Fatal(err)
 		}

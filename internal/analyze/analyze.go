@@ -117,13 +117,6 @@ var codeTable = []CodeInfo{
 	{CodeMixedGroup, Warning, "grouping collects elements of provably mixed kinds"},
 }
 
-// Codes returns the full diagnostic catalogue in code order.
-func Codes() []CodeInfo {
-	out := make([]CodeInfo, len(codeTable))
-	copy(out, codeTable)
-	return out
-}
-
 // severityOf maps a code to its severity.
 func severityOf(code string) Severity {
 	for _, ci := range codeTable {

@@ -52,7 +52,7 @@ func TestGolden(t *testing.T) {
 	if *update {
 		return
 	}
-	for _, ci := range Codes() {
+	for _, ci := range codeTable {
 		if !covered[ci.Code] {
 			t.Errorf("no golden test emits %s (%s)", ci.Code, ci.Summary)
 		}

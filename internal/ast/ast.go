@@ -124,20 +124,6 @@ func (r Rule) IsFact() bool { return len(r.Body) == 0 }
 // IsGroupingRule reports whether the head contains a grouping construct.
 func (r Rule) IsGroupingRule() bool { return r.Head.HasGroup() }
 
-// IsSimple reports the paper's §3.2 notion: no grouping in the head and no
-// negative body literal.
-func (r Rule) IsSimple() bool {
-	if r.IsGroupingRule() {
-		return false
-	}
-	for _, l := range r.Body {
-		if l.Negated {
-			return false
-		}
-	}
-	return true
-}
-
 // Vars returns all variables of the rule in first-occurrence order
 // (head first, then body).
 func (r Rule) Vars() []term.Var {

@@ -66,19 +66,15 @@ func TestGroupDetection(t *testing.T) {
 
 func TestRuleClassification(t *testing.T) {
 	fact := Rule{Head: NewLit("p", term.Int(1))}
-	if !fact.IsFact() || fact.IsGroupingRule() || !fact.IsSimple() {
+	if !fact.IsFact() || fact.IsGroupingRule() {
 		t.Fatal("fact classification wrong")
 	}
 	grouping := rule(NewLit("p", term.NewGroup(term.Var("X"))), NewLit("q", term.Var("X")))
-	if grouping.IsFact() || !grouping.IsGroupingRule() || grouping.IsSimple() {
+	if grouping.IsFact() || !grouping.IsGroupingRule() {
 		t.Fatal("grouping classification wrong")
 	}
-	negated := rule(NewLit("p", term.Var("X")), NewLit("q", term.Var("X")), NewNegLit("r", term.Var("X")))
-	if negated.IsSimple() {
-		t.Fatal("negated rule is not simple")
-	}
 	simple := rule(NewLit("p", term.Var("X")), NewLit("q", term.Var("X")))
-	if !simple.IsSimple() {
+	if simple.IsFact() || simple.IsGroupingRule() {
 		t.Fatal("simple rule misclassified")
 	}
 }

@@ -135,7 +135,7 @@ func NewFeeds(vars []*Variant) *Feeds {
 // without a copy, when the tasks are built.
 type Frontier struct {
 	feeds  *Feeds
-	plans  []*bodyPlan    // by Variant.slot; nil: each variant's fixed plan
+	plans  []*bodyPlan    // by Variant.slot; nil: ordered per task
 	preds  []deltaPages   // by feeds.reads
 	seen   *store.FactSet // under DebugFrontier only
 	useIdx bool
@@ -230,14 +230,13 @@ type Variant struct {
 	// head is evaluated per solution; for a grouping rule its group
 	// argument is the grouped variable itself.
 	head ast.Literal
-	// fixed is the static plan of a maintenance variant; evaluation plans
-	// its variants per call, into a slice indexed by slot.
-	fixed *bodyPlan
-	slot  int
+	// slot numbers the variant in its layer's plan slice of an evaluation.
+	slot int
 }
 
-// Task is one unit of a round: a variant fired under plan p against a
-// database and, when the variant has a delta literal, a delta relation.
+// Task is one unit of a round: a variant fired under plan p — nil: ordered
+// against db when it fires — against a database and, when the variant has a
+// delta literal, a delta relation.
 type Task struct {
 	v     *Variant
 	p     *bodyPlan
@@ -245,18 +244,18 @@ type Task struct {
 	delta *store.Relation
 }
 
-// Task schedules the variant under its static plan against db, its delta
-// literal reading delta.
+// Task schedules the variant against db, its delta literal reading delta.
 func (v *Variant) Task(db *store.DB, delta *store.Relation) Task {
-	return Task{v: v, p: v.fixed, db: db, delta: delta}
+	return Task{v: v, db: db, delta: delta}
 }
 
 // Exec is the firing context of one driver: the budget it polls, the
 // counters it accumulates (the driver flushes them into Stats), and where
 // the head facts of the running task go.
 type Exec struct {
-	b     *budget
-	polls uint
+	b      *budget
+	polls  uint
+	static bool // every body is ordered statically: Options.NoReorder
 	// prov, when non-nil, makes join keep the trail of matched database
 	// facts so derivations can be recorded.
 	prov  *Provenance
@@ -291,13 +290,28 @@ func (x *Exec) poll() error {
 	return x.b.Err()
 }
 
-// heads enumerates the solutions of the variant's body under plan p — its
-// delta literal reading delta, the rest db — counting a firing and polling
-// the budget per solution, and yields the head arguments of every solution
-// inside U (§3.2) in a scratch slice valid only for the duration of the
-// call, so a firing that derives nothing new allocates nothing.  b holds the
-// live bindings during yield.
+// against returns the database a body is ordered against: db, the one it
+// reads, or nil — the static order — under Options.NoReorder.
+func (x *Exec) against(db *store.DB) *store.DB {
+	if x.static {
+		return nil
+	}
+	return db
+}
+
+// heads enumerates the solutions of the variant's body under plan p — nil:
+// the plan of the body ordered against db — its delta literal reading delta,
+// the rest db, counting a firing and polling the budget per solution, and
+// yields the head arguments of every solution inside U (§3.2) in a scratch
+// slice valid only for the duration of the call, so a firing that derives
+// nothing new allocates nothing.  b holds the live bindings during yield.
 func (x *Exec) heads(v *Variant, p *bodyPlan, db *store.DB, delta *store.Relation, b *unify.Bindings, yield func(args []term.Term) error) error {
+	if p == nil {
+		var err error
+		if p, _, err = v.plan(x.against(db)); err != nil {
+			return err
+		}
+	}
 	x.db, x.delta, x.deltaSlot = db, delta, v.dLit
 	scratch := make([]term.Term, len(v.head.Args))
 	return x.join(v.body, p, 0, b, func() error {
@@ -493,14 +507,15 @@ type Driver struct {
 	tasks []Task // a round's tasks, reused round after round
 }
 
-// NewDriver returns a driver for one evaluation or maintenance
-// transaction: enumerations through it poll ctx (which may be nil), facts
-// charged to it count against maxDerived (0 = unbounded), and its counters
-// land in st (which may be nil).
-func NewDriver(ctx context.Context, st *Stats, maxDerived int) *Driver {
-	d := &Driver{stats: st}
-	d.ctx, d.maxDerived = ctx, maxDerived
-	d.x.b = &d.budget
+// NewDriver returns a driver for one evaluation or maintenance transaction
+// under opts: enumerations through it poll opts.Ctx, facts charged to it
+// count against opts.MaxDerived and opts.MemBudget, its counters land in
+// opts.Stats, its bodies are ordered statically under opts.NoReorder, and
+// its firings are recorded in opts.Provenance.  The Strategy is Run's.
+func NewDriver(opts Options) *Driver {
+	d := &Driver{stats: opts.Stats}
+	d.ctx, d.maxDerived, d.memBudget = opts.Ctx, opts.MaxDerived, opts.MemBudget
+	d.x.b, d.x.prov, d.x.static = &d.budget, opts.Provenance, opts.NoReorder
 	return d
 }
 

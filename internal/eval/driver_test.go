@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -32,7 +31,7 @@ func TestRoundFeedsLaterTasks(t *testing.T) {
 	var st Stats
 	next := NewFrontier(false, NewFeeds([]*Variant{second.Delta(0), third.Delta(0)}))
 	tasks := []Task{first.Delta(0).Task(db, delta), second.base.Task(db, nil)}
-	if err := NewDriver(context.Background(), &st, 0).Round(tasks, inserter{db}, next); err != nil {
+	if err := NewDriver(Options{Stats: &st}).Round(tasks, inserter{db}, next); err != nil {
 		t.Fatal(err)
 	}
 	if !db.Contains(term.NewFact("r", atom("a"))) {
@@ -59,7 +58,7 @@ func TestProbeSeesBucketAsProbed(t *testing.T) {
 			db.Insert(term.NewFact("e", atom("a"), term.Int(int64(i))))
 		}
 		var st Stats
-		if err := NewDriver(context.Background(), &st, 0).Round([]Task{rule.base.Task(db, nil)}, &capped{inserter{db}, n}, nil); err != nil {
+		if err := NewDriver(Options{Stats: &st}).Round([]Task{rule.base.Task(db, nil)}, &capped{inserter{db}, n}, nil); err != nil {
 			t.Fatalf("a bucket of %d facts: %v", n, err)
 		}
 		if st.Firings != n || st.IndexHits != 1 || db.Card("e") != 2*n {
@@ -100,7 +99,7 @@ func TestFrontierKeepsWhatTheNextRoundReads(t *testing.T) {
 	}
 	feeds := NewFeeds([]*Variant{rec.Delta(0)})
 	fr := NewFrontier(false, feeds)
-	d := NewDriver(context.Background(), nil, 0)
+	d := NewDriver(Options{})
 	round0 := []Task{b.base.Task(db, nil), base.base.Task(db, nil), rec.base.Task(db, nil)}
 	if err := d.Round(round0, inserter{db}, fr); err != nil {
 		t.Fatal(err)

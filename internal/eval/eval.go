@@ -113,9 +113,10 @@ type Options struct {
 	// LDL1 universe U is infinite).
 	MaxDerived int
 	// NoReorder disables the cost-based join planner and falls back to the
-	// static most-bound-columns literal order — the ablation switch for
-	// benchmarks and for reproducing pre-cost plans.  The computed model is
-	// identical either way; only the join schedule differs.
+	// static most-bound-columns literal order, in evaluation and
+	// maintenance alike — the ablation switch for benchmarks and for
+	// reproducing pre-cost plans.  The computed model is identical either
+	// way; only the join schedule differs.
 	NoReorder bool
 }
 
@@ -156,13 +157,14 @@ func Admit(p *ast.Program) (*Program, error) {
 	return prog, nil
 }
 
-// Program is rule groups compiled for evaluation: what Run derives from the
-// rules alone — the facts, and each group's rules as variants whose shapes'
-// memos fill as evaluations choose join orders.  The memos publish safely,
-// so one Program serves any number of concurrent Run calls.
+// Program is rule groups compiled: what Run and maintenance (internal/incr)
+// derive from the rules alone — the facts, and each non-fact rule as one
+// Rule whose variants' shapes' memos fill as evaluations and transactions
+// choose join orders.  The memos publish safely, so one Program serves any
+// number of concurrent Run calls and views.
 type Program struct {
 	facts  []ast.Literal // the heads of every group's facts
-	layers []layer
+	layers []Layer
 	lay    *layering.Layering // the groups' layering, under Admit
 }
 
@@ -170,23 +172,64 @@ type Program struct {
 // group.  Nil for a Program built by Compile.
 func (prog *Program) Layering() *layering.Layering { return prog.lay }
 
-// layer is one rule group compiled.
-type layer struct {
-	grouping []*Variant // the grouping rules, applied once on entry
-	// vars are the other rules, in source order, then their variants with a
-	// delta literal, each an occurrence of a predicate the layer's rules
-	// define; they number an evaluation's plan slice (Variant.slot).
-	vars   []*Variant
-	rules  []*Variant // the rules of vars: a naive round
-	round0 []*Variant // the same, non-recursive ones first: round 0
-	feeds  *Feeds     // the delta variants of vars: the cascade's
+// Layer returns compiled group i.
+func (prog *Program) Layer(i int) *Layer { return &prog.layers[i] }
+
+// Layer is one rule group compiled.
+type Layer struct {
+	// Grouping are the group's grouping rules, applied once on entry; Simple
+	// the others, each in source order.
+	Grouping, Simple []*Rule
+	// Feeds are the delta variants of Simple whose delta literal is a
+	// positive occurrence of a predicate Simple defines, in rule and literal
+	// order: what a cascade within the group fires, in evaluation and
+	// maintenance alike.
+	Feeds *Feeds
+	// vars are the base variants of Simple, then the variants of Feeds; they
+	// number an evaluation's plan slice (Variant.slot).  round0 is the base
+	// variants, non-recursive ones first.
+	vars, round0 []*Variant
 }
 
-// Compile compiles rule groups for Run.  Groups run in order, each to its
-// fixpoint; no admissibility check is performed, so the magic-sets
-// evaluator compiles its own (non-admissible) group assignment with it.
+// Rule is one non-fact rule compiled: every variant evaluation and
+// maintenance fire of it.
+type Rule struct {
+	Rule ast.Rule
+
+	// base executes the body as written.
+	base *Variant
+	// delta[j] executes the body with literal j first, bound to a delta
+	// relation.  For a negated literal j it runs the positive variant of
+	// the body: maintenance enumerates the facts whose appearance killed —
+	// or whose disappearance enabled — the negated condition.  nil for
+	// built-in literals (they never change).
+	delta []*Variant
+	// bound executes the body with the head variables pre-bound: the
+	// rederivation variant of a simple rule, the per-class recompute of a
+	// grouping rule (non-grouped head variables only).
+	bound *Variant
+
+	// headMatchable reports that every head argument is an invertible
+	// pattern, so Derives can seed bindings by matching the head against
+	// the candidate fact.  False (e.g. arithmetic in the head) falls back
+	// to full enumeration with head comparison.
+	headMatchable bool
+
+	// Grouping: gIdx is the head's group-argument position (-1 for simple
+	// rules); enumerations yield the grouped variable's value — the ≡-class
+	// element, not a set — at that position.  classBindable reports that
+	// every non-grouped head argument is a plain variable, so one class can
+	// be recomputed from its key bindings alone.
+	gIdx          int
+	classBindable bool
+}
+
+// Compile compiles rule groups for Run and maintenance.  Groups run in
+// order, each to its fixpoint; no admissibility check is performed, so the
+// magic-sets evaluator compiles its own (non-admissible) group assignment
+// with it.
 func Compile(groups [][]ast.Rule) (*Program, error) {
-	prog := &Program{layers: make([]layer, len(groups))}
+	prog := &Program{layers: make([]Layer, len(groups))}
 	for g, rules := range groups {
 		l := &prog.layers[g]
 		heads := map[string]bool{}
@@ -197,38 +240,79 @@ func Compile(groups [][]ast.Rule) (*Program, error) {
 		}
 		var base, rec, deltas []*Variant
 		for _, r := range rules {
-			switch {
-			case r.IsFact():
+			if r.IsFact() {
 				prog.facts = append(prog.facts, r.Head)
-			case r.IsGroupingRule():
-				_, head, err := groupHead(r)
-				if err != nil {
-					return nil, err
-				}
-				l.grouping = append(l.grouping, newVariant(r, head, r.Body, -1, nil))
-			default:
-				v, n := newVariant(r, r.Head, r.Body, -1, nil), len(deltas)
-				for i, lit := range r.Body {
-					if !lit.Negated && heads[lit.Pred] {
-						deltas = append(deltas, newVariant(r, r.Head, r.Body, i, nil))
-					}
-				}
-				l.vars = append(l.vars, v)
-				if len(deltas) > n {
-					rec = append(rec, v)
-				} else {
-					base = append(base, v)
+				continue
+			}
+			cr, err := compileRule(r)
+			if err != nil {
+				return nil, err
+			}
+			if r.IsGroupingRule() {
+				l.Grouping = append(l.Grouping, cr)
+				continue
+			}
+			l.Simple, l.vars = append(l.Simple, cr), append(l.vars, cr.base)
+			n := len(deltas)
+			for j, lit := range r.Body {
+				if !lit.Negated && heads[lit.Pred] {
+					deltas = append(deltas, cr.delta[j])
 				}
 			}
+			if len(deltas) > n {
+				rec = append(rec, cr.base)
+			} else {
+				base = append(base, cr.base)
+			}
 		}
-		n := len(l.vars)
 		l.vars = append(l.vars, deltas...)
-		l.rules, l.round0, l.feeds = l.vars[:n], append(base, rec...), NewFeeds(l.vars[n:])
+		l.round0, l.Feeds = append(base, rec...), NewFeeds(deltas)
 		for i, v := range l.vars {
 			v.slot = i
 		}
 	}
 	return prog, nil
+}
+
+// compileRule compiles one non-fact rule.
+func compileRule(r ast.Rule) (*Rule, error) {
+	gIdx, head, err := groupHead(r)
+	if err != nil {
+		return nil, err
+	}
+	cr := &Rule{Rule: r, gIdx: gIdx, base: newVariant(r, head, r.Body, -1, nil)}
+	if gIdx >= 0 {
+		cr.classBindable = true
+		for i, a := range r.Head.Args {
+			if _, ok := a.(term.Var); i != gIdx && !ok {
+				cr.classBindable = false
+			}
+		}
+	} else {
+		cr.headMatchable = !slices.ContainsFunc(r.Head.Args, func(a term.Term) bool { return !matchablePattern(a) })
+	}
+	cr.delta = make([]*Variant, len(r.Body))
+	for j, l := range r.Body {
+		if layering.IsBuiltin(l.Pred) {
+			continue
+		}
+		body := r.Body
+		if l.Negated {
+			body = slices.Clone(r.Body)
+			body[j] = l.Positive()
+		}
+		cr.delta[j] = newVariant(r, head, body, j, nil)
+	}
+	pre := map[term.Var]bool{}
+	for i, a := range r.Head.Args {
+		if i != gIdx {
+			for _, v := range term.VarsOf(a) {
+				pre[v] = true
+			}
+		}
+	}
+	cr.bound = newVariant(r, head, r.Body, -1, pre)
+	return cr, nil
 }
 
 // Run evaluates the compiled groups in order, each to its fixpoint, against
@@ -246,10 +330,9 @@ func (prog *Program) Run(db *store.DB, opts Options, after func(group int)) erro
 			opts.Provenance.record(&Derivation{Fact: f})
 		}
 	}
-	d := NewDriver(opts.Ctx, opts.Stats, opts.MaxDerived)
-	d.memBudget, d.x.prov = opts.MemBudget, opts.Provenance
+	d := NewDriver(opts)
 	defer d.flush(&d.x)
-	ev := &evaluation{Driver: d, db: db, noReorder: opts.NoReorder}
+	ev := &evaluation{Driver: d, db: db}
 	for i := range prog.layers {
 		if err := d.Err(); err != nil {
 			return err
@@ -264,13 +347,11 @@ func (prog *Program) Run(db *store.DB, opts Options, after func(group int)) erro
 	return nil
 }
 
-// evaluation is one Program.Run call: the driver, the database being
-// completed, and what the planner needs.
+// evaluation is one Program.Run call: the driver and the database being
+// completed.
 type evaluation struct {
 	*Driver
 	db *store.DB
-	// noReorder pins the static literal order; see Options.NoReorder.
-	noReorder bool
 }
 
 // Probe and Accept make the evaluation its own sink: a head fact absent
@@ -296,10 +377,7 @@ func (ev *evaluation) Accept(f *term.Fact) (bool, error) {
 // static under Options.NoReorder — and returns the plan of that order.
 // Planner decisions are charged to the stats sink here, per call.
 func (ev *evaluation) plan(v *Variant) (*bodyPlan, error) {
-	db := ev.db
-	if ev.noReorder {
-		db = nil
-	}
+	db := ev.x.against(ev.db)
 	p, reordered, err := v.plan(db)
 	if err != nil {
 		return nil, err
@@ -354,12 +432,12 @@ func (ev *evaluation) roundTasks(vars []*Variant, plans []*bodyPlan) []Task {
 // after it outgrew every alternative.  Relations grow monotonically within a
 // layer, so any growth-induced plan flip is picked up within a factor-2
 // window of rounds at O(log rounds) replanning cost; an order chosen before
-// is a memo hit.  Only bodies that offer a choice are re-ordered; static
-// plans (NoReorder) are data-independent and kept.
+// is a memo hit, as is every static one (NoReorder).  Only bodies that offer
+// a choice are re-ordered.
 func (ev *evaluation) replan(vars []*Variant, plans []*bodyPlan) func(round int) (bool, error) {
 	next := 1
 	return func(round int) (bool, error) {
-		if ev.noReorder || round != next {
+		if round != next {
 			return true, nil
 		}
 		next *= 2
@@ -372,18 +450,18 @@ func (ev *evaluation) replan(vars []*Variant, plans []*bodyPlan) func(round int)
 // once against the layer input (their bodies mention only lower layers, see
 // Lemma 3.2.3), then the remaining rules run to fixpoint under this
 // evaluation's plans of the layer's variants.
-func (ev *evaluation) evalLayer(l *layer, strat Strategy) error {
-	for _, v := range l.grouping {
-		if err := ev.applyGroupingRule(v); err != nil {
+func (ev *evaluation) evalLayer(l *Layer, strat Strategy) error {
+	for _, cr := range l.Grouping {
+		if err := ev.applyGroupingRule(cr.base); err != nil {
 			return err
 		}
 	}
-	if len(l.rules) == 0 {
+	if len(l.Simple) == 0 {
 		return nil
 	}
 	plans := make([]*bodyPlan, len(l.vars))
 	if strat == Naive {
-		return ev.naiveFixpoint(l.rules, plans)
+		return ev.naiveFixpoint(l.vars[:len(l.Simple)], plans)
 	}
 	return ev.semiNaiveFixpoint(l, plans)
 }
@@ -418,18 +496,18 @@ func (ev *evaluation) naiveFixpoint(rules []*Variant, plans []*bodyPlan) error {
 // cascades: each further round fires only the variants of recursive rules
 // whose delta literal — a body occurrence of a predicate defined in this
 // layer — has facts new in the previous round.
-func (ev *evaluation) semiNaiveFixpoint(l *layer, plans []*bodyPlan) error {
+func (ev *evaluation) semiNaiveFixpoint(l *Layer, plans []*bodyPlan) error {
 	if err := ev.planVars(l.vars, plans, false); err != nil {
 		return err
 	}
 	// Round 0 fires every rule exactly once, non-recursive rules first.
 	ev.bumpIter()
-	fr := NewFrontier(ev.db.UseIndexes, l.feeds)
+	fr := NewFrontier(ev.db.UseIndexes, l.Feeds)
 	fr.plans = plans
 	if err := ev.Round(ev.roundTasks(l.round0, plans), ev, fr); err != nil {
 		return err
 	}
-	return ev.Cascade(fr, ev.db, ev, ev.replan(l.feeds.vars, plans))
+	return ev.Cascade(fr, ev.db, ev, ev.replan(l.Feeds.vars, plans))
 }
 
 // Solve evaluates a conjunctive query body against a database, returning

@@ -14,8 +14,8 @@ import (
 // arguments k̄; each class yields one fact whose group argument is the set of
 // its Y-values.  The partition lives here once, in ClassTable: evaluation
 // fills it with every solution (applyGroupingRule), maintenance with the
-// classes a transaction touched (Touch, then CompiledRule.Regroup), and
-// rederivation with the class of one fact (CompiledRule.Derives).
+// classes a transaction touched (Touch, then Rule.Regroup), and
+// rederivation with the class of one fact (Rule.Derives).
 
 // groupHead returns the head's group position and the head the body
 // solutions are evaluated into: the grouped variable at that position, so a
@@ -53,7 +53,7 @@ type ClassTable struct {
 }
 
 // Classes returns an empty class table of the grouping rule.
-func (cr *CompiledRule) Classes() ClassTable { return ClassTable{gIdx: cr.gIdx} }
+func (cr *Rule) Classes() ClassTable { return ClassTable{gIdx: cr.gIdx} }
 
 // Touch records the class of one body solution's head arguments: the yield
 // of maintenance's EnumerateDelta over a transaction's deltas.
@@ -119,16 +119,21 @@ func (t *ClassTable) fact(pred string, c *class, s *term.Set) *term.Fact {
 }
 
 // recompute collects, against db, the elements of every class of t: from
-// its key alone under the bound plan when every non-grouped head argument is
-// a variable, otherwise by one full enumeration filtered through find.
-func (cr *CompiledRule) recompute(x *Exec, db *store.DB, t *ClassTable) error {
+// its key alone under the bound variant when every non-grouped head argument
+// is a variable, otherwise by one full enumeration filtered through find.
+// Either body is ordered once against db.
+func (cr *Rule) recompute(x *Exec, db *store.DB, t *ClassTable) error {
 	if !cr.classBindable {
-		return x.heads(cr.base, cr.base.fixed, db, nil, unify.NewBindings(), func(args []term.Term) error {
+		return x.heads(cr.base, nil, db, nil, unify.NewBindings(), func(args []term.Term) error {
 			if c := t.find(args); c != nil {
 				c.elems = append(c.elems, args[t.gIdx])
 			}
 			return nil
 		})
+	}
+	p, _, err := cr.bound.plan(x.against(db))
+	if err != nil {
+		return err
 	}
 	b := unify.NewBindings()
 classes:
@@ -145,7 +150,7 @@ classes:
 				continue classes // a repeated variable meets two values: no solution has this key
 			}
 		}
-		err := x.heads(cr.bound, cr.bound.fixed, db, nil, b, func(args []term.Term) error {
+		err := x.heads(cr.bound, p, db, nil, b, func(args []term.Term) error {
 			c.elems = append(c.elems, args[t.gIdx])
 			return nil
 		})
@@ -164,7 +169,7 @@ classes:
 // predicate's facts in old, which by §3.2 holds one fact per class with a
 // body solution: the old set is read from that fact.  Otherwise it is
 // recomputed against old.
-func (cr *CompiledRule) Regroup(x *Exec, t *ClassTable, old, cur *store.DB, own bool) (del, ins []*term.Fact, n int, err error) {
+func (cr *Rule) Regroup(x *Exec, t *ClassTable, old, cur *store.DB, own bool) (del, ins []*term.Fact, n int, err error) {
 	if len(t.order) == 0 {
 		return nil, nil, 0, nil
 	}
@@ -200,7 +205,7 @@ func (cr *CompiledRule) Regroup(x *Exec, t *ClassTable, old, cur *store.DB, own 
 
 // stored sets sets[i] to the group set of the fact of class t.order[i] in
 // db, probed on the non-grouped columns, or leaves it nil when db has none.
-func (cr *CompiledRule) stored(db *store.DB, t *ClassTable, sets []*term.Set) {
+func (cr *Rule) stored(db *store.DB, t *ClassTable, sets []*term.Set) {
 	rel := db.RelOrNil(cr.Rule.Head.Pred)
 	if rel == nil {
 		return

@@ -1,30 +1,36 @@
 package eval
 
 import (
-	"context"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
+	"ldl1/internal/ast"
 	"ldl1/internal/parser"
+	"ldl1/internal/rewrite"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
 )
 
-func mustCompileRule(t *testing.T, src string) *CompiledRule {
+// mustCompileRule compiles the one rule of src as a group of its own,
+// through Compile.
+func mustCompileRule(t *testing.T, src string) *Rule {
 	t.Helper()
-	p := parser.MustParseProgram(src)
-	cr, err := CompileRule(p.Rules[0])
+	prog, err := Compile([][]ast.Rule{parser.MustParseProgram(src).Rules})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cr
+	l := prog.Layer(0)
+	return append(l.Grouping, l.Simple...)[0]
 }
 
 func atom(s string) term.Term { return term.Atom(s) }
 
 // derives is cr.Derives on a fresh driver.
-func derives(t *testing.T, cr *CompiledRule, db *store.DB, f *term.Fact) (ok bool, err error) {
+func derives(t *testing.T, cr *Rule, db *store.DB, f *term.Fact) (ok bool, err error) {
 	t.Helper()
-	err = NewDriver(context.Background(), nil, 0).Do(func(x *Exec) error {
+	err = NewDriver(Options{}).Do(func(x *Exec) error {
 		ok, err = cr.Derives(x, db, f)
 		return err
 	})
@@ -35,7 +41,7 @@ func derives(t *testing.T, cr *CompiledRule, db *store.DB, f *term.Fact) (ok boo
 // way maintenance runs an enumeration outside a round.
 func onDriver(t *testing.T, st *Stats, f func(x *Exec) error) {
 	t.Helper()
-	if err := NewDriver(context.Background(), st, 0).Do(f); err != nil {
+	if err := NewDriver(Options{Stats: st}).Do(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,5 +197,63 @@ func TestRecomputeGroupingClass(t *testing.T) {
 	ok, err = derives(t, cr, db, term.NewFact("pair", atom("s1"), atom("s1"), s12))
 	if err != nil || !ok {
 		t.Fatalf("Derives(pair(s1, s1, {p1, p2})) = %v, %v; want true", ok, err)
+	}
+}
+
+// TestOneCompiledRule: every shipped program, admitted, is compiled once.
+// Evaluation fires the compiled rules' own variants — each layer's base
+// variants are its rules' base variants, and each variant its cascade fires
+// is its rule's delta variant for the literal it reads a delta through — and
+// the cascade fires one per positive body occurrence of a predicate the
+// layer's rules define.  Maintenance fires the same Feeds and Rules.
+func TestOneCompiledRule(t *testing.T) {
+	files, err := filepath.Glob("../../programs/*.ldl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no programs: %v", err)
+	}
+	fed := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := parser.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := rewrite.Rewrite(unit.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Admit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range prog.Layering().NumStrata {
+			l := prog.Layer(i)
+			defined := map[string]bool{}
+			for k, cr := range l.Simple {
+				defined[cr.Rule.Head.Pred] = true
+				if l.vars[k] != cr.base || !slices.Contains(l.round0, cr.base) {
+					t.Errorf("%s: layer %d fires a base variant of %s that is not the compiled rule's", file, i, cr.Rule)
+				}
+			}
+			var want []*Variant
+			for _, cr := range l.Simple {
+				for j, lit := range cr.Rule.Body {
+					if !lit.Negated && defined[lit.Pred] {
+						want = append(want, cr.Delta(j))
+					}
+				}
+			}
+			if !slices.Equal(l.Feeds.vars, want) || !slices.Equal(l.vars[len(l.Simple):], want) {
+				t.Errorf("%s: layer %d's cascade fires %d variants, not the %d delta variants of its rules",
+					file, i, len(l.Feeds.vars), len(want))
+			}
+			fed += len(want)
+		}
+	}
+	if fed == 0 {
+		t.Fatal("no shipped program has a recursive rule")
 	}
 }

@@ -61,7 +61,8 @@ type bodyPlan struct {
 // shape is what planning a body reads of the rule alone, built once per
 // variant.  Its memo holds the plan of every join order chosen for it, so a
 // round that re-decides the order against the live database builds nothing
-// unless the order is new.  Every evaluation of a program shares it.
+// unless the order is new.  Every evaluation and view of a program shares
+// it.
 type shape struct {
 	rule ast.Rule      // the source rule
 	body []ast.Literal // rule.Body, or maintenance's variant of it
@@ -284,8 +285,8 @@ func ground(vars []term.Var, bound []term.Var) bool {
 // smallest estimated candidate count runs next, with ties broken by more
 // bound columns, then smaller relation, then source order.  A nil db
 // preserves the static most-bound-columns order exactly, which keeps
-// magic-set sips, analysis diagnostics, and maintenance plans
-// data-independent.
+// magic-set sips, analysis diagnostics, and every plan under
+// Options.NoReorder data-independent.
 func (s *shape) plan(db *store.DB) (p *bodyPlan, reordered bool, err error) {
 	body, n, forced := s.body, len(s.body), s.dLit
 	var orderBuf [16]int

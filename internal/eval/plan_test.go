@@ -15,11 +15,13 @@ import (
 	"ldl1/internal/term"
 )
 
-// planBody plans r once from a fresh shape: the plan of the order chosen
-// against db (nil: static), and whether the cost model departed from the
-// static choice.
+// planBody plans r once from a fresh shape without a memo: the plan of the
+// order chosen against db (nil: static), and whether the cost model departed
+// from the static choice.
 func planBody(r ast.Rule, forced int, pre map[term.Var]bool, db *store.DB) (*bodyPlan, bool, error) {
-	return newVariant(r, r.Head, r.Body, forced, pre).plan(db)
+	var v Variant
+	v.init(r, r.Head, r.Body, forced, pre)
+	return v.plan(db)
 }
 
 func planOf(t *testing.T, src string, preBound ...term.Var) []int {
@@ -263,13 +265,13 @@ func TestPlanInterpretedArgumentsWait(t *testing.T) {
 
 // TestMemoPlanEqualsFreshCompile orders every rule of the shipped programs —
 // unforced and with each positive database literal forced first — against
-// no database, an empty one and the program's model, through one shape per
-// variant, so an ordering may take a plan an earlier database's published,
-// and a second ordering against the same database is a memo hit.  Every plan
-// it returns equals the one a fresh shape compiles from nothing against the
-// same database: the same order and, per step, the same columns, extractor
-// count and full-key flag.  A hit allocates nothing unless a built-in's
-// readiness test does.
+// no database, an empty one and the program's model, through the shape of
+// the rule's compiled variant, so an ordering may take a plan an earlier
+// database's published, and a second ordering against the same database is
+// a memo hit.  Every plan it returns equals the one a fresh shape compiles
+// from nothing against the same database: the same order and, per step, the
+// same columns, extractor count and full-key flag.  A hit allocates nothing
+// unless a built-in's readiness test does.
 func TestMemoPlanEqualsFreshCompile(t *testing.T) {
 	files, err := filepath.Glob("../../programs/*.ldl")
 	if err != nil || len(files) == 0 {
@@ -294,10 +296,19 @@ func TestMemoPlanEqualsFreshCompile(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range prog.Rules {
+			if r.IsFact() {
+				continue
+			}
+			cr, err := compileRule(r)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for forced := -1; forced < len(r.Body); forced++ {
-				s := newVariant(r, r.Head, r.Body, forced, nil)
-				if forced >= 0 && !s.isDB[forced] {
-					continue
+				s := cr.base
+				if forced >= 0 {
+					if s = cr.delta[forced]; s == nil || r.Body[forced].Negated {
+						continue
+					}
 				}
 				for _, db := range []*store.DB{nil, store.NewDB(), model} {
 					before := s.memo.Load()
@@ -314,7 +325,7 @@ func TestMemoPlanEqualsFreshCompile(t *testing.T) {
 					if allocs := testing.AllocsPerRun(5, func() { s.plan(db) }); allocs != 0 && !hasBuiltin(r) {
 						t.Errorf("%s: an ordering that hits the memo allocates %.0f times", r, allocs)
 					}
-					want, _, _ := newVariant(r, r.Head, r.Body, forced, nil).plan(db)
+					want, _, _ := planBody(r, forced, nil, db)
 					if !slices.Equal(p.order, want.order) {
 						t.Fatalf("%s: order %v, fresh %v", r, p.order, want.order)
 					}

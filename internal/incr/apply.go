@@ -94,7 +94,7 @@ func seed(fr *eval.Frontier, facts []*term.Fact, accept func(*term.Fact) (bool, 
 // txIns/txDel are the transaction's own facts whose predicates live in this
 // layer; cross-layer effects arrive through s.gIns/s.gDel.
 func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) error {
-	lr := &m.layers[i]
+	l := m.prog.Layer(i)
 	if err := s.d.Err(); err != nil {
 		return err
 	}
@@ -105,7 +105,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	// insertion pass with its new one.
 	var groupDel, groupIns []*term.Fact
 	err := s.d.Do(func(x *eval.Exec) error {
-		for _, cr := range lr.grouping {
+		for _, cr := range l.Grouping {
 			// The old model's facts of the head predicate are the rule's
 			// own unless another rule or the old EDB contributes some.
 			pred := cr.Rule.Head.Pred
@@ -130,11 +130,11 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	// of a strictly lower layer whose predicate has a delta — pos for a
 	// positive literal, neg for a negated one — that literal reading the
 	// delta, the rest of the body reading db.  Same-layer literals are the
-	// cascade's (lr.within): necessarily positive, as negation and grouping
+	// cascade's (l.Feeds): necessarily positive, as negation and grouping
 	// force their predicates strictly lower.
 	below := func(db *store.DB, pos, neg *deltaSet) []eval.Task {
 		var tasks []eval.Task
-		for _, cr := range lr.simple {
+		for _, cr := range l.Simple {
 			for j, lit := range cr.Rule.Body {
 				if !cr.HasDelta(j) || m.lay.PredStratum(lit.Pred) >= i {
 					continue
@@ -154,7 +154,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	// Phase D — deletion overestimate, then rederivation; skipped when the
 	// layer has no deletion source, as both would find nothing.
 	if tasks := below(s.old, s.gDel, s.gIns); len(txDel)+len(groupDel)+len(tasks) > 0 {
-		if err := m.deleteLayer(s, lr, txDel, groupDel, tasks); err != nil {
+		if err := m.deleteLayer(s, l.Feeds, txDel, groupDel, tasks); err != nil {
 			return err
 		}
 	}
@@ -169,7 +169,7 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 		return nil
 	}
 	ins := inserter{s}
-	fr := eval.NewFrontier(true, lr.within)
+	fr := eval.NewFrontier(true, l.Feeds)
 	if err := seed(fr, txIns, ins.insert); err != nil {
 		return err
 	}
@@ -182,16 +182,16 @@ func (m *Materialized) applyLayer(s *txState, i int, txIns, txDel []*term.Fact) 
 	return s.d.Cascade(fr, s.w, ins, nil)
 }
 
-// deleteLayer is phase D of layer lr: the DRed deletion overestimate
-// collects every fact of the layer whose known derivation may have broken —
-// the transaction's retractions txDel, the changed grouping classes'
-// groupDel, then one round of tasks, the rules fed by lower-layer deltas (a
-// deleted positive premise, or a negated premise that became true) —
-// cascading within the layer against the OLD model; the candidates leave
-// the working model, and those still derivable come back.
-func (m *Materialized) deleteLayer(s *txState, lr *layerRules, txDel, groupDel []*term.Fact, tasks []eval.Task) error {
+// deleteLayer is phase D of a layer whose cascade fires feeds: the DRed
+// deletion overestimate collects every fact of the layer whose known
+// derivation may have broken — the transaction's retractions txDel, the
+// changed grouping classes' groupDel, then one round of tasks, the rules fed
+// by lower-layer deltas (a deleted positive premise, or a negated premise
+// that became true) — cascading within the layer against the OLD model; the
+// candidates leave the working model, and those still derivable come back.
+func (m *Materialized) deleteLayer(s *txState, feeds *eval.Feeds, txDel, groupDel []*term.Fact, tasks []eval.Task) error {
 	cands := &candidates{w: s.w, set: newDeltaSet()}
-	fr := eval.NewFrontier(true, lr.within)
+	fr := eval.NewFrontier(true, feeds)
 	if err := seed(fr, txDel, cands.Accept); err != nil {
 		return err
 	}
@@ -235,7 +235,7 @@ func (m *Materialized) deleteLayer(s *txState, lr *layerRules, txDel, groupDel [
 		return err
 	}
 	res := &resurrector{s: s, deleted: deleted}
-	fr = eval.NewFrontier(true, lr.within)
+	fr = eval.NewFrontier(true, feeds)
 	if err := seed(fr, alive, res.Accept); err != nil {
 		return err
 	}

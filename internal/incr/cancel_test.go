@@ -96,7 +96,7 @@ func TestApplyCtxCancellationOracle(t *testing.T) {
 		}
 		pre := m.Snapshot()
 		preEDB := store.NewFactSet()
-		for _, f := range m.EDBFacts() {
+		for _, f := range edbFacts(m) {
 			preEDB.Add(f)
 		}
 		_, err = m.ApplyCtx(newCountdownCtx(polls), tx)
@@ -107,7 +107,7 @@ func TestApplyCtxCancellationOracle(t *testing.T) {
 			if m.Snapshot() != pre {
 				t.Fatalf("polls=%d: canceled Apply published a new snapshot", polls)
 			}
-			for _, f := range m.EDBFacts() {
+			for _, f := range edbFacts(m) {
 				if !preEDB.Contains(f) {
 					t.Fatalf("polls=%d: canceled Apply mutated the EDB (%s)", polls, f)
 				}
@@ -210,12 +210,12 @@ func TestApplyCtxInterruptsInsideRound(t *testing.T) {
 	}
 
 	m = wideView(t, n, Options{})
-	pre, preEDB := m.Snapshot(), len(m.EDBFacts())
+	pre, preEDB := m.Snapshot(), len(edbFacts(m))
 	_, err := m.ApplyCtx(newCountdownCtx(polls/2), tx)
 	if !errors.Is(err, lderr.Canceled) {
 		t.Fatalf("cancel at poll %d of %d: want lderr.Canceled, got %v", polls/2, polls, err)
 	}
-	if m.Snapshot() != pre || len(m.EDBFacts()) != preEDB {
+	if m.Snapshot() != pre || len(edbFacts(m)) != preEDB {
 		t.Fatal("canceled Apply changed the view")
 	}
 }

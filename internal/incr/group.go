@@ -9,7 +9,7 @@ import (
 // grouping rule only if some body solution appeared or disappeared, and
 // every such solution touches a delta of a body predicate — so regrouping
 // enumerates the deltas into eval's one class table (eval.ClassTable) to
-// find the touched classes; CompiledRule.Regroup recomputes exactly those
+// find the touched classes; Rule.Regroup recomputes exactly those
 // against the new state and emits old-fact/new-fact pairs where they
 // differ.  A class's old set is the group argument of its fact in the old
 // model when own holds — the rule is the only source of its predicate's
@@ -18,7 +18,7 @@ import (
 // regroup maintains one grouping rule across the transaction: it returns
 // the old facts of the changed classes (deletion seeds), the new facts
 // (insertion seeds), and the number of classes regrouped.
-func regroup(x *eval.Exec, cr *eval.CompiledRule, s *txState, own bool) (delFacts, insFacts []*term.Fact, nClasses int, err error) {
+func regroup(x *eval.Exec, cr *eval.Rule, s *txState, own bool) (delFacts, insFacts []*term.Fact, nClasses int, err error) {
 	touched := cr.Classes()
 	for j, lit := range cr.Rule.Body {
 		if !cr.HasDelta(j) {

@@ -73,26 +73,13 @@ type Result struct {
 // Options configures a materialization: the initial evaluation runs under
 // all of them, as eval.Eval does.  A transaction keeps Stats, where its
 // counters accumulate (maintenance adds DeletedOverestimate, Rederived and
-// RegroupedClasses to the evaluation counters), and MaxDerived, which bounds
+// RegroupedClasses to the evaluation counters), MaxDerived, which bounds
 // the facts one transaction may insert into the working model (net
-// insertions and resurrections alike) at the insertion that exceeds it; a
+// insertions and resurrections alike) at the insertion that exceeds it — a
 // breaching transaction fails with *lderr.LimitError and rolls back
-// completely.  Its context is the one ApplyCtx is given.
+// completely — and NoReorder, under which its bodies are ordered
+// statically.  Its context is the one ApplyCtx is given.
 type Options = eval.Options
-
-// layerRules holds the compiled rules of one layer, split by kind.
-type layerRules struct {
-	simple   []*eval.CompiledRule
-	grouping []*eval.CompiledRule
-	// within holds, in rule and literal order, the delta variants a cascade
-	// inside the layer fires: one per positive body literal of a simple
-	// rule whose predicate lives in this layer.
-	within *eval.Feeds
-	// below lists the predicates of lower layers the layer's rules read: a
-	// transaction that changes none of them and has no fact of the layer's
-	// own leaves the layer as it is.
-	below []string
-}
 
 // Materialized is a materialized view of a program over a mutable EDB: the
 // compiled program, the current EDB, and the current model.  Apply advances
@@ -100,11 +87,15 @@ type layerRules struct {
 // immutable handle.  Apply calls serialize on an internal lock; Snapshot
 // and reads of returned snapshots are safe from any goroutine.
 type Materialized struct {
-	lay    *layering.Layering
-	layers []layerRules
+	prog *eval.Program
+	lay  *layering.Layering
+	// below[i] lists the predicates of lower layers the rules of layer i
+	// read: a transaction that changes none of them and has no fact of the
+	// layer's own leaves the layer as it is.
+	below [][]string
 	// byHead indexes the compiled rules by head predicate for the
 	// rederivation test.
-	byHead map[string][]*eval.CompiledRule
+	byHead map[string][]*eval.Rule
 
 	mu    sync.Mutex // serializes Apply; guards edb
 	edb   *store.DB  // current EDB (replaced by a written clone per Apply)
@@ -114,8 +105,9 @@ type Materialized struct {
 	// transaction with the predicates whose extensions changed; see OnChange.
 	onChange func(preds []string)
 
-	stats      *eval.Stats
-	maxDerived int
+	// opts is what a transaction runs under of the view's options: Stats,
+	// MaxDerived and NoReorder.
+	opts Options
 }
 
 // OnChange registers a callback fired after each successful Apply, with the
@@ -141,26 +133,34 @@ func New(p *ast.Program, edb *store.DB, opts Options) (*Materialized, error) {
 	return From(prog, edb, opts)
 }
 
-// From materializes an admitted program: it compiles the program's rules
-// for maintenance, layer by layer of the program's layering, evaluates the
-// program once against a clone of edb, and returns the handle; the caller
-// may go on writing edb, and the view does not see it.  Facts written in
-// the program text seed the view's extensional state alongside edb: under
-// maintenance they are ordinary EDB facts, so a transaction may retract
-// them like any other.
+// From materializes an admitted program: it reads the program's compiled
+// rules, layer by layer of its layering, evaluates the program once against
+// a clone of edb, and returns the handle; the caller may go on writing edb,
+// and the view does not see it.  Facts written in the program text seed the
+// view's extensional state alongside edb: under maintenance they are
+// ordinary EDB facts, so a transaction may retract them like any other.
 func From(prog *eval.Program, edb *store.DB, opts Options) (*Materialized, error) {
 	lay := prog.Layering()
 	m := &Materialized{
-		lay:        lay,
-		layers:     make([]layerRules, lay.NumStrata),
-		byHead:     map[string][]*eval.CompiledRule{},
-		stats:      opts.Stats,
-		maxDerived: opts.MaxDerived,
+		prog:   prog,
+		lay:    lay,
+		below:  make([][]string, lay.NumStrata),
+		byHead: map[string][]*eval.Rule{},
+		opts:   Options{Stats: opts.Stats, MaxDerived: opts.MaxDerived, NoReorder: opts.NoReorder},
+	}
+	for i := range lay.NumStrata {
+		l := prog.Layer(i)
+		for _, cr := range slices.Concat(l.Grouping, l.Simple) {
+			m.byHead[cr.Rule.Head.Pred] = append(m.byHead[cr.Rule.Head.Pred], cr)
+			for j, lit := range cr.Rule.Body {
+				if cr.HasDelta(j) && lay.PredStratum(lit.Pred) < i && !slices.Contains(m.below[i], lit.Pred) {
+					m.below[i] = append(m.below[i], lit.Pred)
+				}
+			}
+		}
 	}
 	var progFacts []*term.Fact
-	for i, rules := range lay.Rules {
-		lr := &m.layers[i]
-		var within []*eval.Variant
+	for _, rules := range lay.Rules {
 		for _, r := range rules {
 			if r.IsFact() {
 				f, err := unify.ApplyLit(r.Head, unify.NewBindings())
@@ -168,29 +168,8 @@ func From(prog *eval.Program, edb *store.DB, opts Options) (*Materialized, error
 					return nil, err
 				}
 				progFacts = append(progFacts, f)
-				continue
-			}
-			cr, err := eval.CompileRule(r)
-			if err != nil {
-				return nil, err
-			}
-			m.byHead[r.Head.Pred] = append(m.byHead[r.Head.Pred], cr)
-			if r.IsGroupingRule() {
-				lr.grouping = append(lr.grouping, cr)
-			} else {
-				lr.simple = append(lr.simple, cr)
-			}
-			for j, lit := range r.Body {
-				switch s := lay.PredStratum(lit.Pred); {
-				case !cr.HasDelta(j):
-				case s < i && !slices.Contains(lr.below, lit.Pred):
-					lr.below = append(lr.below, lit.Pred)
-				case s == i && !lit.Negated:
-					within = append(within, cr.Delta(j))
-				}
 			}
 		}
-		lr.within = eval.NewFeeds(within)
 	}
 	m.edb = edb.Clone()
 	m.edb.LoadFacts(progFacts, store.LoadOpts{})
@@ -206,13 +185,6 @@ func From(prog *eval.Program, edb *store.DB, opts Options) (*Materialized, error
 // maintenance never mutates a published snapshot — so it may be read from
 // any goroutine, indefinitely, without synchronization.
 func (m *Materialized) Snapshot() *store.DB { return m.model.Load() }
-
-// EDBFacts returns the facts of the current EDB (a copy).
-func (m *Materialized) EDBFacts() []*term.Fact {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*term.Fact(nil), m.edb.Facts()...)
-}
 
 // txState carries one transaction through the layers.
 type txState struct {
@@ -310,9 +282,10 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 		return Result{}, nil
 	}
 
-	st := tx.Stats
-	if st == nil {
-		st = m.stats
+	opts := m.opts
+	opts.Ctx = ctx
+	if tx.Stats != nil {
+		opts.Stats = tx.Stats
 	}
 	s := &txState{
 		old:    old,
@@ -321,11 +294,11 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 		edb:    edb2,
 		gIns:   newDeltaSet(),
 		gDel:   newDeltaSet(),
-		st:     st,
-		d:      eval.NewDriver(ctx, st, m.maxDerived),
+		st:     opts.Stats,
+		d:      eval.NewDriver(opts),
 	}
 	for i := 0; i < ns; i++ {
-		if len(insBy[i]) == 0 && len(delBy[i]) == 0 && !s.changed(m.layers[i].below) {
+		if len(insBy[i]) == 0 && len(delBy[i]) == 0 && !s.changed(m.below[i]) {
 			continue
 		}
 		if err := m.applyLayer(s, i, insBy[i], delBy[i]); err != nil {

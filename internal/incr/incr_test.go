@@ -249,13 +249,20 @@ func TestApplyArithmeticHeadRederive(t *testing.T) {
 	}
 }
 
+// edbFacts returns the facts of the view's current EDB.
+func edbFacts(m *Materialized) []*term.Fact {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.edb.Facts())
+}
+
 func TestApplyEDBFactsAndResultRoundTrip(t *testing.T) {
 	m := mustNew(t, ancSrc, []*term.Fact{af("par", "a", "b")}, Options{})
 	mustApply(t, m, Tx{Insert: []*term.Fact{af("par", "b", "c")}})
 	mustApply(t, m, Tx{Retract: []*term.Fact{af("par", "a", "b")}})
-	got := m.EDBFacts()
+	got := edbFacts(m)
 	if len(got) != 1 || !term.EqualFacts(got[0], af("par", "b", "c")) {
-		t.Fatalf("EDBFacts = %v, want [par(b, c)]", got)
+		t.Fatalf("EDB facts = %v, want [par(b, c)]", got)
 	}
 }
 
@@ -419,16 +426,17 @@ func TestApplySkipsUnreachedLayers(t *testing.T) {
 	// Layer 0 holds the EDB; a, b, both and cnt get one layer each, and
 	// each lists the lower predicates a delta on which reaches it.
 	reads := map[string][]string{}
-	for i, lr := range m.layers {
-		for _, cr := range append(lr.simple, lr.grouping...) {
-			reads[cr.Rule.Head.Pred] = lr.below
+	for i, below := range m.below {
+		l := m.prog.Layer(i)
+		for _, cr := range append(l.Simple, l.Grouping...) {
+			reads[cr.Rule.Head.Pred] = below
 			if got := m.lay.Stratum[cr.Rule.Head.Pred]; got != i {
 				t.Fatalf("%s compiled in layer %d, stratum %d", cr.Rule.Head.Pred, i, got)
 			}
 		}
 	}
-	if len(m.layers) != 5 || len(m.layers[0].simple)+len(m.layers[0].grouping) != 0 {
-		t.Fatalf("%d layers, layer 0 %+v", len(m.layers), m.layers[0])
+	if l := m.prog.Layer(0); len(m.below) != 5 || len(l.Simple)+len(l.Grouping) != 0 {
+		t.Fatalf("%d layers, layer 0 %+v", len(m.below), l)
 	}
 	want := map[string][]string{"a": {"e", "n"}, "b": {"f"}, "both": {"a", "b"}, "cnt": {"a"}}
 	for pred, w := range want {

@@ -303,7 +303,7 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 
 	// In-cone update: par is in anc's cone, so the entry is evicted and
 	// the next Exec recomputes — and sees the new fact.
-	eng.AddFact(NewFact("par", Sym("d"), Sym("z")))
+	mustAddFact(t, eng, NewFact("par", Sym("d"), Sym("z")))
 	got := mustStr(t)(pq.Exec())
 	if st.CacheHits != 1 {
 		t.Errorf("CacheHits after in-cone update = %d, want 1 (miss expected)", st.CacheHits)
@@ -318,7 +318,7 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 
 	// Out-of-cone update: other feeds only unrelated, so the refilled
 	// entry survives and the next Exec hits.
-	eng.AddFact(NewFact("other", Sym("u2")))
+	mustAddFact(t, eng, NewFact("other", Sym("u2")))
 	if _, err := pq.Exec(); err != nil {
 		t.Fatal(err)
 	}
@@ -447,8 +447,8 @@ func TestCacheKeyTellsConstantsApart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.AddFact(NewFact("s", Sym("p"), Sym("q,a:r"), Sym("one")))
-		eng.AddFact(NewFact("s", Sym("p,a:q"), Sym("r"), Sym("two")))
+		mustAddFact(t, eng, NewFact("s", Sym("p"), Sym("q,a:r"), Sym("one")))
+		mustAddFact(t, eng, NewFact("s", Sym("p,a:q"), Sym("r"), Sym("two")))
 		pq, err := eng.Prepare("q(a, b, Z)")
 		if err != nil {
 			t.Fatal(err)
@@ -649,14 +649,14 @@ func TestConcurrentExecAddFact(t *testing.T) {
 					var err error
 					switch g {
 					case 0:
-						eng.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
+						err = eng.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
 					case 1:
 						_, err = eng.Query("anc(b, Out)")
 					default:
 						_, err = pq.Exec()
 					}
 					if err != nil {
-						t.Errorf("magic=%v: concurrent read: %v", magic, err)
+						t.Errorf("magic=%v: concurrent read or write: %v", magic, err)
 						return
 					}
 				}
@@ -675,7 +675,7 @@ func TestConcurrentExecAddFact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 25; i++ {
-			fresh.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
+			mustAddFact(t, fresh, NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
 		}
 		if want := mustStr(t)(fresh.Query("anc(a, W)")); got != want {
 			t.Errorf("magic=%v: final answers diverge:\n got %q\nwant %q", magic, got, want)

@@ -3,6 +3,8 @@ package ldl1
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -194,5 +196,47 @@ func TestViewWithoutQueryCache(t *testing.T) {
 	}
 	if h, m, ev, en := mv.CacheCounters(); h+m+ev+en != 0 {
 		t.Fatalf("WithoutQueryCache counters nonzero: %d %d %d %d", h, m, ev, en)
+	}
+}
+
+// TestViewWithoutReorderOrdersStatically: a view orders the body of every
+// maintenance task against the database the task reads, as its engine
+// orders evaluation, and in the static order under WithoutReorder.
+// Asserting d(a) fires h's rule with d(a) first; the static order then
+// scans big and, per big fact, small — 1 + 1 + 200 full scans — where the
+// cost order scans the three small facts first and big once per small fact.
+func TestViewWithoutReorderOrdersStatically(t *testing.T) {
+	var facts strings.Builder
+	for i := range 200 {
+		fmt.Fprintf(&facts, "big(p%d, x%d).\n", i, i)
+	}
+	facts.WriteString("small(b0, y0). small(b1, y1). small(b2, y2).")
+	scans := map[bool]int{}
+	for _, static := range []bool{false, true} {
+		var st Stats
+		opts := []Option{WithStats(&st)}
+		if static {
+			opts = append(opts, WithoutReorder())
+		}
+		e, err := New(`h(A, B, P) <- d(A), big(P, X), small(B, Y).`, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddFacts(facts.String()); err != nil {
+			t.Fatal(err)
+		}
+		mv, err := e.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := st
+		if res, err := mv.Assert("d(a)."); err != nil || res.Inserted != 1+600 {
+			t.Fatalf("static=%v: Assert = %+v, %v; want 601 facts inserted", static, res, err)
+		}
+		scans[static] = st.FullScans - before.FullScans
+	}
+	if scans[true] != 1+1+200 || scans[false] >= scans[true] {
+		t.Errorf("full scans of the maintenance task: %d static, %d cost-ordered; want 202 and fewer",
+			scans[true], scans[false])
 	}
 }
