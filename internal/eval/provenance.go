@@ -51,12 +51,6 @@ func (p *Provenance) record(d *Derivation) {
 	p.n++
 }
 
-// Of returns the derivation of a fact, if one was recorded.
-func (p *Provenance) Of(f *term.Fact) (*Derivation, bool) {
-	d := p.lookup(f)
-	return d, d != nil
-}
-
 // Len returns the number of recorded derivations.
 func (p *Provenance) Len() int { return p.n }
 

@@ -9,6 +9,12 @@ import (
 	"ldl1/internal/term"
 )
 
+// Of returns the derivation of a fact, if one was recorded.
+func (p *Provenance) Of(f *term.Fact) (*Derivation, bool) {
+	d := p.lookup(f)
+	return d, d != nil
+}
+
 func TestProvenanceChain(t *testing.T) {
 	p := parser.MustParseProgram(`
 		ancestor(X, Y) <- parent(X, Y).

@@ -20,9 +20,6 @@ import (
 // Adornment is a string over {b, f}, one letter per argument (§6).
 type Adornment string
 
-// AllFree returns the all-free adornment of length n.
-func AllFree(n int) Adornment { return Adornment(strings.Repeat("f", n)) }
-
 // Bound reports whether argument i is bound.
 func (a Adornment) Bound(i int) bool { return i < len(a) && a[i] == 'b' }
 

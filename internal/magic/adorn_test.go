@@ -1,12 +1,16 @@
 package magic
 
 import (
+	"strings"
 	"testing"
 
 	"ldl1/internal/eval"
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
 )
+
+// AllFree returns the all-free adornment of length n.
+func AllFree(n int) Adornment { return Adornment(strings.Repeat("f", n)) }
 
 func TestAdornQuery(t *testing.T) {
 	cases := map[string]Adornment{

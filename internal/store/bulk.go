@@ -55,10 +55,10 @@ func (r *Relation) InsertBatch(fs []*term.Fact) int {
 	added := 0
 	for i, f := range fs {
 		t := tables[r.shard(hs[i])]
-		if t.n > 0 && t.get(hs[i], f) != nil {
+		if t.n > 0 && get(t, hs[i], f) != nil {
 			continue
 		}
-		t.insert(hs[i], f)
+		t.insert(hs[i], f, hashFact)
 		fresh[i] = true
 		added++
 	}
@@ -77,20 +77,20 @@ func (r *Relation) InsertBatch(fs []*term.Fact) int {
 // with a relation this one was forked from, is not written.
 func (r *Relation) deal(t *factTable, lo int, shares []int) []*factTable {
 	sizes := slices.Clone(shares)
-	for _, g := range t.entries {
-		if g != nil && g != tombstone {
+	for _, g := range t.slots {
+		if g != nil {
 			sizes[r.shard(hashFact(g))-lo]++
 		}
 	}
 	ts := make([]*factTable, len(shares))
 	for k, n := range sizes {
-		ts[k] = &factTable{owner: r.id, entries: make([]*term.Fact, tableSize(n)), depth: uint8(r.shardBits), sized: true}
+		ts[k] = &factTable{owner: r.id, slots: make([]*term.Fact, tableSize(n)), depth: uint8(r.shardBits), sized: true}
 		r.shards.set(r.id, lo+k, ts[k])
 	}
-	for _, g := range t.entries {
-		if g != nil && g != tombstone {
+	for _, g := range t.slots {
+		if g != nil {
 			h := hashFact(g)
-			ts[r.shard(h)-lo].insert(h, g)
+			ts[r.shard(h)-lo].insert(h, g, hashFact)
 		}
 	}
 	return ts

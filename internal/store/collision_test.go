@@ -12,12 +12,18 @@ import (
 // hashes so every fact and every index value lands in the same bucket, and
 // returns a restore function.  Correctness must not depend on hash quality:
 // with all hashes equal, Insert/Contains/Lookup fall back entirely on the
-// structural equality tie-breakers.
+// structural equality tie-breakers.  The constants end a fact's hash and a
+// one-column key in sixteen one bits, so their home slot is the last slot of
+// their table and every probe run of two entries or more wraps the table:
+// the worst case of a backward-shift delete.
 func forceCollisions(t *testing.T) func() {
 	t.Helper()
 	oldF, oldT := hashFact, hashTerm
-	hashFact = func(*term.Fact) uint64 { return 42 }
-	hashTerm = func(term.Term) uint64 { return 7 }
+	hashFact = func(*term.Fact) uint64 { return 1<<16 - 1 }
+	hashTerm = func(term.Term) uint64 { return 260416 }
+	if k := keyOf([]term.Term{term.Int(0)}); k&(1<<16-1) != 1<<16-1 {
+		t.Fatalf("a one-column key hashes to %#x, not to the last slot", k)
+	}
 	return func() { hashFact, hashTerm = oldF, oldT }
 }
 
@@ -53,6 +59,21 @@ func TestRelationAllHashesCollide(t *testing.T) {
 	if r.Contains(term.NewFact("p", term.Int(n), term.Atom("nope"))) {
 		t.Fatal("Contains reported an absent fact")
 	}
+	// Delete every other fact out of the one wrapping probe run.
+	for i := 0; i < n; i += 2 {
+		if !r.Delete(term.NewFact("p", term.Int(i), term.Atom(fmt.Sprintf("a%d", i)))) {
+			t.Fatalf("Delete of fact %d reported absent", i)
+		}
+	}
+	if r.Len() != n/2 {
+		t.Fatalf("Len = %d after deletes, want %d", r.Len(), n/2)
+	}
+	for i := 0; i < n; i++ {
+		if got := r.Contains(term.NewFact("p", term.Int(i), term.Atom(fmt.Sprintf("a%d", i)))); got != (i%2 == 1) {
+			t.Fatalf("after deletes, Contains(p(%d)) = %v", i, got)
+		}
+	}
+	checkShards(t, r)
 }
 
 func TestLookupAllHashesCollide(t *testing.T) {
@@ -80,6 +101,30 @@ func TestLookupAllHashesCollide(t *testing.T) {
 		if got := lookupCol(r, 0, term.Int(99)); len(got) != 0 {
 			t.Fatalf("useIdx=%v: Lookup of absent value returned %d facts", useIdx, len(got))
 		}
+		// Delete every other fact of each even key, and each odd key whole:
+		// its entry leaves the index's one probe run.
+		for v := 0; v < 10; v++ {
+			for j := 0; j < 10; j++ {
+				if v%2 == 1 || j%2 == 1 {
+					r.Delete(term.NewFact("edge", term.Int(v), term.Int(100*v+j)))
+				}
+			}
+		}
+		for v := 0; v < 10; v++ {
+			got, want := lookupCol(r, 0, term.Int(v)), 5*(1-v%2)
+			if len(got) != want {
+				t.Fatalf("useIdx=%v: after deletes, Lookup(0, %d) returned %d facts, want %d", useIdx, v, len(got), want)
+			}
+			for _, f := range got {
+				if !term.Equal(f.Args[0], term.Int(v)) || f.Args[1].(term.Int)%2 != 0 {
+					t.Fatalf("useIdx=%v: after deletes, Lookup(0, %d) returned %s", useIdx, v, f)
+				}
+			}
+		}
+		if ix := r.findIndex(1); useIdx && ix.keys != 5 {
+			t.Fatalf("column-0 index holds %d keys after deletes, want 5", ix.keys)
+		}
+		checkShards(t, r)
 	}
 }
 

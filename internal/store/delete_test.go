@@ -78,7 +78,7 @@ func TestRelationDelete(t *testing.T) {
 
 // TestRelationDeleteStableOrder pins the satellite guarantee: retraction
 // preserves the insertion order of the surviving facts, so -exp output and
-// golden tests don't flake once tombstones exist.
+// golden tests don't flake under retraction.
 func TestRelationDeleteStableOrder(t *testing.T) {
 	r := NewRelation("p", true)
 	for i := 0; i < 8; i++ {
@@ -106,7 +106,8 @@ func TestRelationDeleteStableOrder(t *testing.T) {
 }
 
 // TestFactTableTombstoneChurn drives insert/delete cycles well past the
-// table size so tombstone reuse and the compacting grow path both run.
+// table size so growth and backward-shift deletion both run, each closing
+// gaps the other left in the probe runs.
 func TestFactTableTombstoneChurn(t *testing.T) {
 	r := NewRelation("p", false)
 	live := map[int]bool{}
@@ -281,9 +282,9 @@ func (m *gauge) peak(g gauge) {
 
 // TestForkChurnKeepsTablesClean: balanced insert/delete pairs, each pair a
 // transaction of its own (clone, write, publish), hold a relation at one size
-// — so its intern tables never grow, and growth is the only other moment
-// tombstones are swept.  Slots allocated, slots occupied (live + tombstone)
-// and the mean probe length of a hit must be the same in the last thousand
+// — so its intern tables never grow, and only deletion keeps their probe runs
+// short.  Slots allocated, slots occupied (counted from the slots) and the
+// mean probe length of a hit must be the same in the last thousand
 // transactions as in the first.
 func TestForkChurnKeepsTablesClean(t *testing.T) {
 	const live, txs, window = 3 * unit / 2, 10_000, 1000
@@ -293,11 +294,11 @@ func TestForkChurnKeepsTablesClean(t *testing.T) {
 	}
 	measure := func(r *Relation) (g gauge) {
 		r.shards.each(func(tb *factTable) {
-			g.slots += len(tb.entries)
-			g.occupied += tb.n + tb.dead
-			mask := len(tb.entries) - 1
-			for i, e := range tb.entries {
-				if e != nil && e != tombstone {
+			g.slots += len(tb.slots)
+			mask := len(tb.slots) - 1
+			for i, e := range tb.slots {
+				if e != nil {
+					g.occupied++
 					g.probes += (i-int(hashFact(e)))&mask + 1
 				}
 			}
@@ -324,7 +325,7 @@ func TestForkChurnKeepsTablesClean(t *testing.T) {
 		t.Errorf("tables got dirtier under churn: first window %+v, last window %+v", first, last)
 	}
 	if db.Card("p") != live || last.occupied > live+live/4+db.RelOrNil("p").shards.len() {
-		t.Errorf("%d facts occupy %d slots: tombstones are not swept when a shard is copied", db.Card("p"), last.occupied)
+		t.Errorf("%d facts occupy %d slots: deleted facts leave their slots occupied", db.Card("p"), last.occupied)
 	}
 }
 

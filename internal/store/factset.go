@@ -24,15 +24,15 @@ func (s *FactSet) Len() int { return s.t.n }
 
 // Contains reports whether the set holds a fact equal to f.
 func (s *FactSet) Contains(f *term.Fact) bool {
-	return s.t.get(hashFact(f), f) != nil
+	return get(s.t, hashFact(f), f) != nil
 }
 
 // Add inserts f, reporting whether it was new.
 func (s *FactSet) Add(f *term.Fact) bool {
 	h := hashFact(f)
-	if s.t.get(h, f) != nil {
+	if get(s.t, h, f) != nil {
 		return false
 	}
-	s.t.insert(h, f)
+	s.t.insert(h, f, hashFact)
 	return true
 }

@@ -195,17 +195,26 @@ func oracleScenario(t *testing.T, seed int64) {
 }
 
 // checkShards asserts the split invariant (checkDir) of the relation's
-// intern tables and of every index it has built (Relation.room, index.room),
-// and that an index counts its keys.
+// intern tables and of every index it has built (room), and that an index
+// counts its keys.  A live intern entry is a fact of the relation; a live
+// index entry is a non-empty bucket of facts of the relation.
 func checkShards(t *testing.T, r *Relation) {
 	t.Helper()
+	held := make(map[*term.Fact]bool, r.Len())
+	r.segs.each(func(s *segment) {
+		for _, f := range s.facts {
+			held[f] = true
+		}
+	})
 	if r.shards.len() > 0 {
 		checkDir(t, r.Name+" intern tables", &r.shards, r.shardBits, func(tb *factTable) shardView {
-			v := shardView{depth: tb.depth, slots: len(tb.entries), used: tb.n + tb.dead, n: tb.n, sized: tb.sized}
-			for _, g := range tb.entries {
-				if g != nil && g != tombstone {
+			v := shardView{depth: tb.depth, slots: len(tb.slots), n: tb.n, sized: tb.sized}
+			for _, g := range tb.slots {
+				if g != nil {
 					v.hashes = append(v.hashes, hashFact(g))
-					if tb.get(hashFact(g), g) != g {
+					if !held[g] {
+						v.dead++
+					} else if get(tb, hashFact(g), g) != g {
 						v.lost++
 					}
 				}
@@ -215,11 +224,13 @@ func checkShards(t *testing.T, r *Relation) {
 	}
 	for _, ix := range builtIndexes(r) {
 		keys := checkDir(t, fmt.Sprintf("%s index %v", r.Name, ix.cols), &ix.shards, ix.bits, func(sh *idxShard) shardView {
-			v := shardView{depth: sh.depth, slots: len(sh.slots), used: sh.n, n: sh.n}
+			v := shardView{depth: sh.depth, slots: len(sh.slots), n: sh.n}
 			for _, e := range sh.slots {
 				if e != nil {
 					v.hashes = append(v.hashes, e.hash)
-					if sh.slots[sh.find(e.hash, e.vals)] != e {
+					if !liveEntry(e, held) {
+						v.dead++
+					} else if sh.slots[find(sh, e.hash, e.vals)] != e {
 						v.lost++
 					}
 				}
@@ -232,24 +243,32 @@ func checkShards(t *testing.T, r *Relation) {
 	}
 }
 
+// liveEntry reports whether e is a non-empty bucket of facts held by the
+// relation.
+func liveEntry(e *idxEntry, held map[*term.Fact]bool) bool {
+	live := e.facts.len() > 0
+	e.facts.each(func(f *term.Fact) { live = live && held[f] })
+	return live
+}
+
 // shardView is what checkDir needs of one table: its local depth, the hashes
-// of its live entries, how many of them a probe from their home slot misses,
-// its slots, the slots in use (tombstones included), its live count and
-// whether a bulk load sized it.
+// of the entries in its occupied slots, how many of those entries are not
+// live, how many live ones a probe from their home slot misses, its slots,
+// its count and whether a bulk load sized it.
 type shardView struct {
-	depth       uint8
-	hashes      []uint64
-	lost        int
-	slots, used int
-	n           int
-	sized       bool
+	depth      uint8
+	hashes     []uint64
+	dead, lost int
+	slots, n   int
+	sized      bool
 }
 
 // checkDir asserts the split invariant of one shard directory of depth bits:
 // it has 2^bits entries; each table is listed at an aligned run of
 // 2^(bits−depth) entries and nowhere else, and the top depth bits of its
-// entries' hashes name that run; a probe from its home slot reaches every
-// entry; no table is more than 3/4 full; and no table
+// entries' hashes name that run; every occupied slot holds a live entry and
+// the table counts them; a probe from its home slot reaches every entry; no
+// table is more than 3/4 full; and no table
 // exceeds unit slots unless the next hash bit does not separate its entries
 // or a bulk load sized it.  It returns the live entries over all tables.
 func checkDir[T comparable](t *testing.T, what string, d *dir[T], bits uint, view func(T) shardView) (live int) {
@@ -284,12 +303,14 @@ func checkDir[T comparable](t *testing.T, what string, d *dir[T], bits uint, vie
 			}
 		}
 		switch {
+		case v.dead > 0:
+			t.Fatalf("%s: %d occupied slots of the table of run [%d, %d) hold no live entry", what, v.dead, i, i+n)
 		case v.lost > 0:
 			t.Fatalf("%s: a probe misses %d entries of the table of run [%d, %d)", what, v.lost, i, i+n)
 		case len(v.hashes) != v.n:
-			t.Fatalf("%s: the table of run [%d, %d) holds %d entries, counts %d", what, i, i+n, len(v.hashes), v.n)
-		case v.used*4 > v.slots*3:
-			t.Fatalf("%s: the table of run [%d, %d) uses %d of %d slots", what, i, i+n, v.used, v.slots)
+			t.Fatalf("%s: the table of run [%d, %d) occupies %d slots, counts %d entries", what, i, i+n, len(v.hashes), v.n)
+		case len(v.hashes)*4 > v.slots*3:
+			t.Fatalf("%s: the table of run [%d, %d) occupies %d of %d slots", what, i, i+n, len(v.hashes), v.slots)
 		case v.slots > unit && !v.sized && ones > 0 && ones < len(v.hashes):
 			t.Fatalf("%s: the table of run [%d, %d) has %d slots for %d entries its next bit separates", what, i, i+n, v.slots, len(v.hashes))
 		}

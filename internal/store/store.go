@@ -16,7 +16,7 @@
 // copy-on-write is one segment, shard or bucket, not the relation.  A shard
 // directory grows by splitting one shard in place: a table full at unit
 // slots splits by its next hash bit, and the directory doubles, by a
-// pointer copy, only when that table was as deep as it (Relation.room).  The
+// pointer copy, only when that table was as deep as it (room).  The
 // directories, and the facts of a bucket, are paged (dir): a fork copies
 // their tops, and a write then copies the units it lands in and the pages
 // above them; a write to a bucket of more than unit facts copies the
@@ -55,7 +55,7 @@ const IndexThreshold = 16
 
 // unit is the page size of copy-on-write, in entries: a segment holds at
 // most unit facts, an intern table or an index shard splits rather than grow
-// past unit slots (Relation.room), and a directory page (dir) holds at most
+// past unit slots (room), and a directory page (dir) holds at most
 // unit pointers to segments or shards.
 // A fork copies one pointer per directory page; a write copies the units it
 // changes and the directory page above each.  The value comes from a sweep
@@ -92,22 +92,16 @@ type idxEntry struct {
 	facts dir[*term.Fact]
 }
 
-// idxShard is an open-addressed table of the entries whose key hashes share
-// their top depth bits: at most three quarters full, probed linearly from the
-// low hash bits.  Two keys with one hash sit in neighbouring slots and are
-// told apart by comparing vals.
-type idxShard struct {
-	owner uint64
-	slots []*idxEntry // power-of-two sized; nil slots are empty
-	n     int
-	depth uint8
-}
+// idxShard is one shard of an index: a table of the entries whose key hashes
+// share their top depth bits.  Two keys with one hash are told apart by
+// comparing vals.
+type idxShard = table[*idxEntry]
 
 func entryHash(e *idxEntry) uint64 { return e.hash }
 
-// find returns the slot of the entry for (h, vals), or the empty slot where
-// it would go.
-func (s *idxShard) find(h uint64, vals []term.Term) int {
+// find returns the slot of s holding the entry for (h, vals), or the empty
+// slot where it would go.
+func find(s *idxShard, h uint64, vals []term.Term) int {
 	mask := len(s.slots) - 1
 	i := int(h) & mask
 scan:
@@ -126,52 +120,10 @@ scan:
 	return i
 }
 
-func (s *idxShard) full() bool { return (s.n+1)*4 > len(s.slots)*3 }
-
-// place adds an entry whose key the shard does not hold, growing the shard
-// if it is full.
-func (s *idxShard) place(e *idxEntry) {
-	if s.full() {
-		old := s.slots
-		s.slots = make([]*idxEntry, 2*len(old))
-		for _, o := range old {
-			if o != nil {
-				place(s.slots, o.hash, o)
-			}
-		}
-	}
-	place(s.slots, e.hash, e)
-	s.n++
-}
-
-// evict empties slot i and closes the gap: every entry of the probe run
-// behind it that may move back towards its home slot does, so lookups need
-// no tombstones and a table under churn stays as clean as a fresh one.
-func (s *idxShard) evict(i int) {
-	mask := len(s.slots) - 1
-	s.n--
-	for j := i; ; {
-		s.slots[i] = nil
-		for {
-			j = (j + 1) & mask
-			e := s.slots[j]
-			if e == nil {
-				return
-			}
-			// e may fill the gap unless its home slot lies in (i, j].
-			if home := int(e.hash) & mask; (home-i-1)&mask >= (j-i)&mask {
-				break
-			}
-		}
-		s.slots[i] = s.slots[j]
-		i = j
-	}
-}
-
 // index is a hash index over one set of argument columns — a single column
 // or a composite.  The key of a fact folds its per-column term hashes in
 // cols order; its top bits pick the shard, its low bits the slot.  The shards
-// split like the intern tables (Relation.room).  An index is built once
+// split like the intern tables (room).  An index is built once
 // under Relation.mu; afterwards only the relation's single writer changes
 // it.  Indexes are relation-global, not split along the intern tables'
 // shards: a probe answers from one bucket in one step.
@@ -215,43 +167,10 @@ func (ix *index) key(f *term.Fact, buf []term.Term) (vals []term.Term, ok bool) 
 	return buf, true
 }
 
-func (ix *index) shard(h uint64) int { return int(h >> (64 - ix.bits)) }
-
-// own returns the shard for key hash h, first copying it if it belongs to a
-// relation this one was forked from: the table of entry pointers is copied
-// and listed at every directory entry that listed the original, the entries
-// stay shared until they change themselves.
-func (ix *index) own(id, h uint64) *idxShard {
-	si := ix.shard(h)
-	sh := ix.shards.at(si)
-	if sh.owner != id {
-		sh = &idxShard{owner: id, slots: slices.Clone(sh.slots), n: sh.n, depth: sh.depth}
-		lo, n := span(si, ix.bits, sh.depth)
-		ix.shards.fill(id, lo, n, sh)
-	}
-	return sh
-}
-
-// room returns the shard that key hash h goes to, owned by id, for a new
-// key: it splits like an intern table (Relation.room).
-func (ix *index) room(id, h uint64) *idxShard {
-	sh := ix.own(id, h)
-	if !sh.full() || len(sh.slots) < unit {
-		return sh
-	}
-	hi, moved := splitSlots(sh.slots, entryHash, 1<<(63-sh.depth), nil)
-	if hi == nil {
-		return sh
-	}
-	sh.n, sh.depth = sh.n-moved, sh.depth+1
-	ix.shards.split(id, &ix.bits, ix.shard(h), sh.depth, &idxShard{owner: id, slots: hi, n: moved, depth: sh.depth})
-	return ix.shards.at(ix.shard(h))
-}
-
 // ownEntry returns the entry in slot i for a write by the relation numbered
 // id, first copying it, with its bucket's top, if it belongs to a relation
 // this one was forked from.
-func (s *idxShard) ownEntry(id uint64, i int) *idxEntry {
+func ownEntry(s *idxShard, id uint64, i int) *idxEntry {
 	e := s.slots[i]
 	if e.owner != id {
 		e = &idxEntry{owner: id, hash: e.hash, vals: e.vals, facts: e.facts.clone()}
@@ -268,12 +187,13 @@ func (ix *index) add(id uint64, f *term.Fact) {
 		return
 	}
 	h := keyOf(vals)
-	sh := ix.own(id, h)
-	if i := sh.find(h, vals); sh.slots[i] != nil {
-		sh.ownEntry(id, i).facts.push(id, f)
+	sh := own(&ix.shards, ix.bits, id, h)
+	if i := find(sh, h, vals); sh.slots[i] != nil {
+		ownEntry(sh, id, i).facts.push(id, f)
 		return
 	}
-	ix.room(id, h).place(&idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: dir[*term.Fact]{flat: []*term.Fact{f}}})
+	e := &idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: dir[*term.Fact]{flat: []*term.Fact{f}}}
+	room(&ix.shards, &ix.bits, id, h, entryHash).insert(h, e, entryHash)
 	ix.keys++
 }
 
@@ -287,20 +207,20 @@ func (ix *index) remove(id uint64, f *term.Fact) {
 		return
 	}
 	h := keyOf(vals)
-	sh := ix.own(id, h)
-	i := sh.find(h, vals)
+	sh := own(&ix.shards, ix.bits, id, h)
+	i := find(sh, h, vals)
 	e := sh.slots[i]
 	if e == nil {
 		return
 	}
 	if e.facts.len() == 1 {
 		if e.facts.last() == f {
-			sh.evict(i)
+			sh.remove(h, e, entryHash)
 			ix.keys--
 		}
 		return
 	}
-	sh.ownEntry(id, i).facts.sweepBack(id, func(g *term.Fact) (*term.Fact, bool) {
+	ownEntry(sh, id, i).facts.sweepBack(id, func(g *term.Fact) (*term.Fact, bool) {
 		if g == f {
 			return nil, false
 		}
@@ -313,8 +233,8 @@ func (ix *index) remove(id uint64, f *term.Fact) {
 // walking the copy's first len() facts sees the bucket of the probe.
 func (ix *index) probe(vals []term.Term) dir[*term.Fact] {
 	h := keyOf(vals)
-	sh := ix.shards.at(ix.shard(h))
-	if e := sh.slots[sh.find(h, vals)]; e != nil {
+	sh := ix.shards.at(shardOf(h, ix.bits))
+	if e := sh.slots[find(sh, h, vals)]; e != nil {
 		return e.facts
 	}
 	return dir[*term.Fact]{}
@@ -380,49 +300,15 @@ func (r *Relation) ensureTables() {
 	t := newFactTable(r.n)
 	r.segs.each(func(s *segment) {
 		for _, g := range s.facts {
-			t.insert(hashFact(g), g)
+			t.insert(hashFact(g), g, hashFact)
 		}
 	})
 	r.shards = dir[*factTable]{flat: []*factTable{t}}
 }
 
-// shard returns the index of the intern table for fact hash h: the top hash
-// bits pick the shard, because the tables consume the low bits.
-func (r *Relation) shard(h uint64) int { return int(h >> (64 - r.shardBits)) }
+func (r *Relation) shard(h uint64) int { return shardOf(h, r.shardBits) }
 
 func (r *Relation) table(h uint64) *factTable { return r.shards.at(r.shard(h)) }
-
-// own returns intern table si for a write: a table that belongs to a
-// relation this one was forked from is copied first, and the copy listed at
-// every directory entry that listed the original.
-func (r *Relation) own(si int) *factTable {
-	t := r.shards.at(si)
-	if t.owner != r.id {
-		t = t.cloneFor(r.id)
-		lo, n := span(si, r.shardBits, t.depth)
-		r.shards.fill(r.id, lo, n, t)
-	}
-	return t
-}
-
-// room returns the intern table that fact hash h goes to, owned by r, for an
-// insert.  A full table of unit slots or more splits by its next hash bit
-// instead of growing: the facts whose bit is 1 move to a new table, the
-// others stay, and the directory doubles only when the table was as deep as
-// it.  A table whose facts the bit does not separate grows instead.
-func (r *Relation) room(h uint64) *factTable {
-	t := r.own(r.shard(h))
-	if !t.full() || len(t.entries) < unit {
-		return t
-	}
-	hi, moved := splitSlots(t.entries, hashFact, 1<<(63-t.depth), tombstone)
-	if hi == nil {
-		return t
-	}
-	t.n, t.dead, t.depth = t.n-moved, 0, t.depth+1
-	r.shards.split(r.id, &r.shardBits, r.shard(h), t.depth, &factTable{owner: r.id, entries: hi, n: moved, depth: t.depth, sized: t.sized})
-	return r.table(h)
-}
 
 // checkWrite panics on a write to a frozen relation: the databases that
 // share it write forks of it (DB.Rel), so only a *Relation held across a
@@ -483,7 +369,7 @@ func (r *Relation) Contains(f *term.Fact) bool {
 func (r *Relation) Get(f *term.Fact) (*term.Fact, bool) {
 	r.ensureTables()
 	h := hashFact(f)
-	g := r.table(h).get(h, f)
+	g := get(r.table(h), h, f)
 	return g, g != nil
 }
 
@@ -493,7 +379,7 @@ func (r *Relation) Get(f *term.Fact) (*term.Fact, bool) {
 // derivation is genuinely new, with the hash they probed by.
 func (r *Relation) GetArgs(h uint64, args []term.Term) *term.Fact {
 	r.ensureTables()
-	return r.table(h).getArgs(h, r.Name, args)
+	return getArgs(r.table(h), h, r.Name, args)
 }
 
 // Insert adds the fact, reporting whether it was new.
@@ -509,10 +395,10 @@ func (r *Relation) InsertGet(f *term.Fact) (*term.Fact, bool) {
 	r.checkWrite()
 	r.ensureTables()
 	h := hashFact(f)
-	if g := r.table(h).get(h, f); g != nil {
+	if g := get(r.table(h), h, f); g != nil {
 		return g, false
 	}
-	r.room(h).insert(h, f)
+	room(&r.shards, &r.shardBits, r.id, h, hashFact).insert(h, f, hashFact)
 	r.push(f, 1)
 	return f, true
 }
@@ -582,11 +468,11 @@ func (r *Relation) Delete(f *term.Fact) bool {
 	r.checkWrite()
 	r.ensureTables()
 	h := hashFact(f)
-	g := r.table(h).get(h, f)
+	g := get(r.table(h), h, f)
 	if g == nil {
 		return false
 	}
-	r.own(r.shard(h)).remove(h, g)
+	own(&r.shards, r.shardBits, r.id, h).remove(h, g, hashFact)
 	r.unlink([]*term.Fact{g}, func(x *term.Fact) bool { return x == g })
 	return true
 }
@@ -607,8 +493,8 @@ func (r *Relation) DeleteAll(fs []*term.Fact) int {
 	removed := make([]*term.Fact, 0, len(fs))
 	for _, f := range fs {
 		h := hashFact(f)
-		if g := r.table(h).get(h, f); g != nil {
-			r.own(r.shard(h)).remove(h, g)
+		if g := get(r.table(h), h, f); g != nil {
+			own(&r.shards, r.shardBits, r.id, h).remove(h, g, hashFact)
 			victims[g] = true
 			removed = append(removed, g)
 		}
