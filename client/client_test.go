@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -244,5 +245,46 @@ func TestClientUnwrapSentinels(t *testing.T) {
 	}
 	if !errors.Is(ae, ldl1.ErrInstantiation) {
 		t.Error("instantiation_error: sentinel Is failed")
+	}
+}
+
+// TestExecTakesAnswerText: a value taken from an answer row and sent back
+// as a prepared argument selects the same rows, for names that print
+// quoted — two words, an upper-case start, digits, the keyword not, the
+// empty name, a separator — as for plain ones.
+func TestExecTakesAnswerText(t *testing.T) {
+	s := server.New(server.Config{AllowAdmin: true})
+	if err := s.Load("people", `q(K, V) <- p(K, V).
+		p('John Smith', 1). p('X', 2). p('12', 3). p(12, 4). p(john, 5).
+		p('not', 6). p('', 7). p('a, b', 8). p(a, 9). p(b, 10). p(b, 11).`); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	c := New(ts.URL, ts.Client())
+	ctx := context.Background()
+	if err := c.Prepare(ctx, "people", "byKey", "q(k, V)"); err != nil {
+		t.Fatal(err)
+	}
+	all, err := c.Query(ctx, "people", "q(K, V)", nil)
+	if err != nil || all.Count != 11 {
+		t.Fatalf("q(K, V): %v, %+v", err, all)
+	}
+	want := map[string][]string{}
+	for _, row := range all.Rows {
+		want[row[0]] = append(want[row[0]], row[1])
+	}
+	for key, vs := range want {
+		res, err := c.Exec(ctx, "people", "byKey", []string{key}, nil)
+		if err != nil {
+			t.Fatalf("exec %s: %v", key, err)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, row[0])
+		}
+		if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", vs) {
+			t.Errorf("exec %s = %q, want %q", key, got, vs)
+		}
 	}
 }

@@ -44,7 +44,9 @@
 // evaluation.
 //
 // Concrete syntax: rules are written head <- body with a terminating
-// period; variables start upper-case, constants lower-case; {1, 2} is an
+// period; variables start upper-case, constants lower-case or between
+// single quotes ('John Smith'), the form a ground term prints in whenever
+// its name alone would read as something else; {1, 2} is an
 // enumerated set, <X> a grouping argument, and not/~/¬ negate a body
 // literal.  Comments run from % or # to end of line.
 package ldl1

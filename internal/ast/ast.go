@@ -79,30 +79,16 @@ var infixPreds = map[string]bool{
 }
 
 func (l Literal) String() string {
-	var b strings.Builder
+	var b []byte
 	if l.Negated {
-		b.WriteString("not ")
+		b = append(b, "not "...)
 	}
 	if infixPreds[l.Pred] && len(l.Args) == 2 {
-		b.WriteString(l.Args[0].String())
-		b.WriteByte(' ')
-		b.WriteString(l.Pred)
-		b.WriteByte(' ')
-		b.WriteString(l.Args[1].String())
-		return b.String()
+		b = append(term.AppendText(b, l.Args[0]), ' ')
+		b = append(append(b, l.Pred...), ' ')
+		return string(term.AppendText(b, l.Args[1]))
 	}
-	b.WriteString(l.Pred)
-	if len(l.Args) > 0 {
-		b.WriteByte('(')
-		for i, a := range l.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(a.String())
-		}
-		b.WriteByte(')')
-	}
-	return b.String()
+	return string(term.AppendCall(b, l.Pred, l.Args))
 }
 
 // Rule is head <- body (§2.1).  A rule with an empty body is a fact.

@@ -2,7 +2,8 @@
 //
 // The concrete syntax follows §2.1 of the paper: variables start with an
 // upper-case letter or underscore, constants and predicate/function symbols
-// with a lower-case letter; `{...}` writes enumerated sets, `<X>` grouping,
+// with a lower-case letter, or are any text between single quotes
+// ('John Smith'); `{...}` writes enumerated sets, `<X>` grouping,
 // `<-` separates head from body, `not`/`~`/`¬` negate, `%` and `#` start
 // line comments, and `?-` introduces a query.
 package lexer
@@ -14,6 +15,7 @@ import (
 	"unicode/utf8"
 
 	"ldl1/internal/lderr"
+	"ldl1/internal/term"
 )
 
 // Type enumerates token types.
@@ -179,6 +181,13 @@ func (l *Lexer) advance() rune {
 	return r
 }
 
+// skip advances over the next n bytes.
+func (l *Lexer) skip(n int) {
+	for end := l.pos + n; l.pos < end; {
+		l.advance()
+	}
+}
+
 func (l *Lexer) errf(format string, args ...interface{}) error {
 	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
@@ -192,6 +201,14 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	if l.pos >= len(l.src) {
 		return mk(EOF, ""), nil
+	}
+	if n := term.NameLen(l.src[l.pos:]); n > 0 {
+		text := l.src[l.pos : l.pos+n]
+		l.skip(n)
+		if text == "not" {
+			return mk(Not, text), nil
+		}
+		return mk(Ident, text), nil
 	}
 	r := l.peek()
 	switch {
@@ -287,7 +304,7 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return mk(QueryTok, "?-"), nil
 	case r == '"':
-		return l.lexString(mk)
+		return l.lexQuoted('"', String, "string literal", mk)
 	case unicode.IsDigit(r):
 		return l.lexInt(mk)
 	case r == '_' || unicode.IsUpper(r):
@@ -296,16 +313,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		return mk(Variable, l.src[start:l.pos]), nil
-	case unicode.IsLower(r):
-		start := l.pos
-		for l.pos < len(l.src) && isIdentRune(l.peek()) {
-			l.advance()
-		}
-		text := l.src[start:l.pos]
-		if text == "not" {
-			return mk(Not, text), nil
-		}
-		return mk(Ident, text), nil
+	case r == '\'':
+		return l.lexQuoted('\'', Ident, "quoted name", mk)
 	}
 	return Token{}, l.errf("unexpected character %q", r)
 }
@@ -338,30 +347,33 @@ func (l *Lexer) lexInt(mk func(Type, string) Token) (Token, error) {
 	return mk(Int, l.src[start:l.pos]), nil
 }
 
-// lexString reads a double-quoted string with Go's escape sequences: the
-// inverse of term.Str's strconv.Quote rendering, so every string the engine
-// prints reads back as itself.
-func (l *Lexer) lexString(mk func(Type, string) Token) (Token, error) {
-	start := l.pos
+// lexQuoted reads text between two quote bytes with Go's escape sequences:
+// a "string", the inverse of term.Str's strconv.Quote rendering, or a
+// 'name', the inverse of how term.AppendText prints a name that is not
+// plain, read as an Ident token.  Either reads back as what was printed.
+func (l *Lexer) lexQuoted(quote byte, t Type, what string, mk func(Type, string) Token) (Token, error) {
 	l.advance() // opening quote
+	var text []byte
 	for {
-		if l.pos >= len(l.src) {
-			return Token{}, l.errf("unterminated string literal")
-		}
-		switch l.advance() {
-		case '"':
-			text, err := strconv.Unquote(l.src[start:l.pos])
-			if err != nil {
-				return Token{}, l.errf("invalid escape in string literal")
-			}
-			return mk(String, text), nil
-		case '\\':
-			if l.pos >= len(l.src) {
-				return Token{}, l.errf("unterminated escape in string literal")
-			}
+		rest := l.src[l.pos:]
+		switch {
+		case rest == "":
+			return Token{}, l.errf("unterminated %s", what)
+		case rest[0] == quote:
 			l.advance()
-		case '\n':
-			return Token{}, l.errf("newline in string literal")
+			return mk(t, string(text)), nil
+		case rest[0] == '\n':
+			return Token{}, l.errf("newline in %s", what)
 		}
+		r, multibyte, tail, err := strconv.UnquoteChar(rest, quote)
+		if err != nil {
+			return Token{}, l.errf("invalid escape in %s", what)
+		}
+		if r < utf8.RuneSelf || !multibyte {
+			text = append(text, byte(r))
+		} else {
+			text = utf8.AppendRune(text, r)
+		}
+		l.skip(len(rest) - len(tail))
 	}
 }

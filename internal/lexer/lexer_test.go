@@ -160,3 +160,27 @@ func TestTokenAndTypeString(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// TestQuotedNames: text between single quotes, with Go's escapes, is one
+// identifier token, whatever it holds — the form term.AppendText prints a
+// name in when the name alone would lex as something else.
+func TestQuotedNames(t *testing.T) {
+	toks, err := Tokenize(`'John Smith'('X', 'not', '', 'a\'b"c', '\xff\n%', 'q,a:r') not`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{0: "John Smith", 2: "X", 4: "not", 6: "", 8: `a'b"c`, 10: "\xff\n%", 12: "q,a:r"}
+	for i, text := range want {
+		if toks[i].Type != Ident || toks[i].Text != text {
+			t.Errorf("token %d = %v, want identifier %q", i, toks[i], text)
+		}
+	}
+	if last := toks[len(toks)-1]; last.Type != Not || last.Col != 60 {
+		t.Errorf("last token = %v at column %d", last, last.Col)
+	}
+	for _, bad := range []string{`'open`, `'bad \q escape'`, "'new\nline'", `'trail\`, `'\"'`} {
+		if _, err := Tokenize(bad); err == nil {
+			t.Errorf("expected error for %q", bad)
+		}
+	}
+}

@@ -24,10 +24,6 @@ func TestParseLists(t *testing.T) {
 	if !term.Equal(tm, want) {
 		t.Fatalf("[1,2,3] = %v", tm)
 	}
-	elems, ok := term.IsList(tm)
-	if !ok || len(elems) != 3 {
-		t.Fatalf("IsList = %v, %v", elems, ok)
-	}
 	if tm.String() != "[1, 2, 3]" {
 		t.Errorf("list String = %q", tm.String())
 	}

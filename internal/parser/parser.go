@@ -6,15 +6,18 @@
 //	rule    := literal [ "<-" literal { "," literal } ] "."
 //	query   := "?-" literal { "," literal } "."
 //	literal := [ "not" ] ( atom | expr compop expr )
-//	atom    := IDENT [ "(" expr { "," expr } ")" ]
+//	atom    := IDENT [ "(" [ expr { "," expr } ] ")" ]
 //	compop  := "=" | "/=" | "<" | "<=" | ">" | ">="
 //	expr    := mul { ("+" | "-") mul }
 //	mul     := unary { ("*" | "/") unary }
-//	unary   := "-" unary | primary
-//	primary := INT | STRING | VAR | IDENT [ "(" expr { "," expr } ")" ]
+//	unary   := "-" INT | "-" unary | primary
+//	primary := INT | STRING | VAR | IDENT [ "(" [ expr { "," expr } ] ")" ]
 //	         | "{" [ expr { "," expr } ] "}"      (enumerated set)
 //	         | "<" expr ">"                       (grouping)
 //	         | "(" expr { "," expr } ")"          (tuple / parenthesis)
+//
+// IDENT is a bare name (john) or any text between single quotes ('John
+// Smith'); the lexer reads both as one identifier token.
 //
 // Arithmetic operators build compound terms with functors "+", "-", "*",
 // "/"; the built-in evaluator interprets them when ground.  A multi-element
@@ -24,6 +27,7 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"ldl1/internal/ast"
@@ -331,29 +335,39 @@ func (p *parser) mul() (term.Term, error) {
 }
 
 func (p *parser) unary() (term.Term, error) {
-	if p.at(lexer.Minus) {
-		p.next()
-		t, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		if n, ok := t.(term.Int); ok {
-			return term.Int(-n), nil
-		}
-		return term.NewCompound("neg", t), nil
+	if !p.at(lexer.Minus) {
+		return p.primary()
 	}
-	return p.primary()
+	p.next()
+	if p.at(lexer.Int) {
+		// One signed literal, so -9223372036854775808 is in range.
+		return p.integer("-")
+	}
+	t, err := p.unary()
+	if err != nil {
+		return nil, err
+	}
+	if n, ok := t.(term.Int); ok && n != math.MinInt64 {
+		return term.Int(-n), nil
+	}
+	return term.NewCompound("neg", t), nil
+}
+
+// integer parses the current integer token with sign prepended.
+func (p *parser) integer(sign string) (term.Term, error) {
+	tok := p.cur()
+	n, err := strconv.ParseInt(sign+tok.Text, 10, 64)
+	if err != nil {
+		return nil, p.errf("integer out of range: %s%s", sign, tok.Text)
+	}
+	p.next()
+	return term.Int(n), nil
 }
 
 func (p *parser) primary() (term.Term, error) {
 	switch tok := p.cur(); tok.Type {
 	case lexer.Int:
-		p.next()
-		n, err := strconv.ParseInt(tok.Text, 10, 64)
-		if err != nil {
-			return nil, p.errf("integer out of range: %s", tok.Text)
-		}
-		return term.Int(n), nil
+		return p.integer("")
 	case lexer.String:
 		p.next()
 		return term.Str(tok.Text), nil
@@ -376,6 +390,10 @@ func (p *parser) primary() (term.Term, error) {
 			return term.Atom(tok.Text), nil
 		}
 		p.next()
+		if p.at(lexer.RParen) {
+			p.next()
+			return term.NewCompound(tok.Text), nil
+		}
 		args, err := p.exprList(lexer.RParen)
 		if err != nil {
 			return nil, err
@@ -467,7 +485,7 @@ func (p *parser) list() (term.Term, error) {
 		return nil, err
 	}
 	for i := len(elems) - 1; i >= 0; i-- {
-		tail = term.NewCompound(term.ConsFunctor, elems[i], tail)
+		tail = term.Cons(elems[i], tail)
 	}
 	return tail, nil
 }

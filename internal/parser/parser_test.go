@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -283,5 +284,35 @@ func TestWellFormedViolations(t *testing.T) {
 	`)
 	if err := ast.CheckWellFormed(ok); err != nil {
 		t.Errorf("valid program rejected: %v", err)
+	}
+}
+
+// TestParseQuotedNames: a quoted name is an identifier wherever a bare one
+// is — predicate, functor, atom — and a program using them prints back to
+// the same text.
+func TestParseQuotedNames(t *testing.T) {
+	src := "'Person'('John Smith', f(), '$set'(a), -9223372036854775808) <- q('X', 'not').\n"
+	p, err := ParseProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := p.Rules[0]
+	if r.Head.Pred != "Person" || r.Body[0].Pred != "q" {
+		t.Fatalf("predicates %q, %q", r.Head.Pred, r.Body[0].Pred)
+	}
+	want := []term.Term{term.Atom("John Smith"), term.NewCompound("f"), term.NewCompound("$set", term.Atom("a")), term.Int(math.MinInt64)}
+	for i, w := range want {
+		if !term.Equal(r.Head.Args[i], w) {
+			t.Errorf("head argument %d = %v, want %v", i, r.Head.Args[i], w)
+		}
+	}
+	if !term.Equal(r.Body[0].Args[0], term.Atom("X")) || !term.Equal(r.Body[0].Args[1], term.Atom("not")) {
+		t.Errorf("body arguments %v", r.Body[0].Args)
+	}
+	if got := p.String(); got != src {
+		t.Errorf("printed %q, want %q", got, src)
+	}
+	if _, err := ParseTerm("-9223372036854775809"); err == nil {
+		t.Error("-2⁶³-1 parsed")
 	}
 }

@@ -17,33 +17,31 @@ package qcache
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"ldl1/internal/term"
 )
 
 // Key identifies one cached query form: the queried predicate, its
-// adornment (binding pattern), and the bound constants rendered in a
-// canonical form (term keys: equal keys iff equal elements of U).
+// adornment (binding pattern), and the bound constants (ConstsKey).
 type Key struct {
 	Pred   string
 	Adorn  string
 	Consts string
 }
 
-// ConstsKey renders ground constants canonically for use in a Key.  Term
-// keys are self-delimiting, so two lists share a rendering only if they
-// are equal.
+// ConstsKey renders ground constants for use in a Key: their LDL1 text
+// (term.AppendText), joined by ", ".  A printed ground term parses back to
+// exactly that term, so the joined text names one tuple of constants.
 func ConstsKey(consts []term.Term) string {
-	var b strings.Builder
+	var b []byte
 	for i, c := range consts {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ", "...)
 		}
-		b.WriteString(c.Key())
+		b = term.AppendText(b, c)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Entry is one cached answer set.  Sols and Cone are frozen at PutAt time;

@@ -95,6 +95,19 @@ func TestConstsKey(t *testing.T) {
 	if ConstsKey(nil) != "" {
 		t.Error("empty consts should key to empty string")
 	}
+	// Tuples whose texts would run together without the separator.
+	x, y, xy := term.Atom("x"), term.Atom("y"), term.Atom("xy")
+	for _, p := range [][2][]term.Term{
+		{{x, term.Atom("yz")}, {xy, term.Atom("z")}},
+		{{term.Int(1), term.Int(2)}, {term.Int(12)}},
+		{{x, y}, {term.Atom("x, y")}},
+		{{term.Str("x"), y}, {term.Str("x\", y")}},
+		{nil, {term.Atom("")}},
+	} {
+		if a, b := ConstsKey(p[0]), ConstsKey(p[1]); a == b {
+			t.Errorf("ConstsKey(%v) = ConstsKey(%v) = %q", p[0], p[1], a)
+		}
+	}
 }
 
 func TestCacheConcurrent(t *testing.T) {

@@ -23,7 +23,7 @@ func evalWithSem(t *testing.T, src string, sem HeadSemantics) *store.DB {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, rp)
 	}
-	return Restrict(db, p.Preds())
+	return restrict(db, p.Preds())
 }
 
 func TestAlternativeSemantics(t *testing.T) {

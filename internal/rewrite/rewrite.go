@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"ldl1/internal/ast"
-	"ldl1/internal/store"
 	"ldl1/internal/term"
 )
 
@@ -22,20 +21,6 @@ func RewriteWithSemantics(p *ast.Program, sem HeadSemantics) (*ast.Program, erro
 		return nil, err
 	}
 	return RewriteHeadsWithSemantics(p1, sem)
-}
-
-// Restrict returns the facts of db whose predicates appear in preds —
-// used to compare a transformed program's model with the original's
-// ("restricted to the predicates mentioned in P", §3.3, §5).
-func Restrict(db *store.DB, preds map[string]bool) *store.DB {
-	out := store.NewDB()
-	out.UseIndexes = db.UseIndexes
-	for _, f := range db.Facts() {
-		if preds[f.Pred] {
-			out.Insert(f)
-		}
-	}
-	return out
 }
 
 // NeedsRewrite reports whether the program uses any LDL1.5 construct

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ldl1/internal/term"
+	"ldl1/internal/termgen"
 )
 
 // forceCollisions replaces the package hash hooks with degenerate constant
@@ -153,51 +154,20 @@ func TestFactSetAllHashesCollide(t *testing.T) {
 	}
 }
 
-// randTerm generates a random ground U-term: atoms, integers, strings, and
-// nested compounds and sets up to the given depth.
-func randTerm(rng *rand.Rand, depth int) term.Term {
-	kind := rng.Intn(5)
-	if depth == 0 && kind >= 3 {
-		kind = rng.Intn(3)
-	}
-	switch kind {
-	case 0:
-		return term.Atom(fmt.Sprintf("a%d", rng.Intn(8)))
-	case 1:
-		return term.Int(rng.Intn(8))
-	case 2:
-		return term.Str(fmt.Sprintf("s%d", rng.Intn(8)))
-	case 3:
-		n := rng.Intn(3) + 1
-		args := make([]term.Term, n)
-		for i := range args {
-			args[i] = randTerm(rng, depth-1)
-		}
-		return term.NewCompound(fmt.Sprintf("f%d", rng.Intn(3)), args...)
-	default:
-		n := rng.Intn(4)
-		elems := make([]term.Term, n)
-		for i := range elems {
-			elems[i] = randTerm(rng, depth-1)
-		}
-		return term.NewSet(elems...)
-	}
-}
-
 func randFact(rng *rand.Rand) *term.Fact {
 	n := rng.Intn(3) + 1
 	args := make([]term.Term, n)
 	for i := range args {
-		args[i] = randTerm(rng, 2)
+		args[i] = termgen.Term(rng, 2)
 	}
 	return term.NewFact(fmt.Sprintf("p%d", rng.Intn(4)), args...)
 }
 
-// TestDBEqualMatchesKeyEquality cross-checks the hash-based DB.Equal against
-// the renderer: two databases are equal exactly when their sorted Key sets
-// coincide.  The narrow value ranges make duplicate and near-duplicate terms
+// TestDBEqualMatchesTextEquality cross-checks the hash-based DB.Equal
+// against the text form: two databases are equal exactly when the sets of
+// their facts' texts coincide.  The narrow value ranges make duplicate and near-duplicate terms
 // (including sets differing only in element order) common.
-func TestDBEqualMatchesKeyEquality(t *testing.T) {
+func TestDBEqualMatchesTextEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		a, b := NewDB(), NewDB()
@@ -205,19 +175,19 @@ func TestDBEqualMatchesKeyEquality(t *testing.T) {
 		for i := rng.Intn(30); i > 0; i-- {
 			f := randFact(rng)
 			a.Insert(f)
-			keysA[f.Key()] = true
+			keysA[f.String()] = true
 		}
 		for i := rng.Intn(30); i > 0; i-- {
 			f := randFact(rng)
 			b.Insert(f)
-			keysB[f.Key()] = true
+			keysB[f.String()] = true
 		}
 		// Half the trials: force equality by copying a into b.
 		if trial%2 == 0 {
 			b, keysB = NewDB(), map[string]bool{}
 			for _, f := range a.Facts() {
 				b.Insert(f)
-				keysB[f.Key()] = true
+				keysB[f.String()] = true
 			}
 		}
 		wantEq := len(keysA) == len(keysB)
@@ -230,14 +200,14 @@ func TestDBEqualMatchesKeyEquality(t *testing.T) {
 			}
 		}
 		if got := a.Equal(b); got != wantEq {
-			t.Fatalf("trial %d: DB.Equal = %v, key-based equality = %v\nA:\n%s\nB:\n%s",
+			t.Fatalf("trial %d: DB.Equal = %v, text-based equality = %v\nA:\n%s\nB:\n%s",
 				trial, got, wantEq, a, b)
 		}
 		// Per-fact cross-check: Contains must agree with key membership.
 		for _, f := range a.Facts() {
-			if b.Contains(f) != keysB[f.Key()] {
-				t.Fatalf("trial %d: Contains(%s) = %v, key lookup = %v",
-					trial, f, b.Contains(f), keysB[f.Key()])
+			if b.Contains(f) != keysB[f.String()] {
+				t.Fatalf("trial %d: Contains(%s) = %v, text lookup = %v",
+					trial, f, b.Contains(f), keysB[f.String()])
 			}
 		}
 	}

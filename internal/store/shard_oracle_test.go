@@ -23,7 +23,7 @@ type refDB struct {
 func newRefDB() *refDB { return &refDB{seen: map[string]bool{}} }
 
 func (r *refDB) insert(f *term.Fact) bool {
-	k := f.Key()
+	k := f.String()
 	if r.seen[k] {
 		return false
 	}
@@ -33,13 +33,13 @@ func (r *refDB) insert(f *term.Fact) bool {
 }
 
 func (r *refDB) delete(f *term.Fact) bool {
-	k := f.Key()
+	k := f.String()
 	if !r.seen[k] {
 		return false
 	}
 	delete(r.seen, k)
 	for i, g := range r.facts {
-		if g.Key() == k {
+		if g.String() == k {
 			r.facts = append(r.facts[:i], r.facts[i+1:]...)
 			break
 		}
@@ -47,14 +47,14 @@ func (r *refDB) delete(f *term.Fact) bool {
 	return true
 }
 
-func (r *refDB) contains(f *term.Fact) bool { return r.seen[f.Key()] }
+func (r *refDB) contains(f *term.Fact) bool { return r.seen[f.String()] }
 
 func (r *refDB) clear(pred string) {
 	r.facts = slices.DeleteFunc(r.facts, func(g *term.Fact) bool {
 		if g.Pred != pred {
 			return false
 		}
-		delete(r.seen, g.Key())
+		delete(r.seen, g.String())
 		return true
 	})
 }
@@ -68,12 +68,12 @@ func (r *refDB) clone() *refDB {
 	return out
 }
 
-// lookup returns the keys of facts for pred whose column c equals v.
+// lookup returns the sorted texts of the facts for pred whose column c equals v.
 func (r *refDB) lookup(pred string, c int, v term.Term) []string {
 	var out []string
 	for _, g := range r.facts {
 		if g.Pred == pred && c < len(g.Args) && term.Equal(g.Args[c], v) {
-			out = append(out, g.Key())
+			out = append(out, g.String())
 		}
 	}
 	sort.Strings(out)
@@ -164,11 +164,11 @@ func oracleScenario(t *testing.T, seed int64) {
 				c := rng.Intn(len(f.Args))
 				var keys []string
 				for _, g := range lookupCol(r, c, f.Args[c]) {
-					keys = append(keys, g.Key())
+					keys = append(keys, g.String())
 				}
 				sort.Strings(keys)
 				want := ref.lookup(f.Pred, c, f.Args[c])
-				if fmt.Sprint(keys) != fmt.Sprint(want) {
+				if !slices.Equal(keys, want) {
 					t.Fatalf("seed %d step %d: Lookup(%s,%d,%s)=%v oracle=%v", seed, step, f.Pred, c, f.Args[c], keys, want)
 				}
 			}
@@ -604,10 +604,10 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 				c := rng.Intn(len(f.Args))
 				var keys []string
 				for _, g := range lookupCol(r, c, f.Args[c]) {
-					keys = append(keys, g.Key())
+					keys = append(keys, g.String())
 				}
 				sort.Strings(keys)
-				if want := s.ref.lookup(f.Pred, c, f.Args[c]); fmt.Sprint(keys) != fmt.Sprint(want) {
+				if want := s.ref.lookup(f.Pred, c, f.Args[c]); !slices.Equal(keys, want) {
 					t.Fatalf("%s: Lookup(%s,%d,%s)=%v oracle=%v", what, f.Pred, c, f.Args[c], keys, want)
 				}
 			}

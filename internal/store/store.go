@@ -4,8 +4,8 @@
 //
 // Fact identity is hash-based: facts live in buckets keyed by their
 // memoized 64-bit structural hash (term.Fact.Hash), and the rare hash
-// collision is resolved by the structural term.EqualFacts.  The string
-// Key() encoding is never built on these paths.  Inserting returns the
+// collision is resolved by the structural term.EqualFacts; no fact is
+// rendered to text on these paths.  Inserting returns the
 // relation's canonical *term.Fact for the value, so downstream consumers
 // (deltas, indexes, provenance) share one interned fact pointer per U-fact
 // and equality checks usually short-circuit on pointer identity.

@@ -1,7 +1,5 @@
 package term
 
-import "strings"
-
 // Fact is a U-fact p(e1,...,en): a predicate symbol applied to elements of
 // the universe U (§2.2).  Args must be ground.
 type Fact struct {
@@ -50,18 +48,9 @@ type factWith[A any] struct {
 	a A
 }
 
-// Key returns a canonical encoding of the fact; two facts are the same
-// U-fact iff their keys are equal.  Key is for rendering and tests; fact
-// identity on hot paths goes through Hash and EqualFacts.
-func (f *Fact) Key() string {
-	var b strings.Builder
-	b.WriteString(f.Pred)
-	b.WriteByte('/')
-	writeKeys(&b, f.Args)
-	return b.String()
-}
-
-func (f *Fact) String() string { return string(appendCall(nil, f.Pred, f.Args)) }
+// String returns the fact's LDL1 text, AppendCall of its predicate and
+// arguments.  Two facts print alike iff they are the same U-fact.
+func (f *Fact) String() string { return string(AppendCall(nil, f.Pred, f.Args)) }
 
 // Equal reports whether f and g are the same U-fact.
 func (f *Fact) Equal(g *Fact) bool { return EqualFacts(f, g) }

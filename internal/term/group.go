@@ -15,8 +15,6 @@ type Group struct {
 
 func (*Group) Kind() Kind { return KindGroup }
 
-func (g *Group) Key() string { return "g:<" + g.Inner.Key() + ">" }
-
 func (g *Group) String() string { return string(AppendText(nil, g)) }
 
 // NewGroup builds <inner>.

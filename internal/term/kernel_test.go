@@ -1,20 +1,24 @@
-package term
+package term_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
+
+	"ldl1/internal/term"
+	"ldl1/internal/termgen"
 )
 
 // has is the reference membership test: a linear scan by Equal, independent
 // of the binary search and merges under test.
-func has(s *Set, x Term) bool {
-	return slices.ContainsFunc(s.Elems(), func(e Term) bool { return Equal(e, x) })
+func has(s *term.Set, x term.Term) bool {
+	return slices.ContainsFunc(s.Elems(), func(e term.Term) bool { return term.Equal(e, x) })
 }
 
-func filter(s *Set, keep func(Term) bool) []Term {
-	var out []Term
+func filter(s *term.Set, keep func(term.Term) bool) []term.Term {
+	var out []term.Term
 	for _, e := range s.Elems() {
 		if keep(e) {
 			out = append(out, e)
@@ -26,25 +30,25 @@ func filter(s *Set, keep func(Term) bool) []Term {
 // checkKernel compares a kernel result with its NewSet twin: equal, strictly
 // increasing, the same hash, and — when the kernel built a new set rather
 // than returning an operand — exactly sized.
-func checkKernel(t *testing.T, op string, got *Set, twin []Term, operands ...*Set) {
+func checkKernel(t *testing.T, op string, got *term.Set, twin []term.Term, operands ...*term.Set) {
 	t.Helper()
-	want := NewSet(twin...)
-	if !Equal(got, want) {
+	want := term.NewSet(twin...)
+	if !term.Equal(got, want) {
 		t.Fatalf("%s = %v, want %v", op, got, want)
 	}
 	for i := 1; i < got.Len(); i++ {
-		if Compare(got.elems[i-1], got.elems[i]) >= 0 {
+		if term.Compare(got.Elems()[i-1], got.Elems()[i]) >= 0 {
 			t.Fatalf("%s = %v: elements %d and %d out of order", op, got, i-1, i)
 		}
 	}
 	if got.Hash() != want.Hash() {
-		t.Fatalf("%s = %v: hash %x, NewSet twin %x", op, got, got.Hash(), want.Hash())
+		t.Fatalf("%s = %v: hash %x, term.NewSet twin %x", op, got, got.Hash(), want.Hash())
 	}
-	if slices.Contains(operands, got) || got == EmptySet {
+	if slices.Contains(operands, got) || got == term.EmptySet {
 		return
 	}
-	if cap(got.elems) != len(got.elems) {
-		t.Fatalf("%s = %v: cap %d for %d elements", op, got, cap(got.elems), len(got.elems))
+	if cap(got.Elems()) != got.Len() {
+		t.Fatalf("%s = %v: cap %d for %d elements", op, got, cap(got.Elems()), got.Len())
 	}
 }
 
@@ -54,23 +58,23 @@ func checkKernel(t *testing.T, op string, got *Set, twin []Term, operands ...*Se
 // elements.
 func TestSetKernelsAgreeWithNewSet(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	pool := make([]Term, 48)
+	pool := make([]term.Term, 48)
 	for i := range pool {
-		pool[i] = randTerm(r, 3)
+		pool[i] = termgen.Term(r, 3)
 	}
-	draw := func() *Set {
-		elems := make([]Term, r.Intn(14))
+	draw := func() *term.Set {
+		elems := make([]term.Term, r.Intn(14))
 		for i := range elems {
 			elems[i] = pool[r.Intn(len(pool))]
 		}
-		return NewSet(elems...)
+		return term.NewSet(elems...)
 	}
 	for i := 0; i < 3000; i++ {
 		a, b, x := draw(), draw(), pool[r.Intn(len(pool))]
-		inB := func(e Term) bool { return has(b, e) }
+		inB := func(e term.Term) bool { return has(b, e) }
 		checkKernel(t, "union", a.Union(b), append(slices.Clone(a.Elems()), b.Elems()...), a, b)
 		checkKernel(t, "intersect", a.Intersect(b), filter(a, inB), a, b)
-		checkKernel(t, "difference", a.Difference(b), filter(a, func(e Term) bool { return !inB(e) }), a, b)
+		checkKernel(t, "difference", a.Difference(b), filter(a, func(e term.Term) bool { return !inB(e) }), a, b)
 		checkKernel(t, "add", a.Add(x), append(slices.Clone(a.Elems()), x), a)
 		if got, want := a.Contains(x), has(a, x); got != want {
 			t.Fatalf("%v contains %v = %v, want %v", a, x, got, want)
@@ -84,24 +88,20 @@ func TestSetKernelsAgreeWithNewSet(t *testing.T) {
 	}
 }
 
-// TestKeyConcurrent renders the keys and strings of shared terms from
-// several goroutines: keys are rendered on demand, so no term is written
-// after its constructor returns (go test -race reports a lazy memo).
-func TestKeyConcurrent(t *testing.T) {
-	type rendered interface {
-		Key() string
-		String() string
-	}
-	build := func() []rendered {
-		c := NewCompound("f", Atom("a"), Int(1))
-		s := NewSet(c, Str("x"), NewSet(Int(2)))
-		return []rendered{NewFact("p", s, c), s, c}
+// TestTextConcurrent renders the text of shared terms from several
+// goroutines: text is rendered on demand, so no term is written after its
+// constructor returns (go test -race reports a lazy memo).
+func TestTextConcurrent(t *testing.T) {
+	build := func() []fmt.Stringer {
+		c := term.NewCompound("f", term.Atom("a"), term.Int(1))
+		s := term.NewSet(c, term.Str("x"), term.NewSet(term.Int(2)))
+		return []fmt.Stringer{term.NewFact("p", s, c), s, c}
 	}
 	// The expected renderings come from a twin, so the shared terms are
 	// first rendered inside the goroutines.
 	terms, want := build(), []string{}
 	for _, tm := range build() {
-		want = append(want, tm.Key()+" "+tm.String())
+		want = append(want, tm.String())
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 4*len(terms))
@@ -110,7 +110,7 @@ func TestKeyConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, tm := range terms {
-				if got := tm.Key() + " " + tm.String(); got != want[i] {
+				if got := tm.String(); got != want[i] {
 					errs <- got
 				}
 			}

@@ -23,23 +23,6 @@ func NewList(elems ...Term) Term {
 // Cons builds [head | tail].
 func Cons(head, tail Term) Term { return NewCompound(ConsFunctor, head, tail) }
 
-// IsList reports whether t is a proper list (ends in []) and returns its
-// elements.
-func IsList(t Term) ([]Term, bool) {
-	var elems []Term
-	for {
-		if Equal(t, EmptyList) {
-			return elems, true
-		}
-		c, ok := t.(*Compound)
-		if !ok || c.Functor != ConsFunctor || len(c.Args) != 2 {
-			return nil, false
-		}
-		elems = append(elems, c.Args[0])
-		t = c.Args[1]
-	}
-}
-
 // appendList renders the cons cell c in [a, b | T] notation.
 func appendList(dst []byte, c *Compound) []byte {
 	dst = AppendText(append(dst, '['), c.Args[0])

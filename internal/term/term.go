@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Kind discriminates the concrete representation of a Term.
@@ -49,17 +50,12 @@ func (k Kind) String() string {
 // Term is an LDL1 term.  Ground terms are elements of the universe U.
 type Term interface {
 	Kind() Kind
-	// Key returns a canonical encoding of the term.  Two terms are equal
-	// (as elements of U, or syntactically for non-ground terms) iff their
-	// keys are equal, and a key is self-delimiting, so a sequence of keys
-	// joined by any separator still names one sequence of terms: the
-	// answer cache keys its entries by them.  Identity on hot paths (store,
-	// eval) goes through Hash and Equal.
-	Key() string
 	// Hash returns a structural 64-bit FNV-1a digest: equal terms have
 	// equal hashes.  Memoized on Compound and Set.
 	Hash() uint64
-	// String returns the concrete LDL1 syntax for the term.
+	// String returns the concrete LDL1 syntax for the term (AppendText).
+	// Two ground terms print alike iff they are equal elements of U, and
+	// the text parses back to the term.
 	String() string
 }
 
@@ -119,57 +115,11 @@ func (Var) Kind() Kind       { return KindVar }
 func (*Compound) Kind() Kind { return KindCompound }
 func (*Set) Kind() Kind      { return KindSet }
 
-// Names are length-prefixed, as a Compound's functor is.
-func (a Atom) Key() string { return "a:" + strconv.Itoa(len(a)) + "~" + string(a) }
-func (i Int) Key() string  { return "i:" + strconv.FormatInt(int64(i), 10) }
-func (s Str) Key() string  { return "s:" + strconv.Quote(string(s)) }
-func (v Var) Key() string  { return "v:" + strconv.Itoa(len(v)) + "~" + string(v) }
-
-// Keys are rendered on demand, never memoized: no field of a term is
-// written after its constructor returns.
-func (c *Compound) Key() string { return renderKey(c) }
-func (s *Set) Key() string      { return renderKey(s) }
-
-func renderKey(t Term) string {
-	var b strings.Builder
-	writeKey(&b, t)
-	return b.String()
-}
-
-// writeKey renders the canonical key of t into b.
-func writeKey(b *strings.Builder, t Term) {
-	switch t := t.(type) {
-	case *Compound:
-		b.WriteString("c:")
-		b.WriteString(strconv.Itoa(len(t.Functor)))
-		b.WriteByte('~')
-		b.WriteString(t.Functor)
-		b.WriteByte('(')
-		writeKeys(b, t.Args)
-		b.WriteByte(')')
-	case *Set:
-		b.WriteString("S:{")
-		writeKeys(b, t.elems)
-		b.WriteByte('}')
-	default:
-		b.WriteString(t.Key())
-	}
-}
-
-func writeKeys(b *strings.Builder, ts []Term) {
-	for i, t := range ts {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		writeKey(b, t)
-	}
-}
-
 func (a Atom) String() string {
-	if a == EmptyList {
-		return "[]"
+	if a != EmptyList && plainName(string(a)) {
+		return string(a)
 	}
-	return string(a)
+	return string(AppendText(nil, a))
 }
 func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 func (s Str) String() string { return strconv.Quote(string(s)) }
@@ -183,7 +133,10 @@ func (s *Set) String() string      { return string(AppendText(nil, s)) }
 func AppendText(dst []byte, t Term) []byte {
 	switch t := t.(type) {
 	case Atom:
-		return append(dst, t.String()...)
+		if t == EmptyList {
+			return append(dst, "[]"...)
+		}
+		return appendName(dst, string(t))
 	case Int:
 		return strconv.AppendInt(dst, int64(t), 10)
 	case Str:
@@ -195,31 +148,84 @@ func AppendText(dst []byte, t Term) []byte {
 	case *Group:
 		return append(AppendText(append(dst, '<'), t.Inner), '>')
 	case *Compound:
-		// Lists render in brackets, the parser's enumerated-set pattern in
-		// braces, and binary arithmetic infix (parenthesized, so it
-		// re-parses unambiguously).
+		// Lists render in brackets, the parser's non-ground enumerated-set
+		// pattern in braces, and binary arithmetic infix (parenthesized, so
+		// it re-parses unambiguously).  A ground $set compound is not a
+		// set: it prints as a call to the quoted name.
 		switch {
 		case t.Functor == ConsFunctor && len(t.Args) == 2:
 			return appendList(dst, t)
-		case t.Functor == "$set":
+		case t.Functor == "$set" && !IsGround(t):
 			return appendSeq(append(dst, '{'), t.Args, '}')
 		case len(t.Args) == 2 && (t.Functor == "+" || t.Functor == "-" || t.Functor == "*" || t.Functor == "/"):
 			dst = append(AppendText(append(dst, '('), t.Args[0]), ' ')
 			dst = append(append(dst, t.Functor...), ' ')
 			return append(AppendText(dst, t.Args[1]), ')')
 		}
-		return appendCall(dst, t.Functor, t.Args)
+		if len(t.Args) == 0 {
+			return append(appendName(dst, t.Functor), "()"...)
+		}
+		return AppendCall(dst, t.Functor, t.Args)
 	}
 	panic("term: unknown kind")
 }
 
-// appendCall renders name(args...), or name alone when there are no args.
-func appendCall(dst []byte, name string, args []Term) []byte {
-	dst = append(dst, name...)
+// AppendCall renders name(args...), or the name alone when there are no
+// args: a fact, or a literal of a rule.
+func AppendCall(dst []byte, name string, args []Term) []byte {
+	dst = appendName(dst, name)
 	if len(args) == 0 {
 		return dst
 	}
 	return appendSeq(append(dst, '('), args, ')')
+}
+
+// NameLen returns the length in bytes of the name at the start of s — a
+// lower-case letter, then letters, digits and underscores — or 0 when s
+// does not start with a lower-case letter.  The lexer reads a bare name
+// with it, and appendName prints a name bare only when it covers all of
+// it, so the two cannot disagree.
+func NameLen(s string) int {
+	for i, r := range s {
+		if i == 0 && !unicode.IsLower(r) || r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			return i
+		}
+	}
+	return len(s)
+}
+
+// plainName reports that name prints bare: the lexer reads it back as the
+// same identifier token (not the keyword not).
+func plainName(name string) bool {
+	return name != "" && name != "not" && NameLen(name) == len(name)
+}
+
+// appendName appends an atom, functor or predicate name as the lexer reads
+// it back: bare when it is a plain name, otherwise between single quotes,
+// with Go's escapes for the quote, the backslash, non-printable runes and
+// bytes that are not UTF-8.
+func appendName(dst []byte, name string) []byte {
+	if plainName(name) {
+		return append(dst, name...)
+	}
+	// Go's double-quoted form, with its \" turned into " and ' into \'.
+	q := strconv.Quote(name)
+	dst = append(dst, '\'')
+	for i := 1; i < len(q)-1; i++ {
+		switch c := q[i]; {
+		case c == '\'':
+			dst = append(dst, '\\', c)
+		case c == '\\' && q[i+1] == '"':
+			dst = append(dst, '"')
+			i++
+		case c == '\\':
+			dst = append(dst, c, q[i+1])
+			i++
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '\'')
 }
 
 // appendSeq renders ts separated by ", " and then the closing byte.

@@ -10,6 +10,7 @@ import (
 
 	"ldl1/internal/model"
 	"ldl1/internal/parser"
+	"ldl1/internal/store"
 )
 
 // prepProg has a recursive predicate (cone {anc, par}) and an unrelated
@@ -466,6 +467,55 @@ func TestCacheKeyTellsConstantsApart(t *testing.T) {
 			}
 			if len(a.Rows) != 1 || !Equal(a.Rows[0][0], Sym(c.want)) {
 				t.Errorf("magic=%v Exec%v = %v, want Z = %s", magic, c.args, a, c.want)
+			}
+		}
+	}
+}
+
+// TestAnswerValueSentBack: a constant built with a name the lexer would
+// read as something else — a variable, two words, a number — comes back in
+// an answer row as a term whose text parses to it, so passing that parsed
+// value to Exec selects the same rows, on either read path.
+func TestAnswerValueSentBack(t *testing.T) {
+	for _, magic := range []bool{false, true} {
+		eng, err := New(`q(K, V) <- p(K, V).`, WithMagic(magic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := store.NewDB()
+		for i, k := range []Term{Sym("X"), Sym("John Smith"), Sym("12"), Num(12), Sym("_"), Sym("not"), Sym("a"), Sym("X")} {
+			db.Insert(NewFact("p", k, Num(int64(i))))
+		}
+		eng.AddDB(db)
+		all, err := eng.Query("q(K, V)")
+		if err != nil || all.Len() != 8 {
+			t.Fatalf("q(K, V): %v, %v", err, all)
+		}
+		pq, err := eng.Prepare("q(k, V)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range all.Rows {
+			arg, err := ParseTerm(row[0].String())
+			if err != nil {
+				t.Fatalf("magic=%v: answer %s does not parse: %v", magic, row[0], err)
+			}
+			got, err := pq.Exec(arg)
+			if err != nil {
+				t.Fatalf("magic=%v: Exec(%s): %v", magic, arg, err)
+			}
+			var want []string
+			for _, r := range all.Rows {
+				if Equal(r[0], row[0]) {
+					want = append(want, r[1].String())
+				}
+			}
+			var vs []string
+			for _, r := range got.Rows {
+				vs = append(vs, r[0].String())
+			}
+			if fmt.Sprint(vs) != fmt.Sprint(want) {
+				t.Errorf("magic=%v: Exec(%s) = %v, want %v", magic, arg, vs, want)
 			}
 		}
 	}
