@@ -2,7 +2,6 @@ package ldl1
 
 import (
 	"context"
-	"fmt"
 	"maps"
 	"sort"
 	"sync"
@@ -209,11 +208,12 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// AddFact inserts one extensional fact.  Facts are ground (§7): a fact
-// with a variable is rejected, with the error AddFacts wraps for it, and
-// nothing is inserted.
+// AddFact inserts one extensional fact, evaluated as AddFacts evaluates its
+// facts.  A fact with a variable (§7) or outside U is rejected, with the
+// error AddFacts wraps for it, and nothing is inserted.
 func (e *Engine) AddFact(f *Fact) error {
-	if err := ast.CheckRuleSafe(ast.Rule{Head: ast.NewLit(f.Pred, f.Args...)}); err != nil {
+	f, err := groundFact(ast.NewLit(f.Pred, f.Args...))
+	if err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -459,15 +459,11 @@ type Model struct {
 // Contains reports whether the model holds the fact given as source text,
 // e.g. "ancestor(abe, carl)".
 func (m *Model) Contains(factSrc string) (bool, error) {
-	p, err := parser.ParseProgram(factSrc + ".")
+	f, err := parseFact(factSrc)
 	if err != nil {
 		return false, err
 	}
-	if len(p.Rules) != 1 || !p.Rules[0].IsFact() {
-		return false, fmt.Errorf("ldl1: %q is not a single fact", factSrc)
-	}
-	h := p.Rules[0].Head
-	return m.db.Contains(term.NewFact(h.Pred, h.Args...)), nil
+	return m.db.Contains(f), nil
 }
 
 // Facts returns the model's facts for one predicate, rendered as source

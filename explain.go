@@ -10,7 +10,6 @@ import (
 	"ldl1/internal/layering"
 	"ldl1/internal/magic"
 	"ldl1/internal/parser"
-	"ldl1/internal/term"
 )
 
 // Explain returns a proof tree showing why a fact holds in the program's
@@ -27,15 +26,10 @@ import (
 //	//   ancestor(bob, carl)   [by ancestor(X, Y) <- parent(X, Y).]
 //	//     parent(bob, carl).   [fact]
 func (e *Engine) Explain(factSrc string) (string, error) {
-	p, err := parser.ParseProgram(factSrc + ".")
+	f, err := parseFact(factSrc)
 	if err != nil {
 		return "", err
 	}
-	if len(p.Rules) != 1 || !p.Rules[0].IsFact() {
-		return "", fmt.Errorf("ldl1: %q is not a single fact", factSrc)
-	}
-	h := p.Rules[0].Head
-	f := term.NewFact(h.Pred, h.Args...)
 
 	ctx, cancel := withDeadline(context.Background(), e.cfg.deadline)
 	defer cancel()

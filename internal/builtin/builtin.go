@@ -367,13 +367,14 @@ func enumThreeWay(n int, fn func(left, right uint64) error) error {
 }
 
 // evalPartition implements partition(S, S1, S2): S is the disjoint union of
-// S1 and S2.  Modes:
+// the non-empty sets S1 and S2 (the non-empty requirement makes top-down
+// recursion well-founded).  Every mode decides that one relation, so a body
+// holds whatever order the planner calls it in:
 //
-//	(f,b,b) — test disjointness and compute S := S1 ∪ S2 (the mode used by
+//	(f,b,b) — test and compute S := S1 ∪ S2 (the mode used by
 //	          bottom-up evaluation of the §1 part-cost program);
 //	(b,b,f) and (b,f,b) — compute the complement;
-//	(b,f,f) — enumerate all splits into two non-empty disjoint parts (the
-//	          non-empty requirement makes top-down recursion well-founded).
+//	(b,f,f) — enumerate all splits.
 func evalPartition(l ast.Literal, b *unify.Bindings, yield func() error) error {
 	if err := arity(l, 3); err != nil {
 		return err
@@ -386,17 +387,17 @@ func evalPartition(l ast.Literal, b *unify.Bindings, yield func() error) error {
 	}
 	switch {
 	case ok1 && ok2:
-		if !s1.Disjoint(s2) {
+		if s1.Len() == 0 || s2.Len() == 0 || !s1.Disjoint(s2) {
 			return nil
 		}
 		return matchYield(l.Args[0], s1.Union(s2), b, yield)
 	case okS && ok1:
-		if !s1.SubsetOf(s) {
+		if s1.Len() == 0 || s1.Len() == s.Len() || !s1.SubsetOf(s) {
 			return nil
 		}
 		return matchYield(l.Args[2], s.Difference(s1), b, yield)
 	case okS && ok2:
-		if !s2.SubsetOf(s) {
+		if s2.Len() == 0 || s2.Len() == s.Len() || !s2.SubsetOf(s) {
 			return nil
 		}
 		return matchYield(l.Args[1], s.Difference(s2), b, yield)

@@ -179,10 +179,12 @@ func TestPartitionModes(t *testing.T) {
 			t.Errorf("bad split %v | %v", a, bb)
 		}
 	}
-	// Singleton cannot split into two non-empty parts.
-	b = bind("S", s3)
-	if n := len(solutions(t, lit(t, "partition(S, A, B)"), b)); n != 0 {
-		t.Errorf("partition singleton: %d", n)
+	// Singleton cannot split into two non-empty parts, and no other mode
+	// accepts an empty part either.
+	for i, b := range []*unify.Bindings{bind("S", s3), bind("A", s3, "B", term.NewSet()), bind("S", s3, "A", s3), bind("S", s3, "B", s3)} {
+		if n := len(solutions(t, lit(t, "partition(S, A, B)"), b)); n != 0 {
+			t.Errorf("partition with an empty part, case %d: %d", i, n)
+		}
 	}
 }
 

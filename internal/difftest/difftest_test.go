@@ -1,0 +1,279 @@
+// Package difftest holds the differential oracle of every bottom-up and magic
+// path.  By Theorem 1 an admissible program has one standard minimal model,
+// and by Theorem 2 it is the same under every layering; so on every program
+// the generator writes, naive and semi-naive evaluation under three
+// layerings, the model checker, a view maintained through a transaction
+// stream and both magic-sets variants must agree.  Each trial is a subtest
+// named by its seed, so a failure replays with -run 'TestDifferential/seed=N$';
+// the seeds up to 0 are the pinned inputs.
+package difftest
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"ldl1/internal/ast"
+	"ldl1/internal/eval"
+	"ldl1/internal/incr"
+	"ldl1/internal/layering"
+	"ldl1/internal/magic"
+	"ldl1/internal/model"
+	"ldl1/internal/parser"
+	"ldl1/internal/store"
+	"ldl1/internal/term"
+	"ldl1/internal/unify"
+)
+
+// Every trial runs with frontiers checking that no sink accepts a fact twice
+// in one round: the delta relations of evaluation and maintenance rely on it.
+func TestMain(m *testing.M) {
+	eval.DebugFrontier = true
+	os.Exit(m.Run())
+}
+
+// floor lists what the default run must exercise: every feature of the
+// generator, every magic case, and a saturation that needs a third pass.
+var floor = []string{
+	"member", "union", "partition", "scons", "function symbol", "recursion", "negation",
+	"grouping below negation", "three strict layers", "two grouping rules", "variable key",
+	"constant key", "compound key", "repeated key", "bound set argument", "more than two passes",
+	"Basic/text", "Basic/edb", "Supplementary/text", "Supplementary/edb",
+}
+
+func TestDifferential(t *testing.T) {
+	trials := map[bool]int{false: 400, true: 150}[testing.Short()]
+	cov, ran := map[string]int{}, 0
+	for seed := 1 - len(pinned); seed <= trials; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			ran++
+			r := rand.New(rand.NewSource(int64(seed)))
+			src := program(r)
+			if seed <= 0 {
+				b, err := os.ReadFile(filepath.Join("testdata", pinned[-seed]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				src = string(b)
+			}
+			check(t, r, src, cov)
+		})
+	}
+	t.Logf("coverage over %d programs: %v", ran, cov)
+	if ran < len(pinned)+trials {
+		return // a replay of some trials
+	}
+	for _, f := range floor {
+		if cov[f] == 0 {
+			t.Errorf("no trial exercised %s", f)
+		}
+	}
+}
+
+// check runs every path over the program src and fails t on the first
+// disagreement; r drives the random layering, the transactions and the
+// queries.
+func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
+	full := parser.MustParseProgram(src)
+	admitted, err := eval.Admit(full)
+	if err != nil {
+		cov["rejected"]++
+		t.Fatalf("the generator wrote a program eval.Admit rejects: %v\n%s", err, src)
+	}
+	lay := admitted.Layering()
+	rules, edb, facts, heads := ast.NewProgram(), store.NewDB(), []*term.Fact(nil), []ast.Literal(nil)
+	for _, rl := range full.Rules {
+		if !rl.IsFact() {
+			rules.Add(rl)
+			if !slices.ContainsFunc(heads, func(h ast.Literal) bool { return h.Pred == rl.Head.Pred }) {
+				heads = append(heads, rl.Head)
+			}
+		} else if f, err := unify.ApplyLit(rl.Head, unify.NewBindings()); err != nil {
+			t.Fatal(err)
+		} else {
+			edb.Insert(f)
+			facts = append(facts, f)
+		}
+	}
+	random, strata := randomLayering(r, full)
+	stream := txs(r, facts, 6)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: %s\nprogram:\n%s\nrandom layering: %v\ntransactions (insert, retract):\n%v",
+			t.Name(), fmt.Sprintf(format, args...), src, strata, stream)
+	}
+	for _, f := range features(full, lay) {
+		cov[f]++
+	}
+
+	// Theorem 2: one model under both strategies and three layerings.
+	var want *store.DB
+	for i, groups := range [][][]ast.Rule{lay.Rules, lay.Coarse().Rules, random} {
+		name := []string{"finest", "coarse", "random"}[i]
+		prog, err := eval.Compile(groups)
+		if err != nil {
+			fail("%s layering: %v", name, err)
+		}
+		for _, s := range []eval.Strategy{eval.SemiNaive, eval.Naive} {
+			db := store.NewDB()
+			if err := prog.Run(db, eval.Options{Strategy: s}, nil); err != nil {
+				fail("%s layering, strategy %d: %v", name, s, err)
+			}
+			if want == nil {
+				want = db
+			} else if !db.Equal(want) {
+				fail("%s layering, strategy %d:\n%s\nfinest, semi-naive:\n%s", name, s, db, want)
+			}
+		}
+	}
+	// Theorem 1: it is a model.
+	if v, err := model.Check(full, want); err != nil || v != nil {
+		fail("model check: %v %v", v, err)
+	}
+
+	// A view maintained through the stream equals evaluation from scratch.
+	view, err := incr.New(rules, edb, incr.Options{})
+	if err != nil {
+		fail("materialize: %v", err)
+	}
+	cur := edb.Clone()
+	for i, tx := range stream {
+		if _, err := view.Apply(tx); err != nil {
+			fail("transaction %d: %v", i, err)
+		}
+		cur.LoadFacts(tx.Insert, store.LoadOpts{})
+		cur.DeleteAll(tx.Retract)
+		scratch, err := eval.Eval(rules, cur, eval.Options{})
+		if err != nil {
+			fail("evaluation after transaction %d: %v", i, err)
+		}
+		if got := view.Snapshot(); !got.Equal(scratch) {
+			fail("view after transaction %d:\n%s\nfrom scratch:\n%s", i, got, scratch)
+		}
+	}
+
+	// Both magic variants answer a selective query on each derived predicate
+	// as the model does, with the facts in the text and preloaded.
+	forms := []struct {
+		p   *ast.Program
+		edb *store.DB
+	}{{full, store.NewDB()}, {rules, edb}}
+	for _, h := range heads {
+		q := query(r, h, want, cov)
+		rows, err := eval.Solve(q.Body, want)
+		if err != nil {
+			fail("%s: %v", q, err)
+		}
+		for _, v := range []magic.Variant{magic.Basic, magic.Supplementary} {
+			for i, in := range forms {
+				name := []string{"Basic", "Supplementary"}[v] + []string{"/text", "/edb"}[i]
+				pr, err := magic.PrepareVariant(in.p, q, v)
+				res := &magic.Result{}
+				if err == nil {
+					res, err = pr.Exec(in.edb, nil, eval.Options{})
+				}
+				if err != nil {
+					fail("%s magic, %s: %v", name, q, err)
+				}
+				if !slices.EqualFunc(res.Solutions, rows, func(a, b []term.Term) bool { return eval.CompareRows(a, b) == 0 }) {
+					fail("%s magic, %s (%d passes): %v, the model %v", name, q, res.Passes, res.Solutions, rows)
+				}
+				cov[name]++
+				if res.Passes > 2 {
+					cov["more than two passes"]++
+				}
+			}
+		}
+	}
+}
+
+// randomLayering places each strongly connected component in a random layer
+// its edges allow: at or above the layer of each ≥ edge's target, strictly
+// above that of each > edge's (§3.1), and at most one above the highest so
+// far.  It returns the groups and the layer of each predicate.
+func randomLayering(r *rand.Rand, p *ast.Program) ([][]ast.Rule, map[string]int) {
+	edges, stratum, top := layering.Edges(p), map[string]int{}, 0
+	for _, scc := range layering.SCCs(p) {
+		s := 0
+		for _, e := range edges {
+			if slices.Contains(scc, e.From) && e.Strict {
+				s = max(s, stratum[e.To]+1)
+			} else if slices.Contains(scc, e.From) {
+				s = max(s, stratum[e.To])
+			}
+		}
+		s += r.Intn(top + 2 - s)
+		top = max(top, s)
+		for _, pred := range scc {
+			stratum[pred] = s
+		}
+	}
+	groups := make([][]ast.Rule, top+1)
+	for _, rl := range p.Rules {
+		s := stratum[rl.Head.Pred]
+		groups[s] = append(groups[s], rl)
+	}
+	return groups, stratum
+}
+
+// query binds a random nonempty subset of the arguments of h to those of a
+// random fact of m; with no fact in m, every argument is free.
+func query(r *rand.Rand, h ast.Literal, m *store.DB, cov map[string]int) parser.Query {
+	args, b := make([]term.Term, len(h.Args)), r.Intn(len(h.Args))
+	var f *term.Fact
+	if rel := m.RelOrNil(h.Pred); rel != nil && rel.Len() > 0 {
+		f = rel.All()[r.Intn(rel.Len())]
+	}
+	for i := range args {
+		args[i] = term.Var(fmt.Sprint("W", i))
+		if f != nil && (i == b || r.Intn(2) == 0) {
+			args[i] = f.Args[i]
+			if _, ok := args[i].(*term.Set); ok {
+				cov["bound set argument"]++
+			}
+		}
+	}
+	return parser.Query{Body: []ast.Literal{ast.NewLit(h.Pred, args...)}}
+}
+
+// features names what the program exercises of the floor's list.  A
+// predicate is defined before it is read, so grouping is complete for every
+// predicate a body reads.
+func features(p *ast.Program, lay *layering.Layering) (fs []string) {
+	grouping := map[string]int{}
+	add := func(ok bool, f ...string) {
+		if ok {
+			fs = append(fs, f...)
+		}
+	}
+	for _, rl := range p.Rules {
+		g, _ := rl.Head.GroupArg()
+		if g >= 0 {
+			grouping[rl.Head.Pred]++
+		}
+		add(grouping[rl.Head.Pred] > 1, "two grouping rules")
+		for i, a := range rl.Head.Args {
+			c, compound := a.(*term.Compound)
+			_, atom := a.(term.Atom)
+			_, v := a.(term.Var)
+			add(v && g >= 0 && slices.Index(rl.Head.Args, a) < i, "repeated key")
+			add(v && g >= 0, "variable key")
+			add(atom && g >= 0, "constant key")
+			add(compound && c.Functor == "scons", "scons")
+			add(compound && c.Functor != "scons", "function symbol")
+			add(compound && c.Functor != "scons" && g >= 0, "compound key")
+		}
+		for _, l := range rl.Body {
+			add(layering.IsBuiltin(l.Pred), l.Pred)
+			add(l.Pred == rl.Head.Pred, "recursion")
+			add(l.Negated, "negation")
+			add(l.Negated && grouping[l.Pred] > 0, "grouping below negation")
+		}
+	}
+	add(lay.Coarse().NumStrata >= 4, "three strict layers")
+	slices.Sort(fs)
+	return slices.Compact(fs)
+}

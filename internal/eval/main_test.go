@@ -9,9 +9,9 @@ import (
 	"ldl1/internal/term"
 )
 
-// Every test of the package — the random-program and Theorem 2 oracles
-// included — runs with frontiers checking that no sink accepts a fact twice
-// in one round, the assumption behind their no-dedup delta relations.
+// Every test of the package runs with frontiers checking that no sink
+// accepts a fact twice in one round, the assumption behind the no-dedup
+// delta relations.
 func TestMain(m *testing.M) {
 	DebugFrontier = true
 	os.Exit(m.Run())

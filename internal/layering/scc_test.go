@@ -1,14 +1,9 @@
 package layering
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
-	"ldl1/internal/ast"
 	"ldl1/internal/parser"
 )
 
@@ -87,111 +82,4 @@ func TestFinestRejectsInadmissible(t *testing.T) {
 	if _, err := Stratify(p); err == nil {
 		t.Fatal("inadmissible program accepted")
 	}
-}
-
-// TestCoarseIsMinimumIndex compares Stratify on random programs with the
-// constraint fixpoint that defines the minimum-index layering:
-// stratum(p) ≥ stratum(q) for p ≥ q, stratum(p) > stratum(q) for p > q,
-// inadmissible once a stratum passes the number of predicates.  The two
-// agree on admissibility and Coarse reproduces the fixpoint's strata; the
-// finest layering satisfies the same constraints.
-func TestCoarseIsMinimumIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	admissible := 0
-	for trial := 0; trial < 400; trial++ {
-		p := randGraphProgram(r)
-		want, ok := fixpointStrata(p)
-		fine, err := Stratify(p)
-		if ok != (err == nil) {
-			t.Fatalf("trial %d: fixpoint admissible %v, Stratify error %v\n%s", trial, ok, err, p)
-		}
-		if !ok {
-			checkWitness(t, trial, p, err)
-			continue
-		}
-		admissible++
-		if got := fine.Coarse().Stratum; !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: coarse %v, fixpoint %v\n%s", trial, got, want, p)
-		}
-		for _, e := range Edges(p) {
-			from, to := fine.Stratum[e.From], fine.Stratum[e.To]
-			if from < to || e.Strict && from == to {
-				t.Fatalf("trial %d: finest %v breaks %+v\n%s", trial, fine.Stratum, e, p)
-			}
-		}
-	}
-	if admissible < 100 {
-		t.Fatalf("only %d of 400 random programs admissible", admissible)
-	}
-}
-
-// checkWitness checks that err is a NotAdmissibleError whose cycle is a
-// closed path of p's dependency edges, one of them strict.
-func checkWitness(t *testing.T, trial int, p *ast.Program, err error) {
-	t.Helper()
-	var nae *NotAdmissibleError
-	if !errors.As(err, &nae) || len(nae.Cycle) < 2 || nae.Cycle[0] != nae.Cycle[len(nae.Cycle)-1] {
-		t.Fatalf("trial %d: witness %v\n%s", trial, err, p)
-	}
-	strict := false
-	for k := 0; k+1 < len(nae.Cycle); k++ {
-		found := false
-		for _, e := range Edges(p) {
-			if e.From == nae.Cycle[k] && e.To == nae.Cycle[k+1] {
-				found, strict = true, strict || e.Strict
-			}
-		}
-		if !found {
-			t.Fatalf("trial %d: witness %v has no edge %s -> %s\n%s", trial, nae.Cycle, nae.Cycle[k], nae.Cycle[k+1], p)
-		}
-	}
-	if !strict {
-		t.Fatalf("trial %d: witness %v has no strict edge\n%s", trial, nae.Cycle, p)
-	}
-}
-
-// randGraphProgram returns a random program over predicates p0..p5 with
-// negated literals and grouping heads.
-func randGraphProgram(r *rand.Rand) *ast.Program {
-	var sb strings.Builder
-	for i, n := 0, 1+r.Intn(6); i < n; i++ {
-		head := fmt.Sprintf("p%d(X)", r.Intn(6))
-		if r.Intn(5) == 0 {
-			head = fmt.Sprintf("p%d(<X>)", r.Intn(6))
-		}
-		body := []string{fmt.Sprintf("p%d(X)", r.Intn(6))}
-		if r.Intn(2) == 0 {
-			body = append(body, fmt.Sprintf("not p%d(X)", r.Intn(6)))
-		}
-		fmt.Fprintf(&sb, "%s <- %s.\n", head, strings.Join(body, ", "))
-	}
-	return parser.MustParseProgram(sb.String())
-}
-
-// fixpointStrata is the minimum-index layering by constraint iteration.
-func fixpointStrata(p *ast.Program) (map[string]int, bool) {
-	stratum := map[string]int{}
-	edges := Edges(p)
-	for _, r := range p.Rules {
-		stratum[r.Head.Pred] = 0
-	}
-	for _, e := range edges {
-		stratum[e.To] = 0
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, e := range edges {
-			want := stratum[e.To]
-			if e.Strict {
-				want++
-			}
-			if stratum[e.From] < want {
-				if want > len(stratum) {
-					return nil, false
-				}
-				stratum[e.From], changed = want, true
-			}
-		}
-	}
-	return stratum, true
 }

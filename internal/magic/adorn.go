@@ -140,9 +140,7 @@ func adornRule(r ast.Rule, head Adornment, idb map[string]bool) (AdornedRule, []
 		if !head.Bound(i) {
 			continue
 		}
-		if _, isGroup := a.(*term.Group); isGroup {
-			// §6: a bound argument of the form <X> cannot pass its
-			// binding into the body (footnote 6).
+		if !passes(a) {
 			continue
 		}
 		for _, v := range term.VarsOf(a) {

@@ -2,12 +2,10 @@ package magic
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
-	"ldl1/internal/ast"
 	"ldl1/internal/eval"
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
@@ -203,97 +201,6 @@ func TestExecConcurrentSharesMemos(t *testing.T) {
 			}
 			wg.Wait()
 		}
-	}
-}
-
-// randLayeredProgram generates an admissible program in which grouping and
-// negation alternate over a recursive core, so the rewritten program is
-// cyclic through its magic predicates across several layers: bindings found
-// high must reach rules placed low, over more than one pass.
-func randLayeredProgram(r *rand.Rand) (src string, queries []string) {
-	var sb strings.Builder
-	n := 5 + r.Intn(6)
-	c := func() string { return fmt.Sprintf("c%d", r.Intn(n)) }
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "node(c%d).\n", i)
-	}
-	for i := 0; i < n+r.Intn(n); i++ {
-		fmt.Fprintf(&sb, "e(%s, %s).\n", c(), c())
-	}
-	for i := 0; i < 3; i++ {
-		fmt.Fprintf(&sb, "f(%s).\n", c())
-	}
-	sb.WriteString(`
-		t(X, Y) <- e(X, Y).
-		t(X, Y) <- e(X, Z), t(Z, Y).
-		reach(X, <Y>) <- t(X, Y).
-		out(X, <Y>) <- e(X, Y).
-		hop(X, A) <- reach(X, S), member(Z, S), out(Z, A).
-	`)
-	fmt.Fprintf(&sb, "big(X) <- reach(X, S), member(%s, S).\n", c())
-	sb.WriteString(`
-		small(X) <- node(X), not big(X).
-		pair(X, Y) <- small(X), t(X, Y), not big(Y).
-		pair(X, Y) <- f(X), e(X, Y).
-		far(X, <Y>) <- pair(X, Y).
-		lone(X) <- node(X), not haspair(X).
-		haspair(X) <- pair(X, Y).
-		link(X, Y) <- lone(X), e(Y, X).
-		link(X, Y) <- link(X, Z), e(Y, Z), not lone(Z).
-	`)
-	return sb.String(), []string{
-		"big(" + c() + ")", "small(" + c() + ")", "pair(" + c() + ", W)", "pair(W, " + c() + ")",
-		"far(" + c() + ", S)", "hop(" + c() + ", A)", "lone(" + c() + ")", "link(" + c() + ", W)", "link(W, " + c() + ")",
-	}
-}
-
-// TestSaturationAcrossLayers is the differential oracle for the termination
-// rule (a pass is final when no magic fact arrived after the first group
-// that reads it) and for what is kept between passes: both variants against
-// full bottom-up evaluation, on an empty and on a pre-loaded EDB.
-func TestSaturationAcrossLayers(t *testing.T) {
-	multi := 0
-	for seed := int64(0); seed < 60; seed++ {
-		src, queries := randLayeredProgram(rand.New(rand.NewSource(seed)))
-		p := parser.MustParseProgram(src)
-		// The same program with its facts moved to the EDB: executions then
-		// run on a clone that shares them.
-		rules, edb := ast.NewProgram(), store.NewDB()
-		for _, r := range p.Rules {
-			if r.IsFact() {
-				edb.Insert(term.NewFact(r.Head.Pred, r.Head.Args...))
-			} else {
-				rules.Add(r)
-			}
-		}
-		for _, qs := range queries {
-			q := mustQuery(t, qs)
-			base, err := baseline(p, q, eval.Options{})
-			if err != nil {
-				t.Fatalf("seed %d %s: baseline: %v", seed, qs, err)
-			}
-			for _, v := range []Variant{Basic, Supplementary} {
-				for _, in := range []struct {
-					p   *ast.Program
-					edb *store.DB
-				}{{p, store.NewDB()}, {rules, edb}} {
-					res, err := answer(in.p, in.edb, q, eval.Options{}, v)
-					if err != nil {
-						t.Fatalf("seed %d %s variant %d: %v", seed, qs, v, err)
-					}
-					if !sameRows(res.Solutions, base) {
-						t.Errorf("seed %d %s variant %d (%d passes): magic %v, baseline %v\n%s",
-							seed, qs, v, res.Passes, res.Solutions, base, src)
-					}
-					if res.Passes > 2 {
-						multi++
-					}
-				}
-			}
-		}
-	}
-	if multi == 0 {
-		t.Error("no execution needed more than two passes: the generator no longer exercises re-derivation")
 	}
 }
 

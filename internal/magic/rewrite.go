@@ -79,19 +79,7 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 		mName := magicName(ar.Rule.Head.Pred, ar.Head)
 		out.MagicPreds[mName] = true
 
-		// Bound head arguments.  A bound grouping argument passes no
-		// binding (§6 footnote 6) but keeps its column, as a variable of its
-		// own, so the guard's arity matches the seed's and every caller's.
-		var boundArgs []term.Term
-		for i, a := range ar.Rule.Head.Args {
-			if ar.Head.Bound(i) {
-				if _, isGroup := a.(*term.Group); isGroup {
-					a = groupColumn(i)
-				}
-				boundArgs = append(boundArgs, a)
-			}
-		}
-		magicHeadLit := ast.Literal{Pred: mName, Args: boundArgs}
+		magicHeadLit := ast.Literal{Pred: mName, Args: boundArgs(ar.Head, ar.Rule.Head.Args, true)}
 
 		// Walk the sip order accumulating the prefix; generate a magic
 		// rule per IDB body literal, then the modified rule.  prefixDone is
@@ -104,16 +92,10 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 			l := ar.Rule.Body[idx]
 			if ad, ok := ar.Adorns[idx]; ok {
 				// Magic rule: magic_q^ad(bound args) <- magic_p^a(...), prefix.
-				var qBound []term.Term
-				for i, a := range l.Args {
-					if ad.Bound(i) {
-						qBound = append(qBound, a)
-					}
-				}
 				qm := magicName(l.Pred, ad)
 				out.MagicPreds[qm] = true
 				out.add(ast.Rule{
-					Head: ast.Literal{Pred: qm, Args: qBound},
+					Head: ast.Literal{Pred: qm, Args: boundArgs(ad, l.Args, false)},
 					Body: append([]ast.Literal{magicHeadLit}, prefix...),
 				}, prefixDone)
 				// Rename the occurrence in the modified rule.
@@ -160,15 +142,9 @@ func (rw *Rewritten) finish(ap *AdornedProgram, lay *layering.Layering, scale in
 			continue
 		}
 		for _, ad := range factAdorns[r.Head.Pred] {
-			var bound []term.Term
-			for i, a := range r.Head.Args {
-				if ad.Bound(i) {
-					bound = append(bound, a)
-				}
-			}
 			rw.add(ast.Rule{
 				Head: ast.Literal{Pred: adornedName(r.Head.Pred, ad), Args: r.Head.Args},
-				Body: []ast.Literal{{Pred: magicName(r.Head.Pred, ad), Args: bound}},
+				Body: []ast.Literal{{Pred: magicName(r.Head.Pred, ad), Args: boundArgs(ad, r.Head.Args, false)}},
 			}, scale*lay.Stratum[r.Head.Pred])
 		}
 	}
@@ -188,6 +164,29 @@ func (rw *Rewritten) finish(ap *AdornedProgram, lay *layering.Layering, scale in
 	return nil
 }
 
-// groupColumn is the variable standing in a magic guard for the bound
-// grouping argument at head position i.
-func groupColumn(i int) term.Var { return term.Var(fmt.Sprintf("$group%d", i)) }
+// passes reports whether a bound head argument passes its binding into the
+// body.  A group <X> does not (§6 footnote 6), nor does a term with an
+// interpreted functor (scons(Z, S), {Y}, X + 1), which matching evaluates.
+func passes(a term.Term) bool {
+	c, ok := a.(*term.Compound)
+	_, group := a.(*term.Group)
+	return !group && (!ok || c.Pure())
+}
+
+// boundArgs returns the arguments at the positions ad binds: the arguments
+// of a magic predicate.  In a head, one that passes no binding keeps its
+// column as a variable of its own, so the guard's arity matches the seed's
+// and every caller's.
+func boundArgs(ad Adornment, args []term.Term, head bool) []term.Term {
+	var out []term.Term
+	for i, a := range args {
+		if !ad.Bound(i) {
+			continue
+		}
+		if head && !passes(a) {
+			a = term.Var(fmt.Sprintf("$group%d", i))
+		}
+		out = append(out, a)
+	}
+	return out
+}

@@ -50,23 +50,7 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 		mName := magicName(ar.Rule.Head.Pred, ar.Head)
 		out.MagicPreds[mName] = true
 
-		// Bound head arguments and their variables.
-		var boundArgs []term.Term
-		boundVars := map[term.Var]bool{}
-		for i, a := range ar.Rule.Head.Args {
-			if !ar.Head.Bound(i) {
-				continue
-			}
-			if _, isGroup := a.(*term.Group); isGroup {
-				// No binding passes, but the column stays; see Rewrite.
-				boundArgs = append(boundArgs, groupColumn(i))
-				continue
-			}
-			boundArgs = append(boundArgs, a)
-			for _, v := range term.VarsOf(a) {
-				boundVars[v] = true
-			}
-		}
+		guard := boundArgs(ar.Head, ar.Rule.Head.Args, true)
 		headVars := map[term.Var]bool{}
 		for _, v := range ar.Rule.Head.Vars() {
 			headVars[v] = true
@@ -114,13 +98,15 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 
 		// sup_0 <- magic_p(bound head args).
 		bound := map[term.Var]bool{}
-		for v := range boundVars {
-			bound[v] = true
+		for _, a := range guard {
+			for _, v := range term.VarsOf(a) {
+				bound[v] = true
+			}
 		}
 		sup0Args := liveVars(-1, bound)
 		out.add(ast.Rule{
 			Head: ast.Literal{Pred: supName(0), Args: sup0Args},
-			Body: []ast.Literal{{Pred: mName, Args: boundArgs}},
+			Body: []ast.Literal{{Pred: mName, Args: guard}},
 		}, chainStratum)
 
 		prevSup := ast.Literal{Pred: supName(0), Args: sup0Args}
@@ -128,16 +114,10 @@ func RewriteSupplementary(ap *AdornedProgram) (*Rewritten, error) {
 			l := ar.Rule.Body[idx]
 			// Magic rule for IDB subgoals, fed by the supplementary.
 			if ad, ok := ar.Adorns[idx]; ok {
-				var qBound []term.Term
-				for i, a := range l.Args {
-					if ad.Bound(i) {
-						qBound = append(qBound, a)
-					}
-				}
 				qm := magicName(l.Pred, ad)
 				out.MagicPreds[qm] = true
 				out.add(ast.Rule{
-					Head: ast.Literal{Pred: qm, Args: qBound},
+					Head: ast.Literal{Pred: qm, Args: boundArgs(ad, l.Args, false)},
 					Body: []ast.Literal{prevSup},
 				}, chainStratum)
 			}

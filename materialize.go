@@ -2,6 +2,7 @@ package ldl1
 
 import (
 	"context"
+	"fmt"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
@@ -9,6 +10,7 @@ import (
 	"ldl1/internal/parser"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
+	"ldl1/internal/unify"
 )
 
 // UpdateResult summarises the net model change of one update transaction:
@@ -66,7 +68,9 @@ func (e *Engine) Materialize() (*Materialized, error) {
 }
 
 // parseFactList parses LDL1 source text consisting of ground facts only:
-// what Engine.AddFacts loads and a view transaction asserts or retracts.
+// what Engine.AddFacts loads, a view transaction asserts or retracts, and
+// Model.Contains and Explain look up.  A fact groundFact rejects is a
+// ParseError at that fact.
 func parseFactList(src string) ([]*term.Fact, error) {
 	p, err := parser.ParseProgram(src)
 	if err != nil {
@@ -77,12 +81,35 @@ func parseFactList(src string) ([]*term.Fact, error) {
 		if !r.IsFact() {
 			return nil, &ParseError{Line: r.Pos.Line, Col: r.Pos.Col, Msg: "fact list contains a rule: " + r.String()}
 		}
-		if err := ast.CheckRuleSafe(r); err != nil { // §7: facts are ground
+		f, err := groundFact(r.Head)
+		if err != nil {
 			return nil, &ParseError{Line: r.Pos.Line, Col: r.Pos.Col, Msg: err.Error()}
 		}
-		out = append(out, term.NewFact(r.Head.Pred, r.Head.Args...))
+		out = append(out, f)
 	}
 	return out, nil
+}
+
+// groundFact evaluates a fact as a fact of the program text is (§2.2: 2+2
+// is 4, scons(3, {4}) is {3, 4}).  A fact with a variable (§7) or one whose
+// evaluation leaves U, as 1/0 does, is an error.
+func groundFact(h ast.Literal) (*term.Fact, error) {
+	if err := ast.CheckRuleSafe(ast.Rule{Head: h}); err != nil {
+		return nil, err
+	}
+	return unify.ApplyLit(h, unify.NewBindings())
+}
+
+// parseFact parses one fact written without its period.
+func parseFact(src string) (*term.Fact, error) {
+	fs, err := parseFactList(src + ".")
+	if err == nil && len(fs) != 1 {
+		err = fmt.Errorf("ldl1: %q is not a single fact", src)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return fs[0], nil
 }
 
 // apply runs one transaction under the view's deadline.

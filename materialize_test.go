@@ -1,6 +1,7 @@
 package ldl1
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -162,5 +163,52 @@ func TestWriteAllocBoundedByChange(t *testing.T) {
 	}
 	if kb9two > 1.3*kb9 {
 		t.Errorf("the pair allocates %.0f KB beside a second leaf, %.0f KB alone: more than 1.3 times as much", kb9two, kb9)
+	}
+}
+
+// TestLoadedFactsAreEvaluated: a fact's interpreted functors (§2.2) are
+// evaluated however it is loaded — program text, AddFacts, AddFact or a
+// view's Assert — so each load gives one model, read alike plain and under
+// magic; a view retracts a fact written another way, and a fact outside U is
+// rejected.
+func TestLoadedFactsAreEvaluated(t *testing.T) {
+	const fact = "p(2+2, scons(3, {4})).\n"
+	for _, magic := range []bool{false, true} {
+		for _, load := range []string{"text", "AddFacts", "AddFact", "Assert"} {
+			src := "q(X, S) <- p(X, S).\n"
+			if load == "text" {
+				src += fact
+			}
+			e, err := New(src, WithMagic(magic))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch load {
+			case "AddFacts":
+				err = e.AddFacts(fact)
+			case "AddFact":
+				err = e.AddFact(NewFact("p", Func("+", Num(2), Num(2)), Func("scons", Num(3), SetOf(Num(4)))))
+			}
+			query := e.Query
+			m, _ := e.Run()
+			if load == "Assert" {
+				v, _ := e.Materialize()
+				_, err = v.Assert(fact)
+				m, query = v.Model(), v.Query
+			}
+			a, qerr := query("p(4, S)")
+			if got := fmt.Sprint(m.Facts("p")); err != nil || qerr != nil || got != "[p(4, {3, 4})]" || a.Len() != 1 {
+				t.Errorf("magic %v, %s: %v, model %s, p(4, S) answers %v, %v", magic, load, err, got, a, qerr)
+			}
+		}
+	}
+	v := mustView(t, "p(3). q(X) <- p(X).")
+	if _, err := v.Retract("p(1+2)."); err != nil || v.Model().Len() != 0 {
+		t.Errorf("Retract(p(1+2)) left %v, %v", v.Model().Facts("p"), err)
+	}
+	var pe *ParseError
+	e, _ := New("")
+	if err := e.AddFacts("p(1/0)."); !errors.As(err, &pe) {
+		t.Errorf("AddFacts(p(1/0)) = %v, want a ParseError", err)
 	}
 }
