@@ -36,8 +36,8 @@
 // an incrementally maintained view (Engine.Materialize, then
 // Materialized.Query and Materialized.Prepare — which returns the same
 // handle type) all answer through one snapshot reader, so they return the
-// same rows for the same query: the reader solves against the engine's
-// memoized model or the view's current snapshot (or, under WithMagic, runs
+// same rows for the same query: the reader solves against the current
+// snapshot of the engine's model or of the view (or, under WithMagic, runs
 // the compiled magic-sets form), behind one answer cache per engine and per
 // view that updates invalidate by dependency cone.  ReadOpts bounds a
 // single read; WithDeadline, WithLimit and WithMemBudget bound every

@@ -11,6 +11,7 @@ import (
 	"ldl1/internal/analyze/types"
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
+	"ldl1/internal/incr"
 	"ldl1/internal/magic"
 	"ldl1/internal/parser"
 	"ldl1/internal/rewrite"
@@ -91,8 +92,9 @@ func (c config) magicVariant() magic.Variant {
 
 // WithLimit bounds the number of facts one evaluation — a Run, a magic-sets
 // read, or a view transaction — may derive; it aborts with *lderr.LimitError
-// beyond it.  A termination guard for programs whose function symbols
-// could generate unbounded terms.
+// beyond it, and Run does so whatever the order of loads and reads.  A
+// termination guard for programs whose function symbols could generate
+// unbounded terms.
 func WithLimit(maxDerived int) Option { return func(c *config) { c.limit = maxDerived } }
 
 // WithDeadline bounds the wall-clock time of every Run, Query, prepared
@@ -108,7 +110,8 @@ func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline 
 // WithMemBudget bounds the approximate bytes of derived facts retained by
 // one evaluation (a Run, or a magic-sets read; answering from an
 // already-computed model evaluates nothing); beyond it evaluation aborts
-// with *lderr.MemBudgetError.
+// with *lderr.MemBudgetError.  Under a budget a load drops the engine's
+// model, since a transaction inserting it would not measure bytes.
 // The estimate is deterministic (a structural walk of each derived fact),
 // so a breaching program fails identically across runs.
 func WithMemBudget(bytes int64) Option { return func(c *config) { c.memBudget = bytes } }
@@ -132,25 +135,28 @@ func WithoutQueryCache() Option { return func(c *config) { c.noQueryCache = true
 // using §4 constructs are then rejected by the well-formedness check.
 func WithoutRewrite() Option { return func(c *config) { c.noRewrite = true } }
 
-// Engine holds a checked LDL1 program plus its extensional database.
+// Engine holds a checked LDL1 program, its extensional database and their
+// model, a view (see Materialized) that the first Run or plain read builds.
+// A load only queues its facts; the next read that needs the model inserts
+// all queued facts as one transaction, under that read's context.
 //
-// Concurrency: fact loading (AddFact, AddFacts, AddDB) takes a write lock,
-// and so does computing the memoized model that Run and plain reads answer
-// from.  A magic-sets read (WithMagic) and Explain clone the extensional
-// database under a read lock and evaluate the clone without it, so they run
-// concurrently with each other and with loads, and each sees a load wholly
-// or not at all.  The answer cache and the compiled-form memo carry their
-// own locks and publish only fully built, immutable entries.
+// Concurrency: a load, and a read that builds or updates the model, take a
+// write lock; other reads take a read lock.  A magic-sets read (WithMagic)
+// and Explain clone the extensional database under a read lock and evaluate
+// the clone without it.  Every read sees a load wholly or not at all.  The
+// answer cache and the compiled-form memo carry their own locks and publish
+// only fully built, immutable entries.
 type Engine struct {
 	cfg      config
 	source   *ast.Program  // program as written (after LDL1.5 expansion)
-	prog     *eval.Program // source admitted: what Run and Materialize run
+	prog     *eval.Program // source admitted: what the view and Explain run
 	original *ast.Program  // program as written, before expansion
-	mu       sync.RWMutex  // guards edb mutation and model memoization vs evaluation
+	mu       sync.RWMutex  // guards edb, view and pending
 	edb      *store.DB
-	model    *store.DB // memoized Run result
+	view     *incr.Materialized // nil until a read builds it, and once dropped
+	pending  []*term.Fact       // loaded since the view was last brought up to date
 
-	// r answers every Query and prepared Exec: from the memoized model, or
+	// r answers every Query and prepared Exec: from the view's snapshot, or
 	// under WithMagic through a compiled form evaluated against edb.
 	r *reader
 	// forms memoizes compiled magic forms by (predicate, adornment) — the
@@ -197,8 +203,8 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 	e.source, e.prog = compiled, prog
 	e.edb = store.NewDB()
 	e.edb.UseIndexes = !e.cfg.noIndexes
-	e.r = e.cfg.newReader(e.modelDB, dependencyCones(compiled))
-	e.r.sink = e.cfg.stats
+	e.r = e.cfg.newReader(e.materialized, dependencyCones(compiled))
+	e.r.sink = &sink{counts: e.cfg.stats}
 	if e.cfg.magic {
 		e.r.compile, e.r.exec = e.magicForm, e.execMagic
 		if !e.cfg.noQueryCache {
@@ -216,11 +222,7 @@ func (e *Engine) AddFact(f *Fact) error {
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.model = nil
-	e.edb.Insert(f)
-	e.r.cache.Invalidate(f.Pred)
+	e.load([]string{f.Pred}, []*term.Fact{f})
 	return nil
 }
 
@@ -240,11 +242,7 @@ func (e *Engine) AddFacts(src string) error {
 			preds = append(preds, f.Pred)
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.model = nil
-	e.edb.LoadFacts(fs, store.LoadOpts{})
-	e.r.cache.Invalidate(preds...)
+	e.load(preds, fs)
 	return nil
 }
 
@@ -252,15 +250,31 @@ func (e *Engine) AddFacts(src string) error {
 // generators used in benchmarks).  Each source relation is loaded through
 // the bulk path and shares the caller's facts as they are.
 func (e *Engine) AddDB(db *store.DB) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.model = nil
+	var rels [][]*term.Fact
 	for _, p := range db.Preds() {
 		if r := db.RelOrNil(p); r != nil && r.Len() > 0 {
-			e.edb.LoadFacts(r.All(), store.LoadOpts{})
+			rels = append(rels, r.All())
 		}
 	}
-	e.r.cache.Invalidate(db.Preds()...)
+	e.load(db.Preds(), rels...)
+}
+
+// load writes each list of rels into the extensional database through the
+// bulk path, evicts answers on preds and queues the facts for the model, if
+// a read has built one.  Under WithMemBudget it drops the model instead.
+func (e *Engine) load(preds []string, rels ...[]*term.Fact) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, fs := range rels {
+		e.edb.LoadFacts(fs, store.LoadOpts{})
+		if e.view != nil {
+			e.pending = append(e.pending, fs...)
+		}
+	}
+	if e.cfg.memBudget > 0 {
+		e.view, e.pending = nil, nil
+	}
+	e.r.cache.Invalidate(preds...)
 }
 
 // Program returns the compiled program text (after LDL1.5 expansion).
@@ -314,7 +328,7 @@ func (e *Engine) evalOpts(ctx context.Context, st *Stats) eval.Options {
 
 // Run computes the standard minimal model M_n of the program with respect
 // to the extensional database (Theorem 1) and returns it.  The model is
-// memoized until facts change.
+// kept, and the next read inserts facts loaded since into it (see Engine).
 func (e *Engine) Run() (*Model, error) {
 	return e.RunCtx(context.Background())
 }
@@ -322,38 +336,47 @@ func (e *Engine) Run() (*Model, error) {
 // RunCtx is Run under a context: a canceled context or expired deadline
 // aborts the fixpoint at the next evaluation round with lderr.Canceled or
 // lderr.DeadlineExceeded, the extensional database is unchanged, and no
-// partial model is memoized.
+// partial model is kept.
 func (e *Engine) RunCtx(ctx context.Context) (*Model, error) {
-	db, err := e.modelDB(ctx)
+	v, err := e.materialized(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{db: db}, nil
+	return &Model{db: v.Snapshot()}, nil
 }
 
-// modelDB is the reader's snapshot source: the memoized model, computed on
-// first use after a load.
-func (e *Engine) modelDB(ctx context.Context) (*store.DB, error) {
+// materialized returns the engine's view brought up to date under ctx and
+// the engine's deadline: built by one evaluation if there is none, else
+// with the facts loaded since inserted as one transaction.  A canceled
+// context keeps the queue for the next read; any other failure, or a model
+// past WithLimit, drops the view, and evaluation from scratch answers.
+func (e *Engine) materialized(ctx context.Context) (*incr.Materialized, error) {
 	e.mu.RLock()
-	m := e.model
+	v, current := e.view, len(e.pending) == 0
 	e.mu.RUnlock()
-	if m != nil {
-		return m, nil
+	if v != nil && current {
+		return v, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.model == nil {
-		ctx, cancel := withDeadline(ctx, e.cfg.deadline)
-		defer cancel()
-		st, merge := e.r.stats()
-		defer merge()
-		db := e.edb.Clone()
-		if err := e.prog.Run(db, e.evalOpts(ctx, st), nil); err != nil {
+	ctx, cancel := withDeadline(ctx, e.cfg.deadline)
+	defer cancel()
+	st, merge := e.r.sink.stats()
+	defer merge()
+	var err error
+	if e.view != nil && len(e.pending) > 0 {
+		if _, err = e.view.ApplyCtx(ctx, incr.Tx{Insert: e.pending, Stats: st}); err != nil && ctx.Err() != nil {
 			return nil, err
 		}
-		e.model = db
+		if err != nil || e.cfg.limit > 0 && e.view.Derived() > e.cfg.limit {
+			e.view = nil
+		}
+		e.pending = nil
 	}
-	return e.model, nil
+	if e.view == nil {
+		e.view, err = incr.From(e.prog, e.edb, e.evalOpts(ctx, st))
+	}
+	return e.view, err
 }
 
 // Query answers a conjunctive query ("ancestor(abe, W)", with or without

@@ -1,6 +1,7 @@
 package ldl1
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -165,11 +166,36 @@ func TestEngineAddFactsAndDB(t *testing.T) {
 	if !ok {
 		t.Error("text facts not visible")
 	}
-	// Model memoization invalidates on new facts.
+	// Every load after a read is maintained into the model: it equals that
+	// of a twin engine that loads the same facts before its first read.
 	eng.AddFacts("parent(c, d).")
 	m2, _ := eng.Run()
 	if ok, _ := m2.Contains("anc(a, d)"); !ok {
-		t.Error("model not recomputed after AddFacts")
+		t.Error("model not maintained after AddFacts")
+	}
+	eng.AddDB(workload.ParentChain(7))
+	mustAddFact(t, eng, NewFact("parent", Sym("d"), Sym("n0")))
+	m3, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(`anc(X, Y) <- parent(X, Y). anc(X, Y) <- parent(X, Z), anc(Z, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.AddDB(workload.ParentChain(7))
+	if err := twin.AddFacts("parent(a, b). parent(b, c). parent(c, d). parent(d, n0)."); err != nil {
+		t.Fatal(err)
+	}
+	tm, err := twin.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m3.DB().Equal(tm.DB()) {
+		t.Errorf("maintained model:\n%s\nfrom scratch:\n%s", m3, tm)
+	}
+	if m2.Len() == m3.Len() {
+		t.Error("a model Run returned changed under a later load")
 	}
 }
 
@@ -345,15 +371,54 @@ func TestMaterializeUnderBounds(t *testing.T) {
 		"budget":   {WithMemBudget(4096), func(err error) bool { var me *MemBudgetError; return errors.As(err, &me) }},
 		"deadline": {WithDeadline(5 * time.Millisecond), func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }},
 	} {
-		eng, err := New("nat(0). nat(X + 1) <- nat(X).", WithLimit(1<<19), c.opt)
-		if err != nil {
-			t.Fatal(err)
+		// The program diverges once on(1) is loaded: before the first read,
+		// or after one, when the next read inserts it into the model.
+		for _, readFirst := range []bool{false, true} {
+			eng, err := New("nat(0). nat(X + 1) <- nat(X), on(1).", WithLimit(1<<19), c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if readFirst {
+				if _, err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.AddFacts("on(1)."); err != nil {
+				t.Fatal(err)
+			}
+			_, merr := eng.Materialize()
+			_, rerr := eng.Run()
+			if !c.want(merr) || !c.want(rerr) {
+				t.Errorf("%s, read first %v: Materialize = %v, Run = %v", name, readFirst, merr, rerr)
+			}
 		}
-		_, merr := eng.Materialize()
-		_, rerr := eng.Run()
-		if !c.want(merr) || !c.want(rerr) {
-			t.Errorf("%s: Materialize = %v, Run = %v", name, merr, rerr)
+	}
+}
+
+// TestCanceledReadAfterDivergingLoad: a load only queues its facts, so one
+// that makes the program diverge returns at once, and the read that
+// inserts them runs under its own context: canceling it stops the
+// transaction, and the engine answers the next read as before.
+func TestCanceledReadAfterDivergingLoad(t *testing.T) {
+	eng, err := New("nat(0). nat(X + 1) <- nat(X), on(1).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AddFacts("on(1)."); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(20*time.Millisecond, cancel)
+		if _, err := eng.RunCtx(ctx); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("RunCtx after a diverging load: %v, want ErrCanceled", err)
 		}
+	}
+	if n := eng.edb.RelOrNil("on").Len(); n != 1 {
+		t.Errorf("the extensional database holds %d on facts, want 1", n)
 	}
 }
 
@@ -508,6 +573,74 @@ func TestWithLimit(t *testing.T) {
 	}
 	if _, err := eng.Run(); err == nil {
 		t.Fatal("diverging program should hit the derivation limit")
+	}
+}
+
+// TestLoadBreachingLimit: a load after a read is one maintained transaction
+// under WithLimit.  One that derives past the limit still loads its facts
+// and returns nil; the engine drops its model, and the next read evaluates
+// from scratch and reports the *LimitError that evaluation meets.
+func TestLoadBreachingLimit(t *testing.T) {
+	eng, err := New(`anc(X, Y) <- parent(X, Y). anc(X, Y) <- parent(X, Z), anc(Z, Y).`, WithLimit(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AddDB(workload.ParentChain(4)) // 10 anc facts
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var chain strings.Builder
+	for i := 4; i < 12; i++ {
+		fmt.Fprintf(&chain, "parent(n%d, n%d). ", i, i+1)
+	}
+	if err := eng.AddFacts(chain.String()); err != nil {
+		t.Fatalf("a load breaching the limit returned %v, want nil", err)
+	}
+	for _, read := range []func() error{
+		func() error { _, err := eng.Run(); return err },
+		func() error { _, err := eng.Query("anc(n0, W)"); return err },
+		func() error { _, err := eng.Materialize(); return err },
+	} {
+		var le *LimitError
+		if err := read(); !errors.As(err, &le) || le.Limit != 40 {
+			t.Errorf("read after the breaching load: %v, want a *LimitError at 40", err)
+		}
+	}
+	if got := eng.edb.RelOrNil("parent").Len(); got != 12 {
+		t.Errorf("the extensional database holds %d parent facts, want 12", got)
+	}
+
+	// The same chain loaded edge by edge with a Run after each load: every
+	// Run answers as a fresh engine with the edges loaded so far does, and
+	// the limit falls between 36 (a chain of 8) and 45 anc facts.
+	eng, err = New(`anc(X, Y) <- parent(X, Y). anc(X, Y) <- parent(X, Z), anc(Z, Y).`, WithLimit(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AddDB(workload.ParentChain(4))
+	for i := 4; i < 12; i++ {
+		edge := fmt.Sprintf("parent(n%d, n%d).", i, i+1)
+		if err := eng.AddFacts(edge); err != nil {
+			t.Fatal(err)
+		}
+		m, err := eng.Run()
+		fresh, ferr := New(`anc(X, Y) <- parent(X, Y). anc(X, Y) <- parent(X, Z), anc(Z, Y).`, WithLimit(40))
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		fresh.AddDB(workload.ParentChain(i + 1))
+		fm, ferr := fresh.Run()
+		var le *LimitError
+		switch {
+		case ferr != nil:
+			if !errors.As(ferr, &le) || !errors.As(err, &le) {
+				t.Errorf("chain of %d: Run = %v, a fresh engine's %v", i+1, err, ferr)
+			}
+		case err != nil:
+			t.Errorf("chain of %d: Run = %v, a fresh engine's succeeds", i+1, err)
+		case !m.DB().Equal(fm.DB()):
+			t.Errorf("chain of %d: Run answers\n%s\na fresh engine\n%s", i+1, m, fm)
+		}
 	}
 }
 

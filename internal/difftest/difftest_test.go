@@ -2,8 +2,9 @@
 // path.  By Theorem 1 an admissible program has one standard minimal model,
 // and by Theorem 2 it is the same under every layering; so on every program
 // the generator writes, naive and semi-naive evaluation under three
-// layerings, the model checker, a view maintained through a transaction
-// stream and both magic-sets variants must agree.  Each trial is a subtest
+// layerings, the model checker, an engine's Run after each load, a view
+// Materialize took after a Run and maintained through a transaction stream,
+// and both magic-sets variants must agree.  Each trial is a subtest
 // named by its seed, so a failure replays with -run 'TestDifferential/seed=N$';
 // the seeds up to 0 are the pinned inputs.
 package difftest
@@ -14,11 +15,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"ldl1"
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
-	"ldl1/internal/incr"
 	"ldl1/internal/layering"
 	"ldl1/internal/magic"
 	"ldl1/internal/model"
@@ -134,14 +136,46 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 		fail("model check: %v %v", v, err)
 	}
 
-	// A view maintained through the stream equals evaluation from scratch.
-	view, err := incr.New(rules, edb, incr.Options{})
+	// The engine path: Run after each load of a transaction's insertions
+	// equals evaluation from scratch of the EDB loaded so far.
+	eng, err := ldl1.NewFromAST(rules, ldl1.WithoutRewrite())
+	if err != nil {
+		fail("engine: %v", err)
+	}
+	eng.AddDB(edb)
+	run := func(what string, scratch *store.DB) {
+		t.Helper()
+		m, err := eng.Run()
+		if err != nil {
+			fail("engine run %s: %v", what, err)
+		}
+		if !m.DB().Equal(scratch) {
+			fail("engine run %s:\n%s\nfrom scratch:\n%s", what, m, scratch)
+		}
+	}
+	run("before any load", want)
+	// The view is taken after that Run; the engine's loads do not reach it.
+	view, err := eng.Materialize()
 	if err != nil {
 		fail("materialize: %v", err)
 	}
+	loaded := edb.Clone()
+	for i, tx := range stream {
+		if err := eng.AddFacts(text(tx.Insert)); err != nil {
+			fail("engine load %d: %v", i, err)
+		}
+		loaded.LoadFacts(tx.Insert, store.LoadOpts{})
+		scratch, err := eval.Eval(rules, loaded, eval.Options{})
+		if err != nil {
+			fail("evaluation after load %d: %v", i, err)
+		}
+		run(fmt.Sprint("after load ", i), scratch)
+	}
+
+	// The view, maintained through the stream, equals evaluation from scratch.
 	cur := edb.Clone()
 	for i, tx := range stream {
-		if _, err := view.Apply(tx); err != nil {
+		if _, err := view.Update(text(tx.Insert), text(tx.Retract)); err != nil {
 			fail("transaction %d: %v", i, err)
 		}
 		cur.LoadFacts(tx.Insert, store.LoadOpts{})
@@ -150,7 +184,7 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 		if err != nil {
 			fail("evaluation after transaction %d: %v", i, err)
 		}
-		if got := view.Snapshot(); !got.Equal(scratch) {
+		if got := view.Model().DB(); !got.Equal(scratch) {
 			fail("view after transaction %d:\n%s\nfrom scratch:\n%s", i, got, scratch)
 		}
 	}
@@ -188,6 +222,15 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 			}
 		}
 	}
+}
+
+// text writes facts as the fact list that parses back to them.
+func text(fs []*term.Fact) string {
+	var b strings.Builder
+	for _, f := range fs {
+		b.WriteString(f.String() + ".\n")
+	}
+	return b.String()
 }
 
 // randomLayering places each strongly connected component in a random layer

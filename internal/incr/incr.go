@@ -181,6 +181,28 @@ func From(prog *eval.Program, edb *store.DB, opts Options) (*Materialized, error
 	return m, nil
 }
 
+// Clone returns a second view of the same state in O(1): it shares the
+// program, the layering, the current EDB and the published model, which
+// each side only ever replaces by a written clone, so a transaction on
+// either side is invisible to the other.  The clone has its own lock and no
+// OnChange callback.
+func (m *Materialized) Clone() *Materialized {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := &Materialized{prog: m.prog, lay: m.lay, below: m.below, byHead: m.byHead, edb: m.edb, opts: m.opts}
+	c.model.Store(m.model.Load())
+	return c
+}
+
+// Derived returns the number of facts the current model holds beyond its
+// EDB: what evaluating the program from scratch over that EDB derives, and
+// charges against Options.MaxDerived.
+func (m *Materialized) Derived() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.model.Load().Len() - m.edb.Len()
+}
+
 // Snapshot returns the current model.  The returned database is immutable —
 // maintenance never mutates a published snapshot — so it may be read from
 // any goroutine, indefinitely, without synchronization.

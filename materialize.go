@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"ldl1/internal/ast"
-	"ldl1/internal/eval"
 	"ldl1/internal/incr"
 	"ldl1/internal/parser"
-	"ldl1/internal/store"
 	"ldl1/internal/term"
 	"ldl1/internal/unify"
 )
@@ -29,42 +27,32 @@ type Materialized struct {
 	inner *incr.Materialized
 	// r answers every Query and prepared Exec from the snapshot current at
 	// the read's start.  Its answer cache is the view's own: entries depend
-	// on the view's EDB state, which was cloned from the engine's at
-	// Materialize.
-	r *reader
-	// stats is the engine reader's: each transaction counts into a Stats of
-	// its own, merged into the WithStats sink under the lock the engine's
-	// reads merge under.
-	stats func() (*eval.Stats, func())
+	// on the view's EDB state, which was the engine's at Materialize.
+	r    *reader
+	sink *sink // the engine's WithStats sink, which transactions count into
 }
 
-// Materialize evaluates the engine's program once against its current
-// extensional database and returns the incrementally maintained view.
-// Subsequent AddFact calls on the engine do not affect the view; use
-// Assert/Retract on the view instead.  The evaluation runs under the
-// engine's bounds exactly as Run does (WithLimit, WithDeadline,
-// WithMemBudget).  Each transaction keeps WithLimit, which caps the facts
-// it may derive (a breaching transaction rolls back), and WithDeadline.
+// Materialize returns an incrementally maintained view of the engine's
+// model: an O(1) clone of it, brought up to date as Run brings it, so it
+// evaluates nothing when a read has built the model and no load has come
+// since.  From then on the two
+// are apart: AddFact on the engine does not reach the view, Assert/Retract
+// on the view do not reach the engine.  Each transaction keeps WithLimit,
+// which caps the facts it may derive (a breaching transaction rolls back),
+// and WithDeadline.
 func (e *Engine) Materialize() (*Materialized, error) {
-	ctx, cancel := withDeadline(context.Background(), e.cfg.deadline)
-	defer cancel()
-	st, merge := e.r.stats()
-	defer merge()
-	e.mu.RLock()
-	edb := e.edb.Clone()
-	opts := e.evalOpts(ctx, st)
-	e.mu.RUnlock()
-	inner, err := incr.From(e.prog, edb, opts)
+	v, err := e.materialized(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	r := e.cfg.newReader(func(context.Context) (*store.DB, error) { return inner.Snapshot(), nil }, e.r.cones)
+	inner := v.Clone()
+	r := e.cfg.newReader(func(context.Context) (*incr.Materialized, error) { return inner, nil }, e.r.cones)
 	// Delta-driven cache invalidation: a transaction touching any predicate
 	// inside a cached query's dependency cone evicts that entry.  The hook
 	// runs after the view publishes its new snapshot and before its next
 	// transaction, so eviction is never lost under concurrent Exec/Assert.
 	inner.OnChange(func(preds []string) { r.cache.Invalidate(preds...) })
-	return &Materialized{inner: inner, r: r, stats: e.r.stats}, nil
+	return &Materialized{inner: inner, r: r, sink: e.r.sink}, nil
 }
 
 // parseFactList parses LDL1 source text consisting of ground facts only:
@@ -116,7 +104,7 @@ func parseFact(src string) (*term.Fact, error) {
 func (mv *Materialized) apply(ctx context.Context, tx incr.Tx) (UpdateResult, error) {
 	ctx, cancel := withDeadline(ctx, mv.r.deadline)
 	defer cancel()
-	st, merge := mv.stats()
+	st, merge := mv.sink.stats()
 	defer merge()
 	tx.Stats = st
 	return mv.inner.ApplyCtx(ctx, tx)

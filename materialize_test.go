@@ -7,6 +7,9 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
+
+	"ldl1/internal/store"
 )
 
 func TestMaterializeAssertRetract(t *testing.T) {
@@ -210,5 +213,94 @@ func TestLoadedFactsAreEvaluated(t *testing.T) {
 	e, _ := New("")
 	if err := e.AddFacts("p(1/0)."); !errors.As(err, &pe) {
 		t.Errorf("AddFacts(p(1/0)) = %v, want a ParseError", err)
+	}
+}
+
+// TestMaterializeClonesModel: an engine has one model.  Materialize after
+// Run clones it and fires no rule; from then on the view and the engine go
+// on apart — an Assert on the view does not reach the engine's next Run,
+// and an AddFacts on the engine does not reach the view.
+func TestMaterializeClonesModel(t *testing.T) {
+	var st Stats
+	eng, err := New(prepProg, WithStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	before := st
+	mv, err := eng.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Firings != before.Firings || st.Iterations != before.Iterations {
+		t.Errorf("Materialize after Run fired %d rules in %d iterations, want none",
+			st.Firings-before.Firings, st.Iterations-before.Iterations)
+	}
+	if _, err := mv.Assert("par(e, v)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AddFacts("par(e, w)."); err != nil {
+		t.Fatal(err)
+	}
+	m, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fact, want := range map[string]bool{"anc(a, w)": true, "anc(a, v)": false} {
+		if got, _ := m.Contains(fact); got != want {
+			t.Errorf("engine after both writes: %s = %v, want %v", fact, got, want)
+		}
+		if got, _ := mv.Model().Contains(fact); got == want {
+			t.Errorf("view after both writes: %s = %v, want %v", fact, got, !want)
+		}
+	}
+}
+
+// TestViewDoesNotPinEngine: a view keeps nothing of its engine but the
+// WithStats sink, so an engine dropped after Run and Materialize is
+// collected while the view lives.  The finalizer sits on the engine's
+// extensional database, which only the engine holds: the engine itself is
+// in a cycle through its reader, and a finalizer on an object of a cycle
+// never runs.
+func TestViewDoesNotPinEngine(t *testing.T) {
+	for name, opts := range map[string][]Option{"plain": nil, "WithStats": {WithStats(new(Stats))}} {
+		mv, collected := dropEngine(t, opts...)
+		for i := 0; i < 10 && !collected(); i++ {
+			runtime.GC()
+		}
+		if !collected() {
+			t.Errorf("%s: the engine outlives ten collections while its view lives", name)
+		}
+		if got := mustStr(t)(mv.Query("anc(a, W)")); got != "W = b\nW = c\nW = d\nW = e" {
+			t.Errorf("%s: the view answers %q", name, got)
+		}
+	}
+}
+
+// dropEngine builds an engine, reads its model and materializes a view, and
+// returns the view and whether the engine has been collected since.
+func dropEngine(t *testing.T, opts ...Option) (*Materialized, func() bool) {
+	eng, err := New(prepProg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	mv, err := eng.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	runtime.SetFinalizer(eng.edb, func(*store.DB) { close(done) })
+	return mv, func() bool {
+		select {
+		case <-done:
+			return true
+		case <-time.After(10 * time.Millisecond):
+			return false
+		}
 	}
 }

@@ -9,12 +9,12 @@ import (
 
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
+	"ldl1/internal/incr"
 	"ldl1/internal/layering"
 	"ldl1/internal/lderr"
 	"ldl1/internal/magic"
 	"ldl1/internal/parser"
 	"ldl1/internal/qcache"
-	"ldl1/internal/store"
 	"ldl1/internal/term"
 	"ldl1/internal/unify"
 )
@@ -49,11 +49,11 @@ type ReadOpts struct {
 // every prepared handle answer queries through read, which owns the only
 // copy of the answer-cache protocol.  A reader is immutable after
 // construction and safe for concurrent use; whether a read takes a lock is
-// decided by its snapshot source alone (an Engine's memoized model sits
-// behind the engine's RWMutex, a view's published snapshot behind nothing).
+// decided by its snapshot source alone (an Engine's model behind the
+// engine's RWMutex, a view's published snapshot behind nothing).
 type reader struct {
-	// snapshot returns the model a read solves against.
-	snapshot func(ctx context.Context) (*store.DB, error)
+	// view returns the view whose current snapshot a read solves against.
+	view func(ctx context.Context) (*incr.Materialized, error)
 	// compile and exec are set on WithMagic engines only: compile returns
 	// the magic form of a positive literal on a derived predicate (nil for
 	// any other literal, which is answered from the snapshot), and exec
@@ -68,20 +68,38 @@ type reader struct {
 	cones    map[string]map[string]bool
 	deadline time.Duration
 
-	// sink is the WithStats counter sink (nil on views and when unset).
-	// Each read counts into a Stats of its own and merges it under sinkMu.
-	sink   *eval.Stats
-	sinkMu sync.Mutex
+	// sink is the engine's WithStats sink; nil on views.
+	sink *sink
+}
+
+// sink is a WithStats sink and the lock every merge into it takes.
+type sink struct {
+	mu     sync.Mutex
+	counts *eval.Stats
+}
+
+// stats returns the counters of one read, load or transaction and the func
+// that merges them into the sink; nil and a no-op without a sink.
+func (k *sink) stats() (*eval.Stats, func()) {
+	if k == nil || k.counts == nil {
+		return nil, func() {}
+	}
+	st := new(eval.Stats)
+	return st, func() {
+		k.mu.Lock()
+		k.counts.Merge(st)
+		k.mu.Unlock()
+	}
 }
 
 // newReader builds a reader over a snapshot source under the engine
 // configuration's answer-cache switch and deadline.
-func (c *config) newReader(snapshot func(context.Context) (*store.DB, error), cones map[string]map[string]bool) *reader {
+func (c *config) newReader(view func(context.Context) (*incr.Materialized, error), cones map[string]map[string]bool) *reader {
 	cap := answerCacheCap
 	if c.noQueryCache {
 		cap = 0
 	}
-	return &reader{snapshot: snapshot, cache: qcache.New(cap), cones: cones, deadline: c.deadline}
+	return &reader{view: view, cache: qcache.New(cap), cones: cones, deadline: c.deadline}
 }
 
 // withDeadline layers the deadline d, when positive, onto ctx.  The
@@ -142,20 +160,6 @@ func (r *reader) cone(pred string) map[string]bool {
 	return map[string]bool{pred: true}
 }
 
-// stats returns the counter sink of one read or evaluation and the func
-// that merges it into the WithStats sink; both are nil/no-ops without one.
-func (r *reader) stats() (*eval.Stats, func()) {
-	if r.sink == nil {
-		return nil, func() {}
-	}
-	st := new(eval.Stats)
-	return st, func() {
-		r.sinkMu.Lock()
-		r.sink.Merge(st)
-		r.sinkMu.Unlock()
-	}
-}
-
 // query parses q and answers it.
 func (r *reader) query(ctx context.Context, q string, o ReadOpts) (*Answers, error) {
 	query, err := parser.ParseQuery(q)
@@ -182,7 +186,7 @@ func (r *reader) read(ctx context.Context, query parser.Query, form *magic.Prepa
 	}
 	ctx, cancel := withDeadline(ctx, d)
 	defer cancel()
-	st, merge := r.stats()
+	st, merge := r.sink.stats()
 	defer merge()
 
 	if len(query.Body) != 1 || !canonicalLit(query.Body[0]) {
@@ -230,11 +234,11 @@ func (r *reader) compute(ctx context.Context, body []ast.Literal, form *magic.Pr
 	if form != nil {
 		return r.exec(ctx, form, groundArgs(body[0]), o, st)
 	}
-	snap, err := r.snapshot(ctx)
+	v, err := r.view(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return eval.SolveLimitsCtx(ctx, body, snap, eval.SolveLimits{MaxSolutions: o.MaxRows, MemBudget: o.MemBudget})
+	return eval.SolveLimitsCtx(ctx, body, v.Snapshot(), eval.SolveLimits{MaxSolutions: o.MaxRows, MemBudget: o.MemBudget})
 }
 
 // canonicalLit reports whether a query literal is cache-shaped: positive,

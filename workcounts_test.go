@@ -16,6 +16,7 @@ package ldl1
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -216,7 +217,7 @@ func incrRow(prog *ast.Program, gen func() (*store.DB, []workload.Update)) func(
 			return w, err
 		}
 		for _, u := range txs {
-			if _, err := m.Apply(incr.Tx{Insert: u.Insert, Retract: u.Retract}); err != nil {
+			if _, err := m.ApplyCtx(context.Background(), incr.Tx{Insert: u.Insert, Retract: u.Retract}); err != nil {
 				return w, err
 			}
 		}
@@ -249,6 +250,104 @@ func recomputeRow(prog *ast.Program, gen func() (*store.DB, []workload.Update)) 
 			w.model = out.Len()
 		}
 		return w, err
+	}
+}
+
+// loadRow replays an insert-only stream through the root Engine: AddDB and
+// Run, then per k transactions k AddFacts and one read — Run, or with a
+// query that query, whose rows w.model counts.  The loads are maintained
+// into the engine's one model by the next Run, all k as one transaction.
+// With split, another engine sharing the stats sink runs the initial
+// database, and the engine that loads and queries never builds a model: a
+// query row's twin, which pays the Run and the queries and no maintenance.
+func loadRow(src string, gen func() (*store.DB, []workload.Update), k int, query string, split bool, opts ...Option) func() (work, error) {
+	return func() (work, error) {
+		var w work
+		opts := append(opts, WithStats(&w.Stats))
+		eng, err := New(src, opts...)
+		if err != nil {
+			return w, err
+		}
+		initial, txs := gen()
+		eng.AddDB(initial)
+		first := eng
+		if split {
+			if first, err = New(src, opts...); err != nil {
+				return w, err
+			}
+			first.AddDB(initial)
+		}
+		m, err := first.Run()
+		read := func() {
+			if query == "" {
+				m, err = eng.Run()
+				return
+			}
+			var a *Answers
+			if a, err = eng.Query(query); err == nil {
+				w.model = len(a.Rows)
+			}
+		}
+		for i, u := range txs {
+			if err != nil {
+				return w, err
+			}
+			if len(u.Retract) > 0 {
+				return w, fmt.Errorf("an engine only loads insertions")
+			}
+			var text strings.Builder
+			for _, f := range u.Insert {
+				text.WriteString(f.String() + ". ")
+			}
+			if err = eng.AddFacts(text.String()); err == nil && ((i+1)%k == 0 || i == len(txs)-1) {
+				read()
+			}
+		}
+		if err == nil && query == "" {
+			w.model = m.Len()
+		}
+		return w, err
+	}
+}
+
+// batched merges every k transactions of gen's stream into one.
+func batched(gen func() (*store.DB, []workload.Update), k int) func() (*store.DB, []workload.Update) {
+	return func() (*store.DB, []workload.Update) {
+		db, txs := gen()
+		var out []workload.Update
+		for i, u := range txs {
+			if i%k == 0 {
+				out = append(out, workload.Update{})
+			}
+			b := &out[len(out)-1]
+			b.Insert = append(b.Insert, u.Insert...)
+			b.Retract = append(b.Retract, u.Retract...)
+		}
+		return db, out
+	}
+}
+
+// leafAttaches returns the §6 family tree of the young program — p and
+// siblings over workload.ParentTree(depth) — and one transaction per leaf
+// of k that attaches a fresh child under it.  Each attach gives its leaf a
+// descendant, so the negation of young deletes the leaf's class above.
+func leafAttaches(depth, k int) func() (*store.DB, []workload.Update) {
+	return func() (*store.DB, []workload.Update) {
+		db := store.NewDB()
+		for _, f := range workload.ParentTree(depth).Facts() {
+			db.Insert(term.NewFact("p", f.Args...))
+		}
+		for i := 2; i < 2<<depth; i += 2 {
+			a, b := term.Atom(fmt.Sprint("n", i)), term.Atom(fmt.Sprint("n", i+1))
+			db.Insert(term.NewFact("siblings", a, b))
+			db.Insert(term.NewFact("siblings", b, a))
+		}
+		txs := make([]workload.Update, k)
+		for i := range txs {
+			leaf := term.Atom(fmt.Sprint("n", 1<<depth+i*(1<<depth)/k))
+			txs[i].Insert = []*term.Fact{term.NewFact("p", leaf, term.Atom(fmt.Sprint("x", i)))}
+		}
+		return db, txs
 	}
 }
 
@@ -294,6 +393,12 @@ func workRows(t *testing.T) []workRow {
 	}
 	mixed := func() (*store.DB, []workload.Update) { return workload.MixedUpdates(128, 32, 23) }
 	churnSP := func() (*store.DB, []workload.Update) { return workload.ChurnSupplierParts(64, 8, 32, 29) }
+	// The chain grows to n32 and every node is a person from the start, so
+	// each new edge makes ancestor facts true that excl_ancestor negates.
+	exclTrickle := func() (*store.DB, []workload.Update) {
+		db, txs := workload.TrickleInserts(24, 8)
+		return workload.Persons(db, 32), txs
+	}
 
 	q1 := []string{"n8", "n49", "n90", "n131", "n172", "n213", "n254", "n0"}
 	q2 := []string{"n512", "n575", "n638", "n701", "n764", "n827", "n890", "n953"}
@@ -370,6 +475,19 @@ func workRows(t *testing.T) []workRow {
 		{id: "u2", name: "update-mixed-recompute-chain128", run: recomputeRow(anc, mixed)},
 		{id: "u3", name: "update-churn-incr-sp64x8", run: incrRow(churn, churnSP)},
 		{id: "u3", name: "update-churn-recompute-sp64x8", run: recomputeRow(churn, churnSP)},
+		// Engine loads after a read: each engine row is paired with the
+		// recompute row of the same stream (the trickle's is u1's).
+		{id: "u4", name: "engine-trickle-chain128", run: loadRow(workAncestorRules, trickle(128), 1, "", false)},
+		{id: "u4", name: "engine-young-tree6", run: loadRow(workYoungRules, leafAttaches(6, 16), 1, "", false)},
+		{id: "u4", name: "engine-young-recompute-tree6", run: recomputeRow(young, leafAttaches(6, 16))},
+		{id: "u4", name: "engine-excl-chain24", run: loadRow(workExclRules, exclTrickle, 1, "", false)},
+		{id: "u4", name: "engine-excl-recompute-chain24", run: recomputeRow(excl, exclTrickle)},
+		// Four loads per Run are one transaction; a WithMagic engine's loads
+		// after a Run cost nothing until a read needs the model.
+		{id: "u4", name: "engine-batch4-chain128", run: loadRow(workAncestorRules, trickle(128), 4, "", false)},
+		{id: "u4", name: "engine-batch4-recompute-chain128", run: recomputeRow(anc, batched(trickle(128), 4))},
+		{id: "u4", name: "engine-magic-chain128", run: loadRow(workAncestorRules, trickle(128), 1, "ancestor(n120, W)", false, WithMagic(true))},
+		{id: "u4", name: "engine-magic-split-chain128", run: loadRow(workAncestorRules, trickle(128), 1, "ancestor(n120, W)", true, WithMagic(true))},
 	}
 }
 
@@ -541,6 +659,30 @@ func TestWorkCounts(t *testing.T) {
 		inc, rec := fmt.Sprintf(u, "incr"), fmt.Sprintf(u, "recompute")
 		sameModel(inc, rec)
 		less(inc+" vs recompute derived", row(inc).Derived, row(rec).Derived)
+	}
+	// u4: an engine's loads after a read reach the model recomputation
+	// reaches, firing no more; on the trickle they are u1's transactions.
+	for _, u := range [][2]string{
+		{"u4 engine-trickle-chain128", "u1 update-trickle-recompute-chain128"},
+		{"u4 engine-young-tree6", "u4 engine-young-recompute-tree6"},
+		{"u4 engine-excl-chain24", "u4 engine-excl-recompute-chain24"},
+		{"u4 engine-batch4-chain128", "u4 engine-batch4-recompute-chain128"},
+		{"u4 engine-magic-chain128", "u4 engine-magic-split-chain128"},
+	} {
+		sameModel(u[0], u[1])
+		if a, b := row(u[0]).Firings, row(u[1]).Firings; a > b {
+			t.Errorf("%s fires %d rules, its recompute twin %d", u[0], a, b)
+		}
+	}
+	if a, b := row("u4 engine-trickle-chain128"), row("u1 update-trickle-incr-chain128"); a != b {
+		t.Errorf("the engine's loads count %v, the view's transactions %v", a.fields(), b.fields())
+	}
+	// A WithMagic engine's loads after a Run fire nothing: its queries never
+	// read the model.  (Index and plan counters differ: a Run's model shares
+	// the EDB's relations and the indexes it builds on them, which the split
+	// twin's querying engine lacks.)
+	if a, b := row("u4 engine-magic-chain128"), row("u4 engine-magic-split-chain128"); a.Firings != b.Firings || a.Derived != b.Derived {
+		t.Errorf("a WithMagic engine's loads after a Run count %v, without its model %v", a.fields(), b.fields())
 	}
 
 	if *update && !t.Failed() {
