@@ -2,6 +2,7 @@ package ldl1
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -75,5 +76,94 @@ func TestSolveAllocsFlatPerRow(t *testing.T) {
 	t.Logf("allocs per solve: %.0f (8 rows), %.0f (512 rows)", small, large)
 	if doublings := 6.0; large > small+doublings {
 		t.Errorf("512 rows allocate %.0f objects, 8 rows %.0f: more than %.0f slice doublings apart", large, small, doublings)
+	}
+}
+
+// readMissCeilings bound the objects one read allocates when the answer
+// cache misses, by reader: measured plus a quarter.  The read takes its
+// compiled form from the reader's memo (or its prepared handle) and binds
+// the new constant to it, so it builds no query shape and plans through the
+// form's memo of join orders.  Measured here, and (in parentheses) when a
+// snapshot read built and planned a one-off shape per call and a magic-sets
+// execution evaluated the program's facts again: engine 33 (46), view 33
+// (46), view-prepared 25 (38), magic-base 33 (46), magic-derived 385 (908).
+var readMissCeilings = map[string]float64{
+	"engine":        41,
+	"view":          41,
+	"view-prepared": 31,
+	"magic-base":    41,
+	"magic-derived": 481,
+}
+
+// TestReadMissAllocCeiling reads one shape with a new constant each time, so
+// every read misses the answer cache, on an engine, a view, a view's
+// prepared handle and a WithMagic engine: a base relation, answered from
+// the snapshot, and a derived one, answered by magic-sets evaluation.
+func TestReadMissAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	src := treeProgram(6) // nodes n1 … n127; n64 … n127 are leaves
+	plain, err := New(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	magicEng, err := New(src, WithMagic(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := plain.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv2, err := plain.Materialize() // the prepared handle's, with a cache of its own
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := mv2.Prepare("p(n1, W)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first read of each shape compiles its form.
+	for _, read := range []func() (*Answers, error){
+		func() (*Answers, error) { return plain.Query("p(n1, W)") },
+		func() (*Answers, error) { return mv.Query("p(n1, W)") },
+		func() (*Answers, error) { return magicEng.Query("p(n1, W)") },
+		func() (*Answers, error) { return magicEng.Query("a(n1, W)") },
+	} {
+		if _, err := read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 40
+	measure := func(name, pred string, first int, read func(q string, node Term) (*Answers, error)) {
+		// AllocsPerRun calls read once to warm up and then runs times, each
+		// on a node no read of the reader has named yet, from n<first> on.
+		qs, nodes := make([]string, runs+1), make([]Term, runs+1)
+		for k := range qs {
+			n := fmt.Sprintf("n%d", first+k)
+			qs[k], nodes[k] = pred+"("+n+", W)", Sym(n)
+		}
+		i := 0
+		got := testing.AllocsPerRun(runs, func() {
+			if _, err := read(qs[i], nodes[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("%s: %.0f allocs per read miss (ceiling %.0f)", name, got, readMissCeilings[name])
+		if got > readMissCeilings[name] {
+			t.Errorf("%s: %.0f allocs per read miss, ceiling %.0f", name, got, readMissCeilings[name])
+		}
+	}
+	measure("engine", "p", 2, func(q string, _ Term) (*Answers, error) { return plain.Query(q) })
+	measure("view", "p", 2, func(q string, _ Term) (*Answers, error) { return mv.Query(q) })
+	measure("view-prepared", "p", 2, func(_ string, n Term) (*Answers, error) { return pq.Exec(n) })
+	measure("magic-base", "p", 2, func(q string, _ Term) (*Answers, error) { return magicEng.Query(q) })
+	measure("magic-derived", "a", 64, func(q string, _ Term) (*Answers, error) { return magicEng.Query(q) })
+	for _, v := range []*Materialized{mv, mv2} {
+		if hits, _, _, _ := v.CacheCounters(); hits != 0 {
+			t.Errorf("%d cache hits on a view, want every read a miss", hits)
+		}
 	}
 }

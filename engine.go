@@ -19,11 +19,6 @@ import (
 	"ldl1/internal/term"
 )
 
-// preparedCap bounds the engine's memo of compiled magic forms; a form costs
-// one adorn + rewrite + stratify, so the cap only matters for workloads
-// cycling through many distinct (predicate, adornment) shapes.
-const preparedCap = 32
-
 // Strategy selects the fixpoint algorithm (§3.2).
 type Strategy = eval.Strategy
 
@@ -125,8 +120,8 @@ func WithoutIndexes() Option { return func(c *config) { c.noIndexes = true } }
 // IndexHits) changes.  An ablation switch for benchmarks.
 func WithoutReorder() Option { return func(c *config) { c.noReorder = true } }
 
-// WithoutQueryCache disables the answer cache (the engine's and every
-// view's) and the memo of compiled magic forms: every query recompiles and
+// WithoutQueryCache disables the answer cache and the memo of compiled query
+// forms, the engine's and every view's: every query recompiles and
 // re-evaluates from scratch.  An ablation switch for benchmarks; Prepare
 // still works and still skips recompilation through its own handle.
 func WithoutQueryCache() Option { return func(c *config) { c.noQueryCache = true } }
@@ -144,8 +139,8 @@ func WithoutRewrite() Option { return func(c *config) { c.noRewrite = true } }
 // write lock; other reads take a read lock.  A magic-sets read (WithMagic)
 // and Explain clone the extensional database under a read lock and evaluate
 // the clone without it.  Every read sees a load wholly or not at all.  The
-// answer cache and the compiled-form memo carry their own locks and publish
-// only fully built, immutable entries.
+// reader's answer cache and form memo carry their own locks and publish only
+// fully built, immutable entries.
 type Engine struct {
 	cfg      config
 	source   *ast.Program  // program as written (after LDL1.5 expansion)
@@ -157,13 +152,8 @@ type Engine struct {
 	pending  []*term.Fact       // loaded since the view was last brought up to date
 
 	// r answers every Query and prepared Exec: from the view's snapshot, or
-	// under WithMagic through a compiled form evaluated against edb.
+	// under WithMagic through a magic form evaluated against edb.
 	r *reader
-	// forms memoizes compiled magic forms by (predicate, adornment) — the
-	// adornment depends only on which positions are ground, so one form
-	// serves every constant.  Nil under WithoutQueryCache.
-	formsMu sync.Mutex
-	forms   map[formKey]*magic.Prepared
 }
 
 // New parses an LDL1 (or LDL1.5) program — rules and facts — compiles any
@@ -206,10 +196,7 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 	e.r = e.cfg.newReader(e.materialized, dependencyCones(compiled))
 	e.r.sink = &sink{counts: e.cfg.stats}
 	if e.cfg.magic {
-		e.r.compile, e.r.exec = e.magicForm, e.execMagic
-		if !e.cfg.noQueryCache {
-			e.forms = map[formKey]*magic.Prepared{}
-		}
+		e.r.magicForm, e.r.exec = e.magicForm, e.execMagic
 	}
 	return e, nil
 }
@@ -416,43 +403,14 @@ func (e *Engine) Prepare(q string) (*PreparedQuery, error) {
 	return e.r.prepare(query)
 }
 
-// formKey identifies one compiled magic form: a predicate and a literal
-// shape (see shape).
-type formKey struct{ pred, shape string }
-
-// magicForm is the reader's compile step on a WithMagic engine: the magic
-// form of a positive literal on a derived predicate, nil for any other
-// literal.  A shared (positional) literal goes through the form memo; its
-// constants are never read back, every Exec supplies its own.
-func (e *Engine) magicForm(lit ast.Literal, shared bool) (*magic.Prepared, error) {
+// magicForm is the reader's magic compile step on a WithMagic engine: the
+// magic form of a positive literal on a derived predicate, nil for any other
+// literal.
+func (e *Engine) magicForm(lit ast.Literal) (*magic.Prepared, error) {
 	if _, derived := e.r.cones[lit.Pred]; !derived || lit.Negated {
 		return nil, nil
 	}
-	query := parser.Query{Body: []ast.Literal{lit}}
-	if !shared || e.forms == nil {
-		return magic.PrepareVariant(e.source, query, e.cfg.magicVariant())
-	}
-	k := formKey{lit.Pred, shape(lit)}
-	e.formsMu.Lock()
-	pr := e.forms[k]
-	e.formsMu.Unlock()
-	if pr != nil {
-		return pr, nil
-	}
-	pr, err := magic.PrepareVariant(e.source, query, e.cfg.magicVariant())
-	if err != nil {
-		return nil, err
-	}
-	e.formsMu.Lock()
-	defer e.formsMu.Unlock()
-	if len(e.forms) >= preparedCap {
-		for old := range e.forms { // evict an arbitrary form
-			delete(e.forms, old)
-			break
-		}
-	}
-	e.forms[k] = pr
-	return pr, nil
+	return magic.PrepareVariant(e.source, parser.Query{Body: []ast.Literal{lit}}, e.cfg.magicVariant())
 }
 
 // execMagic is the reader's exec step on a WithMagic engine: one magic-sets

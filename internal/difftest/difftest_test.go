@@ -10,6 +10,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -197,7 +198,7 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 	}{{full, store.NewDB()}, {rules, edb}}
 	for _, h := range heads {
 		q := query(r, h, want, cov)
-		rows, err := eval.Solve(q.Body, want)
+		rows, err := eval.SolveLimitsCtx(context.Background(), q.Body, want, eval.SolveLimits{})
 		if err != nil {
 			fail("%s: %v", q, err)
 		}

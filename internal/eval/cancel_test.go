@@ -142,10 +142,10 @@ func TestSolveCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveCtx(ctx, q.Body, db); !errors.Is(err, lderr.Canceled) {
+	if _, err := SolveLimitsCtx(ctx, q.Body, db, SolveLimits{}); !errors.Is(err, lderr.Canceled) {
 		t.Fatalf("want lderr.Canceled, got %v", err)
 	}
-	sols, err := SolveCtx(context.Background(), q.Body, db)
+	sols, err := SolveLimitsCtx(context.Background(), q.Body, db, SolveLimits{})
 	if err != nil || len(sols) != 8 {
 		t.Fatalf("live context: sols=%d err=%v", len(sols), err)
 	}

@@ -2,8 +2,10 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/layering"
@@ -28,43 +30,44 @@ const (
 )
 
 // Stats collects the counters of evaluation and of incremental maintenance
-// (internal/incr), which fire rules through the same driver.
+// (internal/incr), which fire rules through the same driver.  Its json keys
+// are those of the eval object of the server's /stats.
 type Stats struct {
 	// Iterations counts inner fixpoint iterations across all layers, and
 	// the cascade rounds of maintenance.
-	Iterations int
+	Iterations int `json:"iterations"`
 	// Derived counts facts newly added by rule application — by
 	// maintenance too, where a transaction's own EDB facts do not count.
-	Derived int
+	Derived int `json:"derived"`
 	// Firings counts successful rule-body solutions (including ones
 	// whose head fact already existed), the regrouping and rederivation
 	// enumerations of maintenance included.
-	Firings int
+	Firings int `json:"firings"`
 	// IndexHits counts candidate probes answered by a (possibly
 	// composite) column hash index on the compiled access path.
-	IndexHits int
+	IndexHits int `json:"index_hits"`
 	// FullScans counts candidate scans that enumerated a relation: the
 	// plan had no ground column for the literal, or the relation was
 	// below store.IndexThreshold.
-	FullScans int
+	FullScans int `json:"full_scans"`
 	// DeletedOverestimate counts facts removed by the delete-and-rederive
 	// overestimation step of incremental maintenance (internal/incr).
-	DeletedOverestimate int
+	DeletedOverestimate int `json:"deleted_overestimate"`
 	// Rederived counts overestimated deletions resurrected because an
 	// alternative derivation survived the transaction.
-	Rederived int
+	Rederived int `json:"rederived"`
 	// RegroupedClasses counts ≡-equivalence classes of grouping rules
 	// invalidated and regrouped by incremental maintenance.
-	RegroupedClasses int
+	RegroupedClasses int `json:"regrouped_classes"`
 	// PlansReordered counts compiled body plans where the cost model chose
 	// a different join order than the static most-bound-columns heuristic.
-	PlansReordered int
+	PlansReordered int `json:"plans_reordered"`
 	// EstimatedRows sums the cost model's per-step candidate estimates over
 	// all compiled plans — the planner's view of how much work it scheduled.
-	EstimatedRows int64
+	EstimatedRows int64 `json:"estimated_rows"`
 	// CacheHits counts engine queries answered from the answer cache
 	// without any evaluation.
-	CacheHits int
+	CacheHits int `json:"cache_hits"`
 }
 
 // Merge adds the counters of other into s.
@@ -163,10 +166,14 @@ func Admit(p *ast.Program) (*Program, error) {
 // choose join orders.  The memos publish safely, so one Program serves any
 // number of concurrent Run calls and views.
 type Program struct {
-	facts  []ast.Literal // the heads of every group's facts
+	facts  []*term.Fact // every group's facts, each evaluated once
 	layers []Layer
 	lay    *layering.Layering // the groups' layering, under Admit
 }
+
+// Facts returns the facts of the program text, evaluated (§2.2: 2+2 is 4);
+// the caller must not write to them.
+func (prog *Program) Facts() []*term.Fact { return prog.facts }
 
 // Layering returns the layering Admit grouped the program by: one layer per
 // group.  Nil for a Program built by Compile.
@@ -227,7 +234,8 @@ type Rule struct {
 // Compile compiles rule groups for Run and maintenance.  Groups run in
 // order, each to its fixpoint; no admissibility check is performed, so the
 // magic-sets evaluator compiles its own (non-admissible) group assignment
-// with it.
+// with it.  Each fact is evaluated here, once: a fact outside U (p(1/0).)
+// is an error of the program.
 func Compile(groups [][]ast.Rule) (*Program, error) {
 	prog := &Program{layers: make([]Layer, len(groups))}
 	for g, rules := range groups {
@@ -241,7 +249,11 @@ func Compile(groups [][]ast.Rule) (*Program, error) {
 		var base, rec, deltas []*Variant
 		for _, r := range rules {
 			if r.IsFact() {
-				prog.facts = append(prog.facts, r.Head)
+				f, err := unify.ApplyLit(r.Head, unify.NewBindings())
+				if err != nil {
+					return nil, fmt.Errorf("fact %q: %w", r.Head.String(), err)
+				}
+				prog.facts = append(prog.facts, f)
 				continue
 			}
 			cr, err := compileRule(r)
@@ -321,11 +333,7 @@ func compileRule(r ast.Rule) (*Rule, error) {
 // before group i+1 starts, all under the one set of budgets and counters of
 // the call.
 func (prog *Program) Run(db *store.DB, opts Options, after func(group int)) error {
-	for _, h := range prog.facts {
-		f, err := unify.ApplyLit(h, unify.NewBindings())
-		if err != nil {
-			return fmt.Errorf("fact %q: %w", h.String(), err)
-		}
+	for _, f := range prog.facts {
 		if db.Insert(f) && opts.Provenance != nil {
 			opts.Provenance.record(&Derivation{Fact: f})
 		}
@@ -510,14 +518,6 @@ func (ev *evaluation) semiNaiveFixpoint(l *Layer, plans []*bodyPlan) error {
 	return ev.Cascade(fr, ev.db, ev, ev.replan(l.Feeds.vars, plans))
 }
 
-// Solve evaluates a conjunctive query body against a database, returning
-// its answer table: one row per distinct solution, one column per entry of
-// Columns(body), rows in CompareRows order.  A column is nil where no
-// positive literal binds its variable.
-func Solve(body []ast.Literal, db *store.DB) ([][]term.Term, error) {
-	return SolveCtx(nil, body, db)
-}
-
 // Columns lists the answer columns of a query body: its variables in
 // first-occurrence order, anonymous ones left out.
 func Columns(body []ast.Literal) []term.Var {
@@ -554,18 +554,59 @@ type SolveLimits struct {
 	MemBudget int64
 }
 
-// SolveCtx is Solve under a context: the enumeration polls ctx and aborts
-// with lderr.Canceled / lderr.DeadlineExceeded when it is done.  A nil ctx
-// disables the polling.
-func SolveCtx(ctx context.Context, body []ast.Literal, db *store.DB) ([][]term.Term, error) {
-	return SolveLimitsCtx(ctx, body, db, SolveLimits{})
+// Query is a conjunctive query body compiled once: its answer columns and
+// the variant every Solve plans through.  The ground arguments of a body of
+// one positive database literal are parameters, bound by each Solve and not
+// answer columns, so one Query serves every query of that predicate and
+// binding pattern.  A Query is safe for concurrent Solve calls.
+type Query struct {
+	v        *Variant
+	cols     []term.Var
+	params   []term.Var  // bound per Solve, in argument order
+	defaults []term.Term // the body's own arguments at the parameters
+	distinct bool
 }
 
-// SolveLimitsCtx is SolveCtx under per-call resource bounds.
+// NewQuery compiles a query body; see Query.
+func NewQuery(body []ast.Literal) *Query {
+	q := &Query{cols: Columns(body), distinct: distinctRows(body)}
+	var pre map[term.Var]bool
+	if len(body) == 1 && !body[0].Negated && !layering.IsBuiltin(body[0].Pred) {
+		lit := ast.Literal{Pred: body[0].Pred, Args: slices.Clone(body[0].Args)}
+		pre = map[term.Var]bool{}
+		for i, a := range lit.Args {
+			if term.IsGround(a) {
+				p := term.Var("$p" + strconv.Itoa(i))
+				q.params, q.defaults = append(q.params, p), append(q.defaults, a)
+				lit.Args[i], pre[p] = p, true
+			}
+		}
+		body = []ast.Literal{lit}
+	}
+	q.v = newVariant(ast.Rule{Head: ast.NewLit("$query"), Body: body}, ast.Literal{}, body, -1, pre)
+	return q
+}
+
+// SolveLimitsCtx compiles body and solves it once against db: one row per
+// distinct solution, one column per entry of Columns(body) (nil where no
+// positive literal binds it), rows in CompareRows order.
 func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim SolveLimits) ([][]term.Term, error) {
-	var v Variant
-	v.init(ast.Rule{Head: ast.NewLit("$query"), Body: body}, ast.Literal{}, body, -1, nil)
-	p, _, err := v.plan(db)
+	return NewQuery(body).Solve(ctx, db, nil, lim)
+}
+
+// Solve returns the answer table of the query against db, as SolveLimitsCtx
+// does, with args bound to the parameters in argument order (nil: the
+// body's own).  An argument is evaluated as a constant column is: 1+1 is 2,
+// and 1/0, outside U, matches nothing.  The enumeration aborts with
+// lderr.Canceled / lderr.DeadlineExceeded once ctx (which may be nil) is done.
+func (q *Query) Solve(ctx context.Context, db *store.DB, args []term.Term, lim SolveLimits) ([][]term.Term, error) {
+	if args == nil {
+		args = q.defaults
+	}
+	if len(args) != len(q.params) {
+		return nil, fmt.Errorf("eval: query takes %d arguments, got %d", len(q.params), len(args))
+	}
+	p, _, err := q.v.plan(db)
 	if err != nil {
 		return nil, err
 	}
@@ -575,13 +616,22 @@ func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim S
 	if err := x.b.Err(); err != nil {
 		return nil, err
 	}
-	cols := Columns(body)
-	t := rowTable{width: len(cols), distinct: distinctRows(body)}
-	var solBytes int64
 	b := unify.NewBindings()
-	err = x.heads(&v, p, db, nil, b, func([]term.Term) error {
+	for i, a := range args {
+		v, err := unify.Apply(a, b)
+		if errors.Is(err, unify.ErrOutsideU) {
+			return [][]term.Term{}, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		b.Bind(q.params[i], v)
+	}
+	t := rowTable{width: len(q.cols), distinct: q.distinct}
+	var solBytes int64
+	err = x.heads(q.v, p, db, nil, b, func([]term.Term) error {
 		row := t.tail()
-		for i, v := range cols {
+		for i, v := range q.cols {
 			row[i], _ = b.Lookup(v)
 		}
 		if !t.keep(row) {

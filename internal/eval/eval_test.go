@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -302,7 +303,7 @@ func TestSolveQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := Solve(q.Body, db)
+	sols, err := SolveLimitsCtx(context.Background(), q.Body, db, SolveLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestSolveQuery(t *testing.T) {
 		t.Fatalf("got %d solutions: %v", len(sols), sols)
 	}
 	q2, _ := parser.ParseQuery("ancestor(a, d), ancestor(b, d)")
-	sols2, err := Solve(q2.Body, db)
+	sols2, err := SolveLimitsCtx(context.Background(), q2.Body, db, SolveLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ type shape struct {
 	pre  []term.Var    // bound on entry
 	// argVars[i][j] lists the variables of argument j of body literal i;
 	// isDB[i] marks a positive database literal.  memo lists the plans
-	// compiled, newest first; nil when planned once (Solve, CompileBody).
+	// compiled, newest first; nil when planned once (CompileBody).
 	argVars [][][]term.Var
 	isDB    []bool
 	memo    *atomic.Pointer[bodyPlan]

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -66,7 +67,7 @@ func TestSolveRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := Solve(q.Body, db)
+		rows, err := SolveLimitsCtx(context.Background(), q.Body, db, SolveLimits{})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -148,4 +149,49 @@ func bruteRows(body []ast.Literal, rels map[string][]*term.Fact, cols []term.Var
 	}
 	walk(0, map[term.Var]term.Term{})
 	return rows, solutions
+}
+
+// TestQueryParameters: the ground arguments of a one-literal query are
+// parameters, bound per Solve and never answer columns — nil binds the
+// query's own, and each is evaluated as a constant column of a body literal
+// is: 1+1 selects the facts of 2, 1/0 (outside U) selects none.  Every
+// constant plans through the one shape: after the first Solve, no further
+// plan is compiled.
+func TestQueryParameters(t *testing.T) {
+	db := store.NewDB()
+	for _, f := range []string{"e(2, x)", "e(2, y)", "e(3, z)"} {
+		q, err := parser.ParseQuery(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Insert(term.NewFact("e", q.Body[0].Args...))
+	}
+	pq, err := parser.ParseQuery("e(3, X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQuery(pq.Body)
+	solve := func(args ...term.Term) string {
+		rows, err := q.Solve(context.Background(), db, args, SolveLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	if got := solve(); got != "[[z]]" {
+		t.Errorf("e(3, X) = %s, want [[z]]", got)
+	}
+	before := plansCompiled.Load()
+	if got := solve(term.NewCompound("+", term.Int(1), term.Int(1))); got != "[[x] [y]]" {
+		t.Errorf("e(1+1, X) = %s, want [[x] [y]]", got)
+	}
+	if got := solve(term.NewCompound("/", term.Int(1), term.Int(0))); got != "[]" {
+		t.Errorf("e(1/0, X) = %s, want []", got)
+	}
+	if n := plansCompiled.Load() - before; n != 0 {
+		t.Errorf("%d plans compiled for a new constant, want 0", n)
+	}
+	if _, err := q.Solve(context.Background(), db, []term.Term{term.Int(2), term.Int(3)}, SolveLimits{}); err == nil {
+		t.Error("two arguments for one parameter: no error")
+	}
 }

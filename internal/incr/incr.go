@@ -47,7 +47,6 @@ import (
 	"ldl1/internal/lderr"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
-	"ldl1/internal/unify"
 )
 
 // Tx is one transaction: a set of EDB facts to insert and a set to retract.
@@ -159,20 +158,8 @@ func From(prog *eval.Program, edb *store.DB, opts Options) (*Materialized, error
 			}
 		}
 	}
-	var progFacts []*term.Fact
-	for _, rules := range lay.Rules {
-		for _, r := range rules {
-			if r.IsFact() {
-				f, err := unify.ApplyLit(r.Head, unify.NewBindings())
-				if err != nil {
-					return nil, err
-				}
-				progFacts = append(progFacts, f)
-			}
-		}
-	}
 	m.edb = edb.Clone()
-	m.edb.LoadFacts(progFacts, store.LoadOpts{})
+	m.edb.LoadFacts(prog.Facts(), store.LoadOpts{})
 	model := m.edb.Clone()
 	if err := prog.Run(model, opts, nil); err != nil {
 		return nil, err

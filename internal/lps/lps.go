@@ -14,6 +14,7 @@
 package lps
 
 import (
+	"context"
 	"fmt"
 
 	"ldl1/internal/ast"
@@ -92,7 +93,7 @@ func Eval(p *Program, edb *store.DB) (*store.DB, error) {
 }
 
 func applyRule(r Rule, db *store.DB) (int, error) {
-	rows, err := eval.Solve(r.Regular, db)
+	rows, err := eval.SolveLimitsCtx(context.TODO(), r.Regular, db, eval.SolveLimits{})
 	if err != nil {
 		return 0, err
 	}
@@ -131,7 +132,7 @@ func forallHolds(quants []Quant, body []ast.Literal, b *unify.Bindings, db *stor
 			return true, nil
 		}
 		// Check the conjunction with all variables bound.
-		sols, err := eval.Solve(ground(body, b), db)
+		sols, err := eval.SolveLimitsCtx(context.TODO(), ground(body, b), db, eval.SolveLimits{})
 		if err != nil {
 			return false, err
 		}

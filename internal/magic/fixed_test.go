@@ -1,6 +1,7 @@
 package magic
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,7 +89,7 @@ func checkMagic(t *testing.T, name string, p *ast.Program, edb *store.DB, per in
 				args = append(args, term.Var(fmt.Sprint("W", i)))
 			}
 			q := parser.Query{Body: []ast.Literal{ast.NewLit(pred, args...)}}
-			want, err := eval.Solve(q.Body, m)
+			want, err := eval.SolveLimitsCtx(context.Background(), q.Body, m, eval.SolveLimits{})
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, q, err)
 			}

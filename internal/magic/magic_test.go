@@ -72,7 +72,7 @@ func baseline(p *ast.Program, q parser.Query, opts eval.Options) ([][]term.Term,
 	if err != nil {
 		return nil, err
 	}
-	return eval.SolveCtx(opts.Ctx, q.Body, db)
+	return eval.SolveLimitsCtx(opts.Ctx, q.Body, db, eval.SolveLimits{})
 }
 
 // sameRows reports whether two answer tables hold the same rows.  Both are

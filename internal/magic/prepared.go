@@ -28,7 +28,7 @@ type Result struct {
 	// database.
 	DB *store.DB
 	// Solutions is the answer table read off the adorned query predicate:
-	// one sorted row per answer, columns as eval.Solve gives them.
+	// one sorted row per answer, columns as eval.Query.Solve gives them.
 	Solutions [][]term.Term
 	// Passes is the number of saturation passes.  It is 1 when every magic
 	// fact is found no later than the first rule group that reads it — a
@@ -52,13 +52,13 @@ type Prepared struct {
 	Adorned   *AdornedProgram
 	Rewritten *Rewritten
 	prog      *eval.Program
+	// answer reads the answers off Rewritten.AnswerPred; its parameters are
+	// the bound positions, which Exec binds to the seed constants.
+	answer *eval.Query
 	// seedPred is the magic predicate the seed fact instantiates.
 	seedPred string
-	// boundPos lists the query-literal argument positions that are bound
-	// under the adornment, ascending; Exec constants bind here in order.
-	boundPos []int
-	// defaults are the seed constants of the original query, used when
-	// Exec is called without explicit constants.
+	// defaults are the seed constants of the original query, one per bound
+	// argument position, used when Exec is called without explicit ones.
 	defaults []term.Term
 	// due maps a magic predicate to the last group in which a new fact of
 	// it is on time: the lowest group holding a rule that reads it, or the
@@ -98,13 +98,9 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 		Adorned:   ap,
 		Rewritten: rw,
 		prog:      prog,
+		answer:    eval.NewQuery([]ast.Literal{{Pred: rw.AnswerPred, Args: ap.QueryLit.Args}}),
 		seedPred:  rw.Seed.Head.Pred,
 		defaults:  append([]term.Term(nil), rw.Seed.Head.Args...),
-	}
-	for i := range ap.QueryLit.Args {
-		if ap.QueryAdorn.Bound(i) {
-			pr.boundPos = append(pr.boundPos, i)
-		}
 	}
 	pr.due = map[string]int{}
 	for g, rules := range rw.Groups {
@@ -168,9 +164,9 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 	if consts == nil {
 		consts = pr.defaults
 	}
-	if len(consts) != len(pr.boundPos) {
+	if len(consts) != len(pr.defaults) {
 		return nil, fmt.Errorf("magic: prepared query %s^%s takes %d constants, got %d",
-			pr.Adorned.QueryPred, pr.Adorned.QueryAdorn, len(pr.boundPos), len(consts))
+			pr.Adorned.QueryPred, pr.Adorned.QueryAdorn, len(pr.defaults), len(consts))
 	}
 	seedArgs := make([]term.Term, len(consts))
 	for i, c := range consts {
@@ -218,14 +214,9 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 		}
 	}
 
-	// Read the answers off the adorned query predicate, with the per-call
-	// constants substituted at the bound positions.
-	qargs := append([]term.Term(nil), pr.Adorned.QueryLit.Args...)
-	for i, pos := range pr.boundPos {
-		qargs[pos] = seedArgs[i]
-	}
-	qlit := ast.Literal{Pred: pr.Rewritten.AnswerPred, Args: qargs}
-	sols, err := eval.SolveCtx(opts.Ctx, []ast.Literal{qlit}, db)
+	// Read the answers off the adorned query predicate, the per-call
+	// constants bound at the bound positions.
+	sols, err := pr.answer.Solve(opts.Ctx, db, seedArgs, eval.SolveLimits{})
 	if err != nil {
 		return nil, err
 	}

@@ -326,20 +326,6 @@ type cacheStats struct {
 	Entries   int `json:"entries"`
 }
 
-type evalStats struct {
-	Iterations          int   `json:"iterations"`
-	Derived             int   `json:"derived"`
-	Firings             int   `json:"firings"`
-	IndexHits           int   `json:"index_hits"`
-	FullScans           int   `json:"full_scans"`
-	DeletedOverestimate int   `json:"deleted_overestimate"`
-	Rederived           int   `json:"rederived"`
-	RegroupedClasses    int   `json:"regrouped_classes"`
-	PlansReordered      int   `json:"plans_reordered"`
-	EstimatedRows       int64 `json:"estimated_rows"`
-	CacheHits           int   `json:"cache_hits"`
-}
-
 type dbStats struct {
 	Facts       map[string]int `json:"facts"`
 	ModelFacts  int            `json:"model_facts"`
@@ -348,7 +334,7 @@ type dbStats struct {
 	ReadErrors  int64          `json:"read_errors"`
 	WriteErrors int64          `json:"write_errors"`
 	Cache       cacheStats     `json:"cache"`
-	Eval        evalStats      `json:"eval"`
+	Eval        ldl1.Stats     `json:"eval"`
 }
 
 type statsResponse struct {
@@ -383,19 +369,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ReadErrors:  db.readErrors.Load(),
 			WriteErrors: db.writeErrors.Load(),
 			Cache:       cacheStats{Hits: hits, Misses: misses, Evictions: evictions, Entries: entries},
-			Eval: evalStats{
-				Iterations:          es.Iterations,
-				Derived:             es.Derived,
-				Firings:             es.Firings,
-				IndexHits:           es.IndexHits,
-				FullScans:           es.FullScans,
-				DeletedOverestimate: es.DeletedOverestimate,
-				Rederived:           es.Rederived,
-				RegroupedClasses:    es.RegroupedClasses,
-				PlansReordered:      es.PlansReordered,
-				EstimatedRows:       es.EstimatedRows,
-				CacheHits:           es.CacheHits,
-			},
+			Eval:        es,
 		}
 	}
 	writeJSON(w, resp)

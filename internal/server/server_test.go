@@ -323,6 +323,41 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsEvalKeys pins the eval object of GET /stats: exactly these keys,
+// in this order — what clients of ldl1d read.
+func TestStatsEvalKeys(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var st struct {
+		Databases map[string]struct {
+			Eval json.RawMessage `json:"eval"`
+		} `json:"databases"`
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/stats", nil, &st); code != 200 {
+		t.Fatalf("stats status %d", code)
+	}
+	eval := st.Databases["family"].Eval
+	dec := json.NewDecoder(bytes.NewReader(eval))
+	if tok, err := dec.Token(); tok != json.Delim('{') {
+		t.Fatalf("eval = %s: %v", eval, err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		var value any
+		if err == nil {
+			err = dec.Decode(&value)
+		}
+		if err != nil {
+			t.Fatalf("eval = %s: %v", eval, err)
+		}
+		keys = append(keys, key.(string))
+	}
+	want := "iterations derived firings index_hits full_scans deleted_overestimate rederived regrouped_classes plans_reordered estimated_rows cache_hits"
+	if got := strings.Join(keys, " "); got != want {
+		t.Errorf("eval keys:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestInfoAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var info dbInfo

@@ -173,7 +173,8 @@ func TestWriteAllocBoundedByChange(t *testing.T) {
 // evaluated however it is loaded — program text, AddFacts, AddFact or a
 // view's Assert — so each load gives one model, read alike plain and under
 // magic; a view retracts a fact written another way, and a fact outside U is
-// rejected.
+// rejected — one in the program text by New, which evaluates each fact of
+// the program once, before any read.
 func TestLoadedFactsAreEvaluated(t *testing.T) {
 	const fact = "p(2+2, scons(3, {4})).\n"
 	for _, magic := range []bool{false, true} {
@@ -213,6 +214,11 @@ func TestLoadedFactsAreEvaluated(t *testing.T) {
 	e, _ := New("")
 	if err := e.AddFacts("p(1/0)."); !errors.As(err, &pe) {
 		t.Errorf("AddFacts(p(1/0)) = %v, want a ParseError", err)
+	}
+	for _, magic := range []bool{false, true} {
+		if _, err := New("q(X) <- p(X).\np(1/0).", WithMagic(magic)); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("magic %v: New of a program with p(1/0). = %v; want an outside-U error", magic, err)
+		}
 	}
 }
 

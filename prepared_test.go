@@ -675,7 +675,9 @@ func TestPreparedNonMagicEngine(t *testing.T) {
 
 // TestConcurrentExecAddFact exercises the read path under concurrent
 // prepared executions, queries and EDB updates, on a magic and on a plain
-// engine, each with a shared WithStats sink; run under -race.  Every read
+// engine, each with a shared WithStats sink; run under -race.  Two
+// goroutines query one shape with changing constants, so they compile its
+// form into the reader's memo and take it from there side by side.  Every read
 // must return answers consistent with some EDB state (in particular, never
 // an error), the sink must have counted every read's work, and the final
 // repeat must see all inserted facts.
@@ -700,8 +702,8 @@ func TestConcurrentExecAddFact(t *testing.T) {
 					switch g {
 					case 0:
 						err = eng.AddFact(NewFact("par", Sym("d"), Sym(fmt.Sprintf("n%d", i))))
-					case 1:
-						_, err = eng.Query("anc(b, Out)")
+					case 1, 2:
+						_, err = eng.Query(fmt.Sprintf("anc(%c, Out)", "abcd"[(g+i)%4]))
 					default:
 						_, err = pq.Exec()
 					}
@@ -776,5 +778,75 @@ func TestEngineCostOrderingFullScans(t *testing.T) {
 	}
 	if scost.FullScans >= sstatic.FullScans {
 		t.Errorf("full scans: cost=%d static=%d", scost.FullScans, sstatic.FullScans)
+	}
+}
+
+// TestArgumentEvaluation pins how a ground query argument is evaluated on
+// every read path — a query, a prepared Exec of its own constants and one
+// binding a new constant, on an engine and on a view, of a derived and of a
+// base predicate: as a constant column of a body literal is, so a(1+1, X)
+// answers as a(2, X), and a(1/0, X), whose argument lies outside U, answers
+// no.  Under WithMagic a derived predicate's constant seeds the magic
+// predicate, and one outside U is an error; so is a prepared argument
+// outside U, on every path.
+func TestArgumentEvaluation(t *testing.T) {
+	const src = `
+		a(X, Y) <- e(X, Y).
+		e(2, x). e(2, y). e(3, z).
+	`
+	args := []struct {
+		text string
+		term Term
+		want string // "": an error
+	}{
+		{"1+1", Func("+", Num(1), Num(1)), "X = x\nX = y"},
+		{"1/0", Func("/", Num(1), Num(0)), "no"},
+	}
+	for _, withMagic := range []bool{false, true} {
+		eng, err := New(src, WithMagic(withMagic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mv, err := eng.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers := []struct {
+			name    string
+			query   func(string) (*Answers, error)
+			prepare func(string) (*PreparedQuery, error)
+		}{{"engine", eng.Query, eng.Prepare}, {"view", mv.Query, mv.Prepare}}
+		for _, r := range readers {
+			for _, pred := range []string{"a", "e"} {
+				for _, arg := range args {
+					q := pred + "(" + arg.text + ", X)"
+					exec := func(q string, args ...Term) (*Answers, error) {
+						pq, err := r.prepare(q)
+						if err != nil {
+							return nil, err
+						}
+						return pq.Exec(args...)
+					}
+					for how, read := range map[string]func() (*Answers, error){
+						"Query":     func() (*Answers, error) { return r.query(q) },
+						"Exec":      func() (*Answers, error) { return exec(q) },
+						"Exec(arg)": func() (*Answers, error) { return exec(pred+"(3, X)", arg.term) },
+					} {
+						want := arg.want
+						if arg.text == "1/0" && (how == "Exec(arg)" || withMagic && r.name == "engine" && pred == "a") {
+							want = ""
+						}
+						got, err := read()
+						name := fmt.Sprintf("magic=%v %s %s %s", withMagic, r.name, how, q)
+						switch {
+						case want == "" && err == nil:
+							t.Errorf("%s = %v, want an error", name, got)
+						case want != "" && (err != nil || got.String() != want):
+							t.Errorf("%s = %v, %v; want %q", name, got, err, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

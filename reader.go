@@ -3,7 +3,6 @@ package ldl1
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -22,6 +21,11 @@ import (
 // answerCacheCap bounds a reader's answer cache.  Entries hold solution
 // slices, so the cap trades memory against repeated-query latency.
 const answerCacheCap = 128
+
+// formCap bounds a reader's memo of compiled forms.  A magic form costs one
+// adorn + rewrite + stratify, so the cap only matters for workloads cycling
+// through many distinct (predicate, shape) pairs.
+const formCap = 32
 
 // ReadOpts bounds one read.  The zero value applies only the engine-level
 // WithDeadline, if any.  These are the per-request knobs the ldl1d server
@@ -54,12 +58,19 @@ type ReadOpts struct {
 type reader struct {
 	// view returns the view whose current snapshot a read solves against.
 	view func(ctx context.Context) (*incr.Materialized, error)
-	// compile and exec are set on WithMagic engines only: compile returns
-	// the magic form of a positive literal on a derived predicate (nil for
-	// any other literal, which is answered from the snapshot), and exec
-	// evaluates a form for the given constants under the engine's read lock.
-	compile func(lit ast.Literal, shared bool) (*magic.Prepared, error)
-	exec    func(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error)
+	// magicForm and exec are set on WithMagic engines only: magicForm
+	// returns the magic form of a positive literal on a derived predicate
+	// (nil for any other literal, which is answered from the snapshot), and
+	// exec evaluates a magic form for the given constants under the engine's
+	// read lock.
+	magicForm func(lit ast.Literal) (*magic.Prepared, error)
+	exec      func(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error)
+
+	// formMu guards forms, the compiled forms of cache-shaped database
+	// literals by predicate and shape (an answer-cache key without its
+	// constants), at most formCap of them; nil under WithoutQueryCache.
+	formMu sync.Mutex
+	forms  map[qcache.Key]*form
 
 	// cache memoizes the answers of cache-shaped literals (see
 	// canonicalLit); disabled, not nil, under WithoutQueryCache.
@@ -93,13 +104,14 @@ func (k *sink) stats() (*eval.Stats, func()) {
 }
 
 // newReader builds a reader over a snapshot source under the engine
-// configuration's answer-cache switch and deadline.
+// configuration's deadline and cache switch, which turns off the answer
+// cache and the form memo alike.
 func (c *config) newReader(view func(context.Context) (*incr.Materialized, error), cones map[string]map[string]bool) *reader {
-	cap := answerCacheCap
+	r := &reader{view: view, cache: qcache.New(answerCacheCap), forms: map[qcache.Key]*form{}, cones: cones, deadline: c.deadline}
 	if c.noQueryCache {
-		cap = 0
+		r.cache, r.forms = qcache.New(0), nil
 	}
-	return &reader{view: view, cache: qcache.New(cap), cones: cones, deadline: c.deadline}
+	return r
 }
 
 // withDeadline layers the deadline d, when positive, onto ctx.  The
@@ -169,17 +181,17 @@ func (r *reader) query(ctx context.Context, q string, o ReadOpts) (*Answers, err
 	return r.read(ctx, query, nil, o)
 }
 
-// read answers a parsed query; form is the compiled magic form a prepared
-// handle carries, nil otherwise.  A cache-shaped single literal is
-// rewritten with positional variables ($0, $1, ...) so that every caller
-// spelling of the same (predicate, adornment, constants) shares one cache
-// entry and one compiled form; the answers are reported under the caller's
-// names.  The invalidation generation is recorded BEFORE the snapshot is
-// loaded: any update published after that point bumps it, so a fill
-// computed against a superseded database is dropped by PutAt instead of
-// being served as current.  A failed read is never cached — a deadline,
-// row-limit, or budget breach must not poison later calls.
-func (r *reader) read(ctx context.Context, query parser.Query, form *magic.Prepared, o ReadOpts) (*Answers, error) {
+// read answers a parsed query; f is the form a prepared handle keeps, nil
+// otherwise.  A cache-shaped single literal is keyed by predicate, shape
+// and constants, so every caller spelling of it shares one cache entry and
+// one compiled form: its rows are in argument order, whatever its variables
+// are named, and are reported under the caller's names.  The invalidation
+// generation is recorded BEFORE the snapshot is loaded: any update published
+// after that point bumps it, so a fill computed against a superseded
+// database is dropped by PutAt instead of being served as current.  A failed
+// read is never cached — a deadline, row-limit, or budget breach must not
+// poison later calls.
+func (r *reader) read(ctx context.Context, query parser.Query, f *form, o ReadOpts) (*Answers, error) {
 	d := o.Deadline
 	if d <= 0 {
 		d = r.deadline
@@ -189,56 +201,103 @@ func (r *reader) read(ctx context.Context, query parser.Query, form *magic.Prepa
 	st, merge := r.sink.stats()
 	defer merge()
 
-	if len(query.Body) != 1 || !canonicalLit(query.Body[0]) {
-		rows, err := r.compute(ctx, query.Body, form, false, o, st)
-		if err != nil {
-			return nil, err
+	body := query.Body
+	var key qcache.Key // zero: not cache-shaped
+	if len(body) == 1 && canonicalLit(body[0]) {
+		lit := body[0]
+		key = qcache.Key{Pred: lit.Pred, Adorn: shape(lit), Consts: qcache.ConstsKey(groundArgs(lit))}
+		if ent, hit := r.cache.Get(key); hit {
+			if st != nil {
+				st.CacheHits++
+			}
+			return newAnswers(body, ent.Sols, o.MaxRows)
 		}
-		return newAnswers(query.Body, rows, o.MaxRows)
 	}
-	lit := query.Body[0]
-	canon := []ast.Literal{positional(lit)}
-	key := qcache.Key{
-		Pred:   lit.Pred,
-		Adorn:  shape(lit),
-		Consts: qcache.ConstsKey(groundArgs(lit)),
+	gen := r.cache.Gen()
+	rows, err := r.compute(ctx, body, f, key, o, st)
+	if err != nil {
+		return nil, err
 	}
-	ent, hit := r.cache.Get(key)
-	if hit {
-		if st != nil {
-			st.CacheHits++
-		}
-	} else {
-		gen := r.cache.Gen()
-		rows, err := r.compute(ctx, canon, form, true, o, st)
-		if err != nil {
-			return nil, err
-		}
-		ent = &qcache.Entry{Sols: rows, Cone: r.cone(lit.Pred)}
-		r.cache.PutAt(key, ent, gen)
+	if key.Pred != "" {
+		r.cache.PutAt(key, &qcache.Entry{Sols: rows, Cone: r.cone(key.Pred)}, gen)
 	}
-	return newAnswers(query.Body, ent.Sols, o.MaxRows)
+	return newAnswers(body, rows, o.MaxRows)
 }
 
-// compute evaluates body — by the magic pipeline when the reader has one
-// and the body is a literal it covers, else by solving against the
-// snapshot.  shared marks a positional literal, whose compiled form may be
-// shared with every query of the same predicate and adornment.
-func (r *reader) compute(ctx context.Context, body []ast.Literal, form *magic.Prepared, shared bool, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
-	if form == nil && r.compile != nil && len(body) == 1 {
+// form is a query compiled once for its binding pattern: the magic form of
+// a positive literal on a derived predicate of a WithMagic engine, or else
+// a read of the snapshot.  The form of a parametric body takes its ground
+// arguments per read, so it serves every query of its predicate and shape.
+type form struct {
+	magic *magic.Prepared
+	query *eval.Query
+}
+
+// parametric reports whether body is one positive database literal, whose
+// ground arguments eval.NewQuery makes parameters and a magic form binds to
+// its seed.
+func parametric(body []ast.Literal) bool {
+	return len(body) == 1 && !body[0].Negated && !layering.IsBuiltin(body[0].Pred)
+}
+
+// compile returns the form of body.  Under a non-zero answer-cache key, the
+// form of a parametric body comes from the memo, compiled on a miss.
+func (r *reader) compile(body []ast.Literal, key qcache.Key) (*form, error) {
+	key.Consts = ""
+	if !parametric(body) || r.forms == nil {
+		key = qcache.Key{} // the memo holds no zero key
+	}
+	r.formMu.Lock()
+	f := r.forms[key]
+	r.formMu.Unlock()
+	if f != nil {
+		return f, nil
+	}
+	f = new(form)
+	if r.magicForm != nil && len(body) == 1 {
 		var err error
-		if form, err = r.compile(body[0], shared); err != nil {
+		if f.magic, err = r.magicForm(body[0]); err != nil {
 			return nil, err
 		}
 	}
-	if form != nil {
-		return r.exec(ctx, form, groundArgs(body[0]), o, st)
+	if f.magic == nil {
+		f.query = eval.NewQuery(body)
+	}
+	if key.Pred != "" {
+		r.formMu.Lock()
+		defer r.formMu.Unlock()
+		for old := range r.forms { // evict an arbitrary form
+			if len(r.forms) < formCap {
+				break
+			}
+			delete(r.forms, old)
+		}
+		r.forms[key] = f
+	}
+	return f, nil
+}
+
+// compute evaluates body by f — nil: the form compile returns for body and
+// key — binding its parameters to body's ground arguments.
+func (r *reader) compute(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
+	if f == nil {
+		var err error
+		if f, err = r.compile(body, key); err != nil {
+			return nil, err
+		}
+	}
+	var args []term.Term // nil: the constants f was compiled with
+	if parametric(body) {
+		args = groundArgs(body[0])
+	}
+	if f.magic != nil {
+		return r.exec(ctx, f.magic, args, o, st)
 	}
 	v, err := r.view(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return eval.SolveLimitsCtx(ctx, body, v.Snapshot(), eval.SolveLimits{MaxSolutions: o.MaxRows, MemBudget: o.MemBudget})
+	return f.query.Solve(ctx, v.Snapshot(), args, eval.SolveLimits{MaxSolutions: o.MaxRows, MemBudget: o.MemBudget})
 }
 
 // canonicalLit reports whether a query literal is cache-shaped: positive,
@@ -267,20 +326,6 @@ func canonicalLit(l ast.Literal) bool {
 	return true
 }
 
-// positional returns the cache-shaped literal l with the named variable at
-// argument position i renamed $i.  An anonymous variable stays anonymous,
-// so l and its positional form have the same answer columns.
-func positional(l ast.Literal) ast.Literal {
-	out := ast.Literal{Pred: l.Pred, Args: make([]term.Term, len(l.Args))}
-	for i, a := range l.Args {
-		if v, ok := a.(term.Var); ok && !v.Anonymous() {
-			a = term.Var("$" + strconv.Itoa(i))
-		}
-		out.Args[i] = a
-	}
-	return out
-}
-
 // shape is the adornment of a cache-shaped literal with its anonymous
 // positions marked '_': they are not answer columns, so p(X, _) and
 // p(X, Y) share neither a cache entry nor a compiled form.
@@ -295,8 +340,8 @@ func shape(l ast.Literal) string {
 }
 
 // groundArgs returns l's ground arguments in position order: the constants
-// that key the answer cache and seed a compiled magic form, whose bound
-// positions are exactly the ground ones.
+// that key the answer cache and bind the parameters of a parametric form,
+// which are exactly the ground positions.
 func groundArgs(l ast.Literal) []term.Term {
 	var out []term.Term
 	for _, a := range l.Args {
@@ -308,24 +353,23 @@ func groundArgs(l ast.Literal) []term.Term {
 }
 
 // PreparedQuery is a query compiled once for repeated execution: the parse,
-// the parameter analysis and — on a WithMagic engine — the adornment,
-// magic rewrite, and stratification are done at Prepare time, and each Exec
-// splices concrete constants into the precompiled form.  Engine.Prepare and
-// Materialized.Prepare return the same handle type; an Exec reads whatever
-// its origin reads (the engine's current database, or the view's snapshot
-// current at its start) through the same answer cache as Query.  A
-// PreparedQuery is immutable and safe for concurrent Exec from any number
-// of goroutines.
+// the parameter analysis and the compiled form — on a WithMagic engine the
+// adornment, magic rewrite, and stratification — are done at Prepare time,
+// and each Exec binds concrete constants to the form's parameters.
+// Engine.Prepare and Materialized.Prepare return the same handle type; an
+// Exec reads whatever its origin reads (the engine's current database, or
+// the view's snapshot current at its start) through the same answer cache
+// as Query.  A PreparedQuery is immutable and safe for concurrent Exec from
+// any number of goroutines.
 type PreparedQuery struct {
 	r     *reader
 	query parser.Query
 	// boundPos are the query-literal argument positions Exec arguments
 	// bind, ascending (the ground positions of the prepared query).
 	boundPos []int
-	// form is the compiled magic form; nil when Exec answers from the
-	// snapshot instead (no WithMagic, multi-literal, negated or
-	// base-relation query).
-	form *magic.Prepared
+	// form is the compiled form; nil for a negated or built-in literal,
+	// whose constants are not parameters, so each Exec compiles its own.
+	form *form
 }
 
 // PreparedView is PreparedQuery under the name Materialized.Prepare returns
@@ -340,26 +384,20 @@ type PreparedView = PreparedQuery
 // queries prepare with zero parameters.
 func (r *reader) prepare(query parser.Query) (*PreparedQuery, error) {
 	pq := &PreparedQuery{r: r, query: query}
-	if len(query.Body) != 1 {
+	body := query.Body
+	if len(body) == 1 {
+		for i, a := range body[0].Args {
+			if term.IsGround(a) {
+				pq.boundPos = append(pq.boundPos, i)
+			}
+		}
+	}
+	if len(body) == 1 && !parametric(body) {
 		return pq, nil
 	}
-	lit := query.Body[0]
-	for i, a := range lit.Args {
-		if term.IsGround(a) {
-			pq.boundPos = append(pq.boundPos, i)
-		}
-	}
-	if r.compile != nil {
-		shared := canonicalLit(lit)
-		if shared {
-			lit = positional(lit)
-		}
-		var err error
-		if pq.form, err = r.compile(lit, shared); err != nil {
-			return nil, err
-		}
-	}
-	return pq, nil
+	var err error
+	pq.form, err = r.compile(body, qcache.Key{})
+	return pq, err
 }
 
 // NumArgs is the number of arguments Exec accepts: the count of ground

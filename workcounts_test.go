@@ -190,7 +190,7 @@ func magicRow(prog *ast.Program, db func() *store.DB, query string, variant magi
 			if err != nil {
 				return w, err
 			}
-			sols, err := eval.SolveCtx(opts.Ctx, q.Body, model)
+			sols, err := eval.SolveLimitsCtx(opts.Ctx, q.Body, model, eval.SolveLimits{})
 			w.model = len(sols)
 			return w, err
 		}
