@@ -8,6 +8,8 @@ import (
 
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
+	"ldl1/internal/parser"
+	"ldl1/internal/qcache"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
 )
@@ -165,5 +167,27 @@ func TestReadMissAllocCeiling(t *testing.T) {
 		if hits, _, _, _ := v.CacheCounters(); hits != 0 {
 			t.Errorf("%d cache hits on a view, want every read a miss", hits)
 		}
+	}
+}
+
+// TestReadKeyAllocs pins what keying one read costs, hit or miss: the ground
+// arguments once (a miss binds the same slice to its form's parameters), the
+// shape, written directly, and the constants' text (two: the bytes and the
+// string).
+func TestReadKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	q, err := parser.ParseQuery("a(n5, W)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, consts := readKey(q.Body)
+	if want := (qcache.Key{Pred: "a", Adorn: "bf", Consts: "n5"}); key != want || len(consts) != 1 {
+		t.Fatalf("readKey = %+v, %v; want %+v, [n5]", key, consts, want)
+	}
+	const want = 4
+	if got := testing.AllocsPerRun(100, func() { readKey(q.Body) }); got != want {
+		t.Errorf("keying a(n5, W) allocates %.0f objects, want %d", got, want)
 	}
 }

@@ -42,7 +42,9 @@ func IsBuiltin(pred string) bool { return ast.IsBuiltinPred(pred) }
 // once per solution with b extended (bindings are undone between solutions
 // and before returning).  A negated literal is evaluated as a test: all its
 // variables must be bound, and it succeeds iff the positive form fails.
-func Eval(l ast.Literal, b *unify.Bindings, yield func() error) error {
+// partition and union/3 take the unions they compute from sets (nil: none),
+// which hands back a set it holds instead of building an equal one again.
+func Eval(l ast.Literal, b *unify.Bindings, sets *term.SetTable, yield func() error) error {
 	if l.Negated {
 		pos := l.Positive()
 		holds := false
@@ -50,7 +52,7 @@ func Eval(l ast.Literal, b *unify.Bindings, yield func() error) error {
 			holds = true
 			return errStop
 		}
-		if err := Eval(pos, b, probe); err != nil && err != errStop {
+		if err := Eval(pos, b, sets, probe); err != nil && err != errStop {
 			return err
 		}
 		if !holds {
@@ -74,9 +76,9 @@ func Eval(l ast.Literal, b *unify.Bindings, yield func() error) error {
 	case "set":
 		return evalSet(l, b, yield)
 	case "union":
-		return evalUnion(l, b, yield)
+		return evalUnion(l, b, sets, yield)
 	case "partition":
-		return evalPartition(l, b, yield)
+		return evalPartition(l, b, sets, yield)
 	}
 	return fmt.Errorf("builtin: unknown predicate %s/%d", l.Pred, l.Arity())
 }
@@ -263,7 +265,7 @@ func groundSet(arg term.Term, b *unify.Bindings) (*term.Set, bool, error) {
 
 var errNotASet = errors.New("argument is not a set")
 
-func evalUnion(l ast.Literal, b *unify.Bindings, yield func() error) error {
+func evalUnion(l ast.Literal, b *unify.Bindings, sets *term.SetTable, yield func() error) error {
 	if err := arity(l, 3); err != nil {
 		return err
 	}
@@ -277,7 +279,7 @@ func evalUnion(l ast.Literal, b *unify.Bindings, yield func() error) error {
 	switch {
 	case ok1 && ok2:
 		// Compute S1 ∪ S2 and match the third argument.
-		return matchYield(l.Args[2], s1.Union(s2), b, yield)
+		return matchYield(l.Args[2], sets.Union(s1, s2), b, yield)
 	case ok3 && ok1:
 		// Enumerate S2 with S1 ∪ S2 = S3: S2 ⊇ S3\S1, extended by any
 		// subset of S1 ∩ S3.
@@ -375,7 +377,7 @@ func enumThreeWay(n int, fn func(left, right uint64) error) error {
 //	          bottom-up evaluation of the §1 part-cost program);
 //	(b,b,f) and (b,f,b) — compute the complement;
 //	(b,f,f) — enumerate all splits.
-func evalPartition(l ast.Literal, b *unify.Bindings, yield func() error) error {
+func evalPartition(l ast.Literal, b *unify.Bindings, sets *term.SetTable, yield func() error) error {
 	if err := arity(l, 3); err != nil {
 		return err
 	}
@@ -387,10 +389,14 @@ func evalPartition(l ast.Literal, b *unify.Bindings, yield func() error) error {
 	}
 	switch {
 	case ok1 && ok2:
-		if s1.Len() == 0 || s2.Len() == 0 || !s1.Disjoint(s2) {
+		if s1.Len() == 0 || s2.Len() == 0 {
 			return nil
 		}
-		return matchYield(l.Args[0], s1.Union(s2), b, yield)
+		u := sets.DisjointUnion(s1, s2)
+		if u == nil {
+			return nil
+		}
+		return matchYield(l.Args[0], u, b, yield)
 	case okS && ok1:
 		if s1.Len() == 0 || s1.Len() == s.Len() || !s1.SubsetOf(s) {
 			return nil

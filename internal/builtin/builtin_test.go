@@ -25,7 +25,7 @@ func lit(t *testing.T, src string) ast.Literal {
 func solutions(t *testing.T, l ast.Literal, b *unify.Bindings) []map[term.Var]term.Term {
 	t.Helper()
 	var out []map[term.Var]term.Term
-	err := Eval(l, b, func() error {
+	err := Eval(l, b, nil, func() error {
 		snap := map[term.Var]term.Term{}
 		for _, v := range l.Vars() {
 			if x, ok := b.Lookup(v); ok {
@@ -69,7 +69,7 @@ func TestMemberEnumerates(t *testing.T) {
 		t.Errorf("member on non-set: %d", n)
 	}
 	// Unbound set argument: instantiation error.
-	err := Eval(lit(t, "member(X, S)"), unify.NewBindings(), func() error { return nil })
+	err := Eval(lit(t, "member(X, S)"), unify.NewBindings(), nil, func() error { return nil })
 	if !errors.Is(err, ErrInstantiation) {
 		t.Errorf("member with unbound set: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestUnionModes(t *testing.T) {
 		t.Fatalf("union (f,f,b): %d solutions, want 9", len(sols))
 	}
 	// Everything free: instantiation error.
-	err := Eval(lit(t, "union(A, B, C)"), unify.NewBindings(), func() error { return nil })
+	err := Eval(lit(t, "union(A, B, C)"), unify.NewBindings(), nil, func() error { return nil })
 	if !errors.Is(err, ErrInstantiation) {
 		t.Errorf("union all free: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestPartitionModes(t *testing.T) {
 	}
 	for _, sol := range sols {
 		a, bb := sol["A"].(*term.Set), sol["B"].(*term.Set)
-		if a.Len() == 0 || bb.Len() == 0 || !a.Disjoint(bb) || !term.Equal(a.Union(bb), s123) {
+		if a.Len() == 0 || bb.Len() == 0 || a.Intersect(bb).Len() != 0 || !term.Equal(a.Union(bb), s123) {
 			t.Errorf("bad split %v | %v", a, bb)
 		}
 	}
@@ -243,7 +243,7 @@ func TestEquality(t *testing.T) {
 		t.Fatalf("= set pattern: %v", sols)
 	}
 	// Both sides unbound: instantiation error.
-	err := Eval(lit(t, "X = Y"), unify.NewBindings(), func() error { return nil })
+	err := Eval(lit(t, "X = Y"), unify.NewBindings(), nil, func() error { return nil })
 	if !errors.Is(err, ErrInstantiation) {
 		t.Errorf("= both free: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestDisequalityAndComparisons(t *testing.T) {
 		t.Error("atom comparison failed")
 	}
 	// Unbound operand: instantiation error.
-	err := Eval(lit(t, "X < Z"), bind("X", term.Int(1)), func() error { return nil })
+	err := Eval(lit(t, "X < Z"), bind("X", term.Int(1)), nil, func() error { return nil })
 	if !errors.Is(err, ErrInstantiation) {
 		t.Errorf("comparison with unbound: %v", err)
 	}
@@ -336,7 +336,7 @@ func TestHolds(t *testing.T) {
 	b := bind("X", term.Int(1))
 	for src, want := range map[string]int{"X < 5": 1, "X > 5": 0} {
 		n := 0
-		if err := Eval(lit(t, src), b, func() error { n++; return nil }); err != nil || n != want {
+		if err := Eval(lit(t, src), b, nil, func() error { n++; return nil }); err != nil || n != want {
 			t.Errorf("Eval(%s) continued %d times, err %v; want %d", src, n, err, want)
 		}
 	}
@@ -406,11 +406,11 @@ func TestEnumerationGuards(t *testing.T) {
 		elems[i] = term.Int(int64(i))
 	}
 	big := term.NewSet(elems...)
-	err := Eval(lit(t, "partition(S, A, B)"), bind("S", big), func() error { return nil })
+	err := Eval(lit(t, "partition(S, A, B)"), bind("S", big), nil, func() error { return nil })
 	if err == nil {
 		t.Error("partition should refuse huge enumerations")
 	}
-	err = Eval(lit(t, "union(A, B, C)"), bind("C", big), func() error { return nil })
+	err = Eval(lit(t, "union(A, B, C)"), bind("C", big), nil, func() error { return nil })
 	if err == nil {
 		t.Error("union should refuse huge enumerations")
 	}
@@ -421,11 +421,56 @@ func TestEarlyStop(t *testing.T) {
 	b := bind("S", term.NewSet(term.Int(1), term.Int(2), term.Int(3)))
 	count := 0
 	sentinel := errors.New("stop here")
-	err := Eval(lit(t, "member(X, S)"), b, func() error {
+	err := Eval(lit(t, "member(X, S)"), b, nil, func() error {
 		count++
 		return sentinel
 	})
 	if err != sentinel || count != 1 {
 		t.Errorf("early stop: err=%v count=%d", err, count)
+	}
+}
+
+// TestUnionsShareTheTable: under one set table, partition (S free) and
+// union/3 (S1, S2 bound) return the set an equal union built before, even
+// from other operands; a nil table builds each union, and a pair that
+// shares an element has no partition under either.
+func TestUnionsShareTheTable(t *testing.T) {
+	one := func(src string, sets *term.SetTable, pairs ...interface{}) term.Term {
+		t.Helper()
+		var got term.Term
+		n := 0
+		l := lit(t, src)
+		b := bind(pairs...)
+		err := Eval(l, b, sets, func() error {
+			n++
+			got, _ = b.Lookup("S")
+			return nil
+		})
+		if err != nil || n > 1 {
+			t.Fatalf("Eval(%s): %d solutions, %v", src, n, err)
+		}
+		return got
+	}
+	s1, s2, s3 := term.NewSet(term.Int(1)), term.NewSet(term.Int(2)), term.NewSet(term.Int(3))
+	s12, s23 := term.NewSet(term.Int(1), term.Int(2)), term.NewSet(term.Int(2), term.Int(3))
+	s123 := term.NewSet(term.Int(1), term.Int(2), term.Int(3))
+
+	var sets term.SetTable
+	a := one("partition(S, A, B)", &sets, "A", s12, "B", s3)
+	b := one("partition(S, A, B)", &sets, "A", s1, "B", s23)
+	c := one("union(A, B, S)", &sets, "A", s12, "B", s23)
+	if !term.Equal(a, s123) || a != b || a != c {
+		t.Errorf("unions equal to %v under one table: %p %v, %p %v, %p %v", s123, a, a, b, b, c, c)
+	}
+	if d := one("partition(S, A, B)", nil, "A", s12, "B", s3); !term.Equal(d, s123) || d == a {
+		t.Errorf("partition under a nil table = %v (%p), want a new %v", d, d, s123)
+	}
+	for _, sets := range []*term.SetTable{&sets, nil} {
+		if got := one("partition(S, A, B)", sets, "A", s12, "B", s23); got != nil {
+			t.Errorf("partition of %v and %v, which share 2: %v", s12, s23, got)
+		}
+	}
+	if got := one("union(A, B, S)", &sets, "A", s12, "B", s2); got != s12 {
+		t.Errorf("union of %v and its subset %v is %v (%p), want the operand (%p)", s12, s2, got, got, s12)
 	}
 }

@@ -19,7 +19,7 @@ func TestInstantiationErrorTyped(t *testing.T) {
 	}
 	for _, c := range cases {
 		l := lit(t, c.src)
-		err := Eval(l, unify.NewBindings(), func() error { return nil })
+		err := Eval(l, unify.NewBindings(), nil, func() error { return nil })
 		var ie *lderr.InstantiationError
 		if !errors.As(err, &ie) {
 			t.Errorf("%s: want *lderr.InstantiationError, got %v", c.src, err)

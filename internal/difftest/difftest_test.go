@@ -41,7 +41,8 @@ func TestMain(m *testing.M) {
 // floor lists what the default run must exercise: every feature of the
 // generator, every magic case, and a saturation that needs a third pass.
 var floor = []string{
-	"member", "union", "partition", "scons", "function symbol", "recursion", "negation",
+	"member", "union", "union enumeration", "partition", "recursion through partition", "scons",
+	"function symbol", "recursion", "negation",
 	"grouping below negation", "three strict layers", "two grouping rules", "variable key",
 	"constant key", "compound key", "repeated key", "bound set argument", "more than two passes",
 	"Basic/text", "Basic/edb", "Supplementary/text", "Supplementary/edb",
@@ -283,6 +284,13 @@ func query(r *rand.Rand, h ast.Literal, m *store.DB, cov map[string]int) parser.
 	return parser.Query{Body: []ast.Literal{ast.NewLit(h.Pred, args...)}}
 }
 
+// readBy reports that a database literal of body reads the variable v.
+func readBy(body []ast.Literal, v term.Term) bool {
+	return slices.ContainsFunc(body, func(l ast.Literal) bool {
+		return !layering.IsBuiltin(l.Pred) && slices.ContainsFunc(l.Args, func(a term.Term) bool { return term.Equal(a, v) })
+	})
+}
+
 // features names what the program exercises of the floor's list.  A
 // predicate is defined before it is read, so grouping is complete for every
 // predicate a body reads.
@@ -310,8 +318,11 @@ func features(p *ast.Program, lay *layering.Layering) (fs []string) {
 			add(compound && c.Functor != "scons", "function symbol")
 			add(compound && c.Functor != "scons" && g >= 0, "compound key")
 		}
+		recursive := slices.ContainsFunc(rl.Body, func(l ast.Literal) bool { return l.Pred == rl.Head.Pred })
 		for _, l := range rl.Body {
 			add(layering.IsBuiltin(l.Pred), l.Pred)
+			add(l.Pred == "union" && !readBy(rl.Body, l.Args[0]), "union enumeration")
+			add(l.Pred == "partition" && recursive, "recursion through partition")
 			add(l.Pred == rl.Head.Pred, "recursion")
 			add(l.Negated, "negation")
 			add(l.Negated && grouping[l.Pred] > 0, "grouping below negation")

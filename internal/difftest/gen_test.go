@@ -59,7 +59,7 @@ func program(r *rand.Rand) string {
 	for i, n := 0, 3+r.Intn(5); i < n; i++ {
 		levels := []func(string){g.join, g.function, g.group}
 		if len(g.sets) > 0 {
-			levels = append(levels, g.member, g.union, g.partition, g.scons)
+			levels = append(levels, g.member, g.union, g.splits, g.partition, g.unions, g.scons)
 		}
 		levels[r.Intn(len(levels))](fmt.Sprint("p", i))
 	}
@@ -125,6 +125,23 @@ func (g *gen) member(name string) {
 func (g *gen) union(name string) {
 	g.rule(name+"(K, U)", g.pick(g.sets).lit("K", "S"), g.pick(g.sets).lit("J", "T"), "union(S, T, U)")
 	g.sets = append(g.sets, pred{name, plain})
+}
+
+// splits enumerates the pairs of sets whose union is a grouped set, and
+// keeps the first of each: union/3 with only its third argument bound.
+func (g *gen) splits(name string) {
+	g.rule(name+"(K, A)", g.pick(g.sets).lit("K", "U"), "union(A, B, U)")
+	g.sets = append(g.sets, pred{name, plain})
+}
+
+// unions closes a grouped set under disjoint union, as part-cost's tc does:
+// a recursive rule joins two of the predicate's own sets through
+// partition(U, S, T).
+func (g *gen) unions(name string) {
+	self := pred{name, plain}
+	g.rule(self.lit("K", "S"), g.pick(g.sets).lit("K", "S"))
+	g.rule(self.lit("K", "U"), self.lit("K", "S"), self.lit("K", "T"), "partition(U, S, T)")
+	g.sets = append(g.sets, self)
 }
 
 // partition calls partition in each of its three modes: splitting a set,

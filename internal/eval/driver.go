@@ -253,8 +253,10 @@ func (v *Variant) Task(db *store.DB, delta *store.Relation) Task {
 // counters it accumulates (the driver flushes them into Stats), and where
 // the head facts of the running task go.
 type Exec struct {
-	b      *budget
-	polls  uint
+	b *budget
+	// polls shares a word with static, which keeps a Driver in the 240-byte
+	// size class with sets; pollEvery divides 2³², so it wraps in step.
+	polls  uint32
 	static bool // every body is ordered statically: Options.NoReorder
 	// prov, when non-nil, makes join keep the trail of matched database
 	// facts so derivations can be recorded.
@@ -262,6 +264,9 @@ type Exec struct {
 	trail []*term.Fact
 	neg   []term.Term   // argument buffer of the negated literal being checked
 	one   [1]*term.Fact // a full-key probe's fact; match reads it before the next probe
+	// sets holds the unions the built-ins have built, so an equal one is
+	// not built again; it goes with the driver.
+	sets term.SetTable
 
 	firings, idxHits, fullScans int
 
@@ -376,7 +381,7 @@ func (x *Exec) join(body []ast.Literal, p *bodyPlan, step int, b *unify.Bindings
 	cont := func() error { return x.join(body, p, step+1, b, yield) }
 
 	if layering.IsBuiltin(l.Pred) {
-		return builtin.Eval(l, b, cont)
+		return builtin.Eval(l, b, &x.sets, cont)
 	}
 	if l.Negated {
 		// The probe needs the literal's ground arguments, not a fact: they

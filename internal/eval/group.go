@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/store"
@@ -101,14 +102,21 @@ func (t *ClassTable) find(args []term.Term) *class {
 
 // take returns the set of the elements collected — nil for none: the class
 // has no body solution and no fact — and empties the list for the next
-// recompute.
+// recompute.  The list is sorted and compacted in place, and the set adopts
+// it when at most an eighth of it would be spare capacity; otherwise the set
+// gets an exact copy and the class keeps its list.
 func (c *class) take() *term.Set {
 	if len(c.elems) == 0 {
 		return nil
 	}
-	s := term.NewSet(c.elems...)
+	slices.SortFunc(c.elems, term.Compare)
+	es := slices.CompactFunc(c.elems, term.Equal)
+	if cap(es)-len(es) <= len(es)/8 {
+		c.elems = nil
+		return term.SortedSet(es)
+	}
 	c.elems = c.elems[:0]
-	return s
+	return term.SortedSet(append(make([]term.Term, 0, len(es)), es...))
 }
 
 // fact builds the head fact of class c with group set s.

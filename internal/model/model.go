@@ -231,7 +231,7 @@ func join(body []ast.Literal, order []int, step int, m *store.DB, b *unify.Bindi
 	l := body[order[step]]
 	cont := func() error { return join(body, order, step+1, m, b, fn) }
 	if layering.IsBuiltin(l.Pred) {
-		return builtin.Eval(l, b, cont)
+		return builtin.Eval(l, b, nil, cont)
 	}
 	if l.Negated {
 		f, err := unify.ApplyLit(l.Positive(), b)

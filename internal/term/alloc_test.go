@@ -32,8 +32,13 @@ func TestSetKernelAllocs(t *testing.T) {
 	a, b := term.NewSet(evens...), term.NewSet(odds...)
 	x := term.Term(term.Int(14))
 	v, bs := term.Term(term.Var("X")), unify.NewBindings()
+	bx := unify.NewBindings()
+	bx.Bind("X", term.Int(1))
+	sum, fx := term.Term(term.NewCompound("+", v, term.Int(1))), term.Term(term.NewCompound("f", v))
 	head := []term.Term{a, x}
 	h := term.HashFactArgs("p", head)
+	var none, tab *term.SetTable = nil, &term.SetTable{}
+	tab.Union(a, b)
 	for _, c := range []struct {
 		name string
 		want float64
@@ -41,10 +46,14 @@ func TestSetKernelAllocs(t *testing.T) {
 	}{
 		{"union of disjoint 16-element sets", 2, func() { a.Union(b) }},
 		{"SubsetOf", 0, func() { a.SubsetOf(b) }},
-		{"Disjoint", 0, func() { a.Disjoint(b) }},
+		{"disjoint union of sets sharing an element", 0, func() { none.DisjointUnion(a, a) }},
+		{"union a table holds", 0, func() { tab.Union(a, b) }},
 		{"Contains", 0, func() { a.Contains(x) }},
 		{"NewSet of 16", 2, func() { term.NewSet(odds...) }},
 		{"ApplyPartial on an unbound variable", 0, func() { unify.ApplyPartial(v, bs) }},
+		{"Apply of X + 1", 0, func() { unify.Apply(sum, bx) }},
+		{"ApplyPartial of X + 1", 0, func() { unify.ApplyPartial(sum, bx) }},
+		{"Apply of f(X)", 2, func() { unify.Apply(fx, bx) }},
 		{"NewFactOf with two arguments", 1, func() { term.NewFactOf("p", head, h) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got != c.want {

@@ -98,20 +98,27 @@ func (c *Compound) Hash() uint64 {
 
 // Hash returns the structural FNV-1a digest of the set, memoized on first
 // use.  Canonical element order makes it order- and duplicate-insensitive:
-// NewSet({2,1,2}) and NewSet({1,2}) hash identically.
+// NewSet({2,1,2}) and NewSet({1,2}) hash identically.  The cardinality is
+// folded in last, so a merge walk that builds a set computes its hash
+// without knowing its size in advance.
 func (s *Set) Hash() uint64 {
 	if s.hash != 0 {
 		return s.hash
 	}
 	h := fnvByte(fnvOffset64, 'S')
-	h = HashFold(h, uint64(len(s.elems)))
 	for _, e := range s.elems {
 		h = HashFold(h, e.Hash())
 	}
-	if h == 0 {
-		h = 1
+	s.hash = setHash(h, len(s.elems))
+	return s.hash
+}
+
+// setHash finishes the hash of a set of n elements from the fold h of its
+// elements' hashes.
+func setHash(h uint64, n int) uint64 {
+	if h = HashFold(h, uint64(n)); h == 0 {
+		h = 1 // keep 0 as the "unset" sentinel
 	}
-	s.hash = h
 	return h
 }
 

@@ -69,6 +69,7 @@ func TestSetKernelsAgreeWithNewSet(t *testing.T) {
 		}
 		return term.NewSet(elems...)
 	}
+	var tab term.SetTable
 	for i := 0; i < 3000; i++ {
 		a, b, x := draw(), draw(), pool[r.Intn(len(pool))]
 		inB := func(e term.Term) bool { return has(b, e) }
@@ -82,8 +83,15 @@ func TestSetKernelsAgreeWithNewSet(t *testing.T) {
 		if got, want := a.SubsetOf(b), len(filter(a, inB)) == a.Len(); got != want {
 			t.Fatalf("%v ⊆ %v = %v, want %v", a, b, got, want)
 		}
-		if got, want := a.Disjoint(b), len(filter(a, inB)) == 0; got != want {
-			t.Fatalf("%v disjoint %v = %v, want %v", a, b, got, want)
+		u, disjoint := tab.DisjointUnion(a, b), len(filter(a, inB)) == 0
+		if (u != nil) != disjoint {
+			t.Fatalf("disjoint union of %v and %v = %v, want one iff they are disjoint (%v)", a, b, u, disjoint)
+		}
+		if u != nil {
+			checkKernel(t, "disjoint union", u, append(slices.Clone(a.Elems()), b.Elems()...), a, b)
+			if again := tab.Union(b, a); again != u {
+				t.Fatalf("union of %v and %v built twice under one table", b, a)
+			}
 		}
 	}
 }

@@ -312,7 +312,8 @@ func SortedSet(elems []Term) *Set {
 func (s *Set) Len() int { return len(s.elems) }
 
 // Elems returns the canonical (sorted) element slice.  Callers must not
-// mutate it.
+// mutate it, nor append to it: a grouped set's slice may have spare
+// capacity.
 func (s *Set) Elems() []Term { return s.elems }
 
 // Contains reports whether x is an element of s.
@@ -339,14 +340,11 @@ func (s *Set) SubsetOf(t *Set) bool {
 	return true
 }
 
-// Disjoint reports s ∩ t = {}.
-func (s *Set) Disjoint(t *Set) bool {
-	_, n := merge(nil, s.elems, t.elems, inBoth)
-	return n == 0
-}
-
 // Union returns s ∪ t.
-func (s *Set) Union(t *Set) *Set { return s.combine(t, inS|inT|inBoth) }
+func (s *Set) Union(t *Set) *Set {
+	var none *SetTable
+	return none.Union(s, t)
+}
 
 // Intersect returns s ∩ t.
 func (s *Set) Intersect(t *Set) *Set { return s.combine(t, inBoth) }
@@ -374,20 +372,98 @@ const (
 	inBoth
 )
 
-// combine returns the set of the elements of s and t that keep selects, as
-// one merge of the two canonical slices: a counting walk sizes the result
-// exactly, and a result as long as an operand it contains, or is contained
-// in, is that operand.
+// combine returns s ∩ t (keep inBoth) or s \ t (keep inS) as one merge of
+// the two canonical slices: a counting walk sizes the result exactly, and a
+// result as long as an operand it is contained in is that operand.
 func (s *Set) combine(t *Set, keep uint8) *Set {
 	_, n := merge(nil, s.elems, t.elems, keep)
 	switch {
-	case n == len(s.elems) && (keep&inT == 0 || keep&(inS|inBoth) == inS|inBoth):
+	case n == len(s.elems):
 		return s
-	case n == len(t.elems) && (keep&inS == 0 || keep&(inT|inBoth) == inT|inBoth):
+	case n == len(t.elems) && keep&inS == 0:
 		return t
 	}
 	out, _ := merge(make([]Term, 0, n), s.elems, t.elems, keep)
 	return SortedSet(out)
+}
+
+// SetTable holds the sets its unions have built, by hash, so that a union
+// equal to one built before returns that set instead of building a second
+// copy.  The zero value is an empty table; a nil *SetTable holds nothing and
+// builds every union.  It is not safe for concurrent use: one is held per
+// evaluation (eval.Exec), and dropped with it.
+type SetTable struct {
+	byHash map[uint64]*Set
+}
+
+// Union returns s ∪ t: an operand that contains the other, else a set tab
+// holds equal to the union, else a new set of exactly its size, which tab
+// then holds.
+func (tab *SetTable) Union(s, t *Set) *Set {
+	return tab.union(s, t, false)
+}
+
+// DisjointUnion returns s ∪ t as Union does, or nil when s and t share an
+// element.
+func (tab *SetTable) DisjointUnion(s, t *Set) *Set {
+	return tab.union(s, t, true)
+}
+
+// union makes one merge walk of s and t that counts the union's elements
+// and computes its hash — stopping, when disjoint, at the first shared
+// element, and then returning nil — before it looks the union up in tab or
+// builds it.
+func (tab *SetTable) union(s, t *Set, disjoint bool) *Set {
+	a, b := s.elems, t.elems
+	h, n, i, j := fnvByte(fnvOffset64, 'S'), 0, 0, 0
+	for i < len(a) || j < len(b) {
+		var e Term
+		switch {
+		case j == len(b):
+			e, i = a[i], i+1
+		case i == len(a):
+			e, j = b[j], j+1
+		default:
+			switch c := Compare(a[i], b[j]); {
+			case c < 0:
+				e, i = a[i], i+1
+			case c > 0:
+				e, j = b[j], j+1
+			default:
+				if disjoint {
+					return nil
+				}
+				e, i, j = a[i], i+1, j+1
+			}
+		}
+		h = HashFold(h, e.Hash())
+		n++
+	}
+	switch {
+	case n == len(a):
+		return s
+	case n == len(b):
+		return t
+	}
+	h = setHash(h, n)
+	if tab == nil {
+		return s.build(t, n, h)
+	}
+	if u := tab.byHash[h]; u != nil && u.Len() == n && s.SubsetOf(u) && t.SubsetOf(u) {
+		return u // |u| = |s ∪ t| and s ∪ t ⊆ u
+	}
+	if tab.byHash == nil {
+		tab.byHash = map[uint64]*Set{}
+	}
+	u := s.build(t, n, h)
+	tab.byHash[h] = u
+	return u
+}
+
+// build returns the union of s and t, which has n elements and hash h.
+func (s *Set) build(t *Set, n int, h uint64) *Set {
+	out, _ := merge(make([]Term, 0, n), s.elems, t.elems, inS|inT|inBoth)
+	return &Set{elems: out, hash: h}
 }
 
 // merge walks the canonical slices a (of s) and b (of t) in step and counts

@@ -40,11 +40,12 @@ func TestSetOps(t *testing.T) {
 	if got := s.Difference(u); !Equal(got, NewSet(Int(1))) {
 		t.Errorf("difference = %v", got)
 	}
-	if s.Disjoint(u) {
-		t.Error("sets sharing 2 reported disjoint")
+	var none *SetTable
+	if got := none.DisjointUnion(s, u); got != nil {
+		t.Errorf("disjoint union of sets sharing 2 = %v", got)
 	}
-	if !NewSet(Int(1)).Disjoint(NewSet(Int(9))) {
-		t.Error("disjoint sets reported overlapping")
+	if got := none.DisjointUnion(NewSet(Int(1)), NewSet(Int(9))); !Equal(got, NewSet(Int(1), Int(9))) {
+		t.Errorf("disjoint union of {1} and {9} = %v", got)
 	}
 }
 

@@ -95,21 +95,42 @@ func Apply(t term.Term, b *Bindings) (term.Term, error) {
 		if t.Pure() && term.IsGround(t) {
 			return t, nil
 		}
-		args := make([]term.Term, len(t.Args))
-		for i, a := range t.Args {
+		if !term.IsInterpretedFunctor(t.Functor) {
+			args := make([]term.Term, len(t.Args))
+			for i, a := range t.Args {
+				v, err := Apply(a, b)
+				if err != nil {
+					return nil, err
+				}
+				args[i] = v
+			}
+			return term.NewCompound(t.Functor, args...), nil
+		}
+		// An interpreted functor's arguments live only for the call.
+		var arr [maxInterpretedArgs]term.Term
+		args := arr[:0]
+		if len(t.Args) > len(arr) {
+			args = make([]term.Term, 0, len(t.Args))
+		}
+		for _, a := range t.Args {
 			v, err := Apply(a, b)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		return evalCompound(t.Functor, args)
 	}
 	return nil, fmt.Errorf("unify: unknown term %v", t)
 }
 
-// evalCompound applies built-in functions to ground arguments, returning an
-// uninterpreted compound when the functor is not built in.
+// maxInterpretedArgs is the number of arguments of an interpreted functor
+// that Apply and ApplyPartial hold on the stack: arithmetic takes two, and
+// longer enumerated sets are rare.
+const maxInterpretedArgs = 4
+
+// evalCompound applies the interpreted functor to ground arguments.  It
+// keeps no reference to args.
 func evalCompound(functor string, args []term.Term) (term.Term, error) {
 	switch functor {
 	case "scons":
@@ -155,7 +176,7 @@ func evalCompound(functor string, args []term.Term) (term.Term, error) {
 		}
 		return -x, nil
 	}
-	return term.NewCompound(functor, args...), nil
+	panic("unify: " + functor + " is not an interpreted functor")
 }
 
 // ApplyPartial substitutes bound variables and evaluates any built-in
@@ -175,20 +196,33 @@ func ApplyPartial(t term.Term, b *Bindings) term.Term {
 		if u.Pure() && term.IsGround(u) {
 			return t // already an element of U, nothing to substitute
 		}
-		args := make([]term.Term, len(u.Args))
-		ground := true
-		for i, a := range u.Args {
-			args[i] = ApplyPartial(a, b)
-			if !term.IsGround(args[i]) {
-				ground = false
+		if !term.IsInterpretedFunctor(u.Functor) {
+			args := make([]term.Term, len(u.Args))
+			for i, a := range u.Args {
+				args[i] = ApplyPartial(a, b)
 			}
+			return term.NewCompound(u.Functor, args...)
+		}
+		// An interpreted functor's arguments live on the stack; they are
+		// copied only when the term stays a compound: an argument is
+		// unbound, or the value lies outside U.
+		var arr [maxInterpretedArgs]term.Term
+		args := arr[:0]
+		if len(u.Args) > len(arr) {
+			args = make([]term.Term, 0, len(u.Args))
+		}
+		ground := true
+		for _, a := range u.Args {
+			v := ApplyPartial(a, b)
+			ground = ground && term.IsGround(v)
+			args = append(args, v)
 		}
 		if ground {
 			if v, err := evalCompound(u.Functor, args); err == nil {
 				return v
 			}
 		}
-		return term.NewCompound(u.Functor, args...)
+		return term.NewCompound(u.Functor, append([]term.Term(nil), args...)...)
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package ldl1
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -202,10 +203,8 @@ func (r *reader) read(ctx context.Context, query parser.Query, f *form, o ReadOp
 	defer merge()
 
 	body := query.Body
-	var key qcache.Key // zero: not cache-shaped
-	if len(body) == 1 && canonicalLit(body[0]) {
-		lit := body[0]
-		key = qcache.Key{Pred: lit.Pred, Adorn: shape(lit), Consts: qcache.ConstsKey(groundArgs(lit))}
+	key, consts := readKey(body)
+	if key.Pred != "" {
 		if ent, hit := r.cache.Get(key); hit {
 			if st != nil {
 				st.CacheHits++
@@ -214,7 +213,7 @@ func (r *reader) read(ctx context.Context, query parser.Query, f *form, o ReadOp
 		}
 	}
 	gen := r.cache.Gen()
-	rows, err := r.compute(ctx, body, f, key, o, st)
+	rows, err := r.compute(ctx, body, f, key, consts, o, st)
 	if err != nil {
 		return nil, err
 	}
@@ -278,8 +277,8 @@ func (r *reader) compile(body []ast.Literal, key qcache.Key) (*form, error) {
 }
 
 // compute evaluates body by f — nil: the form compile returns for body and
-// key — binding its parameters to body's ground arguments.
-func (r *reader) compute(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
+// key — binding its parameters to consts, body's ground arguments.
+func (r *reader) compute(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
 	if f == nil {
 		var err error
 		if f, err = r.compile(body, key); err != nil {
@@ -288,7 +287,7 @@ func (r *reader) compute(ctx context.Context, body []ast.Literal, f *form, key q
 	}
 	var args []term.Term // nil: the constants f was compiled with
 	if parametric(body) {
-		args = groundArgs(body[0])
+		args = consts
 	}
 	if f.magic != nil {
 		return r.exec(ctx, f.magic, args, o, st)
@@ -326,17 +325,40 @@ func canonicalLit(l ast.Literal) bool {
 	return true
 }
 
-// shape is the adornment of a cache-shaped literal with its anonymous
-// positions marked '_': they are not answer columns, so p(X, _) and
-// p(X, Y) share neither a cache entry nor a compiled form.
+// readKey returns the answer-cache key of a read of body — zero unless body
+// is one cache-shaped literal — and, for one literal, its ground arguments:
+// the key's constants and the parameters of a parametric form.
+func readKey(body []ast.Literal) (qcache.Key, []term.Term) {
+	if len(body) != 1 {
+		return qcache.Key{}, nil
+	}
+	lit := body[0]
+	consts := groundArgs(lit)
+	if !canonicalLit(lit) {
+		return qcache.Key{}, consts
+	}
+	return qcache.Key{Pred: lit.Pred, Adorn: shape(lit), Consts: qcache.ConstsKey(consts)}, consts
+}
+
+// shape is the adornment of a cache-shaped literal (magic.AdornQuery: 'b'
+// for a ground argument, 'f' for a variable) with its anonymous positions
+// marked '_': they are not answer columns, so p(X, _) and p(X, Y) share
+// neither a cache entry nor a compiled form.
 func shape(l ast.Literal) string {
-	s := []byte(magic.AdornQuery(l))
-	for i, a := range l.Args {
-		if v, ok := a.(term.Var); ok && v.Anonymous() {
-			s[i] = '_'
+	var s strings.Builder
+	s.Grow(len(l.Args))
+	for _, a := range l.Args {
+		v, isVar := a.(term.Var)
+		switch {
+		case isVar && v.Anonymous():
+			s.WriteByte('_')
+		case term.IsGround(a):
+			s.WriteByte('b')
+		default:
+			s.WriteByte('f')
 		}
 	}
-	return string(s)
+	return s.String()
 }
 
 // groundArgs returns l's ground arguments in position order: the constants
