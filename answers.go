@@ -25,7 +25,7 @@ type Answers struct {
 
 // newAnswers names the columns of rows, the answer table of the caller's
 // body or of another spelling of it that shares its cache entry (see
-// reader.read): both have the same columns in the same order.  A positive maxRows that rows
+// Engine.read): both have the same columns in the same order.  A positive maxRows that rows
 // exceeds is a *lderr.LimitError, however rows was come by.
 func newAnswers(body []ast.Literal, rows [][]term.Term, maxRows int) (*Answers, error) {
 	if maxRows > 0 && len(rows) > maxRows {

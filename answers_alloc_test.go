@@ -191,3 +191,32 @@ func TestReadKeyAllocs(t *testing.T) {
 		t.Errorf("keying a(n5, W) allocates %.0f objects, want %d", got, want)
 	}
 }
+
+// TestExecArgKeyAllocs pins that a prepared Exec with an argument keys its
+// read from the shape fixed at Prepare: on a cache hit it allocates no more
+// than Exec with the prepared constants, and builds no literal.
+func TestExecArgKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	eng, err := New(prepProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := eng.Prepare("anc(a, W)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arg := Sym("b")
+	for _, args := range [][]Term{nil, {arg}} {
+		if _, err := pq.Exec(args...); err != nil { // fill the cache
+			t.Fatal(err)
+		}
+	}
+	plain := testing.AllocsPerRun(100, func() { pq.Exec() })
+	withArg := testing.AllocsPerRun(100, func() { pq.Exec(arg) })
+	t.Logf("a cache hit allocates %.0f objects by Exec() and %.0f by Exec(b)", plain, withArg)
+	if withArg > plain {
+		t.Errorf("Exec(b) allocates %.0f objects on a hit, Exec() %.0f: the argument costs a key of its own", withArg, plain)
+	}
+}

@@ -38,19 +38,15 @@ func parseExecArgs(s string) ([]ldl1.Term, error) {
 	return out, nil
 }
 
-// repl runs an interactive query loop against the engine.  Lines are
-// queries ("ancestor(abe, W)" or "?- ancestor(abe, W)."); assert/retract
-// apply incremental update transactions to a materialized view of the
-// model, and from the first of them on every command reads that view;
-// colon commands provide extras:
+// repl runs an interactive query loop against the engine, the one handle
+// every command reads and writes.  Lines are queries ("ancestor(abe, W)" or
+// "?- ancestor(abe, W)."); assert/retract apply incremental update
+// transactions to the engine's model; colon commands provide extras:
 //
 //	assert f(a, b).    insert extensional facts, update the model in place
 //	retract f(a, b).   remove extensional facts, update the model in place
-//	:assert f(a, b).   load an extensional fact into the engine (full
-//	                   re-evaluation on query); once there is a view, the
-//	                   same as assert
-//	:explain f(a, b)   print a proof tree for a fact in the model of the
-//	                   loaded facts (assert/retract are not covered)
+//	:assert f(a, b).   load extensional facts; the next read inserts them
+//	:explain f(a, b)   print a proof tree for a fact in the model
 //	:prepare q(a, X)   compile a query once for repeated execution
 //	:exec b, c         run the prepared query with new constants (no args
 //	                   re-runs the original ones)
@@ -99,41 +95,19 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 		fmt.Fprintln(out, "error:", err)
 	}
 
-	// The materialized view is built on first assert/retract; afterwards
-	// queries, prepared queries and :model read its incrementally
-	// maintained snapshot.
-	var mat *ldl1.Materialized
 	// The current :prepare handle, run by :exec.
 	var prep *ldl1.PreparedQuery
-	materialize := func() (*ldl1.Materialized, error) {
-		if mat == nil {
-			m, err := eng.Materialize()
-			if err != nil {
-				return nil, err
-			}
-			mat = m
-			if prep != nil {
-				if prep, err = mat.Prepare(prep.Query()); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return mat, nil
-	}
 	update := func(src string, retract bool) {
 		if !strings.HasSuffix(src, ".") {
 			src += "."
 		}
 		var res ldl1.UpdateResult
 		err := interruptible(func(ctx context.Context) error {
-			m, err := materialize()
-			if err != nil {
-				return err
-			}
+			var err error
 			if retract {
-				res, err = m.RetractCtx(ctx, src)
+				res, err = eng.RetractCtx(ctx, src)
 			} else {
-				res, err = m.AssertCtx(ctx, src)
+				res, err = eng.AssertCtx(ctx, src)
 			}
 			return err
 		})
@@ -157,7 +131,7 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 		case line == ":quit" || line == ":q":
 			return nil
 		case line == ":help":
-			fmt.Fprintln(out, "assert <fact>.  retract <fact>.  :assert <fact>.  :explain <fact>  :prepare <query>  :exec <consts>  :model  :strata  :check  :quit")
+			fmt.Fprintln(out, "<query>  assert <facts>.  retract <facts>.  :assert <facts> (load)  :explain <fact>  :prepare <query>  :exec <consts>  :model  :strata  :check  :quit")
 		case line == ":check" || line == "check":
 			ds := eng.Vet()
 			if len(ds) == 0 {
@@ -178,10 +152,6 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 				}
 			}
 		case line == ":model":
-			if mat != nil {
-				fmt.Fprintln(out, mat.Model())
-				continue
-			}
 			var m *ldl1.Model
 			err := interruptible(func(ctx context.Context) error {
 				var err error
@@ -199,8 +169,6 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 			update(strings.TrimPrefix(line, "assert "), false)
 		case strings.HasPrefix(line, "retract "):
 			update(strings.TrimPrefix(line, "retract "), true)
-		case strings.HasPrefix(line, ":assert ") && mat != nil:
-			update(strings.TrimPrefix(line, ":assert "), false)
 		case strings.HasPrefix(line, ":assert "):
 			src := strings.TrimPrefix(line, ":assert ")
 			if !strings.HasSuffix(src, ".") {
@@ -211,11 +179,7 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 			}
 		case strings.HasPrefix(line, ":prepare "):
 			q := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(line, ":prepare "), "."))
-			prepare := eng.Prepare
-			if mat != nil {
-				prepare = mat.Prepare
-			}
-			p, err := prepare(q)
+			p, err := eng.Prepare(q)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				continue
@@ -245,9 +209,6 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 			fmt.Fprintln(out, ans)
 		case strings.HasPrefix(line, ":explain "):
 			fact := strings.TrimSuffix(strings.TrimPrefix(line, ":explain "), ".")
-			if mat != nil {
-				fmt.Fprintln(out, "% :explain covers the loaded facts only, not assert/retract")
-			}
 			why, err := eng.Explain(fact)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
@@ -259,11 +220,7 @@ func repl(eng *ldl1.Engine, in io.Reader, out io.Writer) error {
 			var ans *ldl1.Answers
 			err := interruptible(func(ctx context.Context) error {
 				var err error
-				if mat != nil {
-					ans, err = mat.QueryCtx(ctx, q)
-				} else {
-					ans, err = eng.QueryCtx(ctx, q)
-				}
+				ans, err = eng.QueryCtx(ctx, q)
 				return err
 			})
 			if err != nil {

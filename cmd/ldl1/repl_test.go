@@ -147,8 +147,8 @@ func TestReplEOF(t *testing.T) {
 }
 
 // TestReplReadsOneModel pins a session that prepares a query and then
-// asserts: from the first assert on, :exec, queries and :assert all use the
-// view, and :explain says it covers the loaded facts only.
+// asserts: :exec, queries, :explain and a later :assert load all read and
+// write the engine's one model.
 func TestReplReadsOneModel(t *testing.T) {
 	eng, err := ldl1.New(`
 		anc(X, Y) <- par(X, Y).
@@ -177,10 +177,11 @@ anc(a, W)
 W = c
 ?- W = b
 W = c
-?- % :explain covers the loaded facts only, not assert/retract
-error: ldl1: anc(a, c) is not in the model
-?- model: +4 -0 facts
-?- W = b
+?- anc(a, c)   [by anc(X, Y) <- par(X, Z), anc(Z, Y).]
+  par(a, b).   [fact]
+  anc(b, c)   [by anc(X, Y) <- par(X, Y).]
+    par(b, c).   [given]
+?- ?- W = b
 W = c
 W = d
 ?- W = b

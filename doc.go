@@ -30,18 +30,22 @@
 //	ans, err := eng.Query("ancestor(abe, W)")
 //	for _, row := range ans.Rows { fmt.Println(row) }
 //
-// # One read path
+// # One handle
 //
-// Engine.Query, Engine.Prepare with PreparedQuery.Exec, and the same two on
-// an incrementally maintained view (Engine.Materialize, then
-// Materialized.Query and Materialized.Prepare — which returns the same
-// handle type) all answer through one snapshot reader, so they return the
-// same rows for the same query: the reader solves against the current
-// snapshot of the engine's model or of the view (or, under WithMagic, runs
-// the compiled magic-sets form), behind one answer cache per engine and per
-// view that updates invalidate by dependency cone.  ReadOpts bounds a
-// single read; WithDeadline, WithLimit and WithMemBudget bound every
-// evaluation.
+// An Engine is one handle on a program, its extensional database (at first
+// the facts the program text gives its base predicates) and their minimal
+// model, kept incrementally maintained: AddFact, AddFacts and AddDB queue
+// facts for the next read, Assert, Retract and Update apply a transaction
+// at once, and Materialize returns an O(1) clone that goes on
+// apart (Materialized and PreparedView are other names of Engine and
+// PreparedQuery).  Query, and Prepare with PreparedQuery.Exec, answer
+// through one read path, so they return the same rows for the same query:
+// it solves against the current snapshot of the model (or, under
+// WithMagic, runs the compiled magic-sets form against the extensional
+// database), behind one answer cache per handle that every write evicts by
+// dependency cone.  Run is the one way to read the whole model.  ReadOpts
+// bounds a single read; WithDeadline, WithLimit and WithMemBudget bound
+// every evaluation.
 //
 // Concrete syntax: rules are written head <- body with a terminating
 // period; variables start upper-case, constants lower-case or between

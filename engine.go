@@ -5,6 +5,7 @@ import (
 	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ldl1/internal/analyze"
@@ -14,6 +15,7 @@ import (
 	"ldl1/internal/incr"
 	"ldl1/internal/magic"
 	"ldl1/internal/parser"
+	"ldl1/internal/qcache"
 	"ldl1/internal/rewrite"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
@@ -55,10 +57,11 @@ type config struct {
 // WithStrategy selects naive or semi-naive evaluation.
 func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
 
-// WithStats attaches a counter sink.  Run, Query, prepared Exec, Materialize
-// and every transaction of a view it returns each count into a Stats of
-// their own and merge it into the sink under one lock when they finish, so
-// concurrent reads and writes may share one sink; read it once they have
+// WithStats attaches a counter sink.  Run, Query, prepared Exec,
+// Materialize and every transaction — of the engine and of the clones
+// Materialize returns, whose reads do not count — each count into a Stats
+// of their own and merge it into the sink under one lock when they finish,
+// so concurrent reads and writes may share one sink; read it once they have
 // returned.
 func WithStats(s *Stats) Option { return func(c *config) { c.stats = s } }
 
@@ -86,14 +89,14 @@ func (c config) magicVariant() magic.Variant {
 }
 
 // WithLimit bounds the number of facts one evaluation — a Run, a magic-sets
-// read, or a view transaction — may derive; it aborts with *lderr.LimitError
+// read, or a transaction — may derive; it aborts with *lderr.LimitError
 // beyond it, and Run does so whatever the order of loads and reads.  A
 // termination guard for programs whose function symbols could generate
 // unbounded terms.
 func WithLimit(maxDerived int) Option { return func(c *config) { c.limit = maxDerived } }
 
 // WithDeadline bounds the wall-clock time of every Run, Query, prepared
-// Exec and materialized-view operation (a read may replace it through
+// Exec and transaction (a read may replace it through
 // ReadOpts.Deadline).  A breached deadline aborts the fixpoint at
 // the next evaluation round with an error satisfying both
 // errors.Is(err, lderr.DeadlineExceeded) and
@@ -121,7 +124,7 @@ func WithoutIndexes() Option { return func(c *config) { c.noIndexes = true } }
 func WithoutReorder() Option { return func(c *config) { c.noReorder = true } }
 
 // WithoutQueryCache disables the answer cache and the memo of compiled query
-// forms, the engine's and every view's: every query recompiles and
+// forms, the engine's and every clone's: every query recompiles and
 // re-evaluates from scratch.  An ablation switch for benchmarks; Prepare
 // still works and still skips recompilation through its own handle.
 func WithoutQueryCache() Option { return func(c *config) { c.noQueryCache = true } }
@@ -130,31 +133,67 @@ func WithoutQueryCache() Option { return func(c *config) { c.noQueryCache = true
 // using §4 constructs are then rejected by the well-formedness check.
 func WithoutRewrite() Option { return func(c *config) { c.noRewrite = true } }
 
-// Engine holds a checked LDL1 program, its extensional database and their
-// model, a view (see Materialized) that the first Run or plain read builds.
-// A load only queues its facts; the next read that needs the model inserts
-// all queued facts as one transaction, under that read's context.
+// Engine is one handle on a checked LDL1 program: its extensional database
+// of record, which starts as the facts the program text gives its base
+// predicates, and their standard minimal model M_n (Theorem 1), kept as an
+// incrementally maintained view that the first read or write builds.
+// AddFact, AddFacts and AddDB only queue their facts, and the next read or
+// write inserts the queue as one transaction under its own context.
+// Assert, Retract and Update apply a transaction at once by delta
+// propagation (semi-naive insertion rules, delete-and-rederive for
+// retractions, ≡-class regrouping for grouping heads) instead of a
+// from-scratch fixpoint, and return its net change; a WithMagic engine
+// whose reads have not needed the model applies them to its extensional
+// database only.  Materialize returns an O(1) clone of the handle.
 //
-// Concurrency: a load, and a read that builds or updates the model, take a
-// write lock; other reads take a read lock.  A magic-sets read (WithMagic)
-// and Explain clone the extensional database under a read lock and evaluate
-// the clone without it.  Every read sees a load wholly or not at all.  The
-// reader's answer cache and form memo carry their own locks and publish only
-// fully built, immutable entries.
+// Concurrency: writes, and a read that finds facts queued, serialize on a
+// write lock.  A read with nothing queued takes no lock: it solves against
+// the snapshot published when it starts, and snapshots are immutable, so it
+// never observes half a transaction.  A magic-sets read (WithMagic) and
+// Explain clone the extensional database under a read lock and evaluate
+// the clone without it.  The answer cache and form memo carry
+// their own locks and publish only fully built, immutable entries.
 type Engine struct {
 	cfg      config
-	source   *ast.Program  // program as written (after LDL1.5 expansion)
-	prog     *eval.Program // source admitted: what the view and Explain run
-	original *ast.Program  // program as written, before expansion
-	mu       sync.RWMutex  // guards edb, view and pending
-	edb      *store.DB
-	view     *incr.Materialized // nil until a read builds it, and once dropped
-	pending  []*term.Fact       // loaded since the view was last brought up to date
+	source   *ast.Program // program as written (after LDL1.5 expansion)
+	original *ast.Program // program as written, before expansion
+	// facts are those source gives its base predicates (no rule derives
+	// them), the initial edb, which Explain labels [fact].  prog is source
+	// admitted, without them: what the view and Explain run.  rules is
+	// source without them: what a magic form compiles from.
+	facts []*term.Fact
+	prog  *eval.Program
+	rules *ast.Program
+	mu    sync.RWMutex // guards edb, known, view and pending
+	edb   *store.DB
+	// known holds the predicates of the facts loaded and asserted: the
+	// extensional predicates of type inference and the vet pass.
+	known   map[string]bool
+	view    *incr.Materialized // nil until a read or write builds it, and once dropped
+	pending []*term.Fact       // loaded since the view was last brought up to date
+	// current is view while nothing is pending, else nil: what a read
+	// answers from without taking mu.
+	current atomic.Pointer[incr.Materialized]
+	sink    *sink // the WithStats sink, which evaluations and writes count into
 
-	// r answers every Query and prepared Exec: from the view's snapshot, or
-	// under WithMagic through a magic form evaluated against edb.
-	r *reader
+	// The read path (reader.go), which every Query and prepared Exec takes.
+	// A read solves against the view's snapshot or, when magic is set
+	// (WithMagic, never on a clone), runs a magic form against edb.  Reads
+	// count into reads: sink, or nil on a clone.
+	magic bool
+	reads *sink
+	cones map[string]map[string]bool // each derived predicate's dependency cone
+	// cache memoizes the answers of cache-shaped literals (canonicalLit).
+	cache *qcache.Cache
+	// formMu guards forms, the compiled forms of cache-shaped database
+	// literals by predicate and shape, at most formCap of them; nil under
+	// WithoutQueryCache.
+	formMu sync.Mutex
+	forms  map[qcache.Key]*form
 }
+
+// Materialized is Engine under the name Materialize returns it by.
+type Materialized = Engine
 
 // New parses an LDL1 (or LDL1.5) program — rules and facts — compiles any
 // §4 extension constructs away, and verifies well-formedness (§2.1, §7)
@@ -190,78 +229,50 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 			return nil, &VetError{Diagnostics: ds}
 		}
 	}
-	e.source, e.prog = compiled, prog
-	e.edb = store.NewDB()
-	e.edb.UseIndexes = !e.cfg.noIndexes
-	e.r = e.cfg.newReader(e.materialized, dependencyCones(compiled))
-	e.r.sink = &sink{counts: e.cfg.stats}
-	if e.cfg.magic {
-		e.r.magicForm, e.r.exec = e.magicForm, e.execMagic
+	e.source, e.cones = compiled, dependencyCones(compiled)
+	var fixed []*term.Fact
+	for _, f := range prog.Facts() {
+		if _, derived := e.cones[f.Pred]; derived {
+			fixed = append(fixed, f)
+		} else {
+			e.facts = append(e.facts, f)
+		}
 	}
+	e.prog, e.rules = prog.WithFacts(fixed), ast.NewProgram()
+	for _, r := range compiled.Rules {
+		if _, derived := e.cones[r.Head.Pred]; derived || !r.IsFact() {
+			e.rules.Add(r)
+		}
+	}
+	e.edb, e.known = store.NewDB(), map[string]bool{}
+	e.edb.UseIndexes = !e.cfg.noIndexes
+	e.edb.LoadFacts(e.facts, store.LoadOpts{})
+	e.sink = &sink{counts: e.cfg.stats}
+	e.magic, e.reads = e.cfg.magic, e.sink
+	e.initReads()
 	return e, nil
 }
 
-// AddFact inserts one extensional fact, evaluated as AddFacts evaluates its
-// facts.  A fact with a variable (§7) or outside U is rejected, with the
-// error AddFacts wraps for it, and nothing is inserted.
-func (e *Engine) AddFact(f *Fact) error {
-	f, err := groundFact(ast.NewLit(f.Pred, f.Args...))
+// Materialize returns a second handle on the engine's program, database
+// and model: an O(1) clone, brought up to date as Run brings the model, so
+// it evaluates nothing when a read has built the model and no load has come
+// since.  From then on the two are apart: a load or transaction on either
+// does not reach the other.  The clone keeps the engine's options and its
+// WithStats sink, which its transactions count into; it answers every read
+// from its own model, never through a magic form, and its reads count into
+// no sink.
+func (e *Engine) Materialize() (*Engine, error) {
+	c := &Engine{cfg: e.cfg, source: e.source, original: e.original, prog: e.prog, rules: e.rules, facts: e.facts, sink: e.sink, cones: e.cones}
+	_, err := e.sync(context.Background(), func(context.Context, *Stats) error {
+		c.edb, c.known, c.view = e.edb.Clone(), maps.Clone(e.known), e.view.Clone()
+		return nil
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.load([]string{f.Pred}, []*term.Fact{f})
-	return nil
-}
-
-// AddFacts inserts facts given as LDL1 source text ("parent(a, b). ...").
-// The parsed facts are loaded in one batch, so intern tables are pre-sized
-// instead of grown fact by fact.
-func (e *Engine) AddFacts(src string) error {
-	fs, err := parseFactList(src)
-	if err != nil || len(fs) == 0 {
-		return err
-	}
-	var preds []string
-	seen := map[string]bool{}
-	for _, f := range fs {
-		if !seen[f.Pred] {
-			seen[f.Pred] = true
-			preds = append(preds, f.Pred)
-		}
-	}
-	e.load(preds, fs)
-	return nil
-}
-
-// AddDB inserts every fact of a prebuilt database (e.g. from the workload
-// generators used in benchmarks).  Each source relation is loaded through
-// the bulk path and shares the caller's facts as they are.
-func (e *Engine) AddDB(db *store.DB) {
-	var rels [][]*term.Fact
-	for _, p := range db.Preds() {
-		if r := db.RelOrNil(p); r != nil && r.Len() > 0 {
-			rels = append(rels, r.All())
-		}
-	}
-	e.load(db.Preds(), rels...)
-}
-
-// load writes each list of rels into the extensional database through the
-// bulk path, evicts answers on preds and queues the facts for the model, if
-// a read has built one.  Under WithMemBudget it drops the model instead.
-func (e *Engine) load(preds []string, rels ...[]*term.Fact) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, fs := range rels {
-		e.edb.LoadFacts(fs, store.LoadOpts{})
-		if e.view != nil {
-			e.pending = append(e.pending, fs...)
-		}
-	}
-	if e.cfg.memBudget > 0 {
-		e.view, e.pending = nil, nil
-	}
-	e.r.cache.Invalidate(preds...)
+	c.current.Store(c.view)
+	c.initReads()
+	return c, nil
 }
 
 // Program returns the compiled program text (after LDL1.5 expansion).
@@ -278,15 +289,12 @@ func (e *Engine) Strata() map[string]int {
 // which case its minimal model is unique (§3, corollary to Theorem 1).
 func (e *Engine) IsPositive() bool { return e.source.IsPositive() }
 
-// knownPreds is the set of extensional predicate names — the only store
-// input the type inference and the vet pass depend on.  Callers hold e.mu.
+// knownPreds is the set of predicates of loaded and asserted facts — the
+// only store input the type inference and the vet pass depend on.
 func (e *Engine) knownPreds() map[string]bool {
-	preds := e.edb.Preds()
-	known := make(map[string]bool, len(preds))
-	for _, p := range preds {
-		known[p] = true
-	}
-	return known
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return maps.Clone(e.known)
 }
 
 // Signatures returns the inferred per-predicate argument signatures of the
@@ -294,14 +302,11 @@ func (e *Engine) knownPreds() map[string]bool {
 // :check.  Predicates whose facts live in the extensional store read as ⊤
 // and are omitted.
 func (e *Engine) Signatures() []types.PredSig {
-	e.mu.RLock()
-	known := e.knownPreds()
-	e.mu.RUnlock()
-	return analyze.Signatures(e.original, analyze.Options{KnownPreds: known})
+	return analyze.Signatures(e.original, analyze.Options{KnownPreds: e.knownPreds()})
 }
 
 // evalOpts assembles the options of one evaluation under ctx, counting
-// into st.  Callers hold e.mu.
+// into st.
 func (e *Engine) evalOpts(ctx context.Context, st *Stats) eval.Options {
 	return eval.Options{
 		Strategy:   e.cfg.strategy,
@@ -314,8 +319,9 @@ func (e *Engine) evalOpts(ctx context.Context, st *Stats) eval.Options {
 }
 
 // Run computes the standard minimal model M_n of the program with respect
-// to the extensional database (Theorem 1) and returns it.  The model is
-// kept, and the next read inserts facts loaded since into it (see Engine).
+// to the extensional database (Theorem 1) and returns it: the one way to
+// read the whole model.  The model is kept, and the next read inserts facts
+// loaded since into it (see Engine).
 func (e *Engine) Run() (*Model, error) {
 	return e.RunCtx(context.Background())
 }
@@ -332,23 +338,28 @@ func (e *Engine) RunCtx(ctx context.Context) (*Model, error) {
 	return &Model{db: v.Snapshot()}, nil
 }
 
-// materialized returns the engine's view brought up to date under ctx and
-// the engine's deadline: built by one evaluation if there is none, else
-// with the facts loaded since inserted as one transaction.  A canceled
-// context keeps the queue for the next read; any other failure, or a model
-// past WithLimit, drops the view, and evaluation from scratch answers.
+// materialized returns the view brought up to date under ctx: the current
+// one without a lock, else by sync.
 func (e *Engine) materialized(ctx context.Context) (*incr.Materialized, error) {
-	e.mu.RLock()
-	v, current := e.view, len(e.pending) == 0
-	e.mu.RUnlock()
-	if v != nil && current {
+	if v := e.current.Load(); v != nil {
 		return v, nil
 	}
+	return e.sync(ctx, nil)
+}
+
+// sync brings the view up to date under the write lock, ctx and the
+// engine's deadline — builds it by one evaluation if there is none, else
+// inserts the facts queued since as one transaction — and then runs fn, if
+// any, under the same lock, context and counters, which go to the sink.  A
+// canceled context keeps the queue for the next read; any other failure,
+// or a model past WithLimit, drops the view, and evaluation from scratch
+// answers.
+func (e *Engine) sync(ctx context.Context, fn func(ctx context.Context, st *Stats) error) (*incr.Materialized, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ctx, cancel := withDeadline(ctx, e.cfg.deadline)
 	defer cancel()
-	st, merge := e.r.sink.stats()
+	st, merge := e.sink.stats()
 	defer merge()
 	var err error
 	if e.view != nil && len(e.pending) > 0 {
@@ -361,7 +372,13 @@ func (e *Engine) materialized(ctx context.Context) (*incr.Materialized, error) {
 		e.pending = nil
 	}
 	if e.view == nil {
-		e.view, err = incr.From(e.prog, e.edb, e.evalOpts(ctx, st))
+		if e.view, err = incr.From(e.prog, e.edb, e.evalOpts(ctx, st)); err != nil {
+			return nil, err
+		}
+	}
+	e.current.Store(e.view)
+	if fn != nil {
+		err = fn(ctx, st)
 	}
 	return e.view, err
 }
@@ -369,15 +386,27 @@ func (e *Engine) materialized(ctx context.Context) (*incr.Materialized, error) {
 // Query answers a conjunctive query ("ancestor(abe, W)", with or without
 // the ?- prefix).  With WithMagic and a positive single-literal query on a
 // derived predicate, the Generalized Magic Sets pipeline of §6 is used;
-// otherwise the full model is computed and filtered.
+// otherwise the query is solved against the model.
 func (e *Engine) Query(q string) (*Answers, error) {
-	return e.QueryCtx(context.Background(), q)
+	return e.QueryOpts(context.Background(), q, ReadOpts{})
 }
 
 // QueryCtx is Query under a context; cancellation semantics are those of
-// RunCtx, for the magic-sets pipeline as well as the full-model path.
+// RunCtx, for the magic-sets pipeline as well as the model's path.
 func (e *Engine) QueryCtx(ctx context.Context, q string) (*Answers, error) {
-	return e.r.query(ctx, q, ReadOpts{})
+	return e.QueryOpts(ctx, q, ReadOpts{})
+}
+
+// QueryOpts is QueryCtx under per-call resource bounds.  Cache-shaped
+// single-literal queries are served from and fill the handle's answer
+// cache.
+func (e *Engine) QueryOpts(ctx context.Context, q string, o ReadOpts) (*Answers, error) {
+	query, err := parser.ParseQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	key, consts := readKey(query.Body)
+	return e.read(ctx, query.Body, nil, key, consts, o)
 }
 
 // Prepare compiles a query for repeated execution; see PreparedQuery.  The
@@ -393,35 +422,40 @@ func (e *Engine) Prepare(q string) (*PreparedQuery, error) {
 		// LDL200 type clash or an LDL202 provably empty literal.  Codes
 		// and positions (within the query text) match what Vet reports
 		// for the same query appended to the program source.
-		e.mu.RLock()
-		known := e.knownPreds()
-		e.mu.RUnlock()
-		if ds := analyze.Program(e.original, []parser.Query{query}, analyze.Options{KnownPreds: known}); len(ds) > 0 {
+		if ds := analyze.Program(e.original, []parser.Query{query}, analyze.Options{KnownPreds: e.knownPreds()}); len(ds) > 0 {
 			return nil, &VetError{Diagnostics: ds}
 		}
 	}
-	return e.r.prepare(query)
+	return e.prepare(query)
 }
 
-// magicForm is the reader's magic compile step on a WithMagic engine: the
+// CacheCounters reports the handle's answer-cache statistics: cumulative
+// hits, misses, and evictions, plus the live entry count.  All zero when
+// the engine was built with WithoutQueryCache.
+func (e *Engine) CacheCounters() (hits, misses, evictions, entries int) {
+	hits, misses, evictions = e.cache.Counters()
+	return hits, misses, evictions, e.cache.Len()
+}
+
+// magicForm is the read path's magic compile step on a WithMagic engine: the
 // magic form of a positive literal on a derived predicate, nil for any other
 // literal.
 func (e *Engine) magicForm(lit ast.Literal) (*magic.Prepared, error) {
-	if _, derived := e.r.cones[lit.Pred]; !derived || lit.Negated {
+	if _, derived := e.cones[lit.Pred]; !derived || lit.Negated {
 		return nil, nil
 	}
-	return magic.PrepareVariant(e.source, parser.Query{Body: []ast.Literal{lit}}, e.cfg.magicVariant())
+	return magic.PrepareVariant(e.rules, parser.Query{Body: []ast.Literal{lit}}, e.cfg.magicVariant())
 }
 
-// execMagic is the reader's exec step on a WithMagic engine: one magic-sets
+// execMagic is the read path's exec step on a WithMagic engine: one magic-sets
 // evaluation of a compiled form against a clone of the extensional
-// database, taken under the read lock, so a concurrent load lands strictly
+// database, taken under the read lock, so a concurrent write lands strictly
 // before or after it and the saturation runs without the lock.
 func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *Stats) ([][]term.Term, error) {
 	e.mu.RLock()
 	edb := e.edb.Clone()
-	opts := e.evalOpts(ctx, st)
 	e.mu.RUnlock()
+	opts := e.evalOpts(ctx, st)
 	if o.MemBudget > 0 {
 		opts.MemBudget = o.MemBudget
 	}

@@ -137,14 +137,14 @@ func TestMaterializedCtxAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := mat.Model().Len()
+	before := mustModel(t, mat).Len()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := mat.AssertCtx(ctx, "parent(d, e)."); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("AssertCtx: want ErrCanceled, got %v", err)
 	}
-	if got := mat.Model().Len(); got != before {
+	if got := mustModel(t, mat).Len(); got != before {
 		t.Fatalf("canceled AssertCtx changed the model: %d -> %d", before, got)
 	}
 
@@ -168,13 +168,13 @@ func TestMaterializedCtxAndLimit(t *testing.T) {
 	// in one Assert derives over a hundred facts, breaking the 64-fact
 	// budget and rolling back.
 	chain := "parent(e, f). parent(f, g). parent(g, h). parent(h, i). parent(i, j). parent(j, k). parent(k, l). parent(l, m). parent(m, n). parent(n, o)."
-	pre := mat.Model().Len()
+	pre := mustModel(t, mat).Len()
 	_, err = mat.Assert(chain)
 	var le *LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("breaching Assert: want *LimitError, got %v", err)
 	}
-	if got := mat.Model().Len(); got != pre {
+	if got := mustModel(t, mat).Len(); got != pre {
 		t.Fatalf("breaching Assert changed the model: %d -> %d", pre, got)
 	}
 }

@@ -38,6 +38,11 @@ func (e *Engine) Explain(factSrc string) (string, error) {
 	opts := e.evalOpts(ctx, nil)
 	e.mu.RUnlock()
 	prov := eval.NewProvenance()
+	for _, f := range e.facts {
+		if edb.Contains(f) {
+			prov.RecordFact(f)
+		}
+	}
 	opts.Provenance = prov
 	if err := e.prog.Run(edb, opts, nil); err != nil {
 		return "", err
@@ -73,12 +78,13 @@ func (e *Engine) ExplainQuery(q string) (adorned, rewritten, plan string, err er
 func (e *Engine) planString(query parser.Query) string {
 	var cone map[string]bool
 	if len(query.Body) == 1 && !query.Body[0].Negated {
-		cone = e.r.cone(query.Body[0].Pred)
+		cone = e.cone(query.Body[0].Pred)
 	}
+	known := e.knownPreds()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var sb strings.Builder
-	env := types.Infer(e.source, nil, types.Options{Known: e.knownPreds()}).Env
+	env := types.Infer(e.source, nil, types.Options{Known: known}).Env
 	if sigs := env.Render(); len(sigs) > 0 {
 		sb.WriteString("-- inferred signatures\n")
 		for _, s := range sigs {

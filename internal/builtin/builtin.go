@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/lderr"
@@ -97,6 +98,12 @@ func evalEq(l ast.Literal, b *unify.Bindings, yield func() error) error {
 	if err := arity(l, 2); err != nil {
 		return err
 	}
+	if eq, ok := setPatternEq(l.Args[0], l.Args[1], b); ok {
+		if eq {
+			return yield()
+		}
+		return nil
+	}
 	lhs := unify.ApplyPartial(l.Args[0], b)
 	rhs := unify.ApplyPartial(l.Args[1], b)
 	lg, rg := term.IsGround(lhs), term.IsGround(rhs)
@@ -128,6 +135,47 @@ func evalEq(l ast.Literal, b *unify.Bindings, yield func() error) error {
 		return matchYield(rhs, lv, b, yield)
 	}
 	return instErr(l)
+}
+
+// setPatternEq decides p = q without building a set when one side is
+// bound to a set S and the other is a set pattern {t1, ..., tn} whose
+// elements are ground under b: the two are equal iff every ti is a member
+// of S and the distinct ti number |S|.  An element outside U makes the
+// pattern no value, and "=" false (§2.2).  ok is false for any other
+// shape.
+func setPatternEq(p, q term.Term, b *unify.Bindings) (eq, ok bool) {
+	s, pat := boundSet(p, b), q
+	if s == nil {
+		s, pat = boundSet(q, b), p
+	}
+	c, isComp := pat.(*term.Compound)
+	if s == nil || !isComp || c.Functor != unify.SetPatternFunctor {
+		return false, false
+	}
+	var arr [8]term.Term
+	elems := arr[:0]
+	for _, a := range c.Args {
+		v, err := unify.Apply(a, b)
+		if errors.Is(err, unify.ErrUnbound) {
+			return false, false
+		}
+		if err != nil || !s.Contains(v) {
+			return false, true
+		}
+		if !slices.ContainsFunc(elems, func(w term.Term) bool { return term.Equal(v, w) }) {
+			elems = append(elems, v)
+		}
+	}
+	return len(elems) == s.Len(), true
+}
+
+// boundSet returns the set t is, or a variable t is bound to; nil if none.
+func boundSet(t term.Term, b *unify.Bindings) *term.Set {
+	if v, isVar := t.(term.Var); isVar {
+		t, _ = b.Lookup(v)
+	}
+	s, _ := t.(*term.Set)
+	return s
 }
 
 func matchYield(pattern term.Term, value term.Term, b *unify.Bindings, yield func() error) error {

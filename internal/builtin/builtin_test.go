@@ -2,6 +2,7 @@ package builtin
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ldl1/internal/ast"
@@ -251,6 +252,67 @@ func TestEquality(t *testing.T) {
 	b = bind("X", term.Int(1))
 	if n := len(solutions(t, lit(t, "Y = scons(a, X)"), b)); n != 0 {
 		t.Errorf("= on outside-U value: %d solutions", n)
+	}
+}
+
+// TestSetPatternEquality: a bound set compared with a set pattern whose
+// elements are bound is decided by cardinality and membership, without
+// building the pattern's set (TestSetPatternEqualityAgreesWithBuilding
+// compares the two): an interpreted element is evaluated, an element
+// outside U fails, and an unbound element leaves the literal to matching,
+// which binds no element of a set (Ready schedules a pattern after its
+// variables).
+func TestSetPatternEquality(t *testing.T) {
+	s12 := term.NewSet(term.Int(1), term.Int(2))
+	for _, c := range []struct {
+		lit  string
+		b    *unify.Bindings
+		want int
+	}{
+		{"S = {X + 1, 1}", bind("S", s12, "X", term.Int(1)), 1},
+		{"S = {X / 0}", bind("S", s12, "X", term.Int(1)), 0},
+		{"S = {1, X}", bind("S", s12), 0},
+	} {
+		if n := len(solutions(t, lit(t, c.lit), c.b)); n != c.want {
+			t.Errorf("%s under %v: %d solutions, want %d", c.lit, c.b, n, c.want)
+		}
+	}
+}
+
+// TestSetPatternEqualityAgreesWithBuilding compares deciding S = {t1..tn}
+// by membership and count with building the pattern's set and comparing it
+// by value, on every subset S of {1, 2, 3} against every pattern of one to
+// three elements over {1, 2, 3, 4}, in both argument orders.
+func TestSetPatternEqualityAgreesWithBuilding(t *testing.T) {
+	vals := []term.Term{term.Int(1), term.Int(2), term.Int(3), term.Int(4)}
+	names := []string{"X", "Y", "Z"}
+	for mask := range 8 {
+		var sub []term.Term
+		for i := range 3 {
+			if mask&(1<<i) != 0 {
+				sub = append(sub, vals[i])
+			}
+		}
+		s := term.NewSet(sub...)
+		for n := 1; n <= 3; n++ {
+			for code := range 1 << (2 * n) {
+				b, elems := bind("S", s), make([]term.Term, n)
+				for i := range n {
+					elems[i] = vals[code>>(2*i)&3]
+					b.Bind(term.Var(names[i]), elems[i])
+				}
+				want := 0
+				if term.Equal(s, term.NewSet(elems...)) {
+					want = 1
+				}
+				pat := "{" + strings.Join(names[:n], ", ") + "}"
+				for _, src := range []string{"S = " + pat, pat + " = S"} {
+					if got := len(solutions(t, lit(t, src), b)); got != want {
+						t.Errorf("%s with S = %v, elements %v: %d solutions, building the set gives %d", src, s, elems, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,9 +2,11 @@
 // path.  By Theorem 1 an admissible program has one standard minimal model,
 // and by Theorem 2 it is the same under every layering; so on every program
 // the generator writes, naive and semi-naive evaluation under three
-// layerings, the model checker, an engine's Run after each load, a view
+// layerings, the model checker, an engine's Run after each load, a clone
 // Materialize took after a Run and maintained through a transaction stream,
-// and both magic-sets variants must agree.  Each trial is a subtest
+// and both magic-sets variants must agree; TestHandlesFollowUpdates holds a
+// plain and a WithMagic engine to it through the same streams.  Each trial
+// is a subtest
 // named by its seed, so a failure replays with -run 'TestDifferential/seed=N$';
 // the seeds up to 0 are the pinned inputs.
 package difftest
@@ -20,6 +22,8 @@ import (
 	"testing"
 
 	"ldl1"
+	"ldl1/internal/analyze"
+	"ldl1/internal/analyze/types"
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
 	"ldl1/internal/layering"
@@ -41,7 +45,7 @@ func TestMain(m *testing.M) {
 // floor lists what the default run must exercise: every feature of the
 // generator, every magic case, and a saturation that needs a third pass.
 var floor = []string{
-	"member", "union", "union enumeration", "partition", "recursion through partition", "scons",
+	"member", "union", "union enumeration", "partition", "recursion through partition", "scons", "=",
 	"function symbol", "recursion", "negation",
 	"grouping below negation", "three strict layers", "two grouping rules", "variable key",
 	"constant key", "compound key", "repeated key", "bound set argument", "more than two passes",
@@ -88,20 +92,7 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 		t.Fatalf("the generator wrote a program eval.Admit rejects: %v\n%s", err, src)
 	}
 	lay := admitted.Layering()
-	rules, edb, facts, heads := ast.NewProgram(), store.NewDB(), []*term.Fact(nil), []ast.Literal(nil)
-	for _, rl := range full.Rules {
-		if !rl.IsFact() {
-			rules.Add(rl)
-			if !slices.ContainsFunc(heads, func(h ast.Literal) bool { return h.Pred == rl.Head.Pred }) {
-				heads = append(heads, rl.Head)
-			}
-		} else if f, err := unify.ApplyLit(rl.Head, unify.NewBindings()); err != nil {
-			t.Fatal(err)
-		} else {
-			edb.Insert(f)
-			facts = append(facts, f)
-		}
-	}
+	rules, edb, facts, heads := split(t, full)
 	random, strata := randomLayering(r, full)
 	stream := txs(r, facts, 6)
 	fail := func(format string, args ...any) {
@@ -136,6 +127,23 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 	// Theorem 1: it is a model.
 	if v, err := model.Check(full, want); err != nil || v != nil {
 		fail("model check: %v %v", v, err)
+	}
+	// The analyzer passes every admitted program, and each fact of its model
+	// fits the signature inferred for its predicate.
+	for _, d := range analyze.Program(full, nil, analyze.Options{}) {
+		if d.Severity == analyze.Error {
+			fail("the analyzer rejects an admitted program: %v", d)
+		}
+	}
+	env := types.Infer(full, nil, types.Options{}).Env
+	for _, f := range want.Facts() {
+		if sig, ok := env.Sig(f.Pred, len(f.Args)); ok {
+			for i, a := range f.Args {
+				if !fits(a, sig[i]) {
+					fail("model fact %s: argument %d is outside the inferred signature %s", f, i+1, sig)
+				}
+			}
+		}
 	}
 
 	// The engine path: Run after each load of a transaction's insertions
@@ -186,8 +194,8 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 		if err != nil {
 			fail("evaluation after transaction %d: %v", i, err)
 		}
-		if got := view.Model().DB(); !got.Equal(scratch) {
-			fail("view after transaction %d:\n%s\nfrom scratch:\n%s", i, got, scratch)
+		if got, err := view.Run(); err != nil || !got.DB().Equal(scratch) {
+			fail("view after transaction %d: %v\n%s\nfrom scratch:\n%s", i, err, got, scratch)
 		}
 	}
 
@@ -224,6 +232,133 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 			}
 		}
 	}
+}
+
+// TestHandlesFollowUpdates: a plain and a WithMagic engine each follow a
+// generated stream of transactions, retractions included, through Update,
+// once with the generated facts loaded and once with them in the program
+// text.  After each transaction the handle's Run equals evaluation from
+// scratch over the net EDB, and so does a selective query on each derived
+// predicate, asked again after every transaction, so an answer cached before
+// a write and not evicted by it shows.  The magic handles answer those
+// queries through a magic form over their extensional database, which must
+// follow the retractions, of the program's facts too, as the model does.
+func TestHandlesFollowUpdates(t *testing.T) {
+	trials := map[bool]int{false: 150, true: 75}[testing.Short()]
+	for seed := 1; seed <= trials; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		src := program(r)
+		full := parser.MustParseProgram(src)
+		rules, edb, facts, heads := split(t, full)
+		stream := txs(r, facts, 6)
+		want, err := eval.Eval(rules, edb, eval.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var queries []parser.Query
+		for _, h := range heads {
+			queries = append(queries, query(r, h, want, map[string]int{}))
+		}
+		handles := map[string]*ldl1.Engine{}
+		for _, m := range []bool{false, true} {
+			for _, p := range []*ast.Program{rules, full} {
+				h, err := ldl1.NewFromAST(p, ldl1.WithoutRewrite(), ldl1.WithMagic(m))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p == rules {
+					h.AddDB(edb)
+				}
+				handles[fmt.Sprintf("magic=%v, facts in text=%v", m, p == full)] = h
+			}
+		}
+		cur := edb.Clone()
+		for i, tx := range stream {
+			cur.LoadFacts(tx.Insert, store.LoadOpts{})
+			cur.DeleteAll(tx.Retract)
+			scratch, err := eval.Eval(rules, cur, eval.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, h := range handles {
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("seed %d, %s handle, after transaction %d: %s\nprogram:\n%s\ntransactions (insert, retract):\n%v",
+						seed, name, i, fmt.Sprintf(format, args...), src, stream)
+				}
+				if _, err := h.Update(text(tx.Insert), text(tx.Retract)); err != nil {
+					fail("%v", err)
+				}
+				if m, err := h.Run(); err != nil || !m.DB().Equal(scratch) {
+					fail("Run: %v\n%s\nfrom scratch:\n%s", err, m, scratch)
+				}
+				for _, q := range queries {
+					rows, err := eval.SolveLimitsCtx(context.Background(), q.Body, scratch, eval.SolveLimits{})
+					if err != nil {
+						fail("%s: %v", q, err)
+					}
+					ans, err := h.Query(q.String())
+					if err != nil || !slices.EqualFunc(ans.Rows, rows, func(a, b []term.Term) bool { return eval.CompareRows(a, b) == 0 }) {
+						fail("%s answers %v, %v; from scratch %v", q, ans, err, rows)
+					}
+				}
+			}
+		}
+	}
+}
+
+// split parses apart a program's rules and facts: the program of its rules,
+// its facts as a database and as a list, and the head of the first rule of
+// each derived predicate.
+func split(t *testing.T, full *ast.Program) (rules *ast.Program, edb *store.DB, facts []*term.Fact, heads []ast.Literal) {
+	rules, edb = ast.NewProgram(), store.NewDB()
+	for _, rl := range full.Rules {
+		if !rl.IsFact() {
+			rules.Add(rl)
+			if !slices.ContainsFunc(heads, func(h ast.Literal) bool { return h.Pred == rl.Head.Pred }) {
+				heads = append(heads, rl.Head)
+			}
+		} else if f, err := unify.ApplyLit(rl.Head, unify.NewBindings()); err != nil {
+			t.Fatal(err)
+		} else {
+			edb.Insert(f)
+			facts = append(facts, f)
+		}
+	}
+	return rules, edb, facts, heads
+}
+
+// fits reports that the ground term a has the type sig: one of its kinds,
+// within its element type and its functor shape where it has them.
+func fits(a term.Term, sig types.Type) bool {
+	switch a := a.(type) {
+	case term.Int:
+		return sig.Kinds&types.Int != 0
+	case term.Atom:
+		return sig.Kinds&types.Atom != 0
+	case term.Str:
+		return sig.Kinds&types.Str != 0
+	case *term.Set:
+		if sig.Kinds&types.SetK == 0 {
+			return false
+		}
+		return sig.Elem == nil || !slices.ContainsFunc(a.Elems(), func(e term.Term) bool { return !fits(e, *sig.Elem) })
+	case *term.Compound:
+		sh := sig.Shape
+		if sig.Kinds&types.CompK == 0 || sh == nil {
+			return sig.Kinds&types.CompK != 0
+		}
+		if sh.Functor != a.Functor || len(sh.Args) != len(a.Args) {
+			return false
+		}
+		for i, s := range sh.Args {
+			if !fits(a.Args[i], s) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // text writes facts as the fact list that parses back to them.

@@ -59,7 +59,7 @@ func program(r *rand.Rand) string {
 	for i, n := 0, 3+r.Intn(5); i < n; i++ {
 		levels := []func(string){g.join, g.function, g.group}
 		if len(g.sets) > 0 {
-			levels = append(levels, g.member, g.union, g.splits, g.partition, g.unions, g.scons)
+			levels = append(levels, g.member, g.union, g.splits, g.partition, g.unions, g.scons, g.pattern)
 		}
 		levels[r.Intn(len(levels))](fmt.Sprint("p", i))
 	}
@@ -163,6 +163,19 @@ func (g *gen) partition(name string) {
 func (g *gen) scons(name string) {
 	g.rule(name+"(K, scons(Z, S))", g.pick(g.sets).lit("K", "S"), g.pick(g.rels).lit("K", "Z"))
 	g.sets = append(g.sets, pred{name, plain})
+}
+
+// pattern keeps the pairs of a relation whose values, one or two of them,
+// make up a grouped set of the same key: "=" between a bound set and a set
+// pattern whose elements are bound.
+func (g *gen) pattern(name string) {
+	s, r := g.pick(g.sets), g.pick(g.rels)
+	if g.r.Intn(2) == 0 {
+		g.rule(name+"(K, Y)", s.lit("K", "S"), r.lit("K", "Y"), "S = {Y}")
+	} else {
+		g.rule(name+"(K, Y)", s.lit("K", "S"), r.lit("K", "Y"), g.pick(g.rels).lit("K", "Z"), "S = {Y, Z}")
+	}
+	g.rels = append(g.rels, pred{name, plain})
 }
 
 // pinned are fixed inputs in testdata: hand-written programs with several

@@ -175,6 +175,14 @@ type Program struct {
 // the caller must not write to them.
 func (prog *Program) Facts() []*term.Fact { return prog.facts }
 
+// WithFacts returns the program with fs in place of its facts; the two share
+// their compiled rules and layering.
+func (prog *Program) WithFacts(fs []*term.Fact) *Program {
+	c := *prog
+	c.facts = fs
+	return &c
+}
+
 // Layering returns the layering Admit grouped the program by: one layer per
 // group.  Nil for a Program built by Compile.
 func (prog *Program) Layering() *layering.Layering { return prog.lay }

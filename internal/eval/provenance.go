@@ -51,6 +51,10 @@ func (p *Provenance) record(d *Derivation) {
 	p.n++
 }
 
+// RecordFact records f as a fact of the program text, which Explain shows
+// as [fact]; a fact without a record shows as [given].
+func (p *Provenance) RecordFact(f *term.Fact) { p.record(&Derivation{Fact: f}) }
+
 // Len returns the number of recorded derivations.
 func (p *Provenance) Len() int { return p.n }
 

@@ -67,6 +67,10 @@ type Result struct {
 	// model (EDB and IDB together), net of resurrections.
 	Inserted int
 	Deleted  int
+	// Changed names every predicate (EDB and IDB) whose extension the
+	// transaction changed, each once: what a cache of answers over the
+	// model evicts by.
+	Changed []string
 }
 
 // Options configures a materialization: the initial evaluation runs under
@@ -100,26 +104,9 @@ type Materialized struct {
 	edb   *store.DB  // current EDB (replaced by a written clone per Apply)
 	model atomic.Pointer[store.DB]
 
-	// onChange, when set, is invoked after every successfully published
-	// transaction with the predicates whose extensions changed; see OnChange.
-	onChange func(preds []string)
-
 	// opts is what a transaction runs under of the view's options: Stats,
 	// MaxDerived and NoReorder.
 	opts Options
-}
-
-// OnChange registers a callback fired after each successful Apply, with the
-// names of every predicate (EDB and IDB) whose extension changed in the
-// published model.  The callback runs under the Apply lock — after the new
-// snapshot is visible, before the next transaction can start — so cache
-// layers above the view (the engine's magic-answer cache) can invalidate
-// without racing a concurrent Apply.  The callback must not call back into
-// Apply.  Passing nil unregisters.
-func (m *Materialized) OnChange(fn func(preds []string)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onChange = fn
 }
 
 // New admits the program (eval.Admit) and materializes it over edb; see
@@ -171,8 +158,7 @@ func From(prog *eval.Program, edb *store.DB, opts Options) (*Materialized, error
 // Clone returns a second view of the same state in O(1): it shares the
 // program, the layering, the current EDB and the published model, which
 // each side only ever replaces by a written clone, so a transaction on
-// either side is invisible to the other.  The clone has its own lock and no
-// OnChange callback.
+// either side is invisible to the other.  The clone has its own lock.
 func (m *Materialized) Clone() *Materialized {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -246,49 +232,20 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 	}
 	old := m.model.Load()
 	edb2 := m.edb.Clone()
-
-	// Normalise the transaction against the current EDB: only genuinely
-	// new insertions and genuinely present retractions generate deltas,
-	// and a retraction cancels an insertion of the same fact.
-	addedSet := store.NewFactSet()
-	dropped := store.NewFactSet()
-	var added, removed []*term.Fact
-	for _, f := range tx.Insert {
-		g, ok := edb2.InsertGet(f)
-		if ok {
-			addedSet.Add(g)
-			added = append(added, g)
-		}
+	added, removed := WriteEDB(edb2, tx)
+	if len(added)+len(removed) == 0 {
+		return Result{}, nil
 	}
-	for _, f := range tx.Retract {
-		if edb2.Delete(f) {
-			if addedSet.Contains(f) {
-				dropped.Add(f)
-			} else {
-				removed = append(removed, f)
-			}
-		}
-	}
-
 	ns := m.lay.NumStrata
 	insBy := make([][]*term.Fact, ns)
 	delBy := make([][]*term.Fact, ns)
-	n := 0
 	for _, f := range added {
-		if dropped.Contains(f) {
-			continue
-		}
 		s := m.lay.PredStratum(f.Pred)
 		insBy[s] = append(insBy[s], f)
-		n++
 	}
 	for _, f := range removed {
 		s := m.lay.PredStratum(f.Pred)
 		delBy[s] = append(delBy[s], f)
-		n++
-	}
-	if n == 0 {
-		return Result{}, nil
 	}
 
 	opts := m.opts
@@ -317,15 +274,36 @@ func (m *Materialized) ApplyCtx(ctx context.Context, tx Tx) (Result, error) {
 
 	m.edb = edb2
 	m.model.Store(s.w)
-	if m.onChange != nil {
-		m.onChange(changedPreds(added, removed, s))
-	}
-	return Result{Inserted: s.gIns.len(), Deleted: s.gDel.len()}, nil
+	return Result{Inserted: s.gIns.len(), Deleted: s.gDel.len(), Changed: changedPreds(added, removed, s)}, nil
 }
 
-// changedPreds collects the distinct predicates a published transaction
-// touched: the normalized EDB insertions and retractions plus every net
-// model delta the layers produced.
+// WriteEDB applies tx to edb, EDB' = (EDB ∪ Insert) − Retract, and returns
+// the facts it added and removed, net: only genuinely new insertions and
+// genuinely present retractions count, and a retraction cancels an
+// insertion of the same fact.
+func WriteEDB(edb *store.DB, tx Tx) (added, removed []*term.Fact) {
+	addedSet, dropped := store.NewFactSet(), store.NewFactSet()
+	for _, f := range tx.Insert {
+		if g, ok := edb.InsertGet(f); ok {
+			addedSet.Add(g)
+			added = append(added, g)
+		}
+	}
+	for _, f := range tx.Retract {
+		switch {
+		case !edb.Delete(f):
+		case addedSet.Contains(f):
+			dropped.Add(f)
+		default:
+			removed = append(removed, f)
+		}
+	}
+	return slices.DeleteFunc(added, dropped.Contains), removed
+}
+
+// changedPreds collects the distinct predicates a transaction touched: the
+// normalized EDB insertions and retractions plus every net model delta the
+// layers produced.
 func changedPreds(added, removed []*term.Fact, s *txState) []string {
 	seen := map[string]bool{}
 	var out []string

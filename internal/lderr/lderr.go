@@ -1,5 +1,5 @@
 // Package lderr defines the typed error taxonomy of the engine: the
-// errors a caller of the public Engine/Materialized APIs (or the CLIs
+// errors a caller of the public Engine API (or the CLIs
 // built on them) can receive and is expected to branch on.  Callers use
 // errors.As for the structured kinds and errors.Is for the sentinels
 // instead of string-matching:
@@ -8,7 +8,8 @@
 //	LimitError          evaluation exceeded the derived-fact budget
 //	MemBudgetError      evaluation exceeded the derived-term byte budget
 //	InstantiationError  a built-in was called with too few bound arguments
-//	ArgError            a prepared handle was executed with bad arguments
+//	ArgError            a prepared handle was executed with bad arguments,
+//	                    or a transaction retracts a fact of the program
 //	Canceled            a context passed to a ...Ctx API was canceled
 //	DeadlineExceeded    a context deadline (or WithDeadline) expired
 //
@@ -81,8 +82,9 @@ func (e *InstantiationError) Error() string {
 func (e *InstantiationError) Unwrap() error { return ErrInstantiation }
 
 // ArgError reports a prepared handle executed with the wrong number of
-// arguments or a non-ground one: a caller mistake found before anything is
-// evaluated (the server answers it 400 bad_request).
+// arguments or a non-ground one, or a transaction retracting a fact the
+// program text gives a derived predicate: a caller mistake found before
+// anything is evaluated (the server answers it 400 bad_request).
 type ArgError struct {
 	Msg string
 }

@@ -107,7 +107,7 @@ func TestAnswerWriterMatchesEncoder(t *testing.T) {
 // encoding of the answers, with the JSON content type.
 func TestServedAnswerBytes(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	want, err := s.lookup("family").view.Query("ancestor(abe, W)")
+	want, err := s.lookup("family").eng.Query("ancestor(abe, W)")
 	if err != nil {
 		t.Fatal(err)
 	}

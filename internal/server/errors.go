@@ -17,7 +17,7 @@ package server
 //	DeadlineExceeded    504  deadline_exceeded
 //	Canceled            499  canceled              (nginx convention)
 //	unknown database    404  not_found
-//	ArgError            400  bad_request           (prepared Exec arguments)
+//	ArgError            400  bad_request           (prepared Exec arguments, a retracted program fact)
 //	malformed request   400  bad_request
 //	body over 16 MiB    413  request_too_large     limit
 //	admin disabled      403  admin_disabled

@@ -105,13 +105,15 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func infoOf(db *database) dbInfo {
-	m := db.view.Model().DB()
 	facts := map[string]int{}
 	total := 0
-	for _, p := range m.Preds() {
-		n := m.Card(p)
-		facts[p] = n
-		total += n
+	// Nothing is ever loaded into the handle, so Run evaluates nothing.
+	if m, err := db.eng.Run(); err == nil {
+		for _, p := range m.DB().Preds() {
+			n := m.DB().Card(p)
+			facts[p] = n
+			total += n
+		}
 	}
 	db.pmu.RLock()
 	prepared := make([]string, 0, len(db.prepared))
@@ -171,7 +173,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	lim := s.cfg.effective(req.DeadlineMS, req.MaxRows, req.MemBudget)
 	ctx, cancel := s.reqCtx(r, 0) // deadline is applied inside QueryOpts
 	defer cancel()
-	ans, err := db.view.QueryOpts(ctx, req.Query, ldl1.ReadOpts{
+	ans, err := db.eng.QueryOpts(ctx, req.Query, ldl1.ReadOpts{
 		Deadline: lim.Deadline, MaxRows: lim.MaxRows, MemBudget: lim.MemBudget,
 	})
 	if err != nil {
@@ -276,7 +278,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, assert, re
 	ctx, cancel := s.reqCtx(r, lim.Deadline)
 	defer cancel()
 	db.writeMu.Lock()
-	res, err := db.view.UpdateCtx(ctx, assert, retract)
+	res, err := db.eng.UpdateCtx(ctx, assert, retract)
 	db.writeMu.Unlock()
 	if err != nil {
 		db.writeErrors.Add(1)
@@ -360,7 +362,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		db.writeMu.Lock()
 		es := *db.evalStats
 		db.writeMu.Unlock()
-		hits, misses, evictions, entries := db.view.CacheCounters()
+		hits, misses, evictions, entries := db.eng.CacheCounters()
 		resp.Databases[name] = dbStats{
 			Facts:       info.Facts,
 			ModelFacts:  info.ModelFacts,

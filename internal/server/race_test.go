@@ -10,6 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ldl1"
+	"ldl1/internal/store"
 )
 
 // pairSrc maintains the invariant the stress test leans on: the writer
@@ -164,7 +167,7 @@ func TestKilledWriteLeavesSnapshotIntact(t *testing.T) {
 	defer ts.Close()
 
 	db := s.lookup("chains")
-	before := db.view.Model().DB()
+	before := mustModel(t, db.eng)
 	beforeLen := before.Len()
 
 	body, _ := json.Marshal(updateRequest{
@@ -182,7 +185,7 @@ func TestKilledWriteLeavesSnapshotIntact(t *testing.T) {
 		t.Fatalf("doomed write: status %d code %q, want 504 or 499", resp.StatusCode, eb.Error.Code)
 	}
 
-	after := db.view.Model().DB()
+	after := mustModel(t, db.eng)
 	if after != before {
 		t.Fatalf("killed write published a new snapshot: %p -> %p (len %d -> %d)",
 			before, after, beforeLen, after.Len())
@@ -206,4 +209,14 @@ func TestKilledWriteLeavesSnapshotIntact(t *testing.T) {
 	if st := post(t, ts.URL+"/db/chains/query", queryRequest{Query: "ancestor(a0, b150)"}, &q); st != 200 || q.Count != 1 {
 		t.Fatalf("follow-up derived fact missing: status %d rows %v", st, q.Rows)
 	}
+}
+
+// mustModel returns the whole model of e, which Run reads.
+func mustModel(t *testing.T, e *ldl1.Engine) *store.DB {
+	t.Helper()
+	m, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.DB()
 }

@@ -15,18 +15,18 @@ import (
 	"ldl1/internal/parser"
 )
 
-// database is one named materialized program: the admitted engine, its
-// incrementally maintained view, the named prepared handles, and the
+// database is one named materialized program: the engine handle that
+// answers and maintains it, the named prepared handles, and the
 // per-database counters.
 //
-// Concurrency: reads go straight to the view's lock-free snapshot path
-// and never take writeMu.  writeMu serializes write handlers (the view
+// Concurrency: reads go straight to the handle's lock-free snapshot path
+// and never take writeMu.  writeMu serializes write handlers (the handle
 // serializes transactions internally too — writeMu exists so that the
 // eval-stats sink, which the write path mutates, can be read consistently
 // by /stats without racing an in-flight transaction).
 type database struct {
 	name string
-	view *ldl1.Materialized
+	eng  *ldl1.Engine
 
 	writeMu sync.Mutex // serializes writes; guards evalStats reads
 	// evalStats accumulates the engine counters of the initial
@@ -36,7 +36,7 @@ type database struct {
 	evalStats *ldl1.Stats
 
 	pmu      sync.RWMutex
-	prepared map[string]*ldl1.PreparedView
+	prepared map[string]*ldl1.PreparedQuery
 
 	loaded                                 time.Time
 	reads, writes, readErrors, writeErrors atomic.Int64
@@ -117,15 +117,17 @@ func (s *Server) Load(name, src string) error {
 	if err != nil {
 		return err
 	}
-	view, err := eng.Materialize()
-	if err != nil {
+	// The database holds the handle Materialize returns, whose reads count
+	// into no WithStats sink and so take no lock; only its writes count
+	// into st.
+	if eng, err = eng.Materialize(); err != nil {
 		return err
 	}
 	db := &database{
 		name:      name,
-		view:      view,
+		eng:       eng,
 		evalStats: st,
-		prepared:  map[string]*ldl1.PreparedView{},
+		prepared:  map[string]*ldl1.PreparedQuery{},
 		loaded:    time.Now(),
 	}
 	s.mu.Lock()
@@ -154,7 +156,7 @@ func (s *Server) Prepare(dbName, queryName, query string) error {
 	if db == nil {
 		return fmt.Errorf("database %q not found", dbName)
 	}
-	pv, err := db.view.Prepare(query)
+	pv, err := db.eng.Prepare(query)
 	if err != nil {
 		return err
 	}

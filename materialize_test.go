@@ -27,7 +27,7 @@ func TestMaterializeAssertRetract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap0 := mv.Model()
+	snap0 := mustModel(t, mv)
 
 	res, err := mv.Assert(`parent(carl, dee).`)
 	if err != nil {
@@ -150,10 +150,10 @@ func TestWriteAllocBoundedByChange(t *testing.T) {
 		tx(mv.Assert, leaf)
 		tx(mv.Retract, leaf)
 		runtime.ReadMemStats(&m1)
-		if _, ok := mv.Model().DB().RelOrNil("a").DistinctCols([]int{0, 1}); ok {
+		if _, ok := mustModel(t, mv).DB().RelOrNil("a").DistinctCols([]int{0, 1}); ok {
 			t.Errorf("depth %d: the writes built an index over both columns of a", depth)
 		}
-		return float64(m1.TotalAlloc-m0.TotalAlloc) / 1024, mv.Model().Len()
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / 1024, mustModel(t, mv).Len()
 	}
 	kb5, n5 := pair(5, false)
 	kb7, n7 := pair(7, false)
@@ -198,7 +198,7 @@ func TestLoadedFactsAreEvaluated(t *testing.T) {
 			if load == "Assert" {
 				v, _ := e.Materialize()
 				_, err = v.Assert(fact)
-				m, query = v.Model(), v.Query
+				m, query = mustModel(t, v), v.Query
 			}
 			a, qerr := query("p(4, S)")
 			if got := fmt.Sprint(m.Facts("p")); err != nil || qerr != nil || got != "[p(4, {3, 4})]" || a.Len() != 1 {
@@ -207,8 +207,8 @@ func TestLoadedFactsAreEvaluated(t *testing.T) {
 		}
 	}
 	v := mustView(t, "p(3). q(X) <- p(X).")
-	if _, err := v.Retract("p(1+2)."); err != nil || v.Model().Len() != 0 {
-		t.Errorf("Retract(p(1+2)) left %v, %v", v.Model().Facts("p"), err)
+	if _, err := v.Retract("p(1+2)."); err != nil || mustModel(t, v).Len() != 0 {
+		t.Errorf("Retract(p(1+2)) left %v, %v", mustModel(t, v).Facts("p"), err)
 	}
 	var pe *ParseError
 	e, _ := New("")
@@ -258,7 +258,7 @@ func TestMaterializeClonesModel(t *testing.T) {
 		if got, _ := m.Contains(fact); got != want {
 			t.Errorf("engine after both writes: %s = %v, want %v", fact, got, want)
 		}
-		if got, _ := mv.Model().Contains(fact); got == want {
+		if got, _ := mustModel(t, mv).Contains(fact); got == want {
 			t.Errorf("view after both writes: %s = %v, want %v", fact, got, !want)
 		}
 	}

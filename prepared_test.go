@@ -34,6 +34,16 @@ func mustStr(t *testing.T) func(*Answers, error) string {
 	}
 }
 
+// mustModel returns e's whole model, which Run reads, failing t on an error.
+func mustModel(t *testing.T, e *Engine) *Model {
+	t.Helper()
+	m, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestPreparedExecOracle pins the core equivalence: for every constant,
 // Prepare+Exec on a magic engine, a fresh magic Query, and a full bottom-up
 // Query all return the same answers — including repeated Execs that hit the

@@ -3,13 +3,13 @@ package ldl1
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
-	"ldl1/internal/incr"
 	"ldl1/internal/layering"
 	"ldl1/internal/lderr"
 	"ldl1/internal/magic"
@@ -19,11 +19,11 @@ import (
 	"ldl1/internal/unify"
 )
 
-// answerCacheCap bounds a reader's answer cache.  Entries hold solution
+// answerCacheCap bounds a handle's answer cache.  Entries hold solution
 // slices, so the cap trades memory against repeated-query latency.
 const answerCacheCap = 128
 
-// formCap bounds a reader's memo of compiled forms.  A magic form costs one
+// formCap bounds a handle's memo of compiled forms.  A magic form costs one
 // adorn + rewrite + stratify, so the cap only matters for workloads cycling
 // through many distinct (predicate, shape) pairs.
 const formCap = 32
@@ -50,40 +50,6 @@ type ReadOpts struct {
 	MemBudget int64
 }
 
-// reader is the one read path of the package: Engine, Materialized, and
-// every prepared handle answer queries through read, which owns the only
-// copy of the answer-cache protocol.  A reader is immutable after
-// construction and safe for concurrent use; whether a read takes a lock is
-// decided by its snapshot source alone (an Engine's model behind the
-// engine's RWMutex, a view's published snapshot behind nothing).
-type reader struct {
-	// view returns the view whose current snapshot a read solves against.
-	view func(ctx context.Context) (*incr.Materialized, error)
-	// magicForm and exec are set on WithMagic engines only: magicForm
-	// returns the magic form of a positive literal on a derived predicate
-	// (nil for any other literal, which is answered from the snapshot), and
-	// exec evaluates a magic form for the given constants under the engine's
-	// read lock.
-	magicForm func(lit ast.Literal) (*magic.Prepared, error)
-	exec      func(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error)
-
-	// formMu guards forms, the compiled forms of cache-shaped database
-	// literals by predicate and shape (an answer-cache key without its
-	// constants), at most formCap of them; nil under WithoutQueryCache.
-	formMu sync.Mutex
-	forms  map[qcache.Key]*form
-
-	// cache memoizes the answers of cache-shaped literals (see
-	// canonicalLit); disabled, not nil, under WithoutQueryCache.
-	cache *qcache.Cache
-	// cones maps every derived predicate to its dependency cone; see cone.
-	cones    map[string]map[string]bool
-	deadline time.Duration
-
-	// sink is the engine's WithStats sink; nil on views.
-	sink *sink
-}
-
 // sink is a WithStats sink and the lock every merge into it takes.
 type sink struct {
 	mu     sync.Mutex
@@ -104,15 +70,13 @@ func (k *sink) stats() (*eval.Stats, func()) {
 	}
 }
 
-// newReader builds a reader over a snapshot source under the engine
-// configuration's deadline and cache switch, which turns off the answer
-// cache and the form memo alike.
-func (c *config) newReader(view func(context.Context) (*incr.Materialized, error), cones map[string]map[string]bool) *reader {
-	r := &reader{view: view, cache: qcache.New(answerCacheCap), forms: map[qcache.Key]*form{}, cones: cones, deadline: c.deadline}
-	if c.noQueryCache {
-		r.cache, r.forms = qcache.New(0), nil
+// initReads gives e an empty answer cache and form memo, both switched off
+// under WithoutQueryCache.
+func (e *Engine) initReads() {
+	e.cache, e.forms = qcache.New(answerCacheCap), map[qcache.Key]*form{}
+	if e.cfg.noQueryCache {
+		e.cache, e.forms = qcache.New(0), nil
 	}
-	return r
 }
 
 // withDeadline layers the deadline d, when positive, onto ctx.  The
@@ -166,23 +130,15 @@ func dependencyCones(p *ast.Program) map[string]map[string]bool {
 // cone returns the dependency cone of pred: an update to any predicate in
 // it may change the answers of a query on pred.  A base relation's cone is
 // itself.
-func (r *reader) cone(pred string) map[string]bool {
-	if c, ok := r.cones[pred]; ok {
+func (e *Engine) cone(pred string) map[string]bool {
+	if c, ok := e.cones[pred]; ok {
 		return c
 	}
 	return map[string]bool{pred: true}
 }
 
-// query parses q and answers it.
-func (r *reader) query(ctx context.Context, q string, o ReadOpts) (*Answers, error) {
-	query, err := parser.ParseQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return r.read(ctx, query, nil, o)
-}
-
-// read answers a parsed query; f is the form a prepared handle keeps, nil
+// read answers a parsed query body under its answer-cache key and ground
+// arguments (see readKey); f is the form a prepared handle keeps, nil
 // otherwise.  A cache-shaped single literal is keyed by predicate, shape
 // and constants, so every caller spelling of it shares one cache entry and
 // one compiled form: its rows are in argument order, whatever its variables
@@ -192,33 +148,33 @@ func (r *reader) query(ctx context.Context, q string, o ReadOpts) (*Answers, err
 // database is dropped by PutAt instead of being served as current.  A failed
 // read is never cached — a deadline, row-limit, or budget breach must not
 // poison later calls.
-func (r *reader) read(ctx context.Context, query parser.Query, f *form, o ReadOpts) (*Answers, error) {
+func (e *Engine) read(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, consts []term.Term, o ReadOpts) (*Answers, error) {
 	d := o.Deadline
 	if d <= 0 {
-		d = r.deadline
+		d = e.cfg.deadline
 	}
 	ctx, cancel := withDeadline(ctx, d)
 	defer cancel()
-	st, merge := r.sink.stats()
+	st, merge := e.reads.stats()
 	defer merge()
 
-	body := query.Body
-	key, consts := readKey(body)
 	if key.Pred != "" {
-		if ent, hit := r.cache.Get(key); hit {
+		if ent, hit := e.cache.Get(key); hit {
 			if st != nil {
 				st.CacheHits++
 			}
 			return newAnswers(body, ent.Sols, o.MaxRows)
 		}
 	}
-	gen := r.cache.Gen()
-	rows, err := r.compute(ctx, body, f, key, consts, o, st)
+	gen := e.cache.Gen()
+	// A miss evaluates a copy of consts, so that on a hit the caller's
+	// slice (a prepared Exec's arguments) does not escape.
+	rows, err := e.compute(ctx, body, f, key, slices.Clone(consts), o, st)
 	if err != nil {
 		return nil, err
 	}
 	if key.Pred != "" {
-		r.cache.PutAt(key, &qcache.Entry{Sols: rows, Cone: r.cone(key.Pred)}, gen)
+		e.cache.PutAt(key, &qcache.Entry{Sols: rows, Cone: e.cone(key.Pred)}, gen)
 	}
 	return newAnswers(body, rows, o.MaxRows)
 }
@@ -241,21 +197,21 @@ func parametric(body []ast.Literal) bool {
 
 // compile returns the form of body.  Under a non-zero answer-cache key, the
 // form of a parametric body comes from the memo, compiled on a miss.
-func (r *reader) compile(body []ast.Literal, key qcache.Key) (*form, error) {
+func (e *Engine) compile(body []ast.Literal, key qcache.Key) (*form, error) {
 	key.Consts = ""
-	if !parametric(body) || r.forms == nil {
+	if !parametric(body) || e.forms == nil {
 		key = qcache.Key{} // the memo holds no zero key
 	}
-	r.formMu.Lock()
-	f := r.forms[key]
-	r.formMu.Unlock()
+	e.formMu.Lock()
+	f := e.forms[key]
+	e.formMu.Unlock()
 	if f != nil {
 		return f, nil
 	}
 	f = new(form)
-	if r.magicForm != nil && len(body) == 1 {
+	if e.magic && len(body) == 1 {
 		var err error
-		if f.magic, err = r.magicForm(body[0]); err != nil {
+		if f.magic, err = e.magicForm(body[0]); err != nil {
 			return nil, err
 		}
 	}
@@ -263,25 +219,25 @@ func (r *reader) compile(body []ast.Literal, key qcache.Key) (*form, error) {
 		f.query = eval.NewQuery(body)
 	}
 	if key.Pred != "" {
-		r.formMu.Lock()
-		defer r.formMu.Unlock()
-		for old := range r.forms { // evict an arbitrary form
-			if len(r.forms) < formCap {
+		e.formMu.Lock()
+		defer e.formMu.Unlock()
+		for old := range e.forms { // evict an arbitrary form
+			if len(e.forms) < formCap {
 				break
 			}
-			delete(r.forms, old)
+			delete(e.forms, old)
 		}
-		r.forms[key] = f
+		e.forms[key] = f
 	}
 	return f, nil
 }
 
 // compute evaluates body by f — nil: the form compile returns for body and
 // key — binding its parameters to consts, body's ground arguments.
-func (r *reader) compute(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
+func (e *Engine) compute(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
 	if f == nil {
 		var err error
-		if f, err = r.compile(body, key); err != nil {
+		if f, err = e.compile(body, key); err != nil {
 			return nil, err
 		}
 	}
@@ -290,9 +246,9 @@ func (r *reader) compute(ctx context.Context, body []ast.Literal, f *form, key q
 		args = consts
 	}
 	if f.magic != nil {
-		return r.exec(ctx, f.magic, args, o, st)
+		return e.execMagic(ctx, f.magic, args, o, st)
 	}
-	v, err := r.view(ctx)
+	v, err := e.materialized(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -377,25 +333,26 @@ func groundArgs(l ast.Literal) []term.Term {
 // PreparedQuery is a query compiled once for repeated execution: the parse,
 // the parameter analysis and the compiled form — on a WithMagic engine the
 // adornment, magic rewrite, and stratification — are done at Prepare time,
-// and each Exec binds concrete constants to the form's parameters.
-// Engine.Prepare and Materialized.Prepare return the same handle type; an
-// Exec reads whatever its origin reads (the engine's current database, or
-// the view's snapshot current at its start) through the same answer cache
-// as Query.  A PreparedQuery is immutable and safe for concurrent Exec from
-// any number of goroutines.
+// and each Exec binds concrete constants to the form's parameters.  An
+// Exec reads what its engine's Query reads (the model's snapshot current at
+// its start, or on a WithMagic engine a magic form over the extensional
+// database) through the same answer cache as Query.  A PreparedQuery is
+// immutable and safe for concurrent Exec from any number of goroutines.
 type PreparedQuery struct {
-	r     *reader
+	e     *Engine
 	query parser.Query
-	// boundPos are the query-literal argument positions Exec arguments
-	// bind, ascending (the ground positions of the prepared query).
-	boundPos []int
+	// consts are the prepared query's ground arguments, in position order:
+	// the parameters Exec arguments replace.
+	consts []term.Term
+	// key is the answer-cache key of the prepared query without its
+	// constants: the shape every Exec of a cache-shaped literal keys by.
+	key qcache.Key
 	// form is the compiled form; nil for a negated or built-in literal,
 	// whose constants are not parameters, so each Exec compiles its own.
 	form *form
 }
 
-// PreparedView is PreparedQuery under the name Materialized.Prepare returns
-// it by.
+// PreparedView is another name of PreparedQuery.
 type PreparedView = PreparedQuery
 
 // prepare compiles a parsed query for repeated execution.  For a
@@ -404,27 +361,22 @@ type PreparedView = PreparedQuery
 // with N ground terms binds them at those positions in order.  The binding
 // pattern is fixed at Prepare time; the values are not.  Multi-literal
 // queries prepare with zero parameters.
-func (r *reader) prepare(query parser.Query) (*PreparedQuery, error) {
-	pq := &PreparedQuery{r: r, query: query}
+func (e *Engine) prepare(query parser.Query) (*PreparedQuery, error) {
+	pq := &PreparedQuery{e: e, query: query}
 	body := query.Body
-	if len(body) == 1 {
-		for i, a := range body[0].Args {
-			if term.IsGround(a) {
-				pq.boundPos = append(pq.boundPos, i)
-			}
-		}
-	}
+	pq.key, pq.consts = readKey(body)
+	pq.key.Consts = ""
 	if len(body) == 1 && !parametric(body) {
 		return pq, nil
 	}
 	var err error
-	pq.form, err = r.compile(body, qcache.Key{})
+	pq.form, err = e.compile(body, qcache.Key{})
 	return pq, err
 }
 
 // NumArgs is the number of arguments Exec accepts: the count of ground
 // argument positions in the prepared query.
-func (pq *PreparedQuery) NumArgs() int { return len(pq.boundPos) }
+func (pq *PreparedQuery) NumArgs() int { return len(pq.consts) }
 
 // Query returns the prepared query's source form.
 func (pq *PreparedQuery) Query() string { return pq.query.String() }
@@ -447,22 +399,49 @@ func (pq *PreparedQuery) ExecCtx(ctx context.Context, args ...Term) (*Answers, e
 // wrong argument count or a non-ground argument is a caller mistake,
 // reported before anything is evaluated.
 func (pq *PreparedQuery) ExecOpts(ctx context.Context, o ReadOpts, args ...Term) (*Answers, error) {
-	query := pq.query
-	if len(args) > 0 {
-		if len(args) != len(pq.boundPos) {
-			return nil, &lderr.ArgError{Msg: fmt.Sprintf("prepared query takes %d arguments, got %d", len(pq.boundPos), len(args))}
+	if len(args) == 0 {
+		args = pq.consts
+	} else if len(args) != len(pq.consts) {
+		return nil, &lderr.ArgError{Msg: fmt.Sprintf("prepared query takes %d arguments, got %d", len(pq.consts), len(args))}
+	} else {
+		var buf [4]term.Term
+		var err error
+		if args, err = evalArgs(buf[:0], args); err != nil {
+			return nil, err
 		}
-		lit := query.Body[0]
-		spliced := append([]term.Term(nil), lit.Args...)
-		for i, pos := range pq.boundPos {
-			// Apply evaluates interpreted functors and fails on any variable.
-			v, err := unify.Apply(args[i], unify.NewBindings())
-			if err != nil {
-				return nil, &lderr.ArgError{Msg: fmt.Sprintf("prepared argument %s is not a ground term: %v", args[i], err)}
-			}
-			spliced[pos] = v
-		}
-		query = parser.Query{Body: []ast.Literal{{Negated: lit.Negated, Pred: lit.Pred, Args: spliced}}}
 	}
-	return pq.r.read(ctx, query, pq.form, o)
+	body := pq.query.Body
+	if pq.form == nil {
+		// A negated or built-in literal's constants are not parameters:
+		// the literal with args in place compiles its own form.
+		lit := body[0]
+		spliced, next := slices.Clone(lit.Args), args
+		for i, a := range spliced {
+			if term.IsGround(a) {
+				spliced[i], next = next[0], next[1:]
+			}
+		}
+		body = []ast.Literal{{Negated: lit.Negated, Pred: lit.Pred, Args: spliced}}
+		key, consts := readKey(body)
+		return pq.e.read(ctx, body, nil, key, consts, o)
+	}
+	key := pq.key
+	if key.Pred != "" {
+		key.Consts = qcache.ConstsKey(args)
+	}
+	return pq.e.read(ctx, body, pq.form, key, args, o)
+}
+
+// evalArgs appends to buf the values of Exec arguments, with their
+// interpreted functors evaluated (§2.2: 1+1 is 2), failing on any variable.
+func evalArgs(buf, args []term.Term) ([]term.Term, error) {
+	var b unify.Bindings
+	for _, a := range args {
+		v, err := unify.Apply(a, &b)
+		if err != nil {
+			return nil, &lderr.ArgError{Msg: fmt.Sprintf("prepared argument %s is not a ground term: %v", a, err)}
+		}
+		buf = append(buf, v)
+	}
+	return buf, nil
 }

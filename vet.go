@@ -41,10 +41,7 @@ func Vet(src string) []Diagnostic {
 // predicates.  Each call runs the analyzer afresh against the current
 // predicate set; the caller owns the returned slice.
 func (e *Engine) Vet() []Diagnostic {
-	e.mu.RLock()
-	known := e.knownPreds()
-	e.mu.RUnlock()
-	return analyze.Program(e.original, nil, analyze.Options{KnownPreds: known})
+	return analyze.Program(e.original, nil, analyze.Options{KnownPreds: e.knownPreds()})
 }
 
 // VetError is returned by New/NewFromAST under WithStrict when the program
