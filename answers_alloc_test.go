@@ -85,16 +85,17 @@ func TestSolveAllocsFlatPerRow(t *testing.T) {
 // cache misses, by reader: measured plus a quarter.  The read takes its
 // compiled form from the reader's memo (or its prepared handle) and binds
 // the new constant to it, so it builds no query shape and plans through the
-// form's memo of join orders.  Measured here, and (in parentheses) when a
-// snapshot read built and planned a one-off shape per call and a magic-sets
-// execution evaluated the program's facts again: engine 33 (46), view 33
-// (46), view-prepared 25 (38), magic-base 33 (46), magic-derived 385 (908).
+// form's memo of join orders, and a lone atom's cache key is its name.
+// Measured here, and (in parentheses) when a snapshot read built and
+// planned a one-off shape per call and a magic-sets execution evaluated the
+// program's facts again: engine 29 (46), view 29 (46), view-prepared 17
+// (38), magic-base 29 (46), magic-derived 62 (908).
 var readMissCeilings = map[string]float64{
-	"engine":        41,
-	"view":          41,
-	"view-prepared": 31,
-	"magic-base":    41,
-	"magic-derived": 481,
+	"engine":        37,
+	"view":          37,
+	"view-prepared": 22,
+	"magic-base":    37,
+	"magic-derived": 78,
 }
 
 // TestReadMissAllocCeiling reads one shape with a new constant each time, so
@@ -171,9 +172,8 @@ func TestReadMissAllocCeiling(t *testing.T) {
 }
 
 // TestReadKeyAllocs pins what keying one read costs, hit or miss: the ground
-// arguments once (a miss binds the same slice to its form's parameters), the
-// shape, written directly, and the constants' text (two: the bytes and the
-// string).
+// arguments once (a miss binds the same slice to its form's parameters) and
+// the shape, written directly; a lone atom's constants text is its name.
 func TestReadKeyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -186,7 +186,7 @@ func TestReadKeyAllocs(t *testing.T) {
 	if want := (qcache.Key{Pred: "a", Adorn: "bf", Consts: "n5"}); key != want || len(consts) != 1 {
 		t.Fatalf("readKey = %+v, %v; want %+v, [n5]", key, consts, want)
 	}
-	const want = 4
+	const want = 2
 	if got := testing.AllocsPerRun(100, func() { readKey(q.Body) }); got != want {
 		t.Errorf("keying a(n5, W) allocates %.0f objects, want %d", got, want)
 	}

@@ -5,7 +5,10 @@
 // layerings, the model checker, an engine's Run after each load, a clone
 // Materialize took after a Run and maintained through a transaction stream,
 // and both magic-sets variants must agree; TestHandlesFollowUpdates holds a
-// plain and a WithMagic engine to it through the same streams.  Each trial
+// plain and a WithMagic engine to it through the same streams.  The engines
+// adopt the generated database (AddDB) and are written after; each trial
+// ends by checking that the database still holds what it was generated
+// with.  Each trial
 // is a subtest
 // named by its seed, so a failure replays with -run 'TestDifferential/seed=N$';
 // the seeds up to 0 are the pinned inputs.
@@ -93,6 +96,7 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 	}
 	lay := admitted.Layering()
 	rules, edb, facts, heads := split(t, full)
+	orig := deepCopy(edb)
 	random, strata := randomLayering(r, full)
 	stream := txs(r, facts, 6)
 	fail := func(format string, args ...any) {
@@ -232,6 +236,24 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 			}
 		}
 	}
+	unchanged(t, edb, orig)
+}
+
+// deepCopy returns a database holding edb's facts in relations of its own.
+func deepCopy(edb *store.DB) *store.DB {
+	c := store.NewDB()
+	c.LoadFacts(edb.Facts(), store.LoadOpts{})
+	return c
+}
+
+// unchanged fails t unless edb, which engines have adopted and been written
+// after, still holds what orig, its deep copy taken before, holds: no write
+// of an engine reached the caller's side of its AddDB.
+func unchanged(t *testing.T, edb, orig *store.DB) {
+	t.Helper()
+	if !edb.Equal(orig) {
+		t.Fatalf("the engines' writes reached the database they adopted:\n%s\nloaded:\n%s", edb, orig)
+	}
 }
 
 // TestHandlesFollowUpdates: a plain and a WithMagic engine each follow a
@@ -259,6 +281,7 @@ func TestHandlesFollowUpdates(t *testing.T) {
 		for _, h := range heads {
 			queries = append(queries, query(r, h, want, map[string]int{}))
 		}
+		orig := deepCopy(edb)
 		handles := map[string]*ldl1.Engine{}
 		for _, m := range []bool{false, true} {
 			for _, p := range []*ast.Program{rules, full} {
@@ -304,6 +327,7 @@ func TestHandlesFollowUpdates(t *testing.T) {
 				}
 			}
 		}
+		unchanged(t, edb, orig)
 	}
 }
 

@@ -32,8 +32,14 @@ type Key struct {
 
 // ConstsKey renders ground constants for use in a Key: their LDL1 text
 // (term.AppendText), joined by ", ".  A printed ground term parses back to
-// exactly that term, so the joined text names one tuple of constants.
+// exactly that term, so the joined text names one tuple of constants.  A
+// lone atom's text is its name or is built once (term.Atom.String).
 func ConstsKey(consts []term.Term) string {
+	if len(consts) == 1 {
+		if a, ok := consts[0].(term.Atom); ok {
+			return a.String()
+		}
+	}
 	var b []byte
 	for i, c := range consts {
 		if i > 0 {

@@ -389,6 +389,25 @@ type snapshot struct {
 // clone is DB.Clone beside a deep copy of the reference.
 func (s snapshot) clone() snapshot { return snapshot{s.db.Clone(), s.ref.clone()} }
 
+// adopt has s take in every relation of src (DB.Adopt) beside its
+// reference: a relation s holds facts of is copied into it, any other is
+// shared as a fork.
+func (s snapshot) adopt(src snapshot) {
+	for _, p := range src.db.Preds() {
+		s.db.Adopt(src.db.RelOrNil(p))
+	}
+	for _, f := range src.ref.facts {
+		s.ref.insert(f)
+	}
+}
+
+// adopted is a new database that has adopted every relation of s.
+func (s snapshot) adopted() snapshot {
+	a := snapshot{NewDB(), newRefDB()}
+	a.adopt(s)
+	return a
+}
+
 // check compares the snapshot with its reference: per predicate (of only,
 // when given) the facts as a sequence, the split invariant, Len, and every
 // index built so far — before the clone that shares it or lazily
@@ -462,16 +481,18 @@ func (s snapshot) check(t *testing.T, rng *rand.Rand, what string, only ...strin
 // a writer into a snapshot that is never written again, and the writer —
 // the clone's source — goes on being written, as a view's next transaction
 // writes a clone of the published model while readers hold the old one.  A
-// split clones a writer or an older snapshot into a new writer, after which
-// both sides of a writer's clone are written, as concurrent magic
-// executions clone one EDB.  Probes land on writers and snapshots alike, so
-// indexes get built before and after the clones that share them.  Every
-// live database is compared with its reference after every step; visit sees
-// every snapshot as it is published.  p0 holds a bucket of 4·unit facts
-// under one key in its column-0 index, which cutBucket cuts down on a fork
-// first; a stream below pagedSize then grows g and its column-0 index from
-// one fact to 8·unit and more across forks, and one of pagedSize goes on
-// with spanPages.
+// split clones a writer or an older snapshot into a new writer, or has a new
+// database adopt its relations, after which both sides are written, as
+// concurrent magic executions clone one EDB and engines adopt one loaded
+// database; a merge has a writer adopt the relations of another database,
+// copying those it holds facts of.  Probes land on writers and snapshots
+// alike, so indexes get built before and after the clones that share them.
+// Every live database is compared with its reference after every step;
+// visit sees every snapshot as it is published.  p0 holds a bucket of
+// 4·unit facts under one key in its column-0 index, which cutBucket cuts
+// down on a fork first; a stream below pagedSize then grows g and its
+// column-0 index from one fact to 8·unit and more across forks, and one of
+// pagedSize goes on with spanPages.
 func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -549,7 +570,7 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 	for step := 0; step < steps; step++ {
 		what := fmt.Sprintf("seed %d size %d step %d", seed, size, step)
 		w := writers[rng.Intn(len(writers))]
-		switch op := rng.Intn(21); {
+		switch op := rng.Intn(22); {
 		case op < 6:
 			f := some(1)[0]
 			if got, want := w.db.Insert(f), w.ref.insert(f); got != want {
@@ -613,16 +634,26 @@ func forkChain(t *testing.T, seed int64, size, steps int, visit func(snapshot)) 
 			}
 		case op < 19: // publish: the chain grows by one
 			publish(w)
-		default: // split: a new writer cloned from a writer or an older snapshot
+		case op < 21: // split: a new writer cloned from a writer or an older snapshot, or adopting it
 			src := w
 			if rng.Intn(2) == 0 {
 				src = live[rng.Intn(len(live))]
 			}
-			if len(writers) < 3 {
-				writers = append(writers, src.clone())
-			} else {
-				writers[rng.Intn(len(writers))] = src.clone()
+			next := src.clone
+			if rng.Intn(3) == 0 {
+				next = src.adopted
 			}
+			if len(writers) < 3 {
+				writers = append(writers, next())
+			} else {
+				writers[rng.Intn(len(writers))] = next()
+			}
+		default: // merge: the writer adopts the relations of a snapshot or another writer
+			src := live[rng.Intn(len(live))]
+			if o := writers[rng.Intn(len(writers))]; o.db != w.db && rng.Intn(2) == 0 {
+				src = o
+			}
+			w.adopt(src)
 		}
 		for i, s := range live {
 			s.check(t, rng, fmt.Sprintf("%s, snapshot %d", what, i))
@@ -820,13 +851,14 @@ func TestForkChainReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentClones: several goroutines clone one database at once, each
-// writing its clone (building indexes on the shared relations on the way,
-// cutting down a paged index bucket of the source with cutBucket, and
-// growing g and its column-0 index from IndexThreshold facts to 8·unit and
-// more), and the source is written once they are done.  Under the race detector a
-// write that reaches a relation another database shares is a reported race;
-// the references catch the rest.
+// TestConcurrentClones: several goroutines clone one database at once, or
+// adopt its relations into a database of their own, each writing its copy
+// (building indexes on the shared relations on the way, cutting down a
+// paged index bucket of the source with cutBucket, and growing g and its
+// column-0 index from IndexThreshold facts to 8·unit and more), and the
+// source is written once they are done.  Under the race detector a write
+// that reaches a relation another database shares is a reported race; the
+// references catch the rest.
 func TestConcurrentClones(t *testing.T) {
 	for _, size := range []int{3 * unit, 3 * (2*unit*unit + unit)} {
 		concurrentClones(t, size)
@@ -882,7 +914,11 @@ func concurrentClones(t *testing.T, size int) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			clones[g] = src.clone()
+			if g%2 == 0 {
+				clones[g] = src.clone()
+			} else {
+				clones[g] = src.adopted()
+			}
 			if err := cutBucket(clones[g], g%3); err != nil {
 				t.Errorf("size %d clone %d: %v", size, g, err)
 			}

@@ -23,7 +23,8 @@
 // bucket's top and the one page it lands in.  A probe walks a bucket page
 // by page (ScanCols), as a scan walks the segments (Scan).
 // DB.Clone shares every relation between the two databases, frozen; the
-// first of them to write a frozen relation forks it.
+// first of them to write a frozen relation forks it.  DB.Adopt takes in
+// another database's relation by the same rule.
 // A fact has one representation everywhere in the store: a *term.Fact.
 package store
 
@@ -259,8 +260,9 @@ type Relation struct {
 	mu        sync.Mutex // guards index construction
 	indexes   atomic.Pointer[[]*index]
 	useIdx    bool
-	// frozen is set by DB.Clone, possibly from several goroutines at once:
-	// two databases reach the relation, and each writes a fork of it.
+	// frozen is set by DB.Clone and DB.Adopt, possibly from several
+	// goroutines at once: two databases reach the relation, and each writes
+	// a fork of it.
 	frozen atomic.Bool
 }
 
@@ -310,12 +312,22 @@ func (r *Relation) shard(h uint64) int { return shardOf(h, r.shardBits) }
 
 func (r *Relation) table(h uint64) *factTable { return r.shards.at(r.shard(h)) }
 
+// freeze marks r shared by two databases (DB.Clone, DB.Adopt); it loads
+// the flag before storing it, so that freezing a frozen relation writes
+// nothing.
+func (r *Relation) freeze() {
+	if !r.frozen.Load() {
+		r.frozen.Store(true)
+	}
+}
+
 // checkWrite panics on a write to a frozen relation: the databases that
 // share it write forks of it (DB.Rel), so only a *Relation held across a
-// Clone lands here, and writing it would change a copy under its reader.
+// Clone or an Adopt lands here, and writing it would change a copy under
+// its reader.
 func (r *Relation) checkWrite() {
 	if r.frozen.Load() {
-		panic("store: write to frozen relation " + r.Name + " (shared by a DB.Clone)")
+		panic("store: write to frozen relation " + r.Name + " (shared by a DB.Clone or DB.Adopt)")
 	}
 }
 
@@ -832,12 +844,34 @@ func (db *DB) Clone() *DB {
 		UseIndexes: db.UseIndexes,
 	}
 	for p, r := range db.rels {
-		if !r.frozen.Load() { // so that cloning a clone writes nothing
-			r.frozen.Store(true)
-		}
+		r.freeze()
 		out.rels[p] = r
 	}
 	return out
+}
+
+// Adopt takes r's facts into db, r being another database's relation.
+// When db holds no fact of r's predicate it does so by Clone's rule,
+// copying only the tops of r's directories: r is frozen, and db lists a
+// fork of it (Relation.fork), which shares r's segments, intern tables and
+// built indexes, builds later indexes for db alone, and indexes as
+// db.UseIndexes says — without r's indexes when that is off.  Otherwise
+// r's facts are inserted in one batch (InsertBatch).  Several goroutines
+// may adopt one relation at once, as they may clone its database.
+func (db *DB) Adopt(r *Relation) {
+	if own := db.rels[r.Name]; own != nil && own.Len() > 0 {
+		db.Rel(r.Name).InsertBatch(r.All())
+		return
+	}
+	r.freeze()
+	f := r.fork()
+	if f.useIdx = db.UseIndexes; !f.useIdx {
+		f.indexes.Store(nil)
+	}
+	if _, ok := db.rels[r.Name]; !ok {
+		db.order = append(db.order, r.Name)
+	}
+	db.rels[r.Name] = f
 }
 
 // Equal reports whether two databases hold exactly the same facts.

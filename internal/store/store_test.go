@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 
 	"ldl1/internal/term"
@@ -179,5 +180,79 @@ func TestLargeRelationLookupScales(t *testing.T) {
 		if len(got) != 1 || !term.Equal(got[0].Args[1], term.Int(int64(k*2))) {
 			t.Fatalf("lookup %d = %v", k, got)
 		}
+	}
+}
+
+// TestAdoptSharesByCloneRule: a database adopting a relation of another
+// holds the same canonical facts and the indexes the relation had built,
+// builds later indexes for itself, indexes only as its own UseIndexes says,
+// and neither side's later writes reach the other; a relation it already
+// holds facts of is copied into, and the source is left writable.
+func TestAdoptSharesByCloneRule(t *testing.T) {
+	src := NewDB()
+	for i := 0; i < 4*IndexThreshold; i++ {
+		src.Insert(f("p", i%4, i))
+	}
+	held := src.Rel("p")
+	lookupCol(held, 0, term.Int(1)) // an index the adopting side shares
+
+	dst := NewDB()
+	dst.Adopt(held)
+	r := dst.RelOrNil("p")
+	if r == held || r.Len() != held.Len() || fmt.Sprint(dst.Preds()) != "[p]" {
+		t.Fatalf("adopted %v holding %d facts, source %d", dst.Preds(), r.Len(), held.Len())
+	}
+	for _, g := range held.All() {
+		if h, _ := r.Get(f("p", int(g.Args[0].(term.Int)), int(g.Args[1].(term.Int)))); h != g {
+			t.Fatalf("the adopted relation does not hold the source's own %s", g)
+		}
+	}
+	if n, ok := r.DistinctCols([]int{0}); !ok || n != 4 {
+		t.Errorf("adopted relation: DistinctCols(0) = %d, %v; want the source's index, 4 keys", n, ok)
+	}
+	lookupCol(r, 1, term.Int(3))
+	if _, ok := held.DistinctCols([]int{1}); ok {
+		t.Error("an index built on the adopted relation reached the source")
+	}
+
+	src.Insert(f("p", 9, 100))
+	dst.Delete(f("p", 0, 0))
+	dst.Insert(f("p", 9, 200))
+	if dst.Contains(f("p", 9, 100)) || !src.Contains(f("p", 0, 0)) || src.Contains(f("p", 9, 200)) {
+		t.Fatal("a write to one side of an adoption reached the other")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a write to a relation held across Adopt did not panic")
+			}
+		}()
+		held.Insert(f("p", 9, 300))
+	}()
+
+	off := NewDB()
+	off.UseIndexes = false
+	off.Adopt(src.RelOrNil("p"))
+	ro := off.RelOrNil("p")
+	if _, ok := ro.DistinctCols([]int{0}); ok || ro.Indexed([]int{0}) {
+		t.Error("a database without indexes kept the adopted relation's index")
+	}
+	if got, indexed := ro.LookupCols([]int{0}, []term.Term{term.Int(1)}); indexed || len(got) != 16 {
+		t.Errorf("LookupCols on an unindexed adoption: %d facts, indexed %v; want 16 scanned", len(got), indexed)
+	}
+
+	both := NewDB()
+	both.Insert(f("q", 1))
+	q := NewDB()
+	q.Insert(f("q", 1))
+	q.Insert(f("q", 2))
+	qr := q.Rel("q")
+	both.Adopt(qr)
+	if both.RelOrNil("q") == qr || both.Card("q") != 2 {
+		t.Fatalf("adopting into a held relation: %d facts, shared %v", both.Card("q"), both.RelOrNil("q") == qr)
+	}
+	qr.Insert(f("q", 3)) // copied, not frozen
+	if both.Contains(f("q", 3)) {
+		t.Fatal("a write to a copied relation reached the database that copied it")
 	}
 }

@@ -45,17 +45,22 @@ func (e *Engine) AddFacts(src string) error {
 }
 
 // AddDB inserts every fact of a prebuilt database (e.g. from the workload
-// generators used in benchmarks).  Each source relation is loaded through
-// the bulk path and shares the caller's facts as they are.
+// generators used in benchmarks).  A relation of db whose predicate the
+// engine holds no fact of is shared, not copied (store.DB.Adopt): it is
+// frozen, the engine takes a fork of it, and a write through db forks it
+// again, so neither side's later writes reach the other.  A
+// *store.Relation of db held across AddDB must therefore be written
+// through db (db.Rel), as after a db.Clone; writing it directly panics.
+// A relation both sides hold facts of is copied.
 func (e *Engine) AddDB(db *store.DB) {
 	var preds []string
-	var rels [][]*term.Fact
+	var rels []*store.Relation
 	for _, p := range db.Preds() {
 		if r := db.RelOrNil(p); r != nil && r.Len() > 0 {
-			preds, rels = append(preds, p), append(rels, r.All())
+			preds, rels = append(preds, p), append(rels, r)
 		}
 	}
-	e.load(preds, rels...)
+	e.load(preds, nil, rels...)
 }
 
 // predsOf returns the predicates of fs, each once.
@@ -69,11 +74,12 @@ func predsOf(fs []*term.Fact) []string {
 	return preds
 }
 
-// load queues rels, facts of preds, for the model, if there is one, and
-// commits them to the extensional database through the bulk path.  Under
-// WithMemBudget it drops the model instead, since a transaction inserting
-// the facts would not measure bytes.
-func (e *Engine) load(preds []string, rels ...[]*term.Fact) {
+// load queues fs and the facts of rels, all of them facts of preds, for the
+// model, if there is one, and commits them to the extensional database:
+// rels by adoption, fs through the bulk path.  Under WithMemBudget it drops
+// the model instead, since a transaction inserting the facts would not
+// measure bytes.
+func (e *Engine) load(preds []string, fs []*term.Fact, rels ...*store.Relation) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.current.Store(nil)
@@ -81,11 +87,15 @@ func (e *Engine) load(preds []string, rels ...[]*term.Fact) {
 		e.view, e.pending = nil, nil
 	}
 	if e.view != nil {
-		for _, fs := range rels {
-			e.pending = append(e.pending, fs...)
+		e.pending = append(e.pending, fs...)
+		for _, r := range rels {
+			e.pending = append(e.pending, r.All()...)
 		}
 	}
-	e.commit(preds, preds, nil, rels...)
+	for _, r := range rels {
+		e.edb.Adopt(r)
+	}
+	e.commit(preds, preds, nil, fs)
 }
 
 // commit writes a change into the extensional database — ins first, then
@@ -94,10 +104,8 @@ func (e *Engine) load(preds []string, rels ...[]*term.Fact) {
 // changed: the one place an answer is evicted.  A read that solved against the database before the change and
 // finishes after it is not cached (see Engine.read).  Callers hold e.mu for
 // writing.
-func (e *Engine) commit(changed, inserted []string, del []*term.Fact, ins ...[]*term.Fact) {
-	for _, fs := range ins {
-		e.edb.LoadFacts(fs, store.LoadOpts{})
-	}
+func (e *Engine) commit(changed, inserted []string, del, ins []*term.Fact) {
+	e.edb.LoadFacts(ins, store.LoadOpts{})
 	for _, p := range inserted {
 		e.known[p] = true
 	}
@@ -145,7 +153,7 @@ func (e *Engine) writeEDB(ctx context.Context, tx incr.Tx) (UpdateResult, error)
 	}
 	added, removed := incr.WriteEDB(e.edb, tx)
 	res := UpdateResult{Inserted: len(added), Deleted: len(removed), Changed: predsOf(slices.Concat(added, removed))}
-	e.commit(res.Changed, predsOf(added), nil)
+	e.commit(res.Changed, predsOf(added), nil, nil)
 	return res, nil
 }
 
