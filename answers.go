@@ -1,13 +1,11 @@
 package ldl1
 
 import (
-	"slices"
 	"strings"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/eval"
 	"ldl1/internal/lderr"
-	"ldl1/internal/term"
 )
 
 // Answers holds the solutions of a query: one row per answer, with columns
@@ -23,16 +21,17 @@ type Answers struct {
 	Rows [][]Term
 }
 
-// newAnswers names the columns of rows, the answer table of the caller's
-// body or of another spelling of it that shares its cache entry (see
-// Engine.read): both have the same columns in the same order.  A positive maxRows that rows
-// exceeds is a *lderr.LimitError, however rows was come by.
-func newAnswers(body []ast.Literal, rows [][]term.Term, maxRows int) (*Answers, error) {
-	if maxRows > 0 && len(rows) > maxRows {
+// newAnswers names the columns of t, the answer table of the caller's body
+// or of another spelling of it that shares its cache entry (see
+// Engine.read): both have the same columns in the same order.  The rows are
+// cut from t's cells, which stay shared.  A positive maxRows that t exceeds
+// is a *lderr.LimitError, however t was come by.
+func newAnswers(body []ast.Literal, t eval.Table, maxRows int) (*Answers, error) {
+	if maxRows > 0 && t.N > maxRows {
 		return nil, &lderr.LimitError{Limit: maxRows}
 	}
 	cols := eval.Columns(body)
-	a := &Answers{Vars: make([]string, len(cols)), Rows: slices.Clone(rows)}
+	a := &Answers{Vars: make([]string, len(cols)), Rows: t.Rows()}
 	for i, v := range cols {
 		a.Vars[i] = string(v)
 	}

@@ -86,16 +86,18 @@ func TestSolveAllocsFlatPerRow(t *testing.T) {
 // compiled form from the reader's memo (or its prepared handle) and binds
 // the new constant to it, so it builds no query shape and plans through the
 // form's memo of join orders, and a lone atom's cache key is its name.
-// Measured here, and (in parentheses) when a snapshot read built and
-// planned a one-off shape per call and a magic-sets execution evaluated the
-// program's facts again: engine 29 (46), view 29 (46), view-prepared 17
-// (38), magic-base 29 (46), magic-derived 62 (908).
+// Measured here, and (in parentheses) when a read laid its answer out as
+// rows twice, took fresh bindings per task and lexed its query into a token
+// slice: engine 25 (29), view 25 (29), view-prepared 16 (17), magic-base 25
+// (29), magic-derived 51 (62).  When a snapshot read built and planned a
+// one-off shape per call and a magic-sets execution evaluated the program's
+// facts again they were 46, 46, 38, 46 and 908.
 var readMissCeilings = map[string]float64{
-	"engine":        37,
-	"view":          37,
-	"view-prepared": 22,
-	"magic-base":    37,
-	"magic-derived": 78,
+	"engine":        31,
+	"view":          31,
+	"view-prepared": 20,
+	"magic-base":    31,
+	"magic-derived": 63,
 }
 
 // TestReadMissAllocCeiling reads one shape with a new constant each time, so

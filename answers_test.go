@@ -1,8 +1,12 @@
 package ldl1
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"ldl1/internal/qcache"
 )
 
 func answersEngine(t *testing.T) *Engine {
@@ -167,5 +171,156 @@ func TestAnonymousVariablesAreNotColumns(t *testing.T) {
 				t.Errorf("%s: r(?, _) Exec b, d = %q, want \"yes no\"", tg.name, got)
 			}
 		}
+	}
+}
+
+// TestCachedAnswerIsOneTable: the answer cache keeps a read's answer as one
+// flat table — an answer of n one-column rows holds its n cells, with no
+// more than an eighth of them spare, and no row headers — and two hits on
+// one key cut their own rows from the same cells.
+func TestCachedAnswerIsOneTable(t *testing.T) {
+	for _, m := range []bool{false, true} {
+		eng, err := New(treeProgram(7), WithMagic(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := eng.Prepare("a(n2, W)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := pq.Exec() // fills the cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, hit := eng.cache.Get(qcache.Key{Pred: "a", Adorn: "bf", Consts: "n2"})
+		if !hit || first.Len() != 126 {
+			t.Fatalf("magic=%v: %d rows, cached: %v; want 126 rows, cached", m, first.Len(), hit)
+		}
+		n, tab := first.Len(), ent.Table
+		if tab.Width != 1 || tab.N != n || len(tab.Cells) != n || cap(tab.Cells) > n+n/8 {
+			t.Errorf("magic=%v: %d rows cached as width %d, %d rows, %d cells of capacity %d; want 1, %d, %d, at most %d",
+				m, n, tab.Width, tab.N, len(tab.Cells), cap(tab.Cells), n, n, n+n/8)
+		}
+		a, b := mustAnswers(t, pq), mustAnswers(t, pq)
+		for i := range n {
+			if &a.Rows[i][0] != &tab.Cells[i] || &b.Rows[i][0] != &tab.Cells[i] {
+				t.Fatalf("magic=%v: row %d of a hit is not cut from the cached cells", m, i)
+			}
+		}
+		if &a.Rows[0] == &b.Rows[0] {
+			t.Errorf("magic=%v: two hits share their Rows", m)
+		}
+	}
+}
+
+// TestConcurrentHitsShareOneTable: goroutines hitting one cache entry each
+// reorder their own rows and read the shared cells, while a load gives the
+// derived predicate a fact, which makes the prepared handle's magic form
+// stale; under -race a write to a cell, to another hit's rows or to the
+// handle's form is a reported race.
+func TestConcurrentHitsShareOneTable(t *testing.T) {
+	eng, err := New(treeProgram(6), WithMagic(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := eng.Prepare("a(n2, W)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mustAnswers(t, pq).String()
+	after := before + "\nW = zz"
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				a, err := pq.Exec()
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if got := a.String(); got != before && got != after {
+					errs <- got
+					return
+				}
+				slices.Reverse(a.Rows)
+			}
+		}()
+	}
+	if err := eng.AddFacts("a(n2, zz)."); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Errorf("a concurrent read answered %s, want %s or %s", e, before, after)
+	}
+	if got := mustAnswers(t, pq).String(); got != after {
+		t.Errorf("after the load: %s, want %s", got, after)
+	}
+}
+
+func mustAnswers(t *testing.T, pq *PreparedQuery) *Answers {
+	t.Helper()
+	a, err := pq.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestMagicReadsStoredFacts: facts of a derived predicate that a load or a
+// transaction puts in the extensional database are part of the model, and
+// a WithMagic engine's reads — through the memo of forms and through a
+// handle prepared before the load alike — answer as a plain engine's do
+// after a load, an assert and a retract.
+func TestMagicReadsStoredFacts(t *testing.T) {
+	src := "anc(X, Y) <- par(X, Y).\nanc(X, Y) <- par(X, Z), anc(Z, Y).\npar(a, b).\n"
+	queries := []string{"anc(z, W)", "anc(y, W)", "anc(X, w)", "anc(X, Y)"}
+	var engs [2]*Engine
+	var pqs [2][]*PreparedQuery
+	for i, m := range []bool{false, true} {
+		e, err := New(src, WithMagic(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[i] = e
+		for _, q := range queries {
+			pq, err := e.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pqs[i] = append(pqs[i], pq)
+			mustStr(t)(e.Query(q)) // memoizes the form and caches the answer
+		}
+	}
+	steps := []struct {
+		what  string
+		write func(e *Engine) error
+	}{
+		{"load anc(z, w)", func(e *Engine) error { return e.AddFacts("anc(z, w).") }},
+		{"assert par(y, z)", func(e *Engine) error { _, err := e.Assert("par(y, z)."); return err }},
+		{"retract anc(z, w)", func(e *Engine) error { _, err := e.Retract("anc(z, w)."); return err }},
+	}
+	for _, s := range steps {
+		for _, e := range engs {
+			if err := s.write(e); err != nil {
+				t.Fatalf("%s: %v", s.what, err)
+			}
+		}
+		for j, q := range queries {
+			plain := mustStr(t)(engs[0].Query(q))
+			if got := mustStr(t)(engs[1].Query(q)); got != plain {
+				t.Errorf("after %s, %s: magic %q, plain %q", s.what, q, got, plain)
+			}
+			if got := mustStr(t)(pqs[1][j].Exec()); got != plain {
+				t.Errorf("after %s, %s prepared before: magic %q, plain %q", s.what, q, got, plain)
+			}
+		}
+	}
+	if got := mustStr(t)(engs[1].Query("anc(y, W)")); got != "W = z" {
+		t.Errorf("anc(y, W) after the retract: %q, want W = z", got)
 	}
 }

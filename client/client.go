@@ -148,7 +148,37 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if out == nil {
 		return nil
 	}
+	if r, ok := out.(*Result); ok {
+		// Unmarshal appends the rows into the capacity it finds.
+		if n := tailCount(data); n >= 0 {
+			r.Rows = make([][]string, 0, n)
+		}
+	}
 	return json.Unmarshal(data, out)
+}
+
+// tailCount reads the row count an answer body ends with — the server
+// writes "count" last (internal/server/wire.go) — by a byte scan from the
+// end: -1 when the body does not end in `"count":n}` or could not hold n
+// rows of at least two bytes each.
+func tailCount(data []byte) int {
+	body, ok := bytes.CutSuffix(bytes.TrimRight(data, " \t\r\n"), []byte("}"))
+	start := len(body)
+	for start > 0 && '0' <= body[start-1] && body[start-1] <= '9' {
+		start--
+	}
+	digits := body[start:]
+	if !ok || len(digits) == 0 || len(digits) > 9 || !bytes.HasSuffix(body[:start], []byte(`"count":`)) {
+		return -1
+	}
+	n := 0
+	for _, d := range digits {
+		n = 10*n + int(d-'0')
+	}
+	if n > len(data)/2 {
+		return -1
+	}
+	return n
 }
 
 // readRequest is the body of a query or a prepared execution.  Its fields

@@ -288,3 +288,36 @@ func TestExecTakesAnswerText(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsDecodedAtFinalSize: an answer's rows are decoded into a slice
+// made at the count the body ends with, so decoding does not grow it.
+func TestRowsDecodedAtFinalSize(t *testing.T) {
+	c := newClient(t, server.Config{AllowAdmin: true})
+	res, err := c.Query(context.Background(), "family", "ancestor(X, Y)", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 6 || len(res.Rows) != 6 || cap(res.Rows) != 6 {
+		t.Errorf("count %d, %d rows of capacity %d; want 6, 6, 6", res.Count, len(res.Rows), cap(res.Rows))
+	}
+}
+
+// TestTailCount: the count is read off the body's end only when the body
+// ends in it and could hold that many rows.
+func TestTailCount(t *testing.T) {
+	for body, want := range map[string]int{
+		`{"vars":["W"],"rows":[["a"],["b"]],"count":2}` + "\n": 2,
+		`{"vars":[],"rows":[],"count":0}`:                      0,
+		`{"vars":["W"],"rows":[["a"]],"count":99}`:             -1, // too short to hold 99 rows
+		`{"vars":["W"],"rows":[["a"]],"count":1234567890}`:     -1,
+		`{"vars":["W"],"rows":[["a"]],"count":}`:               -1,
+		`{"vars":["W"],"rows":[["a"]],"xcount":1`:              -1,
+		`{"vars":["W"],"rows":[["a"]],"total":1}`:              -1,
+		`1}`: -1,
+		``:   -1,
+	} {
+		if got := tailCount([]byte(body)); got != want {
+			t.Errorf("tailCount(%q) = %d, want %d", body, got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package ldl1
 import (
 	"context"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -168,7 +169,10 @@ type Engine struct {
 	edb   *store.DB
 	// known holds the predicates of the facts loaded and asserted: the
 	// extensional predicates of type inference and the vet pass.
-	known   map[string]bool
+	known map[string]bool
+	// stored counts the derived predicates among known: a magic form
+	// compiled when it read less is stale (form.stale).
+	stored  atomic.Int32
 	view    *incr.Materialized // nil until a read or write builds it, and once dropped
 	pending []*term.Fact       // loaded since the view was last brought up to date
 	// current is view while nothing is pending, else nil: what a read
@@ -444,14 +448,30 @@ func (e *Engine) magicForm(lit ast.Literal) (*magic.Prepared, error) {
 	if _, derived := e.cones[lit.Pred]; !derived || lit.Negated {
 		return nil, nil
 	}
-	return magic.PrepareVariant(e.rules, parser.Query{Body: []ast.Literal{lit}}, e.cfg.magicVariant())
+	return magic.PrepareVariant(e.rules, parser.Query{Body: []ast.Literal{lit}}, e.cfg.magicVariant(), e.storedDerived()...)
+}
+
+// storedDerived lists, sorted, the derived predicates a load or assert has
+// given facts: the extensional database's facts a magic form reads besides
+// the ones its rules derive.
+func (e *Engine) storedDerived() []string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var out []string
+	for p := range e.known {
+		if _, derived := e.cones[p]; derived {
+			out = append(out, p)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // execMagic is the read path's exec step on a WithMagic engine: one magic-sets
 // evaluation of a compiled form against a clone of the extensional
 // database, taken under the read lock, so a concurrent write lands strictly
 // before or after it and the saturation runs without the lock.
-func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *Stats) ([][]term.Term, error) {
+func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []term.Term, o ReadOpts, st *Stats) (eval.Table, error) {
 	e.mu.RLock()
 	edb := e.edb.Clone()
 	e.mu.RUnlock()
@@ -459,11 +479,7 @@ func (e *Engine) execMagic(ctx context.Context, pr *magic.Prepared, consts []ter
 	if o.MemBudget > 0 {
 		opts.MemBudget = o.MemBudget
 	}
-	res, err := pr.Exec(edb, consts, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Solutions, nil
+	return pr.Table(edb, consts, opts)
 }
 
 // Model is a computed minimal model: a finite set of U-facts.

@@ -52,7 +52,7 @@ var floor = []string{
 	"function symbol", "recursion", "negation",
 	"grouping below negation", "three strict layers", "two grouping rules", "variable key",
 	"constant key", "compound key", "repeated key", "bound set argument", "more than two passes",
-	"Basic/text", "Basic/edb", "Supplementary/text", "Supplementary/edb",
+	"Basic/text", "Basic/edb", "Supplementary/text", "Supplementary/edb", "stored derived fact",
 }
 
 func TestDifferential(t *testing.T) {
@@ -236,7 +236,61 @@ func check(t *testing.T, r *rand.Rand, src string, cov map[string]int) {
 			}
 		}
 	}
+
+	// In half the trials the database also holds a fact of a derived
+	// predicate, as after a load: both variants read it through a guarded
+	// rule, and answer as the model of the rules over that database does.
+	if f := storedFact(r, want, heads); f != nil && r.Intn(2) == 0 {
+		cov["stored derived fact"]++
+		plus := edb.Clone()
+		plus.Insert(f)
+		stored, err := eval.Eval(rules, plus, eval.Options{})
+		if err != nil {
+			fail("evaluation with %s stored: %v", f, err)
+		}
+		for _, h := range heads {
+			q := query(r, h, stored, map[string]int{})
+			rows, err := eval.SolveLimitsCtx(context.Background(), q.Body, stored, eval.SolveLimits{})
+			if err != nil {
+				fail("%s: %v", q, err)
+			}
+			for _, v := range []magic.Variant{magic.Basic, magic.Supplementary} {
+				pr, err := magic.PrepareVariant(rules, q, v, f.Pred)
+				res := &magic.Result{}
+				if err == nil {
+					res, err = pr.Exec(plus, nil, eval.Options{})
+				}
+				if err != nil {
+					fail("variant %d magic, %s with %s stored: %v", v, q, f, err)
+				}
+				if !slices.EqualFunc(res.Solutions, rows, func(a, b []term.Term) bool { return eval.CompareRows(a, b) == 0 }) {
+					fail("variant %d magic, %s with %s stored (%d passes): %v, the model %v", v, q, f, res.Passes, res.Solutions, rows)
+				}
+			}
+		}
+	}
 	unchanged(t, edb, orig)
+}
+
+// storedFact returns a fact of a derived predicate that the model m lacks:
+// a model fact of one of heads' predicates with one argument taken from
+// another fact of the same predicate; nil when a few tries find none.
+func storedFact(r *rand.Rand, m *store.DB, heads []ast.Literal) *term.Fact {
+	for k := 0; k < 8 && len(heads) > 0; k++ {
+		h := heads[r.Intn(len(heads))]
+		rel := m.RelOrNil(h.Pred)
+		if rel == nil || rel.Len() < 2 || len(h.Args) == 0 {
+			continue
+		}
+		all := rel.All()
+		f, g, i := all[r.Intn(len(all))], all[r.Intn(len(all))], r.Intn(len(h.Args))
+		args := slices.Clone(f.Args)
+		args[i] = g.Args[i]
+		if nf := term.NewFact(h.Pred, args...); !m.Contains(nf) {
+			return nf
+		}
+	}
+	return nil
 }
 
 // deepCopy returns a database holding edb's facts in relations of its own.

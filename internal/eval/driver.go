@@ -267,6 +267,10 @@ type Exec struct {
 	// sets holds the unions the built-ins have built, so an equal one is
 	// not built again; it goes with the driver.
 	sets term.SetTable
+	// bind is the binding trail every enumeration on the Exec starts from
+	// empty (bindings): none nests inside another, since heads keeps what
+	// the running one reads in db and delta below.
+	bind unify.Bindings
 
 	firings, idxHits, fullScans int
 
@@ -302,6 +306,15 @@ func (x *Exec) against(db *store.DB) *store.DB {
 		return nil
 	}
 	return db
+}
+
+// bindings returns the Exec's binding trail, emptied, for one enumeration.
+// An enumeration nested inside another on the same Exec would see the outer
+// bindings, and rules share variable names: it must take bindings of its
+// own.
+func (x *Exec) bindings() *unify.Bindings {
+	x.bind.Undo(0)
+	return &x.bind
 }
 
 // heads enumerates the solutions of the variant's body under plan p — nil:
@@ -344,7 +357,7 @@ func (x *Exec) fire(t Task) error {
 	pred := t.v.head.Pred
 	rel, present := x.sink.Probe(pred)
 	fresh := true
-	return x.heads(t.v, t.p, t.db, t.delta, unify.NewBindings(), func(scratch []term.Term) error {
+	return x.heads(t.v, t.p, t.db, t.delta, x.bindings(), func(scratch []term.Term) error {
 		h := term.HashFactArgs(pred, scratch)
 		if has := rel != nil && rel.GetArgs(h, scratch) != nil; has != present {
 			return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 
 	"ldl1/internal/ast"
@@ -535,17 +536,21 @@ func Columns(body []ast.Literal) []term.Var {
 // CompareRows is the total order of answer rows: column by column, an
 // unbound (nil) column first, bound ones by term.Compare.
 func CompareRows(a, b []term.Term) int {
-	return slices.CompareFunc(a, b, func(x, y term.Term) int {
-		switch {
-		case x == nil && y == nil:
-			return 0
-		case x == nil:
-			return -1
-		case y == nil:
-			return 1
-		}
-		return term.Compare(x, y)
-	})
+	return slices.CompareFunc(a, b, compareCells)
+}
+
+// compareCells orders two cells of one column: an unbound (nil) cell
+// first, bound ones by term.Compare.
+func compareCells(x, y term.Term) int {
+	switch {
+	case x == nil && y == nil:
+		return 0
+	case x == nil:
+		return -1
+	case y == nil:
+		return 1
+	}
+	return term.Compare(x, y)
 }
 
 // SolveLimits bounds one Solve enumeration; the zero value imposes no
@@ -595,43 +600,72 @@ func NewQuery(body []ast.Literal) *Query {
 	return q
 }
 
-// SolveLimitsCtx compiles body and solves it once against db: one row per
-// distinct solution, one column per entry of Columns(body) (nil where no
-// positive literal binds it), rows in CompareRows order.
-func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim SolveLimits) ([][]term.Term, error) {
-	return NewQuery(body).Solve(ctx, db, nil, lim)
+// Table is an answer table: N rows of Width cells each, back to back in
+// Cells, one row per distinct solution, one column per entry of
+// Columns(body) (nil where no positive literal binds it), rows in
+// CompareRows order.  Once Solve returns it no cell is written again: the
+// answer cache and every read it serves share the cells.
+type Table struct {
+	Width, N int
+	Cells    []term.Term
 }
 
-// Solve returns the answer table of the query against db, as SolveLimitsCtx
-// does, with args bound to the parameters in argument order (nil: the
-// body's own).  An argument is evaluated as a constant column is: 1+1 is 2,
-// and 1/0, outside U, matches nothing.  The enumeration aborts with
-// lderr.Canceled / lderr.DeadlineExceeded once ctx (which may be nil) is done.
-func (q *Query) Solve(ctx context.Context, db *store.DB, args []term.Term, lim SolveLimits) ([][]term.Term, error) {
+// Row returns row i, capped so that an append to it cannot reach row i+1.
+func (t Table) Row(i int) []term.Term {
+	return t.Cells[i*t.Width : (i+1)*t.Width : (i+1)*t.Width]
+}
+
+// Rows cuts the table into rows: one header slice of the caller's own over
+// the shared cells.
+func (t Table) Rows() [][]term.Term {
+	out := make([][]term.Term, t.N)
+	for i := range out {
+		out[i] = t.Row(i)
+	}
+	return out
+}
+
+// SolveLimitsCtx compiles body and solves it once against db: the rows of
+// its answer table (see Table).
+func SolveLimitsCtx(ctx context.Context, body []ast.Literal, db *store.DB, lim SolveLimits) ([][]term.Term, error) {
+	t, err := NewQuery(body).Solve(ctx, db, nil, lim)
+	if err != nil {
+		return nil, err
+	}
+	return t.Rows(), nil
+}
+
+// Solve returns the answer table of the query against db, with args bound
+// to the parameters in argument order (nil: the body's own).  An argument
+// is evaluated as a constant column is: 1+1 is 2, and 1/0, outside U,
+// matches nothing.  The enumeration aborts with lderr.Canceled /
+// lderr.DeadlineExceeded once ctx (which may be nil) is done.
+func (q *Query) Solve(ctx context.Context, db *store.DB, args []term.Term, lim SolveLimits) (Table, error) {
+	empty := Table{Width: len(q.cols)}
 	if args == nil {
 		args = q.defaults
 	}
 	if len(args) != len(q.params) {
-		return nil, fmt.Errorf("eval: query takes %d arguments, got %d", len(q.params), len(args))
+		return empty, fmt.Errorf("eval: query takes %d arguments, got %d", len(q.params), len(args))
 	}
 	p, _, err := q.v.plan(db)
 	if err != nil {
-		return nil, err
+		return empty, err
 	}
 	x := &Exec{b: &budget{ctx: ctx}}
 	// One up-front check makes a done context fail even when the
 	// enumeration is too short to reach the in-join polling stride.
 	if err := x.b.Err(); err != nil {
-		return nil, err
+		return empty, err
 	}
 	b := unify.NewBindings()
 	for i, a := range args {
 		v, err := unify.Apply(a, b)
 		if errors.Is(err, unify.ErrOutsideU) {
-			return [][]term.Term{}, nil
+			return empty, nil
 		}
 		if err != nil {
-			return nil, err
+			return empty, err
 		}
 		b.Bind(q.params[i], v)
 	}
@@ -661,9 +695,9 @@ func (q *Query) Solve(ctx context.Context, db *store.DB, args []term.Term, lim S
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return empty, err
 	}
-	return t.rows(), nil
+	return t.table(), nil
 }
 
 // distinctRows reports whether every solution of body is a row of its own:
@@ -747,12 +781,35 @@ func (t *rowTable) rehash(size int) {
 	}
 }
 
-// rows cuts the kept rows out of the flat slice, sorted by CompareRows.
-func (t *rowTable) rows() [][]term.Term {
-	out := make([][]term.Term, t.n)
-	for i := range out {
-		out[i] = t.row(i)
+// table sorts the kept rows in place by CompareRows and returns them.  The
+// cells are the flat slice itself unless more than an eighth of it would be
+// spare capacity; then they are an exact copy (the rule class.take keeps).
+func (t *rowTable) table() Table {
+	cells := t.flat[:t.n*t.width]
+	if t.width == 1 {
+		slices.SortFunc(cells, compareCells)
+	} else if t.n > 1 {
+		sort.Sort(flatRows{cells, t.width})
 	}
-	slices.SortFunc(out, CompareRows)
-	return out
+	if cap(cells)-len(cells) > len(cells)/8 {
+		cells = append(make([]term.Term, 0, len(cells)), cells...)
+	}
+	return Table{Width: t.width, N: t.n, Cells: cells}
+}
+
+// flatRows sorts rows of width w, back to back in cells, by CompareRows.
+type flatRows struct {
+	cells []term.Term
+	w     int
+}
+
+func (r flatRows) Len() int { return len(r.cells) / r.w }
+func (r flatRows) Less(i, j int) bool {
+	return CompareRows(r.cells[i*r.w:(i+1)*r.w], r.cells[j*r.w:(j+1)*r.w]) < 0
+}
+func (r flatRows) Swap(i, j int) {
+	a, b := r.cells[i*r.w:(i+1)*r.w], r.cells[j*r.w:(j+1)*r.w]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"ldl1/internal/ast"
 	"ldl1/internal/store"
 	"ldl1/internal/term"
-	"ldl1/internal/unify"
 )
 
 // Grouping (§3.2).  A grouping rule h(k̄, <Y>) <- B partitions its body
@@ -132,7 +131,7 @@ func (t *ClassTable) fact(pred string, c *class, s *term.Set) *term.Fact {
 // Either body is ordered once against db.
 func (cr *Rule) recompute(x *Exec, db *store.DB, t *ClassTable) error {
 	if !cr.classBindable {
-		return x.heads(cr.base, nil, db, nil, unify.NewBindings(), func(args []term.Term) error {
+		return x.heads(cr.base, nil, db, nil, x.bindings(), func(args []term.Term) error {
 			if c := t.find(args); c != nil {
 				c.elems = append(c.elems, args[t.gIdx])
 			}
@@ -143,7 +142,7 @@ func (cr *Rule) recompute(x *Exec, db *store.DB, t *ClassTable) error {
 	if err != nil {
 		return err
 	}
-	b := unify.NewBindings()
+	b := x.bindings()
 classes:
 	for _, c := range t.order {
 		b.Undo(0)
@@ -257,7 +256,7 @@ func (ev *evaluation) applyGroupingRule(v *Variant) error {
 	if x.prov != nil {
 		prems = map[*class]*premises{}
 	}
-	err = x.heads(v, p, ev.db, nil, unify.NewBindings(), func(args []term.Term) error {
+	err = x.heads(v, p, ev.db, nil, x.bindings(), func(args []term.Term) error {
 		c := t.add(args)
 		c.elems = append(c.elems, args[gIdx])
 		if x.prov != nil {

@@ -62,7 +62,7 @@ func (cr *Rule) Delta(j int) *Variant { return cr.delta[j] }
 // is enumerated: the solutions gained or lost as the negated predicate
 // shrank or grew.  args is valid only for the duration of the call.
 func (cr *Rule) EnumerateDelta(x *Exec, db *store.DB, j int, delta *store.Relation, yield func(args []term.Term) error) error {
-	return x.heads(cr.delta[j], nil, db, delta, unify.NewBindings(), yield)
+	return x.heads(cr.delta[j], nil, db, delta, x.bindings(), yield)
 }
 
 // Derives reports whether the rule derives f from db in one step: the
@@ -86,7 +86,7 @@ func (cr *Rule) Derives(x *Exec, db *store.DB, f *term.Fact) (bool, error) {
 	// runs from there; otherwise (e.g. arithmetic in the head) the whole
 	// body is enumerated.  Either way the first solution whose head is f
 	// answers.
-	v, b := cr.base, unify.NewBindings()
+	v, b := cr.base, x.bindings()
 	if cr.headMatchable {
 		if !unify.MatchFact(h, f, b) {
 			return false, nil

@@ -172,11 +172,11 @@ func TestQueryParameters(t *testing.T) {
 	}
 	q := NewQuery(pq.Body)
 	solve := func(args ...term.Term) string {
-		rows, err := q.Solve(context.Background(), db, args, SolveLimits{})
+		tab, err := q.Solve(context.Background(), db, args, SolveLimits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(rows)
+		return fmt.Sprint(tab.Rows())
 	}
 	if got := solve(); got != "[[z]]" {
 		t.Errorf("e(3, X) = %s, want [[z]]", got)

@@ -144,23 +144,6 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Tokenize scans the whole input, returning all tokens (excluding the
-// trailing EOF) or the first error.
-func Tokenize(src string) ([]Token, error) {
-	lx := New(src)
-	var out []Token
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Type == EOF {
-			return out, nil
-		}
-		out = append(out, tok)
-	}
-}
-
 func (l *Lexer) peek() rune {
 	if l.pos >= len(l.src) {
 		return 0

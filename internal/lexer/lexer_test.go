@@ -6,9 +6,9 @@ import (
 
 func types(t *testing.T, src string) []Type {
 	t.Helper()
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
-		t.Fatalf("Tokenize(%q): %v", src, err)
+		t.Fatalf("tokenize(%q): %v", src, err)
 	}
 	out := make([]Type, len(toks))
 	for i, tok := range toks {
@@ -71,7 +71,7 @@ func TestOperators(t *testing.T) {
 }
 
 func TestVariablesAndIdents(t *testing.T) {
-	toks, err := Tokenize("Xyz _foo abc_def Abc9")
+	toks, err := tokenize("Xyz _foo abc_def Abc9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestVariablesAndIdents(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	toks, err := Tokenize(`p("hello\nworld", "a\"b", "t\\ab", "\x00\u00e9\r")`)
+	toks, err := tokenize(`p("hello\nworld", "a\"b", "t\\ab", "\x00\u00e9\r")`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestStrings(t *testing.T) {
 		t.Errorf("go escapes: %q", toks[8].Text)
 	}
 	for _, bad := range []string{`"unterminated`, `"bad \q escape"`, "\"new\nline\"", `"trail\`} {
-		if _, err := Tokenize(bad); err == nil {
+		if _, err := tokenize(bad); err == nil {
 			t.Errorf("expected error for %q", bad)
 		}
 	}
@@ -122,7 +122,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks, err := Tokenize("p(a).\n  q(b).")
+	toks, err := tokenize("p(a).\n  q(b).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPositions(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, bad := range []string{"@", "p(`)", "\\x"} {
-		if _, err := Tokenize(bad); err == nil {
+		if _, err := tokenize(bad); err == nil {
 			t.Errorf("expected lex error for %q", bad)
 		} else if _, ok := err.(*Error); !ok {
 			t.Errorf("error type for %q: %T", bad, err)
@@ -147,7 +147,7 @@ func TestLexErrors(t *testing.T) {
 }
 
 func TestTokenAndTypeString(t *testing.T) {
-	toks, _ := Tokenize("p")
+	toks, _ := tokenize("p")
 	if s := toks[0].String(); s == "" {
 		t.Error("token String empty")
 	}
@@ -165,7 +165,7 @@ func TestTokenAndTypeString(t *testing.T) {
 // identifier token, whatever it holds — the form term.AppendText prints a
 // name in when the name alone would lex as something else.
 func TestQuotedNames(t *testing.T) {
-	toks, err := Tokenize(`'John Smith'('X', 'not', '', 'a\'b"c', '\xff\n%', 'q,a:r') not`)
+	toks, err := tokenize(`'John Smith'('X', 'not', '', 'a\'b"c', '\xff\n%', 'q,a:r') not`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,25 @@ func TestQuotedNames(t *testing.T) {
 		t.Errorf("last token = %v at column %d", last, last.Col)
 	}
 	for _, bad := range []string{`'open`, `'bad \q escape'`, "'new\nline'", `'trail\`, `'\"'`} {
-		if _, err := Tokenize(bad); err == nil {
+		if _, err := tokenize(bad); err == nil {
 			t.Errorf("expected error for %q", bad)
 		}
+	}
+}
+
+// tokenize scans the whole input, returning all tokens (excluding the
+// trailing EOF) or the first error.
+func tokenize(src string) ([]Token, error) {
+	lx := New(src)
+	var out []Token
+	for {
+		tok, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		if tok.Type == EOF {
+			return out, nil
+		}
+		out = append(out, tok)
 	}
 }

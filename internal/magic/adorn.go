@@ -41,6 +41,11 @@ type AdornedProgram struct {
 	// IDB holds the intensional predicates (those defined by non-fact
 	// rules); all other predicates are base relations.
 	IDB map[string]bool
+	// Stored lists the intensional predicates whose facts the database an
+	// execution reads holds besides the ones the rules derive (loaded or
+	// asserted): every adornment of one reads them through a magic-guarded
+	// rule.
+	Stored []string
 	// Query is the adorned query predicate and its adornment.
 	QueryPred  string
 	QueryAdorn Adornment

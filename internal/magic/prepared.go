@@ -75,12 +75,14 @@ type Prepared struct {
 }
 
 // PrepareVariant compiles program + query for repeated execution under the
-// given rewriting variant.
-func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, error) {
+// given rewriting variant.  stored names the intensional predicates whose
+// facts the databases Exec will read hold (AdornedProgram.Stored).
+func PrepareVariant(p *ast.Program, query parser.Query, v Variant, stored ...string) (*Prepared, error) {
 	ap, err := Adorn(p, query)
 	if err != nil {
 		return nil, err
 	}
+	ap.Stored = stored
 	var rw *Rewritten
 	if v == Supplementary {
 		rw, err = RewriteSupplementary(ap)
@@ -136,8 +138,22 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 }
 
 // Exec evaluates the prepared query against edb with the given constants
-// bound at the query's bound argument positions, in ascending order.
-// Nil consts re-runs the original query's constants.
+// bound at the query's bound argument positions, in ascending order, as
+// Table does, and returns the saturation's database and passes beside the
+// answer rows.
+func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (*Result, error) {
+	res, t, err := pr.exec(edb, consts, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Solutions = t.Rows()
+	return &res, nil
+}
+
+// Table evaluates the prepared query against edb with the given constants
+// bound at the query's bound argument positions, in ascending order, and
+// returns its answer table, columns as eval.Query.Solve gives them.  Nil
+// consts re-runs the original query's constants.
 //
 // The saturation runs on one clone of the database with the seed inserted.
 // Because the rewritten program is not layered (§6), a pass evaluates the
@@ -156,26 +172,34 @@ func PrepareVariant(p *ast.Program, query parser.Query, v Variant) (*Prepared, e
 // derived under missing bindings can be wrong (a partial set, an absence
 // since filled), are emptied and derived afresh.
 //
-// Exec works on a clone of edb: base relations — with the indexes they have
-// built, which an execution may add to — are shared with edb and with every
-// concurrent Exec, and only derived and magic relations are private.  edb
-// itself is never written to.
-func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (*Result, error) {
+// The saturation works on a clone of edb: base relations — with the
+// indexes they have built, which an execution may add to — are shared with
+// edb and with every concurrent execution, and only derived and magic
+// relations are private.  edb itself is never written to.
+func (pr *Prepared) Table(edb *store.DB, consts []term.Term, opts eval.Options) (eval.Table, error) {
+	_, t, err := pr.exec(edb, consts, opts)
+	return t, err
+}
+
+// exec is Table, returning the result of the saturation, without its
+// rows, too.
+func (pr *Prepared) exec(edb *store.DB, consts []term.Term, opts eval.Options) (Result, eval.Table, error) {
 	if consts == nil {
 		consts = pr.defaults
 	}
 	if len(consts) != len(pr.defaults) {
-		return nil, fmt.Errorf("magic: prepared query %s^%s takes %d constants, got %d",
+		return Result{}, eval.Table{}, fmt.Errorf("magic: prepared query %s^%s takes %d constants, got %d",
 			pr.Adorned.QueryPred, pr.Adorned.QueryAdorn, len(pr.defaults), len(consts))
 	}
 	seedArgs := make([]term.Term, len(consts))
+	var none unify.Bindings
 	for i, c := range consts {
-		v, err := unify.Apply(c, unify.NewBindings())
+		v, err := unify.Apply(c, &none)
 		if err != nil {
-			return nil, fmt.Errorf("magic: prepared constant %s: %w", c, err)
+			return Result{}, eval.Table{}, fmt.Errorf("magic: prepared constant %s: %w", c, err)
 		}
 		if !term.IsGround(v) {
-			return nil, fmt.Errorf("magic: prepared constant %s is not ground", c)
+			return Result{}, eval.Table{}, fmt.Errorf("magic: prepared constant %s is not ground", c)
 		}
 		seedArgs[i] = v
 	}
@@ -185,10 +209,10 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 	// found counts the magic facts seen so far, per predicate; the seed is
 	// there before the first pass and so is never late.
 	found := map[string]int{pr.seedPred: 1}
-	res := &Result{Adorned: pr.Adorned, Rewritten: pr.Rewritten, DB: db}
+	res := Result{Adorned: pr.Adorned, Rewritten: pr.Rewritten, DB: db}
 	for {
 		if res.Passes++; res.Passes > maxPasses {
-			return nil, fmt.Errorf("magic: no fixpoint after %d passes", maxPasses)
+			return Result{}, eval.Table{}, fmt.Errorf("magic: no fixpoint after %d passes", maxPasses)
 		}
 		if res.Passes > 1 {
 			for _, pred := range pr.volatile {
@@ -207,7 +231,7 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 			}
 		})
 		if err != nil {
-			return nil, err
+			return Result{}, eval.Table{}, err
 		}
 		if !late {
 			break
@@ -216,10 +240,9 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 
 	// Read the answers off the adorned query predicate, the per-call
 	// constants bound at the bound positions.
-	sols, err := pr.answer.Solve(opts.Ctx, db, seedArgs, eval.SolveLimits{})
+	t, err := pr.answer.Solve(opts.Ctx, db, seedArgs, eval.SolveLimits{})
 	if err != nil {
-		return nil, err
+		return Result{}, eval.Table{}, err
 	}
-	res.Solutions = sols
-	return res, nil
+	return res, t, nil
 }

@@ -122,19 +122,21 @@ func Rewrite(ap *AdornedProgram) (*Rewritten, error) {
 }
 
 // finish carries the original program's facts over — base-relation facts
-// unchanged, facts of IDB predicates as magic-guarded adorned facts — and
-// adds the seed, magic_q^a(query constants).  scale maps an original stratum
-// to its group (the supplementary variant doubles strata).
+// unchanged, facts of IDB predicates as magic-guarded adorned facts — reads
+// the stored facts of IDB predicates (ap.Stored) through magic-guarded
+// rules, and adds the seed, magic_q^a(query constants).  scale maps an
+// original stratum to its group (the supplementary variant doubles strata).
 func (rw *Rewritten) finish(ap *AdornedProgram, lay *layering.Layering, scale int) error {
 	for _, r := range ap.Original.Rules {
 		if r.IsFact() && !ap.IDB[r.Head.Pred] {
 			rw.add(r, 0)
 		}
 	}
-	factAdorns := map[string][]Adornment{}
+	factAdorns, arity := map[string][]Adornment{}, map[string]int{}
 	for _, ar := range ap.Rules {
 		if p := ar.Rule.Head.Pred; !slices.Contains(factAdorns[p], ar.Head) {
 			factAdorns[p] = append(factAdorns[p], ar.Head)
+			arity[p] = len(ar.Rule.Head.Args)
 		}
 	}
 	for _, r := range ap.Original.Rules {
@@ -146,6 +148,21 @@ func (rw *Rewritten) finish(ap *AdornedProgram, lay *layering.Layering, scale in
 				Head: ast.Literal{Pred: adornedName(r.Head.Pred, ad), Args: r.Head.Args},
 				Body: []ast.Literal{{Pred: magicName(r.Head.Pred, ad), Args: boundArgs(ad, r.Head.Args, false)}},
 			}, scale*lay.Stratum[r.Head.Pred])
+		}
+	}
+	// p^a(X̄) <- magic_p^a(bound X̄), p(X̄): the stored facts of p, which the
+	// unadorned name still reads in the database, under each binding asked
+	// for.
+	for _, p := range ap.Stored {
+		args := make([]term.Term, arity[p])
+		for i := range args {
+			args[i] = term.Var(fmt.Sprintf("$s%d", i))
+		}
+		for _, ad := range factAdorns[p] {
+			rw.add(ast.Rule{
+				Head: ast.Literal{Pred: adornedName(p, ad), Args: args},
+				Body: []ast.Literal{{Pred: magicName(p, ad), Args: boundArgs(ad, args, false)}, {Pred: p, Args: args}},
+			}, scale*lay.Stratum[p])
 		}
 	}
 

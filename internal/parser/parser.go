@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/lderr"
@@ -65,9 +66,14 @@ type Unit struct {
 type Error = lderr.ParseError
 
 type parser struct {
-	toks []lexer.Token
-	pos  int
-	anon int // counter for renaming anonymous variables apart
+	lx *lexer.Lexer
+	// tok is the current token; past the last one, EOF at the last one's
+	// position.  done is set once tok is that EOF, and lexErr once the
+	// lexer failed, which also ends the tokens.
+	tok    lexer.Token
+	done   bool
+	lexErr error
+	anon   int // counter for renaming anonymous variables apart
 	// varPos records the first source occurrence of each variable while a
 	// rule is being parsed (nil outside rule parsing); rule() attaches it
 	// to the produced ast.Rule for variable-level diagnostics.
@@ -77,14 +83,55 @@ type parser struct {
 // posOf converts a token position to an ast.Pos.
 func posOf(t lexer.Token) ast.Pos { return ast.Pos{Line: t.Line, Col: t.Col} }
 
+// newParser returns a parser over src that pulls its tokens from the lexer
+// one at a time.
+func newParser(src string) *parser {
+	p := &parser{lx: lexer.New(src)}
+	p.advance()
+	return p
+}
+
+// advance reads the next token.
+func (p *parser) advance() {
+	if p.done {
+		return
+	}
+	tok, err := p.lx.Next()
+	if err != nil {
+		p.lexErr, tok = err, lexer.Token{Type: lexer.EOF}
+	}
+	if tok.Type == lexer.EOF {
+		tok.Line, tok.Col, p.done = p.tok.Line, p.tok.Col, true
+	}
+	p.tok = tok
+}
+
+// finish returns the outcome of a parse that ended with err: the source's
+// first lexical error if it has one, wherever the parse stopped, else err.
+func (p *parser) finish(err error) error {
+	for !p.done {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
 // Parse parses LDL1 source text into a Unit.
 func Parse(src string) (*Unit, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
+	p := newParser(src)
+	unit, err := p.unit(strings.Count(src, "."))
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	unit := &Unit{Program: ast.NewProgram()}
+	return unit, nil
+}
+
+// unit parses rules and queries up to the end of the source; the program's
+// rule slice is made once, for at most n of them.
+func (p *parser) unit(n int) (*Unit, error) {
+	unit := &Unit{Program: &ast.Program{Rules: make([]ast.Rule, 0, n)}}
 	for !p.at(lexer.EOF) {
 		if p.at(lexer.QueryTok) {
 			p.next()
@@ -133,61 +180,52 @@ func MustParseProgram(src string) *ast.Program {
 // ParseQuery parses a single query, with or without the leading "?-" and
 // trailing ".".
 func ParseQuery(src string) (Query, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
+	p := newParser(src)
+	body, err := p.query()
+	if err = p.finish(err); err != nil {
 		return Query{}, err
 	}
-	p := &parser{toks: toks}
+	return Query{Body: body}, nil
+}
+
+// query parses the body of a single query.
+func (p *parser) query() ([]ast.Literal, error) {
 	if p.at(lexer.QueryTok) {
 		p.next()
 	}
 	body, err := p.literals()
 	if err != nil {
-		return Query{}, err
+		return nil, err
 	}
 	if p.at(lexer.Dot) {
 		p.next()
 	}
 	if !p.at(lexer.EOF) {
-		return Query{}, p.errf("trailing input after query")
+		return nil, p.errf("trailing input after query")
 	}
-	return Query{Body: body}, nil
+	return body, nil
 }
 
 // ParseTerm parses a single term.
 func ParseTerm(src string) (term.Term, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	t, err := p.expr()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.at(lexer.EOF) {
+		err = p.errf("trailing input after term")
 	}
-	if !p.at(lexer.EOF) {
-		return nil, p.errf("trailing input after term")
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-func (p *parser) cur() lexer.Token {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
-	}
-	last := lexer.Token{Type: lexer.EOF}
-	if len(p.toks) > 0 {
-		last.Line = p.toks[len(p.toks)-1].Line
-		last.Col = p.toks[len(p.toks)-1].Col
-	}
-	return last
-}
+func (p *parser) cur() lexer.Token { return p.tok }
 
 func (p *parser) at(t lexer.Type) bool { return p.cur().Type == t }
 
 func (p *parser) next() lexer.Token {
-	t := p.cur()
-	p.pos++
+	t := p.tok
+	p.advance()
 	return t
 }
 

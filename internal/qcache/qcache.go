@@ -19,6 +19,7 @@ import (
 	"container/list"
 	"sync"
 
+	"ldl1/internal/eval"
 	"ldl1/internal/term"
 )
 
@@ -50,13 +51,13 @@ func ConstsKey(consts []term.Term) string {
 	return string(b)
 }
 
-// Entry is one cached answer set.  Sols and Cone are frozen at PutAt time;
-// the cache hands out the same slice to every hit.
+// Entry is one cached answer set.  Table and Cone are frozen at PutAt time;
+// the cache hands out the same cells to every hit.
 type Entry struct {
-	// Sols is the answer table of the read that filled the entry: one
-	// sorted row per answer (eval.Solve).  Neither the table nor its rows
-	// may be written to.
-	Sols [][]term.Term
+	// Table is the answer table of the read that filled the entry
+	// (eval.Query.Solve).  Its cells may not be written to; a hit cuts its
+	// own rows from them (eval.Table.Rows).
+	Table eval.Table
 	// Cone holds every predicate (EDB and IDB) the query depends on; an
 	// update touching any of them evicts the entry.
 	Cone map[string]bool

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ldl1/internal/ast"
@@ -163,20 +164,20 @@ func (e *Engine) read(ctx context.Context, body []ast.Literal, f *form, key qcac
 			if st != nil {
 				st.CacheHits++
 			}
-			return newAnswers(body, ent.Sols, o.MaxRows)
+			return newAnswers(body, ent.Table, o.MaxRows)
 		}
 	}
 	gen := e.cache.Gen()
 	// A miss evaluates a copy of consts, so that on a hit the caller's
 	// slice (a prepared Exec's arguments) does not escape.
-	rows, err := e.compute(ctx, body, f, key, slices.Clone(consts), o, st)
+	t, err := e.compute(ctx, body, f, key, slices.Clone(consts), o, st)
 	if err != nil {
 		return nil, err
 	}
 	if key.Pred != "" {
-		e.cache.PutAt(key, &qcache.Entry{Sols: rows, Cone: e.cone(key.Pred)}, gen)
+		e.cache.PutAt(key, &qcache.Entry{Table: t, Cone: e.cone(key.Pred)}, gen)
 	}
-	return newAnswers(body, rows, o.MaxRows)
+	return newAnswers(body, t, o.MaxRows)
 }
 
 // form is a query compiled once for its binding pattern: the magic form of
@@ -186,6 +187,15 @@ func (e *Engine) read(ctx context.Context, body []ast.Literal, f *form, key qcac
 type form struct {
 	magic *magic.Prepared
 	query *eval.Query
+	// stored is the engine's count of derived predicates with stored facts
+	// when the form was compiled.
+	stored int32
+}
+
+// stale reports whether f is a magic form compiled before a load or assert
+// gave a derived predicate its first facts, which it does not read.
+func (f *form) stale(e *Engine) bool {
+	return f.magic != nil && f.stored != e.stored.Load()
 }
 
 // parametric reports whether body is one positive database literal, whose
@@ -205,10 +215,10 @@ func (e *Engine) compile(body []ast.Literal, key qcache.Key) (*form, error) {
 	e.formMu.Lock()
 	f := e.forms[key]
 	e.formMu.Unlock()
-	if f != nil {
+	if f != nil && !f.stale(e) {
 		return f, nil
 	}
-	f = new(form)
+	f = &form{stored: e.stored.Load()}
 	if e.magic && len(body) == 1 {
 		var err error
 		if f.magic, err = e.magicForm(body[0]); err != nil {
@@ -221,6 +231,7 @@ func (e *Engine) compile(body []ast.Literal, key qcache.Key) (*form, error) {
 	if key.Pred != "" {
 		e.formMu.Lock()
 		defer e.formMu.Unlock()
+		delete(e.forms, key)       // a stale form
 		for old := range e.forms { // evict an arbitrary form
 			if len(e.forms) < formCap {
 				break
@@ -234,11 +245,11 @@ func (e *Engine) compile(body []ast.Literal, key qcache.Key) (*form, error) {
 
 // compute evaluates body by f — nil: the form compile returns for body and
 // key — binding its parameters to consts, body's ground arguments.
-func (e *Engine) compute(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, consts []term.Term, o ReadOpts, st *eval.Stats) ([][]term.Term, error) {
+func (e *Engine) compute(ctx context.Context, body []ast.Literal, f *form, key qcache.Key, consts []term.Term, o ReadOpts, st *eval.Stats) (eval.Table, error) {
 	if f == nil {
 		var err error
 		if f, err = e.compile(body, key); err != nil {
-			return nil, err
+			return eval.Table{}, err
 		}
 	}
 	var args []term.Term // nil: the constants f was compiled with
@@ -250,7 +261,7 @@ func (e *Engine) compute(ctx context.Context, body []ast.Literal, f *form, key q
 	}
 	v, err := e.materialized(ctx)
 	if err != nil {
-		return nil, err
+		return eval.Table{}, err
 	}
 	return f.query.Solve(ctx, v.Snapshot(), args, eval.SolveLimits{MaxSolutions: o.MaxRows, MemBudget: o.MemBudget})
 }
@@ -349,7 +360,8 @@ type PreparedQuery struct {
 	key qcache.Key
 	// form is the compiled form; nil for a negated or built-in literal,
 	// whose constants are not parameters, so each Exec compiles its own.
-	form *form
+	// An Exec that finds it stale compiles it again and stores that.
+	form atomic.Pointer[form]
 }
 
 // PreparedView is another name of PreparedQuery.
@@ -369,8 +381,8 @@ func (e *Engine) prepare(query parser.Query) (*PreparedQuery, error) {
 	if len(body) == 1 && !parametric(body) {
 		return pq, nil
 	}
-	var err error
-	pq.form, err = e.compile(body, qcache.Key{})
+	f, err := e.compile(body, qcache.Key{})
+	pq.form.Store(f)
 	return pq, err
 }
 
@@ -411,7 +423,8 @@ func (pq *PreparedQuery) ExecOpts(ctx context.Context, o ReadOpts, args ...Term)
 		}
 	}
 	body := pq.query.Body
-	if pq.form == nil {
+	f := pq.form.Load()
+	if f == nil {
 		// A negated or built-in literal's constants are not parameters:
 		// the literal with args in place compiles its own form.
 		lit := body[0]
@@ -425,11 +438,18 @@ func (pq *PreparedQuery) ExecOpts(ctx context.Context, o ReadOpts, args ...Term)
 		key, consts := readKey(body)
 		return pq.e.read(ctx, body, nil, key, consts, o)
 	}
+	if f.stale(pq.e) {
+		var err error
+		if f, err = pq.e.compile(body, qcache.Key{}); err != nil {
+			return nil, err
+		}
+		pq.form.Store(f)
+	}
 	key := pq.key
 	if key.Pred != "" {
 		key.Consts = qcache.ConstsKey(args)
 	}
-	return pq.e.read(ctx, body, pq.form, key, args, o)
+	return pq.e.read(ctx, body, f, key, args, o)
 }
 
 // evalArgs appends to buf the values of Exec arguments, with their

@@ -101,12 +101,17 @@ func (e *Engine) load(preds []string, fs []*term.Fact, rels ...*store.Relation) 
 // commit writes a change into the extensional database — ins first, then
 // del — records inserted, the predicates of the facts inserted, as known,
 // and evicts the answers on changed, the predicates whose extension it
-// changed: the one place an answer is evicted.  A read that solved against the database before the change and
-// finishes after it is not cached (see Engine.read).  Callers hold e.mu for
+// changed: the one place an answer is evicted.  A read that solved against
+// the database before the change and finishes after it is not cached (see
+// Engine.read).  The first facts of a derived predicate make every magic
+// form compiled before stale (see form.stale).  Callers hold e.mu for
 // writing.
 func (e *Engine) commit(changed, inserted []string, del, ins []*term.Fact) {
 	e.edb.LoadFacts(ins, store.LoadOpts{})
 	for _, p := range inserted {
+		if _, derived := e.cones[p]; derived && !e.known[p] {
+			e.stored.Add(1)
+		}
 		e.known[p] = true
 	}
 	if len(del) > 0 {
