@@ -1,11 +1,15 @@
 package ldl1
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"ldl1/internal/eval"
+	"ldl1/internal/parser"
 	"ldl1/internal/qcache"
 )
 
@@ -177,7 +181,7 @@ func TestAnonymousVariablesAreNotColumns(t *testing.T) {
 // TestCachedAnswerIsOneTable: the answer cache keeps a read's answer as one
 // flat table — an answer of n one-column rows holds its n cells, with no
 // more than an eighth of them spare, and no row headers — and two hits on
-// one key cut their own rows from the same cells.
+// one key read their rows in place from the same cells.
 func TestCachedAnswerIsOneTable(t *testing.T) {
 	for _, m := range []bool{false, true} {
 		eng, err := New(treeProgram(7), WithMagic(m))
@@ -203,12 +207,9 @@ func TestCachedAnswerIsOneTable(t *testing.T) {
 		}
 		a, b := mustAnswers(t, pq), mustAnswers(t, pq)
 		for i := range n {
-			if &a.Rows[i][0] != &tab.Cells[i] || &b.Rows[i][0] != &tab.Cells[i] {
-				t.Fatalf("magic=%v: row %d of a hit is not cut from the cached cells", m, i)
+			if &a.Row(i)[0] != &tab.Cells[i] || &b.Row(i)[0] != &tab.Cells[i] {
+				t.Fatalf("magic=%v: row %d of a hit is not read from the cached cells", m, i)
 			}
-		}
-		if &a.Rows[0] == &b.Rows[0] {
-			t.Errorf("magic=%v: two hits share their Rows", m)
 		}
 	}
 }
@@ -245,7 +246,7 @@ func TestConcurrentHitsShareOneTable(t *testing.T) {
 					errs <- got
 					return
 				}
-				slices.Reverse(a.Rows)
+				slices.Reverse(a.Rows())
 			}
 		}()
 	}
@@ -322,5 +323,89 @@ func TestMagicReadsStoredFacts(t *testing.T) {
 	}
 	if got := mustStr(t)(engs[1].Query("anc(y, W)")); got != "W = z" {
 		t.Errorf("anc(y, W) after the retract: %q, want W = z", got)
+	}
+}
+
+// TestDistinctReadTableIsExact: a read of one positive literal whose
+// arguments are distinct named variables and constants keeps one row per
+// fact it reads, so it takes its row count from the store before it
+// enumerates — the relation's length for a scan, the index bucket's for a
+// probe — and lays its table out once, at its final size, on every reader.
+// A repeated variable, and a constant at a column no index answers, keep
+// the growing table and answer what eval.SolveLimitsCtx answers on the
+// model.
+func TestDistinctReadTableIsExact(t *testing.T) {
+	src := treeProgram(6)
+	plain, err := New(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := plain.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	magicEng, err := New(src, WithMagic(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := plain.Prepare("a(n1, W)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		read func() (*Answers, error)
+	}{
+		{"engine scan", func() (*Answers, error) { return plain.Query("p(X, Y)") }},
+		{"engine probe", func() (*Answers, error) { return plain.Query("p(n1, W)") }},
+		{"engine derived", func() (*Answers, error) { return plain.Query("a(n2, W)") }},
+		{"view scan", func() (*Answers, error) { return view.Query("siblings(X, Y)") }},
+		{"view derived", func() (*Answers, error) { return view.Query("a(W, n9)") }},
+		{"prepared", func() (*Answers, error) { return pq.Exec(Sym("n3")) }},
+		{"magic base", func() (*Answers, error) { return magicEng.Query("p(n1, W)") }},
+		{"magic derived", func() (*Answers, error) { return magicEng.Query("a(n2, W)") }},
+	} {
+		a, err := c.read()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := len(a.t.Cells); a.Len() == 0 || n != a.Len()*a.t.Width || cap(a.t.Cells) != n {
+			t.Errorf("%s: %d rows in %d cells of capacity %d, want rows and no spare", c.name, a.Len(), n, cap(a.t.Cells))
+		}
+	}
+
+	var facts strings.Builder
+	for i := range 40 {
+		fmt.Fprintf(&facts, "r(k%d, k%d). ", i%5, i%3)
+	}
+	for _, opts := range [][]Option{nil, {WithoutIndexes()}} {
+		eng, err := New(facts.String(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{"r(X, X)", "r(X, k1)", "r(k2, X)"} {
+			q, err := parser.ParseQuery(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eval.SolveLimitsCtx(context.Background(), q.Body, m.DB(), eval.SolveLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := eng.Query(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := a.Rows(); fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+				t.Errorf("indexes %v, %s: %v, want %v", opts == nil, src, got, want)
+			}
+			if n := len(a.t.Cells); cap(a.t.Cells) > n+n/8 {
+				t.Errorf("indexes %v, %s: %d cells of capacity %d, more than an eighth spare", opts == nil, src, n, cap(a.t.Cells))
+			}
+		}
 	}
 }

@@ -28,7 +28,7 @@
 //	`)
 //	if err != nil { ... }
 //	ans, err := eng.Query("ancestor(abe, W)")
-//	for _, row := range ans.Rows { fmt.Println(row) }
+//	for i := range ans.Len() { fmt.Println(ans.Row(i)) }
 //
 // # One handle
 //

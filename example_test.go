@@ -26,6 +26,21 @@ func Example() {
 	// W = carl
 }
 
+// An answer's rows are read in place: Len of them, each one term per
+// entry of Vars.
+func ExampleAnswers_Row() {
+	eng, _ := ldl1.New(`parent(abe, bob). parent(abe, carl). parent(bob, dan).`)
+	ans, _ := eng.Query("parent(P, C)")
+	for i := range ans.Len() {
+		row := ans.Row(i)
+		fmt.Println(ans.Vars[0], "=", row[0], "/", ans.Vars[1], "=", row[1])
+	}
+	// Output:
+	// P = abe / C = bob
+	// P = abe / C = carl
+	// P = bob / C = dan
+}
+
 func ExampleEngine_Query_grouping() {
 	eng, _ := ldl1.New(`
 		sp(s1, p1). sp(s1, p2). sp(s2, p1).

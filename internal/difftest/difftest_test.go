@@ -375,7 +375,7 @@ func TestHandlesFollowUpdates(t *testing.T) {
 						fail("%s: %v", q, err)
 					}
 					ans, err := h.Query(q.String())
-					if err != nil || !slices.EqualFunc(ans.Rows, rows, func(a, b []term.Term) bool { return eval.CompareRows(a, b) == 0 }) {
+					if err != nil || !slices.EqualFunc(ans.Rows(), rows, func(a, b []term.Term) bool { return eval.CompareRows(a, b) == 0 }) {
 						fail("%s answers %v, %v; from scratch %v", q, ans, err, rows)
 					}
 				}

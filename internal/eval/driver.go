@@ -254,22 +254,24 @@ func (v *Variant) Task(db *store.DB, delta *store.Relation) Task {
 // the head facts of the running task go.
 type Exec struct {
 	b *budget
-	// polls shares a word with static, which keeps a Driver in the 240-byte
-	// size class with sets; pollEvery divides 2³², so it wraps in step.
+	// polls shares a word with static and busy, which keeps a Driver in
+	// the 288-byte size class; pollEvery divides 2³², so it wraps in step.
 	polls  uint32
 	static bool // every body is ordered statically: Options.NoReorder
+	busy   bool // an enumeration runs (heads)
 	// prov, when non-nil, makes join keep the trail of matched database
 	// facts so derivations can be recorded.
 	prov  *Provenance
 	trail []*term.Fact
 	neg   []term.Term   // argument buffer of the negated literal being checked
+	head  []term.Term   // head arguments of the running enumeration's solution
 	one   [1]*term.Fact // a full-key probe's fact; match reads it before the next probe
 	// sets holds the unions the built-ins have built, so an equal one is
 	// not built again; it goes with the driver.
 	sets term.SetTable
 	// bind is the binding trail every enumeration on the Exec starts from
-	// empty (bindings): none nests inside another, since heads keeps what
-	// the running one reads in db and delta below.
+	// empty (bindings): none nests inside another (heads panics), since
+	// heads keeps what the running one reads in db and delta below.
 	bind unify.Bindings
 
 	firings, idxHits, fullScans int
@@ -309,9 +311,8 @@ func (x *Exec) against(db *store.DB) *store.DB {
 }
 
 // bindings returns the Exec's binding trail, emptied, for one enumeration.
-// An enumeration nested inside another on the same Exec would see the outer
-// bindings, and rules share variable names: it must take bindings of its
-// own.
+// No enumeration nests inside another on the same Exec (heads panics): it
+// would see the outer bindings, and rules share variable names.
 func (x *Exec) bindings() *unify.Bindings {
 	x.bind.Undo(0)
 	return &x.bind
@@ -320,10 +321,15 @@ func (x *Exec) bindings() *unify.Bindings {
 // heads enumerates the solutions of the variant's body under plan p — nil:
 // the plan of the body ordered against db — its delta literal reading delta,
 // the rest db, counting a firing and polling the budget per solution, and
-// yields the head arguments of every solution inside U (§3.2) in a scratch
-// slice valid only for the duration of the call, so a firing that derives
-// nothing new allocates nothing.  b holds the live bindings during yield.
+// yields the head arguments of every solution inside U (§3.2) in the
+// Exec's scratch slice, valid only for the duration of the call, so a
+// firing that derives nothing new allocates nothing.  b holds the live
+// bindings during yield.  It panics when called from inside a yield of
+// another enumeration on x: that one reads db, delta and the scratch.
 func (x *Exec) heads(v *Variant, p *bodyPlan, db *store.DB, delta *store.Relation, b *unify.Bindings, yield func(args []term.Term) error) error {
+	if x.busy {
+		panic("eval: an enumeration nested inside another on one Exec")
+	}
 	if p == nil {
 		var err error
 		if p, _, err = v.plan(x.against(db)); err != nil {
@@ -331,7 +337,16 @@ func (x *Exec) heads(v *Variant, p *bodyPlan, db *store.DB, delta *store.Relatio
 		}
 	}
 	x.db, x.delta, x.deltaSlot = db, delta, v.dLit
-	scratch := make([]term.Term, len(v.head.Args))
+	n := len(v.head.Args)
+	if cap(x.head) < n {
+		x.head = make([]term.Term, n)
+	}
+	scratch := x.head[:n]
+	x.busy = true
+	defer func() {
+		x.busy = false
+		clear(scratch)
+	}()
 	return x.join(v.body, p, 0, b, func() error {
 		x.firings++
 		if err := x.poll(); err != nil {
@@ -470,29 +485,14 @@ func (x *Exec) candidates(rel *store.Relation, a *access, l ast.Literal, b *unif
 	each := func(run []*term.Fact) error { return x.match(l, run, b, cont) }
 	if len(a.cols) > 0 {
 		var arr [8]term.Term // probe buffer; stays on the stack
-		var vals []term.Term
-		if len(a.cols) <= len(arr) {
-			vals = arr[:len(a.cols)]
-		} else {
-			vals = make([]term.Term, len(a.cols))
+		vals, err := a.probe(b, arr[:0])
+		if errors.Is(err, unify.ErrOutsideU) {
+			return nil // argument outside U never matches
 		}
-		ok := true
-		for i, key := range a.keys {
-			v, err := key(b)
-			if err != nil {
-				if errors.Is(err, unify.ErrOutsideU) {
-					return nil // argument outside U never matches
-				}
-				// The static analysis over-promised (should not happen);
-				// fall back to a scan rather than probing a bogus key.
-				ok = false
-				break
-			}
-			vals[i] = v
-		}
-		if ok {
+		// Another error: the static analysis over-promised (should not
+		// happen); fall back to a scan rather than probing a bogus key.
+		if err == nil {
 			var indexed bool
-			var err error
 			if a.full && rel != x.delta {
 				// A probe naming a whole fact reads the intern tables (delta
 				// chunks have none), so no index over every column is built

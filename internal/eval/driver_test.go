@@ -133,3 +133,35 @@ func TestFrontierKeepsWhatTheNextRoundReads(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedEnumerationPanics: an enumeration keeps what it reads — the
+// databases, the binding trail, the head arguments of its solution — on
+// its Exec, so a second one started on the same Exec from inside a yield
+// of the first would overwrite them.  heads panics instead, and the Exec
+// serves the next enumeration once that one is over.
+func TestNestedEnumerationPanics(t *testing.T) {
+	r := mustCompileRule(t, `q(X) <- p(X).`)
+	db := store.NewDB()
+	db.Insert(term.NewFact("p", atom("a")))
+	x := &Exec{b: &budget{}}
+	enumerate := func(yield func([]term.Term) error) error {
+		return x.heads(r.base, nil, db, nil, x.bindings(), yield)
+	}
+	nested := func() (msg any) {
+		defer func() { msg = recover() }()
+		enumerate(func([]term.Term) error {
+			return enumerate(func([]term.Term) error { return nil })
+		})
+		return nil
+	}()
+	if nested == nil {
+		t.Fatal("an enumeration nested inside another on one Exec did not panic")
+	}
+	var got []term.Term
+	if err := enumerate(func(args []term.Term) error { got = append(got, args...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !term.Equal(got[0], atom("a")) {
+		t.Errorf("after the panic the Exec enumerates %v, want [a]", got)
+	}
+}

@@ -578,11 +578,23 @@ type Query struct {
 	params   []term.Var  // bound per Solve, in argument order
 	defaults []term.Term // the body's own arguments at the parameters
 	distinct bool
+	// sized: distinct, with a column and no variable twice, so every fact
+	// the literal reads is a row (see size).
+	sized bool
 }
 
 // NewQuery compiles a query body; see Query.
 func NewQuery(body []ast.Literal) *Query {
 	q := &Query{cols: Columns(body), distinct: distinctRows(body)}
+	if q.distinct {
+		vars := 0
+		for _, a := range body[0].Args {
+			if _, isVar := a.(term.Var); isVar {
+				vars++
+			}
+		}
+		q.sized = len(q.cols) > 0 && vars == len(q.cols)
+	}
 	var pre map[term.Var]bool
 	if len(body) == 1 && !body[0].Negated && !layering.IsBuiltin(body[0].Pred) {
 		lit := ast.Literal{Pred: body[0].Pred, Args: slices.Clone(body[0].Args)}
@@ -658,7 +670,7 @@ func (q *Query) Solve(ctx context.Context, db *store.DB, args []term.Term, lim S
 	if err := x.b.Err(); err != nil {
 		return empty, err
 	}
-	b := unify.NewBindings()
+	b := x.bindings()
 	for i, a := range args {
 		v, err := unify.Apply(a, b)
 		if errors.Is(err, unify.ErrOutsideU) {
@@ -670,6 +682,9 @@ func (q *Query) Solve(ctx context.Context, db *store.DB, args []term.Term, lim S
 		b.Bind(q.params[i], v)
 	}
 	t := rowTable{width: len(q.cols), distinct: q.distinct}
+	if n, ok := q.size(p, db, b); ok {
+		t.flat = make([]term.Term, 0, lim.rows(n, t.width)*t.width)
+	}
 	var solBytes int64
 	err = x.heads(q.v, p, db, nil, b, func([]term.Term) error {
 		row := t.tail()
@@ -700,6 +715,47 @@ func (q *Query) Solve(ctx context.Context, db *store.DB, args []term.Term, lim S
 	return t.table(), nil
 }
 
+// size returns the number of rows Solve keeps when the store already holds
+// it, read before the enumeration: a sized query keeps one row per fact it
+// reads, so the relation's length when it scans, the length of the index
+// bucket when it probes.  ok is false for an unsized query and for a probe
+// no index answers.
+func (q *Query) size(p *bodyPlan, db *store.DB, b *unify.Bindings) (n int, ok bool) {
+	if !q.sized {
+		return 0, false
+	}
+	rel, a := db.RelOrNil(q.v.body[0].Pred), &p.acc[0]
+	switch {
+	case rel == nil:
+		return 0, true
+	case len(a.cols) == 0:
+		return rel.Len(), true
+	}
+	var arr [8]term.Term // probe buffer; stays on the stack
+	vals, err := a.probe(b, arr[:0])
+	if err != nil {
+		return 0, false
+	}
+	return rel.CountCols(a.cols, vals)
+}
+
+// rows caps n, the rows a sized Solve expects, at the most it can keep
+// before the limits fail it: MaxSolutions+1 rows, and the rows whose cells
+// the memory budget charges at its least, 48 bytes a cell, before it is
+// spent.  The cells of a read the limits end are then never made at the
+// size of the relation.
+func (lim SolveLimits) rows(n, width int) int {
+	if lim.MaxSolutions > 0 && n > lim.MaxSolutions {
+		n = lim.MaxSolutions + 1 // n is a length, so the sum cannot overflow
+	}
+	if lim.MemBudget > 0 {
+		if m := lim.MemBudget/int64(48*width) + 1; int64(n) > m {
+			n = int(m)
+		}
+	}
+	return n
+}
+
 // distinctRows reports whether every solution of body is a row of its own:
 // one positive database literal whose arguments are ground or named
 // variables matches each stored fact once, and two facts it matches differ
@@ -717,7 +773,8 @@ func distinctRows(body []ast.Literal) bool {
 }
 
 // rowTable collects the distinct rows of one Solve back to back in one flat
-// slice, which doubles when it fills.  slots is an open-addressed set of
+// slice, made at its final size when Solve knows it and doubled when it
+// fills otherwise.  slots is an open-addressed set of
 // row numbers plus one (0 marks a free slot) over hashes, at most half full;
 // it stays empty when every solution is known to be a distinct row.
 type rowTable struct {

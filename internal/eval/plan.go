@@ -49,6 +49,21 @@ type access struct {
 	full bool
 }
 
+// probe appends to buf the probe value of every column in cols, evaluated
+// under b, and returns them.  The error of a value that cannot be
+// evaluated is returned as is; unify.ErrOutsideU means the probe matches
+// nothing.
+func (a *access) probe(b *unify.Bindings, buf []term.Term) ([]term.Term, error) {
+	for _, key := range a.keys {
+		v, err := key(b)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, v)
+	}
+	return buf, nil
+}
+
 // bodyPlan is a compiled rule body: the literal execution order plus the
 // access path of each step (acc is parallel to order).  It is an entry of
 // its shape's memo, immutable once published.

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ldl1/internal/ast"
 	"ldl1/internal/lderr"
@@ -193,5 +196,114 @@ func TestQueryParameters(t *testing.T) {
 	}
 	if _, err := q.Solve(context.Background(), db, []term.Term{term.Int(2), term.Int(3)}, SolveLimits{}); err == nil {
 		t.Error("two arguments for one parameter: no error")
+	}
+}
+
+// TestSolveSizedByTheStore: a one-literal query whose arguments are distinct
+// named variables and parameters keeps one row per fact it reads, so Solve
+// makes its table at the count the store holds — the relation's length for
+// a scan, the index bucket's for a probe — and the cells come back with no
+// spare capacity.  A repeated variable, and a constant at a column no index
+// answers, keep the growing table.  All answer what brute force answers,
+// and a sized query stops at MaxSolutions as any other does.
+func TestSolveSizedByTheStore(t *testing.T) {
+	for _, useIdx := range []bool{true, false} {
+		db := store.NewDB()
+		db.UseIndexes = useIdx
+		var facts []*term.Fact
+		for i := range 120 {
+			f := term.NewFact("e", term.Int(int64(i%7)), term.Int(int64(i%5)), term.Int(int64(i)))
+			db.Insert(f)
+			facts = append(facts, f)
+		}
+		for _, c := range []struct {
+			src   string
+			exact bool
+		}{
+			{"e(X, Y, Z)", true},
+			{"e(3, Y, Z)", useIdx},
+			{"e(3, 4, Z)", useIdx},
+			{"e(X, 2, Z)", useIdx},
+			{"e(9, Y, Z)", useIdx}, // no such bucket
+			{"e(X, X, Z)", false},
+			{"e(X, X, 8)", false},
+		} {
+			q, err := parser.ParseQuery(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := NewQuery(q.Body).Solve(context.Background(), db, nil, SolveLimits{})
+			if err != nil {
+				t.Fatalf("%s: %v", c.src, err)
+			}
+			want, _ := bruteRows(q.Body, map[string][]*term.Fact{"e": facts}, Columns(q.Body))
+			got := map[string]bool{}
+			for _, row := range tab.Rows() {
+				got[fmt.Sprint(row)] = true
+			}
+			if tab.N != len(want) || !maps.Equal(got, want) {
+				t.Errorf("indexes %v, %s: %d rows %v, brute force %v", useIdx, c.src, tab.N, got, want)
+			}
+			n := len(tab.Cells)
+			if c.exact && cap(tab.Cells) != n || cap(tab.Cells) > n+n/8 {
+				t.Errorf("indexes %v, %s: %d cells of capacity %d, want %s", useIdx, c.src, n, cap(tab.Cells),
+					map[bool]string{true: "no spare", false: "at most an eighth spare"}[c.exact])
+			}
+		}
+		q, err := parser.ParseQuery("e(X, Y, Z)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lim *lderr.LimitError
+		if _, err := NewQuery(q.Body).Solve(nil, db, nil, SolveLimits{MaxSolutions: 10}); !errors.As(err, &lim) {
+			t.Errorf("indexes %v: MaxSolutions 10 with 120 rows: %v, want a LimitError", useIdx, err)
+		}
+		// The largest limits size the table as no limit does: the cap on
+		// the rows adds nothing to MaxSolutions that could overflow.
+		for _, src := range []string{"e(X, Y, Z)", "e(X, 3, 4)"} {
+			q, err := parser.ParseQuery(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := NewQuery(q.Body).Solve(nil, db, nil, SolveLimits{MaxSolutions: math.MaxInt, MemBudget: math.MaxInt64})
+			if err != nil || cap(tab.Cells) != len(tab.Cells) {
+				t.Errorf("indexes %v, %s under the largest limits: %d cells of capacity %d, %v", useIdx, src, len(tab.Cells), cap(tab.Cells), err)
+			}
+		}
+	}
+}
+
+// TestSizedSolveUnderMemBudget: a sized read that its memory budget fails
+// makes its cells at the rows the budget could charge, not at the
+// relation's length.
+func TestSizedSolveUnderMemBudget(t *testing.T) {
+	db := store.NewDB()
+	const facts = 20000
+	for i := range facts {
+		db.Insert(term.NewFact("e", term.Int(int64(i))))
+	}
+	q, err := parser.ParseQuery("e(X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := NewQuery(q.Body)
+	solve := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := query.Solve(nil, db, nil, SolveLimits{MemBudget: 4096})
+		runtime.ReadMemStats(&after)
+		var me *lderr.MemBudgetError
+		if !errors.As(err, &me) {
+			t.Fatalf("%d facts under a 4096-byte budget: %v, want a MemBudgetError", facts, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	solve() // plans the body
+	least := solve()
+	for range 2 {
+		least = min(least, solve())
+	}
+	if whole := uint64(facts) * uint64(unsafe.Sizeof(term.Term(nil))); least >= whole/4 {
+		t.Errorf("a read the budget fails allocates %d bytes; the relation's cells are %d", least, whole)
 	}
 }

@@ -55,8 +55,8 @@ func ConstsKey(consts []term.Term) string {
 // the cache hands out the same cells to every hit.
 type Entry struct {
 	// Table is the answer table of the read that filled the entry
-	// (eval.Query.Solve).  Its cells may not be written to; a hit cuts its
-	// own rows from them (eval.Table.Rows).
+	// (eval.Query.Solve).  Its cells may not be written to; every hit
+	// reads them in place (ldl1.Answers.Len and Row).
 	Table eval.Table
 	// Cone holds every predicate (EDB and IDB) the query depends on; an
 	// update touching any of them evicts the entry.

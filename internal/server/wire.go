@@ -37,33 +37,41 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // writeAnswers sends the answer table a as the response body.
 func writeAnswers(w http.ResponseWriter, a *ldl1.Answers) {
 	out, text := bufpool.Get(), bufpool.Get()
-	*out, *text = appendAnswers(*out, *text, a)
+	*out, *text = appendAnswers(*out, *text, a.Vars, a)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(*out)
 	bufpool.Put(out)
 	bufpool.Put(text)
 }
 
-// appendAnswers renders a onto dst as {"vars": [...], "rows": [[...], ...],
-// "count": n} -- byte for byte what json.Encoder writes for that object with
-// every term as its LDL1 text and an unbound column as "_".  text is scratch
-// space for one term's text; both slices are returned for reuse.  a.Vars is
-// never nil (the encoder would write null).
-func appendAnswers(dst, text []byte, a *ldl1.Answers) ([]byte, []byte) {
+// answerRows is what appendAnswers reads of an answer table, in place:
+// *ldl1.Answers has it.
+type answerRows interface {
+	Len() int
+	Row(i int) []ldl1.Term
+}
+
+// appendAnswers renders vars and rows onto dst as {"vars": [...], "rows":
+// [[...], ...], "count": n} -- byte for byte what json.Encoder writes for that
+// object with every term as its LDL1 text and an unbound column as "_".
+// text is scratch space for one term's text; both slices are returned for
+// reuse.  vars is never nil (the encoder would write null).
+func appendAnswers(dst, text []byte, vars []string, rows answerRows) ([]byte, []byte) {
 	dst = append(dst, `{"vars":[`...)
-	for i, v := range a.Vars {
+	for i, v := range vars {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = appendJSONString(dst, v)
 	}
 	dst = append(dst, `],"rows":[`...)
-	for i, row := range a.Rows {
+	n := rows.Len()
+	for i := range n {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '[')
-		for j, t := range row {
+		for j, t := range rows.Row(i) {
 			if j > 0 {
 				dst = append(dst, ',')
 			}
@@ -77,7 +85,7 @@ func appendAnswers(dst, text []byte, a *ldl1.Answers) ([]byte, []byte) {
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `],"count":`...)
-	dst = strconv.AppendInt(dst, int64(len(a.Rows)), 10)
+	dst = strconv.AppendInt(dst, int64(n), 10)
 	return append(dst, "}\n"...), text
 }
 

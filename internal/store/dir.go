@@ -196,9 +196,14 @@ func (d *dir[T]) split(id uint64, bits *uint, i int, depth uint8, hi T) {
 }
 
 // clone returns the directory a fork starts from: the flat slice or the top
-// is copied, and the pages are shared until written.
-func (d *dir[T]) clone() dir[T] {
+// is copied, and the pages are shared until written.  A positive spare
+// copies the flat slice with room for exactly that many more entries, up to
+// unit, for a write that pushes right after the copy.
+func (d *dir[T]) clone(spare int) dir[T] {
 	if d.top == nil {
+		if spare > 0 {
+			return dir[T]{flat: append(make([]T, 0, min(len(d.flat)+spare, unit)), d.flat...)}
+		}
 		return dir[T]{flat: slices.Clone(d.flat)}
 	}
 	return dir[T]{top: &dirTop[T]{pages: slices.Clone(d.top.pages), n: d.top.n}}

@@ -189,3 +189,51 @@ func TestConcurrentLookupBuild(t *testing.T) {
 		t.Errorf("expected exactly 2 indexes after racing builds, got %d", n)
 	}
 }
+
+// TestSharedBucketCopiedOnce: the first write of a fork to an index bucket
+// it shares with the relation it was forked from copies the bucket once,
+// with room for the fact it pushes and none past it, and the entry keeps
+// the key of the fact that opened it without a copy of its own.
+func TestSharedBucketCopiedOnce(t *testing.T) {
+	a := term.Atom("a")
+	key := []term.Term{a}
+	h := keyOf(key)
+	for _, n := range []int{2, 8, 40} {
+		db := NewDB()
+		for i := range n + IndexThreshold { // the facts past n open a second bucket
+			k := term.Atom("b")
+			if i < n {
+				k = a
+			}
+			db.Insert(term.NewFact("e", k, term.Int(int64(i))))
+		}
+		db.Rel("e").ScanCols([]int{0}, key, func([]*term.Fact) error { return nil })
+		shared := builtIndexes(db.RelOrNil("e"))[0]
+		fork := db.Clone()
+		fork.Insert(term.NewFact("e", a, term.Int(-1)))
+		r := fork.RelOrNil("e")
+		ix := builtIndexes(r)[0]
+		sh := ix.shards.at(shardOf(h, ix.bits))
+		i := find(sh, h, key)
+		e := sh.slots[i]
+		if e.facts.len() != n+1 || cap(e.facts.flat) != n+1 {
+			t.Errorf("a shared bucket of %d facts holds %d with capacity %d after a push on a fork, want %d and %d",
+				n, e.facts.len(), cap(e.facts.flat), n+1, n+1)
+		}
+		if &e.vals[0] != &e.facts.flat[0].Args[0] {
+			t.Errorf("the entry of a keeps a copy of its key")
+		}
+
+		// Each push below starts from the bucket the fork shares: one entry
+		// and one bucket copied, and the push takes no third allocation.
+		orig := shared.shards.at(shardOf(h, shared.bits)).slots[i]
+		f := term.NewFact("e", a, term.Int(-2))
+		allocs := testing.AllocsPerRun(20, func() {
+			sh.slots[i] = orig
+			ix.add(r.id, f)
+		})
+		if allocs != 2 {
+			t.Errorf("a push into a shared bucket of %d facts allocates %.0f objects, want 2 (the entry and the bucket)", n, allocs)
+		}
+	}
+}

@@ -170,17 +170,23 @@ func (ix *index) key(f *term.Fact, buf []term.Term) (vals []term.Term, ok bool) 
 
 // ownEntry returns the entry in slot i for a write by the relation numbered
 // id, first copying it, with its bucket's top, if it belongs to a relation
-// this one was forked from.
-func ownEntry(s *idxShard, id uint64, i int) *idxEntry {
+// this one was forked from.  A flat bucket is copied with room for spare
+// more facts, so the push that follows the copy does not copy it again.
+func ownEntry(s *idxShard, id uint64, i, spare int) *idxEntry {
 	e := s.slots[i]
 	if e.owner != id {
-		e = &idxEntry{owner: id, hash: e.hash, vals: e.vals, facts: e.facts.clone()}
+		e = &idxEntry{owner: id, hash: e.hash, vals: e.vals, facts: e.facts.clone(spare)}
 		s.slots[i] = e
 	}
 	return e
 }
 
 // add appends a fact to its bucket on behalf of the relation numbered id.
+// A new entry's key is a sub-slice of f's own arguments when the index's
+// columns are contiguous, a copy of them otherwise.  Facts are never
+// written, so the key stays right; but it keeps f's whole Args array
+// reachable until the entry is deleted, also after f leaves the bucket
+// while other facts still share the key.
 func (ix *index) add(id uint64, f *term.Fact) {
 	var buf [8]term.Term
 	vals, ok := ix.key(f, buf[:0])
@@ -190,10 +196,16 @@ func (ix *index) add(id uint64, f *term.Fact) {
 	h := keyOf(vals)
 	sh := own(&ix.shards, ix.bits, id, h)
 	if i := find(sh, h, vals); sh.slots[i] != nil {
-		ownEntry(sh, id, i).facts.push(id, f)
+		ownEntry(sh, id, i, 1).facts.push(id, f)
 		return
 	}
-	e := &idxEntry{owner: id, hash: h, vals: slices.Clone(vals), facts: dir[*term.Fact]{flat: []*term.Fact{f}}}
+	var key []term.Term // a variable of its own, so that buf stays on the stack
+	if lo, hi := ix.cols[0], ix.cols[len(ix.cols)-1]+1; hi-lo == len(ix.cols) {
+		key = f.Args[lo:hi:hi]
+	} else {
+		key = slices.Clone(vals)
+	}
+	e := &idxEntry{owner: id, hash: h, vals: key, facts: dir[*term.Fact]{flat: []*term.Fact{f}}}
 	room(&ix.shards, &ix.bits, id, h, entryHash).insert(h, e, entryHash)
 	ix.keys++
 }
@@ -221,7 +233,7 @@ func (ix *index) remove(id uint64, f *term.Fact) {
 		}
 		return
 	}
-	ownEntry(sh, id, i).facts.sweepBack(id, func(g *term.Fact) (*term.Fact, bool) {
+	ownEntry(sh, id, i, 0).facts.sweepBack(id, func(g *term.Fact) (*term.Fact, bool) {
 		if g == f {
 			return nil, false
 		}
@@ -528,8 +540,8 @@ func (r *Relation) fork() *Relation {
 		Name:      r.Name,
 		id:        forkIDs.Add(1),
 		n:         r.n,
-		segs:      r.segs.clone(),
-		shards:    r.shards.clone(),
+		segs:      r.segs.clone(0),
+		shards:    r.shards.clone(0),
 		shardBits: r.shardBits,
 		useIdx:    r.useIdx,
 	}
@@ -537,7 +549,7 @@ func (r *Relation) fork() *Relation {
 		next := make([]*index, len(*p))
 		for i, ix := range *p {
 			c := *ix
-			c.shards = ix.shards.clone()
+			c.shards = ix.shards.clone(0)
 			next[i] = &c
 		}
 		nr.indexes.Store(&next)
@@ -639,6 +651,18 @@ func (r *Relation) ScanCols(cols []int, vals []term.Term, f func([]*term.Fact) e
 		}
 		return nil
 	})
+}
+
+// CountCols returns the number of facts ScanCols(cols, vals) hands out when
+// an index answers that probe, built already or built by this call as
+// ScanCols would build it: the length of one bucket.  ok is false when the
+// probe would scan.
+func (r *Relation) CountCols(cols []int, vals []term.Term) (n int, ok bool) {
+	if ix := r.indexFor(cols); ix != nil {
+		b := ix.probe(vals)
+		return b.len(), true
+	}
+	return 0, false
 }
 
 // LookupCols returns the facts ScanCols hands out, in one slice the caller

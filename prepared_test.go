@@ -164,7 +164,7 @@ func TestReadPathsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(a.Rows)
+		return fmt.Sprint(a.Rows())
 	}
 
 	type handles struct{ own, twin *PreparedQuery }
@@ -404,14 +404,14 @@ func TestQueryCacheSharedWithPlainQuery(t *testing.T) {
 	}
 	// Row values must match the prepared answers (names differ).
 	var rows, prows []string
-	for _, r := range ans.Rows {
+	for _, r := range ans.Rows() {
 		rows = append(rows, r[0].String())
 	}
 	pans, err := pq.Exec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range pans.Rows {
+	for _, r := range pans.Rows() {
 		prows = append(prows, r[0].String())
 	}
 	if fmt.Sprint(rows) != fmt.Sprint(prows) {
@@ -475,7 +475,7 @@ func TestCacheKeyTellsConstantsApart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(a.Rows) != 1 || !Equal(a.Rows[0][0], Sym(c.want)) {
+			if a.Len() != 1 || !Equal(a.Row(0)[0], Sym(c.want)) {
 				t.Errorf("magic=%v Exec%v = %v, want Z = %s", magic, c.args, a, c.want)
 			}
 		}
@@ -505,7 +505,7 @@ func TestAnswerValueSentBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range all.Rows {
+		for _, row := range all.Rows() {
 			arg, err := ParseTerm(row[0].String())
 			if err != nil {
 				t.Fatalf("magic=%v: answer %s does not parse: %v", magic, row[0], err)
@@ -515,13 +515,13 @@ func TestAnswerValueSentBack(t *testing.T) {
 				t.Fatalf("magic=%v: Exec(%s): %v", magic, arg, err)
 			}
 			var want []string
-			for _, r := range all.Rows {
+			for _, r := range all.Rows() {
 				if Equal(r[0], row[0]) {
 					want = append(want, r[1].String())
 				}
 			}
 			var vs []string
-			for _, r := range got.Rows {
+			for _, r := range got.Rows() {
 				vs = append(vs, r[0].String())
 			}
 			if fmt.Sprint(vs) != fmt.Sprint(want) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -134,6 +135,11 @@ func TestViewReadLimits(t *testing.T) {
 	ans, err := mv.QueryOpts(ctx, "ancestor(X, Y)", ReadOpts{MaxRows: 100})
 	if err != nil || ans.Len() != 6 {
 		t.Fatalf("MaxRows=100: %v, %d answers, want 6", err, ans.Len())
+	}
+	// The largest limits, on a one-column scan, bound nothing.
+	ans, err = mustView(t, "p(a). p(b). p(c).").QueryOpts(ctx, "p(X)", ReadOpts{MaxRows: math.MaxInt, MemBudget: math.MaxInt64})
+	if err != nil || ans.Len() != 3 {
+		t.Fatalf("MaxRows=MaxInt: %v, %d answers, want 3", err, ans.Len())
 	}
 
 	// Memory budget breach (fresh query shape: budgets bound evaluation

@@ -285,7 +285,7 @@ func loadRow(src string, gen func() (*store.DB, []workload.Update), k int, query
 			}
 			var a *Answers
 			if a, err = eng.Query(query); err == nil {
-				w.model = len(a.Rows)
+				w.model = a.Len()
 			}
 		}
 		for i, u := range txs {
